@@ -4,6 +4,8 @@ Everything is computed over Q(i) with truncated power series (jets); there is
 no floating point anywhere.  The main entry points:
 
 - :mod:`cuspfol.jets` — exact 1- and 2-variable jets.
+- :mod:`cuspfol.poly` — exact dense univariate polynomials: arithmetic, gcd,
+  evaluation and Q(i) roots.
 - :mod:`cuspfol.forms` — foliation 1-forms, blow-ups, the cusp reduction.
 - :mod:`cuspfol.transversal` — first integrals at a corner, the gluing germ.
 - :mod:`cuspfol.normalform` — the degree-by-degree polynomial normal form.

@@ -24,85 +24,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import poly
 from .coeff import Coeff
 from .jets import DEFAULT_ORDER, Jet1, Jet2
 from .linalg import solve
 from .moduli import GermDiff1, Homography
 
 
-# ---------------------------------------------------------------------------
-# dense polynomials over Coeff (lowest degree first)
-
-
 def _as_coeff(v):
     return v if isinstance(v, Coeff) else Coeff(v)
-
-
-def _ptrim(c):
-    c = [_as_coeff(v) for v in c]
-    while c and c[-1].is_zero():
-        c.pop()
-    return tuple(c)
-
-
-def _padd(a, b):
-    n = max(len(a), len(b))
-    out = []
-    for k in range(n):
-        x = a[k] if k < len(a) else Coeff(0)
-        y = b[k] if k < len(b) else Coeff(0)
-        out.append(x + y)
-    return _ptrim(out)
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return ()
-    out = [Coeff(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return _ptrim(out)
-
-
-def _pscale(a, s):
-    return _ptrim([v * s for v in a])
-
-
-def _pdivmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Coeff(0)] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    lead = b[-1]
-    while len(r) >= len(b) and _ptrim(r):
-        r = list(_ptrim(r))
-        if len(r) < len(b):
-            break
-        f = r[-1] / lead
-        k = len(r) - len(b)
-        q[k] = f
-        for i, v in enumerate(b):
-            r[k + i] = r[k + i] - f * v
-        r.pop()
-    return _ptrim(q), _ptrim(r)
-
-
-def _pgcd(a, b):
-    a, b = _ptrim(a), _ptrim(b)
-    while b:
-        _, r = _pdivmod(a, b)
-        a, b = b, r
-    if not a:
-        return ()
-    return _pscale(a, Coeff(1) / a[-1])  # monic
-
-
-def _peval_jet(p, z: Jet1) -> Jet1:
-    acc = Jet1.zero(z.order)
-    for c in reversed(p):
-        acc = acc * z + c
-    return acc
 
 
 def _as_rational(v):
@@ -126,18 +56,18 @@ class Rational1:
     den: tuple = (Coeff(1),)
 
     def __post_init__(self):
-        num = _ptrim(self.num)
-        den = _ptrim(self.den)
+        num = poly.trim(self.num)
+        den = poly.trim(self.den)
         if not den:
             raise ValueError("rational function needs a nonzero denominator")
-        g = _pgcd(num, den)
+        g = poly.gcd(num, den)
         if g and len(g) > 1:
-            num, _ = _pdivmod(num, g)
-            den, _ = _pdivmod(den, g)
+            num, _ = poly.divmod(num, g)
+            den, _ = poly.divmod(den, g)
         unit = den[0] if not den[0].is_zero() else den[-1]
         s = Coeff(1) / unit
-        object.__setattr__(self, "num", _pscale(num, s))
-        object.__setattr__(self, "den", _pscale(den, s))
+        object.__setattr__(self, "num", poly.scale(num, s))
+        object.__setattr__(self, "den", poly.scale(den, s))
 
     @classmethod
     def variable(cls):
@@ -153,14 +83,14 @@ class Rational1:
     def __add__(self, other):
         other = _as_rational(other)
         return Rational1(
-            _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
-            _pmul(self.den, other.den),
+            poly.add(poly.mul(self.num, other.den), poly.mul(other.num, self.den)),
+            poly.mul(self.den, other.den),
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Rational1(_pscale(self.num, Coeff(-1)), self.den)
+        return Rational1(poly.scale(self.num, Coeff(-1)), self.den)
 
     def __sub__(self, other):
         return self + (-_as_rational(other))
@@ -171,7 +101,7 @@ class Rational1:
     def __mul__(self, other):
         other = _as_rational(other)
         return Rational1(
-            _pmul(self.num, other.num), _pmul(self.den, other.den)
+            poly.mul(self.num, other.num), poly.mul(self.den, other.den)
         )
 
     __rmul__ = __mul__
@@ -179,50 +109,30 @@ class Rational1:
     def __truediv__(self, other):
         other = _as_rational(other)
         return Rational1(
-            _pmul(self.num, other.den), _pmul(self.den, other.num)
+            poly.mul(self.num, other.den), poly.mul(self.den, other.num)
         )
 
     def derivative(self) -> "Rational1":
         """d/dz by the quotient rule, returned reduced."""
-
-        def pdiff(p):
-            return _ptrim([p[k] * Coeff(k) for k in range(1, len(p))])
-
         return Rational1(
-            _padd(
-                _pmul(pdiff(self.num), self.den),
-                _pscale(_pmul(self.num, pdiff(self.den)), Coeff(-1)),
+            poly.add(
+                poly.mul(poly.derivative(self.num), self.den),
+                poly.scale(poly.mul(self.num, poly.derivative(self.den)), Coeff(-1)),
             ),
-            _pmul(self.den, self.den),
+            poly.mul(self.den, self.den),
         )
 
     def scale_variable(self, factor) -> "Rational1":
         """The rational function z -> self(factor * z)."""
         f = _as_coeff(factor)
-
-        def scale(p):
-            out = []
-            power = Coeff(1)
-            for c in p:
-                out.append(c * power)
-                power = power * f
-            return out
-
-        return Rational1(scale(self.num), scale(self.den))
+        return Rational1(poly.scale_variable(self.num, f), poly.scale_variable(self.den, f))
 
     def evaluate(self, point) -> Coeff:
         p = _as_coeff(point)
-
-        def horner(poly):
-            acc = Coeff(0)
-            for c in reversed(poly):
-                acc = acc * p + c
-            return acc
-
-        d = horner(self.den)
+        d = poly.evaluate(self.den, p)
         if d.is_zero():
             raise ValueError(f"pole at {p}")
-        return horner(self.num) / d
+        return poly.evaluate(self.num, p) / d
 
     def degree(self):
         dn = len(self.num) - 1 if self.num else 0
@@ -237,7 +147,7 @@ class Rational1:
         if self.den[0].is_zero():
             raise ValueError("pole at the origin")
         z = Jet1.variable(order)
-        return _peval_jet(self.num, z).div(_peval_jet(self.den, z))
+        return poly.evaluate(self.num, z).div(poly.evaluate(self.den, z))
 
     def compose_expand(self, sigma, order) -> Jet1:
         """Jet of self o sigma; requires den(0) != 0 since sigma(0) = 0."""
@@ -246,7 +156,7 @@ class Rational1:
         if self.den[0].is_zero():
             raise ValueError("pole at the origin")
         s = sigma.truncate(order)
-        return _peval_jet(self.num, s).div(_peval_jet(self.den, s))
+        return poly.evaluate(self.num, s).div(poly.evaluate(self.den, s))
 
 
 def rational_precompose(r: Rational1, h: Homography) -> Rational1:
@@ -257,13 +167,13 @@ def rational_precompose(r: Rational1, h: Homography) -> Rational1:
     lz_pow = [(Coeff(1),)]
     u_pow = [(Coeff(1),)]
     for _ in range(d):
-        lz_pow.append(_pmul(lz_pow[-1], lz))
-        u_pow.append(_pmul(u_pow[-1], u))
+        lz_pow.append(poly.mul(lz_pow[-1], lz))
+        u_pow.append(poly.mul(u_pow[-1], u))
 
     def push(p):
         out = ()
         for i, c in enumerate(p):
-            out = _padd(out, _pscale(_pmul(lz_pow[i], u_pow[d - i]), c))
+            out = poly.add(out, poly.scale(poly.mul(lz_pow[i], u_pow[d - i]), c))
         return out
 
     return Rational1(push(r.num), push(r.den))
@@ -285,9 +195,9 @@ def verify_rational_relation(r1: Rational1, r2: Rational1, sigma, order) -> bool
         raise ValueError("sigma jet is shorter than the requested order")
     s = sigma.truncate(order)
     z = Jet1.variable(order)
-    lhs = _peval_jet(r1.num, s) * _peval_jet(r2.den, z) - _peval_jet(
+    lhs = poly.evaluate(r1.num, s) * poly.evaluate(r2.den, z) - poly.evaluate(
         r2.num, z
-    ) * _peval_jet(r1.den, s)
+    ) * poly.evaluate(r1.den, s)
     return lhs.is_zero()
 
 
@@ -346,7 +256,7 @@ def hankel_rationality(g: Jet1, max_deg, order) -> Rational1 | None:
     if not res.feasible:
         return None
     q = (Coeff(1),) + tuple(res.solution)
-    prod = _peval_jet(q, Jet1.variable(n)) * g.truncate(n)
+    prod = Jet1(q, n) * g.truncate(n)
     p = tuple(prod.coeff(k) for k in range(min(d, n) + 1))
     cand = Rational1(p, q)
     if cand.expand(n) != g.truncate(n):

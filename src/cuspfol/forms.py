@@ -30,10 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .coeff import Coeff, ONE, ZERO
+from .coeff import Coeff, ZERO
 from .jets import DEFAULT_ORDER, Jet1, Jet2, JetError
 from .linalg import SolveResult, solve
-from .moduli import _poly_divmod, _poly_roots_qi, _poly_trim
+from .poly import roots_with_multiplicity
 
 
 @dataclass(frozen=True)
@@ -271,26 +271,6 @@ def exceptional_divide(w: OneForm, divisor_var: str) -> tuple[OneForm, int]:
     return OneForm(_shift(w.a), _shift(w.b), w.variables), k
 
 
-def _roots_with_multiplicity(poly: list[Coeff]):
-    """All Q(i) roots of a coefficient list (lowest degree first), with
-    multiplicities, plus the degree of the rootless residual factor."""
-    p = _poly_trim(list(poly))
-    if len(p) <= 1:
-        return [], 0
-    roots = []
-    for r in _poly_roots_qi(p):
-        mult = 0
-        while len(p) > 1:
-            q, rem = _poly_divmod(p, [-r, ONE])
-            if rem:
-                break
-            p = q
-            mult += 1
-        roots.append((r, mult))
-    roots.sort(key=lambda rm: (rm[0].re, rm[0].im))
-    return roots, len(p) - 1
-
-
 @dataclass(frozen=True)
 class DivisorReport:
     """Tangency analysis of a (divided) 1-form along one coordinate axis."""
@@ -329,7 +309,7 @@ def divisor_analysis(
         return DivisorReport(divisor_var, True, restricted, [], 0, None, w.order)
     deg = restricted.degree()
     poly = [restricted.coeff(k) for k in range(deg + 1)]
-    roots, residual = _roots_with_multiplicity(poly)
+    roots, residual = roots_with_multiplicity(poly)
     at_infty = None
     if expected_degree is not None:
         at_infty = deg < expected_degree
@@ -348,8 +328,9 @@ class ReductionVerdict(Enum):
 # Certifying every zero/nonzero decision of the reduction needs the input
 # coefficients up to total degree 5 (degree 3 fixes the tangency cone, the
 # degree 4 and 5 coefficients fix the singular point and its linear part
-# after the first blow-up); below that order a fully passing run is only
-# reported as Inconclusive.
+# after the first blow-up).  The blow-up pullbacks treat the jet as exact, so
+# below that order the checks after the first blow-up would read unknown
+# terms as zeros; such a run stops as Inconclusive once the cone is checked.
 _CERTIFYING_ORDER = 5
 
 
@@ -403,8 +384,9 @@ def reduce_cusp(w: OneForm) -> ReductionReport:
     the points at infinity of the working charts.
 
     A failing zero/nonzero decision that is visible inside the jet order is
-    definitive; if every stage passes but the order is below the certifying
-    threshold (5), the verdict is Inconclusive at that order.
+    definitive.  Below the certifying threshold (order 5) only the degree-3
+    checks are decidable; if they pass, the verdict is Inconclusive at that
+    order.
     """
     rep = ReductionReport(order=w.order)
     n = w.order
@@ -462,6 +444,13 @@ def reduce_cusp(w: OneForm) -> ReductionReport:
             rep,
             ReductionVerdict.NOT_DICRITICAL,
             "degenerate tangency cone (zero cofactor)",
+        )
+
+    if n < _CERTIFYING_ORDER:
+        return _finish(
+            rep,
+            ReductionVerdict.INCONCLUSIVE,
+            f"degree-3 checks pass but order {n} < {_CERTIFYING_ORDER} cannot certify the blow-ups",
         )
 
     # --- first blow-up, chart (x, t), divisor D2 = {x = 0} ---
@@ -590,12 +579,6 @@ def reduce_cusp(w: OneForm) -> ReductionReport:
             rep,
             ReductionVerdict.WRONG_REDUCTION_TREE,
             "residual tangency on the exceptional divisor after two blow-ups",
-        )
-    if n < _CERTIFYING_ORDER:
-        return _finish(
-            rep,
-            ReductionVerdict.INCONCLUSIVE,
-            f"all visible checks pass but order {n} < {_CERTIFYING_ORDER} cannot certify them",
         )
     return _finish(
         rep,

@@ -442,20 +442,6 @@ def cohomology_dimension(sigma, alpha0, order) -> CohomologyReport:
 # unfoldings
 
 
-def _series_inverse(units: list[Coeff]) -> list[Coeff]:
-    """Multiplicative inverse of a truncated parameter series (unit term)."""
-    if units[0].is_zero():
-        raise ValueError("series has no inverse: constant term vanishes")
-    inv = [Coeff(1) / units[0]]
-    for k in range(1, len(units)):
-        acc = Coeff(0)
-        for m in range(1, k + 1):
-            if m < len(units):
-                acc = acc + units[m] * inv[k - m]
-        inv.append(-(acc / units[0]))
-    return inv
-
-
 def _normalize_family(family: list[Jet2]) -> list[Jet2]:
     """Rescale A_eps so A_eps(0,0) = 1 identically in the parameter.
 
@@ -463,38 +449,19 @@ def _normalize_family(family: list[Jet2]) -> list[Jet2]:
     c = 1/A_eps(0,0): each monomial x^i y^j picks up c^(i+1), computed as
     an exact truncated series in the parameter.
     """
-    units = [a.coeff(0, 0) for a in family]
-    c = _series_inverse(units)
-    k_max = len(family)
+    k = len(family) - 1  # order of the parameter series
     n = min(a.order for a in family)
-    powers = {0: [Coeff(1)] + [Coeff(0)] * (k_max - 1)}
-
-    def c_power(i):
-        if i not in powers:
-            prev = c_power(i - 1)
-            cur = []
-            for k in range(k_max):
-                acc = Coeff(0)
-                for m in range(k + 1):
-                    acc = acc + prev[m] * c[k - m]
-                cur.append(acc)
-            powers[i] = cur
-        return powers[i]
-
-    out = [dict() for _ in range(k_max)]
+    c = Jet1([a.coeff(0, 0) for a in family], k).reciprocal()
+    out = [dict() for _ in family]
     seen = set()
     for a in family:
         for key, _ in a.items():
             seen.add(key)
     for (i, j) in seen:
-        series = [a.coeff(i, j) for a in family]
-        cp = c_power(i + 1)
-        for k in range(k_max):
-            acc = Coeff(0)
-            for m in range(k + 1):
-                acc = acc + series[m] * cp[k - m]
-            if not acc.is_zero():
-                out[k][(i, j)] = acc
+        series = Jet1([a.coeff(i, j) for a in family], k) * c ** (i + 1)
+        for m, v in enumerate(series.coeffs):
+            if not v.is_zero():
+                out[m][(i, j)] = v
     return [Jet2(d, n) for d in out]
 
 

@@ -25,6 +25,7 @@ from ._backend import (
     qneg,
     qsub,
 )
+from . import poly
 from .coeff import Coeff, format_coeff
 
 DEFAULT_ORDER = 16
@@ -266,11 +267,7 @@ class Jet1:
 
     def eval_poly(self, point) -> Coeff:
         """Evaluate the stored coefficients as a polynomial at an exact point."""
-        p = _as_triple(point)
-        acc = QZERO
-        for k in range(self._n, -1, -1):
-            acc = qadd(qmul(acc, p), self._c[k])
-        return Coeff.from_triple(acc)
+        return poly.evaluate(self.coeffs, Coeff(point))
 
     def scale_variable(self, factor) -> "Jet1":
         """self(factor * z): coefficient k picks up factor^k."""

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from math import comb, gcd
 
 from .coeff import Coeff, format_coeff
-from .gaussint import UNITS, gi_divisors, nth_roots_in_qi
+from . import poly
+from .gaussint import UNITS, nth_roots_in_qi
 from .jets import DEFAULT_ORDER, Jet1, JetError, format_jet1
 
 
@@ -252,93 +253,6 @@ def _ext_gcd(a: int, b: int):
 # --- homographic symmetries -------------------------------------------------
 
 
-def _poly_trim(p: list[Coeff]) -> list[Coeff]:
-    while p and p[-1].is_zero():
-        p.pop()
-    return p
-
-
-def _poly_divmod(a: list[Coeff], b: list[Coeff]):
-    a = list(a)
-    q = [Coeff(0)] * max(0, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    while len(a) >= len(b) and _poly_trim(a):
-        if len(a) < len(b):
-            break
-        c = a[-1] * inv
-        k = len(a) - len(b)
-        q[k] = c
-        for j in range(len(b)):
-            a[k + j] = a[k + j] - c * b[j]
-        a.pop()
-    return q, _poly_trim(a)
-
-
-def _poly_gcd(a: list[Coeff], b: list[Coeff]) -> list[Coeff]:
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        inv = 1 / a[-1]
-        a = [c * inv for c in a]
-    return a
-
-
-def _poly_eval(p: list[Coeff], x: Coeff) -> Coeff:
-    acc = Coeff(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _clear_denominators(p: list[Coeff]) -> list[tuple[int, int]]:
-    from math import lcm
-
-    denom = 1
-    for c in p:
-        denom = lcm(denom, c.triple[2])
-    out = []
-    for c in p:
-        a, b, d = c.triple
-        f = denom // d
-        out.append((a * f, b * f))
-    return out
-
-
-def _poly_roots_qi(p: list[Coeff]) -> list[Coeff]:
-    """All Q(i) roots of a nonzero polynomial, by exact divisor enumeration."""
-    p = _poly_trim(list(p))
-    if not p:
-        raise ValueError("zero polynomial has every root")
-    roots = []
-    # Factor out mu = 0 roots.
-    k = 0
-    while k < len(p) and p[k].is_zero():
-        k += 1
-    if k:
-        roots.append(Coeff(0))
-        p = p[k:]
-    if len(p) <= 1:
-        return roots
-    if len(p) == 2:
-        roots.append(-p[0] / p[1])
-        return roots
-    zi = _clear_denominators(p)
-    lead = zi[-1]
-    const = zi[0]
-    cands = set()
-    for s in gi_divisors(const):
-        for t in gi_divisors(lead):
-            base = Coeff(s[0], s[1]) / Coeff(t[0], t[1])
-            for u in UNITS:
-                cands.add(u * base)
-    for cand in cands:
-        if _poly_eval(p, cand).is_zero():
-            roots.append(cand)
-    return roots
-
-
 @dataclass
 class SymmetryReport:
     infinite: bool
@@ -386,7 +300,8 @@ def homographic_symmetries(f: Jet1) -> SymmetryReport:
                     * lam ** (m - j + 2)
                     * Coeff(sign * comb(m + 1, j))
                 )
-            if _poly_trim(pc):
+            pc = poly.trim(pc)
+            if pc:
                 polys.append(pc)
         if not polys:
             report.notes.append(
@@ -396,11 +311,11 @@ def homographic_symmetries(f: Jet1) -> SymmetryReport:
             continue
         g = []
         for p in polys:
-            g = _poly_gcd(g, p) if g else _poly_trim(list(p))
+            g = poly.gcd(g, p) if g else p
         report.mu_polynomials[format_coeff(lam)] = list(g)
         if len(g) == 1:
             continue  # constant gcd: no common root for this lam
-        for mu in _poly_roots_qi(g):
+        for mu in poly.roots_qi(g):
             h = Homography(lam, mu)
             if _is_symmetry(f, h):
                 report.candidates.append(h)

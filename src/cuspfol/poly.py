@@ -1,0 +1,168 @@
+"""Dense univariate polynomials over Q(i).
+
+A polynomial is a tuple of :class:`~cuspfol.coeff.Coeff`, lowest degree
+first, with trailing zeros trimmed, so ``()`` is the zero polynomial.  Every
+operation accepts any sequence of ``Coeff`` or ints and returns that trimmed
+tuple form.  Unlike a :class:`~cuspfol.jets.Jet1` there is no truncation: the
+coefficients are exact and complete.
+"""
+
+from __future__ import annotations
+
+from math import lcm
+
+from .coeff import Coeff
+from .gaussint import UNITS, gi_divisors
+
+
+def trim(p) -> tuple:
+    """The canonical tuple form of a coefficient sequence."""
+    c = [v if isinstance(v, Coeff) else Coeff(v) for v in p]
+    while c and c[-1].is_zero():
+        c.pop()
+    return tuple(c)
+
+
+def add(a, b) -> tuple:
+    n = max(len(a), len(b))
+    out = []
+    for k in range(n):
+        x = a[k] if k < len(a) else Coeff(0)
+        y = b[k] if k < len(b) else Coeff(0)
+        out.append(x + y)
+    return trim(out)
+
+
+def mul(a, b) -> tuple:
+    if not a or not b:
+        return ()
+    out = [Coeff(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return trim(out)
+
+
+def scale(a, s) -> tuple:
+    return trim([v * s for v in a])
+
+
+def derivative(p) -> tuple:
+    return trim([p[k] * Coeff(k) for k in range(1, len(p))])
+
+
+def scale_variable(p, factor) -> tuple:
+    """The polynomial z -> p(factor * z)."""
+    out = []
+    power = Coeff(1)
+    for c in p:
+        out.append(c * power)
+        power = power * factor
+    return trim(out)
+
+
+def divmod(a, b) -> tuple[tuple, tuple]:
+    """Quotient and remainder of ``a`` by ``b``; ``b`` may carry trailing zeros."""
+    b = trim(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = list(trim(a))
+    q = [Coeff(0)] * max(len(r) - len(b) + 1, 0)
+    inv = 1 / b[-1]
+    while len(r) >= len(b):
+        f = r[-1] * inv
+        k = len(r) - len(b)
+        q[k] = f
+        for i, v in enumerate(b):
+            r[k + i] = r[k + i] - f * v
+        r.pop()
+        while r and r[-1].is_zero():
+            r.pop()
+    return trim(q), tuple(r)
+
+
+def gcd(a, b) -> tuple:
+    """The monic greatest common divisor; ``()`` when both are zero."""
+    a, b = trim(a), trim(b)
+    while b:
+        _, r = divmod(a, b)
+        a, b = b, r
+    if not a:
+        return ()
+    return scale(a, 1 / a[-1])
+
+
+def evaluate(p, x):
+    """Horner evaluation at ``x``, a ``Coeff`` or a ``Jet1``.
+
+    At a ``Jet1`` the result is the jet of ``p(x)`` at the order of ``x``.
+    """
+    acc = x * 0  # the zero of x's kind, so that p = () keeps the type
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def _clear_denominators(p) -> list[tuple[int, int]]:
+    denom = 1
+    for c in p:
+        denom = lcm(denom, c.triple[2])
+    out = []
+    for c in p:
+        a, b, d = c.triple
+        f = denom // d
+        out.append((a * f, b * f))
+    return out
+
+
+def roots_qi(p) -> list[Coeff]:
+    """All Q(i) roots of a nonzero polynomial, by exact divisor enumeration."""
+    p = trim(p)
+    if not p:
+        raise ValueError("zero polynomial has every root")
+    roots = []
+    # Factor out mu = 0 roots.
+    k = 0
+    while k < len(p) and p[k].is_zero():
+        k += 1
+    if k:
+        roots.append(Coeff(0))
+        p = p[k:]
+    if len(p) <= 1:
+        return roots
+    if len(p) == 2:
+        roots.append(-p[0] / p[1])
+        return roots
+    zi = _clear_denominators(p)
+    lead = zi[-1]
+    const = zi[0]
+    cands = set()
+    for s in gi_divisors(const):
+        for t in gi_divisors(lead):
+            base = Coeff(s[0], s[1]) / Coeff(t[0], t[1])
+            for u in UNITS:
+                cands.add(u * base)
+    for cand in cands:
+        if evaluate(p, cand).is_zero():
+            roots.append(cand)
+    return roots
+
+
+def roots_with_multiplicity(p):
+    """All Q(i) roots with multiplicities, sorted by real then imaginary
+    part, plus the degree of the rootless residual factor."""
+    p = trim(p)
+    if len(p) <= 1:
+        return [], 0
+    roots = []
+    for r in roots_qi(p):
+        mult = 0
+        while len(p) > 1:
+            q, rem = divmod(p, (-r, Coeff(1)))
+            if rem:
+                break
+            p = q
+            mult += 1
+        roots.append((r, mult))
+    roots.sort(key=lambda rm: (rm[0].re, rm[0].im))
+    return roots, len(p) - 1

@@ -13,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cuspfol
 from cuspfol.cli import main
 
@@ -59,6 +61,32 @@ def test_reduce_inconclusive_below_certifying_order():
     code, out = run_cli("reduce", CUSP, "--order", "4")
     assert code == 2
     assert verdict_of(out) == "Inconclusive"
+
+
+@pytest.mark.parametrize(
+    "form",
+    [CUSP, "mero:(y^2+x^3+x^2*y)/(x*y+x^3)", "mero:(x^2+y^3)/(x*y)"],
+)
+def test_reduce_order_3_cusp_is_inconclusive_not_negative(form):
+    # At order 3 the checks after the first blow-up would read the unknown
+    # degree-4 and degree-5 terms as zeros; a cusp must not be refuted.
+    code, out = run_cli("reduce", form, "--order", "3")
+    assert (code, verdict_of(out)) == (2, "Inconclusive")
+    code, _ = run_cli("reduce", form, "--order", "5")
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "form, verdict",
+    [
+        ("x dx + y dy", "WrongReductionTree"),
+        ("(y^3) dx", "NotDicritical"),
+        ("mero:(x^2+y^2+x^3)/(x*y)", "WrongReductionTree"),
+    ],
+)
+def test_reduce_order_3_still_refutes_from_the_degree_3_part(form, verdict):
+    code, out = run_cli("reduce", form, "--order", "3")
+    assert (code, verdict_of(out)) == (1, verdict)
 
 
 def test_input_errors_exit_three():
