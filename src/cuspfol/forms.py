@@ -32,7 +32,7 @@ from enum import Enum
 
 from .coeff import Coeff, ZERO
 from .jets import DEFAULT_ORDER, Jet1, Jet2, JetError
-from .linalg import SolveResult, solve
+from .linalg import solve
 from .poly import roots_with_multiplicity
 
 

@@ -207,20 +207,26 @@ class Jet1:
         return Jet1._raw(acc, n)
 
     def comp_inverse(self) -> "Jet1":
-        """Compositional inverse g with g(f(z)) = z; needs f(0)=0, f'(0)!=0."""
+        """Compositional inverse g with g(f(z)) = z; needs f(0)=0, f'(0)!=0.
+
+        Series reversion by Lagrange inversion: with the unit h = z/f(z),
+        [z^k]g = (1/k) [z^(k-1)] h^k.  The powers h^k come from one product
+        each, so reversion at order n costs O(n^3) coefficient operations.
+        """
+        if self._n < 1:
+            raise JetError("compositional inverse needs a jet of order >= 1")
         if not _tz(self._c[0]):
             raise JetError("compositional inverse needs f(0) = 0")
         if _tz(self._c[1]):
             raise JetError("compositional inverse needs f'(0) != 0")
         n = self._n
-        inv1 = qinv(self._c[1])
-        g = [QZERO, inv1]
-        # Determine g degree by degree from [z^k](g o f) = 0 for 2 <= k <= n.
-        for k in range(2, n + 1):
-            comp = Jet1._raw(g, k).compose(self.truncate(k))
-            # g_k enters [z^k] with factor (f'(0))^k.
-            bad = comp._c[k]
-            g.append(qneg(qmul(bad, _pow_triple(inv1, k))))
+        h = Jet1._raw(self._c[1:], n - 1).reciprocal()._c
+        g = [QZERO]
+        hk = h
+        for k in range(1, n + 1):
+            g.append(qmul(hk[k - 1], (1, 0, k)))
+            if k < n:
+                hk = jet1_mul(hk, h, n - 1)
         return Jet1._raw(g, n)
 
     def reciprocal(self) -> "Jet1":
@@ -289,16 +295,6 @@ class Jet1:
 
     def __repr__(self):
         return f"Jet1({format_jet1(self)})"
-
-
-def _pow_triple(t, e):
-    acc = QONE
-    while e:
-        if e & 1:
-            acc = qmul(acc, t)
-        t = qmul(t, t)
-        e >>= 1
-    return acc
 
 
 class Jet2:

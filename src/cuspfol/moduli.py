@@ -22,7 +22,7 @@ from math import comb, gcd
 from .coeff import Coeff, format_coeff
 from . import poly
 from .gaussint import UNITS, nth_roots_in_qi
-from .jets import DEFAULT_ORDER, Jet1, JetError, format_jet1
+from .jets import DEFAULT_ORDER, Jet1, JetError
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._backend import QONE, QZERO, qadd, qdiv, qmul, qsub
 from .coeff import Coeff
 from .forms import OneForm, ReductionReport, differential, wedge
-from .jets import Jet1, Jet2, JetError
+from .jets import Jet2, JetError
 from .moduli import GermDiff1
 
 
@@ -83,6 +84,8 @@ def regular_first_integral(c: CornerGerm, order=None) -> Jet2:
     degree is a triangular linear system over Q(i): writing the degree-d
     residual of H_u*B - H_v*A, the next homogeneous part of H is obtained
     by exact back-substitution against the constant terms of A and B.
+    The residual is computed per degree, from the homogeneous parts of H
+    found so far: sum over e < d of [H_u]_e*[B]_(d-e) - [H_v]_e*[A]_(d-e).
     """
     w = c.form
     n = w.order if order is None else order
@@ -90,26 +93,50 @@ def regular_first_integral(c: CornerGerm, order=None) -> Jet2:
         raise JetError("requested order exceeds the corner germ's jet order")
     a = w.a.truncate(n)
     b = w.b.truncate(n)
-    a0 = a.coeff(0, 0)
-    b0 = b.coeff(0, 0)
-    h = Jet2.zero(n)
+    # Homogeneous parts as lists of (v-exponent, triple); degree is the index.
+    a_parts = _homogeneous_parts(a)
+    b_parts = _homogeneous_parts(b)
+    a0 = a.coeff(0, 0).triple
+    b0 = b.coeff(0, 0).triple
+    hu_parts = []  # [H_u]_e and [H_v]_e, same layout
+    hv_parts = []
+    coeffs = {}
     for d in range(0, n):
-        # residual of the current partial integral, homogeneous degree d
-        res = (h.dx() * b.truncate(n - 1) - h.dy() * a.truncate(n - 1)).homogeneous_part(d)
-        coeffs = {}
-        hk = Coeff(1) if d == 0 else Coeff(0)
-        if not hk.is_zero():
-            coeffs[(d + 1, 0)] = hk
+        res = [QZERO] * (d + 1)
+        for e in range(d):
+            for p, t in hu_parts[e]:
+                for q, u in b_parts[d - e]:
+                    res[p + q] = qadd(res[p + q], qmul(t, u))
+            for p, t in hv_parts[e]:
+                for q, u in a_parts[d - e]:
+                    res[p + q] = qsub(res[p + q], qmul(t, u))
+        # part[m] is the coefficient of u^(d+1-m) * v^m in H_(d+1)
+        part = [QONE if d == 0 else QZERO]
         for m in range(0, d + 1):
-            rm = res.coeff(d - m, m)
-            hk = ((d + 1 - m) * hk * b0 + rm) / ((m + 1) * a0)
-            if not hk.is_zero():
-                coeffs[(d - m, m + 1)] = hk
-        h = h + Jet2(coeffs, n)
+            num = qadd(qmul(qmul((d + 1 - m, 0, 1), part[m]), b0), res[m])
+            part.append(qdiv(num, qmul((m + 1, 0, 1), a0)))
+        for m, t in enumerate(part):
+            if t != QZERO:
+                coeffs[(d + 1 - m, m)] = Coeff.from_triple(t)
+        hu_parts.append(
+            [(m, qmul((d + 1 - m, 0, 1), t)) for m, t in enumerate(part[:-1]) if t != QZERO]
+        )
+        hv_parts.append(
+            [(m, qmul((m + 1, 0, 1), t)) for m, t in enumerate(part[1:]) if t != QZERO]
+        )
+    h = Jet2(coeffs, n)
     resid = wedge(differential(h, w.variables), OneForm(a, b, w.variables).truncate(n - 1))
     if not resid.is_zero():
         raise AssertionError("first integral failed the dH ^ w = 0 re-check")
     return h
+
+
+def _homogeneous_parts(f: Jet2):
+    """Nonzero (v-exponent, triple) pairs of each homogeneous part of f."""
+    parts = [[] for _ in range(f.order + 1)]
+    for (i, j), coeff in f.items():
+        parts[i + j].append((j, coeff.triple))
+    return parts
 
 
 def sigma_of_integral(h: Jet2) -> GermDiff1:

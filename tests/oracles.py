@@ -3,9 +3,10 @@
 Everything here is deliberately written from scratch on top of
 ``fractions.Fraction`` pairs (re, im) — no imports from the package internals
 — so that tests compare two genuinely different computations.  Formulas are
-chosen to differ from the library's algorithms where possible (Lagrange
-inversion instead of coefficient recursion, the Riccati form of the
-Schwarzian instead of the direct quotient formula, cofactor determinants).
+chosen to differ from the library's algorithms where possible (coefficient
+recursion instead of Lagrange inversion, full products instead of per-degree
+residuals in the corner first integral, the Riccati form of the Schwarzian
+instead of the direct quotient formula, cofactor determinants).
 """
 
 from fractions import Fraction
@@ -93,21 +94,31 @@ def s_diff(a):
     return [gmul(a[k], from_int(k)) for k in range(1, len(a))]
 
 
-def lagrange_inverse(f, n):
-    """Series reversion by the Lagrange inversion formula.
+def s_compose(g, f, n):
+    """g(f(z)) mod z^(n+1) by Horner's rule, for f with f(0) = 0."""
+    acc = [ZERO] * (n + 1)
+    for c in reversed(s_trim(g, n)):
+        acc = s_mul(acc, f, n)
+        acc[0] = gadd(acc[0], c)
+    return acc
 
-    g_k = (1/k) * [z^(k-1)] (z / f(z))^k, for f with f(0)=0, f'(0) != 0.
+
+def recursive_inverse(f, n):
+    """Series reversion degree by degree, for f with f(0)=0, f'(0) != 0.
+
+    g_1 = 1/f_1; for k >= 2, g_k is the value that cancels [z^k] g(f(z))
+    with g known up to degree k-1, and it enters that coefficient with the
+    factor f_1^k.
     """
     assert g_is_zero(f[0]) and not g_is_zero(f[1])
-    # h = z/f(z) as a unit series: f(z)/z shifted down, then inverted.
-    h = s_recip(s_trim(f[1:], n), n)
-    out = [ZERO]
-    hk = [ONE] + [ZERO] * n  # h^0
-    for k in range(1, n + 1):
-        hk = s_mul(hk, h, n)
-        coeff = hk[k - 1]
-        out.append(gmul(coeff, ginv(from_int(k))))
-    return out
+    inv1 = ginv(f[1])
+    g = [ZERO, inv1]
+    inv1_k = inv1
+    for k in range(2, n + 1):
+        inv1_k = gmul(inv1_k, inv1)
+        bad = s_compose(g, f, k)[k]
+        g.append(gmul((-bad[0], -bad[1]), inv1_k))
+    return g
 
 
 def schwarzian_riccati(f, n):
@@ -162,6 +173,33 @@ def p2_dy(a):
 
 def p2_scal(a, c):
     return {k: gmul(v, c) for k, v in a.items() if not g_is_zero(gmul(v, c))}
+
+
+def first_integral_full_residual(a, b, n):
+    """The normalized first integral H of the corner form A du + B dv.
+
+    Degree by degree: the degree-d residual of H_u*B - H_v*A is read off
+    the full products at order n-1, then the next homogeneous part of H is
+    found by back-substitution against A(0,0) and B(0,0), starting from
+    H(u, 0) = u + O(u^2).  ``a`` and ``b`` are {(i, j): pair} dicts.
+    """
+    a0, b0 = a.get((0, 0), ZERO), b.get((0, 0), ZERO)
+    minus_one = (Fraction(-1), Fraction(0))
+    h = {}
+    for d in range(n):
+        res = p2_add(
+            p2_mul(p2_dx(h), b, n - 1), p2_scal(p2_mul(p2_dy(h), a, n - 1), minus_one)
+        )
+        hk = ONE if d == 0 else ZERO
+        if not g_is_zero(hk):
+            h[(d + 1, 0)] = hk
+        for m in range(d + 1):
+            rm = res.get((d - m, m), ZERO)
+            num = gadd(gmul(gmul(from_int(d + 1 - m), hk), b0), rm)
+            hk = gdiv(num, gmul(from_int(m + 1), a0))
+            if not g_is_zero(hk):
+                h[(d - m, m + 1)] = hk
+    return h
 
 
 def det_cofactor(m):

@@ -92,13 +92,26 @@ class TestJet1:
             naive = naive + g ** k * f.coeff(k)
         assert f.compose(g) == naive
 
-    def test_comp_inverse_vs_lagrange_oracle(self):
+    def test_comp_inverse_vs_recursion_oracle(self):
         f = Jet1([0, 1, 1], 12)  # z + z^2
         got = f.comp_inverse()
-        oracle = oracles.lagrange_inverse(oracles.jet1_pairs(f), 12)
+        oracle = oracles.recursive_inverse(oracles.jet1_pairs(f), 12)
         assert oracles.jet1_pairs(got) == oracle
         # Reference prefix: z - z^2 + 2 z^3 - 5 z^4 (signed Catalan numbers).
         assert [c.re for c in got.coeffs[:5]] == [0, 1, -1, 2, -5]
+        rng = random.Random(19)
+        for n in (1, 2, 3, 9, 14):
+            f = rand_jet1(rng, n)
+            f = f - f.coeff(0)
+            if f.coeff(1).is_zero():
+                f = f + Jet1.variable(n)
+            want = oracles.recursive_inverse(oracles.jet1_pairs(f), n)
+            assert oracles.jet1_pairs(f.comp_inverse()) == want
+
+    def test_comp_inverse_preconditions(self):
+        for f in (Jet1([0, 1], 0), Jet1([1, 1], 5), Jet1([0, 0, 1], 5)):
+            with pytest.raises(JetError):
+                f.comp_inverse()
 
     def test_comp_inverse_random_roundtrip(self):
         rng = random.Random(13)

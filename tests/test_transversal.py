@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 
 from cuspfol.coeff import Coeff
-from cuspfol.forms import OneForm, reduce_cusp
+from cuspfol.forms import OneForm, form_of_meromorphic, reduce_cusp
 from cuspfol.jets import Jet1, Jet2
 from cuspfol.moduli import GermDiff1, schwarzian
+from cuspfol.parsing import MeromorphicPair, parse_form
 from cuspfol.transversal import (
     CornerGerm,
     regular_first_integral,
@@ -14,6 +15,7 @@ from cuspfol.transversal import (
     transversal_structure,
 )
 
+import oracles
 from test_forms import cusp_family_form, cusp_form
 
 RNG = random.Random(0xD1D2)
@@ -84,12 +86,12 @@ def test_family_corner_sigma_homographic():
         assert schwarzian(sig.jet).is_zero()
 
 
-def rand_unit_jet(order):
-    d = {(0, 0): Coeff(RNG.choice([1, 2, -1]))}
-    for i in range(3):
-        for j in range(3 - i):
-            if (i, j) != (0, 0) and RNG.random() < 0.6:
-                d[(i, j)] = Coeff(RNG.randint(-2, 2))
+def rand_unit_jet(order, degree=2, rng=RNG):
+    d = {(0, 0): Coeff(rng.choice([1, 2, -3]), rng.randint(-1, 1))}
+    for i in range(degree + 1):
+        for j in range(degree + 1 - i):
+            if (i, j) != (0, 0) and rng.random() < 0.6:
+                d[(i, j)] = Coeff(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng.randint(-2, 2))
     return Jet2(d, order)
 
 
@@ -125,3 +127,35 @@ def test_sigma_naturality_under_axis_scaling():
     # sigma transforms by conjugation with the axis scalings
     conj = (sig.compose(Jet1.variable(n) * av)) * (Coeff(1) / bv)
     assert sig_s == conj
+
+
+README_MERO = "mero:(y^2+x^3)/(x*y)"
+ROADMAP_MERO = "mero:(y^2+x^3+x^2*y)/(x*y+x^3)"
+SINH = "(-y^3 + 2*x^3*y + x^4*y) dx + (x*y^2 - x^4) dy"
+
+
+def corner_of(text, order):
+    parsed = parse_form(text, order)
+    if isinstance(parsed, MeromorphicPair):
+        parsed = parse_form(text, order + 1)
+        parsed = form_of_meromorphic(parsed.num, parsed.den)
+    return CornerGerm.from_reduction(reduce_cusp(parsed))
+
+
+def test_first_integral_matches_full_residual_oracle():
+    germs = [corner_of(text, 8) for text in (README_MERO, ROADMAP_MERO, SINH)]
+    rng = random.Random(0xF1)
+    for _ in range(4):
+        a, b = rand_unit_jet(9, 4, rng), rand_unit_jet(9, 4, rng)
+        germs.append(CornerGerm(OneForm(a, b, ("u", "v"))))
+    for c in germs:
+        n = c.order
+        h = regular_first_integral(c)
+        want = oracles.first_integral_full_residual(
+            oracles.jet2_pairs(c.form.a), oracles.jet2_pairs(c.form.b), n
+        )
+        assert h.order == n
+        assert oracles.jet2_pairs(h) == want
+        # the normalization: H(0, 0) = 0 and H(u, 0) = u
+        assert h.coeff(0, 0).is_zero()
+        assert h.restrict_to_axis("x") == Jet1.variable(n)
