@@ -31,12 +31,7 @@ from .moduli import (
     normal_pair_equivalent,
     schwarzian,
 )
-from .gluing import (
-    build_cocycle,
-    coboundary_solve,
-    cohomology_dimension,
-    ks_generator,
-)
+from .gluing import build_cocycle, cohomology_dimension
 from .firstintegral import no_first_integral_witness
 from .parsing import MeromorphicPair, ParseError, format_poly, parse_form
 
@@ -271,8 +266,8 @@ def _cmd_cohomology(args):
     _, jet = _sigma_of_form(w, args.order)
     alpha = normalize(w).alpha
     n = jet.order
-    cb = coboundary_solve(jet, alpha, ks_generator(n), n)
     dim = cohomology_dimension(jet, alpha, n)
+    cb = dim.split
     data = {
         "alpha": _ser_coeff(alpha),
         "target": "y1 (distinguished vertical direction)",

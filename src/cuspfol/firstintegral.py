@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from . import poly
 from .coeff import Coeff
 from .jets import DEFAULT_ORDER, Jet1, Jet2
-from .linalg import solve
+from .linalg import determinant, solve
 from .moduli import GermDiff1, Homography
 
 
@@ -210,24 +210,9 @@ def hankel_determinant(g: Jet1, size, shift=0) -> Coeff:
     top = shift + 2 * (size - 1)
     if top > g.order:
         raise ValueError(f"jet order {g.order} too small for index {top}")
-    m = [[g.coeff(shift + i + j) for j in range(size)] for i in range(size)]
-    det = Coeff(1)
-    for col in range(size):
-        pivot = None
-        for row in range(col, size):
-            if not m[row][col].is_zero():
-                pivot = row
-                break
-        if pivot is None:
-            return Coeff(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det = det * m[col][col]
-        for row in range(col + 1, size):
-            f = m[row][col] / m[col][col]
-            m[row] = [a - f * b for a, b in zip(m[row], m[col])]
-    return det
+    return determinant(
+        [[g.coeff(shift + i + j) for j in range(size)] for i in range(size)]
+    )
 
 
 def hankel_rationality(g: Jet1, max_deg, order) -> Rational1 | None:

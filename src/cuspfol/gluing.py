@@ -28,7 +28,10 @@ transported coefficient is not holomorphic on the second chart), the
 split becomes one finite exact linear system per jet order.  The single
 obstruction is the y1-coefficient: the system's corank is 1 and the class
 of y1*x1*d/dx1 generates it, which is this module's operational form of
-"the deformation space is one-dimensional".
+"the deformation space is one-dimensional".  Both facts come from one
+certified elimination of the split of y1*x1*d/dx1: its rank is the rank
+of the system, and its checked infeasibility certificate shows that the
+generator lies outside the image.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from enum import Enum
 
 from .coeff import Coeff
 from .jets import DEFAULT_ORDER, Jet1, Jet2
-from .linalg import matrix_rank, solve
+from .linalg import solve
 from .moduli import GermDiff1, Homography
 
 
@@ -119,13 +122,17 @@ class GluingCocycle:
         return first, s2
 
 
+def _unit(alpha, order) -> Jet2:
+    """The one-parameter gluing unit A = 1 + alpha*y1."""
+    a = alpha if isinstance(alpha, Coeff) else Coeff(alpha)
+    return Jet2({(0, 0): 1, (0, 1): a}, order)
+
+
 def build_cocycle(sigma, alpha) -> GluingCocycle:
     """The one-parameter gluing shape A = 1 + alpha*y1."""
     if isinstance(sigma, Jet1):
         sigma = GermDiff1(sigma)
-    n = sigma.jet.order
-    a = alpha if isinstance(alpha, Coeff) else Coeff(alpha)
-    return GluingCocycle(sigma, Jet2({(0, 0): 1, (0, 1): a}, n))
+    return GluingCocycle(sigma, _unit(alpha, sigma.jet.order))
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +307,8 @@ def _coboundary_columns(sigma: GermDiff1, a0: Jet2, order):
     The transported first-model field (x3-y3)*T*x3*d/dx3 contributes, for
     each admissible monomial of T, the function
     (A0*(x1*A0+sigma)/J) * (x3 o psi)^i * (y3 o psi)^j with J = A0+x1*dA0/dx1;
-    a second-model monomial (i,j) of A2 contributes -x1^i y1^j.
+    a second-model monomial (i,j) of A2 contributes -x1^i y1^j.  Also
+    returns the jets x3 o psi, y3 o psi and the factor, for the re-check.
     """
     n = order
     x = Jet2.var_x(n)
@@ -321,7 +329,7 @@ def _coboundary_columns(sigma: GermDiff1, a0: Jet2, order):
     for (i, j) in _f2_admissible(n):
         cols.append(Jet2.monomial(i, j, -1, n))
         labels.append(("A2", i, j))
-    return cols, labels
+    return cols, labels, (x3, s2, factor)
 
 
 @dataclass
@@ -330,6 +338,7 @@ class CoboundaryResult:
 
     feasible: bool
     order: int
+    rank: int
     field_first: VectorFieldJet | None = None
     field_second: VectorFieldJet | None = None
     tilde: Jet2 | None = None
@@ -342,7 +351,7 @@ class CoboundaryResult:
 
 def _solve_coboundary(sigma: GermDiff1, a0: Jet2, target: Jet2, order) -> CoboundaryResult:
     n = order
-    cols, labels = _coboundary_columns(sigma, a0, n)
+    cols, labels, (x3, s2, factor) = _coboundary_columns(sigma, a0, n)
     keys = _row_keys(n)
     rows = [[col.coeff(p, q) for col in cols] for (p, q) in keys]
     rhs = [target.coeff(p, q) for (p, q) in keys]
@@ -350,7 +359,9 @@ def _solve_coboundary(sigma: GermDiff1, a0: Jet2, target: Jet2, order) -> Coboun
     if not res.feasible:
         cert = [(keys[r], w) for r, w in res.certificate]
         checked = res.check_certificate(rows, rhs)
-        return CoboundaryResult(False, n, certificate=cert, certificate_checked=checked)
+        return CoboundaryResult(
+            False, n, res.rank, certificate=cert, certificate_checked=checked
+        )
     tilde_d = {}
     a2_d = {}
     for lab, val in zip(labels, res.solution):
@@ -363,17 +374,14 @@ def _solve_coboundary(sigma: GermDiff1, a0: Jet2, target: Jet2, order) -> Coboun
     tilde = Jet2(tilde_d, n)
     a2 = Jet2(a2_d, n)
     # re-substitute: the split must reproduce the target exactly
-    x = Jet2.var_x(n)
-    s2 = Jet2.from_jet1(sigma.jet.truncate(n), "y")
-    x3 = x * a0.truncate(n) + s2
-    fac = (a0.truncate(n) * x3).div(_radial_jacobian(a0.truncate(n)))
-    lhs = fac * tilde.substitute(x3, s2) - a2
+    lhs = factor * tilde.substitute(x3, s2) - a2
     if lhs != target.truncate(n):
         raise AssertionError("coboundary split failed re-substitution")
     a1 = (Jet2.var_x(n) - Jet2.var_y(n)) * tilde
     return CoboundaryResult(
         True,
         n,
+        res.rank,
         field_first=VectorFieldJet(a1, "x3"),
         field_second=VectorFieldJet(a2, "x1"),
         tilde=tilde,
@@ -392,9 +400,7 @@ def coboundary_solve(sigma, alpha0, target: VectorFieldJet, order=None) -> Cobou
     if isinstance(sigma, Jet1):
         sigma = GermDiff1(sigma)
     n = min(sigma.jet.order, target.coefficient.order) if order is None else order
-    a = alpha0 if isinstance(alpha0, Coeff) else Coeff(alpha0)
-    a0 = Jet2({(0, 0): 1, (0, 1): a}, n)
-    return _solve_coboundary(sigma, a0, target.coefficient.truncate(n), n)
+    return _solve_coboundary(sigma, _unit(alpha0, n), target.coefficient.truncate(n), n)
 
 
 def ks_generator(order=DEFAULT_ORDER) -> VectorFieldJet:
@@ -409,6 +415,7 @@ class CohomologyReport:
     rank: int
     corank: int
     generator_independent: bool
+    split: CoboundaryResult
 
     @property
     def dimension(self):
@@ -418,24 +425,17 @@ class CohomologyReport:
 def cohomology_dimension(sigma, alpha0, order) -> CohomologyReport:
     """Corank of the split system = dimension of the deformation space.
 
-    Checks both that the corank is the stated 1 and that the class of the
-    distinguished direction y1 (as a right-hand side) is NOT reachable,
-    i.e. it spans the quotient.
+    One certified elimination answers both questions: the split of the
+    distinguished direction y1 has the rank of the system, and it is
+    infeasible, with a checked certificate, exactly when y1 lies outside
+    the image, i.e. spans the quotient.
     """
-    if isinstance(sigma, Jet1):
-        sigma = GermDiff1(sigma)
-    a = alpha0 if isinstance(alpha0, Coeff) else Coeff(alpha0)
-    n = order
-    a0 = Jet2({(0, 0): 1, (0, 1): a}, n)
-    cols, _ = _coboundary_columns(sigma, a0, n)
-    keys = _row_keys(n)
-    rows = [[col.coeff(p, q) for col in cols] for (p, q) in keys]
-    rank = matrix_rank(rows)
-    corank = len(keys) - rank
-    gen = [Coeff(1) if (p, q) == (0, 1) else Coeff(0) for (p, q) in keys]
-    aug = [row + [g] for row, g in zip(rows, gen)]
-    aug_rank = matrix_rank(aug)
-    return CohomologyReport(n, len(keys), rank, corank, aug_rank == rank + 1)
+    split = coboundary_solve(sigma, alpha0, ks_generator(order), order)
+    rows = len(_row_keys(order))
+    independent = not split.feasible and split.certificate_checked
+    return CohomologyReport(
+        order, rows, split.rank, rows - split.rank, independent, split
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -113,7 +113,6 @@ def matrix_rank(rows) -> int:
 def nullspace_basis(rows) -> list[list[Coeff]]:
     if not rows:
         return []
-    ncols = len(rows[0])
     res = solve(rows, [0] * len(rows), nullspace=True)
     assert res.feasible
     return res.nullspace if res.nullspace is not None else []

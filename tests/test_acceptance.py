@@ -34,6 +34,8 @@ from cuspfol.forms import (
 from cuspfol.gluing import (
     Model,
     VectorFieldJet,
+    _coboundary_columns,
+    _row_keys,
     build_cocycle,
     coboundary_solve,
     cocycle_compose_check,
@@ -331,6 +333,16 @@ def test_criterion_05_operator_injective_at_every_degree_2_to_10():
 # criterion 6 — the cohomological equation and its one obstruction
 
 
+def _split_ranks(sig, alpha0, n):
+    """rank(M) and rank(M | y1) of the order-n split matrix M, built directly."""
+    a0 = Jet2({(0, 0): 1, (0, 1): alpha0}, n)
+    cols = _coboundary_columns(sig, a0, n)[0]
+    keys = _row_keys(n)
+    rows = [[col.coeff(p, q) for col in cols] for (p, q) in keys]
+    aug = [row + [Coeff(int(key == (0, 1)))] for row, key in zip(rows, keys)]
+    return matrix_rank(rows), matrix_rank(aug)
+
+
 def test_criterion_06_vertical_generator_obstruction_and_corank():
     """The distinguished vertical field is obstructed; everything else splits.
 
@@ -386,6 +398,11 @@ def test_criterion_06_vertical_generator_obstruction_and_corank():
             assert rep.corank == 1
             assert rep.dimension == 1
             assert rep.generator_independent
+            rank, aug_rank = _split_ranks(sig, alpha0, n)
+            assert rep.rank == rank
+            assert rep.generator_independent == (aug_rank == rep.rank + 1)
+            assert rep.split.certificate == [((0, 1), Coeff(1))]
+            assert rep.split.certificate_checked is True
 
 
 # ---------------------------------------------------------------------------

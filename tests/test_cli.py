@@ -181,6 +181,25 @@ def test_cohomology_obstruction():
     assert '"checked": true' in out
 
 
+def test_cohomology_eliminates_once(monkeypatch):
+    # rank, corank, feasibility and the certificate all come from one
+    # row reduction of the 28-row split matrix at order 6
+    import cuspfol.linalg
+
+    heights = []
+    rref = cuspfol.linalg.rref
+
+    def counting_rref(rows, limit):
+        heights.append(len(rows))
+        return rref(rows, limit)
+
+    monkeypatch.setattr(cuspfol.linalg, "rref", counting_rref)
+    code, out = run_cli("cohomology", CUSP, "--order", "6")
+    assert code == 1
+    assert verdict_of(out) == "ObstructedDimensionOne"
+    assert heights == [28]
+
+
 def test_glue_builds_the_model_cocycle():
     code, out = run_cli("glue", CUSP, "--order", "6")
     assert code == 0

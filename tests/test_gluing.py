@@ -18,6 +18,8 @@ from cuspfol.gluing import (
     Model,
     ModelTransition,
     VectorFieldJet,
+    _coboundary_columns,
+    _row_keys,
     build_cocycle,
     coboundary_solve,
     cocycle_compose_check,
@@ -28,6 +30,7 @@ from cuspfol.gluing import (
     model_homothety,
     unfolding_triviality_check,
 )
+from cuspfol.linalg import matrix_rank
 
 RNG = random.Random(0x61)
 
@@ -321,6 +324,16 @@ def test_coboundary_ks_obstruction_other_gluings():
         assert res.certificate == [((0, 1), Coeff(1))]
 
 
+def _split_ranks(sig, alpha0, n):
+    """rank(M) and rank(M | y1) of the order-n split matrix M, built directly."""
+    a0 = Jet2({(0, 0): 1, (0, 1): alpha0}, n)
+    cols = _coboundary_columns(sig, a0, n)[0]
+    keys = _row_keys(n)
+    rows = [[col.coeff(p, q) for col in cols] for (p, q) in keys]
+    aug = [row + [Coeff(int(key == (0, 1)))] for row, key in zip(rows, keys)]
+    return matrix_rank(rows), matrix_rank(aug)
+
+
 def test_cohomology_corank_one():
     sig = germ([Coeff(1), Coeff(1)], 8)
     for n in range(3, 9):
@@ -329,6 +342,11 @@ def test_cohomology_corank_one():
         assert rep.corank == 1
         assert rep.dimension == 1
         assert rep.generator_independent
+        rank, aug_rank = _split_ranks(sig, Coeff(1), n)
+        assert rep.rank == rank
+        assert rep.generator_independent == (aug_rank == rep.rank + 1)
+        assert rep.split.certificate == [((0, 1), Coeff(1))]
+        assert rep.split.certificate_checked is True
 
 
 # ---------------------------------------------------------------------------
