@@ -61,9 +61,6 @@ class Coeff:
         a, b, _ = self._t
         return a == 0 and b == 0
 
-    def is_rational(self) -> bool:
-        return self._t[1] == 0
-
     def conj(self) -> "Coeff":
         a, b, d = self._t
         return Coeff.from_triple((a, -b, d))

@@ -73,10 +73,6 @@ class Rational1:
     def variable(cls):
         return cls((0, 1))
 
-    @classmethod
-    def constant(cls, c):
-        return cls((c,))
-
     def is_zero(self):
         return not self.num
 
@@ -148,15 +144,6 @@ class Rational1:
             raise ValueError("pole at the origin")
         z = Jet1.variable(order)
         return poly.evaluate(self.num, z).div(poly.evaluate(self.den, z))
-
-    def compose_expand(self, sigma, order) -> Jet1:
-        """Jet of self o sigma; requires den(0) != 0 since sigma(0) = 0."""
-        if isinstance(sigma, GermDiff1):
-            sigma = sigma.jet
-        if self.den[0].is_zero():
-            raise ValueError("pole at the origin")
-        s = sigma.truncate(order)
-        return poly.evaluate(self.num, s).div(poly.evaluate(self.den, s))
 
 
 def rational_precompose(r: Rational1, h: Homography) -> Rational1:

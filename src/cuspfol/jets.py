@@ -491,6 +491,16 @@ class Jet2:
         The result order defaults to min(self.order, fx.order, fy.order).
         Passing a larger ``order`` asserts the inputs are exact polynomial
         data (used by blow-up pullbacks, where monomial degrees grow).
+
+        The monomials are grouped by their power of x,
+
+            self(fx, fy) = sum_i fx^i * (sum_j a_ij * fy^j),
+
+        so the inner sums are accumulated coefficient by coefficient and each
+        power of x costs one product.  When the change is tangent to the
+        identity, fx = x + p and fy = y + q with p and q of lowest degree
+        v >= 2, a monomial of degree d >= order - v + 2 maps to itself modulo
+        degree order + 1 and is copied instead of substituted.
         """
         if (fx.valuation() or 0) < 1 and not fx.is_zero():
             raise JetError("substitution target must vanish at the origin")
@@ -499,19 +509,41 @@ class Jet2:
         if order is None:
             order = min(self._n, fx._n, fy._n)
         n = order
-        # Precompute powers of fx and fy up to what monomials need.
-        max_i = max((i for (i, _) in self._d), default=0)
-        max_j = max((j for (_, j) in self._d), default=0)
-        px = [Jet2.one(n)]
-        for _ in range(max_i):
-            px.append(px[-1] * fx.with_order(n))
-        py = [Jet2.one(n)]
-        for _ in range(max_j):
-            py.append(py[-1] * fy.with_order(n))
-        acc = Jet2.zero(n)
+        dx = {k: t for k, t in fx._d.items() if k[0] + k[1] <= n}
+        dy = {k: t for k, t in fy._d.items() if k[0] + k[1] <= n}
+        fixed = _fixed_degree(dx, dy, n)
+        acc = {}
+        groups = {}  # i -> [(j, a_ij)] for the monomials to substitute
         for (i, j), t in self._d.items():
-            acc = acc + px[i] * py[j] * Coeff.from_triple(t)
-        return acc
+            d = i + j
+            if d > n:
+                continue
+            if d >= fixed:
+                acc[(i, j)] = t
+            else:
+                groups.setdefault(i, []).append((j, t))
+        if groups:
+            py = [{(0, 0): QONE}, dy]
+            for _ in range(max(j for g in groups.values() for j, _ in g) - 1):
+                py.append(jet2_mul(py[-1], dy, n))
+            px = {(0, 0): QONE}
+            for i in range(max(groups) + 1):
+                if i:
+                    px = dx if i == 1 else jet2_mul(px, dx, n)
+                if i not in groups:
+                    continue
+                # sum_j a_ij fy^j, up to degree n - i since fx^i has valuation >= i
+                top = n - i
+                inner = {}
+                for j, t in groups[i]:
+                    for key, u in py[j].items():
+                        if key[0] + key[1] <= top:
+                            cur = inner.get(key)
+                            inner[key] = qmul(t, u) if cur is None else qadd(cur, qmul(t, u))
+                for key, u in (jet2_mul(px, inner, n) if i else inner).items():
+                    cur = acc.get(key)
+                    acc[key] = u if cur is None else qadd(cur, u)
+        return Jet2._raw({k: t for k, t in acc.items() if not _tz(t)}, n)
 
     def restrict_to_axis(self, axis: str) -> Jet1:
         """The one-variable jet on an axis: "x" sets y=0, "y" sets x=0."""
@@ -562,6 +594,20 @@ class Jet2:
 def _monokey(item):
     (i, j), _ = item
     return (i + j, -i)
+
+
+def _fixed_degree(dx, dy, n):
+    """Lowest degree of the monomials that (dx, dy) fixes modulo degree n + 1.
+
+    For a change tangent to the identity, x + p and y + q with p and q of
+    lowest degree v >= 2, every monomial of degree d >= n - v + 2 maps to
+    itself plus terms of degree d + v - 1 > n.  Any other change fixes no
+    monomial, which is reported as n + 1.
+    """
+    if dx.get((1, 0)) != QONE or dy.get((0, 1)) != QONE or (0, 1) in dx or (1, 0) in dy:
+        return n + 1
+    v = min((i + j for part in (dx, dy) for (i, j) in part if i + j >= 2), default=n + 2)
+    return n - v + 2
 
 
 def _jet2_reciprocal(b: Jet2) -> Jet2:

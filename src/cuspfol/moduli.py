@@ -51,9 +51,6 @@ class GermDiff1:
     def inverse(self) -> "GermDiff1":
         return GermDiff1(self.jet.comp_inverse())
 
-    def derivative_at_zero(self) -> Coeff:
-        return self.jet.coeff(1)
-
 
 def _as_germ_jet(s) -> Jet1:
     if isinstance(s, GermDiff1):

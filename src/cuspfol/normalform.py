@@ -14,13 +14,15 @@ the homogeneous pair space isomorphically.  Each step therefore kills the
 y^2-divisible part of one degree, leaving exactly the four residual
 monomials x^m dx, x^(m-1) y dx, x^m dy, x^(m-1) y dy recorded in the data.
 
-The per-degree matrix is generated by exactly pulling back the anchor
-y^2 (x dy - y dx) along basis changes - not transcribed from any printed
-per-coefficient recipe - and solvability is asserted at runtime for every
-degree used.  One genuine redundancy exists: at the cubic step the change
-id + (0, q0*x^3) has zero y^2-projection and shifts only the x^4 y dy
-coefficient (by 2*q0), so that coefficient is normalized to zero to make
-the data canonical; every other step is uniquely determined.
+The per-degree matrix is the closed-form linear action of (P_n, Q_n) on
+the anchor y^2 (x dy - y dx), derived from the pullback formula (see
+``_action_matrix``) and checked in the tests against exactly pulling the
+anchor back along basis changes for n = 2..16; solvability is asserted at
+runtime for every degree used.  One genuine redundancy exists: at the
+cubic step the change id + (0, q0*x^3) has zero y^2-projection and shifts
+only the x^4 y dy coefficient (by 2*q0), so that coefficient is normalized
+to zero to make the data canonical; every other step is uniquely
+determined.
 
 The operator ``L_apply`` is the stated per-coefficient elimination recipe
 kept verbatim for reference.  It is one-to-one at odd degrees only - at
@@ -175,9 +177,6 @@ def reconstruct_normal_form(data: NormalFormData, order=None) -> OneForm:
     return OneForm(Jet2(a, n), Jet2(b, n))
 
 
-_ANCHOR_ORDER_PAD = 3
-
-
 def _phi_pullback(w: OneForm, p: Jet2, q: Jet2) -> OneForm:
     n = w.order
     fx = Jet2.var_x(n) + p.with_order(n)
@@ -198,23 +197,34 @@ def _y2_coords(w: OneForm, m):
 def _action_matrix(n):
     """Exact matrix of (P_n, Q_n) -> y^2-part of the degree-(n+2) shift.
 
-    Columns are obtained by pulling the anchor y^2*(x dy - y dx) back
-    along id + (basis pair); only the linear-in-(P,Q) terms can land at
-    coefficient degree n+2, so the full pullback *is* the linear action
-    there.
+    Pulled back along id + (P, Q), the anchor y^2 (x dy - y dx), that is
+    -y^3 dx + x y^2 dy, moves by
+
+        da = -3 y^2 Q - y^3 P_x + x y^2 Q_x
+        db = y^2 P + 2 x y Q - y^3 P_y + x y^2 Q_y
+
+    plus terms of degree >= 2n + 1 > n + 2, so on homogeneous (P, Q) of
+    degree n this is the whole shift at coefficient degree n + 2.  Column k
+    is P = x^(n-k) y^k, column n+1+k is Q = x^(n-k) y^k, and the rows are
+    the monomials of ``_y2_rows(n + 2)`` in the dx then the dy coefficient.
+    On these monomials the formulas read
+
+        P:  da = -(n-k) x^(n-k-1) y^(k+3),  db = (1-k) x^(n-k) y^(k+2)
+        Q:  da = (n-k-3) x^(n-k) y^(k+2),   db = (k+2) x^(n-k+1) y^(k+1)
+
+    where x^(m-j) y^j sits in row j - 2 of its block; the Q-column db of
+    k = 0, 2 x^(n+1) y, is not y^2-divisible and drops out.
     """
-    order = n + 2 + _ANCHOR_ORDER_PAD
-    anchor = radial_form(order) * Jet2.monomial(0, 2, 1, order)
-    cols = []
-    for p, q in _pair_basis(n, order):
-        moved = _phi_pullback(anchor, p, q)
-        delta = moved - anchor
-        part = OneForm(
-            delta.a.homogeneous_part(n + 2), delta.b.homogeneous_part(n + 2)
-        )
-        cols.append(_y2_coords(part, n + 2))
     dim = 2 * (n + 1)
-    return [[cols[c][r] for c in range(dim)] for r in range(dim)]
+    rows = [[0] * dim for _ in range(dim)]
+    for k in range(n + 1):
+        if k < n:
+            rows[k + 1][k] = -(n - k)
+        rows[n + 1 + k][k] = 1 - k
+        rows[k][n + 1 + k] = n - k - 3
+        if k > 0:
+            rows[n + k][n + 1 + k] = k + 2
+    return [[Coeff(c) for c in row] for row in rows]
 
 
 def normalize(w: OneForm, order=None) -> NormalFormData:

@@ -188,6 +188,10 @@ class _RatVal:
         return cls({(i, j): Coeff(1)}, dict(_ONE_P))
 
     def add(self, other):
+        # Polynomial sums skip the cross-multiplication by the constant 1;
+        # any other pair keeps the unreduced form that mero: parsing reads.
+        if self.den == _ONE_P and other.den == _ONE_P:
+            return _RatVal(_padd2(self.num, other.num), dict(_ONE_P))
         return _RatVal(
             _padd2(_pmul2(self.num, other.den), _pmul2(other.num, self.den)),
             _pmul2(self.den, other.den),

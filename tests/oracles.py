@@ -6,7 +6,9 @@ Everything here is deliberately written from scratch on top of
 chosen to differ from the library's algorithms where possible (coefficient
 recursion instead of Lagrange inversion, full products instead of per-degree
 residuals in the corner first integral, the Riccati form of the Schwarzian
-instead of the direct quotient formula, cofactor determinants).
+instead of the direct quotient formula, cofactor determinants, one product
+per monomial instead of grouped substitution, pulling the anchor back
+instead of the closed-form normal-form action).
 """
 
 from fractions import Fraction
@@ -173,6 +175,65 @@ def p2_dy(a):
 
 def p2_scal(a, c):
     return {k: gmul(v, c) for k, v in a.items() if not g_is_zero(gmul(v, c))}
+
+
+def p2_substitute(a, fx, fy, n):
+    """a(fx, fy) up to degree n, one full product per monomial.
+
+    The per-monomial substitution: powers of fx and fy are built up front
+    and every monomial a_ij x^i y^j contributes fx^i * fy^j * a_ij to the
+    sum.  No grouping and no pass-through.
+    """
+    max_i = max((i for (i, _) in a), default=0)
+    max_j = max((j for (_, j) in a), default=0)
+    px, py = [{(0, 0): ONE}], [{(0, 0): ONE}]
+    for _ in range(max_i):
+        px.append(p2_mul(px[-1], fx, n))
+    for _ in range(max_j):
+        py.append(p2_mul(py[-1], fy, n))
+    out = {}
+    for (i, j), c in a.items():
+        out = p2_add(out, p2_scal(p2_mul(px[i], py[j], n), c))
+    return out
+
+
+def p2_pullback(a, b, fx, fy, n):
+    """The 1-form a dx + b dy pulled back by (fx, fy), up to degree n."""
+    asub, bsub = p2_substitute(a, fx, fy, n + 1), p2_substitute(b, fx, fy, n + 1)
+    return (
+        p2_add(p2_mul(asub, p2_dx(fx), n), p2_mul(bsub, p2_dx(fy), n)),
+        p2_add(p2_mul(asub, p2_dy(fx), n), p2_mul(bsub, p2_dy(fy), n)),
+    )
+
+
+def action_matrix_by_pullback(n):
+    """The normal form's degree-n action matrix, by pulling the anchor back.
+
+    Column c is the change id + (basis pair c) with the pairs ordered
+    (x^(n-k) y^k, 0) then (0, x^(n-k) y^k); the anchor y^2 (x dy - y dx) is
+    pulled back exactly along it, and the rows read the y^2-divisible
+    monomials x^(m-j) y^j (j >= 2, m = n + 2) of the dx then the dy
+    coefficient of the difference.  Only the part linear in the change
+    reaches degree n + 2, so this is the linear action.
+    """
+    order = n + 5
+    minus_one = (Fraction(-1), Fraction(0))
+    a0, b0 = {(0, 3): minus_one}, {(1, 2): ONE}
+    m = n + 2
+    rows = [(m - j, j) for j in range(2, m + 1)]
+    cols = []
+    for comp in range(2):
+        for k in range(n + 1):
+            p = {(n - k, k): ONE} if comp == 0 else {}
+            q = {(n - k, k): ONE} if comp == 1 else {}
+            fx = p2_add({(1, 0): ONE}, p)
+            fy = p2_add({(0, 1): ONE}, q)
+            a1, b1 = p2_pullback(a0, b0, fx, fy, order)
+            da = p2_add(a1, p2_scal(a0, minus_one))
+            db = p2_add(b1, p2_scal(b0, minus_one))
+            cols.append([da.get(key, ZERO) for key in rows] + [db.get(key, ZERO) for key in rows])
+    dim = 2 * (n + 1)
+    return [[cols[c][r] for c in range(dim)] for r in range(dim)]
 
 
 def first_integral_full_residual(a, b, n):

@@ -1,0 +1,97 @@
+"""Every function, method and class in the library is referenced by name.
+
+A definition that nothing names is dead code: it is neither called nor
+tested, so it can only rot.  Each ``src/cuspfol`` module is parsed with
+``ast`` and every definition must be named somewhere outside its own body.
+A name counts wherever it is read (a bare name or an attribute), imported,
+or written as a whole string such as an ``__all__`` entry, in the library,
+in the tests, or in the entry points ``perfbench/spans.py`` traces.
+Dunders are called by the language, and ``cli.main`` by the console
+script, so they are exempt.
+"""
+
+import ast
+from collections import defaultdict
+from pathlib import Path
+
+import cuspfol
+from test_bench_contract import _load_spans
+
+PACKAGE = Path(cuspfol.__file__).resolve().parent
+ROOT = PACKAGE.parents[1]
+EXEMPT = {("cli.py", "main")}
+
+
+def definitions(tree):
+    """(name, first line, last line) of every def and class in a module."""
+    return [
+        (node.name, node.lineno, node.end_lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+
+
+def references(tree):
+    """(name, line) for every way a module can name a definition."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.name.split(".")[-1], node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            yield node.value, node.lineno
+
+
+def traced_names():
+    return {part for _, _, path in _load_spans().TRACED for part in path.split(".")}
+
+
+def dead_definitions(sources, outside=frozenset()):
+    """Definitions in ``sources`` ({file: text}) that nothing names.
+
+    Every file in ``sources`` is scanned for definitions and references;
+    ``outside`` holds further names that count as references.
+    """
+    trees = {fname: ast.parse(text) for fname, text in sources.items()}
+    refs = defaultdict(list)
+    for fname, tree in trees.items():
+        for name, line in references(tree):
+            refs[name].append((fname, line))
+    dead = []
+    for fname, tree in trees.items():
+        for name, lo, hi in definitions(tree):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if (fname, name) in EXEMPT or name in outside:
+                continue
+            if all(other == fname and lo <= line <= hi for other, line in refs[name]):
+                dead.append((fname, name))
+    return sorted(dead)
+
+
+def test_the_scan_sees_every_kind_of_reference():
+    sources = {
+        "lib.py": (
+            "__all__ = ['Exported']\n"
+            "class Exported: pass\n"
+            "class Kept:\n"
+            "    def used(self): return 1\n"
+            "    def recursive(self): return self.recursive()\n"
+            "    def __repr__(self): return ''\n"
+            "def imported(): pass\n"
+            "def traced(): pass\n"
+            "def dead(): return dead()\n"
+        ),
+        "test_lib.py": "from lib import imported\nKept().used()\n",
+    }
+    assert dead_definitions(sources, {"traced"}) == [("lib.py", "dead"), ("lib.py", "recursive")]
+
+
+def test_no_dead_definitions():
+    sources = {f"tests/{p.name}": p.read_text() for p in sorted((ROOT / "tests").glob("*.py"))}
+    library = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    dead = [(f, n) for f, n in dead_definitions({**library, **sources}, traced_names()) if f in library]
+    assert not dead, "never referenced: " + ", ".join(f"{f}: {n}" for f, n in dead)

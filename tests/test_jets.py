@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cuspfol import Coeff, Jet1, Jet2
+from cuspfol import Coeff, Jet1, Jet2, jets
 from cuspfol.jets import ExactDivisionError, JetError, format_jet1, format_jet2
 
 import oracles
@@ -26,6 +26,32 @@ def rand_jet2(rng, order, imag=True, density=0.6):
             if rng.random() < density:
                 d[(i, j)] = rand_coeff(rng, imag)
     return Jet2(d, order)
+
+
+def rand_tail(rng, order, v):
+    """A random dense polynomial with terms of degree v..order only."""
+    d = {}
+    for deg in range(v, order + 1):
+        for i in range(deg + 1):
+            if rng.random() < 0.7:
+                d[(i, deg - i)] = rand_coeff(rng)
+    return Jet2(d, order)
+
+
+def rand_map(rng, order):
+    """A random substitution target: zero constant term, generic linear part."""
+    return rand_tail(rng, order, 1)
+
+
+def assert_substitute_matches_oracle(f, fx, fy, order=None):
+    got = f.substitute(fx, fy, order)
+    n = min(f.order, fx.order, fy.order) if order is None else order
+    want = oracles.p2_substitute(
+        oracles.jet2_pairs(f), oracles.jet2_pairs(fx), oracles.jet2_pairs(fy), n
+    )
+    assert got.order == n
+    assert oracles.jet2_pairs(got) == want
+    return got
 
 
 class TestCoeff:
@@ -229,6 +255,74 @@ class TestJet2:
             y + x * x,
         )
         assert b == direct
+
+    def test_substitute_matches_per_monomial_oracle(self):
+        """Grouped substitution with pass-through against one product per monomial."""
+        rng = random.Random(41)
+        for order in range(13):
+            f = rand_jet2(rng, order, density=0.9)
+            x, y = Jet2.var_x(order), Jet2.var_y(order)
+            maps = [
+                (rand_map(rng, order), rand_map(rng, order)),
+                (x, y),
+                (x + rand_tail(rng, order, 2), y * Coeff(1, 1) + rand_tail(rng, order, 2)),
+                (x + rand_tail(rng, order, 2), y + x * Fraction(1, 2) + rand_tail(rng, order, 3)),
+            ]
+            maps += [
+                (x + rand_tail(rng, order, v), y + rand_tail(rng, order, v)) for v in (2, 3, 4)
+            ]
+            maps.append((x + rand_tail(rng, order, 3), y))
+            if order > 9:
+                # the oracle costs O(order^6): the top orders take the generic
+                # map and two of the others in turn
+                maps = [maps[0], maps[1 + order % 7], maps[1 + (order + 3) % 7]]
+            for fx, fy in maps:
+                assert_substitute_matches_oracle(f, fx, fy)
+
+    def test_substitute_exact_mode_matches_oracle(self):
+        """A target order above self.order treats the inputs as exact polynomials."""
+        rng = random.Random(43)
+        for order in range(7):
+            f = rand_jet2(rng, order, density=0.9)
+            x, y = Jet2.var_x(order), Jet2.var_y(order)
+            for fx, fy, target in (
+                (x, x * y, 2 * order + 1),
+                (x * y, y, 2 * order + 1),
+                (x + rand_tail(rng, order, 2), y + rand_tail(rng, order, 2), order + 3),
+                (x, y, order + 2),
+                (rand_map(rng, order), rand_map(rng, order), order + 2),
+            ):
+                got = assert_substitute_matches_oracle(f, fx, fy, target)
+                assert got.order == target
+
+    def test_substitute_zero_and_constant_jets(self):
+        rng = random.Random(47)
+        for order in (0, 1, 5):
+            x, y = Jet2.var_x(order), Jet2.var_y(order)
+            maps = [(x, y), (rand_map(rng, order), rand_map(rng, order))]
+            maps.append((x + rand_tail(rng, order, 2), y + rand_tail(rng, order, 2)))
+            for fx, fy in maps:
+                assert Jet2.zero(order).substitute(fx, fy) == Jet2.zero(order)
+                c = Jet2({(0, 0): Coeff(Fraction(-3, 2), 5)}, order)
+                assert c.substitute(fx, fy) == c
+                assert_substitute_matches_oracle(c + rand_jet2(rng, order), fx, fy)
+
+    def test_substitute_makes_one_product_per_power(self, monkeypatch):
+        """A dense order-12 jet under a generic map costs at most 3*13 products:
+        the powers of fx and of fy, and one product per power of x."""
+        rng = random.Random(53)
+        f = rand_jet2(rng, 12, density=1.0)
+        fx, fy = rand_map(rng, 12), rand_map(rng, 12)
+        calls = []
+        mul = jets.jet2_mul
+
+        def counted(a, b, n):
+            calls.append(n)
+            return mul(a, b, n)
+
+        monkeypatch.setattr(jets, "jet2_mul", counted)
+        f.substitute(fx, fy)
+        assert 0 < len(calls) <= 3 * 13
 
     def test_restrict_and_embed(self):
         f = Jet2({(2, 0): 3, (0, 1): 5, (1, 1): 7}, 6)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cuspfol.coeff import Coeff
+from cuspfol.coeff import Coeff, format_coeff
 from cuspfol.jets import Jet2
 from cuspfol.forms import OneForm
 from cuspfol.parsing import (
@@ -119,6 +119,27 @@ def test_roundtrip_random_meromorphic():
         m = MeromorphicPair(Jet2(num, 9), Jet2(den, 9))
         back = parse_form(format_form(m), order=9)
         assert back == m
+
+
+def test_long_polynomial_sum_parses_to_its_monomials():
+    """A 150-term sum, with '+' and '-' between terms, in both slots and as
+    a mero: numerator, is the sum of its monomials."""
+    rng = random.Random(0x150)
+    monos = rng.sample([(i, d - i) for d in range(17) for i in range(d + 1)], 150)
+    expected = Jet2.zero(16)
+    terms = []
+    for k, (i, j) in enumerate(monos):
+        c = Coeff(Fraction(rng.randint(-9, 9), rng.randint(1, 5)), rng.randint(-3, 3))
+        if c.is_zero():
+            c = Coeff(1)
+        expected = expected + Jet2.monomial(i, j, c, 16)
+        sign, shown = ("-", -c) if k and k % 3 == 0 else ("+", c)
+        terms.append((sign, f"({format_coeff(shown)})*x^{i}*y^{j}"))
+    text = terms[0][1] + "".join(f" {sign} {term}" for sign, term in terms[1:])
+    w = parse_form(f"({text}) dx + ({text}) dy", order=16)
+    assert w.a == expected and w.b == expected
+    num, den = parse_form(f"mero: ({text}) / (x + y)", order=16)
+    assert num == expected and den == Jet2({(1, 0): 1, (0, 1): 1}, 16)
 
 
 def test_error_positions():
