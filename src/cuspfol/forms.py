@@ -587,10 +587,6 @@ def reduce_cusp(w: OneForm) -> ReductionReport:
     )
 
 
-def is_cusp_type(w: OneForm) -> bool:
-    return bool(reduce_cusp(w))
-
-
 @dataclass
 class RelativeExactness:
     """Result of solving  eta = df + g*w  to a given order.

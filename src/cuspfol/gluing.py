@@ -31,7 +31,11 @@ of y1*x1*d/dx1 generates it, which is this module's operational form of
 "the deformation space is one-dimensional".  Both facts come from one
 certified elimination of the split of y1*x1*d/dx1: its rank is the rank
 of the system, and its checked infeasibility certificate shows that the
-generator lies outside the image.
+generator lies outside the image.  The elimination is small because the
+A2 block pivots itself: each A2 unknown is the column -x1^i y1^j on an
+F2-admissible row, so only the T columns on the remaining rows are
+reduced, and the rank of the system is the number of admissible rows plus
+the rank of that block.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from enum import Enum
 
 from .coeff import Coeff
 from .jets import DEFAULT_ORDER, Jet1, Jet2
-from .linalg import solve
+from .linalg import SolveResult, solve
 from .moduli import GermDiff1, Homography
 
 
@@ -350,38 +354,52 @@ class CoboundaryResult:
 
 
 def _solve_coboundary(sigma: GermDiff1, a0: Jet2, target: Jet2, order) -> CoboundaryResult:
+    """Split ``target`` exactly, eliminating only the block the A2 columns miss.
+
+    Every A2 column is -x1^i y1^j on an F2-admissible row, so those rows are
+    pivoted by A2 before any arithmetic: the rank of the split system is the
+    number of admissible rows plus the rank of the T columns on the other
+    rows, the system is feasible exactly when that reduced block is, and a
+    left-kernel vector of the full system vanishes on the admissible rows.
+    So one elimination of T on the non-admissible rows decides everything;
+    A2 is then read off as the remainder.
+    """
     n = order
     cols, labels, (x3, s2, factor) = _coboundary_columns(sigma, a0, n)
-    keys = _row_keys(n)
-    rows = [[col.coeff(p, q) for col in cols] for (p, q) in keys]
-    rhs = [target.coeff(p, q) for (p, q) in keys]
-    res = solve(rows, rhs, certificate=True)
+    t_keys = [(i, j) for kind, i, j in labels if kind == "T"]
+    t_cols = [col for col, (kind, _, _) in zip(cols, labels) if kind == "T"]
+    admissible = set(_f2_admissible(n))
+    free_rows = [key for key in _row_keys(n) if key not in admissible]
+    res = solve(
+        [[col.coeff(p, q) for col in t_cols] for (p, q) in free_rows],
+        [target.coeff(p, q) for (p, q) in free_rows],
+        certificate=True,
+    )
+    rank = len(admissible) + res.rank
     if not res.feasible:
-        cert = [(keys[r], w) for r, w in res.certificate]
-        checked = res.check_certificate(rows, rhs)
-        return CoboundaryResult(
-            False, n, res.rank, certificate=cert, certificate_checked=checked
+        cert = [(free_rows[r], w) for r, w in res.certificate]
+        # re-check on the full system, every T and every A2 column: only the
+        # certificate's own rows enter y^T A and y^T b, so only they are built
+        full = SolveResult(
+            False, rank, certificate=[(k, w) for k, (_, w) in enumerate(cert)]
         )
-    tilde_d = {}
-    a2_d = {}
-    for lab, val in zip(labels, res.solution):
-        if val.is_zero():
-            continue
-        if lab[0] == "T":
-            tilde_d[(lab[1], lab[2])] = val
-        else:
-            a2_d[(lab[1], lab[2])] = val
-    tilde = Jet2(tilde_d, n)
-    a2 = Jet2(a2_d, n)
-    # re-substitute: the split must reproduce the target exactly
-    lhs = factor * tilde.substitute(x3, s2) - a2
-    if lhs != target.truncate(n):
-        raise AssertionError("coboundary split failed re-substitution")
+        checked = full.check_certificate(
+            [[col.coeff(p, q) for col in cols] for (p, q), _ in cert],
+            [target.coeff(p, q) for (p, q), _ in cert],
+        )
+        return CoboundaryResult(
+            False, n, rank, certificate=cert, certificate_checked=checked
+        )
+    tilde = Jet2(dict(zip(t_keys, res.solution)), n)
+    a2 = factor * tilde.substitute(x3, s2) - target.truncate(n)
+    # the remainder must be a field on the second model
+    if not globality_check(a2, Model.F2):
+        raise AssertionError("coboundary split left a non-admissible remainder")
     a1 = (Jet2.var_x(n) - Jet2.var_y(n)) * tilde
     return CoboundaryResult(
         True,
         n,
-        res.rank,
+        rank,
         field_first=VectorFieldJet(a1, "x3"),
         field_second=VectorFieldJet(a2, "x1"),
         tilde=tilde,
@@ -428,7 +446,9 @@ def cohomology_dimension(sigma, alpha0, order) -> CohomologyReport:
     One certified elimination answers both questions: the split of the
     distinguished direction y1 has the rank of the system, and it is
     infeasible, with a checked certificate, exactly when y1 lies outside
-    the image, i.e. spans the quotient.
+    the image, i.e. spans the quotient.  That elimination reduces only the
+    T columns on the rows that are not F2-admissible (51 by 64 at order
+    16); the A2 columns pivot the admissible rows by themselves.
     """
     split = coboundary_solve(sigma, alpha0, ks_generator(order), order)
     rows = len(_row_keys(order))

@@ -164,6 +164,17 @@ def _padd2(p, q):
     return out
 
 
+def _ppow2(p, e):
+    out, base = dict(_ONE_P), p
+    while e:
+        if e & 1:
+            out = _pmul2(out, base)
+        e >>= 1
+        if e:
+            base = _pmul2(base, base)
+    return out
+
+
 def _pscale2(p, c):
     if c.is_zero():
         return {}
@@ -209,11 +220,11 @@ class _RatVal:
         return _RatVal(_pmul2(self.num, other.den), _pmul2(self.den, other.num))
 
     def pow(self, e):
-        num, den = dict(_ONE_P), dict(_ONE_P)
-        for _ in range(e):
-            num = _pmul2(num, self.num)
-            den = _pmul2(den, self.den)
-        return _RatVal(num, den)
+        # repeated squaring; a polynomial's denominator 1 stays as it is
+        return _RatVal(
+            _ppow2(self.num, e),
+            dict(_ONE_P) if self.den == _ONE_P else _ppow2(self.den, e),
+        )
 
     def constant_den(self):
         """The denominator as a Coeff if it is one, else None."""

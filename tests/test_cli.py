@@ -182,22 +182,25 @@ def test_cohomology_obstruction():
 
 
 def test_cohomology_eliminates_once(monkeypatch):
-    # rank, corank, feasibility and the certificate all come from one
-    # row reduction of the 28-row split matrix at order 6
+    # rank, corank, feasibility and the certificate all come from one row
+    # reduction of the T columns on the rows no A2 column pivots: 9 by 9 of
+    # the 28 by 28 split matrix at order 6, 51 by 64 of 153 by 166 at order 16
     import cuspfol.linalg
 
-    heights = []
+    shapes = []
     rref = cuspfol.linalg.rref
 
     def counting_rref(rows, limit):
-        heights.append(len(rows))
+        shapes.append((len(rows), limit))
         return rref(rows, limit)
 
     monkeypatch.setattr(cuspfol.linalg, "rref", counting_rref)
-    code, out = run_cli("cohomology", CUSP, "--order", "6")
-    assert code == 1
-    assert verdict_of(out) == "ObstructedDimensionOne"
-    assert heights == [28]
+    for order, shape in (("6", (9, 9)), ("16", (51, 64))):
+        shapes.clear()
+        code, out = run_cli("cohomology", CUSP, "--order", order)
+        assert code == 1
+        assert verdict_of(out) == "ObstructedDimensionOne"
+        assert shapes == [shape]
 
 
 def test_glue_builds_the_model_cocycle():

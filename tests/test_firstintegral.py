@@ -2,13 +2,12 @@
 
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
 from cuspfol.coeff import Coeff
 from cuspfol.forms import ReductionVerdict, form_of_meromorphic, reduce_cusp
-from cuspfol.jets import Jet1, Jet2
+from cuspfol.jets import Jet1
 from cuspfol.moduli import GermDiff1, Homography
 from cuspfol.firstintegral import (
     FirstIntegralReport,
@@ -21,7 +20,7 @@ from cuspfol.firstintegral import (
     verify_rational_relation,
 )
 
-from oracles import hankel_of_series, jet1_pairs
+from oracles import hankel_of_series
 
 RNG = random.Random(0x41A7)
 

@@ -4,14 +4,12 @@ import random
 
 from cuspfol.coeff import Coeff
 from cuspfol.forms import (
-    DivisorReport,
     OneForm,
     ReductionVerdict,
     differential,
     divisor_analysis,
     exceptional_divide,
     form_of_meromorphic,
-    is_cusp_type,
     linear_change,
     pullback_blowup,
     pullback_map,

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cuspfol.cli import _as_oneform, _sigma_of_form
 from cuspfol.coeff import Coeff
 from cuspfol.jets import Jet1, Jet2
 from cuspfol.moduli import (
@@ -19,6 +20,8 @@ from cuspfol.gluing import (
     ModelTransition,
     VectorFieldJet,
     _coboundary_columns,
+    _f1_tilde_admissible,
+    _f2_admissible,
     _row_keys,
     build_cocycle,
     coboundary_solve,
@@ -30,14 +33,17 @@ from cuspfol.gluing import (
     model_homothety,
     unfolding_triviality_check,
 )
-from cuspfol.linalg import matrix_rank
+from cuspfol.linalg import SolveResult, matrix_rank
+from cuspfol.normalform import normalize
+
+from test_transversal import README_MERO, ROADMAP_MERO, SINH
 
 RNG = random.Random(0x61)
 
 
-def rand_coeff(nonzero=False):
+def rand_coeff(nonzero=False, rng=RNG):
     while True:
-        v = Coeff(RNG.randint(-4, 4), RNG.randint(-2, 2)) / Coeff(RNG.randint(1, 3))
+        v = Coeff(rng.randint(-4, 4), rng.randint(-2, 2)) / Coeff(rng.randint(1, 3))
         if not nonzero or not v.is_zero():
             return v
 
@@ -324,12 +330,17 @@ def test_coboundary_ks_obstruction_other_gluings():
         assert res.certificate == [((0, 1), Coeff(1))]
 
 
-def _split_ranks(sig, alpha0, n):
-    """rank(M) and rank(M | y1) of the order-n split matrix M, built directly."""
+def _full_split(sig, alpha0, n):
+    """Row keys and rows of the order-n split matrix M, every T and A2 column."""
     a0 = Jet2({(0, 0): 1, (0, 1): alpha0}, n)
     cols = _coboundary_columns(sig, a0, n)[0]
     keys = _row_keys(n)
-    rows = [[col.coeff(p, q) for col in cols] for (p, q) in keys]
+    return keys, [[col.coeff(p, q) for col in cols] for (p, q) in keys]
+
+
+def _split_ranks(sig, alpha0, n):
+    """rank(M) and rank(M | y1) of the order-n split matrix M, built directly."""
+    keys, rows = _full_split(sig, alpha0, n)
     aug = [row + [Coeff(int(key == (0, 1)))] for row, key in zip(rows, keys)]
     return matrix_rank(rows), matrix_rank(aug)
 
@@ -347,6 +358,50 @@ def test_cohomology_corank_one():
         assert rep.generator_independent == (aug_rank == rep.rank + 1)
         assert rep.split.certificate == [((0, 1), Coeff(1))]
         assert rep.split.certificate_checked is True
+
+
+def rand_germ(n, rng):
+    tail = [rand_coeff(rng=rng) for _ in range(n - 1)]
+    return germ([rand_coeff(True, rng)] + tail, n)
+
+
+def test_reduced_split_agrees_with_the_full_matrix():
+    # the split eliminates only T on the non-admissible rows; its rank and
+    # certificate must still be those of the full matrix, A2 columns included
+    rng = random.Random(0x7A)
+    questions = [(rand_germ(n, rng), rand_coeff(rng=rng), n) for n in range(3, 13)]
+    for text in (README_MERO, ROADMAP_MERO, SINH):
+        w = _as_oneform(text, 12)
+        jet = _sigma_of_form(w, 12)[1]
+        questions.append((GermDiff1(jet), normalize(w).alpha, jet.order))
+    for sig, alpha0, n in questions:
+        rep = cohomology_dimension(sig, alpha0, n)
+        keys, rows = _full_split(sig, alpha0, n)
+        assert rep.rank == matrix_rank(rows)
+        rhs = [Coeff(int(key == (0, 1))) for key in keys]
+        cert = [(keys.index(key), w) for key, w in rep.split.certificate]
+        full = SolveResult(False, rep.rank, certificate=cert)
+        assert full.check_certificate(rows, rhs)
+
+
+def test_feasible_split_reads_the_second_field_off_the_remainder():
+    rng = random.Random(0x7B)
+    for n in range(6, 11):
+        sig = rand_germ(n, rng)
+        alpha0 = rand_coeff(rng=rng)
+        tilde, a2 = (
+            Jet2({key: rand_coeff(rng=rng) for key in rng.sample(keys, 4)}, n)
+            for keys in (_f1_tilde_admissible(n), _f2_admissible(n))
+        )
+        s2 = Jet2.from_jet1(sig.jet, "y")
+        psi_x = Jet2.var_x(n) * Jet2({(0, 0): 1, (0, 1): alpha0}, n) + s2
+        target = psi_x * tilde.substitute(psi_x, s2) - a2
+        res = coboundary_solve(sig, alpha0, VectorFieldJet(target), order=n)
+        assert res.feasible
+        assert globality_check(res.field_second.coefficient, Model.F2)
+        assert {key for key, _ in res.tilde.items()} <= set(_f1_tilde_admissible(n))
+        rebuilt = psi_x * res.tilde.substitute(psi_x, s2) - res.field_second.coefficient
+        assert rebuilt == target
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""Every name a library module imports is used there.
+"""Every name a library or test module imports is used there.
 
 No linter ships with the project's toolchain, so this is the check that
-keeps unused imports out of ``src/cuspfol``: each module is parsed with
-``ast`` and every imported name must be read somewhere in it, exported
-through ``__all__``, or named in a string annotation.  ``from __future__``
-imports are directives, not names, and are skipped.
+keeps unused imports out of ``src/cuspfol`` and ``tests``: each module is
+parsed with ``ast`` and every imported name must be read somewhere in it,
+exported through ``__all__``, or named in a string annotation.
+``from __future__`` imports are directives, not names, and are skipped.
+The tests are scanned too because an unused test import would otherwise
+count as a reference and keep dead library code past test_definitions.
 """
 
 import ast
@@ -15,7 +17,8 @@ import pytest
 import cuspfol
 
 PACKAGE = Path(cuspfol.__file__).resolve().parent
-MODULES = sorted(PACKAGE.glob("*.py"))
+TESTS = Path(__file__).resolve().parent
+MODULES = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
 
 
 def imported_names(tree):

@@ -7,7 +7,6 @@ from cuspfol import Coeff, Jet1
 from cuspfol.gaussint import factor_int, gi_factor, gi_norm, nth_roots_in_qi
 from cuspfol.jets import JetError
 from cuspfol.moduli import (
-    GermDiff1,
     Homography,
     ModuliClass,
     NormalPair,

@@ -11,6 +11,8 @@ from cuspfol.forms import OneForm
 from cuspfol.parsing import (
     MeromorphicPair,
     ParseError,
+    _Parser,
+    _tokenize,
     format_form,
     format_poly,
     parse_form,
@@ -85,6 +87,19 @@ def test_power_and_unary_precedence():
     assert parse_form("-x^2 dx").a == Jet2({(2, 0): -1})
     assert parse_form("2^3 dx").a == Jet2({(0, 0): 8})
     assert parse_form("--x dx").a == Jet2({(1, 0): 1})
+
+
+def test_power_equals_the_repeated_product():
+    # the unreduced (num, den) pair of a power is exactly the e-fold
+    # product's, so a polynomial keeps its denominator 1
+    bases = ("x", "2*i*x*y^2", "x + y - 1/2", "(y^2+x^3)/(x*y)", "(1+i*x)/(3 - 2*y^2)")
+    for text in bases:
+        base = _Parser(_tokenize(text)).parse_sum()
+        product = _Parser(_tokenize("1")).parse_sum()
+        for e in range(13):
+            power = base.pow(e)
+            assert (power.num, power.den) == (product.num, product.den)
+            product = product.mul(base)
 
 
 def test_mero_field_arithmetic_is_exact():

@@ -6,7 +6,7 @@ from fractions import Fraction
 from cuspfol.coeff import Coeff
 from cuspfol.forms import OneForm, form_of_meromorphic, reduce_cusp
 from cuspfol.jets import Jet1, Jet2
-from cuspfol.moduli import GermDiff1, schwarzian
+from cuspfol.moduli import schwarzian
 from cuspfol.parsing import MeromorphicPair, parse_form
 from cuspfol.transversal import (
     CornerGerm,
