@@ -51,8 +51,8 @@ def _ser_jet1(j):
     return [[k, format_coeff(c)] for k, c in enumerate(j.coeffs) if not c.is_zero()]
 
 def _ser_jet2(j):
-    keys = sorted(j._d, key=lambda k: (k[0] + k[1], k[0], k[1]))
-    return [[i, jj, format_coeff(Coeff.from_triple(j._d[(i, jj)]))] for i, jj in keys]
+    terms = sorted(j.items(), key=lambda kc: (sum(kc[0]), kc[0]))
+    return [[i, jj, format_coeff(c)] for (i, jj), c in terms]
 
 
 def _ser_matrix(mat):
@@ -89,8 +89,11 @@ class _CommandError(Exception):
 def _as_oneform(text, order) -> OneForm:
     parsed = parse_form(text, order)
     if isinstance(parsed, MeromorphicPair):
-        parsed = parse_form(text, order + 1)
-        return form_of_meromorphic(parsed.num, parsed.den)
+        # the parser has checked every degree <= order, so one more order is
+        # exact; differentiating num and den brings the form back to order
+        return form_of_meromorphic(
+            parsed.num.with_order(order + 1), parsed.den.with_order(order + 1)
+        )
     return parsed
 
 
@@ -306,12 +309,8 @@ def _cmd_glue(args):
         "sigma": _ser_jet1(jet),
         "alpha": _ser_coeff(alpha),
         "unit": _ser_jet2(c.A),
-        "map_first": format_poly(
-            {k: Coeff.from_triple(t) for k, t in fx._d.items()}, names
-        ),
-        "map_second": format_poly(
-            {k: Coeff.from_triple(t) for k, t in fy._d.items()}, names
-        ),
+        "map_first": format_poly(dict(fx.items()), names),
+        "map_second": format_poly(dict(fy.items()), names),
     }
     return "CocycleBuilt", data, [], EXIT_OK
 

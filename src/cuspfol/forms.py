@@ -21,8 +21,9 @@ In the second-blow-up chart (xi, t) produced here, D2 = {xi = 0} and
 D1 = {t = 0}.
 
 Everything is exact over Q(i); no approximation is used anywhere.  Blow-up
-pullbacks are exact polynomial operations, so they *raise* the jet order
-(an order-N input yields an order 2N+1 pullback); see ``pullback_blowup``.
+pullbacks are exponent maps on the polynomial coefficients, so they *raise*
+the jet order (an order-N input yields an order 2N+1 pullback); see
+``pullback_blowup``.
 """
 
 from __future__ import annotations
@@ -147,13 +148,22 @@ def valuation(w: OneForm):
     return w.valuation()
 
 
+def _exponent_map(jet: Jet2, image, order) -> Jet2:
+    """Move each monomial c x^i y^j of ``jet`` to c x^k y^l, (k, l) = image(i, j).
+
+    ``image`` must be one-to-one on the monomials of ``jet``.
+    """
+    return Jet2({image(i, j): c for (i, j), c in jet.items()}, order)
+
+
 def radial_tangency(w: OneForm, degree: int):
     """The cofactor P with  (A_d dx + B_d dy) = P*(x dy - y dx), if it exists.
 
     The degree-d homogeneous part is tangent to the radial vector field
-    exactly when  x*A_d + y*B_d = 0; in that case it factors through the
-    radial form with a homogeneous cofactor P of degree d-1, which is
-    returned.  Returns None when the tangency identity fails.
+    exactly when  x*A_d + y*B_d = 0; in that case x divides B_d and
+    P = B_d/x, a homogeneous cofactor of degree d-1, is returned at order
+    ``w.order - 1`` (read off by the exponent shift x^i y^j -> x^(i-1) y^j).
+    Returns None when the tangency identity fails.
     """
     ad = w.a.homogeneous_part(degree)
     bd = w.b.homogeneous_part(degree)
@@ -165,22 +175,27 @@ def radial_tangency(w: OneForm, degree: int):
     )
     if not test.is_zero():
         return None
-    if not bd.is_zero():
-        return bd.div(Jet2.var_x(n))
-    return (-ad).div(Jet2.var_y(n))
+    # x*A_d = -y*B_d with A_d, B_d not both zero, so B_d != 0 and x | B_d
+    return _exponent_map(bd, lambda i, j: (i - 1, j), n - 1)
 
 
 def pullback_map(w: OneForm, fx: Jet2, fy: Jet2, order=None, variables=None) -> OneForm:
     """Pull back w under the map (x, y) -> (fx, fy) fixing the origin.
 
     The default output order is  min(w.order, fx.order, fy.order) - 1  (one
-    derivative is taken); passing ``order`` asserts the data are exact
-    polynomials, as with :meth:`Jet2.substitute`.
+    derivative is taken).  An explicit ``order`` may be at most that
+    minimum: the coefficients are substituted at exactly ``order``, and at
+    the minimum itself the derivatives of fx and fy are read as exact
+    polynomials.  A larger ``order`` raises :class:`JetError`.
     """
+    top = min(w.order, fx.order, fy.order)
     if order is None:
-        order = min(w.order, fx.order, fy.order) - 1
-    asub = w.a.substitute(fx, fy, order=order + 1)
-    bsub = w.b.substitute(fx, fy, order=order + 1)
+        order = top - 1
+    elif order > top:
+        raise JetError(f"pullback order {order} exceeds the data order {top}")
+    fx_n, fy_n = fx.truncate(order), fy.truncate(order)
+    asub = w.a.truncate(order).substitute(fx_n, fy_n)
+    bsub = w.b.truncate(order).substitute(fx_n, fy_n)
     a_new = asub * fx.dx().with_order(order) + bsub * fy.dx().with_order(order)
     b_new = asub * fx.dy().with_order(order) + bsub * fy.dy().with_order(order)
     return OneForm(a_new, b_new, variables or w.variables)
@@ -199,8 +214,8 @@ def linear_change(w: OneForm, m) -> OneForm:
     n = w.order
     fx = Jet2.monomial(1, 0, m00, n) + Jet2.monomial(0, 1, m01, n)
     fy = Jet2.monomial(1, 0, m10, n) + Jet2.monomial(0, 1, m11, n)
-    asub = w.a.substitute(fx, fy, order=n)
-    bsub = w.b.substitute(fx, fy, order=n)
+    asub = w.a.substitute(fx, fy)
+    bsub = w.b.substitute(fx, fy)
     return OneForm(asub * m00 + bsub * m10, asub * m01 + bsub * m11, w.variables)
 
 
@@ -209,32 +224,29 @@ def pullback_blowup(w: OneForm, chart: str, new_var: str | None = None) -> OneFo
 
     chart "x" substitutes  y = t*x  (the chart covering all directions but
     the y-axis); the result is a form in (x, t).  chart "y" substitutes
-    x = s*y, giving a form in (s, y).  The substitution is exact on the
-    polynomial coefficients, so the output order is 2*order+1: a monomial
-    x^i y^j of degree <= N maps to degree i+2j <= 2N, and the extra factor
+    x = s*y, giving a form in (s, y).  Both are exponent maps on the
+    polynomial coefficients: chart "x" sends x^i y^j to x^(i+j) t^j and
+    chart "y" sends it to s^i y^(i+j), so the output order is 2*order+1: a
+    monomial of degree <= N maps to degree i+2j <= 2N, and the extra factor
     of t (resp. x, s, y) from  dy = t dx + x dt  adds one more.
     """
     n = w.order
     out = 2 * n + 1
     xname, yname = w.variables
     if chart == "x":
-        t = new_var or "t"
-        fx = Jet2.var_x(out)
-        fy = Jet2.monomial(1, 1, 1, out)
-        asub = w.a.substitute(fx, fy, order=out)
-        bsub = w.b.substitute(fx, fy, order=out)
-        a_new = asub + bsub * Jet2.var_y(out)
-        b_new = bsub * Jet2.var_x(out)
-        return OneForm(a_new, b_new, (xname, t))
+        # A dx + B dy -> (A + t B) dx + x B dt
+        a_new = _exponent_map(w.a, lambda i, j: (i + j, j), out) + _exponent_map(
+            w.b, lambda i, j: (i + j, j + 1), out
+        )
+        b_new = _exponent_map(w.b, lambda i, j: (i + j + 1, j), out)
+        return OneForm(a_new, b_new, (xname, new_var or "t"))
     if chart == "y":
-        s = new_var or "s"
-        fx = Jet2.monomial(1, 1, 1, out)
-        fy = Jet2.var_y(out)
-        asub = w.a.substitute(fx, fy, order=out)
-        bsub = w.b.substitute(fx, fy, order=out)
-        a_new = asub * Jet2.var_y(out)
-        b_new = asub * Jet2.var_x(out) + bsub
-        return OneForm(a_new, b_new, (s, yname))
+        # A dx + B dy -> y A ds + (s A + B) dy
+        a_new = _exponent_map(w.a, lambda i, j: (i, i + j + 1), out)
+        b_new = _exponent_map(w.a, lambda i, j: (i + 1, i + j), out) + _exponent_map(
+            w.b, lambda i, j: (i, i + j), out
+        )
+        return OneForm(a_new, b_new, (new_var or "s", yname))
     raise ValueError("chart must be 'x' or 'y'")
 
 
@@ -259,16 +271,9 @@ def exceptional_divide(w: OneForm, divisor_var: str) -> tuple[OneForm, int]:
         k = m if k is None else min(k, m)
     if not k:
         return w, 0
-    n = w.order
-
-    def _shift(jet: Jet2) -> Jet2:
-        d = {}
-        for (i, j), c in jet.items():
-            key = (i - k, j) if idx == 0 else (i, j - k)
-            d[key] = c
-        return Jet2(d, n - k)
-
-    return OneForm(_shift(w.a), _shift(w.b), w.variables), k
+    n = w.order - k
+    shift = (lambda i, j: (i - k, j)) if idx == 0 else (lambda i, j: (i, j - k))
+    return OneForm(_exponent_map(w.a, shift, n), _exponent_map(w.b, shift, n), w.variables), k
 
 
 @dataclass(frozen=True)

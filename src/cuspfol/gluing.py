@@ -248,7 +248,8 @@ def cocycle_compose_check(
     phi2 must be an automorphism of the second model (source side), phi1 of
     the first (target side).  Raises if the composed second component
     depends on the first variable - that means the inputs were not model
-    automorphisms.
+    automorphisms - and likewise if the first component minus the second
+    is not divisible by x1, the diagonal condition of the first model.
     """
     if phi2.model is not Model.F2 or phi1.model is not Model.F1:
         raise ValueError("compose expects a second-model phi2 and first-model phi1")
@@ -266,7 +267,13 @@ def cocycle_compose_check(
             f"composed map is not of cocycle shape (second component touches {stray})"
         )
     sigma_new = GermDiff1(out_y.restrict_to_axis("y"))
-    a_new = (out_x - out_y).div(Jet2.var_x(n))
+    diff = out_x - out_y
+    stray = [key for key, _ in diff.items() if key[0] == 0]
+    if stray:
+        raise ValueError(
+            f"composed map is not of cocycle shape (first minus second component has x1-free monomials {stray})"
+        )
+    a_new = Jet2({(i - 1, j): v for (i, j), v in diff.items()}, diff.order - 1)
     return GluingCocycle(sigma_new, a_new)
 
 

@@ -3,9 +3,10 @@
 A jet of order N stores exact coefficients for all monomials of total degree
 <= N; higher-order terms are unknown, not zero.  Jets are immutable values:
 arithmetic returns new objects and truncates to the minimum of the operand
-orders.  Substitution-type operations that can raise the order (blow-up
-pullbacks) take an explicit target order and treat their input as exact
-polynomial data; this is documented where it happens.
+orders.  Substitution works at the minimum of the orders of its inputs and
+division needs a unit divisor.  Blow-ups and division by a coordinate are
+monomial changes; the modules that need them write them as exponent maps
+over :meth:`Jet2.items`.
 
 Internally coefficients are the kernel triples (a, b, d) ~ (a+b*i)/d; the
 public surface deals in :class:`~cuspfol.coeff.Coeff`.
@@ -19,7 +20,6 @@ from ._backend import (
     jet1_mul,
     jet2_mul,
     qadd,
-    qdiv,
     qinv,
     qmul,
     qneg,
@@ -33,10 +33,6 @@ DEFAULT_ORDER = 16
 
 class JetError(ValueError):
     pass
-
-
-class ExactDivisionError(JetError):
-    """Raised when the exact-division mode meets a nonzero remainder."""
 
 
 def _as_triple(c):
@@ -245,31 +241,13 @@ class Jet1:
         return Jet1._raw(out, n)
 
     def div(self, other: "Jet1") -> "Jet1":
-        """Division, in one of two exact modes.
+        """Series division by a unit, at the min of the orders.
 
-        If ``other`` is a unit this is series division at the min of the
-        orders.  Otherwise both operands are treated as exact polynomials and
-        divided exactly (the result order drops by the divisor valuation);
-        a nonzero remainder raises :class:`ExactDivisionError`.
+        A divisor without a constant term raises :class:`JetError`.
         """
         if not isinstance(other, Jet1):
             raise JetError("div expects a Jet1")
-        if not _tz(other._c[0]):
-            return self * other.reciprocal()
-        v = other.valuation()
-        if v is None:
-            raise ZeroDivisionError("division by the zero jet")
-        n = min(self._n, other._n)
-        if n < v:
-            raise JetError("divisor valuation exceeds the working order")
-        for k in range(min(v, self._n)):
-            if not _tz(self._c[k]):
-                raise ExactDivisionError(
-                    "dividend not divisible: low-order term below divisor valuation"
-                )
-        shifted_num = Jet1._raw(self._c[v : n + 1], n - v)
-        shifted_den = Jet1._raw(other._c[v : n + 1], n - v)
-        return shifted_num * shifted_den.reciprocal()
+        return self * other.reciprocal()
 
     def eval_poly(self, point) -> Coeff:
         """Evaluate the stored coefficients as a polynomial at an exact point."""
@@ -485,12 +463,10 @@ class Jet2:
                 d[(i, j - 1)] = qmul(t, (j, 0, 1))
         return Jet2._raw(d, self._n - 1)
 
-    def substitute(self, fx: "Jet2", fy: "Jet2", order=None) -> "Jet2":
+    def substitute(self, fx: "Jet2", fy: "Jet2") -> "Jet2":
         """self(fx, fy) for substitution targets vanishing at the origin.
 
-        The result order defaults to min(self.order, fx.order, fy.order).
-        Passing a larger ``order`` asserts the inputs are exact polynomial
-        data (used by blow-up pullbacks, where monomial degrees grow).
+        The result order is min(self.order, fx.order, fy.order).
 
         The monomials are grouped by their power of x,
 
@@ -506,9 +482,7 @@ class Jet2:
             raise JetError("substitution target must vanish at the origin")
         if (fy.valuation() or 0) < 1 and not fy.is_zero():
             raise JetError("substitution target must vanish at the origin")
-        if order is None:
-            order = min(self._n, fx._n, fy._n)
-        n = order
+        n = min(self._n, fx._n, fy._n)
         dx = {k: t for k, t in fx._d.items() if k[0] + k[1] <= n}
         dy = {k: t for k, t in fy._d.items() if k[0] + k[1] <= n}
         fixed = _fixed_degree(dx, dy, n)
@@ -564,20 +538,11 @@ class Jet2:
         return Jet2._raw({(j, i): t for (i, j), t in self._d.items()}, self._n)
 
     def div(self, other: "Jet2") -> "Jet2":
-        """Division, unit mode or exact polynomial mode (see :meth:`Jet1.div`)."""
+        """Series division by a unit (see :meth:`Jet1.div`)."""
         if not isinstance(other, Jet2):
             raise JetError("div expects a Jet2")
-        c0 = other._d.get((0, 0))
-        if c0 is not None:
-            n = min(self._n, other._n)
-            return self.truncate(n) * _jet2_reciprocal(other.truncate(n))
-        v = other.valuation()
-        if v is None:
-            raise ZeroDivisionError("division by the zero jet")
         n = min(self._n, other._n)
-        if n < v:
-            raise JetError("divisor valuation exceeds the working order")
-        return _jet2_exact_div(self.truncate(n), other.truncate(n), v)
+        return self.truncate(n) * _jet2_reciprocal(other.truncate(n))
 
     def __eq__(self, other):
         if not isinstance(other, Jet2):
@@ -628,39 +593,6 @@ def _jet2_reciprocal(b: Jet2) -> Jet2:
         acc = acc + term
         k += 1
     return acc * Coeff.from_triple(inv0)
-
-
-def _gl_lead(d):
-    """Graded-lex maximal monomial (degree first, then x-exponent)."""
-    return max(d, key=lambda k: (k[0] + k[1], k[0]))
-
-
-def _jet2_exact_div(a: Jet2, b: Jet2, v: int) -> Jet2:
-    n = a.order
-    if a.is_zero():
-        return Jet2.zero(n - v)
-    r = dict(a._d)
-    bl = _gl_lead(b._d)
-    blc = b._d[bl]
-    q = {}
-    while r:
-        m = _gl_lead(r)
-        if m[0] < bl[0] or m[1] < bl[1]:
-            raise ExactDivisionError(
-                f"nonzero remainder in exact division (stuck at x^{m[0]}*y^{m[1]})"
-            )
-        qk = (m[0] - bl[0], m[1] - bl[1])
-        qc = qdiv(r[m], blc)
-        q[qk] = qadd(q.get(qk, QZERO), qc)
-        for bk, bc in b._d.items():
-            kk = (qk[0] + bk[0], qk[1] + bk[1])
-            cur = qsub(r.get(kk, QZERO), qmul(qc, bc))
-            if _tz(cur):
-                r.pop(kk, None)
-            else:
-                r[kk] = cur
-    q = {k: t for k, t in q.items() if not _tz(t)}
-    return Jet2._raw(q, n - v)
 
 
 def _fmt_term(c: Coeff, mono: str) -> str:

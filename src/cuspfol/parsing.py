@@ -473,10 +473,6 @@ def format_poly(d, names=("x", "y")):
     return out
 
 
-def _jet_dict(j):
-    return {key: Coeff.from_triple(t) for key, t in j._d.items()}
-
-
 def format_form(obj) -> str:
     """Canonical text for an :class:`OneForm` or :class:`MeromorphicPair`.
 
@@ -484,16 +480,16 @@ def format_form(obj) -> str:
     object exactly (for forms in the standard x, y chart).
     """
     if isinstance(obj, MeromorphicPair):
-        num = format_poly(_jet_dict(obj.num))
-        den = format_poly(_jet_dict(obj.den))
+        num = format_poly(dict(obj.num.items()))
+        den = format_poly(dict(obj.den.items()))
         return f"mero: ({num}) / ({den})"
     w = obj
     names = w.variables
     parts = []
     if not w.a.is_zero():
-        parts.append(f"({format_poly(_jet_dict(w.a), names)}) d{names[0]}")
+        parts.append(f"({format_poly(dict(w.a.items()), names)}) d{names[0]}")
     if not w.b.is_zero():
-        parts.append(f"({format_poly(_jet_dict(w.b), names)}) d{names[1]}")
+        parts.append(f"({format_poly(dict(w.b.items()), names)}) d{names[1]}")
     if not parts:
         return f"0 d{names[0]}"
     return " + ".join(parts)

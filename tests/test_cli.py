@@ -203,6 +203,29 @@ def test_cohomology_eliminates_once(monkeypatch):
         assert shapes == [shape]
 
 
+def test_mero_input_is_parsed_once(monkeypatch):
+    import cuspfol.cli
+
+    texts = []
+    parse_form = cuspfol.cli.parse_form
+
+    def counting_parse(text, order):
+        texts.append(text)
+        return parse_form(text, order)
+
+    monkeypatch.setattr(cuspfol.cli, "parse_form", counting_parse)
+    for command, forms in (
+        ("reduce", [CUSP]),
+        ("normal-form", [CUSP]),
+        ("equiv", [CUSP, "mero:(y^2+x^3+x^2*y)/(x*y+x^3)"]),
+        ("reduce", [SINH]),
+    ):
+        texts.clear()
+        code, out = run_cli(command, *forms, "--order", "8")
+        assert code == 0, out
+        assert texts == forms
+
+
 def test_glue_builds_the_model_cocycle():
     code, out = run_cli("glue", CUSP, "--order", "6")
     assert code == 0

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from cuspfol.coeff import Coeff
 from cuspfol.forms import (
     OneForm,
@@ -20,7 +22,9 @@ from cuspfol.forms import (
     valuation,
     wedge,
 )
-from cuspfol.jets import Jet1, Jet2
+from cuspfol.jets import Jet1, Jet2, JetError
+
+import oracles
 
 RNG = random.Random(0x5EED5)
 
@@ -57,6 +61,24 @@ def rand_poly_form(deg, order):
             if RNG.random() < 0.5:
                 b[(i, j)] = rand_coeff()
     return OneForm(j2(a, order), j2(b, order))
+
+
+# (fx, fy) of the blow-up substitution in each chart, as oracle polynomials
+BLOWUP_MAPS = {
+    "x": ({(1, 0): oracles.ONE}, {(1, 1): oracles.ONE}),
+    "y": ({(1, 1): oracles.ONE}, {(0, 1): oracles.ONE}),
+}
+
+
+def jet_of_pairs(pairs, order):
+    return Jet2({k: Coeff(re, im) for k, (re, im) in pairs.items()}, order)
+
+
+def dense_form(order):
+    def jet():
+        return j2({(i, d - i): rand_coeff() for d in range(order + 1) for i in range(d + 1)}, order)
+
+    return OneForm(jet(), jet())
 
 
 # --- construction -----------------------------------------------------------
@@ -121,6 +143,37 @@ def test_radial_tangency_cofactor_reconstructs():
         assert got.truncate(10) == p.truncate(10)
 
 
+def test_radial_tangency_cofactor_at_order_below():
+    # P*(x dy - y dx) = A_d dx + B_d dy exactly, up to the top degree d = n
+    n = 7
+    for d in range(1, n + 1):
+        p = {(i, d - 1 - i): rand_coeff() + Coeff(0, 3) for i in range(d)}
+        other = dense_form(n)
+        w = radial_form(n) * j2(p, n) + other - other.homogeneous_part(d)
+        got = radial_tangency(w, d)
+        assert got.order == n - 1
+        pairs = oracles.jet2_pairs(got)
+        assert pairs == {k: oracles.pair_of_coeff(c) for k, c in p.items()}
+        assert oracles.p2_mul(pairs, {(0, 1): oracles.from_int(-1)}) == oracles.jet2_pairs(
+            w.a.homogeneous_part(d)
+        )
+        assert oracles.p2_mul(pairs, {(1, 0): oracles.ONE}) == oracles.jet2_pairs(
+            w.b.homogeneous_part(d)
+        )
+
+
+def test_radial_tangency_none_off_the_identity():
+    n = 6
+    for d in range(n + 1):
+        w = dense_form(n)
+        ad, bd = (oracles.jet2_pairs(jet.homogeneous_part(d)) for jet in (w.a, w.b))
+        identity = oracles.p2_add(
+            oracles.p2_mul(ad, {(1, 0): oracles.ONE}), oracles.p2_mul(bd, {(0, 1): oracles.ONE})
+        )
+        assert identity
+        assert radial_tangency(w, d) is None
+
+
 # --- blow-up pullbacks ------------------------------------------------------
 
 
@@ -146,6 +199,43 @@ def test_pullback_blowup_ychart_radial():
     assert rawr.variables == ("s", "y")
     assert rawr.a == j2({(0, 2): -1}, 13)
     assert rawr.b.is_zero()
+
+
+def test_pullback_blowup_matches_substitution_oracle():
+    # A dx + B dy under (x, y) = (fx, fy) is A(f) dx + B(f) dy with
+    # dy = t dx + x dt in chart "x" and dx = y ds + s dy in chart "y"
+    x, y = {(1, 0): oracles.ONE}, {(0, 1): oracles.ONE}
+    for order in range(9):
+        for chart in ("x", "y"):
+            w = dense_form(order)
+            out = 2 * order + 1
+            fx, fy = BLOWUP_MAPS[chart]
+            a = oracles.p2_substitute(oracles.jet2_pairs(w.a), fx, fy, out)
+            b = oracles.p2_substitute(oracles.jet2_pairs(w.b), fx, fy, out)
+            if chart == "x":
+                want = (oracles.p2_add(a, oracles.p2_mul(b, y)), oracles.p2_mul(b, x))
+            else:
+                want = (oracles.p2_mul(a, y), oracles.p2_add(oracles.p2_mul(a, x), b))
+            got = pullback_blowup(w, chart)
+            assert got.order == out
+            assert (oracles.jet2_pairs(got.a), oracles.jet2_pairs(got.b)) == want
+
+
+def test_pullback_blowup_substitutes_nothing(monkeypatch):
+    calls = []
+    substitute = Jet2.substitute
+
+    def counted(self, fx, fy):
+        calls.append(self.order)
+        return substitute(self, fx, fy)
+
+    monkeypatch.setattr(Jet2, "substitute", counted)
+    for chart in ("x", "y"):
+        pullback_blowup(dense_form(6), chart)
+    assert calls == []
+    # the counter does see a substitution
+    linear_change(dense_form(2), ((1, 0), (1, 1)))
+    assert calls == [2, 2]
 
 
 def test_exceptional_divide_examples():
@@ -335,16 +425,9 @@ def test_wedge_commutes_with_blowup_pullback():
             lhs = wedge(pu, pv)
             uv = wedge(u, v)
             out = pu.a.order
-            if chart == "x":
-                sub = uv.substitute(
-                    Jet2.var_x(out), Jet2.monomial(1, 1, 1, out), order=out
-                )
-                jac = Jet2.var_x(out)
-            else:
-                sub = uv.substitute(
-                    Jet2.monomial(1, 1, 1, out), Jet2.var_y(out), order=out
-                )
-                jac = Jet2.var_y(out)
+            fx, fy = BLOWUP_MAPS[chart]
+            sub = jet_of_pairs(oracles.p2_substitute(oracles.jet2_pairs(uv), fx, fy, out), out)
+            jac = Jet2.var_x(out) if chart == "x" else Jet2.var_y(out)
             rhs = sub * jac
             n = out - 2
             assert lhs.truncate(n) == rhs.truncate(n)
@@ -362,6 +445,19 @@ def test_wedge_commutes_with_general_pullback():
     rhs = wedge(u, v).substitute(fx, fy) * jac
     n = 12
     assert lhs.truncate(n) == rhs.truncate(n)
+
+
+def test_pullback_map_rejects_an_order_above_the_data():
+    w = rand_poly_form(2, 10)
+    fx = j2({(1, 0): 1, (0, 2): 3}, 10)
+    fy = j2({(0, 1): 1, (2, 0): -2}, 8)
+    assert pullback_map(w, fx, fy).order == 7
+    assert pullback_map(w, fx, fy, order=8).order == 8
+    for order in (9, 11):
+        with pytest.raises(JetError):
+            pullback_map(w, fx, fy, order=order)
+    with pytest.raises(JetError):
+        pullback_map(w.truncate(6), fx, fx, order=7)
 
 
 def test_exceptional_power_radial_criterion():

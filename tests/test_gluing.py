@@ -17,6 +17,7 @@ from cuspfol.moduli import (
 from cuspfol.gluing import (
     GluingCocycle,
     Model,
+    ModelAutomorphism,
     ModelTransition,
     VectorFieldJet,
     _coboundary_columns,
@@ -238,6 +239,19 @@ def test_compose_rejects_swapped_sides():
     phi2 = model_automorphism(Homography.identity(), Model.F2, order=n)
     with pytest.raises(ValueError):
         cocycle_compose_check(phi2, c, phi1)
+
+
+def test_compose_rejects_a_first_model_map_off_the_diagonal():
+    # (x, y) -> (2x, y) is not an automorphism of the first model: it breaks
+    # A(x, x) = h(x)/x, so the composed first component minus the second
+    # keeps sigma(y1), which x1 does not divide
+    n = 6
+    sig = germ([Coeff(1), Coeff(2)], n)
+    c = build_cocycle(sig, Coeff(3))
+    bad = ModelAutomorphism(Model.F1, Homography.identity(), Jet2.one(n) * 2)
+    phi2 = model_automorphism(Homography.identity(), Model.F2, order=n)
+    with pytest.raises(ValueError, match="x1-free monomials"):
+        cocycle_compose_check(bad, c, phi2)
 
 
 def test_compose_base_change_relation():

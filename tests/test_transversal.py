@@ -120,8 +120,8 @@ def test_sigma_naturality_under_axis_scaling():
     n = c.form.order
     fu = Jet2.monomial(1, 0, av, n)
     fv = Jet2.monomial(0, 1, bv, n)
-    a_new = c.form.a.substitute(fu, fv, order=n) * av
-    b_new = c.form.b.substitute(fu, fv, order=n) * bv
+    a_new = c.form.a.substitute(fu, fv) * av
+    b_new = c.form.b.substitute(fu, fv) * bv
     cs = CornerGerm(OneForm(a_new, b_new, ("u", "v")))
     sig_s = transversal_structure(cs).jet
     # sigma transforms by conjugation with the axis scalings
