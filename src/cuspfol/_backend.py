@@ -7,6 +7,13 @@ echelon form over Q(i).
 A Gaussian-rational scalar is a normalized integer triple ``(a, b, d)``
 standing for ``(a + b*i)/d`` with ``d > 0`` and ``gcd(a, b, d) == 1``.  Zero
 is ``(0, 0, 1)``.  All functions take and return triples in normal form.
+
+The series products (:func:`jet1_mul`, :func:`jet2_mul`) keep one
+denominator per operand: its nonzero coefficients are scaled to the lcm of
+their denominators, the Gaussian-integer numerators are convolved in plain
+integers, and each nonzero output coefficient is normalized once, over the
+product of the two lcms.  A product therefore makes one ``qnorm`` per output
+coefficient, not one per term and one per partial sum.
 """
 
 from math import gcd
@@ -68,20 +75,58 @@ def qdiv(t, u):
     return qmul(t, qinv(u))
 
 
+def _scaled(terms):
+    """Bring an operand's nonzero terms to one denominator.
+
+    Each term is a tuple ``(*key, a, b, d)``.  Returns ``(terms', D)`` with
+    ``D`` the lcm of the denominators and ``terms'`` the same terms as
+    ``(*key, a*D/d, b*D/d, 1)``; when ``D`` is 1 the list is returned as it is.
+    """
+    den = 1
+    for t in terms:
+        d = t[-1]
+        if d != 1 and den % d:
+            den = den // gcd(den, d) * d
+    if den == 1:
+        return terms, 1
+    scaled = [
+        (*t[:-3], t[-3] * (den // t[-1]), t[-2] * (den // t[-1]), 1) for t in terms
+    ]
+    return scaled, den
+
+
 def jet1_mul(ca, cb, n):
-    """Convolve two coefficient lists, truncated at degree n (inclusive)."""
+    """Convolve two coefficient lists, truncated at degree n (inclusive).
+
+    Each operand's nonzero coefficients are brought to the lcm of their
+    denominators, the Gaussian-integer numerators are convolved, and each
+    nonzero output coefficient is normalized once, over the product of the
+    two lcms.
+    """
     out = [QZERO] * (n + 1)
-    la = min(len(ca), n + 1)
-    for k in range(la):
-        t = ca[k]
-        if t[0] == 0 and t[1] == 0:
-            continue
-        lb = min(len(cb), n + 1 - k)
-        for m in range(lb):
-            u = cb[m]
-            if u[0] == 0 and u[1] == 0:
-                continue
-            out[k + m] = qadd(out[k + m], qmul(t, u))
+    ta, da = _scaled(
+        [(k, a, b, d) for k, (a, b, d) in enumerate(ca[: n + 1]) if a or b]
+    )
+    if not ta:
+        return out
+    tb, db = _scaled(
+        [(m, a, b, d) for m, (a, b, d) in enumerate(cb[: n + 1]) if a or b]
+    )
+    if not tb:
+        return out
+    re = [0] * (n + 1)
+    im = [0] * (n + 1)
+    for k, a1, b1, _ in ta:
+        for m, a2, b2, _ in tb:
+            s = k + m
+            if s > n:
+                break
+            re[s] += a1 * a2 - b1 * b2
+            im[s] += a1 * b2 + b1 * a2
+    den = da * db
+    for s in range(n + 1):
+        if re[s] or im[s]:
+            out[s] = qnorm(re[s], im[s], den)
     return out
 
 
@@ -89,27 +134,33 @@ def jet2_mul(da, db, n):
     """Multiply two sparse 2-variable jets given as {(i, j): triple} dicts.
 
     Keys with total degree > n are dropped; zero results are not stored.
+    As in :func:`jet1_mul`, the numerators are convolved over each operand's
+    lcm of denominators and each nonzero output coefficient is normalized
+    once.  Keys appear in the order their first product is formed.
     """
-    out = {}
-    for (i1, j1), t in da.items():
-        if t[0] == 0 and t[1] == 0:
-            continue
-        for (i2, j2), u in db.items():
-            if u[0] == 0 and u[1] == 0:
+    ta, dena = _scaled(
+        [(i, j, i + j, a, b, d) for (i, j), (a, b, d) in da.items() if a or b]
+    )
+    if not ta:
+        return {}
+    tb, denb = _scaled(
+        [(i, j, i + j, a, b, d) for (i, j), (a, b, d) in db.items() if a or b]
+    )
+    acc = {}
+    for i1, j1, e1, a1, b1, _ in ta:
+        room = n - e1
+        for i2, j2, e2, a2, b2, _ in tb:
+            if e2 > room:
                 continue
-            i = i1 + i2
-            j = j1 + j2
-            if i + j > n:
-                continue
-            key = (i, j)
-            cur = out.get(key)
+            key = (i1 + i2, j1 + j2)
+            cur = acc.get(key)
             if cur is None:
-                out[key] = qmul(t, u)
+                acc[key] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
             else:
-                out[key] = qadd(cur, qmul(t, u))
-    for key in [k for k, v in out.items() if v[0] == 0 and v[1] == 0]:
-        del out[key]
-    return out
+                cur[0] += a1 * a2 - b1 * b2
+                cur[1] += a1 * b2 + b1 * a2
+    den = dena * denb
+    return {key: qnorm(re, im, den) for key, (re, im) in acc.items() if re or im}
 
 
 def rref(rows, limit):

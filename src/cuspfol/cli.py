@@ -16,6 +16,7 @@ computation cannot decide at the working order, 3 for invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -393,9 +394,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built once per process: ``parse_args`` leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handler = _COMMANDS[args.command]
     try:
         verdict, data, certs, code = handler(args)

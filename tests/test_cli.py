@@ -248,6 +248,25 @@ def test_json_shape_and_determinism():
     assert rep["data"]["sigma"] == [[1, "1"]]
 
 
+def test_parser_survives_a_bad_argv(capsys):
+    """The parser is built once per process; a rejected argv leaves it as it
+    was, so the same question prints the same bytes before and after."""
+    argv = ("normal-form", CUSP, "--order", "8", "--json")
+    code1, out1 = run_cli(*argv)
+    for bad in (
+        ["normal-form"],
+        ["no-such-command", CUSP],
+        ["sigma", CUSP, "--order", "x"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*bad)
+        assert exc.value.code == 2
+    assert "usage: cuspfol" in capsys.readouterr().err
+    code2, out2 = run_cli(*argv)
+    assert code1 == code2 == 0
+    assert out1 == out2
+
+
 def test_json_on_random_inputs_parses():
     coefs = lambda: RNG.randint(-3, 3)
     for _ in range(5):

@@ -1,0 +1,180 @@
+"""The series products of the kernel against the Fraction-pair oracles.
+
+``jet1_mul`` and ``jet2_mul`` convolve Gaussian-integer numerators over one
+denominator per operand and normalize each output coefficient once; these
+tests check them against ``oracles.s_mul``/``oracles.p2_mul`` on seeded
+inputs (empty and zero operands, truncation, large and mixed denominators,
+pure-imaginary entries), check that every output triple is normalized, and
+count the normalizations.
+"""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from cuspfol import _backend
+from cuspfol._backend import QZERO, jet1_mul, jet2_mul, qnorm
+
+import oracles
+
+BIG = 2**64 + 13  # a denominator above 2**64 (odd, so it survives gcds with 2)
+DENOMS = {
+    "one": [1],
+    "mixed": [1, 2, 3, 5, 6, 7, 12, 35],
+    "big": [1, 3, BIG, 2 * BIG],
+}
+
+
+def rand_triple(rng, dens, zero=0.25, kind="any"):
+    if rng.random() < zero:
+        return QZERO
+    a = rng.randint(-9, 9)
+    b = rng.randint(-9, 9)
+    if kind == "real":
+        b = 0
+    elif kind == "imag":
+        a = 0
+    if a == 0 and b == 0:
+        b = 1
+    return qnorm(a, b, rng.choice(dens))
+
+
+def pair(t):
+    return (Fraction(t[0], t[2]), Fraction(t[1], t[2]))
+
+
+def assert_normalized(t):
+    a, b, d = t
+    assert d > 0
+    assert gcd(gcd(a, b), d) == 1
+    if a == 0 and b == 0:
+        assert t == QZERO
+
+
+def jet1_cases(seed):
+    rng = random.Random(seed)
+    for _ in range(60):
+        dens = DENOMS[rng.choice(sorted(DENOMS))]
+        kind = rng.choice(["any", "real", "imag"])
+        n = rng.randint(0, 10)
+        # lengths 0 .. n + 4: empty operands and operands longer than n + 1
+        ca = [rand_triple(rng, dens, kind=kind) for _ in range(rng.randint(0, n + 4))]
+        cb = [rand_triple(rng, dens, kind=kind) for _ in range(rng.randint(0, n + 4))]
+        yield ca, cb, n
+
+
+def jet2_cases(seed):
+    rng = random.Random(seed)
+    for _ in range(60):
+        dens = DENOMS[rng.choice(sorted(DENOMS))]
+        kind = rng.choice(["any", "real", "imag"])
+        n = rng.randint(0, 8)
+        operands = []
+        for _ in range(2):
+            d = {}
+            for _ in range(rng.randint(0, 14)):
+                # keys up to total degree n + 3, so some products are dropped
+                i = rng.randint(0, n + 2)
+                d[(i, rng.randint(0, n + 3 - i))] = rand_triple(rng, dens, kind=kind)
+            operands.append(d)
+        yield operands[0], operands[1], n
+
+
+class TestJet1Mul:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_oracle(self, seed):
+        for ca, cb, n in jet1_cases(seed):
+            out = jet1_mul(ca, cb, n)
+            assert len(out) == n + 1
+            for t in out:
+                assert_normalized(t)
+            want = oracles.s_mul([pair(t) for t in ca], [pair(t) for t in cb], n)
+            assert [pair(t) for t in out] == oracles.s_trim(want, n)
+
+    def test_empty_and_zero_operands(self):
+        one = [qnorm(1, 2, 3), qnorm(0, 5, 7)]
+        for n in (0, 1, 5):
+            for a, b in [([], one), (one, []), ([QZERO] * 9, one), (one, [QZERO] * 3)]:
+                assert jet1_mul(a, b, n) == [QZERO] * (n + 1)
+
+    def test_order_zero_and_truncation(self):
+        a = [qnorm(1, 1, 2), qnorm(3, 0, 1), qnorm(0, 1, 5)]
+        b = [qnorm(2, 0, 3), qnorm(0, -1, 1)]
+        assert jet1_mul(a, b, 0) == [qnorm(2, 2, 6)]
+        full = jet1_mul(a, b, 6)
+        assert full[4:] == [QZERO] * 3
+        for n in range(4):
+            assert jet1_mul(a, b, n) == full[: n + 1]
+
+    def test_big_denominators_cancel(self):
+        # (1/BIG) * (BIG/1) == 1, and i/BIG * i/BIG == -1/BIG^2
+        assert jet1_mul([qnorm(1, 0, BIG)], [qnorm(BIG, 0, 1)], 2) == [
+            (1, 0, 1), QZERO, QZERO,
+        ]
+        assert jet1_mul([qnorm(0, 1, BIG)], [qnorm(0, 1, BIG)], 0) == [
+            (-1, 0, BIG * BIG)
+        ]
+
+    def test_normalizes_each_output_coefficient_once(self, monkeypatch):
+        """Two dense order-12 lists: at most one ``qnorm`` per output degree,
+        not one per term product and one per partial sum."""
+        rng = random.Random(12)
+        ca = [rand_triple(rng, DENOMS["mixed"], zero=0) for _ in range(13)]
+        cb = [rand_triple(rng, DENOMS["mixed"], zero=0) for _ in range(13)]
+        calls = []
+        norm = _backend.qnorm
+
+        def counted(a, b, d):
+            calls.append(d)
+            return norm(a, b, d)
+
+        monkeypatch.setattr(_backend, "qnorm", counted)
+        out = _backend.jet1_mul(ca, cb, 12)
+        monkeypatch.undo()
+        assert 0 < len(calls) <= 13
+        assert out == jet1_mul(ca, cb, 12)
+
+
+class TestJet2Mul:
+    @pytest.mark.parametrize("seed", [4, 5, 6])
+    def test_matches_oracle(self, seed):
+        for da, db, n in jet2_cases(seed):
+            out = jet2_mul(da, db, n)
+            for key, t in out.items():
+                assert t != QZERO, key
+                assert_normalized(t)
+                assert sum(key) <= n
+            pa = {k: pair(t) for k, t in da.items() if t != QZERO}
+            pb = {k: pair(t) for k, t in db.items() if t != QZERO}
+            assert {k: pair(t) for k, t in out.items()} == oracles.p2_mul(pa, pb, n)
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_keys_in_order_of_first_product(self, seed):
+        for da, db, n in jet2_cases(seed):
+            first = []
+            for (i1, j1), t in da.items():
+                for (i2, j2), u in db.items():
+                    key = (i1 + i2, j1 + j2)
+                    if t != QZERO and u != QZERO and sum(key) <= n and key not in first:
+                        first.append(key)
+            out = jet2_mul(da, db, n)
+            assert list(out) == [k for k in first if k in out]
+
+    def test_cancelling_sums_store_no_key(self):
+        # (x + y)(x - y) = x^2 - y^2: the xy terms cancel
+        a = {(1, 0): (1, 0, 1), (0, 1): (1, 0, 1)}
+        b = {(1, 0): (1, 0, 1), (0, 1): (-1, 0, 1)}
+        assert jet2_mul(a, b, 4) == {(2, 0): (1, 0, 1), (0, 2): (-1, 0, 1)}
+        # (x + i y/3)(x - i y/3) = x^2 + y^2/9 over mixed denominators
+        a = {(1, 0): (1, 0, 1), (0, 1): (0, 1, 3)}
+        b = {(1, 0): (1, 0, 1), (0, 1): (0, -1, 3)}
+        assert jet2_mul(a, b, 2) == {(2, 0): (1, 0, 1), (0, 2): (1, 0, 9)}
+
+    def test_empty_zero_and_order_zero(self):
+        one = {(0, 0): qnorm(1, 1, 2), (1, 0): qnorm(0, 3, BIG)}
+        assert jet2_mul({}, one, 3) == {}
+        assert jet2_mul(one, {}, 3) == {}
+        assert jet2_mul({(0, 0): QZERO, (2, 1): QZERO}, one, 3) == {}
+        assert jet2_mul(one, one, 0) == {(0, 0): (0, 1, 2)}
