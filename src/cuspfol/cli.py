@@ -161,7 +161,7 @@ def _cmd_normal_form(args):
     w = _as_oneform(args.form, args.order)
     rep = reduce_cusp(w)
     _require_cusp(rep)
-    nf = normalize(w)
+    nf = normalize(w, reduction=rep)
     data = {
         "alpha": _ser_coeff(nf.alpha),
         "a": _ser_coeff(nf.a),
@@ -204,10 +204,10 @@ def _cmd_schwarzian(args):
 def _cmd_equiv(args):
     w0 = _as_oneform(args.form, args.order)
     w1 = _as_oneform(args.other, args.order)
-    _, s0 = _sigma_of_form(w0, args.order)
-    _, s1 = _sigma_of_form(w1, args.order)
-    a0 = normalize(w0).alpha
-    a1 = normalize(w1).alpha
+    r0, s0 = _sigma_of_form(w0, args.order)
+    r1, s1 = _sigma_of_form(w1, args.order)
+    a0 = normalize(w0, reduction=r0).alpha
+    a1 = normalize(w1, reduction=r1).alpha
     n = min(s0.order, s1.order)
     v = normal_pair_equivalent(
         NormalPair(s0.truncate(n), a0), NormalPair(s1.truncate(n), a1)
@@ -267,8 +267,8 @@ def _cmd_first_integral(args):
 
 def _cmd_cohomology(args):
     w = _as_oneform(args.form, args.order)
-    _, jet = _sigma_of_form(w, args.order)
-    alpha = normalize(w).alpha
+    rep, jet = _sigma_of_form(w, args.order)
+    alpha = normalize(w, reduction=rep).alpha
     n = jet.order
     dim = cohomology_dimension(jet, alpha, n)
     cb = dim.split
@@ -301,8 +301,8 @@ def _cmd_cohomology(args):
 
 def _cmd_glue(args):
     w = _as_oneform(args.form, args.order)
-    _, jet = _sigma_of_form(w, args.order)
-    alpha = normalize(w).alpha
+    rep, jet = _sigma_of_form(w, args.order)
+    alpha = normalize(w, reduction=rep).alpha
     c = build_cocycle(jet, alpha)
     fx, fy = c.as_map()
     names = ("x1", "y1")

@@ -24,6 +24,12 @@ only the x^4 y dy coefficient (by 2*q0), so that coefficient is normalized
 to zero to make the data canonical; every other step is uniquely
 determined.
 
+Each step pulls the form back along its change and records the change;
+the composite change (``NormalFormData.transform``) is composed from the
+recorded steps only when it is read, since the normal form itself does
+not need it.  A caller that has already run ``reduce_cusp`` on the form
+passes its report to ``normalize`` so the form is reduced once.
+
 The operator ``L_apply`` is the stated per-coefficient elimination recipe
 kept verbatim for reference.  It is one-to-one at odd degrees only - at
 each even degree n the pair x^(n/2) y^(n/2-1) * (x, y) is in its kernel -
@@ -34,6 +40,7 @@ so ``L_solve`` reports the singular degrees instead of inverting them;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .coeff import Coeff
 from .forms import (
@@ -139,23 +146,38 @@ class NormalFormData:
     ``alpha`` (nonzero) and ``a`` are the two surviving degree-4
     coefficients; ``tail[n] = (a_n, b_n, c_n, d_n)`` for 5 <= n <= order
     are the residual coefficients of x^n dx, x^(n-1) y dx, x^n dy,
-    x^(n-1) y dy.  ``transform`` is the accumulated tangent-to-identity
-    change (as a pair of jet components); ``applied_linear_change`` and
-    ``scale`` record the preliminary linear normalization and the scalar
-    multiple taking the radial cofactor to y^2 - both are part of the
-    equivalence but not tangent to the identity, so they are kept apart.
+    x^(n-1) y dy.  ``changes`` lists the steps' changes id + (P_n, Q_n)
+    as pairs (P_n, Q_n) of order-``order`` jets, in the order they were
+    applied.  ``transform`` is their composite, the accumulated
+    tangent-to-identity change (as a pair of jet components), composed
+    from ``changes`` on first read and kept.  ``applied_linear_change``
+    and ``scale`` record the preliminary linear normalization and the
+    scalar multiple taking the radial cofactor to y^2 - both are part of
+    the equivalence but not tangent to the identity, so they are kept
+    apart.
     """
 
     order: int
     alpha: Coeff
     a: Coeff
     tail: dict = field(default_factory=dict)
-    transform: tuple[Jet2, Jet2] | None = None
+    changes: list = field(default_factory=list)
     applied_linear_change: tuple | None = None
     scale: Coeff = Coeff(1)
 
     def is_trivial_tail(self) -> bool:
         return all(all(c.is_zero() for c in t) for t in self.tail.values())
+
+    @cached_property
+    def transform(self) -> tuple[Jet2, Jet2]:
+        x = Jet2.var_x(self.order)
+        y = Jet2.var_y(self.order)
+        comp_x, comp_y = x, y
+        for p, q in self.changes:
+            fx, fy = x + p, y + q
+            comp_x = comp_x.substitute(fx, fy)
+            comp_y = comp_y.substitute(fx, fy)
+        return comp_x, comp_y
 
 
 def reconstruct_normal_form(data: NormalFormData, order=None) -> OneForm:
@@ -194,6 +216,14 @@ def _y2_coords(w: OneForm, m):
     return [w.a.coeff(i, j) for (i, j) in keys] + [w.b.coeff(i, j) for (i, j) in keys]
 
 
+_ZERO = Coeff(0)
+
+
+def _int_coeff(c):
+    """The integer c as a Coeff, built from its triple (c, 0, 1)."""
+    return Coeff.from_triple((c, 0, 1)) if c else _ZERO
+
+
 def _action_matrix(n):
     """Exact matrix of (P_n, Q_n) -> y^2-part of the degree-(n+2) shift.
 
@@ -216,30 +246,34 @@ def _action_matrix(n):
     k = 0, 2 x^(n+1) y, is not y^2-divisible and drops out.
     """
     dim = 2 * (n + 1)
-    rows = [[0] * dim for _ in range(dim)]
+    rows = [[_ZERO] * dim for _ in range(dim)]
     for k in range(n + 1):
         if k < n:
-            rows[k + 1][k] = -(n - k)
-        rows[n + 1 + k][k] = 1 - k
-        rows[k][n + 1 + k] = n - k - 3
+            rows[k + 1][k] = _int_coeff(-(n - k))
+        rows[n + 1 + k][k] = _int_coeff(1 - k)
+        rows[k][n + 1 + k] = _int_coeff(n - k - 3)
         if k > 0:
-            rows[n + k][n + 1 + k] = k + 2
-    return [[Coeff(c) for c in row] for row in rows]
+            rows[n + k][n + 1 + k] = _int_coeff(k + 2)
+    return rows
 
 
-def normalize(w: OneForm, order=None) -> NormalFormData:
+def normalize(w: OneForm, order=None, *, reduction=None) -> NormalFormData:
     """Reduce a cusp-type form to the template, degree by degree.
 
-    Requires reduce_cusp(w) to succeed.  The preliminary linear change of
-    the reduction (if any) and a scalar multiple making the radial
-    cofactor exactly y^2 are applied first; then each degree n from 2 up
-    kills the y^2-divisible part of the coefficient-degree-(n+2)
-    homogeneous part with an exact change id + (P_n, Q_n).
+    Requires reduce_cusp(w) to succeed.  ``reduction``, when given, is the
+    caller's own ``reduce_cusp(w)`` report and is used in its place; its
+    verdict is checked all the same.  The preliminary linear change of the
+    reduction (if any) and a scalar multiple making the radial cofactor
+    exactly y^2 are applied first; then each degree n from 2 up kills the
+    y^2-divisible part of the coefficient-degree-(n+2) homogeneous part
+    with an exact change id + (P_n, Q_n).  Each step pulls the form back
+    along its change and records the change in ``changes``; the composite
+    ``transform`` is built from them only when it is read.
     """
     n_max = w.order if order is None else order
     if n_max > w.order:
         raise JetError("requested order exceeds the form's jet order")
-    rep = reduce_cusp(w)
+    rep = reduce_cusp(w) if reduction is None else reduction
     if rep.verdict is not ReductionVerdict.CUSP_TYPE_ABSOLUTELY_DICRITICAL:
         raise ValueError(
             f"normalize requires a cusp-type form (reduction verdict: {rep.verdict.value})"
@@ -250,16 +284,12 @@ def normalize(w: OneForm, order=None) -> NormalFormData:
     scale = Coeff(1) / rep.p2_coefficient
     w = w * scale
 
-    comp_x = Jet2.var_x(n_max)
-    comp_y = Jet2.var_y(n_max)
+    changes = []
 
     def apply_change(p, q):
-        nonlocal w, comp_x, comp_y
+        nonlocal w
         w = _phi_pullback(w, p, q)
-        fx = Jet2.var_x(n_max) + p
-        fy = Jet2.var_y(n_max) + q
-        comp_x = comp_x.substitute(fx, fy)
-        comp_y = comp_y.substitute(fx, fy)
+        changes.append((p, q))
 
     for n in range(2, n_max - 1):
         m = n + 2
@@ -326,7 +356,7 @@ def normalize(w: OneForm, order=None) -> NormalFormData:
         alpha=alpha,
         a=a_coeff,
         tail=tail,
-        transform=(comp_x, comp_y),
+        changes=changes,
         applied_linear_change=rep.applied_linear_change,
         scale=scale,
     )

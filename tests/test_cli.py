@@ -9,6 +9,7 @@ import contextlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,9 @@ from pathlib import Path
 import pytest
 
 import cuspfol
-from cuspfol.cli import main
+from cuspfol.cli import _as_oneform, main
+from cuspfol.forms import reduce_cusp
+from cuspfol.normalform import normalize
 
 RNG = random.Random(0xC11)
 
@@ -224,6 +227,48 @@ def test_mero_input_is_parsed_once(monkeypatch):
         code, out = run_cli(command, *forms, "--order", "8")
         assert code == 0, out
         assert texts == forms
+
+
+MIXED = "mero:(y^2+x^3+x^2*y)/(x*y+x^3)"
+
+
+def test_each_form_is_reduced_once(monkeypatch):
+    # normalize takes the report the command already made instead of
+    # reducing the form a second time
+    import cuspfol.normalform
+
+    calls = []
+
+    def counting_reduce(w):
+        calls.append(w)
+        return reduce_cusp(w)
+
+    monkeypatch.setattr(cuspfol.cli, "reduce_cusp", counting_reduce)
+    monkeypatch.setattr(cuspfol.normalform, "reduce_cusp", counting_reduce)
+    for command, forms, expected in (
+        ("normal-form", [MIXED], 1),
+        ("cohomology", [MIXED], 1),
+        ("glue", [MIXED], 1),
+        ("equiv", [CUSP, MIXED], 2),
+    ):
+        calls.clear()
+        code, out = run_cli(command, *forms, "--order", "8")
+        assert code in (0, 1), out
+        assert len(calls) == expected, command
+
+
+@pytest.mark.parametrize("text", [CUSP, MIXED])
+def test_normalize_takes_the_callers_reduction(text):
+    w = _as_oneform(text, 12)
+    assert normalize(w, reduction=reduce_cusp(w)) == normalize(w)
+
+
+def test_normalize_checks_the_verdict_of_a_given_reduction():
+    w = _as_oneform(CUSP, 8)
+    regular = _as_oneform("x dy", 8)
+    rep = reduce_cusp(regular)
+    with pytest.raises(ValueError, match=re.escape(rep.verdict.value)):
+        normalize(w, reduction=rep)
 
 
 def test_glue_builds_the_model_cocycle():

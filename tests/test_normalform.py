@@ -4,7 +4,7 @@ reduction to the y^2-radial template."""
 import random
 
 from cuspfol.coeff import Coeff
-from cuspfol.forms import OneForm, linear_change, pullback_map
+from cuspfol.forms import OneForm, linear_change, pullback_map, reduce_cusp
 from cuspfol.jets import Jet2
 from cuspfol.linalg import matrix_rank
 from cuspfol.normalform import (
@@ -264,3 +264,43 @@ def test_normalize_rejects_non_cusp():
         assert "verdict" in str(e)
     else:
         raise AssertionError("normalize should reject a non-cusp form")
+
+
+def test_transform_is_composed_once_when_read(monkeypatch):
+    """Each step substitutes only into the form (one pullback, two
+    substitutions); the composite change is built from the recorded steps
+    on the first read of ``transform`` and kept."""
+    base = NormalFormData(
+        order=16,
+        alpha=Coeff(2),
+        a=Coeff(-1, 1),
+        tail={5: (Coeff(0), Coeff(1), Coeff(0), Coeff(0)), 7: (Coeff(2), Coeff(0), Coeff(1), Coeff(0))},
+    )
+    p = mono(2, 0, 1) + mono(1, 1, Coeff(-2, 1)) + mono(0, 2, 3)
+    q = mono(2, 0, Coeff(0, 1)) + mono(1, 1, 1) + mono(0, 2, -1)
+    w0 = pullback_map(
+        reconstruct_normal_form(base), Jet2.var_x(16) + p, Jet2.var_y(16) + q, order=16
+    )
+    assert reduce_cusp(w0).applied_linear_change is None
+
+    calls = []
+    substitute = Jet2.substitute
+
+    def counting_substitute(self, *args, **kwargs):
+        calls.append(1)
+        return substitute(self, *args, **kwargs)
+
+    monkeypatch.setattr(Jet2, "substitute", counting_substitute)
+    data = normalize(w0, 16)
+    assert len(data.changes) > 2
+    assert len(calls) == 2 * len(data.changes)
+    calls.clear()
+    tx, ty = data.transform
+    assert len(calls) == 2 * len(data.changes)
+    calls.clear()
+    assert data.transform == (tx, ty)
+    assert calls == []
+    monkeypatch.undo()
+
+    assert data.scale == Coeff(1)
+    assert pullback_map(w0, tx, ty, order=16) == reconstruct_normal_form(data)
