@@ -134,11 +134,16 @@ def _require_cusp(rep):
 def _sigma_of_form(w, order):
     rep = reduce_cusp(w)
     _require_cusp(rep)
-    s = transversal_structure(CornerGerm.from_reduction(rep))
-    jet = s.jet
-    if jet.order > order:
-        jet = jet.truncate(order)
-    return rep, jet
+    # sigma mod z^(order+1) reads only corner data of degree < order, so the
+    # corner germ's 4*order - 7 blow-up jet is solved no further than printed
+    corner = CornerGerm.from_reduction(rep)
+    return rep, transversal_structure(corner, min(order, corner.order)).jet
+
+
+def _alpha_of_form(w, rep):
+    # alpha sits in degree 4, and a change of degree n >= 3 moves only
+    # degrees >= n + 2, so the 4-jet of the normalization fixes it
+    return normalize(w, 4, reduction=rep).alpha
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +211,8 @@ def _cmd_equiv(args):
     w1 = _as_oneform(args.other, args.order)
     r0, s0 = _sigma_of_form(w0, args.order)
     r1, s1 = _sigma_of_form(w1, args.order)
-    a0 = normalize(w0, reduction=r0).alpha
-    a1 = normalize(w1, reduction=r1).alpha
+    a0 = _alpha_of_form(w0, r0)
+    a1 = _alpha_of_form(w1, r1)
     n = min(s0.order, s1.order)
     v = normal_pair_equivalent(
         NormalPair(s0.truncate(n), a0), NormalPair(s1.truncate(n), a1)
@@ -268,7 +273,7 @@ def _cmd_first_integral(args):
 def _cmd_cohomology(args):
     w = _as_oneform(args.form, args.order)
     rep, jet = _sigma_of_form(w, args.order)
-    alpha = normalize(w, reduction=rep).alpha
+    alpha = _alpha_of_form(w, rep)
     n = jet.order
     dim = cohomology_dimension(jet, alpha, n)
     cb = dim.split
@@ -302,7 +307,7 @@ def _cmd_cohomology(args):
 def _cmd_glue(args):
     w = _as_oneform(args.form, args.order)
     rep, jet = _sigma_of_form(w, args.order)
-    alpha = normalize(w, reduction=rep).alpha
+    alpha = _alpha_of_form(w, rep)
     c = build_cocycle(jet, alpha)
     fx, fy = c.as_map()
     names = ("x1", "y1")

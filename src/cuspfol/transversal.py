@@ -15,6 +15,12 @@ solved degree by degree (constructive Frobenius); then
 sigma does not depend on the choice of H: any other first integral is
 phi(H) for a unit reparametrization phi, which cancels in the composition
 (property-tested with H -> H + H^2).
+
+sigma mod z^(N+1) reads only corner data of degree < N: H_(d+1) is solved
+from the corner coefficients of degree <= d, and the reversion and the
+composition read their inputs only up to degree N.  The two blow-ups give
+the corner germ jet order 4N - 7 for a form known to order N, so the CLI
+solves at its ``--order`` rather than at the corner germ's order.
 """
 
 from __future__ import annotations
@@ -155,5 +161,10 @@ def sigma_of_integral(h: Jet2) -> GermDiff1:
 
 
 def transversal_structure(c: CornerGerm, order=None) -> GermDiff1:
-    """The germ sigma: (D2, corner) -> (D1, corner) matching leaf levels."""
+    """The germ sigma: (D2, corner) -> (D1, corner) matching leaf levels.
+
+    ``order`` (at most the corner germ's order, which is the default) is the
+    order of the returned jet; it equals the full sigma truncated to
+    ``order``, since sigma mod z^(N+1) reads only corner data of degree < N.
+    """
     return sigma_of_integral(regular_first_integral(c, order))

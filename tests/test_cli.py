@@ -184,6 +184,37 @@ def test_cohomology_obstruction():
     assert '"checked": true' in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sigma", CUSP],
+        ["schwarzian", CUSP],
+        ["symmetries", CUSP],
+        ["first-integral", CUSP, "--degree", "3"],
+        ["equiv", CUSP, CUSP],
+        ["cohomology", CUSP],
+        ["glue", CUSP],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_sigma_is_solved_at_the_requested_order(monkeypatch, argv):
+    # sigma mod z^9 reads only corner data of degree < 8, so the corner germ
+    # (jet order 25 after the two blow-ups) is solved at --order, not beyond
+    import cuspfol.cli
+
+    orders = []
+    transversal_structure = cuspfol.cli.transversal_structure
+
+    def recording(c, order=None):
+        orders.append(order)
+        return transversal_structure(c, order)
+
+    monkeypatch.setattr(cuspfol.cli, "transversal_structure", recording)
+    code, out = run_cli(*argv, "--order", "8")
+    assert code in (0, 1), out
+    assert orders == [8] * (2 if argv[0] == "equiv" else 1)
+
+
 def test_cohomology_eliminates_once(monkeypatch):
     # rank, corank, feasibility and the certificate all come from one row
     # reduction of the T columns on the rows no A2 column pivots: 9 by 9 of
@@ -312,6 +343,24 @@ def test_parser_survives_a_bad_argv(capsys):
     assert out1 == out2
 
 
+def raw_mero(rng):
+    """An unfiltered draw from mero:(y^2 + x^3 + ...)/(x*y + ...)."""
+
+    def extra(lo, hi):
+        terms = ""
+        for d in range(lo, hi + 1):
+            for i in range(d + 1):
+                if rng.random() < 0.25:
+                    c = rng.choice((-2, -1, 1, 2, 3))
+                    mono = "*".join(
+                        f"{v}^{e}" for v, e in (("x", i), ("y", d - i)) if e
+                    )
+                    terms += f"{c:+d}*{mono}"
+        return terms
+
+    return f"mero:(y^2+x^3{extra(3, 4)})/(x*y{extra(3, 3)})"
+
+
 def test_json_on_random_inputs_parses():
     coefs = lambda: RNG.randint(-3, 3)
     for _ in range(5):
@@ -325,6 +374,29 @@ def test_json_on_random_inputs_parses():
         rep = json.loads(out)
         assert code in (0, 1, 2)
         assert isinstance(rep["verdict"], str) and rep["verdict"]
+    # Raw mero draws through every command that computes sigma; many of them
+    # are defect (a) inputs, on which normal-form still raises (its data
+    # misses the degree-5 modulus), so normal-form is not asked here.
+    rng = random.Random(0x3E0)
+    for _ in range(8):
+        text = raw_mero(rng)
+        for argv in (
+            ["sigma", text],
+            ["schwarzian", text],
+            ["symmetries", text],
+            ["first-integral", text, "--degree", "3"],
+            ["cohomology", text],
+            ["glue", text],
+            ["equiv", text, text],
+        ):
+            code, out = run_cli(*argv, "--order", "8", "--json")
+            assert code in (0, 1, 2, 3), argv
+            rep = json.loads(out)
+            assert isinstance(rep["verdict"], str) and rep["verdict"]
+            if code in (0, 1):
+                for cert in rep["certificates"]:
+                    if isinstance(cert, dict):
+                        assert cert["checked"] is True, argv
 
 
 def test_subprocess_entry_point(tmp_path):

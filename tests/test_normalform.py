@@ -4,7 +4,14 @@ reduction to the y^2-radial template."""
 import random
 
 from cuspfol.coeff import Coeff
-from cuspfol.forms import OneForm, linear_change, pullback_map, reduce_cusp
+from cuspfol.cli import _as_oneform
+from cuspfol.forms import (
+    OneForm,
+    ReductionVerdict,
+    linear_change,
+    pullback_map,
+    reduce_cusp,
+)
 from cuspfol.jets import Jet2
 from cuspfol.linalg import matrix_rank
 from cuspfol.normalform import (
@@ -21,6 +28,7 @@ from cuspfol.normalform import (
 )
 
 import oracles
+from test_cli import raw_mero
 from test_forms import cusp_form, cusp_family_form
 
 RNG = random.Random(0x0F0A)
@@ -304,3 +312,26 @@ def test_transform_is_composed_once_when_read(monkeypatch):
 
     assert data.scale == Coeff(1)
     assert pullback_map(w0, tx, ty, order=16) == reconstruct_normal_form(data)
+
+
+def test_alpha_is_read_from_the_4_jet():
+    """A change of degree n >= 3 moves only degrees >= n + 2, so alpha, a
+    degree-4 coefficient, is fixed once the n = 2 step is done.  The 4-jet
+    also answers on defect (a) draws, where the full normalization raises."""
+    rng = random.Random(0xA4)
+    normalized = 0
+    for order in (8, 12):
+        for _ in range(20):
+            w = _as_oneform(raw_mero(rng), order)
+            rep = reduce_cusp(w)
+            if rep.verdict is not ReductionVerdict.CUSP_TYPE_ABSOLUTELY_DICRITICAL:
+                continue
+            alpha = normalize(w, 4, reduction=rep).alpha
+            assert not alpha.is_zero()
+            try:
+                full = normalize(w, reduction=rep)
+            except AssertionError:
+                continue  # defect (a): the degree-5 modulus is not yet data
+            assert alpha == full.alpha
+            normalized += 1
+    assert normalized >= 5

@@ -7,6 +7,7 @@ from cuspfol.coeff import Coeff
 from cuspfol.forms import OneForm, form_of_meromorphic, reduce_cusp
 from cuspfol.jets import Jet1, Jet2
 from cuspfol.moduli import schwarzian
+from cuspfol.normalform import NormalFormData, reconstruct_normal_form
 from cuspfol.parsing import MeromorphicPair, parse_form
 from cuspfol.transversal import (
     CornerGerm,
@@ -159,3 +160,39 @@ def test_first_integral_matches_full_residual_oracle():
         # the normalization: H(0, 0) = 0 and H(u, 0) = u
         assert h.coeff(0, 0).is_zero()
         assert h.restrict_to_axis("x") == Jet1.variable(n)
+
+
+def seeded_template(rng, order):
+    """A cusp-type template with seeded Gaussian alpha, a and tail."""
+
+    def coeff():
+        return Coeff(rng.randint(-3, 3), rng.randint(-2, 2))
+
+    alpha = coeff()
+    while alpha.is_zero():
+        alpha = coeff()
+    tail = {}
+    for m in range(5, order + 1):
+        t = [coeff() if rng.random() < 0.4 else Coeff(0) for _ in range(4)]
+        if m == 5:
+            t[0] = Coeff(0)  # a_5 = 0, or the form is not of cusp type
+        tail[m] = tuple(t)
+    data = NormalFormData(order=order, alpha=alpha, a=coeff(), tail=tail)
+    return reconstruct_normal_form(data)
+
+
+def test_sigma_at_a_lower_order_is_the_truncation():
+    # sigma mod z^(n+1) reads only corner data of degree < n, so solving the
+    # first integral at order n gives the full sigma truncated to n
+    germs = [corner_of(text, 8) for text in (README_MERO, ROADMAP_MERO, SINH)]
+    rng = random.Random(0x51C)
+    for _ in range(3):
+        germs.append(CornerGerm.from_reduction(reduce_cusp(seeded_template(rng, 8))))
+    for c in germs:
+        assert c.order >= 16
+        full = transversal_structure(c).jet
+        assert full.order == c.order
+        for n in range(5, 17):
+            sig = transversal_structure(c, n).jet
+            assert sig.order == n
+            assert sig == full.truncate(n)
