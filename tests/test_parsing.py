@@ -218,3 +218,57 @@ def test_format_zero_form_roundtrips():
     z = OneForm(Jet2.zero(7), Jet2.zero(7))
     s = format_form(z)
     assert parse_form(s, order=7) == z
+
+
+# (text, order, bare message, line, col) of malformed inputs, pinned so that
+# a rewrite of the parser keeps every message and position
+MALFORMED = [
+    ('', 8, 'empty input', 1, 1),
+    ('   ', 8, 'empty input', 1, 4),
+    ('\n\n  ', 8, 'empty input', 3, 3),
+    ('mero:', 8, "empty input after 'mero:'", 1, 6),
+    ('mero:   \n', 8, "empty input after 'mero:'", 2, 1),
+    ('1.5*x dx', 8, 'floating-point literals are not supported; write an exact rational p/q', 1, 2),
+    ('x dx +\n  1.5 dy', 8, 'floating-point literals are not supported; write an exact rational p/q', 2, 4),
+    ('(x + z) dx', 8, "unknown variable 'z' (only x, y and i)", 1, 6),
+    ('x^3', 8, "expected 'dx' or 'dy' after the coefficient", 1, 4),
+    ('x dx dy', 8, "expected '+', '-', or end of input between terms", 1, 6),
+    ('x dx +', 8, "expected a number, 'i', a variable, or '('", 1, 7),
+    ('x dx + * dy', 8, "expected a number, 'i', a variable, or '('", 1, 8),
+    ('(x dx', 8, "expected ')'", 1, 4),
+    ('(x + y)) dx', 8, "expected 'dx' or 'dy' after the coefficient", 1, 8),
+    ('(dx) dx', 8, "'dx' cannot appear inside a coefficient", 1, 2),
+    ('x + dy dx', 8, "'dy' cannot appear inside a coefficient", 1, 5),
+    ('x^y dx', 8, 'exponent must be a nonnegative integer literal', 1, 3),
+    ('x^-2 dx', 8, 'exponent must be a nonnegative integer literal', 1, 3),
+    ('x^ dx', 8, 'exponent must be a nonnegative integer literal', 1, 4),
+    ('x % y dx', 8, "unexpected character '%'", 1, 3),
+    ('x dx\n+ y dy\n+ $ dy', 8, "unexpected character '$'", 3, 3),
+    ('x/(1+y) dx', 8, 'a 1-form coefficient must be polynomial (non-constant denominator; use mero: input for a quotient)', 1, 1),
+    ('1/x dx', 8, 'a 1-form coefficient must be polynomial (non-constant denominator; use mero: input for a quotient)', 1, 1),
+    ('x/0 dx', 8, 'division by zero', 1, 2),
+    ('x dx + y/(x - x) dy', 8, 'division by zero', 1, 9),
+    ('x^5 dx', 4, 'the dx coefficient has a degree-5 monomial; raise --order (currently 4) to keep the computation exact', 1, 1),
+    ('dx + x^9 dy', 8, 'the dy coefficient has a degree-9 monomial; raise --order (currently 8) to keep the computation exact', 1, 1),
+    ('x dx\n + (y\n  + q) dy', 8, "unknown variable 'q' (only x, y and i)", 3, 5),
+    ('mero: 1/(x - x)', 8, 'division by zero', 1, 8),
+    ('mero: (x - x)/y', 8, 'the meromorphic function is identically zero', 1, 7),
+    ('mero: x/y dx', 8, 'unexpected trailing input in a mero: expression', 1, 11),
+    ('mero: x^6/y', 5, 'the numerator has a degree-6 monomial; raise --order (currently 5) to keep the computation exact', 1, 7),
+    ('mero: x/y^6', 5, 'the denominator has a degree-6 monomial; raise --order (currently 5) to keep the computation exact', 1, 7),
+    ('mero: x /\n (y - y)', 8, 'division by zero', 1, 9),
+    ('mero: x + \n', 8, "expected a number, 'i', a variable, or '('", 2, 1),
+    ('mero: x y', 8, 'unexpected trailing input in a mero: expression', 1, 9),
+    ('mero x/y', 8, "unknown variable 'mero' (only x, y and i)", 1, 1),
+    ('mero: dx', 8, "'dx' cannot appear inside a coefficient", 1, 7),
+    ('* dx', 8, "expected a number, 'i', a variable, or '('", 1, 1),
+    ('x dx - ', 8, "expected a number, 'i', a variable, or '('", 1, 8),
+    ('i^2 dx dx', 8, "expected '+', '-', or end of input between terms", 1, 8),
+]
+
+
+@pytest.mark.parametrize("text, order, message, line, col", MALFORMED)
+def test_error_message_and_position_are_pinned(text, order, message, line, col):
+    with pytest.raises(ParseError) as e:
+        parse_form(text, order=order)
+    assert (e.value.bare_message, e.value.line, e.value.col) == (message, line, col)
