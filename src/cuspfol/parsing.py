@@ -12,13 +12,23 @@ Two input shapes share one tokenizer:
 
       mero: (y^2 + x^3) / (x*y)
 
-Coefficient literals are integers, rationals ``p/q`` and the imaginary unit
-``i``; floating-point literals are rejected.  Arithmetic inside a coefficient
-runs over exact rational functions, so ``1/2*x^2`` and ``(y^2+x^3)/(x*y)``
-both mean what they say; a 1-form coefficient must come out polynomial (a
-constant denominator), a ``mero:`` input keeps its numerator/denominator
-pair up to one overall constant: the denominator's lowest monomial is made
-monic, so printing and reparsing a pair is exact.
+Coefficient literals are integers (ASCII digits), rationals ``p/q`` and the
+imaginary unit ``i``; floating-point literals are rejected.  Arithmetic inside
+a coefficient runs over exact rational functions, so ``1/2*x^2`` and
+``(y^2+x^3)/(x*y)`` both mean what they say; a 1-form coefficient must come
+out polynomial (a constant denominator), a ``mero:`` input keeps its
+numerator/denominator pair up to one overall constant: the denominator's
+lowest monomial is made monic, so printing and reparsing a pair is exact.
+
+Inside, a value is an unreduced (numerator, denominator) pair of dicts
+``{(i, j): triple}`` over the kernel's normalized ``(a, b, d)`` triples, with
+a denominator of ``None`` standing for 1; values become ``Coeff`` only in the
+final :class:`~cuspfol.jets.Jet2`.  A sum of polynomials is added term by term
+into one dict, so a long sum costs time linear in its length; a sum with any
+other denominator cross-multiplies from the left, which fixes the ``mero:``
+pair.  A power of a one-term base is taken in closed form; a power of any
+other base is refused before it is expanded when its degree would exceed
+``--order``.
 
 All errors raised here are :class:`ParseError` carrying 1-based ``line`` and
 ``col`` positions into the source text.
@@ -27,7 +37,9 @@ All errors raised here are :class:`ParseError` carrying 1-based ``line`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
+from ._backend import QONE, qadd, qinv, qmul, qneg, qnorm
 from .coeff import Coeff, format_coeff
 from .jets import DEFAULT_ORDER, Jet2
 from .forms import OneForm
@@ -63,122 +75,155 @@ class MeromorphicPair:
 
 
 # ---------------------------------------------------------------------------
-# tokenizer
+# tokenizer: a token is a tuple (kind, value, line, col)
 
 _DX, _DY, _INT, _NAME, _OP, _EOF = "dx", "dy", "int", "name", "op", "eof"
 _OP_CHARS = "+-*/^():"
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    value: object
-    line: int
-    col: int
+_DIGITS = "0123456789"
 
 
 def _tokenize(text):
     toks = []
-    line, col = 1, 1
+    append = toks.append
+    line, base = 1, 0  # base: index of the first character of the line
     k, n = 0, len(text)
     while k < n:
         ch = text[k]
-        if ch == "\n":
-            line += 1
-            col = 1
-            k += 1
-            continue
         if ch in " \t\r":
-            col += 1
             k += 1
-            continue
-        if ch.isdigit():
+        elif ch == "\n":
+            line += 1
+            k += 1
+            base = k
+        elif ch in _OP_CHARS:
+            append((_OP, ch, line, k - base + 1))
+            k += 1
+        elif ch in _DIGITS:
             start = k
-            start_col = col
-            while k < n and text[k].isdigit():
+            k += 1
+            while k < n and text[k] in _DIGITS:
                 k += 1
-                col += 1
             if k < n and text[k] == ".":
                 raise ParseError(
                     "floating-point literals are not supported; write an exact "
                     "rational p/q",
                     line,
-                    col,
+                    k - base + 1,
                 )
-            toks.append(_Token(_INT, int(text[start:k]), line, start_col))
-            continue
-        if ch.isalpha() or ch == "_":
+            append((_INT, int(text[start:k]), line, start - base + 1))
+        elif ch.isalpha() or ch == "_":
             start = k
-            start_col = col
+            k += 1
             while k < n and (text[k].isalnum() or text[k] == "_"):
                 k += 1
-                col += 1
             word = text[start:k]
-            if word == "dx":
-                toks.append(_Token(_DX, word, line, start_col))
-            elif word == "dy":
-                toks.append(_Token(_DY, word, line, start_col))
-            else:
-                toks.append(_Token(_NAME, word, line, start_col))
-            continue
-        if ch in _OP_CHARS:
-            toks.append(_Token(_OP, ch, line, col))
-            col += 1
-            k += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Token(_EOF, None, line, col))
+            kind = word if word == _DX or word == _DY else _NAME
+            append((kind, word, line, start - base + 1))
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, k - base + 1)
+    append((_EOF, None, line, k - base + 1))
     return toks
 
 
 # ---------------------------------------------------------------------------
-# exact rational-function values: (numerator dict, denominator dict) over
-# {(i, j): Coeff} with j the power of y
+# exact rational-function values: (numerator, denominator) dicts
+# {(i, j): triple} with j the power of y; a denominator None is 1
 
-_ONE_P = {(0, 0): Coeff(1)}
+_ONE_KEY = (0, 0)
+_ONE = {_ONE_KEY: QONE}  # compared against, never mutated
 
 
-def _pmul2(p, q):
-    out = {}
-    for (i1, j1), c1 in p.items():
-        for (i2, j2), c2 in q.items():
+def _pmul(p, q):
+    """The product of two polynomial dicts, zero sums dropped as they occur."""
+    if len(q) == 1:
+        ((i2, j2), c2), = q.items()
+        return {(i + i2, j + j2): qmul(c, c2) for (i, j), c in p.items()}
+    if len(p) == 1:
+        ((i1, j1), c1), = p.items()
+        return {(i1 + i, j1 + j): qmul(c1, c) for (i, j), c in q.items()}
+    if not p or not q:
+        return {}
+    # Gaussian-integer numerators over one denominator per operand; a
+    # partial sum that cancels is dropped, as a per-term sum would drop it
+    ta, da = _over_one_denominator(p)
+    tb, db = _over_one_denominator(q)
+    acc = {}
+    for i1, j1, a1, b1 in ta:
+        for i2, j2, a2, b2 in tb:
             key = (i1 + i2, j1 + j2)
-            s = out.get(key)
-            s = c1 * c2 if s is None else s + c1 * c2
-            if s.is_zero():
-                out.pop(key, None)
+            cur = acc.get(key)
+            if cur is None:
+                acc[key] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
             else:
-                out[key] = s
-    return out
+                cur[0] += a1 * a2 - b1 * b2
+                cur[1] += a1 * b2 + b1 * a2
+                if not cur[0] and not cur[1]:
+                    del acc[key]
+    den = da * db
+    return {key: qnorm(re, im, den) for key, (re, im) in acc.items()}
 
 
-def _padd2(p, q):
-    out = dict(p)
-    for key, c in q.items():
-        s = out.get(key)
-        s = c if s is None else s + c
-        if s.is_zero():
-            out.pop(key, None)
+def _over_one_denominator(p):
+    den = lcm(*(d for _, _, d in p.values()))
+    return [(i, j, a * (den // d), b * (den // d)) for (i, j), (a, b, d) in p.items()], den
+
+
+def _padd_into(acc, p, negate=False):
+    """Add (or subtract) polynomial ``p`` into the dict ``acc`` in place."""
+    for key, c in p.items():
+        if negate:
+            c = qneg(c)
+        s = acc.get(key)
+        if s is None:
+            acc[key] = c
         else:
-            out[key] = s
-    return out
+            s = qadd(s, c)
+            if s[0] or s[1]:
+                acc[key] = s
+            else:
+                del acc[key]
 
 
-def _ppow2(p, e):
-    out, base = dict(_ONE_P), p
+def _pscale(p, c):
+    return {key: qmul(v, c) for key, v in p.items()}
+
+
+def _ppow(p, e):
+    if len(p) == 1:
+        ((i, j), c), = p.items()
+        acc, base, k = QONE, c, e
+        while k:
+            if k & 1:
+                acc = qmul(acc, base)
+            k >>= 1
+            if k:
+                base = qmul(base, base)
+        return {(e * i, e * j): acc}
+    out, base = {_ONE_KEY: QONE}, p
     while e:
         if e & 1:
-            out = _pmul2(out, base)
+            out = _pmul(out, base)
         e >>= 1
         if e:
-            base = _pmul2(base, base)
+            base = _pmul(base, base)
     return out
 
 
-def _pscale2(p, c):
-    if c.is_zero():
-        return {}
-    return {key: v * c for key, v in p.items()}
+def _den(d):
+    """A denominator dict, or ``None`` when it is 1."""
+    return None if d == _ONE else d
+
+
+def _dmul(d1, d2):
+    if d1 is None:
+        return _den(d2)
+    if d2 is None:
+        return d1
+    return _den(_pmul(d1, d2))
+
+
+def _top_degree(p):
+    return max((i + j for i, j in p), default=0)
 
 
 class _RatVal:
@@ -186,50 +231,38 @@ class _RatVal:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den):
+    def __init__(self, num, den=None):
         self.num = num
         self.den = den
 
-    @classmethod
-    def const(cls, c):
-        return cls({} if c.is_zero() else {(0, 0): c}, dict(_ONE_P))
-
-    @classmethod
-    def mono(cls, i, j):
-        return cls({(i, j): Coeff(1)}, dict(_ONE_P))
-
     def add(self, other):
-        # Polynomial sums skip the cross-multiplication by the constant 1;
-        # any other pair keeps the unreduced form that mero: parsing reads.
-        if self.den == _ONE_P and other.den == _ONE_P:
-            return _RatVal(_padd2(self.num, other.num), dict(_ONE_P))
-        return _RatVal(
-            _padd2(_pmul2(self.num, other.den), _pmul2(other.num, self.den)),
-            _pmul2(self.den, other.den),
-        )
+        # the left-fold cross-multiplication that mero: parsing reads
+        num = _pmul(self.num, other.den) if other.den is not None else dict(self.num)
+        _padd_into(num, _pmul(other.num, self.den) if self.den is not None else other.num)
+        return _RatVal(num, _dmul(self.den, other.den))
 
     def neg(self):
-        return _RatVal(_pscale2(self.num, Coeff(-1)), self.den)
+        return _RatVal({key: qneg(c) for key, c in self.num.items()}, self.den)
 
     def mul(self, other):
-        return _RatVal(_pmul2(self.num, other.num), _pmul2(self.den, other.den))
+        return _RatVal(_pmul(self.num, other.num), _dmul(self.den, other.den))
 
     def div(self, other, tok):
         if not other.num:
-            raise ParseError("division by zero", tok.line, tok.col)
-        return _RatVal(_pmul2(self.num, other.den), _pmul2(self.den, other.num))
+            raise ParseError("division by zero", tok[2], tok[3])
+        num = _pmul(self.num, other.den) if other.den is not None else self.num
+        return _RatVal(num, _dmul(self.den, other.num))
 
     def pow(self, e):
-        # repeated squaring; a polynomial's denominator 1 stays as it is
-        return _RatVal(
-            _ppow2(self.num, e),
-            dict(_ONE_P) if self.den == _ONE_P else _ppow2(self.den, e),
-        )
+        # closed form for one term, else repeated squaring; den 1 stays None
+        return _RatVal(_ppow(self.num, e), self.den and _den(_ppow(self.den, e)))
 
     def constant_den(self):
-        """The denominator as a Coeff if it is one, else None."""
-        if list(self.den) == [(0, 0)]:
-            return self.den[(0, 0)]
+        """The denominator as a triple if it is constant, else None."""
+        if self.den is None:
+            return QONE
+        if len(self.den) == 1 and _ONE_KEY in self.den:
+            return self.den[_ONE_KEY]
         return None
 
 
@@ -237,8 +270,9 @@ class _RatVal:
 # recursive-descent parser
 
 class _Parser:
-    def __init__(self, toks):
+    def __init__(self, toks, order):
         self.toks = toks
+        self.order = order
         self.pos = 0
 
     def peek(self):
@@ -251,11 +285,11 @@ class _Parser:
 
     def fail(self, message, tok=None):
         tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col)
+        raise ParseError(message, tok[2], tok[3])
 
-    def at_op(self, *chars):
-        tok = self.peek()
-        return tok.kind == _OP and tok.value in chars
+    def at_op(self, chars):
+        tok = self.toks[self.pos]
+        return tok[0] == _OP and tok[1] in chars
 
     def expect_op(self, ch, what):
         if not self.at_op(ch):
@@ -265,28 +299,36 @@ class _Parser:
     # poly := product (('+'|'-') product)*
     def parse_sum(self):
         val = self.parse_product()
-        while self.at_op("+", "-"):
-            op = self.advance()
+        owned = False  # whether val.num is this sum's own dict
+        while self.at_op("+-"):
+            negate = self.advance()[1] == "-"
             rhs = self.parse_product()
-            val = val.add(rhs if op.value == "+" else rhs.neg())
+            if val.den is None and rhs.den is None:
+                if not owned:
+                    val = _RatVal(dict(val.num))
+                    owned = True
+                _padd_into(val.num, rhs.num, negate)
+            else:
+                val = val.add(rhs.neg() if negate else rhs)
+                owned = True
         return val
 
     # product := unary (('*'|'/') unary)*
     def parse_product(self):
         val = self.parse_unary()
-        while self.at_op("*", "/"):
-            if self.toks[self.pos + 1].kind in (_DX, _DY):
+        while self.at_op("*/"):
+            if self.toks[self.pos + 1][0] in (_DX, _DY):
                 break  # the '*' belongs to the term: "3*dx"
             op = self.advance()
             rhs = self.parse_unary()
-            val = val.mul(rhs) if op.value == "*" else val.div(rhs, op)
+            val = val.mul(rhs) if op[1] == "*" else val.div(rhs, op)
         return val
 
     # unary := ('+'|'-')* power
     def parse_unary(self):
         neg = False
-        while self.at_op("+", "-"):
-            if self.advance().value == "-":
+        while self.at_op("+-"):
+            if self.advance()[1] == "-":
                 neg = not neg
         val = self.parse_power()
         return val.neg() if neg else val
@@ -295,36 +337,48 @@ class _Parser:
     def parse_power(self):
         val = self.parse_atom()
         if self.at_op("^"):
-            self.advance()
+            caret = self.advance()
             tok = self.peek()
-            if tok.kind != _INT:
+            if tok[0] != _INT:
                 self.fail("exponent must be a nonnegative integer literal")
             self.advance()
-            val = val.pow(tok.value)
+            e = tok[1]
+            if len(val.num) > 1 or (val.den is not None and len(val.den) > 1):
+                # Q(i)[x, y] has no zero divisors, so the power has exactly
+                # this degree; refuse it before expanding it
+                top = max(_top_degree(val.num), _top_degree(val.den or ()))
+                if e * top > self.order:
+                    self.fail(
+                        f"the power has degree {e * top}; raise --order "
+                        f"(currently {self.order}) to keep the computation exact",
+                        caret,
+                    )
+            val = val.pow(e)
         return val
 
     # atom := INT | 'i' | 'x' | 'y' | '(' poly ')'
     def parse_atom(self):
         tok = self.peek()
-        if tok.kind == _INT:
+        kind, value = tok[0], tok[1]
+        if kind == _INT:
             self.advance()
-            return _RatVal.const(Coeff(tok.value))
-        if tok.kind == _NAME:
+            return _RatVal({_ONE_KEY: (value, 0, 1)} if value else {})
+        if kind == _NAME:
             self.advance()
-            if tok.value == "i":
-                return _RatVal.const(Coeff(0, 1))
-            if tok.value == "x":
-                return _RatVal.mono(1, 0)
-            if tok.value == "y":
-                return _RatVal.mono(0, 1)
-            self.fail(f"unknown variable {tok.value!r} (only x, y and i)", tok)
-        if self.at_op("("):
+            if value == "x":
+                return _RatVal({(1, 0): QONE})
+            if value == "y":
+                return _RatVal({(0, 1): QONE})
+            if value == "i":
+                return _RatVal({_ONE_KEY: (0, 1, 1)})
+            self.fail(f"unknown variable {value!r} (only x, y and i)", tok)
+        if kind == _OP and value == "(":
             self.advance()
             val = self.parse_sum()
             self.expect_op(")", "expected ')'")
             return val
-        if tok.kind in (_DX, _DY):
-            self.fail(f"{tok.value!r} cannot appear inside a coefficient", tok)
+        if kind in (_DX, _DY):
+            self.fail(f"{value!r} cannot appear inside a coefficient", tok)
         self.fail("expected a number, 'i', a variable, or '('", tok)
 
 
@@ -334,10 +388,10 @@ def _poly_to_jet(d, order, tok, what):
             raise ParseError(
                 f"{what} has a degree-{i + j} monomial; raise --order "
                 f"(currently {order}) to keep the computation exact",
-                tok.line,
-                tok.col,
+                tok[2],
+                tok[3],
             )
-    return Jet2(d, order)
+    return Jet2({key: Coeff.from_triple(t) for key, t in d.items()}, order)
 
 
 def parse_form(text, order=DEFAULT_ORDER):
@@ -347,47 +401,45 @@ def parse_form(text, order=DEFAULT_ORDER):
     for plain input, a :class:`MeromorphicPair` for ``mero:`` input.
     """
     toks = _tokenize(text)
-    p = _Parser(toks)
-    first = p.peek()
-    if first.kind == _NAME and first.value == "mero":
-        nxt = toks[p.pos + 1]
-        if nxt.kind == _OP and nxt.value == ":":
-            p.advance()
-            p.advance()
-            return _parse_mero(p, order)
+    p = _Parser(toks, order)
+    first = toks[0]
+    if first[0] == _NAME and first[1] == "mero" and toks[1][:2] == (_OP, ":"):
+        p.pos = 2
+        return _parse_mero(p, order)
     return _parse_oneform(p, order)
 
 
 def _parse_mero(p, order):
     start = p.peek()
-    if start.kind == _EOF:
+    if start[0] == _EOF:
         p.fail("empty input after 'mero:'")
     val = p.parse_sum()
     tok = p.peek()
-    if tok.kind != _EOF:
+    if tok[0] != _EOF:
         p.fail("unexpected trailing input in a mero: expression", tok)
     if not val.num:
         p.fail("the meromorphic function is identically zero", start)
     # canonical constant normalization: the denominator's lowest monomial is
     # made monic, so printing and reparsing is a fixpoint
-    kmin = min(val.den, key=lambda k: (k[0] + k[1], k[0], k[1]))
-    inv = Coeff(1) / val.den[kmin]
-    num = _poly_to_jet(_pscale2(val.num, inv), order, start, "the numerator")
-    den = _poly_to_jet(_pscale2(val.den, inv), order, start, "the denominator")
-    return MeromorphicPair(num, den)
+    num, den = val.num, val.den or {_ONE_KEY: QONE}
+    kmin = min(den, key=lambda k: (k[0] + k[1], k[0], k[1]))
+    if den[kmin] != QONE:
+        inv = qinv(den[kmin])
+        num, den = _pscale(num, inv), _pscale(den, inv)
+    return MeromorphicPair(
+        _poly_to_jet(num, order, start, "the numerator"),
+        _poly_to_jet(den, order, start, "the denominator"),
+    )
 
 
 def _parse_oneform(p, order):
-    a_val = None
-    b_val = None
-    if p.peek().kind == _EOF:
+    if p.peek()[0] == _EOF:
         p.fail("empty input")
+    sums = {_DX: {}, _DY: {}}
     negate = False
     while True:
         start = p.peek()
-        slot, val = _parse_term(p, start)
-        if negate:
-            val = val.neg()
+        slot, val = _parse_term(p)
         c = val.constant_den()
         if c is None:
             p.fail(
@@ -395,40 +447,35 @@ def _parse_oneform(p, order):
                 "denominator; use mero: input for a quotient)",
                 start,
             )
-        coef = _RatVal(_pscale2(val.num, Coeff(1) / c), dict(_ONE_P))
-        if slot == _DX:
-            a_val = coef if a_val is None else a_val.add(coef)
-        else:
-            b_val = coef if b_val is None else b_val.add(coef)
+        num = val.num if c == QONE else _pscale(val.num, qinv(c))
+        _padd_into(sums[slot], num, negate)
         tok = p.peek()
-        if tok.kind == _EOF:
+        if tok[0] == _EOF:
             break
-        if tok.kind == _OP and tok.value in "+-":
+        if tok[0] == _OP and tok[1] in "+-":
             p.advance()
-            negate = tok.value == "-"
+            negate = tok[1] == "-"
             continue
         p.fail("expected '+', '-', or end of input between terms", tok)
-    a_d = a_val.num if a_val is not None else {}
-    b_d = b_val.num if b_val is not None else {}
     head = p.toks[0]
-    a = _poly_to_jet(a_d, order, head, "the dx coefficient")
-    b = _poly_to_jet(b_d, order, head, "the dy coefficient")
+    a = _poly_to_jet(sums[_DX], order, head, "the dx coefficient")
+    b = _poly_to_jet(sums[_DY], order, head, "the dy coefficient")
     return OneForm(a, b, ("x", "y"))
 
 
-def _parse_term(p, start):
+def _parse_term(p):
     tok = p.peek()
-    if tok.kind in (_DX, _DY):
+    if tok[0] in (_DX, _DY):
         p.advance()
-        return tok.kind, _RatVal.const(Coeff(1))
+        return tok[0], _RatVal({_ONE_KEY: QONE})
     val = p.parse_sum()
     if p.at_op("*"):
         p.advance()
     tok = p.peek()
-    if tok.kind not in (_DX, _DY):
+    if tok[0] not in (_DX, _DY):
         p.fail("expected 'dx' or 'dy' after the coefficient", tok)
     p.advance()
-    return tok.kind, val
+    return tok[0], val
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,11 @@ recursion instead of Lagrange inversion, full products instead of per-degree
 residuals in the corner first integral, the Riccati form of the Schwarzian
 instead of the direct quotient formula, cofactor determinants, one product
 per monomial instead of grouped substitution, pulling the anchor back
-instead of the closed-form normal-form action).
+instead of the closed-form normal-form action, evaluating an expression's
+text at a point instead of expanding it).
 """
 
+import re
 from fractions import Fraction
 
 ZERO = (Fraction(0), Fraction(0))
@@ -284,6 +286,83 @@ def hankel_of_series(pairs, size, shift=0):
     """Hankel determinant [c_{shift+i+j}] of a coefficient-pair list."""
     m = [[pairs[shift + i + j] for j in range(size)] for i in range(size)]
     return det_cofactor(m)
+
+
+# --- expression text evaluated at a point ------------------------------------
+
+
+def p2_eval(a, x, y):
+    """The value of a {(i, j): pair} polynomial at the point (x, y)."""
+    out = ZERO
+    for (i, j), c in a.items():
+        term = c
+        for _ in range(i):
+            term = gmul(term, x)
+        for _ in range(j):
+            term = gmul(term, y)
+        out = gadd(out, term)
+    return out
+
+
+def eval_expr(text, x, y):
+    """The value of a coefficient expression at the point (x, y).
+
+    The expression grammar of the form syntax, read straight off the text:
+    sums, products, quotients, unary signs and powers ``^`` with a
+    nonnegative integer literal, over integer literals, ``i``, ``x`` and
+    ``y``.  Raises ZeroDivisionError where a divisor vanishes at the point.
+    """
+    toks = re.findall(r"[0-9]+|[A-Za-z_]+|\S", text) + [None]
+    pos = 0
+
+    def take():
+        nonlocal pos
+        pos += 1
+        return toks[pos - 1]
+
+    def expr():
+        val = product()
+        while toks[pos] in ("+", "-"):
+            val = (gadd if take() == "+" else gsub)(val, product())
+        return val
+
+    def product():
+        val = unary()
+        while toks[pos] in ("*", "/"):
+            val = (gmul if take() == "*" else gdiv)(val, unary())
+        return val
+
+    def unary():
+        if toks[pos] in ("+", "-"):
+            sign = take()
+            val = unary()
+            return val if sign == "+" else gsub(ZERO, val)
+        val = atom()
+        if toks[pos] == "^":
+            take()
+            base, val = val, ONE
+            for _ in range(int(take())):
+                val = gmul(val, base)
+        return val
+
+    def atom():
+        tok = take()
+        if tok == "(":
+            val = expr()
+            if take() != ")":
+                raise ValueError(f"expected ')' in {text!r}")
+            return val
+        if tok.isdigit():
+            return from_int(int(tok))
+        named = {"i": (Fraction(0), Fraction(1)), "x": x, "y": y}
+        if tok not in named:
+            raise ValueError(f"unexpected {tok!r} in {text!r}")
+        return named[tok]
+
+    val = expr()
+    if toks[pos] is not None:
+        raise ValueError(f"trailing input in {text!r}")
+    return val
 
 
 # --- bridges to package values (public API only) ----------------------------

@@ -12,6 +12,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -99,6 +100,15 @@ def test_input_errors_exit_three():
     assert "column" in out
     code, out = run_cli("sigma", "0.5*x dx")
     assert code == 3
+
+
+def test_power_beyond_the_order_exits_three_at_once():
+    start = time.perf_counter()
+    code, out = run_cli("reduce", "(1+x+y)^400 dx + x dy", "--order", "16")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert verdict_of(out) == "InputError"
+    assert "--order" in out
 
 
 def test_sigma_identity_to_requested_order():

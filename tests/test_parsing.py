@@ -8,6 +8,7 @@ import pytest
 from cuspfol.coeff import Coeff, format_coeff
 from cuspfol.jets import Jet2
 from cuspfol.forms import OneForm
+from oracles import ZERO, eval_expr, gadd, gdiv, gmul, ginv, gsub, p2_eval, p2_mul, p2_scal
 from cuspfol.parsing import (
     MeromorphicPair,
     ParseError,
@@ -94,8 +95,8 @@ def test_power_equals_the_repeated_product():
     # product's, so a polynomial keeps its denominator 1
     bases = ("x", "2*i*x*y^2", "x + y - 1/2", "(y^2+x^3)/(x*y)", "(1+i*x)/(3 - 2*y^2)")
     for text in bases:
-        base = _Parser(_tokenize(text)).parse_sum()
-        product = _Parser(_tokenize("1")).parse_sum()
+        base = _Parser(_tokenize(text), 64).parse_sum()
+        product = _Parser(_tokenize("1"), 64).parse_sum()
         for e in range(13):
             power = base.pow(e)
             assert (power.num, power.den) == (product.num, product.den)
@@ -264,6 +265,9 @@ MALFORMED = [
     ('* dx', 8, "expected a number, 'i', a variable, or '('", 1, 1),
     ('x dx - ', 8, "expected a number, 'i', a variable, or '('", 1, 8),
     ('i^2 dx dx', 8, "expected '+', '-', or end of input between terms", 1, 8),
+    # only ASCII digits start an integer literal
+    ('x^² dx', 8, "unexpected character '²'", 1, 3),
+    ('x^٣ dx', 8, "unexpected character '٣'", 1, 3),
 ]
 
 
@@ -272,3 +276,119 @@ def test_error_message_and_position_are_pinned(text, order, message, line, col):
     with pytest.raises(ParseError) as e:
         parse_form(text, order=order)
     assert (e.value.bare_message, e.value.line, e.value.col) == (message, line, col)
+
+
+def test_power_beyond_the_order_is_refused_before_it_is_expanded():
+    assert parse_form("(1+x)^8 dx", order=8).a == Jet2(
+        {(k, 0): Coeff(c) for k, c in enumerate((1, 8, 28, 56, 70, 56, 28, 8, 1))}, 8
+    )
+    with pytest.raises(ParseError, match="--order") as e:
+        parse_form("(1+x+y)^400 dx + x dy", order=16)
+    assert (e.value.line, e.value.col) == (1, 8)
+    # the degree of a power is exact, so only a later cancellation is lost
+    with pytest.raises(ParseError, match="the power has degree 9"):
+        parse_form("((1+x)^9 - (1+x)^9) dx", order=8)
+    with pytest.raises(ParseError, match="the power has degree 10"):
+        parse_form("mero: (x^2/(1+y))^5", order=8)
+    # a one-term power is taken in closed form and checked at the end
+    with pytest.raises(ParseError, match="degree-400 monomial"):
+        parse_form("(2*x)^400 dx", order=16)
+
+
+# --- the parser against the text evaluated at points ------------------------
+
+
+def rand_point(rng):
+    def part():
+        return Fraction(rng.randint(-7, 7), rng.randint(1, 5))
+
+    return (part(), part() if rng.random() < 0.5 else Fraction(0))
+
+
+def rand_expr(rng, depth, polynomial):
+    """Random expression text; with ``polynomial`` it divides only by
+    nonzero constants."""
+    r = rng.random()
+    if depth == 0 or r < 0.25:
+        return rng.choice(["x", "y", "i", str(rng.randint(0, 9)), "2*i", "x*y", "(1-i)"])
+    if r < 0.5:
+        op = rng.choice([" + ", " - "])
+        return rand_expr(rng, depth - 1, polynomial) + op + rand_expr(rng, depth - 1, polynomial)
+    if r < 0.7:
+        return f"{rand_expr(rng, depth - 1, polynomial)}*{rand_expr(rng, depth - 1, polynomial)}"
+    if r < 0.85:
+        den = rng.choice(["3", "(2*i)", "(1+i)"]) if polynomial else rand_expr(rng, depth - 1, False)
+        return f"{rand_expr(rng, depth - 1, polynomial)}/{den}"
+    if r < 0.95:
+        return f"({rand_expr(rng, depth - 1, polynomial)})^{rng.randint(0, 3)}"
+    return "-" + rand_expr(rng, depth - 1, polynomial)
+
+
+def value_at(jet, x, y):
+    return p2_eval({k: (c.re, c.im) for k, c in jet.items()}, x, y)
+
+
+def test_parsed_values_equal_the_text_evaluated_at_points():
+    rng = random.Random(0xE7A1)
+    points = [(rand_point(rng), rand_point(rng)) for _ in range(3)]
+    for _ in range(60):
+        terms = [(rand_expr(rng, 3, True), rng.choice(["dx", "dy"]), rng.choice("+-"))
+                 for _ in range(rng.randint(1, 4))]
+        text = " ".join(f"{sign} ({expr}) {slot}" for expr, slot, sign in terms).lstrip("+ ")
+        w = parse_form(text, order=64)
+        for x, y in points:
+            want = {"dx": ZERO, "dy": ZERO}
+            for expr, slot, sign in terms:
+                want[slot] = (gadd if sign == "+" else gsub)(want[slot], eval_expr(expr, x, y))
+            assert value_at(w.a, x, y) == want["dx"], text
+            assert value_at(w.b, x, y) == want["dy"], text
+    checked = 0
+    for _ in range(120):
+        text = rand_expr(rng, 4, False)
+        try:
+            num, den = parse_form("mero: " + text, order=64)
+        except ParseError as e:
+            # a divisor that is identically zero, or a zero function
+            assert e.bare_message in ("division by zero", "the meromorphic function is identically zero")
+            continue
+        for x, y in points:
+            try:
+                want = eval_expr(text, x, y)
+            except ZeroDivisionError:
+                continue
+            assert gdiv(value_at(num, x, y), value_at(den, x, y)) == want, text
+            checked += 1
+    assert checked > 150
+
+
+def rand_pairs(rng, max_deg):
+    d = {}
+    while not d:
+        for i in range(max_deg + 1):
+            for j in range(max_deg + 1 - i):
+                if rng.random() < 0.5:
+                    c = (Fraction(rng.randint(-4, 4), rng.randint(1, 3)), Fraction(rng.randint(-2, 2)))
+                    if c[0] or c[1]:
+                        d[(i, j)] = c
+    return d
+
+
+def pairs_text(d):
+    return " + ".join(f"({c[0]} + ({c[1]})*i)*x^{i}*y^{j}" for (i, j), c in d.items())
+
+
+def test_mero_pairs_stay_unreduced_with_a_monic_lowest_denominator_monomial():
+    rng = random.Random(0x3E50)
+    for _ in range(25):
+        f = rand_pairs(rng, 2)
+        if list(f) == [(0, 0)]:
+            f[(1, 0)] = (Fraction(1), Fraction(0))
+        g, h = rand_pairs(rng, 2), rand_pairs(rng, 2)
+        text = f"mero: ({pairs_text(f)})*({pairs_text(g)}) / (({pairs_text(f)})*({pairs_text(h)}))"
+        num, den = parse_form(text, order=8)
+        fh = p2_mul(f, h)
+        lowest = fh[min(fh, key=lambda k: (k[0] + k[1], k[0], k[1]))]
+        scale = ginv(lowest)
+        assert {k: (c.re, c.im) for k, c in den.items()} == p2_scal(fh, scale)
+        assert {k: (c.re, c.im) for k, c in num.items()} == p2_scal(p2_mul(f, g), scale)
+        assert gmul(lowest, scale) == (1, 0)
