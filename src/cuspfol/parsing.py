@@ -37,9 +37,8 @@ All errors raised here are :class:`ParseError` carrying 1-based ``line`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
-from ._backend import QONE, qadd, qinv, qmul, qneg, qnorm
+from ._backend import QONE, qadd, qinv, qmul, qneg
 from .coeff import Coeff, format_coeff
 from .jets import DEFAULT_ORDER, Jet2
 from .forms import OneForm
@@ -135,37 +134,17 @@ _ONE = {_ONE_KEY: QONE}  # compared against, never mutated
 
 def _pmul(p, q):
     """The product of two polynomial dicts, zero sums dropped as they occur."""
-    if len(q) == 1:
-        ((i2, j2), c2), = q.items()
-        return {(i + i2, j + j2): qmul(c, c2) for (i, j), c in p.items()}
-    if len(p) == 1:
-        ((i1, j1), c1), = p.items()
-        return {(i1 + i, j1 + j): qmul(c1, c) for (i, j), c in q.items()}
-    if not p or not q:
-        return {}
-    # Gaussian-integer numerators over one denominator per operand; a
-    # partial sum that cancels is dropped, as a per-term sum would drop it
-    ta, da = _over_one_denominator(p)
-    tb, db = _over_one_denominator(q)
-    acc = {}
-    for i1, j1, a1, b1 in ta:
-        for i2, j2, a2, b2 in tb:
+    out = {}
+    for (i1, j1), c1 in p.items():
+        for (i2, j2), c2 in q.items():
             key = (i1 + i2, j1 + j2)
-            cur = acc.get(key)
-            if cur is None:
-                acc[key] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
+            s = out.get(key)
+            s = qmul(c1, c2) if s is None else qadd(s, qmul(c1, c2))
+            if s[0] or s[1]:
+                out[key] = s
             else:
-                cur[0] += a1 * a2 - b1 * b2
-                cur[1] += a1 * b2 + b1 * a2
-                if not cur[0] and not cur[1]:
-                    del acc[key]
-    den = da * db
-    return {key: qnorm(re, im, den) for key, (re, im) in acc.items()}
-
-
-def _over_one_denominator(p):
-    den = lcm(*(d for _, _, d in p.values()))
-    return [(i, j, a * (den // d), b * (den // d)) for (i, j), (a, b, d) in p.items()], den
+                del out[key]
+    return out
 
 
 def _padd_into(acc, p, negate=False):
