@@ -26,9 +26,10 @@ a denominator of ``None`` standing for 1; values become ``Coeff`` only in the
 final :class:`~cuspfol.jets.Jet2`.  A sum of polynomials is added term by term
 into one dict, so a long sum costs time linear in its length; a sum with any
 other denominator cross-multiplies from the left, which fixes the ``mero:``
-pair.  A power of a one-term base is taken in closed form; a power of any
-other base is refused before it is expanded when its degree would exceed
-``--order``.
+pair.  A power is taken by repeated squaring.  A power of a base with two or
+more terms is refused before it is expanded when its degree would exceed
+``--order``, except in a 1-form term whose base has a non-constant
+denominator: that term is refused as before, at its end.
 
 All errors raised here are :class:`ParseError` carrying 1-based ``line`` and
 ``col`` positions into the source text.
@@ -168,16 +169,6 @@ def _pscale(p, c):
 
 
 def _ppow(p, e):
-    if len(p) == 1:
-        ((i, j), c), = p.items()
-        acc, base, k = QONE, c, e
-        while k:
-            if k & 1:
-                acc = qmul(acc, base)
-            k >>= 1
-            if k:
-                base = qmul(base, base)
-        return {(e * i, e * j): acc}
     out, base = {_ONE_KEY: QONE}, p
     while e:
         if e & 1:
@@ -233,7 +224,7 @@ class _RatVal:
         return _RatVal(num, _dmul(self.den, other.num))
 
     def pow(self, e):
-        # closed form for one term, else repeated squaring; den 1 stays None
+        # repeated squaring; a denominator of 1 stays None
         return _RatVal(_ppow(self.num, e), self.den and _den(_ppow(self.den, e)))
 
     def constant_den(self):
@@ -249,9 +240,10 @@ class _RatVal:
 # recursive-descent parser
 
 class _Parser:
-    def __init__(self, toks, order):
+    def __init__(self, toks, order, mero=False):
         self.toks = toks
         self.order = order
+        self.mero = mero
         self.pos = 0
 
     def peek(self):
@@ -322,9 +314,13 @@ class _Parser:
                 self.fail("exponent must be a nonnegative integer literal")
             self.advance()
             e = tok[1]
-            if len(val.num) > 1 or (val.den is not None and len(val.den) > 1):
+            if (len(val.num) > 1 or (val.den is not None and len(val.den) > 1)) and (
+                self.mero or val.constant_den() is not None
+            ):
                 # Q(i)[x, y] has no zero divisors, so the power has exactly
-                # this degree; refuse it before expanding it
+                # this degree; refuse it before expanding it.  A 1-form base
+                # with a non-constant denominator keeps the checks at the end
+                # of its term, whose message says what is wrong with it
                 top = max(_top_degree(val.num), _top_degree(val.den or ()))
                 if e * top > self.order:
                     self.fail(
@@ -380,9 +376,10 @@ def parse_form(text, order=DEFAULT_ORDER):
     for plain input, a :class:`MeromorphicPair` for ``mero:`` input.
     """
     toks = _tokenize(text)
-    p = _Parser(toks, order)
     first = toks[0]
-    if first[0] == _NAME and first[1] == "mero" and toks[1][:2] == (_OP, ":"):
+    mero = first[0] == _NAME and first[1] == "mero" and toks[1][:2] == (_OP, ":")
+    p = _Parser(toks, order, mero)
+    if mero:
         p.pos = 2
         return _parse_mero(p, order)
     return _parse_oneform(p, order)

@@ -267,6 +267,11 @@ MALFORMED = [
     ('* dx', 8, "expected a number, 'i', a variable, or '('", 1, 1),
     ('x dx - ', 8, "expected a number, 'i', a variable, or '('", 1, 8),
     ('i^2 dx dx', 8, "expected '+', '-', or end of input between terms", 1, 8),
+    # a 1-form base with a non-constant denominator keeps the checks at the
+    # end of its term
+    ('((1+x)/(1+y))^5 dx', 4, 'a 1-form coefficient must be polynomial (non-constant denominator; use mero: input for a quotient)', 1, 1),
+    ('((1+x)/y)^5 dx', 4, 'a 1-form coefficient must be polynomial (non-constant denominator; use mero: input for a quotient)', 1, 1),
+    ('x/(1/(1+y))^5 dx', 4, 'the dx coefficient has a degree-5 monomial; raise --order (currently 4) to keep the computation exact', 1, 1),
     # only ASCII digits start an integer literal
     ('x^² dx', 8, "unexpected character '²'", 1, 3),
     ('x^٣ dx', 8, "unexpected character '٣'", 1, 3),
@@ -292,7 +297,12 @@ def test_power_beyond_the_order_is_refused_before_it_is_expanded():
         parse_form("((1+x)^9 - (1+x)^9) dx", order=8)
     with pytest.raises(ParseError, match="the power has degree 10"):
         parse_form("mero: (x^2/(1+y))^5", order=8)
-    # a one-term power is taken in closed form and checked at the end
+    # a polynomial power is refused at its ^ even where a later division
+    # would make the 1-form term non-polynomial
+    with pytest.raises(ParseError, match="the power has degree 8") as e:
+        parse_form("x/(i - x*y)^4 dx", order=6)
+    assert (e.value.line, e.value.col) == (1, 12)
+    # a one-term power is expanded and checked at the end
     with pytest.raises(ParseError, match="degree-400 monomial"):
         parse_form("(2*x)^400 dx", order=16)
 
