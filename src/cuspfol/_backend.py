@@ -38,6 +38,10 @@ def qnorm(a, b, d):
     return (a, b, d)
 
 
+def qiszero(t):
+    return t[0] == 0 and t[1] == 0
+
+
 def qadd(t, u):
     a1, b1, d1 = t
     a2, b2, d2 = u

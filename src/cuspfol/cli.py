@@ -21,7 +21,7 @@ import json
 import sys
 
 from .coeff import Coeff, format_coeff
-from .jets import Jet1, JetError
+from .jets import Jet1, format_poly
 from .forms import OneForm, ReductionVerdict, form_of_meromorphic, reduce_cusp
 from .normalform import normalize
 from .transversal import CornerGerm, transversal_structure
@@ -34,7 +34,7 @@ from .moduli import (
 )
 from .gluing import build_cocycle, cohomology_dimension
 from .firstintegral import no_first_integral_witness
-from .parsing import MeromorphicPair, ParseError, format_poly, parse_form
+from .parsing import MeromorphicPair, parse_form
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -116,14 +116,18 @@ def _reduction_data(rep):
     }
 
 
-def _require_cusp(rep):
+def _reduction_code(rep):
     if rep.verdict is ReductionVerdict.CUSP_TYPE_ABSOLUTELY_DICRITICAL:
+        return EXIT_OK
+    if rep.verdict is ReductionVerdict.INCONCLUSIVE:
+        return EXIT_INCONCLUSIVE
+    return EXIT_NEGATIVE
+
+
+def _require_cusp(rep):
+    code = _reduction_code(rep)
+    if code == EXIT_OK:
         return
-    code = (
-        EXIT_INCONCLUSIVE
-        if rep.verdict is ReductionVerdict.INCONCLUSIVE
-        else EXIT_NEGATIVE
-    )
     raise _CommandError(
         f"reduction verdict {rep.verdict.value}: {rep.reason}",
         code=code,
@@ -152,14 +156,7 @@ def _alpha_of_form(w, rep):
 def _cmd_reduce(args):
     w = _as_oneform(args.form, args.order)
     rep = reduce_cusp(w)
-    data = _reduction_data(rep)
-    if rep.verdict is ReductionVerdict.CUSP_TYPE_ABSOLUTELY_DICRITICAL:
-        code = EXIT_OK
-    elif rep.verdict is ReductionVerdict.INCONCLUSIVE:
-        code = EXIT_INCONCLUSIVE
-    else:
-        code = EXIT_NEGATIVE
-    return rep.verdict.value, data, [], code
+    return rep.verdict.value, _reduction_data(rep), [], _reduction_code(rep)
 
 
 def _cmd_normal_form(args):
@@ -409,12 +406,12 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     handler = _COMMANDS[args.command]
     try:
+        if args.order < 0:
+            raise _CommandError(f"--order must be nonnegative (got {args.order})")
         verdict, data, certs, code = handler(args)
-    except ParseError as e:
-        verdict, data, certs, code = "InputError", {"error": str(e)}, [], EXIT_INPUT
     except _CommandError as e:
         verdict, data, certs, code = e.verdict, {"error": str(e)}, [], e.code
-    except (ValueError, JetError) as e:
+    except ValueError as e:  # ParseError and JetError among them
         verdict, data, certs, code = "InputError", {"error": str(e)}, [], EXIT_INPUT
     report = {
         "command": args.command,

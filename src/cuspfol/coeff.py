@@ -9,11 +9,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._backend import QONE, QZERO, qadd, qdiv, qinv, qmul, qneg, qnorm, qsub
+from ._backend import QONE, QZERO, qadd, qdiv, qinv, qiszero, qmul, qneg, qnorm, qsub
 
 
 def _to_triple(re, im=0):
     """Build a normalized triple from int/Fraction real and imaginary parts."""
+    if type(re) is int and type(im) is int:
+        return (re, im, 1)
     fr = Fraction(re)
     fi = Fraction(im)
     d = fr.denominator * fi.denominator
@@ -58,8 +60,7 @@ class Coeff:
         raise AttributeError("Coeff is immutable")
 
     def is_zero(self) -> bool:
-        a, b, _ = self._t
-        return a == 0 and b == 0
+        return qiszero(self._t)
 
     def conj(self) -> "Coeff":
         a, b, d = self._t
@@ -146,6 +147,11 @@ class Coeff:
 
     def __str__(self):
         return format_coeff(self)
+
+
+def as_triple(x):
+    """The kernel triple of a Coeff, an int or a Fraction."""
+    return x._t if isinstance(x, Coeff) else _to_triple(x)
 
 
 ZERO = Coeff.from_triple(QZERO)

@@ -31,10 +31,6 @@ from .linalg import determinant, solve
 from .moduli import GermDiff1, Homography
 
 
-def _as_coeff(v):
-    return v if isinstance(v, Coeff) else Coeff(v)
-
-
 def _as_rational(v):
     if isinstance(v, Rational1):
         return v
@@ -120,11 +116,11 @@ class Rational1:
 
     def scale_variable(self, factor) -> "Rational1":
         """The rational function z -> self(factor * z)."""
-        f = _as_coeff(factor)
+        f = Coeff(factor)
         return Rational1(poly.scale_variable(self.num, f), poly.scale_variable(self.den, f))
 
     def evaluate(self, point) -> Coeff:
-        p = _as_coeff(point)
+        p = Coeff(point)
         d = poly.evaluate(self.den, p)
         if d.is_zero():
             raise ValueError(f"pole at {p}")

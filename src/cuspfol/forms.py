@@ -280,13 +280,11 @@ def exceptional_divide(w: OneForm, divisor_var: str) -> tuple[OneForm, int]:
 class DivisorReport:
     """Tangency analysis of a (divided) 1-form along one coordinate axis."""
 
-    divisor: str
     invariant: bool
     restricted: Jet1
     tangency_points: list[tuple[Coeff, int]]
     residual_degree: int
     infinity_tangency: bool | None = None
-    working_order: int = DEFAULT_ORDER
 
 
 def divisor_analysis(
@@ -311,14 +309,14 @@ def divisor_analysis(
     transversal_jet = w.b if idx == 0 else w.a
     restricted = transversal_jet.restrict_to_axis("y" if idx == 0 else "x")
     if restricted.is_zero():
-        return DivisorReport(divisor_var, True, restricted, [], 0, None, w.order)
+        return DivisorReport(True, restricted, [], 0)
     deg = restricted.degree()
     poly = [restricted.coeff(k) for k in range(deg + 1)]
     roots, residual = roots_with_multiplicity(poly)
     at_infty = None
     if expected_degree is not None:
         at_infty = deg < expected_degree
-    return DivisorReport(divisor_var, False, restricted, roots, residual, at_infty, w.order)
+    return DivisorReport(False, restricted, roots, residual, at_infty)
 
 
 class ReductionVerdict(Enum):

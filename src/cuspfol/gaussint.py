@@ -191,7 +191,10 @@ def gi_factor(w) -> tuple[tuple[int, int], dict[tuple[int, int], int]]:
     return w, out
 
 
-def gi_divisors(w, limit: int = 4096) -> list[tuple[int, int]]:
+_MAX_DIVISORS = 4096
+
+
+def gi_divisors(w) -> list[tuple[int, int]]:
     """All divisors of w up to units (canonical associates)."""
     _, fac = gi_factor(w)
     divs = [(1, 0)]
@@ -204,7 +207,7 @@ def gi_divisors(w, limit: int = 4096) -> list[tuple[int, int]]:
                 if k < e:
                     cur = gi_mul(cur, pi)
         divs = nxt
-        if len(divs) > limit:
+        if len(divs) > _MAX_DIVISORS:
             raise ValueError("too many divisors to enumerate")
     return [canonical_associate(d) for d in divs]
 

@@ -56,12 +56,6 @@ class Model(Enum):
     F2 = "F2"
 
 
-def _as_model(m) -> Model:
-    if isinstance(m, Model):
-        return m
-    return Model(str(m))
-
-
 @dataclass(frozen=True)
 class ModelTransition:
     """Monomial exponent map from a model's first chart to its second."""
@@ -88,7 +82,7 @@ class GlobalityReport:
 
 def globality_check(f: Jet2, model) -> GlobalityReport:
     """Which monomials of f fail to extend to the model's second chart."""
-    tr = ModelTransition(_as_model(model))
+    tr = ModelTransition(Model(model))
     bad = [key for key, _ in f.items() if not tr.is_global_monomial(*key)]
     return GlobalityReport(not bad, bad)
 
@@ -128,8 +122,7 @@ class GluingCocycle:
 
 def _unit(alpha, order) -> Jet2:
     """The one-parameter gluing unit A = 1 + alpha*y1."""
-    a = alpha if isinstance(alpha, Coeff) else Coeff(alpha)
-    return Jet2({(0, 0): 1, (0, 1): a}, order)
+    return Jet2({(0, 0): 1, (0, 1): alpha}, order)
 
 
 def build_cocycle(sigma, alpha) -> GluingCocycle:
@@ -175,7 +168,7 @@ def model_automorphism(h: Homography, model, leading=None, order=DEFAULT_ORDER) 
     1/h'(0).  Regularity on the second chart is asserted by transporting
     the second component through the model transition.
     """
-    model = _as_model(model)
+    model = Model(model)
     a, b = _homography_params(h)
     lin_y = Jet2({(0, 0): a, (0, 1): b}, order)  # a + b*y
     lin_x = Jet2({(0, 0): a, (1, 0): b}, order)  # a + b*x
@@ -188,9 +181,7 @@ def model_automorphism(h: Homography, model, leading=None, order=DEFAULT_ORDER) 
         phi = ModelAutomorphism(model, h, A)
         _check_f1_regularity(phi, a, b)
         return phi
-    lead = a if leading is None else (
-        leading if isinstance(leading, Coeff) else Coeff(leading)
-    )
+    lead = a if leading is None else Coeff(leading)
     if lead.is_zero():
         raise ValueError("leading coefficient must be nonzero")
     scale = lead / (a * a)
@@ -232,9 +223,9 @@ def _check_f2_regularity(phi: ModelAutomorphism):
 
 def model_homothety(eps, model, order=DEFAULT_ORDER) -> ModelAutomorphism:
     """(x, y) -> (eps*x, eps*y), an automorphism of either model."""
-    e = eps if isinstance(eps, Coeff) else Coeff(eps)
+    e = Coeff(eps)
     h = Homography(e)
-    model = _as_model(model)
+    model = Model(model)
     if model is Model.F1:
         return model_automorphism(h, model, order=order)
     return model_automorphism(h, model, leading=e, order=order)
@@ -281,26 +272,6 @@ def cocycle_compose_check(
 # the cohomological equation
 
 
-def _f2_admissible(order):
-    out = []
-    for d in range(order + 1):
-        for i in range(d, -1, -1):
-            j = d - i
-            if 2 * i - j >= 0:
-                out.append((i, j))
-    return out
-
-
-def _f1_tilde_admissible(order):
-    out = []
-    for d in range(order):
-        for i in range(d, -1, -1):
-            j = d - i
-            if i > j:
-                out.append((i, j))
-    return out
-
-
 def _row_keys(order):
     return [(p, d - p) for d in range(order + 1) for p in range(d, -1, -1)]
 
@@ -316,9 +287,10 @@ def _coboundary_columns(sigma: GermDiff1, a0: Jet2, order):
     """Column functions of the split equation, indexed by unknown labels.
 
     The transported first-model field (x3-y3)*T*x3*d/dx3 contributes, for
-    each admissible monomial of T, the function
-    (A0*(x1*A0+sigma)/J) * (x3 o psi)^i * (y3 o psi)^j with J = A0+x1*dA0/dx1;
-    a second-model monomial (i,j) of A2 contributes -x1^i y1^j.  Also
+    each admissible monomial x^i y^j of T (i > j, degree < order), the
+    function (A0*(x1*A0+sigma)/J) * (x3 o psi)^i * (y3 o psi)^j with
+    J = A0+x1*dA0/dx1; a second-model monomial (i,j) of A2, one that
+    extends to the second chart of "F2", contributes -x1^i y1^j.  Also
     returns the jets x3 o psi, y3 o psi and the factor, for the re-check.
     """
     n = order
@@ -334,12 +306,15 @@ def _coboundary_columns(sigma: GermDiff1, a0: Jet2, order):
     for _ in range(n):
         xpow.append(xpow[-1] * x3)
         ypow.append(ypow[-1] * s2)
-    for (i, j) in _f1_tilde_admissible(n):
-        cols.append(factor * xpow[i] * ypow[j])
-        labels.append(("T", i, j))
-    for (i, j) in _f2_admissible(n):
-        cols.append(Jet2.monomial(i, j, -1, n))
-        labels.append(("A2", i, j))
+    for (i, j) in _row_keys(n - 1):
+        if i > j:
+            cols.append(factor * xpow[i] * ypow[j])
+            labels.append(("T", i, j))
+    f2 = ModelTransition(Model.F2)
+    for (i, j) in _row_keys(n):
+        if f2.is_global_monomial(i, j):
+            cols.append(Jet2.monomial(i, j, -1, n))
+            labels.append(("A2", i, j))
     return cols, labels, (x3, s2, factor)
 
 
@@ -375,7 +350,7 @@ def _solve_coboundary(sigma: GermDiff1, a0: Jet2, target: Jet2, order) -> Coboun
     cols, labels, (x3, s2, factor) = _coboundary_columns(sigma, a0, n)
     t_keys = [(i, j) for kind, i, j in labels if kind == "T"]
     t_cols = [col for col, (kind, _, _) in zip(cols, labels) if kind == "T"]
-    admissible = set(_f2_admissible(n))
+    admissible = {(i, j) for kind, i, j in labels if kind == "A2"}
     free_rows = [key for key in _row_keys(n) if key not in admissible]
     res = solve(
         [[col.coeff(p, q) for col in t_cols] for (p, q) in free_rows],

@@ -14,6 +14,8 @@ public surface deals in :class:`~cuspfol.coeff.Coeff`.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from ._backend import (
     QONE,
     QZERO,
@@ -21,31 +23,64 @@ from ._backend import (
     jet2_mul,
     qadd,
     qinv,
+    qiszero,
     qmul,
     qneg,
     qsub,
 )
-from . import poly
-from .coeff import Coeff, format_coeff
+from .coeff import Coeff, as_triple, format_coeff
 
 DEFAULT_ORDER = 16
+
+_SCALARS = (int, Fraction, Coeff)
 
 
 class JetError(ValueError):
     pass
 
 
-def _as_triple(c):
-    if isinstance(c, Coeff):
-        return c.triple
-    return Coeff(c).triple
+class _Jet:
+    """The operators :class:`Jet1` and :class:`Jet2` share.
+
+    Each subclass supplies ``_bin`` (a coefficient-wise operation on two jets
+    of its kind), ``one`` and the order ``_n``; a scalar operand stands for
+    the constant jet at the other operand's order.
+    """
+
+    __slots__ = ()
+
+    def _operand(self, other):
+        if isinstance(other, _SCALARS):
+            return self.one(self._n) * other
+        return other if isinstance(other, type(self)) else None
+
+    def __add__(self, other):
+        other = self._operand(other)
+        return NotImplemented if other is None else self._bin(other, qadd)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._operand(other)
+        return NotImplemented if other is None else self._bin(other, qsub)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __pow__(self, e):
+        if not isinstance(e, int) or e < 0:
+            raise JetError("jet powers take a nonnegative integer exponent")
+        acc = self.one(self._n)
+        base = self
+        while e:
+            if e & 1:
+                acc = acc * base
+            base = base * base
+            e >>= 1
+        return acc
 
 
-def _tz(t):
-    return t[0] == 0 and t[1] == 0
-
-
-class Jet1:
+class Jet1(_Jet):
     """A truncated series  c0 + c1*z + ... + cN*z^N  (+ unknown tail)."""
 
     __slots__ = ("_c", "_n")
@@ -58,7 +93,7 @@ class Jet1:
         for k, v in enumerate(coeffs):
             if k > n:
                 break
-            c[k] = _as_triple(v)
+            c[k] = as_triple(v)
         self._c = tuple(c)
         self._n = n
 
@@ -100,19 +135,19 @@ class Jet1:
         return Coeff.from_triple(self._c[k])
 
     def is_zero(self):
-        return all(_tz(t) for t in self._c)
+        return all(qiszero(t) for t in self._c)
 
     def valuation(self):
         """Smallest k with nonzero z^k coefficient; None for the zero jet."""
         for k, t in enumerate(self._c):
-            if not _tz(t):
+            if not qiszero(t):
                 return k
         return None
 
     def degree(self):
         """Largest k with nonzero coefficient; None for the zero jet."""
         for k in range(self._n, -1, -1):
-            if not _tz(self._c[k]):
+            if not qiszero(self._c[k]):
                 return k
         return None
 
@@ -132,31 +167,10 @@ class Jet1:
         return Jet1._raw(self._c, order)
 
     def _bin(self, other, op):
-        if not isinstance(other, Jet1):
-            other = Jet1((other,), self._n)
         n = min(self._n, other._n)
         return Jet1._raw(
             [op(self._c[k], other._c[k]) for k in range(n + 1)], n
         )
-
-    def __add__(self, other):
-        if isinstance(other, (int, Coeff)) or type(other).__name__ == "Fraction":
-            other = Jet1((other,), self._n)
-        if not isinstance(other, Jet1):
-            return NotImplemented
-        return self._bin(other, qadd)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Coeff)) or type(other).__name__ == "Fraction":
-            other = Jet1((other,), self._n)
-        if not isinstance(other, Jet1):
-            return NotImplemented
-        return self._bin(other, qsub)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __neg__(self):
         return Jet1._raw([qneg(t) for t in self._c], self._n)
@@ -165,22 +179,10 @@ class Jet1:
         if isinstance(other, Jet1):
             n = min(self._n, other._n)
             return Jet1._raw(jet1_mul(self._c, other._c, n), n)
-        t = _as_triple(other)
+        t = as_triple(other)
         return Jet1._raw([qmul(c, t) for c in self._c], self._n)
 
     __rmul__ = __mul__
-
-    def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
-            raise JetError("jet powers take a nonnegative integer exponent")
-        acc = Jet1.one(self._n)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
 
     def derivative(self):
         """d/dz, one order lower (the top coefficient is consumed)."""
@@ -193,7 +195,7 @@ class Jet1:
 
     def compose(self, inner: "Jet1") -> "Jet1":
         """self(inner(z)); inner must have zero constant term."""
-        if not _tz(inner._c[0]):
+        if not qiszero(inner._c[0]):
             raise JetError("composition target must vanish at 0")
         n = min(self._n, inner._n)
         acc = [QZERO] * (n + 1)
@@ -211,9 +213,9 @@ class Jet1:
         """
         if self._n < 1:
             raise JetError("compositional inverse needs a jet of order >= 1")
-        if not _tz(self._c[0]):
+        if not qiszero(self._c[0]):
             raise JetError("compositional inverse needs f(0) = 0")
-        if _tz(self._c[1]):
+        if qiszero(self._c[1]):
             raise JetError("compositional inverse needs f'(0) != 0")
         n = self._n
         h = Jet1._raw(self._c[1:], n - 1).reciprocal()._c
@@ -227,7 +229,7 @@ class Jet1:
 
     def reciprocal(self) -> "Jet1":
         """1/self; needs a nonzero constant term."""
-        if _tz(self._c[0]):
+        if qiszero(self._c[0]):
             raise JetError("reciprocal needs a unit (nonzero constant term)")
         n = self._n
         inv0 = qinv(self._c[0])
@@ -235,7 +237,7 @@ class Jet1:
         for k in range(1, n + 1):
             s = QZERO
             for m in range(1, k + 1):
-                if not _tz(self._c[m]):
+                if not qiszero(self._c[m]):
                     s = qadd(s, qmul(self._c[m], out[k - m]))
             out.append(qneg(qmul(s, inv0)))
         return Jet1._raw(out, n)
@@ -249,13 +251,9 @@ class Jet1:
             raise JetError("div expects a Jet1")
         return self * other.reciprocal()
 
-    def eval_poly(self, point) -> Coeff:
-        """Evaluate the stored coefficients as a polynomial at an exact point."""
-        return poly.evaluate(self.coeffs, Coeff(point))
-
     def scale_variable(self, factor) -> "Jet1":
         """self(factor * z): coefficient k picks up factor^k."""
-        f = _as_triple(factor)
+        f = as_triple(factor)
         out = []
         p = QONE
         for k in range(self._n + 1):
@@ -272,10 +270,11 @@ class Jet1:
         return hash((self._n, self._c))
 
     def __repr__(self):
-        return f"Jet1({format_jet1(self)})"
+        d = {(k, 0): Coeff.from_triple(t) for k, t in enumerate(self._c) if not qiszero(t)}
+        return f"Jet1({format_poly(d, ('z', 'z'))})"
 
 
-class Jet2:
+class Jet2(_Jet):
     """A truncated series in two variables: {(i, j): coeff}, i+j <= order."""
 
     __slots__ = ("_d", "_n")
@@ -291,8 +290,8 @@ class Jet2:
                     raise JetError("negative exponent in Jet2")
                 if i + j > n:
                     continue
-                t = _as_triple(v)
-                if not _tz(t):
+                t = as_triple(v)
+                if not qiszero(t):
                     d[(i, j)] = t
         self._d = d
         self._n = n
@@ -328,9 +327,9 @@ class Jet2:
     def from_jet1(cls, jet: Jet1, axis: str) -> "Jet2":
         """Embed a one-variable jet along the "x" or "y" axis."""
         if axis == "x":
-            d = {(k, 0): t for k, t in enumerate(jet._c) if not _tz(t)}
+            d = {(k, 0): t for k, t in enumerate(jet._c) if not qiszero(t)}
         elif axis == "y":
-            d = {(0, k): t for k, t in enumerate(jet._c) if not _tz(t)}
+            d = {(0, k): t for k, t in enumerate(jet._c) if not qiszero(t)}
         else:
             raise JetError("axis must be 'x' or 'y'")
         return cls._raw(d, jet.order)
@@ -392,30 +391,11 @@ class Jet2:
                 continue
             cur = d.get(k)
             r = op(cur, u) if cur is not None else op(QZERO, u)
-            if _tz(r):
+            if qiszero(r):
                 d.pop(k, None)
             else:
                 d[k] = r
         return Jet2._raw(d, n)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Coeff)) or type(other).__name__ == "Fraction":
-            other = Jet2({(0, 0): other}, self._n)
-        if not isinstance(other, Jet2):
-            return NotImplemented
-        return self._bin(other, qadd)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Coeff)) or type(other).__name__ == "Fraction":
-            other = Jet2({(0, 0): other}, self._n)
-        if not isinstance(other, Jet2):
-            return NotImplemented
-        return self._bin(other, qsub)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __neg__(self):
         return Jet2._raw({k: qneg(t) for k, t in self._d.items()}, self._n)
@@ -424,24 +404,12 @@ class Jet2:
         if isinstance(other, Jet2):
             n = min(self._n, other._n)
             return Jet2._raw(jet2_mul(self._d, other._d, n), n)
-        t = _as_triple(other)
-        if _tz(t):
+        t = as_triple(other)
+        if qiszero(t):
             return Jet2.zero(self._n)
         return Jet2._raw({k: qmul(c, t) for k, c in self._d.items()}, self._n)
 
     __rmul__ = __mul__
-
-    def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
-            raise JetError("jet powers take a nonnegative integer exponent")
-        acc = Jet2.one(self._n)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
 
     def dx(self) -> "Jet2":
         """Partial derivative in the first variable (order drops by one)."""
@@ -517,7 +485,7 @@ class Jet2:
                 for key, u in (jet2_mul(px, inner, n) if i else inner).items():
                     cur = acc.get(key)
                     acc[key] = u if cur is None else qadd(cur, u)
-        return Jet2._raw({k: t for k, t in acc.items() if not _tz(t)}, n)
+        return Jet2._raw({k: t for k, t in acc.items() if not qiszero(t)}, n)
 
     def restrict_to_axis(self, axis: str) -> Jet1:
         """The one-variable jet on an axis: "x" sets y=0, "y" sets x=0."""
@@ -553,7 +521,7 @@ class Jet2:
         return hash((self._n, tuple(sorted(self._d.items()))))
 
     def __repr__(self):
-        return f"Jet2({format_jet2(self)})"
+        return f"Jet2({format_poly(dict(self.items()))})"
 
 
 def _monokey(item):
@@ -595,56 +563,44 @@ def _jet2_reciprocal(b: Jet2) -> Jet2:
     return acc * Coeff.from_triple(inv0)
 
 
-def _fmt_term(c: Coeff, mono: str) -> str:
-    cs = format_coeff(c)
-    if not mono:
-        return cs
-    if cs == "1":
-        return mono
-    if cs == "-1":
-        return f"-{mono}"
-    if "+" in cs[1:] or "-" in cs[1:]:
-        return f"({cs})*{mono}"
-    return f"{cs}*{mono}"
+def _fmt_coeff_factor(c):
+    s = format_coeff(c)
+    if "+" in s[1:] or "-" in s[1:]:
+        return f"({s})"
+    return s
 
 
-def _join_terms(terms):
-    if not terms:
+def format_poly(d, names=("x", "y")):
+    """A polynomial dict {(i, j): Coeff} as canonical source text.
+
+    The text parses back to the same polynomial; ``Jet1`` and ``Jet2`` print
+    their coefficients with it.
+    """
+    if not d:
         return "0"
-    out = terms[0]
-    for t in terms[1:]:
-        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-    return out
-
-
-def format_jet1(jet: Jet1, var: str = "z") -> str:
-    terms = []
-    for k in range(jet.order + 1):
-        c = jet.coeff(k)
-        if c.is_zero():
-            continue
-        if k == 0:
-            mono = ""
-        elif k == 1:
-            mono = var
+    xn, yn = names
+    pieces = []
+    for (i, j) in sorted(d, key=lambda k: (k[0] + k[1], k[0], k[1])):
+        c = d[(i, j)]
+        mono = []
+        if i:
+            mono.append(xn if i == 1 else f"{xn}^{i}")
+        if j:
+            mono.append(yn if j == 1 else f"{yn}^{j}")
+        mono_s = "*".join(mono)
+        if not mono_s:
+            term = format_coeff(c)
+        elif c == 1:
+            term = mono_s
+        elif c == -1:
+            term = f"-{mono_s}"
         else:
-            mono = f"{var}^{k}"
-        terms.append(_fmt_term(c, mono))
-    return _join_terms(terms)
-
-
-def format_jet2(jet: Jet2, vars=("x", "y")) -> str:
-    vx, vy = vars
-    terms = []
-    for (i, j), c in jet.items():
-        parts = []
-        if i == 1:
-            parts.append(vx)
-        elif i > 1:
-            parts.append(f"{vx}^{i}")
-        if j == 1:
-            parts.append(vy)
-        elif j > 1:
-            parts.append(f"{vy}^{j}")
-        terms.append(_fmt_term(c, "*".join(parts)))
-    return _join_terms(terms)
+            term = f"{_fmt_coeff_factor(c)}*{mono_s}"
+        pieces.append(term)
+    out = pieces[0]
+    for term in pieces[1:]:
+        if term.startswith("-"):
+            out += f" - {term[1:]}"
+        else:
+            out += f" + {term}"
+    return out

@@ -1,6 +1,6 @@
 """Exact dense linear algebra over Q(i).
 
-Thin layer over the kernel RREF: solve, rank, nullspace, determinant, and
+Thin layer over the kernel RREF: solve, rank, determinant, and
 infeasibility certificates.  A certificate for an unsolvable system A x = b
 is a row combination y with  y^T A = 0  and  y^T b != 0  — it is extracted
 from an identity block carried through the reduction, so it is exact and
@@ -11,16 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._backend import QONE, QZERO, qadd, qdiv, qmul, qneg, qsub, rref
-from .coeff import Coeff
-
-
-def _row_triples(row):
-    return [c.triple if isinstance(c, Coeff) else Coeff(c).triple for c in row]
-
-
-def _tz(t):
-    return t[0] == 0 and t[1] == 0
+from ._backend import QONE, QZERO, qadd, qdiv, qiszero, qmul, qneg, qsub, rref
+from .coeff import Coeff, as_triple
 
 
 @dataclass
@@ -28,7 +20,6 @@ class SolveResult:
     feasible: bool
     rank: int
     solution: list[Coeff] | None = None
-    nullspace: list[list[Coeff]] | None = None
     certificate: list[tuple[int, Coeff]] | None = None
 
     def check_certificate(self, rows, rhs) -> bool:
@@ -40,33 +31,31 @@ class SolveResult:
         acc_b = QZERO
         for idx, c in self.certificate:
             ct = c.triple
-            rt = _row_triples(rows[idx])
+            rt = [as_triple(c) for c in rows[idx]]
             for m in range(ncols):
                 comb[m] = qadd(comb[m], qmul(ct, rt[m]))
-            bt = rhs[idx].triple if isinstance(rhs[idx], Coeff) else Coeff(rhs[idx]).triple
-            acc_b = qadd(acc_b, qmul(ct, bt))
-        return all(_tz(t) for t in comb) and not _tz(acc_b)
+            acc_b = qadd(acc_b, qmul(ct, as_triple(rhs[idx])))
+        return all(qiszero(t) for t in comb) and not qiszero(acc_b)
 
 
-def solve(rows, rhs, *, nullspace=False, certificate=False) -> SolveResult:
+def solve(rows, rhs, *, certificate=False) -> SolveResult:
     """Solve A x = b exactly.
 
     ``rows`` is a list of equation rows (Coeff-like entries), ``rhs`` the
     right-hand sides.  Returns a particular solution with free variables set
-    to zero, optionally a nullspace basis, and on infeasibility optionally a
-    Farkas-style certificate (list of (row index, multiplier)).
+    to zero, and on infeasibility optionally a Farkas-style certificate
+    (list of (row index, multiplier)).
     """
     m = len(rows)
     if m == 0:
-        return SolveResult(True, 0, solution=[], nullspace=[])
+        return SolveResult(True, 0, solution=[])
     ncols = len(rows[0])
     work = []
     for k in range(m):
-        r = _row_triples(rows[k])
+        r = [as_triple(c) for c in rows[k]]
         if len(r) != ncols:
             raise ValueError("ragged matrix")
-        b = rhs[k]
-        r.append(b.triple if isinstance(b, Coeff) else Coeff(b).triple)
+        r.append(as_triple(rhs[k]))
         if certificate:
             r.extend(QONE if j == k else QZERO for j in range(m))
         work.append(r)
@@ -75,47 +64,26 @@ def solve(rows, rhs, *, nullspace=False, certificate=False) -> SolveResult:
     # Any non-pivot row is zero across the pivot columns; a nonzero
     # right-hand side there certifies infeasibility.
     for r in range(rank, m):
-        if not _tz(work[r][ncols]):
+        if not qiszero(work[r][ncols]):
             cert = None
             if certificate:
                 cert = [
                     (j, Coeff.from_triple(work[r][ncols + 1 + j]))
                     for j in range(m)
-                    if not _tz(work[r][ncols + 1 + j])
+                    if not qiszero(work[r][ncols + 1 + j])
                 ]
             return SolveResult(False, rank, certificate=cert)
     sol_t = [QZERO] * ncols
     for r, c in enumerate(pivots):
         sol_t[c] = work[r][ncols]
-    result = SolveResult(True, rank, solution=[Coeff.from_triple(t) for t in sol_t])
-    if nullspace:
-        piv_set = set(pivots)
-        basis = []
-        for c in range(ncols):
-            if c in piv_set:
-                continue
-            vec = [QZERO] * ncols
-            vec[c] = QONE
-            for r, pc in enumerate(pivots):
-                vec[pc] = qneg(work[r][c])
-            basis.append([Coeff.from_triple(t) for t in vec])
-        result.nullspace = basis
-    return result
+    return SolveResult(True, rank, solution=[Coeff.from_triple(t) for t in sol_t])
 
 
 def matrix_rank(rows) -> int:
     if not rows:
         return 0
-    work = [_row_triples(r) for r in rows]
+    work = [[as_triple(c) for c in r] for r in rows]
     return len(rref(work, len(work[0])))
-
-
-def nullspace_basis(rows) -> list[list[Coeff]]:
-    if not rows:
-        return []
-    res = solve(rows, [0] * len(rows), nullspace=True)
-    assert res.feasible
-    return res.nullspace if res.nullspace is not None else []
 
 
 def determinant(rows) -> Coeff:
@@ -123,12 +91,12 @@ def determinant(rows) -> Coeff:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
-    a = [_row_triples(r) for r in rows]
+    a = [[as_triple(c) for c in r] for r in rows]
     det = QONE
     for c in range(n):
         p = -1
         for k in range(c, n):
-            if not _tz(a[k][c]):
+            if not qiszero(a[k][c]):
                 p = k
                 break
         if p < 0:
@@ -140,7 +108,7 @@ def determinant(rows) -> Coeff:
         det = qmul(det, piv)
         for k in range(c + 1, n):
             f = a[k][c]
-            if _tz(f):
+            if qiszero(f):
                 continue
             ratio = qdiv(f, piv)
             a[k] = [qsub(a[k][m], qmul(ratio, a[c][m])) for m in range(n)]

@@ -68,8 +68,8 @@ class Homography:
     mu: Coeff = Coeff(0)
 
     def __post_init__(self):
-        lam = self.lam if isinstance(self.lam, Coeff) else Coeff(self.lam)
-        mu = self.mu if isinstance(self.mu, Coeff) else Coeff(self.mu)
+        lam = Coeff(self.lam)
+        mu = Coeff(self.mu)
         if lam.is_zero():
             raise ValueError("homography needs lam != 0")
         object.__setattr__(self, "lam", lam)
@@ -142,15 +142,10 @@ def schwarzian(s, order=None) -> Jet1:
 
 def cstar_apply(f: Jet1, eps) -> Jet1:
     """The C* action on moduli jets: coefficient k scales by eps^(k+2)."""
-    e = eps if isinstance(eps, Coeff) else Coeff(eps)
+    e = Coeff(eps)
     if e.is_zero():
         raise ValueError("C* action needs eps != 0")
-    out = []
-    p = e * e  # eps^(k+2) for k = 0
-    for k in range(f.order + 1):
-        out.append(f.coeff(k) * p)
-        p = p * e
-    return Jet1(out, f.order)
+    return f.scale_variable(e) * (e * e)
 
 
 @dataclass
@@ -363,8 +358,7 @@ class NormalPair:
         if isinstance(sigma, Jet1):
             sigma = GermDiff1(sigma)
         object.__setattr__(self, "sigma", sigma)
-        a = alpha if isinstance(alpha, Coeff) else Coeff(alpha)
-        object.__setattr__(self, "alpha", a)
+        object.__setattr__(self, "alpha", Coeff(alpha))
 
 
 def canonicalizing_homography(pair: NormalPair) -> Homography:

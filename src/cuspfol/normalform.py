@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .coeff import Coeff
+from .coeff import ZERO, Coeff
 from .forms import (
     OneForm,
     ReductionVerdict,
@@ -216,14 +216,6 @@ def _y2_coords(w: OneForm, m):
     return [w.a.coeff(i, j) for (i, j) in keys] + [w.b.coeff(i, j) for (i, j) in keys]
 
 
-_ZERO = Coeff(0)
-
-
-def _int_coeff(c):
-    """The integer c as a Coeff, built from its triple (c, 0, 1)."""
-    return Coeff.from_triple((c, 0, 1)) if c else _ZERO
-
-
 def _action_matrix(n):
     """Exact matrix of (P_n, Q_n) -> y^2-part of the degree-(n+2) shift.
 
@@ -246,14 +238,14 @@ def _action_matrix(n):
     k = 0, 2 x^(n+1) y, is not y^2-divisible and drops out.
     """
     dim = 2 * (n + 1)
-    rows = [[_ZERO] * dim for _ in range(dim)]
+    rows = [[ZERO] * dim for _ in range(dim)]
     for k in range(n + 1):
         if k < n:
-            rows[k + 1][k] = _int_coeff(-(n - k))
-        rows[n + 1 + k][k] = _int_coeff(1 - k)
-        rows[k][n + 1 + k] = _int_coeff(n - k - 3)
+            rows[k + 1][k] = Coeff(-(n - k))
+        rows[n + 1 + k][k] = Coeff(1 - k)
+        rows[k][n + 1 + k] = Coeff(n - k - 3)
         if k > 0:
-            rows[n + k][n + 1 + k] = _int_coeff(k + 2)
+            rows[n + k][n + 1 + k] = Coeff(k + 2)
     return rows
 
 

@@ -26,10 +26,11 @@ a denominator of ``None`` standing for 1; values become ``Coeff`` only in the
 final :class:`~cuspfol.jets.Jet2`.  A sum of polynomials is added term by term
 into one dict, so a long sum costs time linear in its length; a sum with any
 other denominator cross-multiplies from the left, which fixes the ``mero:``
-pair.  A power is taken by repeated squaring.  A power of a base with two or
-more terms is refused before it is expanded when its degree would exceed
-``--order``, except in a 1-form term whose base has a non-constant
-denominator: that term is refused as before, at its end.
+pair.  A power is taken by repeated squaring.  A product, quotient or power
+with an operand of two or more terms is refused at its operator, before it
+is expanded, when its degree would exceed ``--order``, except in a 1-form
+term where an operand has a non-constant denominator: that term is refused
+at its end.
 
 All errors raised here are :class:`ParseError` carrying 1-based ``line`` and
 ``col`` positions into the source text.
@@ -40,8 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._backend import QONE, qadd, qinv, qmul, qneg
-from .coeff import Coeff, format_coeff
-from .jets import DEFAULT_ORDER, Jet2
+from .coeff import Coeff
+from .jets import DEFAULT_ORDER, Jet2, format_poly
 from .forms import OneForm
 
 __all__ = [
@@ -192,8 +193,18 @@ def _dmul(d1, d2):
     return _den(_pmul(d1, d2))
 
 
-def _top_degree(p):
-    return max((i + j for i, j in p), default=0)
+def _degree(*factors):
+    """The degree of a product of polynomial dicts, a factor None being 1.
+
+    Q(i)[x, y] has no zero divisors, so it is the sum of the factors'
+    degrees, or 0 when a factor is zero.
+    """
+    if any(p is not None and not p for p in factors):
+        return 0
+    return sum(max(i + j for i, j in p) for p in factors if p is not None)
+
+
+_RESULT = {"*": "product", "/": "quotient", "^": "power"}
 
 
 class _RatVal:
@@ -217,9 +228,7 @@ class _RatVal:
     def mul(self, other):
         return _RatVal(_pmul(self.num, other.num), _dmul(self.den, other.den))
 
-    def div(self, other, tok):
-        if not other.num:
-            raise ParseError("division by zero", tok[2], tok[3])
+    def div(self, other):
         num = _pmul(self.num, other.den) if other.den is not None else self.num
         return _RatVal(num, _dmul(self.den, other.num))
 
@@ -292,7 +301,10 @@ class _Parser:
                 break  # the '*' belongs to the term: "3*dx"
             op = self.advance()
             rhs = self.parse_unary()
-            val = val.mul(rhs) if op[1] == "*" else val.div(rhs, op)
+            if op[1] == "/" and not rhs.num:
+                self.fail("division by zero", op)
+            self.check_degree(op, val, rhs)
+            val = val.mul(rhs) if op[1] == "*" else val.div(rhs)
         return val
 
     # unary := ('+'|'-')* power
@@ -313,23 +325,41 @@ class _Parser:
             if tok[0] != _INT:
                 self.fail("exponent must be a nonnegative integer literal")
             self.advance()
-            e = tok[1]
-            if (len(val.num) > 1 or (val.den is not None and len(val.den) > 1)) and (
-                self.mero or val.constant_den() is not None
-            ):
-                # Q(i)[x, y] has no zero divisors, so the power has exactly
-                # this degree; refuse it before expanding it.  A 1-form base
-                # with a non-constant denominator keeps the checks at the end
-                # of its term, whose message says what is wrong with it
-                top = max(_top_degree(val.num), _top_degree(val.den or ()))
-                if e * top > self.order:
-                    self.fail(
-                        f"the power has degree {e * top}; raise --order "
-                        f"(currently {self.order}) to keep the computation exact",
-                        caret,
-                    )
-            val = val.pow(e)
+            self.check_degree(caret, val, e=tok[1])
+            val = val.pow(tok[1])
         return val
+
+    def check_degree(self, op, val, rhs=None, e=1):
+        """Refuse ``val op rhs`` (or ``val ^ e``) if its degree exceeds --order.
+
+        The degree is exact, so only inputs whose later steps discard the
+        value (a cancelling subtraction, a zero factor, an exponent 0) are
+        refused needlessly.  The check applies when an operand has two or
+        more terms, in a mero: input or between 1-form values with constant
+        denominators.  One-term operands, and 1-form values with a
+        non-constant denominator, keep the checks at the end of their term,
+        whose messages say what is wrong with them.
+        """
+        operands = (val,) if rhs is None else (val, rhs)
+        for v in operands:
+            if len(v.num) > 1 or (v.den is not None and len(v.den) > 1):
+                break
+        else:
+            return  # one-term operands only
+        if not self.mero and any(v.constant_den() is None for v in operands):
+            return
+        if rhs is None:
+            degree = e * max(_degree(val.num), _degree(val.den))
+        elif op[1] == "*":
+            degree = max(_degree(val.num, rhs.num), _degree(val.den, rhs.den))
+        else:
+            degree = max(_degree(val.num, rhs.den), _degree(val.den, rhs.num))
+        if degree > self.order:
+            self.fail(
+                f"the {_RESULT[op[1]]} has degree {degree}; raise --order "
+                f"(currently {self.order}) to keep the computation exact",
+                op,
+            )
 
     # atom := INT | 'i' | 'x' | 'y' | '(' poly ')'
     def parse_atom(self):
@@ -456,45 +486,6 @@ def _parse_term(p):
 
 # ---------------------------------------------------------------------------
 # canonical printer (round-trips through parse_form at the same order)
-
-def _fmt_coeff_factor(c):
-    s = format_coeff(c)
-    if "+" in s[1:] or "-" in s[1:]:
-        return f"({s})"
-    return s
-
-
-def format_poly(d, names=("x", "y")):
-    """A polynomial dict {(i, j): Coeff} as canonical source text."""
-    if not d:
-        return "0"
-    xn, yn = names
-    pieces = []
-    for (i, j) in sorted(d, key=lambda k: (k[0] + k[1], k[0], k[1])):
-        c = d[(i, j)]
-        mono = []
-        if i:
-            mono.append(xn if i == 1 else f"{xn}^{i}")
-        if j:
-            mono.append(yn if j == 1 else f"{yn}^{j}")
-        mono_s = "*".join(mono)
-        if not mono_s:
-            term = format_coeff(c)
-        elif c == Coeff(1):
-            term = mono_s
-        elif c == Coeff(-1):
-            term = f"-{mono_s}"
-        else:
-            term = f"{_fmt_coeff_factor(c)}*{mono_s}"
-        pieces.append(term)
-    out = pieces[0]
-    for term in pieces[1:]:
-        if term.startswith("-"):
-            out += f" - {term[1:]}"
-        else:
-            out += f" + {term}"
-    return out
-
 
 def format_form(obj) -> str:
     """Canonical text for an :class:`OneForm` or :class:`MeromorphicPair`.

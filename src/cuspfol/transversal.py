@@ -38,14 +38,11 @@ from .moduli import GermDiff1
 class CornerGerm:
     """A regular 1-form germ at the corner, transverse to both axes.
 
-    ``form`` is written in the corner coordinates (u, v); the axis labels
-    record which divisor component each coordinate axis lies on (u on D2,
-    v on D1 under the convention of :mod:`cuspfol.forms`).
+    ``form`` is written in the corner coordinates (u, v): u lies on D2 and
+    v on D1 under the convention of :mod:`cuspfol.forms`.
     """
 
     form: OneForm
-    divisor_u: str = "D2"
-    divisor_v: str = "D1"
 
     def __post_init__(self):
         a0 = self.form.a.coeff(0, 0)

@@ -102,6 +102,15 @@ def test_input_errors_exit_three():
     assert code == 3
 
 
+def test_negative_order_is_refused_before_parsing():
+    for argv in (("reduce", "x dx"), ("sigma", "not a form"), ("equiv", CUSP, CUSP)):
+        code, out = run_cli(*argv, "--order", "-3")
+        assert code == 3
+        assert verdict_of(out) == "InputError"
+        assert "error: --order must be nonnegative (got -3)" in out
+        assert "raise --order" not in out
+
+
 def test_power_beyond_the_order_exits_three_at_once():
     start = time.perf_counter()
     code, out = run_cli("reduce", "(1+x+y)^400 dx + x dy", "--order", "16")

@@ -8,6 +8,10 @@ or written as a whole string such as an ``__all__`` entry, in the library,
 in the tests, or in the entry points ``perfbench/spans.py`` traces.
 Dunders are called by the language, and ``cli.main`` by the console
 script, so they are exempt.
+
+A dataclass field is dead in the same way when nothing outside its class
+body names it as an attribute, a keyword or a whole string: it is set and
+never read.
 """
 
 import ast
@@ -70,6 +74,73 @@ def dead_definitions(sources, outside=frozenset()):
             if all(other == fname and lo <= line <= hi for other, line in refs[name]):
                 dead.append((fname, name))
     return sorted(dead)
+
+
+def dataclass_fields(tree):
+    """(field, first line, last line of its class) of every dataclass field."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            continue
+        for stmt in node.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                yield stmt.target.id, node.lineno, node.end_lineno
+
+
+def field_references(tree):
+    """(name, line) for every attribute, keyword or whole string in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.keyword) and node.arg:
+            yield node.arg, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            yield node.value, node.lineno
+
+
+def dead_fields(sources):
+    """Dataclass fields in ``sources`` ({file: text}) that nothing names."""
+    trees = {fname: ast.parse(text) for fname, text in sources.items()}
+    refs = defaultdict(list)
+    for fname, tree in trees.items():
+        for name, line in field_references(tree):
+            refs[name].append((fname, line))
+    dead = []
+    for fname, tree in trees.items():
+        for name, lo, hi in dataclass_fields(tree):
+            if all(other == fname and lo <= line <= hi for other, line in refs[name]):
+                dead.append((fname, name))
+    return sorted(dead)
+
+
+def test_the_field_scan_sees_attributes_keywords_and_strings():
+    sources = {
+        "lib.py": (
+            "from dataclasses import dataclass\n"
+            "@dataclass(frozen=True)\n"
+            "class Report:\n"
+            "    read: int\n"
+            "    keyword: int = 0\n"
+            "    named: int = 0\n"
+            "    self_read: int = 0\n"
+            "    unread: int = 0\n"
+            "    def double(self): return 2 * self.self_read\n"
+            "class Plain:\n"
+            "    ignored: int = 0\n"
+            "def make(unread): return Report(1, keyword=2)\n"
+        ),
+        "test_lib.py": "from lib import make\nmake(0).read\ngetattr(make(0), 'named')\n",
+    }
+    assert dead_fields(sources) == [("lib.py", "self_read"), ("lib.py", "unread")]
+
+
+def test_no_dead_dataclass_fields():
+    sources = {f"tests/{p.name}": p.read_text() for p in sorted((ROOT / "tests").glob("*.py"))}
+    library = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    dead = [(f, n) for f, n in dead_fields({**library, **sources}) if f in library]
+    assert not dead, "never read: " + ", ".join(f"{f}: {n}" for f, n in dead)
 
 
 def test_the_scan_sees_every_kind_of_reference():

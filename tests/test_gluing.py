@@ -21,8 +21,6 @@ from cuspfol.gluing import (
     ModelTransition,
     VectorFieldJet,
     _coboundary_columns,
-    _f1_tilde_admissible,
-    _f2_admissible,
     _row_keys,
     build_cocycle,
     coboundary_solve,
@@ -403,9 +401,15 @@ def test_feasible_split_reads_the_second_field_off_the_remainder():
     for n in range(6, 11):
         sig = rand_germ(n, rng)
         alpha0 = rand_coeff(rng=rng)
+        # T runs over x^i y^j with i > j below degree n, A2 over the monomials
+        # that extend to the second chart of F2 (2i - j >= 0)
+        t_keys = [(i, j) for (i, j) in _row_keys(n - 1) if i > j]
+        a2_keys = [(i, j) for (i, j) in _row_keys(n) if 2 * i >= j]
+        labels = _coboundary_columns(sig, Jet2.one(n), n)[1]
+        assert labels == [("T", *k) for k in t_keys] + [("A2", *k) for k in a2_keys]
         tilde, a2 = (
             Jet2({key: rand_coeff(rng=rng) for key in rng.sample(keys, 4)}, n)
-            for keys in (_f1_tilde_admissible(n), _f2_admissible(n))
+            for keys in (t_keys, a2_keys)
         )
         s2 = Jet2.from_jet1(sig.jet, "y")
         psi_x = Jet2.var_x(n) * Jet2({(0, 0): 1, (0, 1): alpha0}, n) + s2
@@ -413,7 +417,7 @@ def test_feasible_split_reads_the_second_field_off_the_remainder():
         res = coboundary_solve(sig, alpha0, VectorFieldJet(target), order=n)
         assert res.feasible
         assert globality_check(res.field_second.coefficient, Model.F2)
-        assert {key for key, _ in res.tilde.items()} <= set(_f1_tilde_admissible(n))
+        assert {key for key, _ in res.tilde.items()} <= set(t_keys)
         rebuilt = psi_x * res.tilde.substitute(psi_x, s2) - res.field_second.coefficient
         assert rebuilt == target
 

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from cuspfol import Coeff, Jet1, Jet2, jets
-from cuspfol.jets import JetError, format_jet1, format_jet2
+from cuspfol import Coeff, Jet1, Jet2, jets, poly
+from cuspfol.jets import JetError
 
 import oracles
 
@@ -84,6 +84,12 @@ class TestCoeff:
         with pytest.raises(AttributeError):
             c.re = 5
         assert len({Coeff(1, 2), Coeff(2, 4) / 2, Coeff(3)}) == 2
+
+    def test_integers_build_their_triple_directly(self):
+        for n in (0, 1, -1, -12, 2**200 + 1, -(2**200) + 3):
+            assert Coeff(n).triple == Coeff(Fraction(n)).triple == (n, 0, 1)
+            assert Coeff(n) == Coeff(Fraction(n)) and hash(Coeff(n)) == hash(Coeff(Fraction(n)))
+            assert Coeff(n, 1 - n) == Coeff(Fraction(n), Fraction(1 - n))
 
 
 class TestJet1:
@@ -173,8 +179,8 @@ class TestJet1:
 
     def test_eval_poly(self):
         f = Jet1([1, 2, 3], 5)  # 1 + 2z + 3z^2
-        assert f.eval_poly(Coeff(2)) == 17
-        assert f.eval_poly(Coeff(0, 1)) == Coeff(-2, 2)
+        assert poly.evaluate(f.coeffs, Coeff(2)) == 17
+        assert poly.evaluate(f.coeffs, Coeff(0, 1)) == Coeff(-2, 2)
 
     def test_scale_variable(self):
         f = Jet1([5, 1, 1, 1], 3)
@@ -196,7 +202,9 @@ class TestJet1:
 
     def test_format_roundtrip_smoke(self):
         f = Jet1([Fraction(1, 2), Coeff(0, 1), -2], 4)
-        assert format_jet1(f) == "1/2 + i*z - 2*z^2"
+        assert repr(f) == "Jet1(1/2 + i*z - 2*z^2)"
+        assert repr(Jet1.zero(3)) == "Jet1(0)"
+        assert repr(Jet1([0, -1, Coeff(1, -1)], 2)) == "Jet1(-z + (1-i)*z^2)"
 
 
 class TestJet2:
@@ -334,10 +342,33 @@ class TestJet2:
 
     def test_format(self):
         f = Jet2({(1, 0): 1, (0, 2): -1}, 4)
-        assert format_jet2(f) == "x - y^2"
+        assert repr(f) == "Jet2(x - y^2)"
+        g = Jet2({(0, 0): Fraction(-1, 2), (2, 1): Coeff(0, 3), (1, 2): Coeff(2, 1)}, 4)
+        assert repr(g) == "Jet2(-1/2 + (2+i)*x*y^2 + 3*i*x^2*y)"
 
     def test_order_raising_is_explicit(self):
         f = Jet2({(1, 1): 1}, 2)
         with pytest.raises(JetError):
             f.truncate(5)
         assert f.with_order(5).order == 5
+
+
+@pytest.mark.parametrize(
+    "jet, const",
+    [
+        (Jet1([1, 2, 0, 3], 5), lambda c, n: Jet1((c,), n)),
+        (Jet2({(0, 0): 1, (1, 1): 2, (0, 3): -1}, 5), lambda c, n: Jet2({(0, 0): c}, n)),
+    ],
+    ids=["Jet1", "Jet2"],
+)
+def test_scalar_operands_and_powers(jet, const):
+    n = jet.order
+    for c in (3, Fraction(-1, 2), Coeff(1, 1)):
+        assert jet + c == c + jet == jet + const(c, n)
+        assert jet - c == jet - const(c, n) == -(c - jet)
+    assert jet ** 0 == const(1, n)
+    assert jet ** 5 == jet * jet * jet * jet * jet
+    with pytest.raises(JetError):
+        jet ** -1
+    with pytest.raises(TypeError):
+        jet + "1"

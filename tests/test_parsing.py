@@ -1,10 +1,14 @@
 """Grammar, error-position, and round-trip checks for the form syntax."""
 
+import contextlib
+import io
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from cuspfol.cli import main
 from cuspfol.coeff import Coeff, format_coeff
 from cuspfol.jets import Jet2
 from cuspfol.forms import OneForm
@@ -272,6 +276,13 @@ MALFORMED = [
     ('((1+x)/(1+y))^5 dx', 4, 'a 1-form coefficient must be polynomial (non-constant denominator; use mero: input for a quotient)', 1, 1),
     ('((1+x)/y)^5 dx', 4, 'a 1-form coefficient must be polynomial (non-constant denominator; use mero: input for a quotient)', 1, 1),
     ('x/(1/(1+y))^5 dx', 4, 'the dx coefficient has a degree-5 monomial; raise --order (currently 4) to keep the computation exact', 1, 1),
+    ('x/(1+y)*(x^3+y^3) dx', 3, 'a 1-form coefficient must be polynomial (non-constant denominator; use mero: input for a quotient)', 1, 1),
+    # one-term products are checked at the end of the term, others at the operator
+    ('x^5*y dx', 5, 'the dx coefficient has a degree-6 monomial; raise --order (currently 5) to keep the computation exact', 1, 1),
+    ('(1+x)^4*(1+x)^4 dx', 7, 'the product has degree 8; raise --order (currently 7) to keep the computation exact', 1, 8),
+    ('mero: (1+x)^3*(1+y)^3/x', 5, 'the product has degree 6; raise --order (currently 5) to keep the computation exact', 1, 14),
+    ('mero: y/(1+x^2)/(1+y^2)', 3, 'the quotient has degree 4; raise --order (currently 3) to keep the computation exact', 1, 16),
+    ('(1+x)/(x - x) dx', 8, 'division by zero', 1, 6),
     # only ASCII digits start an integer literal
     ('x^² dx', 8, "unexpected character '²'", 1, 3),
     ('x^٣ dx', 8, "unexpected character '٣'", 1, 3),
@@ -305,6 +316,31 @@ def test_power_beyond_the_order_is_refused_before_it_is_expanded():
     # a one-term power is expanded and checked at the end
     with pytest.raises(ParseError, match="degree-400 monomial"):
         parse_form("(2*x)^400 dx", order=16)
+
+
+@pytest.mark.parametrize(
+    "text, message, col",
+    [
+        ("*".join(["(1+x+y)"] * 120) + " dx", "the product has degree 17", 128),
+        ("mero: x" + "/(1+x+y)" * 120, "the quotient has degree 17", 136),
+    ],
+    ids=["product", "quotient"],
+)
+def test_products_and_quotients_beyond_the_order_are_refused_at_their_operator(text, message, col):
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["reduce", text, "--order", "16"])
+    assert time.perf_counter() - start < 0.1
+    assert code == 3
+    with pytest.raises(ParseError, match=message) as e:
+        parse_form(text, order=16)
+    assert (e.value.line, e.value.col) == (1, col)
+
+
+def test_products_within_the_order_still_parse():
+    assert parse_form("(1+x)^4*(1+x)^4 dx", order=8) == parse_form("(1+x)^8 dx", order=8)
+    # a zero factor makes the product zero, whatever the other factor's degree
+    assert parse_form("0*(x^9 + 1) dx + x dy", order=8) == parse_form("x dy", order=8)
 
 
 # --- the parser against the text evaluated at points ------------------------
