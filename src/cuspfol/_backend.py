@@ -14,8 +14,15 @@ their denominators, the Gaussian-integer numerators are convolved in plain
 integers, and each nonzero output coefficient is normalized once, over the
 product of the two lcms.  A product therefore makes one ``qnorm`` per output
 coefficient, not one per term and one per partial sum.
+
+The elimination (:func:`rref`) works the same way, one denominator per
+row: rows are sparse Gaussian-integer numerators over that denominator,
+pivots are made real by their conjugates, each row update is
+fraction-free and one integer ``gcd`` keeps the row in lowest terms.
+Triples are formed only for the result.
 """
 
+from itertools import chain
 from math import gcd
 
 BACKEND = "python"
@@ -173,45 +180,103 @@ def rref(rows, limit):
     beyond ``limit`` may carry an augmented right-hand side or an identity
     block for certificate extraction.
 
+    The pivot of column ``c`` is the first row at or below the current one
+    that is nonzero there.  Every other row is cleared in that column, and
+    only pivot rows are scaled, to pivot 1; a row is never added into
+    another.  So the rows are fixed by the pivot choice, and the work can
+    be fraction-free:
+
+    - each row is held sparse as ``{col: (re, im)}``, Gaussian-integer
+      numerators over one positive denominator, the lcm of its entries';
+    - a new pivot row is multiplied by the conjugate of its pivot and
+      divided by the gcd of its parts, so its pivot is a positive integer
+      N, and its scale is dropped from then on;
+    - clearing column ``c`` from another row with entry F there is
+      ``N*row - F*pivot_row``, with the row's denominator multiplied by N;
+      one integer ``gcd`` over the parts and the denominator brings the row
+      back to lowest terms, and the parts are divided by it on the next
+      pass over the row.
+
+    Each row is converted back to normalized triples once, at the end: a
+    pivot row over its pivot, any other row over its denominator.
+
     Returns the list of pivot columns (in row order).
     """
     nrows = len(rows)
+    work = []
+    dens = []
+    for row in rows:
+        terms, den = _scaled([(m, *t) for m, t in enumerate(row) if t[0] or t[1]])
+        work.append({m: (a, b) for m, a, b, _ in terms})
+        dens.append(den)
+    # row k's stored parts are cuts[k] times its parts in lowest terms
+    cuts = [1] * nrows
     pivots = []
     r = 0
     for c in range(limit):
-        p = -1
-        for k in range(r, nrows):
-            t = rows[k][c]
-            if t[0] != 0 or t[1] != 0:
-                p = k
-                break
-        if p < 0:
+        p = r
+        while p < nrows and c not in work[p]:
+            p += 1
+        if p == nrows:
             continue
         if p != r:
-            rows[p], rows[r] = rows[r], rows[p]
-        row = rows[r]
-        piv = row[c]
-        if piv != QONE:
-            inv = qinv(piv)
-            rows[r] = row = [
-                qmul(t, inv) if (t[0] != 0 or t[1] != 0) else t for t in row
-            ]
-        width = len(row)
+            for lst in (rows, work, dens, cuts):
+                lst[p], lst[r] = lst[r], lst[p]
+        prow = work[r]
+        pa, pb = prow[c]
+        if pb:
+            prow = {
+                m: (a * pa + b * pb, b * pa - a * pb) for m, (a, b) in prow.items()
+            }
+        g = gcd(*chain.from_iterable(prow.values()))
+        if prow[c][0] < 0:
+            g = -g
+        if g != 1:
+            prow = {m: (a // g, b // g) for m, (a, b) in prow.items()}
+        work[r] = prow
+        # a pivot row's scale is free: denominator 0 keeps it out of the gcds
+        dens[r] = 0
+        cuts[r] = 1
+        piv = prow[c][0]
         for k in range(nrows):
-            if k == r:
+            other = work[k]
+            if k == r or c not in other:
                 continue
-            other = rows[k]
-            f = other[c]
-            if f[0] == 0 and f[1] == 0:
-                continue
-            rows[k] = [
-                qsub(other[m], qmul(f, row[m]))
-                if (row[m][0] != 0 or row[m][1] != 0)
-                else other[m]
-                for m in range(width)
-            ]
+            g = cuts[k]
+            fa, fb = other[c]
+            if g != 1:
+                fa //= g
+                fb //= g
+                other = {
+                    m: (a // g * piv, b // g * piv) for m, (a, b) in other.items()
+                }
+            elif piv != 1:
+                other = {m: (a * piv, b * piv) for m, (a, b) in other.items()}
+            for m, (a, b) in prow.items():
+                cur = other.get(m)
+                if cur is None:
+                    other[m] = (fb * b - fa * a, -(fa * b + fb * a))
+                else:
+                    re = cur[0] - (fa * a - fb * b)
+                    im = cur[1] - (fa * b + fb * a)
+                    if re or im:
+                        other[m] = (re, im)
+                    else:
+                        del other[m]
+            den = dens[k] * piv
+            g = gcd(den, *chain.from_iterable(other.values())) or 1
+            work[k] = other
+            dens[k] = den // g
+            cuts[k] = g
         pivots.append(c)
         r += 1
         if r == nrows:
             break
+    for k in range(nrows):
+        row = work[k]
+        den = row[pivots[k]][0] if k < len(pivots) else dens[k] * cuts[k]
+        out = [QZERO] * len(rows[k])
+        for m, (a, b) in row.items():
+            out[m] = qnorm(a, b, den)
+        rows[k] = out
     return pivots

@@ -23,6 +23,7 @@ is bilinear in (R1, R2) and is deliberately not attempted here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import poly
 from .coeff import Coeff
@@ -34,7 +35,7 @@ from .moduli import GermDiff1, Homography
 def _as_rational(v):
     if isinstance(v, Rational1):
         return v
-    if isinstance(v, (int, Coeff)):
+    if isinstance(v, (int, Fraction, Coeff)):
         return Rational1((v,))
     raise TypeError(f"cannot interpret {type(v).__name__} as a rational function")
 

@@ -291,7 +291,13 @@ def _coboundary_columns(sigma: GermDiff1, a0: Jet2, order):
     function (A0*(x1*A0+sigma)/J) * (x3 o psi)^i * (y3 o psi)^j with
     J = A0+x1*dA0/dx1; a second-model monomial (i,j) of A2, one that
     extends to the second chart of "F2", contributes -x1^i y1^j.  Also
-    returns the jets x3 o psi, y3 o psi and the factor, for the re-check.
+    returns the jets x3 o psi, y3 o psi and the factor, at full order, for
+    the re-check and the remainder.
+
+    The solver reads a T column only on the rows x1^p y1^q that are not
+    F2-admissible (q > 2p), and those have p <= (order-1)//3; so the powers
+    of x3 o psi and the T columns are built modulo x1^((order-1)//3 + 1),
+    which leaves every row the solver reads exact.
     """
     n = order
     x = Jet2.var_x(n)
@@ -299,16 +305,18 @@ def _coboundary_columns(sigma: GermDiff1, a0: Jet2, order):
     a0 = a0.truncate(n)
     x3 = x * a0 + s2
     factor = (a0 * x3).div(_radial_jacobian(a0))
+    top = (n - 1) // 3
+    x3_cut = x3.drop_x_above(top)
     cols = []
     labels = []
-    xpow = [Jet2.one(n)]
+    fxpow = [factor.drop_x_above(top)]
     ypow = [Jet2.one(n)]
-    for _ in range(n):
-        xpow.append(xpow[-1] * x3)
+    for _ in range(n - 1):
+        fxpow.append((fxpow[-1] * x3_cut).drop_x_above(top))
         ypow.append(ypow[-1] * s2)
     for (i, j) in _row_keys(n - 1):
         if i > j:
-            cols.append(factor * xpow[i] * ypow[j])
+            cols.append(fxpow[i] * ypow[j])
             labels.append(("T", i, j))
     f2 = ModelTransition(Model.F2)
     for (i, j) in _row_keys(n):

@@ -376,6 +376,15 @@ class Jet2(_Jet):
             return self.truncate(order)
         return Jet2._raw(dict(self._d), order)
 
+    def drop_x_above(self, k) -> "Jet2":
+        """The jet modulo x^(k+1): every monomial of x-degree above k dropped.
+
+        Reduction modulo x^(k+1) is a ring map, so a product of cut jets,
+        cut again, is the cut of the full product.
+        """
+        d = {key: t for key, t in self._d.items() if key[0] <= k}
+        return Jet2._raw(d, self._n)
+
     def homogeneous_part(self, deg) -> "Jet2":
         d = {k: t for k, t in self._d.items() if k[0] + k[1] == deg}
         return Jet2._raw(d, self._n)

@@ -5,6 +5,10 @@ infeasibility certificates.  A certificate for an unsolvable system A x = b
 is a row combination y with  y^T A = 0  and  y^T b != 0  — it is extracted
 from an identity block carried through the reduction, so it is exact and
 re-checkable.
+
+Matrices enter and leave as rows of normalized triples; the kernel
+eliminates them fraction-free, over one denominator per row (see
+:func:`cuspfol._backend.rref`), and returns every entry normalized again.
 """
 
 from __future__ import annotations

@@ -204,7 +204,7 @@ def _degree(*factors):
     return sum(max(i + j for i, j in p) for p in factors if p is not None)
 
 
-_RESULT = {"*": "product", "/": "quotient", "^": "power"}
+_RESULT = {"*": "product", "/": "quotient", "^": "power", "+": "sum", "-": "difference"}
 
 
 class _RatVal:
@@ -281,7 +281,8 @@ class _Parser:
         val = self.parse_product()
         owned = False  # whether val.num is this sum's own dict
         while self.at_op("+-"):
-            negate = self.advance()[1] == "-"
+            op = self.advance()
+            negate = op[1] == "-"
             rhs = self.parse_product()
             if val.den is None and rhs.den is None:
                 if not owned:
@@ -290,6 +291,7 @@ class _Parser:
                 _padd_into(val.num, rhs.num, negate)
             else:
                 val = val.add(rhs.neg() if negate else rhs)
+                self.check_degree(op, val)
                 owned = True
         return val
 
@@ -331,6 +333,11 @@ class _Parser:
 
     def check_degree(self, op, val, rhs=None, e=1):
         """Refuse ``val op rhs`` (or ``val ^ e``) if its degree exceeds --order.
+
+        A sum or difference over denominators is checked once it is formed,
+        as ``val`` alone: forming it is one cross-multiplication of operands
+        that passed these checks, and the degree of its numerator and
+        denominator is then read off exactly.
 
         The degree is exact, so only inputs whose later steps discard the
         value (a cancelling subtraction, a zero factor, an exponent 0) are

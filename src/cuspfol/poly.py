@@ -17,7 +17,7 @@ from .gaussint import UNITS, gi_divisors
 
 def trim(p) -> tuple:
     """The canonical tuple form of a coefficient sequence."""
-    c = [v if isinstance(v, Coeff) else Coeff(v) for v in p]
+    c = [Coeff(v) for v in p]
     while c and c[-1].is_zero():
         c.pop()
     return tuple(c)

@@ -9,7 +9,9 @@ residuals in the corner first integral, the Riccati form of the Schwarzian
 instead of the direct quotient formula, cofactor determinants, one product
 per monomial instead of grouped substitution, pulling the anchor back
 instead of the closed-form normal-form action, evaluating an expression's
-text at a point instead of expanding it).
+text at a point instead of expanding it, Gauss-Jordan over fractions instead
+of fraction-free elimination, the split columns at full order instead of
+modulo a power of x).
 """
 
 import re
@@ -208,6 +210,72 @@ def p2_pullback(a, b, fx, fy, n):
     )
 
 
+def p2_div(a, b, n):
+    """a / b up to degree n for b(0, 0) != 0, by coefficient recursion.
+
+    Monomial by monomial in increasing degree: q_k = (a_k - sum of
+    b_m q_(k-m) over m != 0) / b_0.
+    """
+    inv0 = ginv(b[(0, 0)])
+    q = {}
+    for d in range(n + 1):
+        for i in range(d + 1):
+            key = (i, d - i)
+            s = a.get(key, ZERO)
+            for (bi, bj), bv in b.items():
+                prev = q.get((i - bi, d - i - bj))
+                if (bi, bj) != (0, 0) and prev is not None:
+                    s = gsub(s, gmul(bv, prev))
+            if not g_is_zero(s):
+                q[key] = gmul(s, inv0)
+    return q
+
+
+def split_t_columns(sigma, alpha, n):
+    """The T columns of the order-n split of the cohomological equation.
+
+    ``sigma`` is the coefficient-pair list of the gluing germ and ``alpha``
+    the pair of A = 1 + alpha*y.  With x3 = x*A + sigma(y) and the factor
+    A*x3 / (A + x*dA/dx), the column of the T monomial x^i y^j (i > j,
+    i + j < n) is factor * x3^i * sigma(y)^j, kept at every monomial of
+    degree <= n.
+    """
+    s2 = {(0, k): c for k, c in enumerate(sigma[: n + 1]) if not g_is_zero(c)}
+    a = p2_add({(0, 0): ONE}, {(0, 1): alpha})
+    x3 = p2_add(p2_mul({(1, 0): ONE}, a, n), s2)
+    jac = {(i, j): gmul(c, from_int(i + 1)) for (i, j), c in a.items()}
+    factor_x3 = [p2_div(p2_mul(a, x3, n), jac, n)]
+    s2_pow = [{(0, 0): ONE}]
+    for _ in range(n):
+        factor_x3.append(p2_mul(factor_x3[-1], x3, n))
+        s2_pow.append(p2_mul(s2_pow[-1], s2, n))
+    return {
+        (i, d - i): p2_mul(factor_x3[i], s2_pow[d - i], n)
+        for d in range(n)
+        for i in range(d, -1, -1)
+        if i > d - i
+    }
+
+
+def split_matrix(sigma, alpha, n):
+    """Row keys and rows of the full order-n split matrix, as pairs.
+
+    Rows run over the monomials x^p y^q of degree <= n; the columns are
+    the T columns of :func:`split_t_columns`, then one column -x^i y^j per
+    A2 monomial, those with 2i >= j.
+    """
+    t_cols = split_t_columns(sigma, alpha, n)
+    keys = [(p, d - p) for d in range(n + 1) for p in range(d, -1, -1)]
+    a2_keys = [key for key in keys if 2 * key[0] >= key[1]]
+    minus_one = (Fraction(-1), Fraction(0))
+    rows = [
+        [col.get(key, ZERO) for col in t_cols.values()]
+        + [minus_one if a2 == key else ZERO for a2 in a2_keys]
+        for key in keys
+    ]
+    return keys, rows
+
+
 def action_matrix_by_pullback(n):
     """The normal form's degree-n action matrix, by pulling the anchor back.
 
@@ -286,6 +354,41 @@ def hankel_of_series(pairs, size, shift=0):
     """Hankel determinant [c_{shift+i+j}] of a coefficient-pair list."""
     m = [[pairs[shift + i + j] for j in range(size)] for i in range(size)]
     return det_cofactor(m)
+
+
+# --- Gauss-Jordan elimination ------------------------------------------------
+
+
+def rref_reference(rows, limit):
+    """Reduced row echelon form of a matrix of pairs, in place.
+
+    Plain Gauss-Jordan over Fraction pairs: for each of the first ``limit``
+    columns the pivot is the first row at or below the current one that is
+    nonzero there; it is swapped up, divided by its pivot, and subtracted
+    from every other row that is nonzero in that column.  Returns the pivot
+    columns in row order.
+    """
+    pivots = []
+    r = 0
+    for c in range(limit):
+        if r == len(rows):
+            break
+        p = next((k for k in range(r, len(rows)) if not g_is_zero(rows[k][c])), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        inv = ginv(rows[r][c])
+        rows[r] = [gmul(v, inv) for v in rows[r]]
+        for k in range(len(rows)):
+            f = rows[k][c]
+            if k != r and not g_is_zero(f):
+                rows[k] = [
+                    v if g_is_zero(w) else gsub(v, gmul(f, w))
+                    for v, w in zip(rows[k], rows[r])
+                ]
+        pivots.append(c)
+        r += 1
+    return pivots
 
 
 # --- expression text evaluated at a point ------------------------------------

@@ -34,8 +34,6 @@ from cuspfol.forms import (
 from cuspfol.gluing import (
     Model,
     VectorFieldJet,
-    _coboundary_columns,
-    _row_keys,
     build_cocycle,
     coboundary_solve,
     cocycle_compose_check,
@@ -67,6 +65,8 @@ from cuspfol.parametric import (
     pullback_blowup_param,
 )
 from cuspfol.transversal import CornerGerm, transversal_structure
+
+import oracles
 
 RNG = random.Random(0xACC3)
 
@@ -334,11 +334,12 @@ def test_criterion_05_operator_injective_at_every_degree_2_to_10():
 
 
 def _split_ranks(sig, alpha0, n):
-    """rank(M) and rank(M | y1) of the order-n split matrix M, built directly."""
-    a0 = Jet2({(0, 0): 1, (0, 1): alpha0}, n)
-    cols = _coboundary_columns(sig, a0, n)[0]
-    keys = _row_keys(n)
-    rows = [[col.coeff(p, q) for col in cols] for (p, q) in keys]
+    """rank(M) and rank(M | y1) of the order-n split matrix M, built in full
+    by the Fraction-pair oracle."""
+    keys, pairs = oracles.split_matrix(
+        oracles.jet1_pairs(sig.jet), oracles.pair_of_coeff(Coeff(alpha0)), n
+    )
+    rows = [[Coeff(*v) for v in row] for row in pairs]
     aug = [row + [Coeff(int(key == (0, 1)))] for row, key in zip(rows, keys)]
     return matrix_rank(rows), matrix_rank(aug)
 

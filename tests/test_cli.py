@@ -256,6 +256,73 @@ def test_cohomology_eliminates_once(monkeypatch):
         assert shapes == [shape]
 
 
+ROADMAP = "mero:(y^2+x^3+x^2*y)/(x*y+x^3)"
+
+# The --json reports of cohomology and glue at order 20, taken from the
+# triple-by-triple elimination that the fraction-free kernel replaced.  Each
+# is kept on one line; the CLI prints it as json.dumps(report,
+# sort_keys=True, indent=2) and a newline.
+ORDER_20_REPORTS = [
+    (
+        "cohomology",
+        CUSP,
+        1,
+        '{"certificates": [{"checked": true, "infeasibility_rows": [[[0, 1], '
+        '"1"]]}], "command": "cohomology", "data": {"alpha": "-1", '
+        '"corank": 1, "feasible": false, "generator_independent": true, '
+        '"rank": 230, "rows": 231, '
+        '"target": "y1 (distinguished vertical direction)"}, "order": 20, '
+        '"verdict": "ObstructedDimensionOne"}',
+    ),
+    (
+        "glue",
+        CUSP,
+        0,
+        '{"certificates": [], "command": "glue", "data": {"alpha": "-1", '
+        '"map_first": "y1 + x1 - x1*y1", "map_second": "y1", "sigma": [[1, '
+        '"1"]], "unit": [[0, 0, "1"], [0, 1, "-1"]]}, "order": 20, '
+        '"verdict": "CocycleBuilt"}',
+    ),
+    (
+        "cohomology",
+        ROADMAP,
+        1,
+        '{"certificates": [{"checked": true, "infeasibility_rows": [[[0, 1], '
+        '"1"]]}], "command": "cohomology", "data": {"alpha": "-1", '
+        '"corank": 1, "feasible": false, "generator_independent": true, '
+        '"rank": 230, "rows": 231, '
+        '"target": "y1 (distinguished vertical direction)"}, "order": 20, '
+        '"verdict": "ObstructedDimensionOne"}',
+    ),
+    (
+        "glue",
+        ROADMAP,
+        0,
+        '{"certificates": [], "command": "glue", "data": {"alpha": "-1", '
+        '"map_first": "y1 + x1 + y1^2 - x1*y1 + y1^3 + y1^4 + y1^5 + y1^6 + y1^7 + y1^8 + y1^9 + y1^10 + y1^11 + y1^12 + y1^13 + y1^14 + y1^15 + y1^16 + y1^17 + y1^18 + y1^19 + y1^20", '
+        '"map_second": "y1 + y1^2 + y1^3 + y1^4 + y1^5 + y1^6 + y1^7 + y1^8 + y1^9 + y1^10 + y1^11 + y1^12 + y1^13 + y1^14 + y1^15 + y1^16 + y1^17 + y1^18 + y1^19 + y1^20", '
+        '"sigma": [[1, "1"], [2, "1"], [3, "1"], [4, "1"], [5, "1"], [6, "1"], '
+        '[7, "1"], [8, "1"], [9, "1"], [10, "1"], [11, "1"], [12, "1"], [13, '
+        '"1"], [14, "1"], [15, "1"], [16, "1"], [17, "1"], [18, "1"], [19, '
+        '"1"], [20, "1"]], "unit": [[0, 0, "1"], [0, 1, "-1"]]}, "order": 20, '
+        '"verdict": "CocycleBuilt"}',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "command, text, code, report",
+    ORDER_20_REPORTS,
+    ids=[
+        f"{command}-{'cusp' if text == CUSP else 'roadmap'}"
+        for command, text, _, _ in ORDER_20_REPORTS
+    ],
+)
+def test_order_20_reports_are_pinned(command, text, code, report):
+    want = json.dumps(json.loads(report), sort_keys=True, indent=2) + "\n"
+    assert run_cli(command, text, "--order", "20", "--json") == (code, want)
+
+
 def test_mero_input_is_parsed_once(monkeypatch):
     import cuspfol.cli
 

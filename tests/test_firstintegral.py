@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -63,6 +64,18 @@ def test_rational_normalization():
     assert r.den == (Coeff(0), Coeff(1))
     with pytest.raises(ValueError):
         Rational1((1,), ())
+
+
+def test_rational_arithmetic_takes_fractions_as_scalars():
+    half = Fraction(1, 2)
+    r = Rational1((Coeff(1), Coeff(2)))  # 1 + 2z
+    assert r * half == Rational1((half, 1))
+    assert half * r == r * Coeff(half)
+    assert r + half == Rational1((Fraction(3, 2), 2))
+    assert half - r == Rational1((-half, -2))
+    assert r / half == Rational1((2, 4))
+    with pytest.raises(TypeError):
+        r * 0.5
 
 
 def test_rational_expand():

@@ -35,6 +35,7 @@ from cuspfol.gluing import (
 from cuspfol.linalg import SolveResult, matrix_rank
 from cuspfol.normalform import normalize
 
+import oracles
 from test_transversal import README_MERO, ROADMAP_MERO, SINH
 
 RNG = random.Random(0x61)
@@ -343,11 +344,12 @@ def test_coboundary_ks_obstruction_other_gluings():
 
 
 def _full_split(sig, alpha0, n):
-    """Row keys and rows of the order-n split matrix M, every T and A2 column."""
-    a0 = Jet2({(0, 0): 1, (0, 1): alpha0}, n)
-    cols = _coboundary_columns(sig, a0, n)[0]
-    keys = _row_keys(n)
-    return keys, [[col.coeff(p, q) for col in cols] for (p, q) in keys]
+    """Row keys and rows of the order-n split matrix M, every T and A2 column
+    on every row, built by the Fraction-pair oracle."""
+    keys, rows = oracles.split_matrix(
+        oracles.jet1_pairs(sig.jet), oracles.pair_of_coeff(alpha0), n
+    )
+    return keys, [[Coeff(*v) for v in row] for row in rows]
 
 
 def _split_ranks(sig, alpha0, n):
@@ -394,6 +396,31 @@ def test_reduced_split_agrees_with_the_full_matrix():
         cert = [(keys.index(key), w) for key, w in rep.split.certificate]
         full = SolveResult(False, rep.rank, certificate=cert)
         assert full.check_certificate(rows, rhs)
+
+
+def test_t_columns_are_exact_on_the_rows_the_solver_reads():
+    # the T columns are built modulo x1^((n-1)//3 + 1); on every row
+    # x1^p y1^q that is not F2-admissible (q > 2p) they must equal the
+    # full-order columns factor * x3^i * sigma(y1)^j
+    rng = random.Random(0x7C)
+    questions = [(rand_germ(n, rng), rand_coeff(rng=rng), n) for n in range(3, 13)]
+    w = _as_oneform(README_MERO, 16)
+    questions.append((GermDiff1(_sigma_of_form(w, 16)[1]), normalize(w).alpha, 16))
+    for sig, alpha0, n in questions:
+        full = oracles.split_t_columns(
+            oracles.jet1_pairs(sig.jet), oracles.pair_of_coeff(alpha0), n
+        )
+        a0 = Jet2({(0, 0): 1, (0, 1): alpha0}, n)
+        cols, labels, _ = _coboundary_columns(sig, a0, n)
+        read = [(p, q) for (p, q) in _row_keys(n) if q > 2 * p]
+        t_cols = {(i, j): col for col, (kind, i, j) in zip(cols, labels) if kind == "T"}
+        assert list(t_cols) == list(full)
+        for key, col in t_cols.items():
+            got = oracles.jet2_pairs(col)
+            want = full[key]
+            assert [got.get(row, oracles.ZERO) for row in read] == [
+                want.get(row, oracles.ZERO) for row in read
+            ], (n, key)
 
 
 def test_feasible_split_reads_the_second_field_off_the_remainder():

@@ -1,11 +1,15 @@
-"""The series products of the kernel against the Fraction-pair oracles.
+"""The kernel's series products and elimination against the Fraction-pair oracles.
 
 ``jet1_mul`` and ``jet2_mul`` convolve Gaussian-integer numerators over one
 denominator per operand and normalize each output coefficient once; these
 tests check them against ``oracles.s_mul``/``oracles.p2_mul`` on seeded
 inputs (empty and zero operands, truncation, large and mixed denominators,
 pure-imaginary entries), check that every output triple is normalized, and
-count the normalizations.
+count the normalizations.  ``rref`` eliminates fraction-free over one
+denominator per row; it must return the same pivots and the same triples
+as a plain Gauss-Jordan over ``Fraction`` pairs (``oracles.rref_reference``)
+on rank-deficient matrices, augmented ones with ``limit`` below the width,
+non-real pivots, rows of mixed denominators and sizes up to 40 by 90.
 """
 
 import random
@@ -15,7 +19,7 @@ from math import gcd
 import pytest
 
 from cuspfol import _backend
-from cuspfol._backend import QZERO, jet1_mul, jet2_mul, qnorm
+from cuspfol._backend import QONE, QZERO, jet1_mul, jet2_mul, qadd, qmul, qnorm, rref
 
 import oracles
 
@@ -178,3 +182,108 @@ class TestJet2Mul:
         assert jet2_mul(one, {}, 3) == {}
         assert jet2_mul({(0, 0): QZERO, (2, 1): QZERO}, one, 3) == {}
         assert jet2_mul(one, one, 0) == {(0, 0): (0, 1, 2)}
+
+
+def random_matrix(rng, nrows, ncols, dens, zero=0.25, kind="any"):
+    return [
+        [rand_triple(rng, dens, zero, kind) for _ in range(ncols)] for _ in range(nrows)
+    ]
+
+
+def augmented(rows, rhs):
+    """``rows | rhs | identity``, the matrix a certified solve eliminates."""
+    m = len(rows)
+    return [
+        row + [b] + [QONE if j == k else QZERO for j in range(m)]
+        for k, (row, b) in enumerate(zip(rows, rhs))
+    ]
+
+
+def low_rank_matrix(rng, nrows, rank, ncols, zero):
+    """A product of random nrows x rank and rank x ncols matrices."""
+    left = random_matrix(rng, nrows, rank, DENOMS["mixed"], zero)
+    right = random_matrix(rng, rank, ncols, DENOMS["mixed"], zero)
+    rows = []
+    for coeffs in left:
+        row = [QZERO] * ncols
+        for c, base in zip(coeffs, right):
+            if c != QZERO:
+                row = [qadd(v, qmul(c, w)) for v, w in zip(row, base)]
+        rows.append(row)
+    return rows
+
+
+def assert_rref_matches_reference(rows, limit):
+    want_rows = [[pair(t) for t in row] for row in rows]
+    want = oracles.rref_reference(want_rows, limit)
+    work = [list(row) for row in rows]
+    got = rref(work, limit)
+    assert got == want
+    for row in work:
+        for t in row:
+            assert_normalized(t)
+    assert [[pair(t) for t in row] for row in work] == want_rows
+    return got
+
+
+class TestRref:
+    @pytest.mark.parametrize("seed", [9, 10])
+    def test_matches_reference(self, seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            dens = DENOMS[rng.choice(sorted(DENOMS))]
+            m, n = rng.randint(1, 9), rng.randint(1, 12)
+            zero = rng.choice([0, 0.5, 0.8])
+            kind = rng.choice(["any", "real", "imag"])
+            rows = random_matrix(rng, m, n, dens, zero, kind)
+            assert_rref_matches_reference(rows, rng.randint(0, n))
+
+    def test_empty_and_zero_matrices(self):
+        assert rref([], 3) == []
+        rows = [[QZERO] * 4 for _ in range(3)]
+        assert rref(rows, 4) == []
+        assert rows == [[QZERO] * 4 for _ in range(3)]
+
+    def test_rank_deficient(self):
+        rng = random.Random(12)
+        for rank in (1, 2, 4, 7):
+            rows = low_rank_matrix(rng, 10, rank, 14, zero=0.25)
+            assert len(assert_rref_matches_reference(rows, 14)) <= rank
+
+    def test_right_hand_side_and_identity_block(self):
+        rng = random.Random(13)
+        for m, n in ((6, 4), (8, 8), (12, 9), (10, 16)):
+            a = random_matrix(rng, m, n, DENOMS["mixed"], zero=0.6)
+            rhs = [rand_triple(rng, DENOMS["mixed"], zero=0.5) for _ in range(m)]
+            assert_rref_matches_reference(augmented(a, rhs), n)
+
+    def test_non_real_pivots(self):
+        # every input entry has a nonzero imaginary part, so the first pivot
+        # is never real and later ones seldom are
+        rng = random.Random(14)
+        for _ in range(5):
+            rows = [
+                [
+                    qnorm(rng.randint(-5, 5), rng.choice([-2, -1, 1, 2]), rng.choice([1, 2, 5]))
+                    for _ in range(10)
+                ]
+                for _ in range(8)
+            ]
+            assert_rref_matches_reference(rows, 7)
+
+    def test_rows_with_mixed_denominators(self):
+        # Gaussian rationals over denominators 1..3 and above 2**64: a row's
+        # entries need not share a denominator
+        rng = random.Random(15)
+        small = random_matrix(rng, 16, 16, [1, 2, 3], zero=0.1)
+        assert len(assert_rref_matches_reference(small, 16)) == 16
+        big = random_matrix(rng, 8, 12, DENOMS["big"], zero=0.3)
+        assert_rref_matches_reference(big, 12)
+
+    def test_40_by_90(self):
+        # the shape of a certified split: 49 unknowns of rank 16, a
+        # right-hand side and a 40-row identity block
+        rng = random.Random(16)
+        a = low_rank_matrix(rng, 40, 16, 49, zero=0.85)
+        rhs = [QONE if k == 3 else QZERO for k in range(40)]
+        assert len(assert_rref_matches_reference(augmented(a, rhs), 49)) == 16

@@ -282,6 +282,9 @@ MALFORMED = [
     ('(1+x)^4*(1+x)^4 dx', 7, 'the product has degree 8; raise --order (currently 7) to keep the computation exact', 1, 8),
     ('mero: (1+x)^3*(1+y)^3/x', 5, 'the product has degree 6; raise --order (currently 5) to keep the computation exact', 1, 14),
     ('mero: y/(1+x^2)/(1+y^2)', 3, 'the quotient has degree 4; raise --order (currently 3) to keep the computation exact', 1, 16),
+    # a sum over denominators is checked at its operator once it is formed
+    ('mero: 1/x^9 - 1/y^9', 16, 'the difference has degree 18; raise --order (currently 16) to keep the computation exact', 1, 13),
+    ('mero: x + 1/(1+y^16)', 16, 'the sum has degree 17; raise --order (currently 16) to keep the computation exact', 1, 9),
     ('(1+x)/(x - x) dx', 8, 'division by zero', 1, 6),
     # only ASCII digits start an integer literal
     ('x^² dx', 8, "unexpected character '²'", 1, 3),
@@ -323,8 +326,9 @@ def test_power_beyond_the_order_is_refused_before_it_is_expanded():
     [
         ("*".join(["(1+x+y)"] * 120) + " dx", "the product has degree 17", 128),
         ("mero: x" + "/(1+x+y)" * 120, "the quotient has degree 17", 136),
+        ("mero: " + " + ".join(["1/(1+x+y)"] * 60), "the sum has degree 17", 197),
     ],
-    ids=["product", "quotient"],
+    ids=["product", "quotient", "sum"],
 )
 def test_products_and_quotients_beyond_the_order_are_refused_at_their_operator(text, message, col):
     start = time.perf_counter()
@@ -338,6 +342,9 @@ def test_products_and_quotients_beyond_the_order_are_refused_at_their_operator(t
 
 
 def test_products_within_the_order_still_parse():
+    assert parse_form("mero: 1/(1+x^8) + 1/(1+y^8)", order=16) == parse_form(
+        "mero: (2+x^8+y^8)/((1+x^8)*(1+y^8))", order=16
+    )
     assert parse_form("(1+x)^4*(1+x)^4 dx", order=8) == parse_form("(1+x)^8 dx", order=8)
     # a zero factor makes the product zero, whatever the other factor's degree
     assert parse_form("0*(x^9 + 1) dx + x dy", order=8) == parse_form("x dy", order=8)

@@ -26,6 +26,14 @@ def test_trim_converts_and_strips_trailing_zeros():
     assert poly.scale((1, 2), 0) == ()
 
 
+def test_trim_takes_coeffs_ints_and_fractions_alike():
+    half = Fraction(1, 2)
+    want = (Coeff(half), Coeff(0), Coeff(2, 1))
+    assert poly.trim([half, 0, Coeff(2, 1), Fraction(0), Coeff(0)]) == want
+    assert poly.trim((Coeff(half), Coeff(0), Coeff(2, 1))) == want
+    assert all(type(c) is Coeff for c in poly.trim([half, 3, I]))
+
+
 def test_divmod_by_a_divisor_with_trailing_zeros():
     a = from_roots(1, 2, 3)
     b = from_roots(1, 2) + (Coeff(0), Coeff(0))
