@@ -177,8 +177,7 @@ def jet2_mul(da, db, n):
 def rref(rows, limit):
     """Reduced row echelon form in place, pivoting only in the first
     ``limit`` columns; row operations apply to the full rows, so columns
-    beyond ``limit`` may carry an augmented right-hand side or an identity
-    block for certificate extraction.
+    beyond ``limit`` may carry an augmented right-hand side.
 
     The pivot of column ``c`` is the first row at or below the current one
     that is nonzero there.  Every other row is cleared in that column, and
@@ -200,7 +199,13 @@ def rref(rows, limit):
     Each row is converted back to normalized triples once, at the end: a
     pivot row over its pivot, any other row over its denominator.
 
-    Returns the list of pivot columns (in row order).
+    Returns ``(pivots, origin)``: the pivot columns in row order, and for
+    each output row the index of the input row it came from (the
+    permutation the pivot swaps applied).  Since a row is never scaled
+    unless it pivots and never added into another but as a multiple of a
+    pivot row, output row k >= len(pivots) is input row ``origin[k]`` minus
+    a combination of input rows ``origin[:len(pivots)]``, which are
+    independent.
     """
     nrows = len(rows)
     work = []
@@ -211,6 +216,7 @@ def rref(rows, limit):
         dens.append(den)
     # row k's stored parts are cuts[k] times its parts in lowest terms
     cuts = [1] * nrows
+    origin = list(range(nrows))
     pivots = []
     r = 0
     for c in range(limit):
@@ -220,7 +226,7 @@ def rref(rows, limit):
         if p == nrows:
             continue
         if p != r:
-            for lst in (rows, work, dens, cuts):
+            for lst in (rows, work, dens, cuts, origin):
                 lst[p], lst[r] = lst[r], lst[p]
         prow = work[r]
         pa, pb = prow[c]
@@ -279,4 +285,4 @@ def rref(rows, limit):
         for m, (a, b) in row.items():
             out[m] = qnorm(a, b, den)
         rows[k] = out
-    return pivots
+    return pivots, origin

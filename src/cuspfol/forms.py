@@ -148,14 +148,6 @@ def valuation(w: OneForm):
     return w.valuation()
 
 
-def _exponent_map(jet: Jet2, image, order) -> Jet2:
-    """Move each monomial c x^i y^j of ``jet`` to c x^k y^l, (k, l) = image(i, j).
-
-    ``image`` must be one-to-one on the monomials of ``jet``.
-    """
-    return Jet2({image(i, j): c for (i, j), c in jet.items()}, order)
-
-
 def radial_tangency(w: OneForm, degree: int):
     """The cofactor P with  (A_d dx + B_d dy) = P*(x dy - y dx), if it exists.
 
@@ -176,7 +168,7 @@ def radial_tangency(w: OneForm, degree: int):
     if not test.is_zero():
         return None
     # x*A_d = -y*B_d with A_d, B_d not both zero, so B_d != 0 and x | B_d
-    return _exponent_map(bd, lambda i, j: (i - 1, j), n - 1)
+    return bd.exponent_map(lambda i, j: (i - 1, j), n - 1)
 
 
 def pullback_map(w: OneForm, fx: Jet2, fy: Jet2, order=None, variables=None) -> OneForm:
@@ -235,16 +227,16 @@ def pullback_blowup(w: OneForm, chart: str, new_var: str | None = None) -> OneFo
     xname, yname = w.variables
     if chart == "x":
         # A dx + B dy -> (A + t B) dx + x B dt
-        a_new = _exponent_map(w.a, lambda i, j: (i + j, j), out) + _exponent_map(
-            w.b, lambda i, j: (i + j, j + 1), out
+        a_new = w.a.exponent_map(lambda i, j: (i + j, j), out) + w.b.exponent_map(
+            lambda i, j: (i + j, j + 1), out
         )
-        b_new = _exponent_map(w.b, lambda i, j: (i + j + 1, j), out)
+        b_new = w.b.exponent_map(lambda i, j: (i + j + 1, j), out)
         return OneForm(a_new, b_new, (xname, new_var or "t"))
     if chart == "y":
         # A dx + B dy -> y A ds + (s A + B) dy
-        a_new = _exponent_map(w.a, lambda i, j: (i, i + j + 1), out)
-        b_new = _exponent_map(w.a, lambda i, j: (i + 1, i + j), out) + _exponent_map(
-            w.b, lambda i, j: (i, i + j), out
+        a_new = w.a.exponent_map(lambda i, j: (i, i + j + 1), out)
+        b_new = w.a.exponent_map(lambda i, j: (i + 1, i + j), out) + w.b.exponent_map(
+            lambda i, j: (i, i + j), out
         )
         return OneForm(a_new, b_new, (new_var or "s", yname))
     raise ValueError("chart must be 'x' or 'y'")
@@ -263,17 +255,16 @@ def exceptional_divide(w: OneForm, divisor_var: str) -> tuple[OneForm, int]:
     coefficients; k = 0 when nothing divides (or w = 0).
     """
     idx = _axis_index(w, divisor_var)
-    k = None
-    for jet in (w.a, w.b):
-        if jet.is_zero():
-            continue
-        m = min(key[idx] for key, _ in jet.items())
-        k = m if k is None else min(k, m)
+    axis = "xy"[idx]
+    k = min(
+        (v for v in (w.a.valuation(axis), w.b.valuation(axis)) if v is not None),
+        default=0,
+    )
     if not k:
         return w, 0
     n = w.order - k
     shift = (lambda i, j: (i - k, j)) if idx == 0 else (lambda i, j: (i, j - k))
-    return OneForm(_exponent_map(w.a, shift, n), _exponent_map(w.b, shift, n), w.variables), k
+    return OneForm(w.a.exponent_map(shift, n), w.b.exponent_map(shift, n), w.variables), k
 
 
 @dataclass(frozen=True)

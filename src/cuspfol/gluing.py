@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .coeff import Coeff
+from .coeff import ZERO, Coeff
 from .jets import DEFAULT_ORDER, Jet1, Jet2
 from .linalg import SolveResult, solve
 from .moduli import GermDiff1, Homography
@@ -264,7 +264,7 @@ def cocycle_compose_check(
         raise ValueError(
             f"composed map is not of cocycle shape (first minus second component has x1-free monomials {stray})"
         )
-    a_new = Jet2({(i - 1, j): v for (i, j), v in diff.items()}, diff.order - 1)
+    a_new = diff.exponent_map(lambda i, j: (i - 1, j), diff.order - 1)
     return GluingCocycle(sigma_new, a_new)
 
 
@@ -357,12 +357,15 @@ def _solve_coboundary(sigma: GermDiff1, a0: Jet2, target: Jet2, order) -> Coboun
     n = order
     cols, labels, (x3, s2, factor) = _coboundary_columns(sigma, a0, n)
     t_keys = [(i, j) for kind, i, j in labels if kind == "T"]
-    t_cols = [col for col, (kind, _, _) in zip(cols, labels) if kind == "T"]
+    # each column's nonzero monomials, read once and indexed by row key
+    entries = [dict(col.items()) for col in cols]
+    t_entries = [e for e, (kind, _, _) in zip(entries, labels) if kind == "T"]
+    goal = dict(target.items())
     admissible = {(i, j) for kind, i, j in labels if kind == "A2"}
     free_rows = [key for key in _row_keys(n) if key not in admissible]
     res = solve(
-        [[col.coeff(p, q) for col in t_cols] for (p, q) in free_rows],
-        [target.coeff(p, q) for (p, q) in free_rows],
+        [[e.get(key, ZERO) for e in t_entries] for key in free_rows],
+        [goal.get(key, ZERO) for key in free_rows],
         certificate=True,
     )
     rank = len(admissible) + res.rank
@@ -374,8 +377,8 @@ def _solve_coboundary(sigma: GermDiff1, a0: Jet2, target: Jet2, order) -> Coboun
             False, rank, certificate=[(k, w) for k, (_, w) in enumerate(cert)]
         )
         checked = full.check_certificate(
-            [[col.coeff(p, q) for col in cols] for (p, q), _ in cert],
-            [target.coeff(p, q) for (p, q), _ in cert],
+            [[e.get(key, ZERO) for e in entries] for key, _ in cert],
+            [goal.get(key, ZERO) for key, _ in cert],
         )
         return CoboundaryResult(
             False, n, rank, certificate=cert, certificate_checked=checked

@@ -5,8 +5,7 @@ A jet of order N stores exact coefficients for all monomials of total degree
 arithmetic returns new objects and truncates to the minimum of the operand
 orders.  Substitution works at the minimum of the orders of its inputs and
 division needs a unit divisor.  Blow-ups and division by a coordinate are
-monomial changes; the modules that need them write them as exponent maps
-over :meth:`Jet2.items`.
+monomial changes, written as :meth:`Jet2.exponent_map`.
 
 Internally coefficients are the kernel triples (a, b, d) ~ (a+b*i)/d; the
 public surface deals in :class:`~cuspfol.coeff.Coeff`.
@@ -353,11 +352,20 @@ class Jet2(_Jet):
     def is_zero(self):
         return not self._d
 
-    def valuation(self):
-        """Smallest nonzero total degree; None for the zero jet."""
+    def valuation(self, axis=None):
+        """Smallest nonzero total degree; None for the zero jet.
+
+        With ``axis`` "x" (or "y"), the smallest exponent of x (of y) over
+        the nonzero monomials instead: the largest k with x^k dividing.
+        """
         if not self._d:
             return None
-        return min(i + j for (i, j) in self._d)
+        if axis is None:
+            return min(i + j for (i, j) in self._d)
+        if axis not in ("x", "y"):
+            raise JetError("axis must be 'x' or 'y'")
+        k = 0 if axis == "x" else 1
+        return min(key[k] for key in self._d)
 
     def degree(self):
         if not self._d:
@@ -388,6 +396,24 @@ class Jet2(_Jet):
     def homogeneous_part(self, deg) -> "Jet2":
         d = {k: t for k, t in self._d.items() if k[0] + k[1] == deg}
         return Jet2._raw(d, self._n)
+
+    def exponent_map(self, image, order) -> "Jet2":
+        """Move each monomial c x^i y^j to c x^k y^l, (k, l) = image(i, j).
+
+        The result has the given order: images of higher total degree are
+        dropped, and a negative image exponent raises :class:`JetError`.
+        ``image`` must be one-to-one on the monomials of the jet.
+        """
+        if order < 0:
+            raise JetError("order must be >= 0")
+        d = {}
+        for (i, j), t in self._d.items():
+            k, l = image(i, j)
+            if k < 0 or l < 0:
+                raise JetError("negative exponent in Jet2")
+            if k + l <= order:
+                d[(k, l)] = t
+        return Jet2._raw(d, order)
 
     def _bin(self, other, op):
         n = min(self._n, other._n)

@@ -2,9 +2,12 @@
 
 Thin layer over the kernel RREF: solve, rank, determinant, and
 infeasibility certificates.  A certificate for an unsolvable system A x = b
-is a row combination y with  y^T A = 0  and  y^T b != 0  — it is extracted
-from an identity block carried through the reduction, so it is exact and
-re-checkable.
+is a row combination y with  y^T A = 0  and  y^T b != 0.  Only [A | b] is
+eliminated, with no identity block: a non-pivot output row of the kernel
+RREF is its input row minus a combination of the pivot rows' input rows,
+and the kernel reports where each output row came from, so y is read off
+that row permutation (one small square solve when the row is not zero
+itself).  The certificate is exact and re-checkable.
 
 Matrices enter and leave as rows of normalized triples; the kernel
 eliminates them fraction-free, over one denominator per row (see
@@ -54,28 +57,20 @@ def solve(rows, rhs, *, certificate=False) -> SolveResult:
     if m == 0:
         return SolveResult(True, 0, solution=[])
     ncols = len(rows[0])
-    work = []
-    for k in range(m):
-        r = [as_triple(c) for c in rows[k]]
+    a = []
+    for row in rows:
+        r = [as_triple(c) for c in row]
         if len(r) != ncols:
             raise ValueError("ragged matrix")
-        r.append(as_triple(rhs[k]))
-        if certificate:
-            r.extend(QONE if j == k else QZERO for j in range(m))
-        work.append(r)
-    pivots = rref(work, ncols)
+        a.append(r)
+    work = [r + [as_triple(rhs[k])] for k, r in enumerate(a)]
+    pivots, origin = rref(work, ncols)
     rank = len(pivots)
     # Any non-pivot row is zero across the pivot columns; a nonzero
     # right-hand side there certifies infeasibility.
     for r in range(rank, m):
         if not qiszero(work[r][ncols]):
-            cert = None
-            if certificate:
-                cert = [
-                    (j, Coeff.from_triple(work[r][ncols + 1 + j]))
-                    for j in range(m)
-                    if not qiszero(work[r][ncols + 1 + j])
-                ]
+            cert = _certificate(a, pivots, origin, r) if certificate else None
             return SolveResult(False, rank, certificate=cert)
     sol_t = [QZERO] * ncols
     for r, c in enumerate(pivots):
@@ -83,11 +78,35 @@ def solve(rows, rhs, *, certificate=False) -> SolveResult:
     return SolveResult(True, rank, solution=[Coeff.from_triple(t) for t in sol_t])
 
 
+def _certificate(a, pivots, origin, r):
+    """The combination of the rows of ``a`` that :func:`rref` left as row r.
+
+    That row is  y = e_origin[r] - sum_i z_i e_origin[i]  over the pivot
+    rows i, and y^T A = 0; the input pivot rows are independent and their
+    restriction to the pivot columns is square and nonsingular, so z is the
+    solution of  sum_i z_i A[origin[i]] = A[origin[r]]  there.  When
+    A[origin[r]] is zero, z is zero and nothing is eliminated.
+    """
+    rank = len(pivots)
+    target = a[origin[r]]
+    y = {origin[r]: QONE}
+    if not all(qiszero(target[c]) for c in pivots):
+        square = [
+            [a[origin[i]][c] for i in range(rank)] + [target[c]] for c in pivots
+        ]
+        rref(square, rank)
+        for i, row in enumerate(square):
+            if not qiszero(row[rank]):
+                y[origin[i]] = qneg(row[rank])
+    return [(j, Coeff.from_triple(y[j])) for j in sorted(y)]
+
+
 def matrix_rank(rows) -> int:
     if not rows:
         return 0
     work = [[as_triple(c) for c in r] for r in rows]
-    return len(rref(work, len(work[0])))
+    pivots, _ = rref(work, len(work[0]))
+    return len(pivots)
 
 
 def determinant(rows) -> Coeff:

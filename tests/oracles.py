@@ -366,9 +366,11 @@ def rref_reference(rows, limit):
     columns the pivot is the first row at or below the current one that is
     nonzero there; it is swapped up, divided by its pivot, and subtracted
     from every other row that is nonzero in that column.  Returns the pivot
-    columns in row order.
+    columns in row order and, for each output row, the index of the input
+    row it started as.
     """
     pivots = []
+    origin = list(range(len(rows)))
     r = 0
     for c in range(limit):
         if r == len(rows):
@@ -377,6 +379,7 @@ def rref_reference(rows, limit):
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
+        origin[r], origin[p] = origin[p], origin[r]
         inv = ginv(rows[r][c])
         rows[r] = [gmul(v, inv) for v in rows[r]]
         for k in range(len(rows)):
@@ -388,7 +391,36 @@ def rref_reference(rows, limit):
                 ]
         pivots.append(c)
         r += 1
-    return pivots
+    return pivots, origin
+
+
+def solve_reference(rows, rhs):
+    """Solve A x = b over Fraction pairs, carrying an identity block.
+
+    Gauss-Jordan on [A | b | I] with the pivots of :func:`rref_reference`.
+    Returns ``(rank, solution, certificate)``: a particular solution with
+    the free unknowns zero when the system is feasible, and otherwise the
+    identity-block part of the first non-pivot row whose right-hand side is
+    nonzero, as a list of (row index, pair) over its nonzero entries.
+    """
+    m = len(rows)
+    if m == 0:
+        return 0, [], None
+    n = len(rows[0])
+    work = [
+        list(row) + [b] + [ONE if k == j else ZERO for k in range(m)]
+        for j, (row, b) in enumerate(zip(rows, rhs))
+    ]
+    pivots, _ = rref_reference(work, n)
+    rank = len(pivots)
+    for row in work[rank:]:
+        if not g_is_zero(row[n]):
+            cert = [(k, v) for k, v in enumerate(row[n + 1 :]) if not g_is_zero(v)]
+            return rank, None, cert
+    solution = [ZERO] * n
+    for row, c in zip(work, pivots):
+        solution[c] = row[n]
+    return rank, solution, None
 
 
 # --- expression text evaluated at a point ------------------------------------

@@ -237,23 +237,32 @@ def test_sigma_is_solved_at_the_requested_order(monkeypatch, argv):
 def test_cohomology_eliminates_once(monkeypatch):
     # rank, corank, feasibility and the certificate all come from one row
     # reduction of the T columns on the rows no A2 column pivots: 9 by 9 of
-    # the 28 by 28 split matrix at order 6, 51 by 64 of 153 by 166 at order 16
+    # the 28 by 28 split matrix at order 6, 51 by 64 of 153 by 166 at order
+    # 16.  The rows are [A | b], one column wider than A: the certificate
+    # is read off the row permutation, not off an identity block, and the
+    # certified row y1 is zero in A, so no second elimination runs.  glue
+    # builds its cocycle without eliminating.
     import cuspfol.linalg
 
     shapes = []
     rref = cuspfol.linalg.rref
 
     def counting_rref(rows, limit):
-        shapes.append((len(rows), limit))
+        shapes.append((len(rows), limit, len(rows[0])))
         return rref(rows, limit)
 
     monkeypatch.setattr(cuspfol.linalg, "rref", counting_rref)
-    for order, shape in (("6", (9, 9)), ("16", (51, 64))):
+    for order, shape in (("6", (9, 9, 10)), ("16", (51, 64, 65))):
         shapes.clear()
         code, out = run_cli("cohomology", CUSP, "--order", order)
         assert code == 1
         assert verdict_of(out) == "ObstructedDimensionOne"
         assert shapes == [shape]
+    shapes.clear()
+    code, out = run_cli("glue", CUSP, "--order", "16")
+    assert code == 0
+    assert verdict_of(out) == "CocycleBuilt"
+    assert shapes == []
 
 
 ROADMAP = "mero:(y^2+x^3+x^2*y)/(x*y+x^3)"

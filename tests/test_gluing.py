@@ -449,6 +449,31 @@ def test_feasible_split_reads_the_second_field_off_the_remainder():
         assert rebuilt == target
 
 
+def test_feasible_split_eliminates_a_and_b_only(monkeypatch):
+    # a feasible split reads no certificate: its one elimination at order 16
+    # is the 51 by 64 T block and the right-hand side, nothing wider
+    import cuspfol.linalg
+
+    shapes = []
+    rref = cuspfol.linalg.rref
+
+    def counting_rref(rows, limit):
+        shapes.append((len(rows), limit, len(rows[0])))
+        return rref(rows, limit)
+
+    monkeypatch.setattr(cuspfol.linalg, "rref", counting_rref)
+    n = 16
+    sig = germ([Coeff(1), Coeff(1), Coeff(0), Coeff(2)], n)
+    alpha0 = Coeff(-1)
+    tilde = Jet2({(1, 0): Coeff(2), (3, 1): Coeff(0, 1), (5, 4): Coeff(1, 3)}, n)
+    s2 = Jet2.from_jet1(sig.jet, "y")
+    psi_x = Jet2.var_x(n) * Jet2({(0, 0): 1, (0, 1): alpha0}, n) + s2
+    target = psi_x * tilde.substitute(psi_x, s2) - Jet2.monomial(2, 3, 5, n)
+    res = coboundary_solve(sig, alpha0, VectorFieldJet(target), order=n)
+    assert res.feasible
+    assert shapes == [(51, 64, 65)]
+
+
 # ---------------------------------------------------------------------------
 # unfoldings
 

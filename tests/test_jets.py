@@ -208,6 +208,36 @@ class TestJet1:
 
 
 class TestJet2:
+    def test_exponent_map_moves_monomials(self):
+        # the blow-up chart x: x^i y^j -> x^(i+j) y^j, truncated at the order
+        rng = random.Random(19)
+        for order in (0, 3, 7):
+            f = rand_jet2(rng, order)
+            for out in (0, order, 2 * order + 1):
+                got = f.exponent_map(lambda i, j: (i + j, j), out)
+                want = {
+                    (i + j, j): c for (i, j), c in f.items() if i + 2 * j <= out
+                }
+                assert got.order == out
+                assert dict(got.items()) == want
+
+    def test_exponent_map_rejects_negative_exponents(self):
+        f = Jet2({(0, 2): 1, (1, 1): 3}, 4)
+        assert f.exponent_map(lambda i, j: (i, j - 1), 3) == Jet2(
+            {(0, 1): 1, (1, 0): 3}, 3
+        )
+        with pytest.raises(JetError):
+            f.exponent_map(lambda i, j: (i - 1, j), 3)
+        with pytest.raises(JetError):
+            f.exponent_map(lambda i, j: (i, j), -1)
+
+    def test_axis_valuation(self):
+        f = Jet2({(2, 3): 1, (4, 1): Coeff(0, 1), (3, 5): 2}, 8)
+        assert (f.valuation(), f.valuation("x"), f.valuation("y")) == (5, 2, 1)
+        assert Jet2.zero(4).valuation("x") is None
+        with pytest.raises(JetError):
+            f.valuation("z")
+
     def test_mul_matches_oracle(self):
         rng = random.Random(23)
         for _ in range(10):

@@ -6,10 +6,14 @@ tests check them against ``oracles.s_mul``/``oracles.p2_mul`` on seeded
 inputs (empty and zero operands, truncation, large and mixed denominators,
 pure-imaginary entries), check that every output triple is normalized, and
 count the normalizations.  ``rref`` eliminates fraction-free over one
-denominator per row; it must return the same pivots and the same triples
-as a plain Gauss-Jordan over ``Fraction`` pairs (``oracles.rref_reference``)
-on rank-deficient matrices, augmented ones with ``limit`` below the width,
-non-real pivots, rows of mixed denominators and sizes up to 40 by 90.
+denominator per row; it must return the same pivots, the same row origins
+and the same triples as a plain Gauss-Jordan over ``Fraction`` pairs
+(``oracles.rref_reference``) on rank-deficient matrices, augmented ones
+with ``limit`` below the width, non-real pivots, rows of mixed denominators
+and sizes up to 40 by 90.  Through an identity block carried past ``limit``
+the tests also check what a certified solve reads off the origins: a
+non-pivot output row is its input row minus a combination of the pivot
+rows' input rows.
 """
 
 import random
@@ -191,7 +195,8 @@ def random_matrix(rng, nrows, ncols, dens, zero=0.25, kind="any"):
 
 
 def augmented(rows, rhs):
-    """``rows | rhs | identity``, the matrix a certified solve eliminates."""
+    """``rows | rhs | identity``: the identity block records, in each output
+    row, the combination of input rows it is."""
     m = len(rows)
     return [
         row + [b] + [QONE if j == k else QZERO for j in range(m)]
@@ -214,16 +219,28 @@ def low_rank_matrix(rng, nrows, rank, ncols, zero):
 
 
 def assert_rref_matches_reference(rows, limit):
+    """Eliminate ``rows`` in place and compare with the reference."""
     want_rows = [[pair(t) for t in row] for row in rows]
     want = oracles.rref_reference(want_rows, limit)
-    work = [list(row) for row in rows]
-    got = rref(work, limit)
+    got = rref(rows, limit)
     assert got == want
-    for row in work:
+    for row in rows:
         for t in row:
             assert_normalized(t)
-    assert [[pair(t) for t in row] for row in work] == want_rows
+    assert [[pair(t) for t in row] for row in rows] == want_rows
     return got
+
+
+def assert_non_pivot_rows_keep_their_origin(work, width, pivots, origin):
+    """Each non-pivot row of an eliminated ``augmented`` matrix has 1 on its
+    own input row and is supported on the pivot rows' inputs besides."""
+    rank = len(pivots)
+    assert sorted(origin) == list(range(len(work)))
+    for k in range(rank, len(work)):
+        block = work[k][width:]
+        assert block[origin[k]] == QONE
+        support = {j for j, t in enumerate(block) if t != QZERO}
+        assert support <= set(origin[:rank]) | {origin[k]}
 
 
 class TestRref:
@@ -239,23 +256,26 @@ class TestRref:
             assert_rref_matches_reference(rows, rng.randint(0, n))
 
     def test_empty_and_zero_matrices(self):
-        assert rref([], 3) == []
+        assert rref([], 3) == ([], [])
         rows = [[QZERO] * 4 for _ in range(3)]
-        assert rref(rows, 4) == []
+        assert rref(rows, 4) == ([], [0, 1, 2])
         assert rows == [[QZERO] * 4 for _ in range(3)]
 
     def test_rank_deficient(self):
         rng = random.Random(12)
         for rank in (1, 2, 4, 7):
             rows = low_rank_matrix(rng, 10, rank, 14, zero=0.25)
-            assert len(assert_rref_matches_reference(rows, 14)) <= rank
+            pivots, _ = assert_rref_matches_reference(rows, 14)
+            assert len(pivots) <= rank
 
     def test_right_hand_side_and_identity_block(self):
         rng = random.Random(13)
         for m, n in ((6, 4), (8, 8), (12, 9), (10, 16)):
             a = random_matrix(rng, m, n, DENOMS["mixed"], zero=0.6)
             rhs = [rand_triple(rng, DENOMS["mixed"], zero=0.5) for _ in range(m)]
-            assert_rref_matches_reference(augmented(a, rhs), n)
+            work = augmented(a, rhs)
+            pivots, origin = assert_rref_matches_reference(work, n)
+            assert_non_pivot_rows_keep_their_origin(work, n + 1, pivots, origin)
 
     def test_non_real_pivots(self):
         # every input entry has a nonzero imaginary part, so the first pivot
@@ -276,14 +296,17 @@ class TestRref:
         # entries need not share a denominator
         rng = random.Random(15)
         small = random_matrix(rng, 16, 16, [1, 2, 3], zero=0.1)
-        assert len(assert_rref_matches_reference(small, 16)) == 16
+        assert len(assert_rref_matches_reference(small, 16)[0]) == 16
         big = random_matrix(rng, 8, 12, DENOMS["big"], zero=0.3)
         assert_rref_matches_reference(big, 12)
 
     def test_40_by_90(self):
-        # the shape of a certified split: 49 unknowns of rank 16, a
-        # right-hand side and a 40-row identity block
+        # 49 unknowns of rank 16, a right-hand side and a 40-row identity
+        # block: 24 non-pivot rows, each a combination of up to 17 inputs
         rng = random.Random(16)
         a = low_rank_matrix(rng, 40, 16, 49, zero=0.85)
         rhs = [QONE if k == 3 else QZERO for k in range(40)]
-        assert len(assert_rref_matches_reference(augmented(a, rhs), 49)) == 16
+        work = augmented(a, rhs)
+        pivots, origin = assert_rref_matches_reference(work, 49)
+        assert len(pivots) == 16
+        assert_non_pivot_rows_keep_their_origin(work, 50, pivots, origin)

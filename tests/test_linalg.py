@@ -60,6 +60,47 @@ def test_certificate_random_rank_deficient():
     assert hits > 0
 
 
+def test_certificate_matches_identity_block_reference():
+    # solve reads the certificate off the row permutation of [A | b]; it must
+    # be exactly the identity-block row a Gauss-Jordan on [A | b | I] leaves:
+    # one row when the infeasible row of A is zero, several otherwise
+    rng = random.Random(107)
+    kinds = {"feasible": 0, "single": 0, "multi": 0, "complex": 0}
+    for _ in range(300):
+        m, n, k = rng.randint(1, 7), rng.randint(1, 6), rng.randint(1, 4)
+        base = [[rand_coeff(rng) for _ in range(n)] for _ in range(k)]
+        rows = []
+        for _ in range(m):
+            draw = rng.random()
+            if draw < 0.15:
+                rows.append([Coeff(0)] * n)
+            elif draw < 0.6:
+                cs = [rand_coeff(rng) for _ in range(k)]
+                rows.append(
+                    [sum((c * b[j] for c, b in zip(cs, base)), Coeff(0)) for j in range(n)]
+                )
+            else:
+                rows.append([rand_coeff(rng) for _ in range(n)])
+        rhs = [rand_coeff(rng) for _ in range(m)]
+        rank, solution, cert = oracles.solve_reference(
+            [[oracles.pair_of_coeff(c) for c in row] for row in rows],
+            [oracles.pair_of_coeff(c) for c in rhs],
+        )
+        res = solve(rows, rhs, certificate=True)
+        assert res.rank == rank
+        if cert is None:
+            kinds["feasible"] += 1
+            assert res.feasible and res.certificate is None
+            assert [oracles.pair_of_coeff(c) for c in res.solution] == solution
+            continue
+        assert not res.feasible
+        assert [(j, oracles.pair_of_coeff(c)) for j, c in res.certificate] == cert
+        assert res.check_certificate(rows, rhs)
+        kinds["single" if len(cert) == 1 else "multi"] += 1
+        kinds["complex"] += any(v[1] for _, v in cert)
+    assert min(kinds.values()) >= 10, kinds
+
+
 def test_rank_transpose_invariant():
     rng = random.Random(109)
     for _ in range(10):
