@@ -10,7 +10,9 @@ as plain ``key: value`` lines, or as canonical JSON under ``--json`` (sorted
 keys, two-space indent, so equal inputs give byte-identical output).
 
 Exit status: 0 for a positive verdict, 1 for a negative one, 2 when the
-computation cannot decide at the working order, 3 for invalid input.
+computation cannot decide at the working order, 3 for invalid input, 4 for
+an internal failure (a failed assertion or an arithmetic error in the
+library), reported as the verdict ``InternalError`` with no traceback.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +416,9 @@ def main(argv=None) -> int:
         verdict, data, certs, code = e.verdict, {"error": str(e)}, [], e.code
     except ValueError as e:  # ParseError and JetError among them
         verdict, data, certs, code = "InputError", {"error": str(e)}, [], EXIT_INPUT
+    except (AssertionError, ArithmeticError) as e:  # a fault of the library
+        error = f"{type(e).__name__}: {e}" if str(e) else type(e).__name__
+        verdict, data, certs, code = "InternalError", {"error": error}, [], EXIT_INTERNAL
     report = {
         "command": args.command,
         "order": args.order,

@@ -29,13 +29,15 @@ split becomes one finite exact linear system per jet order.  The single
 obstruction is the y1-coefficient: the system's corank is 1 and the class
 of y1*x1*d/dx1 generates it, which is this module's operational form of
 "the deformation space is one-dimensional".  Both facts come from one
-certified elimination of the split of y1*x1*d/dx1: its rank is the rank
-of the system, and its checked infeasibility certificate shows that the
-generator lies outside the image.  The elimination is small because the
-A2 block pivots itself: each A2 unknown is the column -x1^i y1^j on an
-F2-admissible row, so only the T columns on the remaining rows are
-reduced, and the rank of the system is the number of admissible rows plus
-the rank of that block.
+certified solve of the split of y1*x1*d/dx1: its rank is the rank of the
+system, and its checked infeasibility certificate shows that the generator
+lies outside the image.  The solve is small because the A2 block pivots
+itself: each A2 unknown is the column -x1^i y1^j on an F2-admissible row,
+so only the T columns on the remaining rows are solved, and the rank of
+the system is the number of admissible rows plus the rank of that block.
+It needs no exact elimination either: the y1 row is zero in every T
+column, so it caps the block's rank at rows - 1 and is the certificate,
+and a rank modulo a prime that reaches rows - 1 shows the cap is the rank.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .coeff import ZERO, Coeff
+from ._backend import QZERO
+from .coeff import Coeff
 from .jets import DEFAULT_ORDER, Jet1, Jet2
 from .linalg import SolveResult, solve
 from .moduli import GermDiff1, Homography
@@ -343,29 +346,47 @@ class CoboundaryResult:
         return self.feasible
 
 
+def _rows_on(keys, cols):
+    """The rows ``keys`` of the matrix whose columns are the jets ``cols``.
+
+    Entries are kernel triples, scattered in one pass over each column's
+    nonzero monomials; no ``Coeff`` is built.
+    """
+    index = {key: r for r, key in enumerate(keys)}
+    rows = [[QZERO] * len(cols) for _ in keys]
+    for c, col in enumerate(cols):
+        for key, t in col.triple_items():
+            r = index.get(key)
+            if r is not None:
+                rows[r][c] = t
+    return rows
+
+
 def _solve_coboundary(sigma: GermDiff1, a0: Jet2, target: Jet2, order) -> CoboundaryResult:
-    """Split ``target`` exactly, eliminating only the block the A2 columns miss.
+    """Split ``target`` exactly, reducing only the block the A2 columns miss.
 
     Every A2 column is -x1^i y1^j on an F2-admissible row, so those rows are
     pivoted by A2 before any arithmetic: the rank of the split system is the
     number of admissible rows plus the rank of the T columns on the other
     rows, the system is feasible exactly when that reduced block is, and a
     left-kernel vector of the full system vanishes on the admissible rows.
-    So one elimination of T on the non-admissible rows decides everything;
-    A2 is then read off as the remainder.
+    So one certified solve of T on the non-admissible rows decides
+    everything.  For the split of y1 that solve needs no exact elimination:
+    the y1 row is zero in every T column, which caps the rank, and a rank
+    modulo a prime shows the cap is reached (see :func:`cuspfol.linalg.solve`).
+    An infeasible split's certificate is checked again on the full system; a
+    feasible split reads A2 off as the remainder.
     """
     n = order
     cols, labels, (x3, s2, factor) = _coboundary_columns(sigma, a0, n)
     t_keys = [(i, j) for kind, i, j in labels if kind == "T"]
-    # each column's nonzero monomials, read once and indexed by row key
-    entries = [dict(col.items()) for col in cols]
-    t_entries = [e for e, (kind, _, _) in zip(entries, labels) if kind == "T"]
-    goal = dict(target.items())
+    t_cols = [col for col, (kind, _, _) in zip(cols, labels) if kind == "T"]
+    goal = dict(target.triple_items())
     admissible = {(i, j) for kind, i, j in labels if kind == "A2"}
     free_rows = [key for key in _row_keys(n) if key not in admissible]
     res = solve(
-        [[e.get(key, ZERO) for e in t_entries] for key in free_rows],
-        [goal.get(key, ZERO) for key in free_rows],
+        _rows_on(free_rows, t_cols),
+        [goal.get(key, QZERO) for key in free_rows],
         certificate=True,
     )
     rank = len(admissible) + res.rank
@@ -373,12 +394,12 @@ def _solve_coboundary(sigma: GermDiff1, a0: Jet2, target: Jet2, order) -> Coboun
         cert = [(free_rows[r], w) for r, w in res.certificate]
         # re-check on the full system, every T and every A2 column: only the
         # certificate's own rows enter y^T A and y^T b, so only they are built
+        cert_rows = [key for key, _ in cert]
         full = SolveResult(
             False, rank, certificate=[(k, w) for k, (_, w) in enumerate(cert)]
         )
         checked = full.check_certificate(
-            [[e.get(key, ZERO) for e in entries] for key, _ in cert],
-            [goal.get(key, ZERO) for key, _ in cert],
+            _rows_on(cert_rows, cols), [goal.get(key, QZERO) for key in cert_rows]
         )
         return CoboundaryResult(
             False, n, rank, certificate=cert, certificate_checked=checked
@@ -436,12 +457,15 @@ class CohomologyReport:
 def cohomology_dimension(sigma, alpha0, order) -> CohomologyReport:
     """Corank of the split system = dimension of the deformation space.
 
-    One certified elimination answers both questions: the split of the
+    One certified solve answers both questions: the split of the
     distinguished direction y1 has the rank of the system, and it is
     infeasible, with a checked certificate, exactly when y1 lies outside
-    the image, i.e. spans the quotient.  That elimination reduces only the
-    T columns on the rows that are not F2-admissible (51 by 64 at order
-    16); the A2 columns pivot the admissible rows by themselves.
+    the image, i.e. spans the quotient.  That solve reads only the T
+    columns on the rows that are not F2-admissible (51 by 64 at order 16);
+    the A2 columns pivot the admissible rows by themselves.  In that block
+    the y1 row is zero, which bounds the rank by rows - 1 and certifies
+    infeasibility, and the rank modulo a prime reaches rows - 1, so the
+    corank is 1 with no exact elimination (see :func:`_solve_coboundary`).
     """
     split = coboundary_solve(sigma, alpha0, ks_generator(order), order)
     rows = len(_row_keys(order))

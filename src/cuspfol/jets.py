@@ -344,6 +344,11 @@ class Jet2(_Jet):
             for (i, j), t in sorted(self._d.items(), key=_monokey)
         ]
 
+    def triple_items(self):
+        """(key, triple) pairs of the nonzero monomials, in storage order:
+        the kernel's view, with no ``Coeff`` built."""
+        return self._d.items()
+
     def coeff(self, i, j) -> Coeff:
         if i < 0 or j < 0 or i + j > self._n:
             raise JetError(f"monomial ({i},{j}) outside jet order {self._n}")

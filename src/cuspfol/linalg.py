@@ -2,15 +2,23 @@
 
 Thin layer over the kernel RREF: solve, rank, determinant, and
 infeasibility certificates.  A certificate for an unsolvable system A x = b
-is a row combination y with  y^T A = 0  and  y^T b != 0.  Only [A | b] is
-eliminated, with no identity block: a non-pivot output row of the kernel
-RREF is its input row minus a combination of the pivot rows' input rows,
-and the kernel reports where each output row came from, so y is read off
-that row permutation (one small square solve when the row is not zero
-itself).  The certificate is exact and re-checkable.
+is a row combination y with  y^T A = 0  and  y^T b != 0.
 
-Matrices enter and leave as rows of normalized triples; the kernel
-eliminates them fraction-free, over one denominator per row (see
+A certified solve first looks for the one shape that needs no exact
+elimination: exactly one zero row r0 of A with b[r0] != 0.  That row alone
+bounds the rank by rows - 1 and is a certificate; when the rank modulo a
+prime (:func:`cuspfol.modular.rank_mod_p`) reaches rows - 1, the exact rank
+does too, the left kernel is spanned by e_r0, and the answer is exactly the
+one the elimination would give.  Every other system goes through the
+kernel: only [A | b] is eliminated, with no identity block: a non-pivot
+output row of the kernel RREF is its input row minus a combination of the
+pivot rows' input rows, and the kernel reports where each output row came
+from, so y is read off that row permutation (one small square solve when
+the row is not zero itself).  The certificate is exact and re-checkable.
+
+Matrices enter as rows of Coeff-like entries or of normalized kernel
+triples and leave as rows of triples; the kernel eliminates them
+fraction-free, over one denominator per row (see
 :func:`cuspfol._backend.rref`), and returns every entry normalized again.
 """
 
@@ -20,6 +28,12 @@ from dataclasses import dataclass
 
 from ._backend import QONE, QZERO, qadd, qdiv, qiszero, qmul, qneg, qsub, rref
 from .coeff import Coeff, as_triple
+from .modular import rank_mod_p
+
+
+def _triples(row):
+    """A row of Coeff-like entries or kernel triples, as kernel triples."""
+    return [c if type(c) is tuple else as_triple(c) for c in row]
 
 
 @dataclass
@@ -34,36 +48,46 @@ class SolveResult:
         if self.certificate is None:
             return False
         ncols = len(rows[0]) if rows else 0
+        b = _triples(rhs)
         comb = [QZERO] * ncols
         acc_b = QZERO
         for idx, c in self.certificate:
             ct = c.triple
-            rt = [as_triple(c) for c in rows[idx]]
+            rt = _triples(rows[idx])
             for m in range(ncols):
                 comb[m] = qadd(comb[m], qmul(ct, rt[m]))
-            acc_b = qadd(acc_b, qmul(ct, as_triple(rhs[idx])))
+            acc_b = qadd(acc_b, qmul(ct, b[idx]))
         return all(qiszero(t) for t in comb) and not qiszero(acc_b)
 
 
 def solve(rows, rhs, *, certificate=False) -> SolveResult:
     """Solve A x = b exactly.
 
-    ``rows`` is a list of equation rows (Coeff-like entries), ``rhs`` the
-    right-hand sides.  Returns a particular solution with free variables set
-    to zero, and on infeasibility optionally a Farkas-style certificate
-    (list of (row index, multiplier)).
+    ``rows`` is a list of equation rows (Coeff-like entries or kernel
+    triples), ``rhs`` the right-hand sides.  Returns a particular solution
+    with free variables set to zero, and on infeasibility optionally a
+    Farkas-style certificate (list of (row index, multiplier)).
+
+    With ``certificate``, a system with exactly one zero row r0 and a
+    nonzero b[r0] is answered without elimination when its rank modulo a
+    prime is rows - 1: the zero row caps the rank there, the prime's rank
+    is a lower bound, so the rank is rows - 1 and the certificate is row r0
+    alone, as the elimination would give it.  Anything else is eliminated.
     """
     m = len(rows)
     if m == 0:
         return SolveResult(True, 0, solution=[])
     ncols = len(rows[0])
-    a = []
-    for row in rows:
-        r = [as_triple(c) for c in row]
-        if len(r) != ncols:
-            raise ValueError("ragged matrix")
-        a.append(r)
-    work = [r + [as_triple(rhs[k])] for k, r in enumerate(a)]
+    a = [_triples(row) for row in rows]
+    if any(len(r) != ncols for r in a):
+        raise ValueError("ragged matrix")
+    b = _triples(rhs)
+    if certificate:
+        # triples are normalized, so a zero entry is exactly QZERO
+        zero = [k for k, r in enumerate(a) if r.count(QZERO) == ncols]
+        if len(zero) == 1 and not qiszero(b[zero[0]]) and rank_mod_p(a) == m - 1:
+            return SolveResult(False, m - 1, certificate=[(zero[0], Coeff(1))])
+    work = [r + [b[k]] for k, r in enumerate(a)]
     pivots, origin = rref(work, ncols)
     rank = len(pivots)
     # Any non-pivot row is zero across the pivot columns; a nonzero
@@ -104,7 +128,7 @@ def _certificate(a, pivots, origin, r):
 def matrix_rank(rows) -> int:
     if not rows:
         return 0
-    work = [[as_triple(c) for c in r] for r in rows]
+    work = [_triples(r) for r in rows]
     pivots, _ = rref(work, len(work[0]))
     return len(pivots)
 
@@ -114,7 +138,7 @@ def determinant(rows) -> Coeff:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
-    a = [[as_triple(c) for c in r] for r in rows]
+    a = [_triples(r) for r in rows]
     det = QONE
     for c in range(n):
         p = -1

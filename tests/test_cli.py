@@ -235,34 +235,41 @@ def test_sigma_is_solved_at_the_requested_order(monkeypatch, argv):
 
 
 def test_cohomology_eliminates_once(monkeypatch):
-    # rank, corank, feasibility and the certificate all come from one row
-    # reduction of the T columns on the rows no A2 column pivots: 9 by 9 of
-    # the 28 by 28 split matrix at order 6, 51 by 64 of 153 by 166 at order
-    # 16.  The rows are [A | b], one column wider than A: the certificate
-    # is read off the row permutation, not off an identity block, and the
-    # certified row y1 is zero in A, so no second elimination runs.  glue
-    # builds its cocycle without eliminating.
+    # rank, corank, feasibility and the certificate all come from the T
+    # columns on the rows no A2 column pivots: 9 by 9 of the 28 by 28 split
+    # matrix at order 6, 51 by 64 of 153 by 166 at order 16.  The y1 row is
+    # zero there and certifies by itself; one rank modulo a prime shows the
+    # rank is rows - 1, so no exact elimination runs.  glue builds its
+    # cocycle without eliminating.
     import cuspfol.linalg
 
     shapes = []
+    rrefs = []
+    rank_mod_p = cuspfol.linalg.rank_mod_p
     rref = cuspfol.linalg.rref
 
+    def counting_rank_mod_p(rows):
+        shapes.append((len(rows), len(rows[0])))
+        return rank_mod_p(rows)
+
     def counting_rref(rows, limit):
-        shapes.append((len(rows), limit, len(rows[0])))
+        rrefs.append((len(rows), limit, len(rows[0])))
         return rref(rows, limit)
 
+    monkeypatch.setattr(cuspfol.linalg, "rank_mod_p", counting_rank_mod_p)
     monkeypatch.setattr(cuspfol.linalg, "rref", counting_rref)
-    for order, shape in (("6", (9, 9, 10)), ("16", (51, 64, 65))):
+    for order, shape in (("6", (9, 9)), ("16", (51, 64))):
         shapes.clear()
         code, out = run_cli("cohomology", CUSP, "--order", order)
         assert code == 1
         assert verdict_of(out) == "ObstructedDimensionOne"
         assert shapes == [shape]
+        assert rrefs == []
     shapes.clear()
     code, out = run_cli("glue", CUSP, "--order", "16")
     assert code == 0
     assert verdict_of(out) == "CocycleBuilt"
-    assert shapes == []
+    assert shapes == [] and rrefs == []
 
 
 ROADMAP = "mero:(y^2+x^3+x^2*y)/(x*y+x^3)"
@@ -330,6 +337,128 @@ ORDER_20_REPORTS = [
 def test_order_20_reports_are_pinned(command, text, code, report):
     want = json.dumps(json.loads(report), sort_keys=True, indent=2) + "\n"
     assert run_cli(command, text, "--order", "20", "--json") == (code, want)
+
+
+# The --json reports of cohomology and glue at orders 24 and 32, taken from
+# the exact elimination that the rank modulo a prime replaced.
+ORDER_24_32_REPORTS = [
+    (
+        "cohomology",
+        CUSP,
+        24,
+        1,
+        '{"certificates": [{"checked": true, "infeasibility_rows": [[[0, 1], '
+        '"1"]]}], "command": "cohomology", "data": {"alpha": "-1", "corank": 1,'
+        ' "feasible": false, "generator_independent": true, "rank": 324, '
+        '"rows": 325, "target": "y1 (distinguished vertical direction)"}, '
+        '"order": 24, "verdict": "ObstructedDimensionOne"}'
+    ),
+    (
+        "cohomology",
+        CUSP,
+        32,
+        1,
+        '{"certificates": [{"checked": true, "infeasibility_rows": [[[0, 1], '
+        '"1"]]}], "command": "cohomology", "data": {"alpha": "-1", "corank": 1,'
+        ' "feasible": false, "generator_independent": true, "rank": 560, '
+        '"rows": 561, "target": "y1 (distinguished vertical direction)"}, '
+        '"order": 32, "verdict": "ObstructedDimensionOne"}'
+    ),
+    (
+        "cohomology",
+        ROADMAP,
+        24,
+        1,
+        '{"certificates": [{"checked": true, "infeasibility_rows": [[[0, 1], '
+        '"1"]]}], "command": "cohomology", "data": {"alpha": "-1", "corank": 1,'
+        ' "feasible": false, "generator_independent": true, "rank": 324, '
+        '"rows": 325, "target": "y1 (distinguished vertical direction)"}, '
+        '"order": 24, "verdict": "ObstructedDimensionOne"}'
+    ),
+    (
+        "cohomology",
+        ROADMAP,
+        32,
+        1,
+        '{"certificates": [{"checked": true, "infeasibility_rows": [[[0, 1], '
+        '"1"]]}], "command": "cohomology", "data": {"alpha": "-1", "corank": 1,'
+        ' "feasible": false, "generator_independent": true, "rank": 560, '
+        '"rows": 561, "target": "y1 (distinguished vertical direction)"}, '
+        '"order": 32, "verdict": "ObstructedDimensionOne"}'
+    ),
+    (
+        "glue",
+        CUSP,
+        24,
+        0,
+        '{"certificates": [], "command": "glue", "data": {"alpha": "-1", '
+        '"map_first": "y1 + x1 - x1*y1", "map_second": "y1", "sigma": [[1, '
+        '"1"]], "unit": [[0, 0, "1"], [0, 1, "-1"]]}, "order": 24, "verdict": '
+        '"CocycleBuilt"}'
+    ),
+    (
+        "glue",
+        CUSP,
+        32,
+        0,
+        '{"certificates": [], "command": "glue", "data": {"alpha": "-1", '
+        '"map_first": "y1 + x1 - x1*y1", "map_second": "y1", "sigma": [[1, '
+        '"1"]], "unit": [[0, 0, "1"], [0, 1, "-1"]]}, "order": 32, "verdict": '
+        '"CocycleBuilt"}'
+    ),
+    (
+        "glue",
+        ROADMAP,
+        24,
+        0,
+        '{"certificates": [], "command": "glue", "data": {"alpha": "-1", '
+        '"map_first": "y1 + x1 + y1^2 - x1*y1 + y1^3 + y1^4 + y1^5 + y1^6 + '
+        'y1^7 + y1^8 + y1^9 + y1^10 + y1^11 + y1^12 + y1^13 + y1^14 + y1^15 + '
+        'y1^16 + y1^17 + y1^18 + y1^19 + y1^20 + y1^21 + y1^22 + y1^23 + '
+        'y1^24", "map_second": "y1 + y1^2 + y1^3 + y1^4 + y1^5 + y1^6 + y1^7 + '
+        'y1^8 + y1^9 + y1^10 + y1^11 + y1^12 + y1^13 + y1^14 + y1^15 + y1^16 + '
+        'y1^17 + y1^18 + y1^19 + y1^20 + y1^21 + y1^22 + y1^23 + y1^24", '
+        '"sigma": [[1, "1"], [2, "1"], [3, "1"], [4, "1"], [5, "1"], [6, "1"], '
+        '[7, "1"], [8, "1"], [9, "1"], [10, "1"], [11, "1"], [12, "1"], [13, '
+        '"1"], [14, "1"], [15, "1"], [16, "1"], [17, "1"], [18, "1"], [19, '
+        '"1"], [20, "1"], [21, "1"], [22, "1"], [23, "1"], [24, "1"]], "unit": '
+        '[[0, 0, "1"], [0, 1, "-1"]]}, "order": 24, "verdict": "CocycleBuilt"}'
+    ),
+    (
+        "glue",
+        ROADMAP,
+        32,
+        0,
+        '{"certificates": [], "command": "glue", "data": {"alpha": "-1", '
+        '"map_first": "y1 + x1 + y1^2 - x1*y1 + y1^3 + y1^4 + y1^5 + y1^6 + '
+        'y1^7 + y1^8 + y1^9 + y1^10 + y1^11 + y1^12 + y1^13 + y1^14 + y1^15 + '
+        'y1^16 + y1^17 + y1^18 + y1^19 + y1^20 + y1^21 + y1^22 + y1^23 + y1^24 '
+        '+ y1^25 + y1^26 + y1^27 + y1^28 + y1^29 + y1^30 + y1^31 + y1^32", '
+        '"map_second": "y1 + y1^2 + y1^3 + y1^4 + y1^5 + y1^6 + y1^7 + y1^8 + '
+        'y1^9 + y1^10 + y1^11 + y1^12 + y1^13 + y1^14 + y1^15 + y1^16 + y1^17 +'
+        ' y1^18 + y1^19 + y1^20 + y1^21 + y1^22 + y1^23 + y1^24 + y1^25 + y1^26'
+        ' + y1^27 + y1^28 + y1^29 + y1^30 + y1^31 + y1^32", "sigma": [[1, "1"],'
+        ' [2, "1"], [3, "1"], [4, "1"], [5, "1"], [6, "1"], [7, "1"], [8, "1"],'
+        ' [9, "1"], [10, "1"], [11, "1"], [12, "1"], [13, "1"], [14, "1"], [15,'
+        ' "1"], [16, "1"], [17, "1"], [18, "1"], [19, "1"], [20, "1"], [21, '
+        '"1"], [22, "1"], [23, "1"], [24, "1"], [25, "1"], [26, "1"], [27, '
+        '"1"], [28, "1"], [29, "1"], [30, "1"], [31, "1"], [32, "1"]], "unit": '
+        '[[0, 0, "1"], [0, 1, "-1"]]}, "order": 32, "verdict": "CocycleBuilt"}'
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "command, text, order, code, report",
+    ORDER_24_32_REPORTS,
+    ids=[
+        f"{command}-{'cusp' if text == CUSP else 'roadmap'}-{order}"
+        for command, text, order, _, _ in ORDER_24_32_REPORTS
+    ],
+)
+def test_order_24_and_32_reports_are_pinned(command, text, order, code, report):
+    want = json.dumps(json.loads(report), sort_keys=True, indent=2) + "\n"
+    assert run_cli(command, text, "--order", str(order), "--json") == (code, want)
 
 
 def test_mero_input_is_parsed_once(monkeypatch):
@@ -470,8 +599,9 @@ def test_json_on_random_inputs_parses():
         assert code in (0, 1, 2)
         assert isinstance(rep["verdict"], str) and rep["verdict"]
     # Raw mero draws through every command that computes sigma; many of them
-    # are defect (a) inputs, on which normal-form still raises (its data
-    # misses the degree-5 modulus), so normal-form is not asked here.
+    # are defect (a) inputs, on which normal-form still fails with
+    # InternalError (its data misses the degree-5 modulus), so normal-form
+    # is not asked here.
     rng = random.Random(0x3E0)
     for _ in range(8):
         text = raw_mero(rng)
@@ -492,6 +622,23 @@ def test_json_on_random_inputs_parses():
                 for cert in rep["certificates"]:
                     if isinstance(cert, dict):
                         assert cert["checked"] is True, argv
+
+
+def test_internal_failure_has_its_own_exit_code(capsys):
+    # a defect (a) input: normalize fails an internal assertion, which must
+    # come out as InternalError with exit 4, not as a traceback or InputError
+    argv = ["normal-form", "mero:(y^2+x^3+y^3)/(x*y)", "--order", "8"]
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert verdict_of(out) == "InternalError"
+    assert "error: AssertionError: " in out
+    assert err == "" and "Traceback" not in out
+    assert main(argv + ["--json"]) == 4
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert rep["verdict"] == "InternalError"
+    assert rep["data"]["error"].startswith("AssertionError: ")
+    assert rep["certificates"] == [] and err == ""
 
 
 def test_subprocess_entry_point(tmp_path):

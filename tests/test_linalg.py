@@ -1,8 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
+import pytest
+
+import cuspfol.linalg
 from cuspfol import Coeff
 from cuspfol.linalg import determinant, matrix_rank, solve
+from cuspfol.modular import IOTA, P, rank_mod_p
 
 import oracles
 
@@ -124,3 +129,135 @@ def test_determinant_vs_cofactor_oracle():
 
 def test_determinant_singular():
     assert determinant([[1, 2], [2, 4]]).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the certified solve through the rank modulo a prime
+
+
+def test_prime_and_square_root_of_minus_one():
+    assert P > 2 and all(P % k for k in range(2, math.isqrt(P) + 1))
+    assert P % 4 == 1
+    assert IOTA * IOTA % P == P - 1
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Record every kernel rref and every rank modulo P that solve runs."""
+    calls = {"rref": 0, "rank_mod_p": []}
+    rref = cuspfol.linalg.rref
+
+    def counting_rref(rows, limit):
+        calls["rref"] += 1
+        return rref(rows, limit)
+
+    def recording_rank_mod_p(rows):
+        rank = rank_mod_p(rows)
+        calls["rank_mod_p"].append(rank)
+        return rank
+
+    monkeypatch.setattr(cuspfol.linalg, "rref", counting_rref)
+    monkeypatch.setattr(cuspfol.linalg, "rank_mod_p", recording_rank_mod_p)
+    return calls
+
+
+def assert_matches_reference(rows, rhs):
+    """solve(..., certificate=True) gives the oracle's rank, feasibility and
+    certificate, and the certificate checks."""
+    rank, _, cert = oracles.solve_reference(
+        [[oracles.pair_of_coeff(Coeff(c)) for c in row] for row in rows],
+        [oracles.pair_of_coeff(Coeff(c)) for c in rhs],
+    )
+    res = solve(rows, rhs, certificate=True)
+    assert res.rank == rank
+    assert res.feasible == (cert is None)
+    if cert is not None:
+        assert [(j, oracles.pair_of_coeff(c)) for j, c in res.certificate] == cert
+        assert res.check_certificate(rows, rhs)
+    return res
+
+
+def planted(rng, m, n, zero_rows, rank):
+    """An m by n complex system: ``rank`` random rows, the others but
+    ``zero_rows`` random combinations of them, ``zero_rows`` zero rows at
+    random places, and a right-hand side nonzero on every row."""
+    base = [[rand_coeff(rng) for _ in range(n)] for _ in range(rank)]
+    rows = list(base)
+    for _ in range(m - zero_rows - rank):
+        cs = [rand_coeff(rng) for _ in range(rank)]
+        rows.append(
+            [sum((c * b[j] for c, b in zip(cs, base)), Coeff(0)) for j in range(n)]
+        )
+    rng.shuffle(rows)
+    for _ in range(zero_rows):
+        rows.insert(rng.randint(0, len(rows)), [Coeff(0)] * n)
+    rhs = []
+    for _ in range(m):
+        c = rand_coeff(rng)
+        rhs.append(c if c else Coeff(1, 1))
+    return rows, rhs
+
+
+def test_one_zero_row_of_corank_one_needs_no_elimination(eliminations):
+    rng = random.Random(131)
+    for _ in range(60):
+        m = rng.randint(1, 8)
+        n = rng.randint(m - 1, m + 3)
+        rows, rhs = planted(rng, m, n, 1, m - 1)
+        res = assert_matches_reference(rows, rhs)
+        assert not res.feasible and res.rank == m - 1
+        assert len(res.certificate) == 1
+    assert eliminations["rref"] == 0
+    assert len(eliminations["rank_mod_p"]) == 60
+
+
+def test_two_zero_rows_or_corank_two_are_eliminated(eliminations):
+    rng = random.Random(137)
+    for zero_rows, short in ((2, 0), (1, 1), (1, 2), (3, 1)):
+        for _ in range(15):
+            m = rng.randint(zero_rows + short, 8)
+            n = rng.randint(1, 6)
+            rank = min(m - zero_rows - short, n)
+            rows, rhs = planted(rng, m, n, zero_rows, rank)
+            calls = eliminations["rref"]
+            res = assert_matches_reference(rows, rhs)
+            assert not res.feasible and res.rank <= m - 2
+            assert eliminations["rref"] > calls
+    # a single zero row of corank two is sent to the rank, which falls short
+    assert eliminations["rank_mod_p"]
+    assert all(r is not None for r in eliminations["rank_mod_p"])
+
+
+def test_rank_lost_modulo_the_prime_falls_back(eliminations):
+    # two rows that differ by P*e_1: independent over Q(i), equal modulo P
+    rng = random.Random(139)
+    for _ in range(10):
+        v = [rand_coeff(rng) for _ in range(3)]
+        w = [v[0], v[1] + P, v[2]]
+        rows = [v, [Coeff(0)] * 3, w]
+        rhs = [rand_coeff(rng), Coeff(1), rand_coeff(rng)]
+        res = assert_matches_reference(rows, rhs)
+        assert res.rank == 2
+        assert res.certificate == [(1, Coeff(1))]
+    assert eliminations["rank_mod_p"] == [1] * 10
+    assert eliminations["rref"] == 10
+
+
+def test_denominator_divisible_by_the_prime_falls_back(eliminations):
+    half = Coeff(Fraction(1, P), 2)
+    assert rank_mod_p([[half.triple]]) is None
+    rows = [[half, Coeff(1)], [Coeff(0), Coeff(0)], [Coeff(3), Coeff(1, 1)]]
+    rhs = [Coeff(0), Coeff(2), Coeff(5)]
+    res = assert_matches_reference(rows, rhs)
+    assert res.rank == 2 and res.certificate == [(1, Coeff(1))]
+    assert eliminations["rank_mod_p"] == [None]
+    assert eliminations["rref"] == 1
+
+
+def test_rank_mod_p_agrees_with_the_exact_rank():
+    rng = random.Random(149)
+    for _ in range(40):
+        m, n, k = rng.randint(1, 7), rng.randint(1, 7), rng.randint(0, 5)
+        rows, _ = planted(rng, m, n, 0, min(k, m, n))
+        triples = [[c.triple for c in row] for row in rows]
+        assert rank_mod_p(triples) == matrix_rank(rows)
