@@ -1,8 +1,8 @@
 """The arithmetic kernel.
 
 Everything hot in the library bottoms out here: exact arithmetic in Q(i),
-truncated power-series convolution in one and two variables, and reduced row
-echelon form over Q(i).
+truncated power-series convolution in one and two variables, substitution
+into two-variable series, and reduced row echelon form over Q(i).
 
 A Gaussian-rational scalar is a normalized integer triple ``(a, b, d)``
 standing for ``(a + b*i)/d`` with ``d > 0`` and ``gcd(a, b, d) == 1``.  Zero
@@ -14,6 +14,16 @@ their denominators, the Gaussian-integer numerators are convolved in plain
 integers, and each nonzero output coefficient is normalized once, over the
 product of the two lcms.  A product therefore makes one ``qnorm`` per output
 coefficient, not one per term and one per partial sum.
+
+Substitution (:func:`jet2_substitute`) and the pullback of a 1-form
+(:func:`jet2_pullback`) follow the same rule, with one denominator per
+substitution: the coefficients and the targets are scaled to their lcms,
+the sum of the substituted monomials is taken in Gaussian integers over the
+lcm of the denominators they pick up from the targets, and each nonzero
+output coefficient is normalized once.  A pullback multiplies both
+substituted coefficients by the Jacobian numerators before that one
+normalization.  The two-variable routines share one integer multiply-add
+loop, :func:`_convolve`.
 
 The elimination (:func:`rref`) works the same way, one denominator per
 row: rows are sparse Gaussian-integer numerators over that denominator,
@@ -141,23 +151,24 @@ def jet1_mul(ca, cb, n):
     return out
 
 
-def jet2_mul(da, db, n):
-    """Multiply two sparse 2-variable jets given as {(i, j): triple} dicts.
+def _terms(d, n):
+    """The nonzero terms of a {(i, j): triple} dict up to total degree n, as
+    ``(i, j, i + j, a, b, d)`` tuples ready for :func:`_scaled`."""
+    return [
+        (i, j, i + j, a, b, d)
+        for (i, j), (a, b, d) in d.items()
+        if (a or b) and i + j <= n
+    ]
 
-    Keys with total degree > n are dropped; zero results are not stored.
-    As in :func:`jet1_mul`, the numerators are convolved over each operand's
-    lcm of denominators and each nonzero output coefficient is normalized
-    once.  Keys appear in the order their first product is formed.
+
+def _convolve(ta, tb, n, acc):
+    """Add the product of two numerator term lists into ``acc``.
+
+    Terms are ``(i, j, i + j, a, b, _)`` with Gaussian-integer numerators
+    ``a + b*i``; the last slot is not read.  Products of total degree above n
+    are dropped.  ``acc`` maps keys to ``[re, im]`` and is returned; new keys
+    appear in the order their first product is formed.
     """
-    ta, dena = _scaled(
-        [(i, j, i + j, a, b, d) for (i, j), (a, b, d) in da.items() if a or b]
-    )
-    if not ta:
-        return {}
-    tb, denb = _scaled(
-        [(i, j, i + j, a, b, d) for (i, j), (a, b, d) in db.items() if a or b]
-    )
-    acc = {}
     for i1, j1, e1, a1, b1, _ in ta:
         room = n - e1
         for i2, j2, e2, a2, b2, _ in tb:
@@ -170,8 +181,177 @@ def jet2_mul(da, db, n):
             else:
                 cur[0] += a1 * a2 - b1 * b2
                 cur[1] += a1 * b2 + b1 * a2
-    den = dena * denb
+    return acc
+
+
+def _numerators(acc):
+    """An accumulator ``{key: [re, im]}`` as a term list for :func:`_convolve`."""
+    return [(i, j, i + j, re, im, 1) for (i, j), (re, im) in acc.items() if re or im]
+
+
+def _normalized(acc, den):
+    """An accumulator over ``den`` as a triple dict: one ``qnorm`` per
+    nonzero coefficient."""
     return {key: qnorm(re, im, den) for key, (re, im) in acc.items() if re or im}
+
+
+def jet2_mul(da, db, n):
+    """Multiply two sparse 2-variable jets given as {(i, j): triple} dicts.
+
+    Keys with total degree > n are dropped; zero results are not stored.
+    As in :func:`jet1_mul`, the numerators are convolved over each operand's
+    lcm of denominators and each nonzero output coefficient is normalized
+    once.  Keys appear in the order their first product is formed.
+    """
+    ta, dena = _scaled(_terms(da, n))
+    if not ta:
+        return {}
+    tb, denb = _scaled(_terms(db, n))
+    return _normalized(_convolve(ta, tb, n, {}), dena * denb)
+
+
+def _fixed_degree(dx, dy, n):
+    """Lowest degree of the monomials that (dx, dy) fixes modulo degree n + 1.
+
+    For a change tangent to the identity, x + p and y + q with p and q of
+    lowest degree v >= 2, every monomial of degree d >= n - v + 2 maps to
+    itself plus terms of degree d + v - 1 > n.  Any other change fixes no
+    monomial, which is reported as n + 1.
+    """
+    if dx.get((1, 0)) != QONE or dy.get((0, 1)) != QONE or (0, 1) in dx or (1, 0) in dy:
+        return n + 1
+    v = min(
+        (i + j for part in (dx, dy) for (i, j) in part if 2 <= i + j <= n),
+        default=n + 2,
+    )
+    return n - v + 2
+
+
+def _substitute(polys, dx, dy, n):
+    """Substitute the targets into each {key: triple} dict of ``polys``.
+
+    The targets ``dx`` and ``dy`` vanish at the origin and are read up to
+    degree n.  Returns ``(accs, den)``: per poly a ``{key: [re, im]}``
+    accumulator of Gaussian-integer numerators of its substitution, all over
+    the one positive denominator ``den``.
+
+    The polys' terms are scaled to their lcm ``ea`` as numerators A_ij, and
+    the targets to theirs, fx = FX/ex and fy = FY/ey, so a substituted
+    monomial is A_ij FX^i FY^j / (ea ex^i ey^j).  The sum is taken over
+    ``den = ea * L`` with L the lcm of ex^i ey^j over the substituted
+    monomials, not the product ex^I ey^J of the largest powers: dense
+    targets have ex = ey, and then L is ex to the largest i + j, about half
+    the size of that product for a dense jet.  With
+
+        G_i = sum_j A_ij (L / ex^i ey^j) FY^j,
+
+    the numerator sum_i FX^i G_i is evaluated by Horner's rule in FX, one
+    product by FX per power of x, so no power of FX is formed.  The powers
+    FY^j are built once and shared by the polys.  Monomials that the change
+    fixes (see :func:`_fixed_degree`) are copied.
+    """
+    fixed = _fixed_degree(dx, dy, n)
+    ta, ea = _scaled(
+        [
+            (p, i, j, a, b, d)
+            for p, poly in enumerate(polys)
+            for (i, j), (a, b, d) in poly.items()
+            if (a or b) and i + j <= n
+        ]
+    )
+    accs = [{} for _ in polys]
+    groups = [{} for _ in polys]  # per poly, i -> [(j, A_ij)] to substitute
+    for p, i, j, a, b, _ in ta:
+        if i + j >= fixed:
+            accs[p][(i, j)] = [a, b]
+        else:
+            groups[p].setdefault(i, []).append((j, a, b))
+    if not any(groups):
+        return accs, ea
+    tx, ex = _scaled(_terms(dx, n))
+    ty, ey = _scaled(_terms(dy, n))
+    top = {}  # i -> the largest j substituted with it
+    for g in groups:
+        for i, row in g.items():
+            top[i] = max(top.get(i, 0), max(j for j, _, _ in row))
+    top_j = max(top.values())
+    exp_x = [1]
+    for _ in range(max(top)):
+        exp_x.append(exp_x[-1] * ex)
+    exp_y = [1]
+    for _ in range(top_j):
+        exp_y.append(exp_y[-1] * ey)
+    lcm = 1
+    for i, j in top.items():
+        q = exp_x[i] * exp_y[j]
+        lcm = lcm // gcd(lcm, q) * q
+    if lcm != 1:
+        for acc in accs:
+            for cur in acc.values():
+                cur[0] *= lcm
+                cur[1] *= lcm
+    py = [[(0, 0, 0, 1, 0, 1)], ty]
+    for _ in range(top_j - 1):
+        py.append(_numerators(_convolve(py[-1], ty, n, {})))
+    for out, g in zip(accs, groups):
+        horner = []  # sum over i' > i of FX^(i'-i-1) G_i'
+        for i in range(max(g, default=-1), -1, -1):
+            # G_i + FX * horner, up to degree n - i: it is multiplied by
+            # FX^i, of valuation >= i
+            acc = out if i == 0 else {}
+            for j, a, b in g.get(i, ()):
+                s = lcm // (exp_x[i] * exp_y[j])
+                _convolve([(0, 0, 0, a * s, b * s, 1)], py[j], n - i, acc)
+            if horner:
+                _convolve(horner, tx, n - i, acc)
+            if i:
+                horner = _numerators(acc)
+    return accs, ea * lcm
+
+
+def jet2_substitute(d, dx, dy, n):
+    """d(dx, dy) at order n, for targets vanishing at the origin.
+
+    One denominator for the whole substitution (see :func:`_substitute`) and
+    one ``qnorm`` per nonzero output coefficient.
+    """
+    (acc,), den = _substitute([d], dx, dy, n)
+    return _normalized(acc, den)
+
+
+def jet2_pullback(a, b, fx, fy, n):
+    """The coefficients of  a dx + b dy  pulled back by (fx, fy), at order n.
+
+    a and b are substituted together over one denominator, sharing the
+    powers of fy; the targets are read up to degree n there, and up to
+    degree n + 1 for their partial derivatives.  The four Jacobian entries are
+    scaled to one denominator, the products
+
+        a(f) fx_x + b(f) fy_x,   a(f) fx_y + b(f) fy_y
+
+    are convolved in integers, and each nonzero output coefficient is
+    normalized once.
+    """
+    (sa, sb), den = _substitute([a, b], fx, fy, n)
+    parts = []
+    for slot, f in ((0, fx), (1, fy)):
+        for (i, j), (fa, fb, fd) in f.items():
+            if i + j > n + 1:
+                continue
+            if i:
+                parts.append((slot, i - 1, j, i + j - 1, i * fa, i * fb, fd))
+            if j:
+                parts.append((slot + 2, i, j - 1, i + j - 1, j * fa, j * fb, fd))
+    parts, jden = _scaled(parts)
+    jac = [[], [], [], []]
+    for slot, *term in parts:
+        jac[slot].append(term)
+    sa, sb = _numerators(sa), _numerators(sb)
+    den *= jden
+    return (
+        _normalized(_convolve(sb, jac[1], n, _convolve(sa, jac[0], n, {})), den),
+        _normalized(_convolve(sb, jac[3], n, _convolve(sa, jac[2], n, {})), den),
+    )
 
 
 def rref(rows, limit):

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .coeff import Coeff, ZERO
-from .jets import DEFAULT_ORDER, Jet1, Jet2, JetError
+from .jets import DEFAULT_ORDER, Jet1, Jet2, JetError, pullback_coefficients
 from .linalg import solve
 from .poly import roots_with_multiplicity
 
@@ -179,18 +179,19 @@ def pullback_map(w: OneForm, fx: Jet2, fy: Jet2, order=None, variables=None) -> 
     minimum: the coefficients are substituted at exactly ``order``, and at
     the minimum itself the derivatives of fx and fy are read as exact
     polynomials.  A larger ``order`` raises :class:`JetError`.
+
+    Both coefficients are substituted over one denominator, sharing the
+    powers of fy, and multiplied by the Jacobian numerators in integers, so
+    each nonzero output coefficient is normalized once (see
+    :func:`~cuspfol.jets.pullback_coefficients`).
     """
     top = min(w.order, fx.order, fy.order)
     if order is None:
         order = top - 1
     elif order > top:
         raise JetError(f"pullback order {order} exceeds the data order {top}")
-    fx_n, fy_n = fx.truncate(order), fy.truncate(order)
-    asub = w.a.truncate(order).substitute(fx_n, fy_n)
-    bsub = w.b.truncate(order).substitute(fx_n, fy_n)
-    a_new = asub * fx.dx().with_order(order) + bsub * fy.dx().with_order(order)
-    b_new = asub * fx.dy().with_order(order) + bsub * fy.dy().with_order(order)
-    return OneForm(a_new, b_new, variables or w.variables)
+    a, b = pullback_coefficients(w.a, w.b, fx, fy, order)
+    return OneForm(a, b, variables or w.variables)
 
 
 def linear_change(w: OneForm, m) -> OneForm:
@@ -206,9 +207,7 @@ def linear_change(w: OneForm, m) -> OneForm:
     n = w.order
     fx = Jet2.monomial(1, 0, m00, n) + Jet2.monomial(0, 1, m01, n)
     fy = Jet2.monomial(1, 0, m10, n) + Jet2.monomial(0, 1, m11, n)
-    asub = w.a.substitute(fx, fy)
-    bsub = w.b.substitute(fx, fy)
-    return OneForm(asub * m00 + bsub * m10, asub * m01 + bsub * m11, w.variables)
+    return pullback_map(w, fx, fy, order=n)
 
 
 def pullback_blowup(w: OneForm, chart: str, new_var: str | None = None) -> OneForm:

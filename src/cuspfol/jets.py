@@ -20,6 +20,8 @@ from ._backend import (
     QZERO,
     jet1_mul,
     jet2_mul,
+    jet2_pullback,
+    jet2_substitute,
     qadd,
     qinv,
     qiszero,
@@ -476,56 +478,23 @@ class Jet2(_Jet):
 
         The result order is min(self.order, fx.order, fy.order).
 
-        The monomials are grouped by their power of x,
+        The kernel's :func:`~cuspfol._backend.jet2_substitute` does the work
+        on Gaussian-integer numerators over one denominator per
+        substitution, with one ``qnorm`` per nonzero output coefficient.
+        The monomials are grouped by their power of x and summed by
+        Horner's rule in fx,
 
             self(fx, fy) = sum_i fx^i * (sum_j a_ij * fy^j),
 
-        so the inner sums are accumulated coefficient by coefficient and each
-        power of x costs one product.  When the change is tangent to the
-        identity, fx = x + p and fy = y + q with p and q of lowest degree
-        v >= 2, a monomial of degree d >= order - v + 2 maps to itself modulo
-        degree order + 1 and is copied instead of substituted.
+        so each power of x costs one product by fx and each power of y one
+        product by fy.  When the change is tangent to the identity,
+        fx = x + p and fy = y + q with p and q of lowest degree v >= 2, a
+        monomial of degree d >= order - v + 2 maps to itself modulo degree
+        order + 1 and is copied instead of substituted.
         """
-        if (fx.valuation() or 0) < 1 and not fx.is_zero():
-            raise JetError("substitution target must vanish at the origin")
-        if (fy.valuation() or 0) < 1 and not fy.is_zero():
-            raise JetError("substitution target must vanish at the origin")
+        _check_targets(fx, fy)
         n = min(self._n, fx._n, fy._n)
-        dx = {k: t for k, t in fx._d.items() if k[0] + k[1] <= n}
-        dy = {k: t for k, t in fy._d.items() if k[0] + k[1] <= n}
-        fixed = _fixed_degree(dx, dy, n)
-        acc = {}
-        groups = {}  # i -> [(j, a_ij)] for the monomials to substitute
-        for (i, j), t in self._d.items():
-            d = i + j
-            if d > n:
-                continue
-            if d >= fixed:
-                acc[(i, j)] = t
-            else:
-                groups.setdefault(i, []).append((j, t))
-        if groups:
-            py = [{(0, 0): QONE}, dy]
-            for _ in range(max(j for g in groups.values() for j, _ in g) - 1):
-                py.append(jet2_mul(py[-1], dy, n))
-            px = {(0, 0): QONE}
-            for i in range(max(groups) + 1):
-                if i:
-                    px = dx if i == 1 else jet2_mul(px, dx, n)
-                if i not in groups:
-                    continue
-                # sum_j a_ij fy^j, up to degree n - i since fx^i has valuation >= i
-                top = n - i
-                inner = {}
-                for j, t in groups[i]:
-                    for key, u in py[j].items():
-                        if key[0] + key[1] <= top:
-                            cur = inner.get(key)
-                            inner[key] = qmul(t, u) if cur is None else qadd(cur, qmul(t, u))
-                for key, u in (jet2_mul(px, inner, n) if i else inner).items():
-                    cur = acc.get(key)
-                    acc[key] = u if cur is None else qadd(cur, u)
-        return Jet2._raw({k: t for k, t in acc.items() if not qiszero(t)}, n)
+        return Jet2._raw(jet2_substitute(self._d, fx._d, fy._d, n), n)
 
     def restrict_to_axis(self, axis: str) -> Jet1:
         """The one-variable jet on an axis: "x" sets y=0, "y" sets x=0."""
@@ -569,18 +538,22 @@ def _monokey(item):
     return (i + j, -i)
 
 
-def _fixed_degree(dx, dy, n):
-    """Lowest degree of the monomials that (dx, dy) fixes modulo degree n + 1.
+def _check_targets(fx: Jet2, fy: Jet2):
+    if (0, 0) in fx._d or (0, 0) in fy._d:
+        raise JetError("substitution target must vanish at the origin")
 
-    For a change tangent to the identity, x + p and y + q with p and q of
-    lowest degree v >= 2, every monomial of degree d >= n - v + 2 maps to
-    itself plus terms of degree d + v - 1 > n.  Any other change fixes no
-    monomial, which is reported as n + 1.
+
+def pullback_coefficients(a: Jet2, b: Jet2, fx: Jet2, fy: Jet2, order: int):
+    """The coefficients of  a dx + b dy  pulled back by (fx, fy), at ``order``.
+
+    The coefficients are substituted at ``order`` (at most the orders of a
+    and b and of the targets), and the targets' terms up to degree
+    ``order + 1`` give the Jacobian; see
+    :func:`~cuspfol._backend.jet2_pullback`.
     """
-    if dx.get((1, 0)) != QONE or dy.get((0, 1)) != QONE or (0, 1) in dx or (1, 0) in dy:
-        return n + 1
-    v = min((i + j for part in (dx, dy) for (i, j) in part if i + j >= 2), default=n + 2)
-    return n - v + 2
+    _check_targets(fx, fy)
+    da, db = jet2_pullback(a._d, b._d, fx._d, fy._d, order)
+    return Jet2._raw(da, order), Jet2._raw(db, order)
 
 
 def _jet2_reciprocal(b: Jet2) -> Jet2:

@@ -1,9 +1,11 @@
 """Geometry tests: 1-forms, blow-ups, divisor analysis, cusp reduction."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from cuspfol import _backend
 from cuspfol.coeff import Coeff
 from cuspfol.forms import (
     OneForm,
@@ -234,8 +236,9 @@ def test_pullback_blowup_substitutes_nothing(monkeypatch):
         pullback_blowup(dense_form(6), chart)
     assert calls == []
     # the counter does see a substitution
-    linear_change(dense_form(2), ((1, 0), (1, 1)))
-    assert calls == [2, 2]
+    w = dense_form(2)
+    w.a.substitute(Jet2.var_x(2), Jet2.var_x(2) + Jet2.var_y(2))
+    assert calls == [2]
 
 
 def test_exceptional_divide_examples():
@@ -527,3 +530,98 @@ def test_relative_exactness_random_constructed():
         eta.truncate(9) - differential(res.f).truncate(9) - w.truncate(9) * res.g
     )
     assert resid.truncate(9).is_zero()
+
+
+# --- pullback_map against the oracle ----------------------------------------
+
+
+def mixed_jet(rng, order, low, density, den=23):
+    """A seeded jet with terms of degree low..order, each kept with
+    probability ``density``, and denominators drawn from 1..den."""
+
+    def part():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, den))
+
+    d = {
+        (i, deg - i): Coeff(part(), part())
+        for deg in range(low, order + 1)
+        for i in range(deg + 1)
+        if rng.random() < density
+    }
+    return Jet2(d, order)
+
+
+def assert_pullback_matches_oracle(w, fx, fy, order=None):
+    got = pullback_map(w, fx, fy, order=order)
+    n = got.order
+    want = oracles.p2_pullback(
+        oracles.jet2_pairs(w.a),
+        oracles.jet2_pairs(w.b),
+        oracles.jet2_pairs(fx),
+        oracles.jet2_pairs(fy),
+        n,
+    )
+    assert (oracles.jet2_pairs(got.a), oracles.jet2_pairs(got.b)) == want
+    return got
+
+
+def test_pullback_map_matches_the_oracle_on_tangent_changes():
+    """The normalize case: id + (P, Q) with P and Q homogeneous of degree m,
+    on dense forms with mixed denominators, at the top order and below."""
+    rng = random.Random(0x9B)
+    for order, degrees, density in ((8, range(2, 7), 0.8), (16, (2, 5), 0.4), (24, (4,), 0.2)):
+        x, y = Jet2.var_x(order), Jet2.var_y(order)
+        for m in degrees:
+            w = OneForm(mixed_jet(rng, order, 2, density), mixed_jet(rng, order, 2, density))
+            p, q = mixed_jet(rng, m, m, 0.7, 7), mixed_jet(rng, m, m, 0.7, 7)
+            fx, fy = x + p.with_order(order), y + q.with_order(order)
+            assert_pullback_matches_oracle(w, fx, fy, order=order)
+            assert_pullback_matches_oracle(w, fx, fy, order=order - 3)
+
+
+def test_pullback_map_matches_the_oracle_on_dense_maps():
+    """Generic maps with mixed denominators, a zero coefficient jet, and an
+    explicit order below the top order."""
+    rng = random.Random(0x9C)
+    for order in (8,):
+        w = OneForm(mixed_jet(rng, order, 0, 0.8), mixed_jet(rng, order, 0, 0.8))
+        fx, fy = mixed_jet(rng, order + 1, 1, 0.8), mixed_jet(rng, order + 1, 1, 0.8)
+        assert assert_pullback_matches_oracle(w, fx, fy).order == order - 1
+        assert_pullback_matches_oracle(w, fx, fy, order=order - 2)
+        zero = Jet2.zero(order)
+        assert_pullback_matches_oracle(OneForm(zero, w.b), fx, fy, order=order)
+        assert_pullback_matches_oracle(OneForm(w.a, zero), fx, fy, order=order - 1)
+        assert pullback_map(OneForm(zero, zero), fx, fy).is_zero()
+
+
+def test_pullback_map_normalizes_once_per_output_coefficient(monkeypatch):
+    """Both coefficients are substituted and multiplied by the Jacobian in
+    integers: one qnorm per nonzero output coefficient and no product of
+    normalized jets."""
+    rng = random.Random(0x9D)
+    order = 12
+    x, y = Jet2.var_x(order), Jet2.var_y(order)
+    w = OneForm(mixed_jet(rng, order, 0, 0.9), mixed_jet(rng, order, 0, 0.9))
+    maps = [
+        (x + mixed_jet(rng, 2, 2, 1.0).with_order(order), y + mixed_jet(rng, 2, 2, 1.0).with_order(order)),
+        (mixed_jet(rng, order, 1, 0.9), mixed_jet(rng, order, 1, 0.9)),
+    ]
+    norms, products = [], []
+    qnorm, jet2_mul = _backend.qnorm, _backend.jet2_mul
+
+    def counted_qnorm(*args):
+        norms.append(1)
+        return qnorm(*args)
+
+    def counted_mul(*args):
+        products.append(1)
+        return jet2_mul(*args)
+
+    monkeypatch.setattr(_backend, "qnorm", counted_qnorm)
+    monkeypatch.setattr(_backend, "jet2_mul", counted_mul)
+    for fx, fy in maps:
+        norms.clear()
+        out = pullback_map(w, fx, fy, order=order)
+        stored = len(out.a.triple_items()) + len(out.b.triple_items())
+        assert len(norms) == stored > 0
+    assert products == []

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cuspfol import Coeff, Jet1, Jet2, jets, poly
+from cuspfol import Coeff, Jet1, Jet2, _backend, poly
 from cuspfol.jets import JetError
 
 import oracles
@@ -336,21 +336,36 @@ class TestJet2:
                 assert_substitute_matches_oracle(c + rand_jet2(rng, order), fx, fy)
 
     def test_substitute_makes_one_product_per_power(self, monkeypatch):
-        """A dense order-12 jet under a generic map costs at most 3*13 products:
-        the powers of fx and of fy, and one product per power of x."""
+        """A dense order-12 jet under a generic map costs at most 2*12
+        integer products of two jets, the powers of fy and one Horner step by
+        fx per power of x, plus one scalar multiple of a power of fy per
+        monomial (a one-term operand); no product of normalized jets, and one
+        qnorm per nonzero output coefficient."""
         rng = random.Random(53)
         f = rand_jet2(rng, 12, density=1.0)
         fx, fy = rand_map(rng, 12), rand_map(rng, 12)
-        calls = []
-        mul = jets.jet2_mul
+        products, scalings, counts = [], [], {"jet2_mul": 0, "qnorm": 0}
+        convolve = _backend._convolve
 
-        def counted(a, b, n):
-            calls.append(n)
-            return mul(a, b, n)
+        def counted_convolve(ta, tb, n, acc):
+            (products if len(ta) > 1 else scalings).append(n)
+            return convolve(ta, tb, n, acc)
 
-        monkeypatch.setattr(jets, "jet2_mul", counted)
-        f.substitute(fx, fy)
-        assert 0 < len(calls) <= 3 * 13
+        monkeypatch.setattr(_backend, "_convolve", counted_convolve)
+        for name in counts:
+            original = getattr(_backend, name)
+
+            def counted(*args, name=name, original=original):
+                counts[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(_backend, name, counted)
+        out = f.substitute(fx, fy)
+        monomials = len(f.triple_items())
+        assert 0 < len(products) <= 2 * 12
+        assert monomials <= len(scalings) + len(products) <= monomials + 2 * 12
+        assert counts["jet2_mul"] == 0
+        assert counts["qnorm"] == len(out.triple_items()) > 0
 
     def test_restrict_and_embed(self):
         f = Jet2({(2, 0): 3, (0, 1): 5, (1, 1): 7}, 6)

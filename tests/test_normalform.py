@@ -3,6 +3,7 @@ reduction to the y^2-radial template."""
 
 import random
 
+from cuspfol import normalform
 from cuspfol.coeff import Coeff
 from cuspfol.cli import _as_oneform
 from cuspfol.forms import (
@@ -275,9 +276,9 @@ def test_normalize_rejects_non_cusp():
 
 
 def test_transform_is_composed_once_when_read(monkeypatch):
-    """Each step substitutes only into the form (one pullback, two
-    substitutions); the composite change is built from the recorded steps
-    on the first read of ``transform`` and kept."""
+    """Each step pulls the form back once and substitutes nothing else;
+    the composite change is built from the recorded steps, two
+    substitutions per step, on the first read of ``transform`` and kept."""
     base = NormalFormData(
         order=16,
         alpha=Coeff(2),
@@ -291,18 +292,23 @@ def test_transform_is_composed_once_when_read(monkeypatch):
     )
     assert reduce_cusp(w0).applied_linear_change is None
 
-    calls = []
+    calls, pullbacks = [], []
     substitute = Jet2.substitute
 
     def counting_substitute(self, *args, **kwargs):
         calls.append(1)
         return substitute(self, *args, **kwargs)
 
+    def counting_pullback(*args, **kwargs):
+        pullbacks.append(1)
+        return pullback_map(*args, **kwargs)
+
     monkeypatch.setattr(Jet2, "substitute", counting_substitute)
+    monkeypatch.setattr(normalform, "pullback_map", counting_pullback)
     data = normalize(w0, 16)
     assert len(data.changes) > 2
-    assert len(calls) == 2 * len(data.changes)
-    calls.clear()
+    assert len(pullbacks) == len(data.changes)
+    assert calls == []
     tx, ty = data.transform
     assert len(calls) == 2 * len(data.changes)
     calls.clear()
