@@ -1,28 +1,32 @@
 """Per-degree formal normal form for cusp-type forms.
 
-A cusp-type 1-form is formally equivalent to the template
+The template is
 
     y^2 (x dy - y dx) + alpha*x^3 (x dy - 2y dx) + a*x^3 y dy
         + sum over n >= 5 of  x^(n-1) ((a_n x + b_n y) dx + (c_n x + d_n y) dy)
 
-with alpha != 0 and a_5 = 0, and the template is unique up to coordinate
-changes tangent to the identity.  ``normalize`` computes it degree by
-degree: a change  phi_n = id + (P_n, Q_n)  with homogeneous components of
-degree n shifts the coefficient-degree-(n+2) part of the form by a linear
-image of (P_n, Q_n), and that linear map carries the y^2-divisible part of
-the homogeneous pair space isomorphically.  Each step therefore kills the
-y^2-divisible part of one degree, leaving exactly the four residual
-monomials x^m dx, x^(m-1) y dx, x^m dy, x^(m-1) y dy recorded in the data.
+with alpha != 0 and a_5 = d_5 = 0.  ``normalize`` brings a cusp-type form
+to it degree by degree: a change  phi_n = id + (P_n, Q_n)  with homogeneous
+components of degree n shifts the coefficient-degree-(n+2) part of the form
+by a linear image of (P_n, Q_n), its action on the anchor y^2 (x dy - y dx).
+Each step kills the y^2-divisible part of one degree, leaving the four
+residual monomials x^m dx, x^(m-1) y dx, x^m dy, x^(m-1) y dy recorded in
+the data.  Two templates related by a change tangent to the identity
+carry the same data.  Not every cusp-type form reaches a template, though:
+at degree 5 the monomial x^3 y^2 dx is outside the image of every cubic
+change (defect (a), ROADMAP item 1), and ``normalize`` raises
+``AssertionError`` on a form whose x^3 y^2 dx coefficient is then nonzero.
 
-The per-degree matrix is the closed-form linear action of (P_n, Q_n) on
-the anchor y^2 (x dy - y dx), derived from the pullback formula (see
-``_action_matrix``) and checked in the tests against exactly pulling the
-anchor back along basis changes for n = 2..16; solvability is asserted at
-runtime for every degree used.  One genuine redundancy exists: at the
-cubic step the change id + (0, q0*x^3) has zero y^2-projection and shifts
-only the x^4 y dy coefficient (by 2*q0), so that coefficient is normalized
-to zero to make the data canonical; every other step is uniquely
-determined.
+The linear system of one step is fixed: it splits into the two scalar
+equations of Q_0 and P_n and n 2x2 blocks of determinant 4(n-1), one
+for each (P_r, Q_(r+1)).  ``_step_change`` solves it in closed form, with
+no elimination; the tests check it against exactly pulling the anchor back
+along basis changes for n = 2..16, and every step re-checks at runtime
+that the y^2-part is gone.  At the cubic step the Q_0 equation is the
+x^3 y^2 dx one and reads 0 = 0 on the forms that reach the template: the
+change id + (0, q0*x^3) has zero y^2-projection and shifts only the
+x^4 y dy coefficient (by 2*q0), and the same step sets q0 so that
+coefficient is zero, which makes the data canonical.
 
 Each step pulls the form back along its change and records the change;
 the composite change (``NormalFormData.transform``) is composed from the
@@ -42,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .coeff import ZERO, Coeff
+from .coeff import Coeff
 from .forms import (
     OneForm,
     ReductionVerdict,
@@ -109,10 +113,12 @@ def _pair_coords(p: Jet2, q: Jet2, n):
 
 
 def L_solve(target: HomogeneousPair) -> HomogeneousPair:
-    """The unique L-preimage of a homogeneous pair, by exact linear solve.
+    """The L-preimage of a homogeneous pair, by exact linear solve.
 
     The 2(n+1) x 2(n+1) coefficient matrix is produced by applying L to the
-    monomial basis; full rank is asserted (L is one-to-one on each degree).
+    monomial basis and full rank is asserted.  L is one-to-one at odd
+    degrees only: at every even degree n the pair x^(n/2) y^(n/2-1) * (x, y)
+    is in its kernel, so there this raises ``AssertionError`` naming n.
     """
     n = target.degree
     if n < 2:
@@ -148,13 +154,14 @@ class NormalFormData:
     are the residual coefficients of x^n dx, x^(n-1) y dx, x^n dy,
     x^(n-1) y dy.  ``changes`` lists the steps' changes id + (P_n, Q_n)
     as pairs (P_n, Q_n) of order-``order`` jets, in the order they were
-    applied.  ``transform`` is their composite, the accumulated
-    tangent-to-identity change (as a pair of jet components), composed
-    from ``changes`` on first read and kept.  ``applied_linear_change``
-    and ``scale`` record the preliminary linear normalization and the
-    scalar multiple taking the radial cofactor to y^2 - both are part of
-    the equivalence but not tangent to the identity, so they are kept
-    apart.
+    applied, at most one per degree: the cubic gauge q0*x^3 is part of the
+    cubic change, and a degree that needs no change records none.
+    ``transform`` is their composite, the accumulated tangent-to-identity
+    change (as a pair of jet components), composed from ``changes`` on
+    first read and kept.  ``applied_linear_change`` and ``scale`` record
+    the preliminary linear normalization and the scalar multiple taking the
+    radial cofactor to y^2 - both are part of the equivalence but not
+    tangent to the identity, so they are kept apart.
     """
 
     order: int
@@ -216,37 +223,49 @@ def _y2_coords(w: OneForm, m):
     return [w.a.coeff(i, j) for (i, j) in keys] + [w.b.coeff(i, j) for (i, j) in keys]
 
 
-def _action_matrix(n):
-    """Exact matrix of (P_n, Q_n) -> y^2-part of the degree-(n+2) shift.
+def _step_change(w: OneForm, n, order):
+    """The change (P_n, Q_n) that kills the y^2-part of w in degree n + 2.
 
-    Pulled back along id + (P, Q), the anchor y^2 (x dy - y dx), that is
-    -y^3 dx + x y^2 dy, moves by
+    Pulled back along id + (P, Q) with P = sum P_r x^(n-r) y^r and
+    Q = sum Q_r x^(n-r) y^r, the anchor y^2 (x dy - y dx) moves by
 
         da = -3 y^2 Q - y^3 P_x + x y^2 Q_x
         db = y^2 P + 2 x y Q - y^3 P_y + x y^2 Q_y
 
-    plus terms of degree >= 2n + 1 > n + 2, so on homogeneous (P, Q) of
-    degree n this is the whole shift at coefficient degree n + 2.  Column k
-    is P = x^(n-k) y^k, column n+1+k is Q = x^(n-k) y^k, and the rows are
-    the monomials of ``_y2_rows(n + 2)`` in the dx then the dy coefficient.
-    On these monomials the formulas read
+    plus terms of degree >= 2n + 1 > n + 2, and nothing else of w moves in
+    degree n + 2.  With t_a[r], t_b[r] minus the coefficients of
+    x^(n-r) y^(r+2) in the dx and the dy coefficient of w, killing the
+    y^2-part reads
 
-        P:  da = -(n-k) x^(n-k-1) y^(k+3),  db = (1-k) x^(n-k) y^(k+2)
-        Q:  da = (n-k-3) x^(n-k) y^(k+2),   db = (k+2) x^(n-k+1) y^(k+1)
+        (n-3) Q_0 = t_a[0],   (1-n) P_n = t_b[n],
+        (1-r) P_r + (r+3) Q_(r+1) = t_b[r],
+        -(n-r) P_r + (n-r-4) Q_(r+1) = t_a[r+1]     (r = 0..n-1),
 
-    where x^(m-j) y^j sits in row j - 2 of its block; the Q-column db of
-    k = 0, 2 x^(n+1) y, is not y^2-divisible and drops out.
+    and each 2x2 block has determinant 4(n-1).  At n = 3 the first
+    equation is 0 = t_a[0], and t_a[0] != 0 is defect (a).  Otherwise Q_0
+    is the cubic gauge: it is set to minus half the x^4 y dy coefficient,
+    the one degree-5 coefficient it moves (by 2 Q_0).
     """
-    dim = 2 * (n + 1)
-    rows = [[ZERO] * dim for _ in range(dim)]
-    for k in range(n + 1):
-        if k < n:
-            rows[k + 1][k] = Coeff(-(n - k))
-        rows[n + 1 + k][k] = Coeff(1 - k)
-        rows[k][n + 1 + k] = Coeff(n - k - 3)
-        if k > 0:
-            rows[n + k][n + 1 + k] = Coeff(k + 2)
-    return rows
+    ta = [-w.a.coeff(n - r, r + 2) for r in range(n + 1)]
+    tb = [-w.b.coeff(n - r, r + 2) for r in range(n + 1)]
+    det = 4 * (n - 1)
+    pd = {(0, n): tb[n] / (1 - n)}
+    qd = {}
+    for r in range(n):
+        if ta[r + 1].is_zero() and tb[r].is_zero():
+            continue
+        pd[(n - r, r)] = ((n - r - 4) * tb[r] - (r + 3) * ta[r + 1]) / det
+        qd[(n - r - 1, r + 1)] = ((1 - r) * ta[r + 1] + (n - r) * tb[r]) / det
+    if n != 3:
+        qd[(n, 0)] = ta[0] / (n - 3)
+    elif not ta[0].is_zero():
+        raise AssertionError(
+            f"elimination system is infeasible at degree {n} "
+            f"(rank {2 * n + 1}); the input cannot be brought to the template"
+        )
+    else:
+        qd[(3, 0)] = w.b.coeff(4, 1) / -2
+    return Jet2(pd, order), Jet2(qd, order)
 
 
 def normalize(w: OneForm, order=None, *, reduction=None) -> NormalFormData:
@@ -258,9 +277,13 @@ def normalize(w: OneForm, order=None, *, reduction=None) -> NormalFormData:
     reduction (if any) and a scalar multiple making the radial cofactor
     exactly y^2 are applied first; then each degree n from 2 up kills the
     y^2-divisible part of the coefficient-degree-(n+2) homogeneous part
-    with an exact change id + (P_n, Q_n).  Each step pulls the form back
-    along its change and records the change in ``changes``; the composite
-    ``transform`` is built from them only when it is read.
+    with an exact change id + (P_n, Q_n) solved in closed form
+    (``_step_change``); the cubic change also sets the x^4 y dy
+    coefficient to zero.  Each step pulls the form back along its change
+    once and records the change in ``changes``; the composite
+    ``transform`` is built from them only when it is read.  Raises
+    ``AssertionError`` on defect (a), a form that keeps x^3 y^2 dx at
+    degree 5.
     """
     n_max = w.order if order is None else order
     if n_max > w.order:
@@ -277,46 +300,14 @@ def normalize(w: OneForm, order=None, *, reduction=None) -> NormalFormData:
     w = w * scale
 
     changes = []
-
-    def apply_change(p, q):
-        nonlocal w
+    for n in range(2, n_max - 1):
+        p, q = _step_change(w, n, n_max)
+        if p.is_zero() and q.is_zero():
+            continue
         w = _phi_pullback(w, p, q)
         changes.append((p, q))
-
-    for n in range(2, n_max - 1):
-        m = n + 2
-        target = [-c for c in _y2_coords(w.homogeneous_part(m), m)]
-        if not all(c.is_zero() for c in target):
-            rows = _action_matrix(n)
-            res = solve(rows, target)
-            if not res.feasible:
-                raise AssertionError(
-                    f"elimination system is infeasible at degree {n} "
-                    f"(rank {res.rank}); the input cannot be brought to the template"
-                )
-            sol = res.solution
-            pd, qd = {}, {}
-            for k in range(n + 1):
-                if not sol[k].is_zero():
-                    pd[(n - k, k)] = sol[k]
-                if not sol[n + 1 + k].is_zero():
-                    qd[(n - k, k)] = sol[n + 1 + k]
-            apply_change(Jet2(pd, n_max), Jet2(qd, n_max))
-            if not all(c.is_zero() for c in _y2_coords(w.homogeneous_part(m), m)):
-                raise AssertionError(f"y^2-part survived elimination at degree {m}")
-        if n == 3:
-            # The cubic step has a one-dimensional redundancy: id + (0, q0*x^3)
-            # moves nothing y^2-divisible and shifts the x^4 y dy coefficient
-            # by exactly 2*q0.  Spend it so that coefficient vanishes - this
-            # is what makes the emitted data canonical and not merely reduced.
-            d5 = w.b.coeff(4, 1)
-            if not d5.is_zero():
-                q0 = -(d5 / Coeff(2))
-                apply_change(Jet2.zero(n_max), Jet2.monomial(3, 0, q0, n_max))
-                if not all(
-                    c.is_zero() for c in _y2_coords(w.homogeneous_part(5), 5)
-                ) or not w.b.coeff(4, 1).is_zero():
-                    raise AssertionError("cubic gauge step disturbed degree 5")
+        if not all(c.is_zero() for c in _y2_coords(w, n + 2)):
+            raise AssertionError(f"y^2-part survived elimination at degree {n + 2}")
 
     # read off the residual data and check the structural identities
     if w.homogeneous_part(3) != (radial_form(n_max) * Jet2.monomial(0, 2, 1, n_max)).truncate(
@@ -342,7 +333,7 @@ def normalize(w: OneForm, order=None, *, reduction=None) -> NormalFormData:
     if 5 in tail and not tail[5][0].is_zero():
         raise AssertionError("a_5 != 0 after normalization of a cusp-type input")
     if 5 in tail and not tail[5][3].is_zero():
-        raise AssertionError("x^4 y dy coefficient survived the cubic gauge step")
+        raise AssertionError("x^4 y dy coefficient survived the cubic step")
     return NormalFormData(
         order=n_max,
         alpha=alpha,

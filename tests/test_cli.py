@@ -461,6 +461,115 @@ def test_order_24_and_32_reports_are_pinned(command, text, order, code, report):
     assert run_cli(command, text, "--order", str(order), "--json") == (code, want)
 
 
+# A dense normal-form template, alpha = 2, a = 1-i, tail at degrees 5..7,
+# as A dx + B dy written in the placeholders X and Y.
+TEMPLATE_A = "-Y^3 - 4*X^3*Y + X^4*Y + 3*X^6 + i*X^5*Y + 1/2*X^7"
+TEMPLATE_B = "X*Y^2 + 2*X^4 + (1-i)*X^3*Y - 2*X^5 - X^5*Y + 2*X^7 + i*X^6*Y"
+
+
+def moved_template(fx, fy, fx_x, fx_y, fy_x, fy_y):
+    """The template pulled back along (x, y) -> (fx, fy), as input text;
+    the last four arguments are the partial derivatives of fx and fy."""
+
+    def at(poly):
+        return poly.replace("X", f"({fx})").replace("Y", f"({fy})")
+
+    a, b = at(TEMPLATE_A), at(TEMPLATE_B)
+    return f"(({a})*({fx_x}) + ({b})*({fy_x})) dx + (({a})*({fx_y}) + ({b})*({fy_y})) dy"
+
+
+# Tangent to the identity; the x^4 y dy coefficient it leaves after the
+# cubic step is nonzero, so the cubic gauge is spent.
+MOVED = moved_template(
+    "x + 2*x*y - y^2", "y + x^2 + i*x*y", "1 + 2*y", "2*x - 2*y", "2*x + i*y", "1 + i*x"
+)
+# The same change after swapping x and y: normalize needs a linear change.
+MOVED_SWAPPED = moved_template(
+    "y + x^2 + i*x*y", "x + 2*x*y - y^2", "2*x + i*y", "1 + i*x", "1 + 2*y", "2*x - 2*y"
+)
+
+
+def _normal_form_report(order, linear_change):
+    zero = ["0", "0", "0", "0"]
+    tail = [[5, ["0", "1", "-2", "0"]], [6, ["3", "i", "0", "-1"]], [7, ["1/2", "0", "2", "i"]]]
+    tail += [[m, zero] for m in range(8, order + 1)]
+    return json.dumps(
+        {
+            "certificates": [],
+            "command": "normal-form",
+            "data": {
+                "a": "1-i",
+                "alpha": "2",
+                "applied_linear_change": linear_change,
+                "scale": "1",
+                "tail": tail,
+                "trivial_tail": False,
+            },
+            "order": order,
+            "verdict": "Normalized",
+        },
+        sort_keys=True,
+        indent=2,
+    ) + "\n"
+
+
+# The normal-form --json reports of the moved template, taken from the
+# elimination that the closed-form step replaced.
+NORMAL_FORM_REPORTS = [
+    (text, order, _normal_form_report(order, change))
+    for text, change in ((MOVED, None), (MOVED_SWAPPED, [[0, 1], [1, 0]]))
+    for order in (16, 24)
+]
+
+
+@pytest.mark.parametrize(
+    "text, order, report",
+    NORMAL_FORM_REPORTS,
+    ids=[
+        f"{'moved' if text == MOVED else 'swapped'}-{order}"
+        for text, order, _ in NORMAL_FORM_REPORTS
+    ],
+)
+def test_normal_form_reports_are_pinned(text, order, report):
+    assert run_cli("normal-form", text, "--order", str(order), "--json") == (0, report)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["normal-form", MOVED, "--order", "16"],
+        ["cohomology", ROADMAP, "--order", "16"],
+        ["equiv", ROADMAP, ROADMAP, "--order", "16"],
+    ],
+    ids=["normal-form", "cohomology", "equiv"],
+)
+def test_normal_form_eliminates_nothing(monkeypatch, argv):
+    # Each normalization step is solved in closed form, so neither the full
+    # normal form nor the 4-jet that cohomology and equiv read alpha from
+    # reaches the exact solver.  cohomology's one certified solve is pinned
+    # by test_cohomology_eliminates_once and runs no rref either.
+    import cuspfol.linalg
+    import cuspfol.normalform
+
+    calls = []
+    solve = cuspfol.normalform.solve
+    rref = cuspfol.linalg.rref
+
+    def counting_solve(*args, **kwargs):
+        calls.append("solve")
+        return solve(*args, **kwargs)
+
+    def counting_rref(*args, **kwargs):
+        calls.append("rref")
+        return rref(*args, **kwargs)
+
+    monkeypatch.setattr(cuspfol.normalform, "solve", counting_solve)
+    monkeypatch.setattr(cuspfol.linalg, "rref", counting_rref)
+    code, _ = run_cli(*argv)
+    assert code in (0, 1)
+    assert calls == []
+
+
 def test_mero_input_is_parsed_once(monkeypatch):
     import cuspfol.cli
 
@@ -628,16 +737,20 @@ def test_internal_failure_has_its_own_exit_code(capsys):
     # a defect (a) input: normalize fails an internal assertion, which must
     # come out as InternalError with exit 4, not as a traceback or InputError
     argv = ["normal-form", "mero:(y^2+x^3+y^3)/(x*y)", "--order", "8"]
+    error = (
+        "AssertionError: elimination system is infeasible at degree 3 (rank 7); "
+        "the input cannot be brought to the template"
+    )
     assert main(argv) == 4
     out, err = capsys.readouterr()
     assert verdict_of(out) == "InternalError"
-    assert "error: AssertionError: " in out
+    assert f"\nerror: {error}\n" in out
     assert err == "" and "Traceback" not in out
     assert main(argv + ["--json"]) == 4
     out, err = capsys.readouterr()
     rep = json.loads(out)
     assert rep["verdict"] == "InternalError"
-    assert rep["data"]["error"].startswith("AssertionError: ")
+    assert rep["data"]["error"] == error
     assert rep["certificates"] == [] and err == ""
 
 

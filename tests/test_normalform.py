@@ -2,6 +2,7 @@
 reduction to the y^2-radial template."""
 
 import random
+from fractions import Fraction
 
 from cuspfol import normalform
 from cuspfol.coeff import Coeff
@@ -22,9 +23,9 @@ from cuspfol.normalform import (
     NormalFormData,
     normalize,
     reconstruct_normal_form,
-    _action_matrix,
     _pair_basis,
     _pair_coords,
+    _step_change,
     _y2_rows,
 )
 
@@ -130,17 +131,33 @@ def test_pair_space_partition():
 
 
 def test_action_matrix_matches_anchor_pullback():
-    """The closed-form action equals exactly pulling the anchor back along
-    each basis change, and keeps the known rank defect at n = 3."""
+    """Fed minus the y^2-part that a basis change id + (P, Q) adds to the
+    anchor, pulled back exactly by the oracle, the closed-form step returns
+    that basis change, for n = 2..16.  At n = 3 the oracle keeps the known
+    cokernel x^3 y^2 dx (ROADMAP item 1, not fixed here) and the gauge
+    column Q = x^3, which moves no y^2-divisible monomial; the step spends
+    it on the x^4 y dy coefficient instead."""
     for n in range(2, 17):
-        rows = _action_matrix(n)
-        assert [[oracles.pair_of_coeff(c) for c in row] for row in rows] == (
-            oracles.action_matrix_by_pullback(n)
-        )
+        m = n + 2
+        keys = _y2_rows(m)
+        oracle = [[Coeff(*pair) for pair in row] for row in oracles.action_matrix_by_pullback(n)]
         dim = 2 * (n + 1)
-        # at n = 3 one y^2-divisible direction of degree 5 lies outside the
-        # image of every change (ROADMAP item 1); not fixed here
-        assert matrix_rank(rows) == (dim - 1 if n == 3 else dim)
+        assert matrix_rank(oracle) == (dim - 1 if n == 3 else dim)
+        for c, (p, q) in enumerate(_pair_basis(n, m)):
+            col = [row[c] for row in oracle]
+            if n == 3:
+                assert col[0].is_zero()
+                if c == n + 1:
+                    assert all(e.is_zero() for e in col)
+                    continue
+            a = {key: -e for key, e in zip(keys, col[: n + 1])}
+            b = {key: -e for key, e in zip(keys, col[n + 1 :])}
+            assert _step_change(OneForm(Jet2(a, m), Jet2(b, m)), n, m) == (p, q)
+    d5 = OneForm(Jet2.zero(5), mono(4, 1, Coeff(3, -1), 5))
+    assert _step_change(d5, 3, 5) == (
+        Jet2.zero(5),
+        mono(3, 0, Coeff(Fraction(-3, 2), Fraction(1, 2)), 5),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +293,10 @@ def test_normalize_rejects_non_cusp():
 
 
 def test_transform_is_composed_once_when_read(monkeypatch):
-    """Each step pulls the form back once and substitutes nothing else;
-    the composite change is built from the recorded steps, two
-    substitutions per step, on the first read of ``transform`` and kept."""
+    """Each step pulls the form back once and substitutes nothing else, the
+    cubic gauge being part of the cubic step; the composite change is built
+    from the recorded steps, two substitutions per step, on the first read
+    of ``transform`` and kept."""
     base = NormalFormData(
         order=16,
         alpha=Coeff(2),
@@ -306,7 +324,10 @@ def test_transform_is_composed_once_when_read(monkeypatch):
     monkeypatch.setattr(Jet2, "substitute", counting_substitute)
     monkeypatch.setattr(normalform, "pullback_map", counting_pullback)
     data = normalize(w0, 16)
-    assert len(data.changes) > 2
+    # one change per degree 2..14: the cubic one also spends the x^3 gauge,
+    # which this input needs (its x^4 y dy coefficient is nonzero there)
+    degrees = [min(i + j for comp in change for (i, j), _ in comp.items()) for change in data.changes]
+    assert degrees == list(range(2, 15))
     assert len(pullbacks) == len(data.changes)
     assert calls == []
     tx, ty = data.transform
