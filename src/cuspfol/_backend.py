@@ -23,7 +23,11 @@ lcm of the denominators they pick up from the targets, and each nonzero
 output coefficient is normalized once.  A pullback multiplies both
 substituted coefficients by the Jacobian numerators before that one
 normalization.  The two-variable routines share one integer multiply-add
-loop, :func:`_convolve`.
+loop, :func:`_convolve`.  Inside a call at order n it keys the monomial
+x^i y^j by the integer (i + j)(n + 1) + j: the key of a product is the sum
+of its factors' keys and its degree bound is a bound on that sum, so the
+loop adds and compares integers, and the pairs (i, j) are formed again only
+for the output, one ``divmod`` per nonzero coefficient.
 
 The elimination (:func:`rref`) works the same way, one denominator per
 row: rows are sparse Gaussian-integer numerators over that denominator,
@@ -153,28 +157,34 @@ def jet1_mul(ca, cb, n):
 
 def _terms(d, n):
     """The nonzero terms of a {(i, j): triple} dict up to total degree n, as
-    ``(i, j, i + j, a, b, d)`` tuples ready for :func:`_scaled`."""
+    ``(k, a, b, d)`` tuples with the integer key k = (i + j)(n + 1) + j (see
+    :func:`_convolve`), ready for :func:`_scaled`."""
+    m = n + 1
     return [
-        (i, j, i + j, a, b, d)
+        ((i + j) * m + j, a, b, d)
         for (i, j), (a, b, d) in d.items()
         if (a or b) and i + j <= n
     ]
 
 
-def _convolve(ta, tb, n, acc):
+def _convolve(ta, tb, end, acc):
     """Add the product of two numerator term lists into ``acc``.
 
-    Terms are ``(i, j, i + j, a, b, _)`` with Gaussian-integer numerators
-    ``a + b*i``; the last slot is not read.  Products of total degree above n
-    are dropped.  ``acc`` maps keys to ``[re, im]`` and is returned; new keys
-    appear in the order their first product is formed.
+    Terms are ``(k, a, b, _)`` with Gaussian-integer numerators ``a + b*i``;
+    the last slot is not read.  Within one call of a two-variable routine at
+    order n the monomial x^i y^j has the integer key k = (i + j)(n + 1) + j.
+    A product of total degree at most n has j1 + j2 <= n, so its key is
+    exactly k1 + k2, with no carry, and a product is of degree at most d
+    exactly when its key is below (d + 1)(n + 1): products with key ``end``
+    or more are dropped.  ``acc`` maps keys to ``[re, im]`` and is returned;
+    new keys appear in the order their first product is formed.
     """
-    for i1, j1, e1, a1, b1, _ in ta:
-        room = n - e1
-        for i2, j2, e2, a2, b2, _ in tb:
-            if e2 > room:
+    for k1, a1, b1, _ in ta:
+        room = end - k1
+        for k2, a2, b2, _ in tb:
+            if k2 >= room:
                 continue
-            key = (i1 + i2, j1 + j2)
+            key = k1 + k2
             cur = acc.get(key)
             if cur is None:
                 acc[key] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
@@ -186,13 +196,19 @@ def _convolve(ta, tb, n, acc):
 
 def _numerators(acc):
     """An accumulator ``{key: [re, im]}`` as a term list for :func:`_convolve`."""
-    return [(i, j, i + j, re, im, 1) for (i, j), (re, im) in acc.items() if re or im]
+    return [(k, re, im, 1) for k, (re, im) in acc.items() if re or im]
 
 
-def _normalized(acc, den):
-    """An accumulator over ``den`` as a triple dict: one ``qnorm`` per
-    nonzero coefficient."""
-    return {key: qnorm(re, im, den) for key, (re, im) in acc.items() if re or im}
+def _normalized(acc, den, n):
+    """An accumulator over ``den`` at order n as a {(i, j): triple} dict: one
+    ``divmod`` and one ``qnorm`` per nonzero coefficient."""
+    m = n + 1
+    out = {}
+    for k, (re, im) in acc.items():
+        if re or im:
+            e, j = divmod(k, m)
+            out[(e - j, j)] = qnorm(re, im, den)
+    return out
 
 
 def jet2_mul(da, db, n):
@@ -207,7 +223,7 @@ def jet2_mul(da, db, n):
     if not ta:
         return {}
     tb, denb = _scaled(_terms(db, n))
-    return _normalized(_convolve(ta, tb, n, {}), dena * denb)
+    return _normalized(_convolve(ta, tb, (n + 1) ** 2, {}), dena * denb, n)
 
 
 def _fixed_degree(dx, dy, n):
@@ -228,12 +244,12 @@ def _fixed_degree(dx, dy, n):
 
 
 def _substitute(polys, dx, dy, n):
-    """Substitute the targets into each {key: triple} dict of ``polys``.
+    """Substitute the targets into each {(i, j): triple} dict of ``polys``.
 
     The targets ``dx`` and ``dy`` vanish at the origin and are read up to
-    degree n.  Returns ``(accs, den)``: per poly a ``{key: [re, im]}``
-    accumulator of Gaussian-integer numerators of its substitution, all over
-    the one positive denominator ``den``.
+    degree n.  Returns ``(accs, den)``: per poly a ``{k: [re, im]}``
+    accumulator of Gaussian-integer numerators of its substitution, keyed
+    as in :func:`_convolve`, all over the one positive denominator ``den``.
 
     The polys' terms are scaled to their lcm ``ea`` as numerators A_ij, and
     the targets to theirs, fx = FX/ex and fy = FY/ey, so a substituted
@@ -250,6 +266,7 @@ def _substitute(polys, dx, dy, n):
     FY^j are built once and shared by the polys.  Monomials that the change
     fixes (see :func:`_fixed_degree`) are copied.
     """
+    m = n + 1
     fixed = _fixed_degree(dx, dy, n)
     ta, ea = _scaled(
         [
@@ -263,7 +280,7 @@ def _substitute(polys, dx, dy, n):
     groups = [{} for _ in polys]  # per poly, i -> [(j, A_ij)] to substitute
     for p, i, j, a, b, _ in ta:
         if i + j >= fixed:
-            accs[p][(i, j)] = [a, b]
+            accs[p][(i + j) * m + j] = [a, b]
         else:
             groups[p].setdefault(i, []).append((j, a, b))
     if not any(groups):
@@ -290,20 +307,21 @@ def _substitute(polys, dx, dy, n):
             for cur in acc.values():
                 cur[0] *= lcm
                 cur[1] *= lcm
-    py = [[(0, 0, 0, 1, 0, 1)], ty]
+    py = [[(0, 1, 0, 1)], ty]
     for _ in range(top_j - 1):
-        py.append(_numerators(_convolve(py[-1], ty, n, {})))
+        py.append(_numerators(_convolve(py[-1], ty, m * m, {})))
     for out, g in zip(accs, groups):
         horner = []  # sum over i' > i of FX^(i'-i-1) G_i'
         for i in range(max(g, default=-1), -1, -1):
             # G_i + FX * horner, up to degree n - i: it is multiplied by
             # FX^i, of valuation >= i
             acc = out if i == 0 else {}
+            end = (m - i) * m
             for j, a, b in g.get(i, ()):
                 s = lcm // (exp_x[i] * exp_y[j])
-                _convolve([(0, 0, 0, a * s, b * s, 1)], py[j], n - i, acc)
+                _convolve([(0, a * s, b * s, 1)], py[j], end, acc)
             if horner:
-                _convolve(horner, tx, n - i, acc)
+                _convolve(horner, tx, end, acc)
             if i:
                 horner = _numerators(acc)
     return accs, ea * lcm
@@ -316,7 +334,7 @@ def jet2_substitute(d, dx, dy, n):
     one ``qnorm`` per nonzero output coefficient.
     """
     (acc,), den = _substitute([d], dx, dy, n)
-    return _normalized(acc, den)
+    return _normalized(acc, den, n)
 
 
 def jet2_pullback(a, b, fx, fy, n):
@@ -333,24 +351,27 @@ def jet2_pullback(a, b, fx, fy, n):
     normalized once.
     """
     (sa, sb), den = _substitute([a, b], fx, fy, n)
+    m = n + 1
     parts = []
     for slot, f in ((0, fx), (1, fy)):
         for (i, j), (fa, fb, fd) in f.items():
-            if i + j > n + 1:
+            e = i + j - 1
+            if e > n:
                 continue
             if i:
-                parts.append((slot, i - 1, j, i + j - 1, i * fa, i * fb, fd))
+                parts.append((slot, e * m + j, i * fa, i * fb, fd))
             if j:
-                parts.append((slot + 2, i, j - 1, i + j - 1, j * fa, j * fb, fd))
+                parts.append((slot + 2, e * m + j - 1, j * fa, j * fb, fd))
     parts, jden = _scaled(parts)
     jac = [[], [], [], []]
-    for slot, *term in parts:
-        jac[slot].append(term)
+    for t in parts:
+        jac[t[0]].append(t[1:])
     sa, sb = _numerators(sa), _numerators(sb)
     den *= jden
+    end = m * m
     return (
-        _normalized(_convolve(sb, jac[1], n, _convolve(sa, jac[0], n, {})), den),
-        _normalized(_convolve(sb, jac[3], n, _convolve(sa, jac[2], n, {})), den),
+        _normalized(_convolve(sb, jac[1], end, _convolve(sa, jac[0], end, {})), den, n),
+        _normalized(_convolve(sb, jac[3], end, _convolve(sa, jac[2], end, {})), den, n),
     )
 
 

@@ -34,11 +34,9 @@ recorded steps only when it is read, since the normal form itself does
 not need it.  A caller that has already run ``reduce_cusp`` on the form
 passes its report to ``normalize`` so the form is reduced once.
 
-The operator ``L_apply`` is the stated per-coefficient elimination recipe
-kept verbatim for reference.  It is one-to-one at odd degrees only - at
-each even degree n the pair x^(n/2) y^(n/2-1) * (x, y) is in its kernel -
-so ``L_solve`` reports the singular degrees instead of inverting them;
-``normalize`` never relies on it.
+The stated per-coefficient elimination operator L, one-to-one at odd
+degrees only, is kept as a test reference (``tests/oracles.py``);
+``normalize`` does not use it.
 """
 
 from __future__ import annotations
@@ -46,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from ._backend import QZERO, qdiv, qiszero, qneg, qnorm
 from .coeff import Coeff
 from .forms import (
     OneForm,
@@ -56,93 +55,6 @@ from .forms import (
     reduce_cusp,
 )
 from .jets import Jet2, JetError
-from .linalg import solve
-
-
-@dataclass(frozen=True)
-class HomogeneousPair:
-    """A pair (P, Q) of homogeneous polynomials of one common degree."""
-
-    P: Jet2
-    Q: Jet2
-    degree: int
-
-    def __post_init__(self):
-        for comp in (self.P, self.Q):
-            for (i, j), _ in comp.items():
-                if i + j != self.degree:
-                    raise ValueError(
-                        f"component is not homogeneous of degree {self.degree}"
-                    )
-
-
-def L_apply(pair: HomogeneousPair) -> HomogeneousPair:
-    """The elimination operator on homogeneous pairs of degree n >= 2:
-
-    L(P, Q) = (x Q_x - y P_x + Q,  x Q_y - x P_x + P).
-    """
-    if pair.degree < 2:
-        raise ValueError("L is defined for degree >= 2")
-    p, q = pair.P, pair.Q
-    n = max(p.order, q.order)
-    x = Jet2.var_x(n)
-    y = Jet2.var_y(n)
-    px = p.dx().with_order(n)
-    qx = q.dx().with_order(n)
-    qy = q.dy().with_order(n)
-    first = x * qx - y * px + q
-    second = x * qy - x * px + p
-    return HomogeneousPair(first, second, pair.degree)
-
-
-def _pair_basis(n, order):
-    basis = []
-    for k in range(n + 1):
-        basis.append((Jet2.monomial(n - k, k, 1, order), Jet2.zero(order)))
-    for k in range(n + 1):
-        basis.append((Jet2.zero(order), Jet2.monomial(n - k, k, 1, order)))
-    return basis
-
-
-def _pair_coords(p: Jet2, q: Jet2, n):
-    out = []
-    for comp in (p, q):
-        for k in range(n + 1):
-            out.append(comp.coeff(n - k, k))
-    return out
-
-
-def L_solve(target: HomogeneousPair) -> HomogeneousPair:
-    """The L-preimage of a homogeneous pair, by exact linear solve.
-
-    The 2(n+1) x 2(n+1) coefficient matrix is produced by applying L to the
-    monomial basis and full rank is asserted.  L is one-to-one at odd
-    degrees only: at every even degree n the pair x^(n/2) y^(n/2-1) * (x, y)
-    is in its kernel, so there this raises ``AssertionError`` naming n.
-    """
-    n = target.degree
-    if n < 2:
-        raise ValueError("L is defined for degree >= 2")
-    order = max(target.P.order, target.Q.order, n)
-    dim = 2 * (n + 1)
-    cols = []
-    for p, q in _pair_basis(n, order):
-        img = L_apply(HomogeneousPair(p, q, n))
-        cols.append(_pair_coords(img.P, img.Q, n))
-    rows = [[cols[c][r] for c in range(dim)] for r in range(dim)]
-    rhs = _pair_coords(target.P, target.Q, n)
-    res = solve(rows, rhs)
-    if not res.feasible or res.rank != dim:
-        raise AssertionError(f"L is not invertible at degree {n} (rank {res.rank})")
-    sol = res.solution
-    pd = {}
-    qd = {}
-    for k in range(n + 1):
-        if not sol[k].is_zero():
-            pd[(n - k, k)] = sol[k]
-        if not sol[n + 1 + k].is_zero():
-            qd[(n - k, k)] = sol[n + 1 + k]
-    return HomogeneousPair(Jet2(pd, order), Jet2(qd, order), n)
 
 
 @dataclass
@@ -219,8 +131,18 @@ def _y2_rows(m):
 
 
 def _y2_coords(w: OneForm, m):
+    """The coefficients at ``_y2_rows(m)`` of dx, then of dy, as kernel
+    triples."""
     keys = _y2_rows(m)
-    return [w.a.coeff(i, j) for (i, j) in keys] + [w.b.coeff(i, j) for (i, j) in keys]
+    a, b = dict(w.a.triple_items()), dict(w.b.triple_items())
+    return [a.get(key, QZERO) for key in keys] + [b.get(key, QZERO) for key in keys]
+
+
+def _ratio(c1, t1, c2, t2, den):
+    """(c1 t1 + c2 t2) / den for integers c1, c2, den != 0 and triples t1, t2."""
+    a1, b1, d1 = t1
+    a2, b2, d2 = t2
+    return qnorm(c1 * a1 * d2 + c2 * a2 * d1, c1 * b1 * d2 + c2 * b2 * d1, d1 * d2 * den)
 
 
 def _step_change(w: OneForm, n, order):
@@ -244,28 +166,32 @@ def _step_change(w: OneForm, n, order):
     and each 2x2 block has determinant 4(n-1).  At n = 3 the first
     equation is 0 = t_a[0], and t_a[0] != 0 is defect (a).  Otherwise Q_0
     is the cubic gauge: it is set to minus half the x^4 y dy coefficient,
-    the one degree-5 coefficient it moves (by 2 Q_0).
+    the one degree-5 coefficient it moves (by 2 Q_0).  The coefficients
+    are read and solved as kernel triples.
     """
-    ta = [-w.a.coeff(n - r, r + 2) for r in range(n + 1)]
-    tb = [-w.b.coeff(n - r, r + 2) for r in range(n + 1)]
+    t = [qneg(c) for c in _y2_coords(w, n + 2)]
+    ta, tb = t[: n + 1], t[n + 1 :]
     det = 4 * (n - 1)
-    pd = {(0, n): tb[n] / (1 - n)}
+    pd = {(0, n): qdiv(tb[n], (1 - n, 0, 1))}
     qd = {}
     for r in range(n):
-        if ta[r + 1].is_zero() and tb[r].is_zero():
+        if qiszero(ta[r + 1]) and qiszero(tb[r]):
             continue
-        pd[(n - r, r)] = ((n - r - 4) * tb[r] - (r + 3) * ta[r + 1]) / det
-        qd[(n - r - 1, r + 1)] = ((1 - r) * ta[r + 1] + (n - r) * tb[r]) / det
+        pd[(n - r, r)] = _ratio(n - r - 4, tb[r], -(r + 3), ta[r + 1], det)
+        qd[(n - r - 1, r + 1)] = _ratio(1 - r, ta[r + 1], n - r, tb[r], det)
     if n != 3:
-        qd[(n, 0)] = ta[0] / (n - 3)
-    elif not ta[0].is_zero():
+        qd[(n, 0)] = qdiv(ta[0], (n - 3, 0, 1))
+    elif not qiszero(ta[0]):
         raise AssertionError(
             f"elimination system is infeasible at degree {n} "
             f"(rank {2 * n + 1}); the input cannot be brought to the template"
         )
     else:
-        qd[(3, 0)] = w.b.coeff(4, 1) / -2
-    return Jet2(pd, order), Jet2(qd, order)
+        qd[(3, 0)] = qdiv(w.b.coeff(4, 1).triple, (-2, 0, 1))
+    return (
+        Jet2({key: Coeff.from_triple(c) for key, c in pd.items()}, order),
+        Jet2({key: Coeff.from_triple(c) for key, c in qd.items()}, order),
+    )
 
 
 def normalize(w: OneForm, order=None, *, reduction=None) -> NormalFormData:
@@ -306,7 +232,7 @@ def normalize(w: OneForm, order=None, *, reduction=None) -> NormalFormData:
             continue
         w = _phi_pullback(w, p, q)
         changes.append((p, q))
-        if not all(c.is_zero() for c in _y2_coords(w, n + 2)):
+        if not all(qiszero(c) for c in _y2_coords(w, n + 2)):
             raise AssertionError(f"y^2-part survived elimination at degree {n + 2}")
 
     # read off the residual data and check the structural identities

@@ -26,11 +26,14 @@ a denominator of ``None`` standing for 1; values become ``Coeff`` only in the
 final :class:`~cuspfol.jets.Jet2`.  A sum of polynomials is added term by term
 into one dict, so a long sum costs time linear in its length; a sum with any
 other denominator cross-multiplies from the left, which fixes the ``mero:``
-pair.  A power is taken by repeated squaring.  A product, quotient or power
-with an operand of two or more terms is refused at its operator, before it
-is expanded, when its degree would exceed ``--order``, except in a 1-form
-term where an operand has a non-constant denominator: that term is refused
-at its end.
+pair.  A product with a one-term operand, such as each factor of a
+``(c)*x^i*y^j`` term, shifts the other operand's keys in one comprehension;
+a power of a one-term base raises only its coefficient, and any other power
+is taken by repeated squaring of the polynomial.  A product, quotient or
+power with an operand of two or more terms is refused at its operator,
+before it is expanded, when its degree would exceed ``--order``, except in a
+1-form term where an operand has a non-constant denominator: that term is
+refused at its end.
 
 All errors raised here are :class:`ParseError` carrying 1-based ``line`` and
 ``col`` positions into the source text.
@@ -135,7 +138,20 @@ _ONE = {_ONE_KEY: QONE}  # compared against, never mutated
 
 
 def _pmul(p, q):
-    """The product of two polynomial dicts, zero sums dropped as they occur."""
+    """The product of two polynomial dicts, zero sums dropped as they occur.
+
+    A one-term operand only shifts the other operand's keys, which stay
+    distinct, so no sum is formed and, with no zero divisors, none of the
+    products is zero: that product is one comprehension, in the other
+    operand's key order.
+    """
+    if len(q) == 1:
+        p, q = q, p
+    if len(p) == 1:
+        ((i1, j1), c1), = p.items()
+        if c1 == QONE:
+            return {(i1 + i2, j1 + j2): c2 for (i2, j2), c2 in q.items()}
+        return {(i1 + i2, j1 + j2): qmul(c1, c2) for (i2, j2), c2 in q.items()}
     out = {}
     for (i1, j1), c1 in p.items():
         for (i2, j2), c2 in q.items():
@@ -170,6 +186,10 @@ def _pscale(p, c):
 
 
 def _ppow(p, e):
+    if len(p) == 1:
+        # a one-term power raises only its coefficient
+        ((i, j), c), = p.items()
+        return {(i * e, j * e): c if c == QONE else (Coeff.from_triple(c) ** e).triple}
     out, base = {_ONE_KEY: QONE}, p
     while e:
         if e & 1:

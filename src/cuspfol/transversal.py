@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from ._backend import QONE, QZERO, qadd, qdiv, qmul, qsub
 from .coeff import Coeff
 from .forms import OneForm, ReductionReport, differential, wedge
-from .jets import Jet2, JetError
+from .jets import Jet1, Jet2, JetError
 from .moduli import GermDiff1
 
 
@@ -147,14 +147,20 @@ def sigma_of_integral(h: Jet2) -> GermDiff1:
 
     With g1 = H(.,0) and g2 = H(0,.), both tangent-to-identity up to a
     unit factor, sigma = g2^{-1} o g1.  Reparametrizing H by any unit
-    series phi(H) leaves the composition unchanged.
+    series phi(H) leaves the composition unchanged.  When g1 is the
+    identity, as for the integral :func:`regular_first_integral` returns
+    (normalized by H(u, 0) = u), sigma is g2^{-1} itself and no
+    composition is taken.
     """
     g1 = h.restrict_to_axis("x")
     g2 = h.restrict_to_axis("y")
     for g in (g1, g2):
         if not g.coeff(0).is_zero() or g.coeff(1).is_zero():
             raise ValueError("integral is not transverse-normalized on the axes")
-    return GermDiff1(g2.comp_inverse().compose(g1))
+    inverse = g2.comp_inverse()
+    if g1 == Jet1.variable(g1.order):
+        return GermDiff1(inverse)
+    return GermDiff1(inverse.compose(g1))
 
 
 def transversal_structure(c: CornerGerm, order=None) -> GermDiff1:

@@ -12,10 +12,19 @@ instead of the closed-form normal-form action, evaluating an expression's
 text at a point instead of expanding it, Gauss-Jordan over fractions instead
 of fraction-free elimination, the split columns at full order instead of
 modulo a power of x).
+
+The one exception is the last section: the stated elimination operator L on
+homogeneous pairs, kept as a reference recipe on the package's own ``Jet2``
+and exact ``solve``.  The normal form does not use it; the tests check
+its rank by parity and its round trip.
 """
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
+
+from cuspfol.jets import Jet2
+from cuspfol.linalg import solve
 
 ZERO = (Fraction(0), Fraction(0))
 ONE = (Fraction(1), Fraction(0))
@@ -513,3 +522,92 @@ def jet1_pairs(jet):
 
 def jet2_pairs(jet):
     return {k: pair_of_coeff(c) for k, c in jet.items()}
+
+
+# --- the stated elimination operator L on homogeneous pairs -------------------
+
+
+@dataclass(frozen=True)
+class HomogeneousPair:
+    """A pair (P, Q) of homogeneous polynomials of one common degree."""
+
+    P: Jet2
+    Q: Jet2
+    degree: int
+
+    def __post_init__(self):
+        for comp in (self.P, self.Q):
+            for (i, j), _ in comp.items():
+                if i + j != self.degree:
+                    raise ValueError(
+                        f"component is not homogeneous of degree {self.degree}"
+                    )
+
+
+def L_apply(pair: HomogeneousPair) -> HomogeneousPair:
+    """The elimination operator on homogeneous pairs of degree n >= 2:
+
+    L(P, Q) = (x Q_x - y P_x + Q,  x Q_y - x P_x + P).
+    """
+    if pair.degree < 2:
+        raise ValueError("L is defined for degree >= 2")
+    p, q = pair.P, pair.Q
+    n = max(p.order, q.order)
+    x = Jet2.var_x(n)
+    y = Jet2.var_y(n)
+    px = p.dx().with_order(n)
+    qx = q.dx().with_order(n)
+    qy = q.dy().with_order(n)
+    first = x * qx - y * px + q
+    second = x * qy - x * px + p
+    return HomogeneousPair(first, second, pair.degree)
+
+
+def _pair_basis(n, order):
+    basis = []
+    for k in range(n + 1):
+        basis.append((Jet2.monomial(n - k, k, 1, order), Jet2.zero(order)))
+    for k in range(n + 1):
+        basis.append((Jet2.zero(order), Jet2.monomial(n - k, k, 1, order)))
+    return basis
+
+
+def _pair_coords(p: Jet2, q: Jet2, n):
+    out = []
+    for comp in (p, q):
+        for k in range(n + 1):
+            out.append(comp.coeff(n - k, k))
+    return out
+
+
+def L_solve(target: HomogeneousPair) -> HomogeneousPair:
+    """The L-preimage of a homogeneous pair, by exact linear solve.
+
+    The 2(n+1) x 2(n+1) coefficient matrix is produced by applying L to the
+    monomial basis and full rank is asserted.  L is one-to-one at odd
+    degrees only: at every even degree n the pair x^(n/2) y^(n/2-1) * (x, y)
+    is in its kernel, so there this raises ``AssertionError`` naming n.
+    """
+    n = target.degree
+    if n < 2:
+        raise ValueError("L is defined for degree >= 2")
+    order = max(target.P.order, target.Q.order, n)
+    dim = 2 * (n + 1)
+    cols = []
+    for p, q in _pair_basis(n, order):
+        img = L_apply(HomogeneousPair(p, q, n))
+        cols.append(_pair_coords(img.P, img.Q, n))
+    rows = [[cols[c][r] for c in range(dim)] for r in range(dim)]
+    rhs = _pair_coords(target.P, target.Q, n)
+    res = solve(rows, rhs)
+    if not res.feasible or res.rank != dim:
+        raise AssertionError(f"L is not invertible at degree {n} (rank {res.rank})")
+    sol = res.solution
+    pd = {}
+    qd = {}
+    for k in range(n + 1):
+        if not sol[k].is_zero():
+            pd[(n - k, k)] = sol[k]
+        if not sol[n + 1 + k].is_zero():
+            qd[(n - k, k)] = sol[n + 1 + k]
+    return HomogeneousPair(Jet2(pd, order), Jet2(qd, order), n)

@@ -52,8 +52,6 @@ from cuspfol.moduli import (
     schwarzian,
 )
 from cuspfol.normalform import (
-    HomogeneousPair,
-    L_apply,
     NormalFormData,
     normalize,
     reconstruct_normal_form,
@@ -67,6 +65,7 @@ from cuspfol.parametric import (
 from cuspfol.transversal import CornerGerm, transversal_structure
 
 import oracles
+from oracles import HomogeneousPair, L_apply
 
 RNG = random.Random(0xACC3)
 

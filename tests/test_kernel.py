@@ -13,7 +13,9 @@ with ``limit`` below the width, non-real pivots, rows of mixed denominators
 and sizes up to 40 by 90.  Through an identity block carried past ``limit``
 the tests also check what a certified solve reads off the origins: a
 non-pivot output row is its input row minus a combination of the pivot
-rows' input rows.
+rows' input rows.  Last, products, substitutions and pullbacks are checked
+where the kernel's integer monomial keys meet the order: degree n against
+degree n + 1.
 """
 
 import random
@@ -24,6 +26,9 @@ import pytest
 
 from cuspfol import _backend
 from cuspfol._backend import QONE, QZERO, jet1_mul, jet2_mul, qadd, qmul, qnorm, rref
+from cuspfol.coeff import Coeff
+from cuspfol.forms import OneForm, pullback_map
+from cuspfol.jets import Jet2
 
 import oracles
 
@@ -310,3 +315,75 @@ class TestRref:
         pivots, origin = assert_rref_matches_reference(work, 49)
         assert len(pivots) == 16
         assert_non_pivot_rows_keep_their_origin(work, 50, pivots, origin)
+
+
+# --- the integer monomial keys at their boundary -----------------------------
+
+
+def boundary_jet(rng, n, density, low=0):
+    """A seeded Jet2 of order n + 1 with terms of degree low..n kept with
+    probability ``density``, always holding x^n and y^n (the largest keys
+    at order n) and, when ``low`` is 0, the constant term."""
+    dens = DENOMS["mixed"]
+    d = {
+        (i, deg - i): rand_triple(rng, dens, zero=0)
+        for deg in range(low, n + 1)
+        for i in range(deg + 1)
+        if rng.random() < density
+    }
+    for key in ((n, 0), (0, n)) + (((0, 0),) if low == 0 else ()):
+        d[key] = rand_triple(rng, dens, zero=0)
+    return Jet2({key: Coeff.from_triple(t) for key, t in d.items()}, n + 1)
+
+
+def boundary_target(rng, n, linear, low, density):
+    """A substitution target of order n + 1: the given linear part, terms of
+    degree low..n kept with probability ``density`` and terms of degree
+    n + 1, which a substitution at order n drops and its Jacobian reads."""
+    d = {key: Coeff.from_triple(t) for key, t in linear.items()}
+    if low <= n:
+        for key, t in boundary_jet(rng, n, density, low).triple_items():
+            d[key] = Coeff.from_triple(t)
+    for i in (0, 1, n + 1):
+        d[(i, n + 1 - i)] = Coeff.from_triple(rand_triple(rng, DENOMS["mixed"], zero=0))
+    return Jet2(d, n + 1)
+
+
+@pytest.mark.parametrize(
+    "n, density, low, tail", [(1, 1.0, 2, 1.0), (2, 1.0, 2, 1.0), (17, 0.3, 9, 0.2), (40, 0.04, 20, 0.02)]
+)
+def test_products_substitutions_and_pullbacks_at_the_key_boundary(n, density, low, tail):
+    """Within a call at order n the monomial x^i y^j is the integer
+    (i + j)(n + 1) + j.  Jets holding x^n and y^n and targets with terms of
+    degree n + 1 put products on both sides of degree n; ``jet2_mul``,
+    ``Jet2.substitute`` and ``pullback_map`` must still agree with one
+    product per monomial pair (``oracles.p2_mul``) and one substitution per
+    monomial (``oracles.p2_substitute``, ``oracles.p2_pullback``), for a
+    generic map and for a change tangent to the identity.  The targets'
+    terms of degree low..n are sparse at the larger orders, where the
+    oracle's powers of a dense target would be slow."""
+    rng = random.Random(f"keys/{n}")
+    pairs = oracles.jet2_pairs
+    f, g = boundary_jet(rng, n, density), boundary_jet(rng, n, density)
+    a, b = f.truncate(n), g.truncate(n)
+    product = jet2_mul(dict(a.triple_items()), dict(b.triple_items()), n)
+    assert (n, 0) in product or (0, n) in product
+    assert {key: pair(t) for key, t in product.items()} == oracles.p2_mul(pairs(a), pairs(b), n)
+    generic = (
+        {(1, 0): qnorm(2, 1, 3), (0, 1): qnorm(-1, 0, 2)},
+        {(1, 0): qnorm(0, 1, 5), (0, 1): qnorm(3, -2, 1)},
+    )
+    tangent = ({(1, 0): QONE}, {(0, 1): QONE})
+    w = OneForm(f, g)
+    for linear_x, linear_y in (generic, tangent):
+        fx = boundary_target(rng, n, linear_x, low, tail)
+        fy = boundary_target(rng, n, linear_y, low, tail)
+        got = a.substitute(fx, fy)
+        assert got.order == n
+        assert pairs(got) == oracles.p2_substitute(pairs(a), pairs(fx), pairs(fy), n)
+        back = pullback_map(w, fx, fy, order=n)
+        want = oracles.p2_pullback(pairs(f), pairs(g), pairs(fx), pairs(fy), n)
+        assert (pairs(back.a), pairs(back.b)) == want
+        # the kernel itself stores no key beyond degree n
+        raw = _backend.jet2_pullback(*(dict(h.triple_items()) for h in (f, g, fx, fy)), n)
+        assert tuple({key: pair(t) for key, t in part.items()} for part in raw) == want

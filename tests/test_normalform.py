@@ -17,19 +17,15 @@ from cuspfol.forms import (
 from cuspfol.jets import Jet2
 from cuspfol.linalg import matrix_rank
 from cuspfol.normalform import (
-    HomogeneousPair,
-    L_apply,
-    L_solve,
     NormalFormData,
     normalize,
     reconstruct_normal_form,
-    _pair_basis,
-    _pair_coords,
     _step_change,
     _y2_rows,
 )
 
 import oracles
+from oracles import HomogeneousPair, L_apply, L_solve, _pair_basis, _pair_coords
 from test_cli import raw_mero
 from test_forms import cusp_form, cusp_family_form
 

@@ -447,3 +447,77 @@ def test_mero_pairs_stay_unreduced_with_a_monic_lowest_denominator_monomial():
         assert jet2_pairs(den) == p2_scal(fh, scale)
         assert jet2_pairs(num) == p2_scal(p2_mul(f, g), scale)
         assert jet2_pairs(den)[lowest] == ONE
+
+
+# --- products and powers against Jet2 arithmetic -----------------------------
+
+ORDER = 64
+CONSTANTS = [
+    ("0", Coeff(0)),
+    ("3", Coeff(3)),
+    ("2/5", Coeff(Fraction(2, 5))),
+    ("i", Coeff(0, 1)),
+    ("(-1)", Coeff(-1)),
+    ("(1-2*i)", Coeff(1, -2)),
+    ("(-3/4*i)", Coeff(0, Fraction(-3, 4))),
+]
+
+
+def rand_one_term(rng):
+    """A one-term factor: a constant, x, y or a monomial x^i*y^j with an
+    optional coefficient, as (text, Jet2)."""
+    r = rng.random()
+    if r < 0.3:
+        text, c = rng.choice(CONSTANTS)
+        return text, Jet2.one(ORDER) * c
+    if r < 0.5:
+        name = rng.choice("xy")
+        return name, Jet2.var_x(ORDER) if name == "x" else Jet2.var_y(ORDER)
+    i, j = rng.randint(0, 2), rng.randint(0, 2)
+    text, c = rng.choice(CONSTANTS[1:])
+    return f"{text}*x^{i}*y^{j}", Jet2.monomial(i, j, c, ORDER)
+
+
+def rand_factor(rng):
+    """A one-term or multi-term factor, possibly raised to a power 0..3 and
+    negated, as (text, Jet2) of degree at most 12."""
+    if rng.random() < 0.5:
+        text, value = rand_one_term(rng)
+    else:
+        parts = [rand_one_term(rng) for _ in range(rng.randint(2, 3))]
+        text = "(" + " - ".join(t for t, _ in parts) + ")"
+        value = parts[0][1]
+        for _, v in parts[1:]:
+            value = value - v
+    if rng.random() < 0.4:
+        e = rng.randint(0, 3)
+        text, value = f"({text})^{e}", value**e
+    if rng.random() < 0.2:
+        text, value = f"-{text}", -value
+    return text, value
+
+
+def test_products_and_powers_equal_jet_arithmetic():
+    """One-term factors multiply by one comprehension and raise only their
+    coefficient; multi-term ones are expanded.  Products of up to four
+    factors of either kind, with i, p/q, signs, zero factors and zero
+    exponents, parse to the value Jet2 arithmetic builds."""
+    rng = random.Random(0x1F0C)
+    zero_factors = zero_powers = 0
+    for _ in range(150):
+        texts, want = [], Jet2.zero(ORDER)
+        for _ in range(rng.randint(1, 3)):
+            factors = [rand_factor(rng) for _ in range(rng.randint(1, 4))]
+            value = Jet2.one(ORDER)
+            for _, v in factors:
+                value = value * v
+            sign = rng.choice("+-")
+            texts.append(f"{sign} " + "*".join(t for t, _ in factors))
+            want = want + value if sign == "+" else want - value
+            zero_factors += any(t.startswith("0") for t, _ in factors)
+            zero_powers += any(t.endswith("^0") for t, _ in factors)
+        text = " ".join(texts)
+        w = parse_form(f"({text}) dx + ({text})*x dy", order=ORDER)
+        assert w.a == want, text
+        assert w.b == want * Jet2.var_x(ORDER), text
+    assert zero_factors and zero_powers
