@@ -35,9 +35,14 @@ lies outside the image.  The solve is small because the A2 block pivots
 itself: each A2 unknown is the column -x1^i y1^j on an F2-admissible row,
 so only the T columns on the remaining rows are solved, and the rank of
 the system is the number of admissible rows plus the rank of that block.
-It needs no exact elimination either: the y1 row is zero in every T
-column, so it caps the block's rank at rows - 1 and is the certificate,
-and a rank modulo a prime that reaches rows - 1 shows the cap is the rank.
+It needs no T column built to full order and no exact elimination either.
+A T column of valuation d vanishes on the rows of degree below d, and on
+those of degree d it is a product of linear parts, exact from the order-1
+maps; so the block is block triangular, and the ranks modulo a prime of
+its diagonal blocks G_d sum to a lower bound for its rank.  The y1 row is
+zero in every T column, so it caps that rank at rows - 1 and is the
+certificate; when the bound reaches the cap, the corank is 1.  Any split
+the bound does not settle is solved exactly on the whole block.
 """
 
 from __future__ import annotations
@@ -45,10 +50,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from ._backend import QZERO
+from ._backend import QZERO, qiszero
 from .coeff import Coeff
 from .jets import DEFAULT_ORDER, Jet1, Jet2
 from .linalg import SolveResult, solve
+from .modular import rank_mod_p
 from .moduli import GermDiff1, Homography
 
 
@@ -286,47 +292,68 @@ def _radial_jacobian(a0: Jet2) -> Jet2:
     )
 
 
+def _split_maps(sigma: GermDiff1, a0: Jet2, order):
+    """x3 o psi, y3 o psi and the factor A0*x3/J, to the given order.
+
+    Truncation is a ring map and J = A0 + x1*dA0/dx1 is a unit, so at a
+    lower order these are exactly the truncations of the full-order maps.
+    """
+    s2 = Jet2.from_jet1(sigma.jet.truncate(order), "y")
+    a0 = a0.truncate(order)
+    x3 = Jet2.var_x(order) * a0 + s2
+    return x3, s2, (a0 * x3).div(_radial_jacobian(a0))
+
+
+def _t_keys(n):
+    """The T monomials x^i y^j of the order-n split: i > j, degree < n."""
+    return [(i, j) for (i, j) in _row_keys(n - 1) if i > j]
+
+
+def _a2_keys(n):
+    """The A2 monomials of the order-n split: those that extend to the
+    second chart of "F2"."""
+    f2 = ModelTransition(Model.F2)
+    return [key for key in _row_keys(n) if f2.is_global_monomial(*key)]
+
+
+def _t_columns(maps, n):
+    """factor * x3^i * s2^j for every T monomial x^i y^j of the order-n split,
+    from ``maps`` = (x3, s2, factor) and at their order.
+
+    The solver reads a T column only on the rows x1^p y1^q that are not
+    F2-admissible (q > 2p), and those have p <= (n-1)//3; so the powers of
+    x3 and the columns are built modulo x1^((n-1)//3 + 1), which leaves
+    every row the solver reads exact.
+    """
+    top = (n - 1) // 3
+    x3, s2, factor = maps
+    x3 = x3.drop_x_above(top)
+    fxpow = [factor.drop_x_above(top)]
+    ypow = [Jet2.one(s2.order)]
+    for _ in range(n - 1):
+        fxpow.append((fxpow[-1] * x3).drop_x_above(top))
+        ypow.append(ypow[-1] * s2)
+    return [fxpow[i] * ypow[j] for i, j in _t_keys(n)]
+
+
 def _coboundary_columns(sigma: GermDiff1, a0: Jet2, order):
     """Column functions of the split equation, indexed by unknown labels.
 
     The transported first-model field (x3-y3)*T*x3*d/dx3 contributes, for
     each admissible monomial x^i y^j of T (i > j, degree < order), the
     function (A0*(x1*A0+sigma)/J) * (x3 o psi)^i * (y3 o psi)^j with
-    J = A0+x1*dA0/dx1; a second-model monomial (i,j) of A2, one that
-    extends to the second chart of "F2", contributes -x1^i y1^j.  Also
-    returns the jets x3 o psi, y3 o psi and the factor, at full order, for
-    the re-check and the remainder.
-
-    The solver reads a T column only on the rows x1^p y1^q that are not
-    F2-admissible (q > 2p), and those have p <= (order-1)//3; so the powers
-    of x3 o psi and the T columns are built modulo x1^((order-1)//3 + 1),
-    which leaves every row the solver reads exact.
+    J = A0+x1*dA0/dx1 (built as :func:`_t_columns` says); a second-model
+    monomial (i,j) of A2, one that extends to the second chart of "F2",
+    contributes -x1^i y1^j.  The T columns come first, in the order of
+    :func:`_t_keys`.  Also returns the jets x3 o psi, y3 o psi and the
+    factor, at full order, for the re-check and the remainder.
     """
     n = order
-    x = Jet2.var_x(n)
-    s2 = Jet2.from_jet1(sigma.jet.truncate(n), "y")
-    a0 = a0.truncate(n)
-    x3 = x * a0 + s2
-    factor = (a0 * x3).div(_radial_jacobian(a0))
-    top = (n - 1) // 3
-    x3_cut = x3.drop_x_above(top)
-    cols = []
-    labels = []
-    fxpow = [factor.drop_x_above(top)]
-    ypow = [Jet2.one(n)]
-    for _ in range(n - 1):
-        fxpow.append((fxpow[-1] * x3_cut).drop_x_above(top))
-        ypow.append(ypow[-1] * s2)
-    for (i, j) in _row_keys(n - 1):
-        if i > j:
-            cols.append(fxpow[i] * ypow[j])
-            labels.append(("T", i, j))
-    f2 = ModelTransition(Model.F2)
-    for (i, j) in _row_keys(n):
-        if f2.is_global_monomial(i, j):
-            cols.append(Jet2.monomial(i, j, -1, n))
-            labels.append(("A2", i, j))
-    return cols, labels, (x3, s2, factor)
+    maps = _split_maps(sigma, a0, n)
+    a2_keys = _a2_keys(n)
+    cols = _t_columns(maps, n) + [Jet2.monomial(i, j, -1, n) for i, j in a2_keys]
+    labels = [("T", *key) for key in _t_keys(n)] + [("A2", *key) for key in a2_keys]
+    return cols, labels, maps
 
 
 @dataclass
@@ -362,6 +389,51 @@ def _rows_on(keys, cols):
     return rows
 
 
+def _graded_rank(sigma: GermDiff1, a0: Jet2, free_rows, n):
+    """A lower bound for the rank of the T columns on ``free_rows``, by degree.
+
+    A T column factor * x3^i * s2^j is a product of i + j + 1 jets with no
+    constant term, so it vanishes on the rows of degree below its valuation
+    d = i + j + 1, and on the rows of degree d it is the product of their
+    linear parts.  Ordered by degree and valuation, the T block is block
+    triangular with diagonal blocks G_d: the rows of degree d against the
+    columns of valuation d, read off those products.  Its rank is at least
+    the sum of the ranks of the G_d, and so at least the sum of their ranks
+    modulo a prime (:func:`cuspfol.modular.rank_mod_p`), which this returns;
+    ``None`` when the prime divides a denominator.  The linear parts are
+    exact from the order-1 maps; alpha does not enter them.
+    """
+    lin = [g.homogeneous_part(1).with_order(n) for g in _split_maps(sigma, a0, 1)]
+    blocks = {}
+    for (i, j), col in zip(_t_keys(n), _t_columns(lin, n)):
+        blocks.setdefault(i + j + 1, []).append(col)
+    rows = {}
+    for key in free_rows:
+        rows.setdefault(key[0] + key[1], []).append(key)
+    bound = 0
+    for d, cols in blocks.items():
+        rank = rank_mod_p(_rows_on(rows[d], cols))
+        if rank is None:
+            return None
+        bound += rank
+    return bound
+
+
+def _infeasible(cert, rank, cols, goal, n) -> CoboundaryResult:
+    """The infeasible split with certificate ``cert``, a list of (row key,
+    weight), checked again on the full system: every T and every A2 column.
+    Only the certificate's own rows enter y^T A and y^T b, so only they are
+    read from ``cols``."""
+    cert_rows = [key for key, _ in cert]
+    full = SolveResult(
+        False, rank, certificate=[(k, w) for k, (_, w) in enumerate(cert)]
+    )
+    checked = full.check_certificate(
+        _rows_on(cert_rows, cols), [goal.get(key, QZERO) for key in cert_rows]
+    )
+    return CoboundaryResult(False, n, rank, certificate=cert, certificate_checked=checked)
+
+
 def _solve_coboundary(sigma: GermDiff1, a0: Jet2, target: Jet2, order) -> CoboundaryResult:
     """Split ``target`` exactly, reducing only the block the A2 columns miss.
 
@@ -370,40 +442,41 @@ def _solve_coboundary(sigma: GermDiff1, a0: Jet2, target: Jet2, order) -> Coboun
     number of admissible rows plus the rank of the T columns on the other
     rows, the system is feasible exactly when that reduced block is, and a
     left-kernel vector of the full system vanishes on the admissible rows.
-    So one certified solve of T on the non-admissible rows decides
-    everything.  For the split of y1 that solve needs no exact elimination:
-    the y1 row is zero in every T column, which caps the rank, and a rank
-    modulo a prime shows the cap is reached (see :func:`cuspfol.linalg.solve`).
-    An infeasible split's certificate is checked again on the full system; a
-    feasible split reads A2 off as the remainder.
+
+    The y1 row has degree 1, below the valuation of every T column, so it
+    is zero in the block and caps its rank at rows - 1.  When the graded
+    lower bound of :func:`_graded_rank` reaches that cap, the left kernel is
+    spanned by the y1 row: a target with a nonzero y1 coefficient is
+    infeasible with the y1 row as its certificate, checked again on the
+    full system's y1 row, which the columns' parts of degree <= 1 give
+    exactly.  No full-order T column is built then.  Every other split
+    (a zero y1 coefficient, or a bound that falls short) solves the block
+    exactly; an infeasible one has its certificate checked again, and a
+    feasible one reads A2 off as the remainder.
     """
     n = order
-    cols, labels, (x3, s2, factor) = _coboundary_columns(sigma, a0, n)
-    t_keys = [(i, j) for kind, i, j in labels if kind == "T"]
-    t_cols = [col for col, (kind, _, _) in zip(cols, labels) if kind == "T"]
     goal = dict(target.triple_items())
-    admissible = {(i, j) for kind, i, j in labels if kind == "A2"}
+    a2_keys = _a2_keys(n)
+    admissible = set(a2_keys)
     free_rows = [key for key in _row_keys(n) if key not in admissible]
+    cap = len(free_rows) - 1
+    y1 = goal.get((0, 1), QZERO)
+    if not qiszero(y1) and _graded_rank(sigma, a0, free_rows, n) == cap:
+        # the full system's y1 row, read off every column's part of degree <= 1
+        low = _t_columns(_split_maps(sigma, a0, 1), n)
+        low += [Jet2.monomial(i, j, -1, 1) for i, j in a2_keys]
+        return _infeasible([((0, 1), Coeff(1))], len(admissible) + cap, low, goal, n)
+    cols, _, (x3, s2, factor) = _coboundary_columns(sigma, a0, n)
+    t_keys = _t_keys(n)
     res = solve(
-        _rows_on(free_rows, t_cols),
+        _rows_on(free_rows, cols[: len(t_keys)]),
         [goal.get(key, QZERO) for key in free_rows],
         certificate=True,
     )
     rank = len(admissible) + res.rank
     if not res.feasible:
         cert = [(free_rows[r], w) for r, w in res.certificate]
-        # re-check on the full system, every T and every A2 column: only the
-        # certificate's own rows enter y^T A and y^T b, so only they are built
-        cert_rows = [key for key, _ in cert]
-        full = SolveResult(
-            False, rank, certificate=[(k, w) for k, (_, w) in enumerate(cert)]
-        )
-        checked = full.check_certificate(
-            _rows_on(cert_rows, cols), [goal.get(key, QZERO) for key in cert_rows]
-        )
-        return CoboundaryResult(
-            False, n, rank, certificate=cert, certificate_checked=checked
-        )
+        return _infeasible(cert, rank, cols, goal, n)
     tilde = Jet2(dict(zip(t_keys, res.solution)), n)
     a2 = factor * tilde.substitute(x3, s2) - target.truncate(n)
     # the remainder must be a field on the second model
@@ -460,12 +533,14 @@ def cohomology_dimension(sigma, alpha0, order) -> CohomologyReport:
     One certified solve answers both questions: the split of the
     distinguished direction y1 has the rank of the system, and it is
     infeasible, with a checked certificate, exactly when y1 lies outside
-    the image, i.e. spans the quotient.  That solve reads only the T
-    columns on the rows that are not F2-admissible (51 by 64 at order 16);
-    the A2 columns pivot the admissible rows by themselves.  In that block
-    the y1 row is zero, which bounds the rank by rows - 1 and certifies
-    infeasibility, and the rank modulo a prime reaches rows - 1, so the
-    corank is 1 with no exact elimination (see :func:`_solve_coboundary`).
+    the image, i.e. spans the quotient.  That solve concerns only the T
+    columns on the rows that are not F2-admissible; the A2 columns pivot
+    the admissible rows by themselves.  In that block the y1 row is zero,
+    which bounds the rank by rows - 1 and certifies infeasibility, and the
+    ranks modulo a prime of the block's diagonal blocks by degree, read off
+    the linear parts of the maps, reach rows - 1: the corank is 1 with no
+    full-order T column and no exact elimination (see
+    :func:`_solve_coboundary`).
     """
     split = coboundary_solve(sigma, alpha0, ks_generator(order), order)
     rows = len(_row_keys(order))

@@ -4,17 +4,12 @@ Thin layer over the kernel RREF: solve, rank, determinant, and
 infeasibility certificates.  A certificate for an unsolvable system A x = b
 is a row combination y with  y^T A = 0  and  y^T b != 0.
 
-A certified solve first looks for the one shape that needs no exact
-elimination: exactly one zero row r0 of A with b[r0] != 0.  That row alone
-bounds the rank by rows - 1 and is a certificate; when the rank modulo a
-prime (:func:`cuspfol.modular.rank_mod_p`) reaches rows - 1, the exact rank
-does too, the left kernel is spanned by e_r0, and the answer is exactly the
-one the elimination would give.  Every other system goes through the
-kernel: only [A | b] is eliminated, with no identity block: a non-pivot
-output row of the kernel RREF is its input row minus a combination of the
-pivot rows' input rows, and the kernel reports where each output row came
-from, so y is read off that row permutation (one small square solve when
-the row is not zero itself).  The certificate is exact and re-checkable.
+A certified solve eliminates only [A | b], with no identity block: a
+non-pivot output row of the kernel RREF is its input row minus a
+combination of the pivot rows' input rows, and the kernel reports where
+each output row came from, so y is read off that row permutation (one
+small square solve when the row is not zero itself).  The certificate is
+exact and re-checkable.
 
 Matrices enter as rows of Coeff-like entries or of normalized kernel
 triples and leave as rows of triples; the kernel eliminates them
@@ -28,7 +23,6 @@ from dataclasses import dataclass
 
 from ._backend import QONE, QZERO, qadd, qdiv, qiszero, qmul, qneg, qsub, rref
 from .coeff import Coeff, as_triple
-from .modular import rank_mod_p
 
 
 def _triples(row):
@@ -67,12 +61,6 @@ def solve(rows, rhs, *, certificate=False) -> SolveResult:
     triples), ``rhs`` the right-hand sides.  Returns a particular solution
     with free variables set to zero, and on infeasibility optionally a
     Farkas-style certificate (list of (row index, multiplier)).
-
-    With ``certificate``, a system with exactly one zero row r0 and a
-    nonzero b[r0] is answered without elimination when its rank modulo a
-    prime is rows - 1: the zero row caps the rank there, the prime's rank
-    is a lower bound, so the rank is rows - 1 and the certificate is row r0
-    alone, as the elimination would give it.  Anything else is eliminated.
     """
     m = len(rows)
     if m == 0:
@@ -82,11 +70,6 @@ def solve(rows, rhs, *, certificate=False) -> SolveResult:
     if any(len(r) != ncols for r in a):
         raise ValueError("ragged matrix")
     b = _triples(rhs)
-    if certificate:
-        # triples are normalized, so a zero entry is exactly QZERO
-        zero = [k for k, r in enumerate(a) if r.count(QZERO) == ncols]
-        if len(zero) == 1 and not qiszero(b[zero[0]]) and rank_mod_p(a) == m - 1:
-            return SolveResult(False, m - 1, certificate=[(zero[0], Coeff(1))])
     work = [r + [b[k]] for k, r in enumerate(a)]
     pivots, origin = rref(work, ncols)
     rank = len(pivots)

@@ -1,6 +1,7 @@
 """Tests for the glued models and the cohomological-equation solver."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -32,7 +33,8 @@ from cuspfol.gluing import (
     model_homothety,
     unfolding_triviality_check,
 )
-from cuspfol.linalg import SolveResult, matrix_rank
+from cuspfol.linalg import SolveResult, matrix_rank, solve
+from cuspfol.modular import P
 from cuspfol.normalform import normalize
 
 import oracles
@@ -472,6 +474,148 @@ def test_feasible_split_eliminates_a_and_b_only(monkeypatch):
     res = coboundary_solve(sig, alpha0, VectorFieldJet(target), order=n)
     assert res.feasible
     assert shapes == [(51, 64, 65)]
+
+
+def gaussian_coeff(rng, nonzero=False):
+    """(a + b*i)/(c + d*i) with small Gaussian integers, c >= 1."""
+    while True:
+        v = Coeff(rng.randint(-3, 3), rng.randint(-3, 3)) / Coeff(
+            rng.randint(1, 4), rng.randint(-3, 3)
+        )
+        if not nonzero or not v.is_zero():
+            return v
+
+
+def seeded_sigma(rng, n, dense, first=None):
+    """A germ with sigma_1 != 1 (or ``first``) and a dense or sparse tail of
+    Gaussian-denominator coefficients."""
+    s1 = first
+    while s1 is None or s1 == Coeff(1):
+        s1 = gaussian_coeff(rng, nonzero=True)
+    tail = [
+        gaussian_coeff(rng) if dense or rng.random() < 0.2 else Coeff(0)
+        for _ in range(n - 1)
+    ]
+    return germ([s1] + tail, n)
+
+
+def _full_block_split(sig, alpha0, target, n):
+    """(rank, feasible, certificate, checked) of the order-n split, by exact
+    elimination of the full T block: every T column built by
+    ``_coboundary_columns`` (exact on the rows read, see
+    test_t_columns_are_exact_on_the_rows_the_solver_reads), read on the rows
+    no A2 column pivots and solved by ``linalg.solve`` (the kernel rref); an
+    infeasibility certificate is checked on every T and A2 column."""
+    a0 = Jet2({(0, 0): 1, (0, 1): alpha0}, n)
+    cols, labels, _ = _coboundary_columns(sig, a0, n)
+    admissible = {(i, j) for kind, i, j in labels if kind == "A2"}
+    free = [key for key in _row_keys(n) if key not in admissible]
+    t_cols = [col for col, label in zip(cols, labels) if label[0] == "T"]
+    res = solve(
+        [[col.coeff(*key) for col in t_cols] for key in free],
+        [target.coeff(*key) for key in free],
+        certificate=True,
+    )
+    rank = len(admissible) + res.rank
+    if res.feasible:
+        return rank, True, None, None
+    cert = [(free[r], w) for r, w in res.certificate]
+    full = SolveResult(False, rank, certificate=[(k, w) for k, (_, w) in enumerate(cert)])
+    checked = full.check_certificate(
+        [[col.coeff(*key) for col in cols] for key, _ in cert],
+        [target.coeff(*key) for key, _ in cert],
+    )
+    return rank, False, cert, checked
+
+
+@pytest.fixture
+def column_builds(monkeypatch):
+    """The orders at which the solver builds its columns to full order."""
+    import cuspfol.gluing
+
+    orders = []
+    columns = cuspfol.gluing._coboundary_columns
+
+    def recording_columns(sigma, a0, order):
+        orders.append(order)
+        return columns(sigma, a0, order)
+
+    monkeypatch.setattr(cuspfol.gluing, "_coboundary_columns", recording_columns)
+    return orders
+
+
+def _split_of(res):
+    return res.rank, res.feasible, res.certificate, res.certificate_checked
+
+
+def test_graded_bound_matches_elimination_of_the_full_block(column_builds):
+    # the split of y1, alone or beside other monomials, is answered by the
+    # graded rank bound with no column built, and must be what eliminating
+    # the whole T block gives
+    # (the reference elimination takes seconds on a dense sigma at order 24,
+    # so the orders above 16 are sampled, with sparse tails and one target)
+    rng = random.Random(0x7E)
+    cases = [(n, dense) for n in range(1, 17) for dense in (False, True)]
+    for n, dense in cases + [(n, False) for n in (18, 20, 22, 24)]:
+        sig = seeded_sigma(rng, n, dense)
+        alpha0 = gaussian_coeff(rng)
+        extra = {key: gaussian_coeff(rng) for key in rng.sample(_row_keys(n), min(n, 4))}
+        extra[(0, 1)] = gaussian_coeff(rng, nonzero=True)
+        targets = [ks_generator(n).coefficient] if n <= 16 else []
+        for target in targets + [Jet2(extra, n)]:
+            res = coboundary_solve(sig, alpha0, VectorFieldJet(target), order=n)
+            assert _split_of(res) == _full_block_split(sig, alpha0, target, n), n
+            assert res.certificate == [((0, 1), Coeff(1))]
+            assert res.certificate_checked is True
+    assert column_builds == []
+
+
+@pytest.mark.parametrize(
+    "first",
+    [Coeff(Fraction(1, P), 2), Coeff(P, -3 * P)],
+    ids=["prime-in-denominator", "zero-modulo-the-prime"],
+)
+def test_sigma1_the_prime_cannot_see_falls_back(column_builds, first):
+    # with P in sigma_1's denominator the linear parts have no image modulo
+    # P, and with sigma_1 = 0 modulo P every G_d is zero there: the bound
+    # falls short, the block is eliminated exactly, and the answer is the same
+    rng = random.Random(0x7F)
+    for n in (4, 9):
+        sig = seeded_sigma(rng, n, True, first)
+        alpha0 = gaussian_coeff(rng)
+        target = ks_generator(n).coefficient
+        res = coboundary_solve(sig, alpha0, VectorFieldJet(target), order=n)
+        assert _split_of(res) == _full_block_split(sig, alpha0, target, n)
+        assert res.certificate == [((0, 1), Coeff(1))]
+        assert res.certificate_checked is True
+        assert res.rank == len(_row_keys(n)) - 1
+    assert column_builds == [4, 9]
+
+
+def test_feasible_split_with_gaussian_denominators_is_solved_exactly(column_builds):
+    # a target with no y1 term is never answered by the bound: it is solved
+    # on the whole block and its split is verified by rebuilding the target
+    rng = random.Random(0x80)
+    for n in (5, 8, 12):
+        sig = seeded_sigma(rng, n, n != 8)
+        alpha0 = gaussian_coeff(rng)
+        t_keys = [(i, j) for (i, j) in _row_keys(n - 1) if i > j]
+        a2_keys = [(i, j) for (i, j) in _row_keys(n) if 2 * i >= j]
+        tilde, a2 = (
+            Jet2({key: gaussian_coeff(rng) for key in rng.sample(keys, 4)}, n)
+            for keys in (t_keys, a2_keys)
+        )
+        s2 = Jet2.from_jet1(sig.jet, "y")
+        psi_x = Jet2.var_x(n) * Jet2({(0, 0): 1, (0, 1): alpha0}, n) + s2
+        target = psi_x * tilde.substitute(psi_x, s2) - a2
+        assert target.coeff(0, 1).is_zero()
+        res = coboundary_solve(sig, alpha0, VectorFieldJet(target), order=n)
+        assert res.feasible
+        assert _split_of(res) == _full_block_split(sig, alpha0, target, n)
+        rebuilt = psi_x * res.tilde.substitute(psi_x, s2) - res.field_second.coefficient
+        assert rebuilt == target
+        assert globality_check(res.field_second.coefficient, Model.F2)
+    assert column_builds == [5, 8, 12]
 
 
 # ---------------------------------------------------------------------------
