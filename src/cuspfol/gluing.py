@@ -35,14 +35,18 @@ lies outside the image.  The solve is small because the A2 block pivots
 itself: each A2 unknown is the column -x1^i y1^j on an F2-admissible row,
 so only the T columns on the remaining rows are solved, and the rank of
 the system is the number of admissible rows plus the rank of that block.
-It needs no T column built to full order and no exact elimination either.
-A T column of valuation d vanishes on the rows of degree below d, and on
-those of degree d it is a product of linear parts, exact from the order-1
-maps; so the block is block triangular, and the ranks modulo a prime of
-its diagonal blocks G_d sum to a lower bound for its rank.  The y1 row is
-zero in every T column, so it caps that rank at rows - 1 and is the
-certificate; when the bound reaches the cap, the corank is 1.  Any split
-the bound does not settle is solved exactly on the whole block.
+That rank takes no arithmetic.  A T column of valuation d vanishes on the
+rows of degree below d, so the block is block triangular and its rank is at
+least the sum of the ranks of its diagonal blocks G_d: the rows x1^p
+y1^(d-p) of degree d against the columns of valuation d.  On them a column
+factor * x3^i * y3^j is the product of the linear parts a*x1 + s*y1 of the
+factor and of x3 o psi and s*y1 of y3 o psi, where a = A0(0,0) and
+s = sigma'(0), so G_d[p][i] = C(i+1, p) a^p s^(d-p).  The polynomials
+C(X, p) with p < r are a basis of those of degree < r, and the columns
+evaluate them at distinct points i+1, never fewer than the r rows; so when
+a*s != 0 every G_d has full row rank and the ranks sum to rows - 1.  The y1
+row is zero in every T column, which caps the rank at rows - 1 and is the
+certificate.  A target with no y1 term is solved exactly on the whole block.
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ from ._backend import QZERO, qiszero
 from .coeff import Coeff
 from .jets import DEFAULT_ORDER, Jet1, Jet2
 from .linalg import SolveResult, solve
-from .modular import rank_mod_p
 from .moduli import GermDiff1, Homography
 
 
@@ -389,36 +392,6 @@ def _rows_on(keys, cols):
     return rows
 
 
-def _graded_rank(sigma: GermDiff1, a0: Jet2, free_rows, n):
-    """A lower bound for the rank of the T columns on ``free_rows``, by degree.
-
-    A T column factor * x3^i * s2^j is a product of i + j + 1 jets with no
-    constant term, so it vanishes on the rows of degree below its valuation
-    d = i + j + 1, and on the rows of degree d it is the product of their
-    linear parts.  Ordered by degree and valuation, the T block is block
-    triangular with diagonal blocks G_d: the rows of degree d against the
-    columns of valuation d, read off those products.  Its rank is at least
-    the sum of the ranks of the G_d, and so at least the sum of their ranks
-    modulo a prime (:func:`cuspfol.modular.rank_mod_p`), which this returns;
-    ``None`` when the prime divides a denominator.  The linear parts are
-    exact from the order-1 maps; alpha does not enter them.
-    """
-    lin = [g.homogeneous_part(1).with_order(n) for g in _split_maps(sigma, a0, 1)]
-    blocks = {}
-    for (i, j), col in zip(_t_keys(n), _t_columns(lin, n)):
-        blocks.setdefault(i + j + 1, []).append(col)
-    rows = {}
-    for key in free_rows:
-        rows.setdefault(key[0] + key[1], []).append(key)
-    bound = 0
-    for d, cols in blocks.items():
-        rank = rank_mod_p(_rows_on(rows[d], cols))
-        if rank is None:
-            return None
-        bound += rank
-    return bound
-
-
 def _infeasible(cert, rank, cols, goal, n) -> CoboundaryResult:
     """The infeasible split with certificate ``cert``, a list of (row key,
     weight), checked again on the full system: every T and every A2 column.
@@ -444,28 +417,33 @@ def _solve_coboundary(sigma: GermDiff1, a0: Jet2, target: Jet2, order) -> Coboun
     left-kernel vector of the full system vanishes on the admissible rows.
 
     The y1 row has degree 1, below the valuation of every T column, so it
-    is zero in the block and caps its rank at rows - 1.  When the graded
-    lower bound of :func:`_graded_rank` reaches that cap, the left kernel is
-    spanned by the y1 row: a target with a nonzero y1 coefficient is
-    infeasible with the y1 row as its certificate, checked again on the
-    full system's y1 row, which the columns' parts of degree <= 1 give
-    exactly.  No full-order T column is built then.  Every other split
-    (a zero y1 coefficient, or a bound that falls short) solves the block
-    exactly; an infeasible one has its certificate checked again, and a
-    feasible one reads A2 off as the remainder.
+    is zero in the block and caps its rank at rows - 1.  With a = A0(0,0)
+    and s = sigma'(0) nonzero, the diagonal blocks G_d of the block have
+    full row rank (see the module docstring), so the rank is rows - 1 and
+    the left kernel is spanned by the y1 row: a target with a nonzero y1
+    coefficient is infeasible with the y1 row as its certificate, checked
+    again on the full system's y1 row, which the columns' parts of degree
+    <= 1 give exactly.  No full-order T column is built then.  A target
+    with a zero y1 coefficient solves the block exactly; an infeasible one
+    has its certificate checked again, and a feasible one reads A2 off as
+    the remainder.
+
+    Both callers pass A0(0,0) = 1 and ``GermDiff1`` refuses s = 0, so a
+    zero a*s is a fault of the library and raises ``AssertionError``.
     """
+    if (a0.coeff(0, 0) * sigma.jet.coeff(1)).is_zero():
+        raise AssertionError("the split needs A0(0,0) != 0 and sigma'(0) != 0")
     n = order
     goal = dict(target.triple_items())
     a2_keys = _a2_keys(n)
     admissible = set(a2_keys)
     free_rows = [key for key in _row_keys(n) if key not in admissible]
-    cap = len(free_rows) - 1
-    y1 = goal.get((0, 1), QZERO)
-    if not qiszero(y1) and _graded_rank(sigma, a0, free_rows, n) == cap:
+    if not qiszero(goal.get((0, 1), QZERO)):
         # the full system's y1 row, read off every column's part of degree <= 1
         low = _t_columns(_split_maps(sigma, a0, 1), n)
         low += [Jet2.monomial(i, j, -1, 1) for i, j in a2_keys]
-        return _infeasible([((0, 1), Coeff(1))], len(admissible) + cap, low, goal, n)
+        rank = len(admissible) + len(free_rows) - 1
+        return _infeasible([((0, 1), Coeff(1))], rank, low, goal, n)
     cols, _, (x3, s2, factor) = _coboundary_columns(sigma, a0, n)
     t_keys = _t_keys(n)
     res = solve(
@@ -536,11 +514,11 @@ def cohomology_dimension(sigma, alpha0, order) -> CohomologyReport:
     the image, i.e. spans the quotient.  That solve concerns only the T
     columns on the rows that are not F2-admissible; the A2 columns pivot
     the admissible rows by themselves.  In that block the y1 row is zero,
-    which bounds the rank by rows - 1 and certifies infeasibility, and the
-    ranks modulo a prime of the block's diagonal blocks by degree, read off
-    the linear parts of the maps, reach rows - 1: the corank is 1 with no
-    full-order T column and no exact elimination (see
-    :func:`_solve_coboundary`).
+    which bounds the rank by rows - 1 and certifies infeasibility.  The
+    block's diagonal blocks by degree are binomial matrices scaled by
+    powers of A0(0,0) and sigma'(0), of full row rank, so the rank reaches
+    rows - 1: the corank is 1 with no full-order T column and no
+    elimination (see :func:`_solve_coboundary`).
     """
     split = coboundary_solve(sigma, alpha0, ks_generator(order), order)
     rows = len(_row_keys(order))

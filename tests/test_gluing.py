@@ -1,5 +1,6 @@
 """Tests for the glued models and the cohomological-equation solver."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -23,6 +24,11 @@ from cuspfol.gluing import (
     VectorFieldJet,
     _coboundary_columns,
     _row_keys,
+    _rows_on,
+    _solve_coboundary,
+    _split_maps,
+    _t_columns,
+    _t_keys,
     build_cocycle,
     coboundary_solve,
     cocycle_compose_check,
@@ -34,7 +40,6 @@ from cuspfol.gluing import (
     unfolding_triviality_check,
 )
 from cuspfol.linalg import SolveResult, matrix_rank, solve
-from cuspfol.modular import P
 from cuspfol.normalform import normalize
 
 import oracles
@@ -550,14 +555,22 @@ def _split_of(res):
 
 def test_graded_bound_matches_elimination_of_the_full_block(column_builds):
     # the split of y1, alone or beside other monomials, is answered by the
-    # graded rank bound with no column built, and must be what eliminating
-    # the whole T block gives
+    # binomial lemma with no column built, and must be what eliminating the
+    # whole T block gives
     # (the reference elimination takes seconds on a dense sigma at order 24,
-    # so the orders above 16 are sampled, with sparse tails and one target)
+    # so the orders above 16 are sampled, with sparse tails and one target;
+    # the last inputs have 2147483629 in sigma_1's denominator, or sigma_1
+    # divisible by it, which no part of the lemma notices)
     rng = random.Random(0x7E)
-    cases = [(n, dense) for n in range(1, 17) for dense in (False, True)]
-    for n, dense in cases + [(n, False) for n in (18, 20, 22, 24)]:
-        sig = seeded_sigma(rng, n, dense)
+    cases = [(n, dense, None) for n in range(1, 17) for dense in (False, True)]
+    cases += [(n, False, None) for n in (18, 20, 22, 24)]
+    cases += [
+        (n, True, first)
+        for first in (Coeff(Fraction(1, 2147483629), 2), Coeff(2147483629, -3 * 2147483629))
+        for n in (4, 9)
+    ]
+    for n, dense, first in cases:
+        sig = seeded_sigma(rng, n, dense, first)
         alpha0 = gaussian_coeff(rng)
         extra = {key: gaussian_coeff(rng) for key in rng.sample(_row_keys(n), min(n, 4))}
         extra[(0, 1)] = gaussian_coeff(rng, nonzero=True)
@@ -567,29 +580,57 @@ def test_graded_bound_matches_elimination_of_the_full_block(column_builds):
             assert _split_of(res) == _full_block_split(sig, alpha0, target, n), n
             assert res.certificate == [((0, 1), Coeff(1))]
             assert res.certificate_checked is True
+            assert res.rank == len(_row_keys(n)) - 1
     assert column_builds == []
 
 
-@pytest.mark.parametrize(
-    "first",
-    [Coeff(Fraction(1, P), 2), Coeff(P, -3 * P)],
-    ids=["prime-in-denominator", "zero-modulo-the-prime"],
-)
-def test_sigma1_the_prime_cannot_see_falls_back(column_builds, first):
-    # with P in sigma_1's denominator the linear parts have no image modulo
-    # P, and with sigma_1 = 0 modulo P every G_d is zero there: the bound
-    # falls short, the block is eliminated exactly, and the answer is the same
-    rng = random.Random(0x7F)
-    for n in (4, 9):
-        sig = seeded_sigma(rng, n, True, first)
-        alpha0 = gaussian_coeff(rng)
-        target = ks_generator(n).coefficient
-        res = coboundary_solve(sig, alpha0, VectorFieldJet(target), order=n)
-        assert _split_of(res) == _full_block_split(sig, alpha0, target, n)
-        assert res.certificate == [((0, 1), Coeff(1))]
-        assert res.certificate_checked is True
-        assert res.rank == len(_row_keys(n)) - 1
-    assert column_builds == [4, 9]
+def binomial_block(d):
+    """B_d = [C(i+1, p)]: the rows p = 0..(d-1)//3 of the free rows of degree
+    d against the T monomials x^i y^j of valuation i + j + 1 = d, i falling
+    as in ``_t_keys``."""
+    points = [i + 1 for i in range(d - 1, -1, -1) if i > d - 1 - i]
+    return [[math.comb(m, p) for m in points] for p in range((d - 1) // 3 + 1)]
+
+
+def test_binomial_blocks_have_full_row_rank():
+    # C(X, p), p < r, are a basis of the polynomials of degree < r, and B_d
+    # evaluates them at d//2 >= r distinct points
+    for d in range(2, 65):
+        block = binomial_block(d)
+        assert len(block[0]) == d // 2 >= len(block)
+        assert matrix_rank(block) == len(block), d
+
+
+def test_diagonal_blocks_are_scaled_binomial_blocks():
+    # G_d, the free rows of degree d against the T columns of valuation d,
+    # built from the linear parts of the order-1 maps, is
+    # diag(a^p s^(d-p)) B_d with a = A0(0,0) and s = sigma'(0)
+    rng = random.Random(0x81)
+    for n in range(2, 25):
+        sig = seeded_sigma(rng, n, n % 2 == 0)
+        a0 = Jet2({(0, 0): gaussian_coeff(rng, nonzero=True), (0, 1): gaussian_coeff(rng)}, n)
+        a, s = a0.coeff(0, 0), sig.jet.coeff(1)
+        lin = [g.homogeneous_part(1).with_order(n) for g in _split_maps(sig, a0, 1)]
+        blocks = {}
+        for (i, j), col in zip(_t_keys(n), _t_columns(lin, n)):
+            blocks.setdefault(i + j + 1, []).append(col)
+        assert sorted(blocks) == list(range(2, n + 1))
+        for d, cols in blocks.items():
+            rows = [(p, d - p) for p in range((d - 1) // 3 + 1)]
+            got = [[Coeff.from_triple(t) for t in row] for row in _rows_on(rows, cols)]
+            want = [
+                [a**p * s ** (d - p) * Coeff(c) for c in row]
+                for p, row in enumerate(binomial_block(d))
+            ]
+            assert got == want, (n, d)
+
+
+def test_split_without_the_lemma_hypothesis_is_a_library_fault():
+    # both callers pass A0(0,0) = 1, so a zero A0(0,0) is refused outright
+    n = 6
+    sig = germ([Coeff(1), Coeff(2)], n)
+    with pytest.raises(AssertionError):
+        _solve_coboundary(sig, Jet2({(0, 1): 1}, n), ks_generator(n).coefficient, n)
 
 
 def test_feasible_split_with_gaussian_denominators_is_solved_exactly(column_builds):

@@ -1,10 +1,8 @@
-import math
 import random
 from fractions import Fraction
 
 from cuspfol import Coeff
 from cuspfol.linalg import determinant, matrix_rank, solve
-from cuspfol.modular import IOTA, P, rank_mod_p
 
 import oracles
 
@@ -129,13 +127,7 @@ def test_determinant_singular():
 
 
 # ---------------------------------------------------------------------------
-# the certified solve through the rank modulo a prime
-
-
-def test_prime_and_square_root_of_minus_one():
-    assert P > 2 and all(P % k for k in range(2, math.isqrt(P) + 1))
-    assert P % 4 == 1
-    assert IOTA * IOTA % P == P - 1
+# the certified solve
 
 
 def assert_matches_reference(rows, rhs):
@@ -198,33 +190,23 @@ def test_two_zero_rows_or_corank_two_are_eliminated():
             assert not res.feasible and res.rank <= m - 2
 
 
-def test_rank_lost_modulo_the_prime_falls_back():
-    # two rows that differ by P*e_1: independent over Q(i), equal modulo P
+def test_rows_equal_modulo_a_prime_keep_their_rank():
+    # two rows that differ by p*e_1: independent over Q(i), equal modulo p
+    p = 2147483629
     rng = random.Random(139)
     for _ in range(10):
         v = [rand_coeff(rng) for _ in range(3)]
-        w = [v[0], v[1] + P, v[2]]
+        w = [v[0], v[1] + p, v[2]]
         rows = [v, [Coeff(0)] * 3, w]
         rhs = [rand_coeff(rng), Coeff(1), rand_coeff(rng)]
         res = assert_matches_reference(rows, rhs)
         assert res.rank == 2
         assert res.certificate == [(1, Coeff(1))]
-        assert rank_mod_p([[c.triple for c in row] for row in rows]) == 1
 
 
-def test_denominator_divisible_by_the_prime_falls_back():
-    half = Coeff(Fraction(1, P), 2)
-    assert rank_mod_p([[half.triple]]) is None
+def test_denominator_divisible_by_a_prime_is_solved_exactly():
+    half = Coeff(Fraction(1, 2147483629), 2)
     rows = [[half, Coeff(1)], [Coeff(0), Coeff(0)], [Coeff(3), Coeff(1, 1)]]
     rhs = [Coeff(0), Coeff(2), Coeff(5)]
     res = assert_matches_reference(rows, rhs)
     assert res.rank == 2 and res.certificate == [(1, Coeff(1))]
-
-
-def test_rank_mod_p_agrees_with_the_exact_rank():
-    rng = random.Random(149)
-    for _ in range(40):
-        m, n, k = rng.randint(1, 7), rng.randint(1, 7), rng.randint(0, 5)
-        rows, _ = planted(rng, m, n, 0, min(k, m, n))
-        triples = [[c.triple for c in row] for row in rows]
-        assert rank_mod_p(triples) == matrix_rank(rows)
