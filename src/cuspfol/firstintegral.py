@@ -22,7 +22,6 @@ is bilinear in (R1, R2) and is deliberately not attempted here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import poly
@@ -40,7 +39,6 @@ def _as_rational(v):
     raise TypeError(f"cannot interpret {type(v).__name__} as a rational function")
 
 
-@dataclass(frozen=True)
 class Rational1:
     """A reduced rational function num/den of one variable.
 
@@ -49,12 +47,9 @@ class Rational1:
     denominator vanishes at the origin).
     """
 
-    num: tuple
-    den: tuple = (Coeff(1),)
-
-    def __post_init__(self):
-        num = poly.trim(self.num)
-        den = poly.trim(self.den)
+    def __init__(self, num: tuple, den: tuple = (Coeff(1),)):
+        num = poly.trim(num)
+        den = poly.trim(den)
         if not den:
             raise ValueError("rational function needs a nonzero denominator")
         g = poly.gcd(num, den)
@@ -63,8 +58,16 @@ class Rational1:
             den, _ = poly.divmod(den, g)
         unit = den[0] if not den[0].is_zero() else den[-1]
         s = Coeff(1) / unit
-        object.__setattr__(self, "num", poly.scale(num, s))
-        object.__setattr__(self, "den", poly.scale(den, s))
+        self.num = poly.scale(num, s)
+        self.den = poly.scale(den, s)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.num, self.den))
 
     @classmethod
     def variable(cls):
@@ -256,17 +259,26 @@ def homographic_case_first_integrals(order=DEFAULT_ORDER):
 # bounded search
 
 
-@dataclass(frozen=True)
 class FirstIntegralReport:
     """Outcome of the bounded monomial-probe search for a relation."""
 
-    relation_found: bool
-    r1: Rational1 | None
-    r2: Rational1 | None
-    probes: tuple
-    degree_bound: int
-    order: int
-    note: str
+    def __init__(
+        self,
+        relation_found: bool,
+        r1: Rational1 | None,
+        r2: Rational1 | None,
+        probes: tuple,
+        degree_bound: int,
+        order: int,
+        note: str,
+    ):
+        self.relation_found = relation_found
+        self.r1 = r1
+        self.r2 = r2
+        self.probes = probes
+        self.degree_bound = degree_bound
+        self.order = order
+        self.note = note
 
     def __bool__(self):
         return self.relation_found

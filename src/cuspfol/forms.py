@@ -28,7 +28,6 @@ the jet order (an order-N input yields an order 2N+1 pullback); see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .coeff import Coeff, ZERO
@@ -37,7 +36,6 @@ from .linalg import solve
 from .poly import roots_with_multiplicity
 
 
-@dataclass(frozen=True)
 class OneForm:
     """A 1-form  a*d(first variable) + b*d(second variable).
 
@@ -45,16 +43,18 @@ class OneForm:
     orders are truncated down on construction.
     """
 
-    a: Jet2
-    b: Jet2
-    variables: tuple[str, str] = ("x", "y")
-
-    def __post_init__(self):
-        if len(self.variables) != 2 or self.variables[0] == self.variables[1]:
+    def __init__(self, a: Jet2, b: Jet2, variables: tuple[str, str] = ("x", "y")):
+        if len(variables) != 2 or variables[0] == variables[1]:
             raise ValueError("a 1-form needs two distinct variable names")
-        n = min(self.a.order, self.b.order)
-        object.__setattr__(self, "a", self.a.truncate(n))
-        object.__setattr__(self, "b", self.b.truncate(n))
+        n = min(a.order, b.order)
+        self.a = a.truncate(n)
+        self.b = b.truncate(n)
+        self.variables = variables
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b and self.variables == other.variables
 
     @property
     def order(self) -> int:
@@ -266,15 +266,22 @@ def exceptional_divide(w: OneForm, divisor_var: str) -> tuple[OneForm, int]:
     return OneForm(w.a.exponent_map(shift, n), w.b.exponent_map(shift, n), w.variables), k
 
 
-@dataclass(frozen=True)
 class DivisorReport:
     """Tangency analysis of a (divided) 1-form along one coordinate axis."""
 
-    invariant: bool
-    restricted: Jet1
-    tangency_points: list[tuple[Coeff, int]]
-    residual_degree: int
-    infinity_tangency: bool | None = None
+    def __init__(
+        self,
+        invariant: bool,
+        restricted: Jet1,
+        tangency_points: list[tuple[Coeff, int]],
+        residual_degree: int,
+        infinity_tangency: bool | None = None,
+    ):
+        self.invariant = invariant
+        self.restricted = restricted
+        self.tangency_points = tangency_points
+        self.residual_degree = residual_degree
+        self.infinity_tangency = infinity_tangency
 
 
 def divisor_analysis(
@@ -327,7 +334,6 @@ class ReductionVerdict(Enum):
 _CERTIFYING_ORDER = 5
 
 
-@dataclass
 class ReductionReport:
     """Full data of the two-step reduction; every stage that ran is recorded.
 
@@ -337,21 +343,39 @@ class ReductionReport:
     second blow-up is centered there.
     """
 
-    order: int
-    verdict: ReductionVerdict = ReductionVerdict.INCONCLUSIVE
-    reason: str = ""
-    is_valuation_3: bool = False
-    p2_coefficient: Coeff | None = None
-    applied_linear_change: tuple | None = None
-    first_chart_form: OneForm | None = None
-    exceptional_power_1: int | None = None
-    singular_points_on_D2: list = field(default_factory=list)
-    tangency_at_infinity: bool | None = None
-    second_chart_form: OneForm | None = None
-    exceptional_power_2: int | None = None
-    corner_regular: bool = False
-    transverse_to_D1: bool = False
-    transverse_to_D2: bool = False
+    def __init__(
+        self,
+        order: int,
+        verdict: ReductionVerdict = ReductionVerdict.INCONCLUSIVE,
+        reason: str = "",
+        is_valuation_3: bool = False,
+        p2_coefficient: Coeff | None = None,
+        applied_linear_change: tuple | None = None,
+        first_chart_form: OneForm | None = None,
+        exceptional_power_1: int | None = None,
+        singular_points_on_D2: list | None = None,
+        tangency_at_infinity: bool | None = None,
+        second_chart_form: OneForm | None = None,
+        exceptional_power_2: int | None = None,
+        corner_regular: bool = False,
+        transverse_to_D1: bool = False,
+        transverse_to_D2: bool = False,
+    ):
+        self.order = order
+        self.verdict = verdict
+        self.reason = reason
+        self.is_valuation_3 = is_valuation_3
+        self.p2_coefficient = p2_coefficient
+        self.applied_linear_change = applied_linear_change
+        self.first_chart_form = first_chart_form
+        self.exceptional_power_1 = exceptional_power_1
+        self.singular_points_on_D2 = [] if singular_points_on_D2 is None else singular_points_on_D2
+        self.tangency_at_infinity = tangency_at_infinity
+        self.second_chart_form = second_chart_form
+        self.exceptional_power_2 = exceptional_power_2
+        self.corner_regular = corner_regular
+        self.transverse_to_D1 = transverse_to_D1
+        self.transverse_to_D2 = transverse_to_D2
 
     def __bool__(self):
         return self.verdict is ReductionVerdict.CUSP_TYPE_ABSOLUTELY_DICRITICAL
@@ -580,7 +604,6 @@ def reduce_cusp(w: OneForm) -> ReductionReport:
     )
 
 
-@dataclass
 class RelativeExactness:
     """Result of solving  eta = df + g*w  to a given order.
 
@@ -591,13 +614,23 @@ class RelativeExactness:
     ("A"|"B", i, j) for the coefficient of x^i y^j in the named slot.
     """
 
-    feasible: bool
-    order: int
-    f: Jet2 | None = None
-    g: Jet2 | None = None
-    first_obstructed_degree: int | None = None
-    certificate: list | None = None
-    certificate_checked: bool = False
+    def __init__(
+        self,
+        feasible: bool,
+        order: int,
+        f: Jet2 | None = None,
+        g: Jet2 | None = None,
+        first_obstructed_degree: int | None = None,
+        certificate: list | None = None,
+        certificate_checked: bool = False,
+    ):
+        self.feasible = feasible
+        self.order = order
+        self.f = f
+        self.g = g
+        self.first_obstructed_degree = first_obstructed_degree
+        self.certificate = certificate
+        self.certificate_checked = certificate_checked
 
 
 def _relex_system(eta: OneForm, w: OneForm, order: int, fmax: int, gmax: int):

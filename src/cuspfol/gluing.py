@@ -51,7 +51,6 @@ certificate.  A target with no y1 term is solved exactly on the whole block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 from ._backend import QZERO, qiszero
@@ -68,11 +67,11 @@ class Model(Enum):
     F2 = "F2"
 
 
-@dataclass(frozen=True)
 class ModelTransition:
     """Monomial exponent map from a model's first chart to its second."""
 
-    model: Model
+    def __init__(self, model: Model):
+        self.model = model
 
     def exponent_image(self, i, j):
         if self.model is Model.F2:
@@ -83,10 +82,10 @@ class ModelTransition:
         return self.exponent_image(i, j)[0] >= 0
 
 
-@dataclass(frozen=True)
 class GlobalityReport:
-    is_global: bool
-    violations: list
+    def __init__(self, is_global: bool, violations: list):
+        self.is_global = is_global
+        self.violations = violations
 
     def __bool__(self):
         return self.is_global
@@ -99,27 +98,25 @@ def globality_check(f: Jet2, model) -> GlobalityReport:
     return GlobalityReport(not bad, bad)
 
 
-@dataclass(frozen=True)
 class VectorFieldJet:
     """The vertical field coefficient * x * d/dx in a named chart."""
 
-    coefficient: Jet2
-    chart: str = "x1"
+    def __init__(self, coefficient: Jet2, chart: str = "x1"):
+        self.coefficient = coefficient
+        self.chart = chart
 
     def is_zero(self) -> bool:
         return self.coefficient.is_zero()
 
 
-@dataclass(frozen=True)
 class GluingCocycle:
     """(x1, y1) -> (x1*A(x1,y1) + sigma(y1), sigma(y1)) with A(0,0) != 0."""
 
-    sigma: GermDiff1
-    A: Jet2
-
-    def __post_init__(self):
-        if self.A.coeff(0, 0).is_zero():
+    def __init__(self, sigma: GermDiff1, A: Jet2):
+        if A.coeff(0, 0).is_zero():
             raise ValueError("cocycle needs A(0,0) != 0")
+        self.sigma = sigma
+        self.A = A
 
     @property
     def order(self):
@@ -148,13 +145,13 @@ def build_cocycle(sigma, alpha) -> GluingCocycle:
 # model automorphisms
 
 
-@dataclass(frozen=True)
 class ModelAutomorphism:
     """(x, y) -> (x*A(x,y), h(y)) holomorphic and invertible on the model."""
 
-    model: Model
-    h: Homography
-    A: Jet2
+    def __init__(self, model: Model, h: Homography, A: Jet2):
+        self.model = model
+        self.h = h
+        self.A = A
 
     def as_map(self, order=None):
         n = self.A.order if order is None else order
@@ -327,6 +324,10 @@ def _t_columns(maps, n):
     F2-admissible (q > 2p), and those have p <= (n-1)//3; so the powers of
     x3 and the columns are built modulo x1^((n-1)//3 + 1), which leaves
     every row the solver reads exact.
+
+    Each power loop stops at its first zero power, and a column past it is
+    the zero jet, built with no product; that happens only below the
+    columns' degrees, as on the order-1 maps of the y1 row.
     """
     top = (n - 1) // 3
     x3, s2, factor = maps
@@ -334,9 +335,20 @@ def _t_columns(maps, n):
     fxpow = [factor.drop_x_above(top)]
     ypow = [Jet2.one(s2.order)]
     for _ in range(n - 1):
-        fxpow.append((fxpow[-1] * x3).drop_x_above(top))
-        ypow.append(ypow[-1] * s2)
-    return [fxpow[i] * ypow[j] for i, j in _t_keys(n)]
+        p = (fxpow[-1] * x3).drop_x_above(top)
+        if p.is_zero():
+            break
+        fxpow.append(p)
+    for _ in range(n - 1):
+        p = ypow[-1] * s2
+        if p.is_zero():
+            break
+        ypow.append(p)
+    zero = Jet2.zero(s2.order)
+    return [
+        fxpow[i] * ypow[j] if i < len(fxpow) and j < len(ypow) else zero
+        for i, j in _t_keys(n)
+    ]
 
 
 def _coboundary_columns(sigma: GermDiff1, a0: Jet2, order):
@@ -359,18 +371,28 @@ def _coboundary_columns(sigma: GermDiff1, a0: Jet2, order):
     return cols, labels, maps
 
 
-@dataclass
 class CoboundaryResult:
     """Outcome of one truncated split of the cohomological equation."""
 
-    feasible: bool
-    order: int
-    rank: int
-    field_first: VectorFieldJet | None = None
-    field_second: VectorFieldJet | None = None
-    tilde: Jet2 | None = None
-    certificate: list | None = None
-    certificate_checked: bool | None = None
+    def __init__(
+        self,
+        feasible: bool,
+        order: int,
+        rank: int,
+        field_first: VectorFieldJet | None = None,
+        field_second: VectorFieldJet | None = None,
+        tilde: Jet2 | None = None,
+        certificate: list | None = None,
+        certificate_checked: bool | None = None,
+    ):
+        self.feasible = feasible
+        self.order = order
+        self.rank = rank
+        self.field_first = field_first
+        self.field_second = field_second
+        self.tilde = tilde
+        self.certificate = certificate
+        self.certificate_checked = certificate_checked
 
     def __bool__(self):
         return self.feasible
@@ -439,9 +461,10 @@ def _solve_coboundary(sigma: GermDiff1, a0: Jet2, target: Jet2, order) -> Coboun
     admissible = set(a2_keys)
     free_rows = [key for key in _row_keys(n) if key not in admissible]
     if not qiszero(goal.get((0, 1), QZERO)):
-        # the full system's y1 row, read off every column's part of degree <= 1
+        # the full system's y1 row, read off every column's part of degree
+        # <= 1; an A2 column of higher degree is zero there and left out
         low = _t_columns(_split_maps(sigma, a0, 1), n)
-        low += [Jet2.monomial(i, j, -1, 1) for i, j in a2_keys]
+        low += [Jet2.monomial(i, j, -1, 1) for i, j in a2_keys if i + j <= 1]
         rank = len(admissible) + len(free_rows) - 1
         return _infeasible([((0, 1), Coeff(1))], rank, low, goal, n)
     cols, _, (x3, s2, factor) = _coboundary_columns(sigma, a0, n)
@@ -491,14 +514,22 @@ def ks_generator(order=DEFAULT_ORDER) -> VectorFieldJet:
     return VectorFieldJet(Jet2.var_y(order), "x1")
 
 
-@dataclass(frozen=True)
 class CohomologyReport:
-    order: int
-    rows: int
-    rank: int
-    corank: int
-    generator_independent: bool
-    split: CoboundaryResult
+    def __init__(
+        self,
+        order: int,
+        rows: int,
+        rank: int,
+        corank: int,
+        generator_independent: bool,
+        split: CoboundaryResult,
+    ):
+        self.order = order
+        self.rows = rows
+        self.rank = rank
+        self.corank = corank
+        self.generator_independent = generator_independent
+        self.split = split
 
     @property
     def dimension(self):
@@ -555,14 +586,22 @@ def _normalize_family(family: list[Jet2]) -> list[Jet2]:
     return [Jet2(d, n) for d in out]
 
 
-@dataclass
 class UnfoldingReport:
-    trivial: bool
-    hypothesis_holds: bool
-    order: int
-    nontrivial_direction: VectorFieldJet | None = None
-    solutions: list = field(default_factory=list)
-    certificates: list = field(default_factory=list)
+    def __init__(
+        self,
+        trivial: bool,
+        hypothesis_holds: bool,
+        order: int,
+        nontrivial_direction: VectorFieldJet | None = None,
+        solutions: list | None = None,
+        certificates: list | None = None,
+    ):
+        self.trivial = trivial
+        self.hypothesis_holds = hypothesis_holds
+        self.order = order
+        self.nontrivial_direction = nontrivial_direction
+        self.solutions = [] if solutions is None else solutions
+        self.certificates = [] if certificates is None else certificates
 
     def __bool__(self):
         return self.trivial

@@ -19,8 +19,6 @@ fraction-free, over one denominator per row (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ._backend import QONE, QZERO, qadd, qdiv, qiszero, qmul, qneg, qsub, rref
 from .coeff import Coeff, as_triple
 
@@ -30,12 +28,18 @@ def _triples(row):
     return [c if type(c) is tuple else as_triple(c) for c in row]
 
 
-@dataclass
 class SolveResult:
-    feasible: bool
-    rank: int
-    solution: list[Coeff] | None = None
-    certificate: list[tuple[int, Coeff]] | None = None
+    def __init__(
+        self,
+        feasible: bool,
+        rank: int,
+        solution: list[Coeff] | None = None,
+        certificate: list[tuple[int, Coeff]] | None = None,
+    ):
+        self.feasible = feasible
+        self.rank = rank
+        self.solution = solution
+        self.certificate = certificate
 
     def check_certificate(self, rows, rhs) -> bool:
         """Re-verify  y^T A = 0, y^T b != 0  against the original system."""

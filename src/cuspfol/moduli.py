@@ -16,7 +16,6 @@ the scalar side of that story:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb, gcd
 
 from .coeff import Coeff, format_coeff
@@ -25,17 +24,15 @@ from .gaussint import UNITS, nth_roots_in_qi
 from .jets import DEFAULT_ORDER, Jet1, JetError
 
 
-@dataclass(frozen=True)
 class GermDiff1:
     """An invertible germ of (C,0): a jet with f(0)=0, f'(0)!=0."""
 
-    jet: Jet1
-
-    def __post_init__(self):
-        if not self.jet.coeff(0).is_zero():
+    def __init__(self, jet: Jet1):
+        if not jet.coeff(0).is_zero():
             raise JetError("germ must fix the origin")
-        if self.jet.coeff(1).is_zero():
+        if jet.coeff(1).is_zero():
             raise JetError("germ must have invertible linear part")
+        self.jet = jet
 
     @classmethod
     def identity(cls, order=DEFAULT_ORDER) -> "GermDiff1":
@@ -60,20 +57,16 @@ def _as_germ_jet(s) -> Jet1:
     raise TypeError("expected a GermDiff1 or Jet1")
 
 
-@dataclass(frozen=True)
 class Homography:
     """The Moebius germ z -> lam*z / (1 + mu*z), an exact value."""
 
-    lam: Coeff
-    mu: Coeff = Coeff(0)
-
-    def __post_init__(self):
-        lam = Coeff(self.lam)
-        mu = Coeff(self.mu)
+    def __init__(self, lam: Coeff, mu: Coeff = Coeff(0)):
+        lam = Coeff(lam)
+        mu = Coeff(mu)
         if lam.is_zero():
             raise ValueError("homography needs lam != 0")
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "mu", mu)
+        self.lam = lam
+        self.mu = mu
 
     @classmethod
     def identity(cls) -> "Homography":
@@ -148,14 +141,22 @@ def cstar_apply(f: Jet1, eps) -> Jet1:
     return f.scale_variable(e) * (e * e)
 
 
-@dataclass
 class CStarVerdict:
-    equivalent: bool
-    eps: Coeff | None = None
-    eps_candidates: list[Coeff] = field(default_factory=list)
-    constraints: list[str] = field(default_factory=list)
-    defining_poly: tuple[int, Coeff] | None = None  # (g, rho): eps^g = rho
-    reason: str = ""
+    def __init__(
+        self,
+        equivalent: bool,
+        eps: Coeff | None = None,
+        eps_candidates: list[Coeff] | None = None,
+        constraints: list[str] | None = None,
+        defining_poly: tuple[int, Coeff] | None = None,  # (g, rho): eps^g = rho
+        reason: str = "",
+    ):
+        self.equivalent = equivalent
+        self.eps = eps
+        self.eps_candidates = [] if eps_candidates is None else eps_candidates
+        self.constraints = [] if constraints is None else constraints
+        self.defining_poly = defining_poly
+        self.reason = reason
 
     def __bool__(self):
         return self.equivalent
@@ -245,13 +246,20 @@ def _ext_gcd(a: int, b: int):
 # --- homographic symmetries -------------------------------------------------
 
 
-@dataclass
 class SymmetryReport:
-    infinite: bool
-    lambda_order: int | None = None  # symbolic constraint lam^lambda_order = 1
-    candidates: list[Homography] = field(default_factory=list)
-    mu_polynomials: dict[str, list[Coeff]] = field(default_factory=dict)
-    notes: list[str] = field(default_factory=list)
+    def __init__(
+        self,
+        infinite: bool,
+        lambda_order: int | None = None,  # symbolic constraint lam^lambda_order = 1
+        candidates: list[Homography] | None = None,
+        mu_polynomials: dict[str, list[Coeff]] | None = None,
+        notes: list[str] | None = None,
+    ):
+        self.infinite = infinite
+        self.lambda_order = lambda_order
+        self.candidates = [] if candidates is None else candidates
+        self.mu_polynomials = {} if mu_polynomials is None else mu_polynomials
+        self.notes = [] if notes is None else notes
 
 
 def homographic_symmetries(f: Jet1) -> SymmetryReport:
@@ -333,13 +341,13 @@ def canonical_alpha(s) -> Coeff:
     return 3 * jet.coeff(2) / c1
 
 
-@dataclass(frozen=True)
 class ModuliClass:
     """The full invariant of a transversal germ: S(sigma) and its canonical
     alpha."""
 
-    schwarzian: Jet1
-    canonical_alpha: Coeff
+    def __init__(self, schwarzian: Jet1, canonical_alpha: Coeff):
+        self.schwarzian = schwarzian
+        self.canonical_alpha = canonical_alpha
 
     @classmethod
     def of(cls, s, order=None) -> "ModuliClass":
@@ -347,18 +355,14 @@ class ModuliClass:
         return cls(schwarzian(jet, order), canonical_alpha(jet))
 
 
-@dataclass(frozen=True)
 class NormalPair:
     """The data (sigma, alpha) selecting one glued foliation model."""
-
-    sigma: GermDiff1
-    alpha: Coeff
 
     def __init__(self, sigma, alpha=0):
         if isinstance(sigma, Jet1):
             sigma = GermDiff1(sigma)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "alpha", Coeff(alpha))
+        self.sigma = sigma
+        self.alpha = Coeff(alpha)
 
 
 def canonicalizing_homography(pair: NormalPair) -> Homography:
@@ -378,13 +382,20 @@ def canonical_germ(pair: NormalPair) -> Jet1:
     return pair.sigma.jet.compose(h.to_jet(pair.sigma.order))
 
 
-@dataclass
 class NormalPairVerdict:
-    equivalent: bool
-    h0: Homography
-    h1: Homography
-    cstar: CStarVerdict
-    constraints: list[str] = field(default_factory=list)
+    def __init__(
+        self,
+        equivalent: bool,
+        h0: Homography,
+        h1: Homography,
+        cstar: CStarVerdict,
+        constraints: list[str] | None = None,
+    ):
+        self.equivalent = equivalent
+        self.h0 = h0
+        self.h1 = h1
+        self.cstar = cstar
+        self.constraints = [] if constraints is None else constraints
 
     def __bool__(self):
         return self.equivalent

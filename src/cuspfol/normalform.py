@@ -41,7 +41,6 @@ degrees only, is kept as a test reference (``tests/oracles.py``);
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from ._backend import QZERO, qdiv, qiszero, qneg, qnorm
@@ -57,7 +56,6 @@ from .forms import (
 from .jets import Jet2, JetError
 
 
-@dataclass
 class NormalFormData:
     """Canonical data of the formal normal form.
 
@@ -76,13 +74,36 @@ class NormalFormData:
     tangent to the identity, so they are kept apart.
     """
 
-    order: int
-    alpha: Coeff
-    a: Coeff
-    tail: dict = field(default_factory=dict)
-    changes: list = field(default_factory=list)
-    applied_linear_change: tuple | None = None
-    scale: Coeff = Coeff(1)
+    def __init__(
+        self,
+        order: int,
+        alpha: Coeff,
+        a: Coeff,
+        tail: dict | None = None,
+        changes: list | None = None,
+        applied_linear_change: tuple | None = None,
+        scale: Coeff = Coeff(1),
+    ):
+        self.order = order
+        self.alpha = alpha
+        self.a = a
+        self.tail = {} if tail is None else tail
+        self.changes = [] if changes is None else changes
+        self.applied_linear_change = applied_linear_change
+        self.scale = scale
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.order == other.order
+            and self.alpha == other.alpha
+            and self.a == other.a
+            and self.tail == other.tail
+            and self.changes == other.changes
+            and self.applied_linear_change == other.applied_linear_change
+            and self.scale == other.scale
+        )
 
     def is_trivial_tail(self) -> bool:
         return all(all(c.is_zero() for c in t) for t in self.tail.values())

@@ -18,8 +18,6 @@ machinery, which is how the family computations are cross-checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .coeff import Coeff
 from .firstintegral import Rational1, _as_rational
 from .forms import OneForm
@@ -152,14 +150,16 @@ class ParamPoly2:
         return f"ParamPoly2({self._d!r})"
 
 
-@dataclass(frozen=True)
 class ParamForm3:
     """A dx + B d(second) + C dz with exact parametric coefficients."""
 
-    a: ParamPoly2
-    b: ParamPoly2
-    c: ParamPoly2
-    variables: tuple = ("x", "y", "z")
+    def __init__(
+        self, a: ParamPoly2, b: ParamPoly2, c: ParamPoly2, variables: tuple = ("x", "y", "z")
+    ):
+        self.a = a
+        self.b = b
+        self.c = c
+        self.variables = variables
 
     def is_zero(self):
         return self.a.is_zero() and self.b.is_zero() and self.c.is_zero()

@@ -41,8 +41,6 @@ All errors raised here are :class:`ParseError` carrying 1-based ``line`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ._backend import QONE, qadd, qinv, qmul, qneg
 from .coeff import Coeff
 from .jets import DEFAULT_ORDER, Jet2, format_poly
@@ -67,12 +65,17 @@ class ParseError(ValueError):
         self.bare_message = message
 
 
-@dataclass(frozen=True)
 class MeromorphicPair:
     """Numerator and denominator of a ``mero:`` input, as exact jets."""
 
-    num: Jet2
-    den: Jet2
+    def __init__(self, num: Jet2, den: Jet2):
+        self.num = num
+        self.den = den
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
 
     def __iter__(self):
         return iter((self.num, self.den))

@@ -25,8 +25,6 @@ solves at its ``--order`` rather than at the corner germ's order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ._backend import QONE, QZERO, qadd, qdiv, qmul, qsub
 from .coeff import Coeff
 from .forms import OneForm, ReductionReport, differential, wedge
@@ -34,7 +32,6 @@ from .jets import Jet1, Jet2, JetError
 from .moduli import GermDiff1
 
 
-@dataclass(frozen=True)
 class CornerGerm:
     """A regular 1-form germ at the corner, transverse to both axes.
 
@@ -42,21 +39,18 @@ class CornerGerm:
     v on D1 under the convention of :mod:`cuspfol.forms`.
     """
 
-    form: OneForm
-
-    def __post_init__(self):
-        a0 = self.form.a.coeff(0, 0)
-        b0 = self.form.b.coeff(0, 0)
-        if a0.is_zero():
+    def __init__(self, form: OneForm):
+        if form.a.coeff(0, 0).is_zero():
             raise ValueError(
                 "not a valid corner germ: the foliation is not transverse "
-                f"to the {self.form.variables[0]}-axis"
+                f"to the {form.variables[0]}-axis"
             )
-        if b0.is_zero():
+        if form.b.coeff(0, 0).is_zero():
             raise ValueError(
                 "not a valid corner germ: the foliation is not transverse "
-                f"to the {self.form.variables[1]}-axis"
+                f"to the {form.variables[1]}-axis"
             )
+        self.form = form
 
     @classmethod
     def from_reduction(cls, rep: ReductionReport) -> "CornerGerm":

@@ -1,7 +1,7 @@
 """End-to-end checks of the command-line front end.
 
 Runs ``cuspfol.cli.main`` in process and asserts on verdict lines, report
-shape and exit codes; one test goes through a real subprocess.
+shape and exit codes; two tests go through a real subprocess.
 """
 
 import io
@@ -269,6 +269,37 @@ def test_cohomology_eliminates_once(monkeypatch):
     assert code == 0
     assert verdict_of(out) == "CocycleBuilt"
     assert rrefs == [] and builds == []
+
+
+def test_y1_row_multiplies_no_vanishing_power(monkeypatch):
+    # the y1 row is read off the order-1 maps, whose powers vanish from the
+    # second on: each power loop stops at its first zero power, no T column
+    # is a product, and the A2 columns past degree 1 are not built, so the
+    # split makes the same few Jet2 products at every order
+    import cuspfol.gluing
+    import cuspfol.jets
+
+    products, per_split = [], []
+    mul = cuspfol.jets.jet2_mul
+    split = cuspfol.gluing._solve_coboundary
+
+    def counting_mul(*args):
+        products.append(None)
+        return mul(*args)
+
+    def counting_split(*args):
+        before = len(products)
+        result = split(*args)
+        per_split.append(len(products) - before)
+        return result
+
+    monkeypatch.setattr(cuspfol.jets, "jet2_mul", counting_mul)
+    monkeypatch.setattr(cuspfol.gluing, "_solve_coboundary", counting_split)
+    for order in (6, 16):
+        code, out = run_cli("cohomology", CUSP, "--order", str(order))
+        assert code == 1
+        assert verdict_of(out) == "ObstructedDimensionOne"
+    assert per_split == [7, 7]
 
 
 ROADMAP = "mero:(y^2+x^3+x^2*y)/(x*y+x^3)"
@@ -787,7 +818,7 @@ def test_internal_failure_has_its_own_exit_code(capsys):
     assert rep["certificates"] == [] and err == ""
 
 
-def test_subprocess_entry_point(tmp_path):
+def run_child(args, cwd):
     # The child runs in an empty directory and finds the copy of the package
     # this process imported, whether it is installed or on a relative
     # PYTHONPATH such as ``src``.
@@ -796,12 +827,34 @@ def test_subprocess_entry_point(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (pkg_root, env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, "-m", "cuspfol.cli", "reduce", CUSP],
-        capture_output=True,
-        text=True,
-        cwd=tmp_path,
-        env=env,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, cwd=cwd, env=env
     )
+
+
+def test_subprocess_entry_point(tmp_path):
+    proc = run_child(["-m", "cuspfol.cli", "reduce", CUSP], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "verdict: CuspTypeAbsolutelyDicritical" in proc.stdout
+
+
+# Every module of the package that one CLI call needs is loaded at start.
+CLI_MODULES = {
+    "cuspfol", "cuspfol._backend", "cuspfol.cli", "cuspfol.coeff",
+    "cuspfol.firstintegral", "cuspfol.forms", "cuspfol.gaussint",
+    "cuspfol.gluing", "cuspfol.jets", "cuspfol.linalg", "cuspfol.moduli",
+    "cuspfol.normalform", "cuspfol.parsing", "cuspfol.poly",
+    "cuspfol.transversal",
+}
+
+
+def test_cli_start_imports_no_dataclass_machinery(tmp_path):
+    # Start-up is most of the wall time of one CLI call.  Building a
+    # dataclass generates and compiles its methods, and ``dataclasses``
+    # pulls in ``inspect``; the package's classes are plain, so neither
+    # loads, while nothing the CLI uses is deferred past start-up.
+    proc = run_child(["-c", "import sys, cuspfol.cli; print(*sys.modules)"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert not loaded & {"dataclasses", "inspect"}
+    assert CLI_MODULES <= loaded, sorted(CLI_MODULES - loaded)

@@ -9,9 +9,10 @@ in the tests, or in the entry points ``perfbench/spans.py`` traces.
 Dunders are called by the language, and ``cli.main`` by the console
 script, so they are exempt.
 
-A dataclass field is dead in the same way when nothing outside its class
-body names it as an attribute, a keyword or a whole string: it is set and
-never read.
+A field of a class, an entry of its ``__slots__`` or an attribute its
+``__init__`` sets on ``self``, is dead in the same way when nothing outside
+its class body names it as an attribute, a keyword or a whole string: it is
+set and never read.
 """
 
 import ast
@@ -76,17 +77,34 @@ def dead_definitions(sources, outside=frozenset()):
     return sorted(dead)
 
 
-def dataclass_fields(tree):
-    """(field, first line, last line of its class) of every dataclass field."""
+def assigned_attributes(function):
+    """Names ``n`` of every ``self.n`` that ``function`` assigns."""
+    for node in ast.walk(function):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+        ):
+            yield node.attr
+
+
+def class_fields(tree):
+    """(field, first line, last line of its class) of every field a class
+    declares: a ``__slots__`` entry or an attribute its ``__init__`` sets."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.ClassDef):
             continue
-        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
-        if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
-            continue
+        names = []
         for stmt in node.body:
-            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                yield stmt.target.id, node.lineno, node.end_lineno
+            if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__":
+                names.extend(assigned_attributes(stmt))
+            elif isinstance(stmt, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets
+            ):
+                names.extend(e.value for e in stmt.value.elts)
+        for name in dict.fromkeys(names):
+            yield name, node.lineno, node.end_lineno
 
 
 def field_references(tree):
@@ -101,7 +119,7 @@ def field_references(tree):
 
 
 def dead_fields(sources):
-    """Dataclass fields in ``sources`` ({file: text}) that nothing names."""
+    """Class fields in ``sources`` ({file: text}) that nothing names."""
     trees = {fname: ast.parse(text) for fname, text in sources.items()}
     refs = defaultdict(list)
     for fname, tree in trees.items():
@@ -109,7 +127,7 @@ def dead_fields(sources):
             refs[name].append((fname, line))
     dead = []
     for fname, tree in trees.items():
-        for name, lo, hi in dataclass_fields(tree):
+        for name, lo, hi in class_fields(tree):
             if all(other == fname and lo <= line <= hi for other, line in refs[name]):
                 dead.append((fname, name))
     return sorted(dead)
@@ -118,17 +136,17 @@ def dead_fields(sources):
 def test_the_field_scan_sees_attributes_keywords_and_strings():
     sources = {
         "lib.py": (
-            "from dataclasses import dataclass\n"
-            "@dataclass(frozen=True)\n"
             "class Report:\n"
-            "    read: int\n"
-            "    keyword: int = 0\n"
-            "    named: int = 0\n"
-            "    self_read: int = 0\n"
-            "    unread: int = 0\n"
+            "    def __init__(self, read, keyword=0, named=0, self_read=0):\n"
+            "        self.read = read\n"
+            "        self.keyword, self.named = keyword, named\n"
+            "        self.self_read = self_read\n"
             "    def double(self): return 2 * self.self_read\n"
+            "class Slotted:\n"
+            "    __slots__ = ('unread',)\n"
             "class Plain:\n"
             "    ignored: int = 0\n"
+            "    def reset(self): self.ignored_too = 0\n"
             "def make(unread): return Report(1, keyword=2)\n"
         ),
         "test_lib.py": "from lib import make\nmake(0).read\ngetattr(make(0), 'named')\n",
@@ -136,9 +154,18 @@ def test_the_field_scan_sees_attributes_keywords_and_strings():
     assert dead_fields(sources) == [("lib.py", "self_read"), ("lib.py", "unread")]
 
 
+# the modules whose result and report types are plain classes with fields
+FIELD_MODULES = (
+    "firstintegral.py", "forms.py", "gluing.py", "linalg.py", "moduli.py",
+    "normalform.py", "parametric.py", "parsing.py", "transversal.py",
+)
+
+
 def test_no_dead_dataclass_fields():
     sources = {f"tests/{p.name}": p.read_text() for p in sorted((ROOT / "tests").glob("*.py"))}
     library = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    blind = [f for f in FIELD_MODULES if not any(class_fields(ast.parse(library[f])))]
+    assert not blind, "the field scan sees no field in " + ", ".join(blind)
     dead = [(f, n) for f, n in dead_fields({**library, **sources}) if f in library]
     assert not dead, "never read: " + ", ".join(f"{f}: {n}" for f, n in dead)
 

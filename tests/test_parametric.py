@@ -45,6 +45,7 @@ def test_rational_field_arithmetic():
     assert q.num == (Coeff(1), Coeff(1))
     assert q.den == (Coeff(1), Coeff(-1))
     assert a + 0 == a
+    assert hash(ParamPoly2({(1, 0): a + 0})) == hash(ParamPoly2({(1, 0): a}))
     assert (Z * Z).num == (Coeff(0), Coeff(0), Coeff(1))
 
 
