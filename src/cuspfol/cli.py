@@ -234,6 +234,11 @@ def _cmd_equiv(args):
 def _cmd_symmetries(args):
     w = _as_oneform(args.form, args.order)
     _, jet = _sigma_of_form(w, args.order)
+    if jet.order < 7:
+        raise _CommandError(
+            "symmetry search needs jet order >= 7 (the Schwarzian loses three "
+            "orders); rerun with a larger --order"
+        )
     f = schwarzian(jet)
     rep = homographic_symmetries(f)
     data = {

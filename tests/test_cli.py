@@ -180,6 +180,32 @@ def test_symmetries_reports():
     assert '{"lam": "-1", "mu": "0"}' in out
 
 
+def test_symmetries_names_the_order_it_needs():
+    # the Schwarzian of an order-N jet has order N - 3, and the search needs 4
+    code, out = run_cli("symmetries", SINH, "--order", "6")
+    assert code == 3
+    assert verdict_of(out) == "InputError"
+    assert "error: symmetry search needs jet order >= 7" in out
+    assert "rerun with a larger --order" in out
+    code, out = run_cli("symmetries", SINH, "--order", "7")
+    assert code == 0
+    assert verdict_of(out) == "FiniteCandidates"
+
+
+def test_failed_reduction_recheck_exits_internal(monkeypatch):
+    divide = cuspfol.forms.exceptional_divide
+
+    def off_by_one(w, divisor_var):
+        out, k = divide(w, divisor_var)
+        return out, k + 1
+
+    monkeypatch.setattr(cuspfol.forms, "exceptional_divide", off_by_one)
+    code, out = run_cli("reduce", CUSP)
+    assert code == 4
+    assert verdict_of(out) == "InternalError"
+    assert "error: AssertionError: the first blow-up" in out
+
+
 def test_first_integral_search():
     code, out = run_cli("first-integral", CUSP, "--order", "10", "--degree", "3")
     assert code == 0

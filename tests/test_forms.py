@@ -341,10 +341,8 @@ def test_reduce_pure_cone_wrong_tree():
     # degenerate (no degree-4 terms feed its linear part).
     w = radial_form(12) * j2({(0, 2): 1}, 12)
     rep = reduce_cusp(w)
-    assert rep.verdict in (
-        ReductionVerdict.WRONG_REDUCTION_TREE,
-        ReductionVerdict.NOT_DICRITICAL,
-    )
+    assert rep.verdict is ReductionVerdict.WRONG_REDUCTION_TREE
+    assert rep.reason == "tangency point has multiplicity >= 2 after the first blow-up"
 
 
 def test_reduce_sheared_input_recovered():
@@ -413,6 +411,113 @@ def test_normal_form_witness_reduces():
     w2 = rep.second_chart_form
     assert w2.a.coeff(0, 0) == Coeff(-1)
     assert w2.b.coeff(0, 0) == Coeff(1)
+
+
+def test_reduce_regular_tangency_point_wrong_tree():
+    # A[x^4] != 0: the tangency point on D2 is a regular point
+    w = cusp_form() + OneForm(Jet2.monomial(4, 0, 1, 15), Jet2.zero(15))
+    rep = reduce_cusp(w)
+    assert rep.verdict is ReductionVerdict.WRONG_REDUCTION_TREE
+    assert rep.reason == "tangency point on D2 is a regular point of the transformed foliation"
+
+
+def test_reduce_non_radial_linear_part_not_dicritical():
+    # A[x^5] != 0: the linear part at the tangency point is not radial
+    w = cusp_form() + OneForm(Jet2.monomial(5, 0, 1, 15), Jet2.zero(15))
+    rep = reduce_cusp(w)
+    assert rep.verdict is ReductionVerdict.NOT_DICRITICAL
+    assert rep.reason == (
+        "second blow-up is not dicritical: linear part at the tangency point is not radial"
+    )
+
+
+def _five_jet_verdict(w):
+    """The verdict the lemma reads off a cone a*y^2*(x dy - y dx) in normal
+    position: cusp type exactly when A[x^4] = A[x^5] = 0 and
+    A[x^3 y] = -2 B[x^4] != 0."""
+    a4, a5, a31, b4 = w.a.coeff(4, 0), w.a.coeff(5, 0), w.a.coeff(3, 1), w.b.coeff(4, 0)
+    c = a31 + b4
+    if not a4.is_zero() or (c.is_zero() and a5.is_zero() and b4.is_zero()):
+        return ReductionVerdict.WRONG_REDUCTION_TREE
+    if not a5.is_zero() or a31 != -2 * b4 or b4.is_zero():
+        return ReductionVerdict.NOT_DICRITICAL
+    return ReductionVerdict.CUSP_TYPE_ABSOLUTELY_DICRITICAL
+
+
+def _constant_on_axis(w, divisor_var):
+    """The transversal coefficient of w on {divisor_var = 0}, if constant."""
+    r = divisor_analysis(w, divisor_var).restricted
+    return r.coeff(0) if r.degree() == 0 else None
+
+
+def _cone_draw(rng, order):
+    """y^2*(x dy - y dx) plus random degree-4..9 terms with the 5-jet
+    relations forced, one or two broken again on some draws, moved by a
+    random invertible linear map and, on some draws, multiplied by a unit."""
+
+    def small():
+        return Coeff(rng.randint(-3, 3), rng.randint(-1, 1))
+
+    top = rng.randint(4, 9)
+    a = {(0, 3): Coeff(-1)}
+    b = {(1, 2): Coeff(1)}
+    for d in range(4, top + 1):
+        for i in range(d + 1):
+            if rng.random() < 0.4:
+                a[(i, d - i)] = small()
+            if rng.random() < 0.4:
+                b[(i, d - i)] = small()
+    b4 = Coeff(rng.choice((-2, -1, 1, 3)), rng.randint(-1, 1))
+    a.update({(4, 0): Coeff(0), (5, 0): Coeff(0), (3, 1): -2 * b4})
+    b[(4, 0)] = b4
+    for broken in rng.sample(("b4", (4, 0), (5, 0), (3, 1)), rng.choice((0, 0, 1, 2))):
+        if broken == "b4":
+            a[(3, 1)] = b[(4, 0)] = Coeff(0)
+        else:
+            a[broken] += Coeff(rng.choice((-1, 1, 2)), rng.randint(-1, 1))
+    w = OneForm(j2(a, order), j2(b, order))
+    while True:
+        m = ((small(), small()), (small(), small()))
+        if not (m[0][0] * m[1][1] - m[0][1] * m[1][0]).is_zero():
+            break
+    w = linear_change(w, m)
+    if rng.random() < 0.3:
+        w = w * j2({(0, 0): Coeff(rng.choice((1, -2)), 1), (1, 0): small(), (0, 2): small()}, order)
+    return w
+
+
+def test_reduction_lemma_on_moved_cones():
+    # The verdict on a cone a*y^2*(x dy - y dx) reads the 5-jet only, and on
+    # every accepted draw the charts reduce_cusp no longer builds show what
+    # the lemma says: constant nonzero restrictions, a regular corner.
+    rng = random.Random(0x1E33A)
+    accepted = 0
+    for _ in range(120):
+        w = _cone_draw(rng, rng.randint(5, 9))
+        rep = reduce_cusp(w)
+        if rep.applied_linear_change is not None:
+            w = linear_change(w, rep.applied_linear_change)
+        assert rep.verdict is _five_jet_verdict(w), rep.reason
+        if not rep:
+            continue
+        accepted += 1
+        a = rep.p2_coefficient
+        w1, k1 = exceptional_divide(pullback_blowup(w, "x", new_var="t"), "x")
+        c = w1.a.coeff(0, 1)
+        assert k1 == 4 and not c.is_zero()
+        # s-chart of the first blow-up: the ds coefficient on the divisor is -a
+        w_s, _ = exceptional_divide(pullback_blowup(w, "y", new_var="s"), "y")
+        assert _constant_on_axis(w_s, "y") == -a
+        # tau-chart of the second blow-up: the dtau coefficient on D1 is -c
+        w_tau, _ = exceptional_divide(pullback_blowup(w1, "x", new_var="tau"), "x")
+        assert _constant_on_axis(w_tau, "x") == -c
+        # corner chart: transverse along D1 = {t = 0} and D2 = {xi = 0}
+        w2 = rep.second_chart_form
+        assert _constant_on_axis(w2, "t") == c
+        assert _constant_on_axis(w2, "xi") == a
+        assert not w2.a.coeff(0, 0).is_zero() and not w2.b.coeff(0, 0).is_zero()
+        assert rep.corner_regular and rep.transverse_to_D1 and rep.transverse_to_D2
+    assert 40 <= accepted < 120
 
 
 # --- pullback/wedge property ------------------------------------------------
