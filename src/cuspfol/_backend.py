@@ -1,8 +1,10 @@
 """The arithmetic kernel.
 
 Everything hot in the library bottoms out here: exact arithmetic in Q(i),
-truncated power-series convolution in one and two variables, substitution
-into two-variable series, and reduced row echelon form over Q(i).
+truncated power-series convolution in one and two variables, the
+reciprocal and the series reversion of one-variable series, the formal
+first integral of a regular corner germ, substitution into two-variable
+series, and reduced row echelon form over Q(i).
 
 A Gaussian-rational scalar is a normalized integer triple ``(a, b, d)``
 standing for ``(a + b*i)/d`` with ``d > 0`` and ``gcd(a, b, d) == 1``.  Zero
@@ -14,6 +16,16 @@ their denominators, the Gaussian-integer numerators are convolved in plain
 integers, and each nonzero output coefficient is normalized once, over the
 product of the two lcms.  A product therefore makes one ``qnorm`` per output
 coefficient, not one per term and one per partial sum.
+
+The one-variable series routines keep to the same rule.  The reciprocal
+(:func:`jet1_reciprocal`) sums each coefficient's recurrence in Gaussian
+integers over the lcm of the denominators it reads.  The reversion
+(:func:`jet1_revert`, Lagrange inversion) scales h = z/f once and carries
+each power h^k as integer numerators over one divisor of D^k, with D the
+lcm of h's denominators; no power is normalized.  The first integral
+(:func:`first_integral`) forms each degree's residual in integers over
+one denominator per homogeneous part, and skips each coefficient whose
+inputs are zero.  Each of them normalizes an output coefficient once.
 
 Substitution (:func:`jet2_substitute`) and the pullback of a 1-form
 (:func:`jet2_pullback`) follow the same rule, with one denominator per
@@ -120,25 +132,13 @@ def _scaled(terms):
     return scaled, den
 
 
-def jet1_mul(ca, cb, n):
-    """Convolve two coefficient lists, truncated at degree n (inclusive).
+def _convolve1(ta, tb, n):
+    """The numerator convolution of two one-variable term lists.
 
-    Each operand's nonzero coefficients are brought to the lcm of their
-    denominators, the Gaussian-integer numerators are convolved, and each
-    nonzero output coefficient is normalized once, over the product of the
-    two lcms.
+    Terms are ``(k, a, b, _)`` with Gaussian-integer numerators ``a + b*i``,
+    in increasing k; the last slot is not read.  Returns the lists of real
+    and imaginary parts of the product up to degree n.
     """
-    out = [QZERO] * (n + 1)
-    ta, da = _scaled(
-        [(k, a, b, d) for k, (a, b, d) in enumerate(ca[: n + 1]) if a or b]
-    )
-    if not ta:
-        return out
-    tb, db = _scaled(
-        [(m, a, b, d) for m, (a, b, d) in enumerate(cb[: n + 1]) if a or b]
-    )
-    if not tb:
-        return out
     re = [0] * (n + 1)
     im = [0] * (n + 1)
     for k, a1, b1, _ in ta:
@@ -148,10 +148,190 @@ def jet1_mul(ca, cb, n):
                 break
             re[s] += a1 * a2 - b1 * b2
             im[s] += a1 * b2 + b1 * a2
+    return re, im
+
+
+def _nonzero1(c, n):
+    """The nonzero coefficients of a list up to degree n as ``(k, a, b, d)``."""
+    return [(k, a, b, d) for k, (a, b, d) in enumerate(c[: n + 1]) if a or b]
+
+
+def jet1_mul(ca, cb, n):
+    """Convolve two coefficient lists, truncated at degree n (inclusive).
+
+    Each operand's nonzero coefficients are brought to the lcm of their
+    denominators, the Gaussian-integer numerators are convolved, and each
+    nonzero output coefficient is normalized once, over the product of the
+    two lcms.
+    """
+    out = [QZERO] * (n + 1)
+    ta, da = _scaled(_nonzero1(ca, n))
+    if not ta:
+        return out
+    tb, db = _scaled(_nonzero1(cb, n))
+    if not tb:
+        return out
+    re, im = _convolve1(ta, tb, n)
     den = da * db
     for s in range(n + 1):
         if re[s] or im[s]:
             out[s] = qnorm(re[s], im[s], den)
+    return out
+
+
+def jet1_reciprocal(c, n):
+    """1/f up to degree n, for a coefficient list f with f(0) != 0.
+
+    f is scaled to the lcm D of its denominators, f = F/D, and the constant
+    term is made real: with u = conj(F0)/gcd(Re F0, Im F0) the product
+    u*F0 is a positive integer N.  Then
+
+        [z^k](1/f) = -(u/N) * sum_(m=1..k) F_m [z^(k-m)](1/f):
+
+    the sum runs over the nonzero F_m only, in Gaussian integers over the
+    lcm of the denominators of the coefficients it reads, and each output
+    coefficient is normalized once.
+    """
+    terms, den = _scaled(_nonzero1(c, n))
+    _, fa, fb, _ = terms[0]
+    g = gcd(fa, fb)
+    ua, ub = fa // g, -fb // g
+    norm = fa * ua - fb * ub
+    out = [qnorm(ua * den, ub * den, norm)]
+    for k in range(1, n + 1):
+        reached = [
+            (a, b, out[k - m]) for m, a, b, _ in terms[1:] if m <= k and not qiszero(out[k - m])
+        ]
+        lcm = 1
+        for _, _, (_, _, d) in reached:
+            if lcm % d:
+                lcm = lcm // gcd(lcm, d) * d
+        sa = sb = 0
+        for a, b, (x, y, d) in reached:
+            f = lcm // d
+            sa += (a * x - b * y) * f
+            sb += (a * y + b * x) * f
+        out.append(
+            qnorm(ub * sb - ua * sa, -(ua * sb + ub * sa), norm * lcm) if sa or sb else QZERO
+        )
+    return out
+
+
+def jet1_revert(h, n):
+    """Lagrange inversion: the compositional inverse g of z/h, up to degree n.
+
+    ``h`` is the coefficient list of a unit, read up to degree n - 1, and
+    [z^k]g = (1/k) [z^(k-1)] h^k.  h is scaled once to the lcm D of its
+    denominators, h = H/D, and each power h^k is carried as Gaussian-integer
+    numerators up to degree n - 1 over one integer dividing D^k: one
+    convolution with the nonzero terms of H per power, and one integer
+    ``gcd`` that takes the common factor out of the numerators and that
+    denominator.  Each coefficient of g is normalized once.
+    """
+    terms, den = _scaled(_nonzero1(h, n - 1))
+    out = [QZERO] * (n + 1)
+    re, im = [0] * n, [0] * n
+    for s, a, b, _ in terms:
+        re[s], im[s] = a, b
+    dk = den  # h^k is (re + i*im) / dk
+    for k in range(1, n + 1):
+        if re[k - 1] or im[k - 1]:
+            out[k] = qnorm(re[k - 1], im[k - 1], k * dk)
+        if k < n:
+            power = [(s, re[s], im[s], 1) for s in range(n) if re[s] or im[s]]
+            re, im = _convolve1(power, terms, n - 1)
+            dk *= den
+            g = gcd(dk, *re, *im)
+            if g > 1:
+                re = [x // g for x in re]
+                im = [y // g for y in im]
+                dk //= g
+    return out
+
+
+def first_integral(a, b, n):
+    """The formal first integral of  A du + B dv  at order n.
+
+    ``a`` and ``b`` are {(i, j): triple} dicts with nonzero constant terms
+    a0 and b0.  Returns the {(i, j): triple} dict of the H with H(0, 0) = 0,
+    H(u, 0) = u and H_u*B - H_v*A = 0 up to degree n - 1.  At u^(d-m) v^m
+    the degree-d part of that equation solves for the coefficient h[m+1]
+    of u^(d-m) v^(m+1):
+
+        h[m+1] = ((d+1-m) (b0/a0) h[m] + res[m]/a0) / (m+1),
+
+    where res is the degree-d part of sum_(e<d) [H_u]_e [B]_(d-e) -
+    [H_v]_e [A]_(d-e), and h[0] = 0 past degree 0.  So h[m+1] is zero, and
+    is skipped, when h[m] and res[m] both are.
+
+    The residual is formed in integers: the parts of degree 1 .. n-1 of B
+    and -A are scaled once to one denominator, each homogeneous part of
+    H_u and H_v to one denominator (its part of H's), and a degree's
+    residual is summed over the lcm of the parts of H that reach it.  Each
+    nonzero h[m+1] is normalized once.
+    """
+    ia, ib, id_ = qinv(a[(0, 0)])
+    ra, rb, rd = qmul(b[(0, 0)], (ia, ib, id_))
+    terms, den = _scaled(
+        [
+            (i + j, j, side, sign * x, sign * y, d)
+            for side, sign, f in ((0, 1, b), (1, -1, a))
+            for (i, j), (x, y, d) in f.items()
+            if (x or y) and 0 < i + j < n
+        ]
+    )
+    coef = [([], []) for _ in range(n)]  # degree k: numerators of [B]_k, -[A]_k
+    for k, j, side, x, y, _ in terms:
+        coef[k][side].append((j, x, y))
+    out = {}
+    grads = []  # degree e: (den, [H_u]_e, [H_v]_e) as (m, re, im), or None
+    for d in range(n):
+        reached = [
+            (e, g) for e, g in enumerate(grads) if g and (coef[d - e][0] or coef[d - e][1])
+        ]
+        lcm = 1
+        for _, (dh, _, _) in reached:
+            lcm = lcm // gcd(lcm, dh) * dh
+        re = [0] * (d + 1)
+        im = [0] * (d + 1)
+        for e, (dh, hu, hv) in reached:
+            f = lcm // dh
+            for side, grad in enumerate((hu, hv)):
+                for q, s, t in coef[d - e][side]:
+                    s *= f
+                    t *= f
+                    for p, x, y in grad:
+                        re[p + q] += x * s - y * t
+                        im[p + q] += x * t + y * s
+        rden = lcm * den * id_
+        pa, pb, pd = QONE if d == 0 else QZERO
+        part = [(0, *QONE)] if d == 0 else []  # the nonzero h[m] as (m, a, b, d)
+        for m in range(d + 1):
+            na, nb = re[m], im[m]
+            if not (pa or pb or na or nb):
+                continue
+            c = d + 1 - m
+            sd = rd * pd
+            pa, pb, pd = qnorm(
+                c * (ra * pa - rb * pb) * rden + (na * ia - nb * ib) * sd,
+                c * (ra * pb + rb * pa) * rden + (na * ib + nb * ia) * sd,
+                rden * sd * (m + 1),
+            )
+            if pa or pb:
+                part.append((m + 1, pa, pb, pd))
+        for m, x, y, dd in part:
+            out[(d + 1 - m, m)] = (x, y, dd)
+        if not part or d == n - 1:
+            grads.append(None)
+            continue
+        part, dh = _scaled(part)
+        grads.append(
+            (
+                dh,
+                [(m, (d + 1 - m) * x, (d + 1 - m) * y) for m, x, y, _ in part if m <= d],
+                [(m - 1, m * x, m * y) for m, x, y, _ in part if m],
+            )
+        )
     return out
 
 

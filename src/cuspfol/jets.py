@@ -19,6 +19,8 @@ from ._backend import (
     QONE,
     QZERO,
     jet1_mul,
+    jet1_reciprocal,
+    jet1_revert,
     jet2_mul,
     jet2_pullback,
     jet2_substitute,
@@ -209,8 +211,13 @@ class Jet1(_Jet):
         """Compositional inverse g with g(f(z)) = z; needs f(0)=0, f'(0)!=0.
 
         Series reversion by Lagrange inversion: with the unit h = z/f(z),
-        [z^k]g = (1/k) [z^(k-1)] h^k.  The powers h^k come from one product
-        each, so reversion at order n costs O(n^3) coefficient operations.
+        [z^k]g = (1/k) [z^(k-1)] h^k.  The kernel's
+        :func:`~cuspfol._backend.jet1_revert` scales h once to the lcm D of
+        its denominators and carries the powers h^k as Gaussian-integer
+        numerators over a divisor of D^k, one convolution with the nonzero
+        terms of h per power; each coefficient of g is normalized once.  No
+        power is normalized and no :func:`~cuspfol._backend.jet1_mul` is
+        made.
         """
         if self._n < 1:
             raise JetError("compositional inverse needs a jet of order >= 1")
@@ -219,29 +226,18 @@ class Jet1(_Jet):
         if qiszero(self._c[1]):
             raise JetError("compositional inverse needs f'(0) != 0")
         n = self._n
-        h = Jet1._raw(self._c[1:], n - 1).reciprocal()._c
-        g = [QZERO]
-        hk = h
-        for k in range(1, n + 1):
-            g.append(qmul(hk[k - 1], (1, 0, k)))
-            if k < n:
-                hk = jet1_mul(hk, h, n - 1)
-        return Jet1._raw(g, n)
+        return Jet1._raw(jet1_revert(jet1_reciprocal(self._c[1:], n - 1), n), n)
 
     def reciprocal(self) -> "Jet1":
-        """1/self; needs a nonzero constant term."""
+        """1/self; needs a nonzero constant term.
+
+        The kernel's :func:`~cuspfol._backend.jet1_reciprocal` runs the
+        recurrence on Gaussian-integer numerators, one ``qnorm`` per output
+        coefficient.
+        """
         if qiszero(self._c[0]):
             raise JetError("reciprocal needs a unit (nonzero constant term)")
-        n = self._n
-        inv0 = qinv(self._c[0])
-        out = [inv0]
-        for k in range(1, n + 1):
-            s = QZERO
-            for m in range(1, k + 1):
-                if not qiszero(self._c[m]):
-                    s = qadd(s, qmul(self._c[m], out[k - m]))
-            out.append(qneg(qmul(s, inv0)))
-        return Jet1._raw(out, n)
+        return Jet1._raw(jet1_reciprocal(self._c, self._n), self._n)
 
     def div(self, other: "Jet1") -> "Jet1":
         """Series division by a unit, at the min of the orders.

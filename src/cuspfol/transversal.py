@@ -12,6 +12,12 @@ solved degree by degree (constructive Frobenius); then
 
     sigma = (v -> H(0, v))^{-1}  composed with  (u -> H(u, 0)).
 
+The degree recurrence for H and the reversion run in the kernel, on
+Gaussian-integer numerators with one ``qnorm`` per output coefficient
+(:func:`cuspfol._backend.first_integral` and
+:func:`cuspfol._backend.jet1_revert`); H is checked again exactly,
+dH ^ form = 0, before sigma is read off it.
+
 sigma does not depend on the choice of H: any other first integral is
 phi(H) for a unit reparametrization phi, which cancels in the composition
 (property-tested with H -> H + H^2).
@@ -25,7 +31,7 @@ solves at its ``--order`` rather than at the corner germ's order.
 
 from __future__ import annotations
 
-from ._backend import QONE, QZERO, qadd, qdiv, qmul, qsub
+from ._backend import first_integral
 from .coeff import Coeff
 from .forms import OneForm, ReductionReport, differential, wedge
 from .jets import Jet1, Jet2, JetError
@@ -83,6 +89,14 @@ def regular_first_integral(c: CornerGerm, order=None) -> Jet2:
     by exact back-substitution against the constant terms of A and B.
     The residual is computed per degree, from the homogeneous parts of H
     found so far: sum over e < d of [H_u]_e*[B]_(d-e) - [H_v]_e*[A]_(d-e).
+
+    The kernel's :func:`~cuspfol._backend.first_integral` does the work on
+    Gaussian-integer numerators: one denominator for the parts of A and B,
+    one per homogeneous part of H, and one ``qnorm`` per nonzero
+    coefficient of H.  A coefficient whose predecessor in the
+    back-substitution and whose residual are both zero is zero and is
+    skipped, so a sparse H costs little.  H is then checked again exactly:
+    dH ^ form must vanish to order N-1.
     """
     w = c.form
     n = w.order if order is None else order
@@ -90,50 +104,12 @@ def regular_first_integral(c: CornerGerm, order=None) -> Jet2:
         raise JetError("requested order exceeds the corner germ's jet order")
     a = w.a.truncate(n)
     b = w.b.truncate(n)
-    # Homogeneous parts as lists of (v-exponent, triple); degree is the index.
-    a_parts = _homogeneous_parts(a)
-    b_parts = _homogeneous_parts(b)
-    a0 = a.coeff(0, 0).triple
-    b0 = b.coeff(0, 0).triple
-    hu_parts = []  # [H_u]_e and [H_v]_e, same layout
-    hv_parts = []
-    coeffs = {}
-    for d in range(0, n):
-        res = [QZERO] * (d + 1)
-        for e in range(d):
-            for p, t in hu_parts[e]:
-                for q, u in b_parts[d - e]:
-                    res[p + q] = qadd(res[p + q], qmul(t, u))
-            for p, t in hv_parts[e]:
-                for q, u in a_parts[d - e]:
-                    res[p + q] = qsub(res[p + q], qmul(t, u))
-        # part[m] is the coefficient of u^(d+1-m) * v^m in H_(d+1)
-        part = [QONE if d == 0 else QZERO]
-        for m in range(0, d + 1):
-            num = qadd(qmul(qmul((d + 1 - m, 0, 1), part[m]), b0), res[m])
-            part.append(qdiv(num, qmul((m + 1, 0, 1), a0)))
-        for m, t in enumerate(part):
-            if t != QZERO:
-                coeffs[(d + 1 - m, m)] = Coeff.from_triple(t)
-        hu_parts.append(
-            [(m, qmul((d + 1 - m, 0, 1), t)) for m, t in enumerate(part[:-1]) if t != QZERO]
-        )
-        hv_parts.append(
-            [(m, qmul((m + 1, 0, 1), t)) for m, t in enumerate(part[1:]) if t != QZERO]
-        )
-    h = Jet2(coeffs, n)
+    coeffs = first_integral(dict(a.triple_items()), dict(b.triple_items()), n)
+    h = Jet2({key: Coeff.from_triple(t) for key, t in coeffs.items()}, n)
     resid = wedge(differential(h, w.variables), OneForm(a, b, w.variables).truncate(n - 1))
     if not resid.is_zero():
         raise AssertionError("first integral failed the dH ^ w = 0 re-check")
     return h
-
-
-def _homogeneous_parts(f: Jet2):
-    """Nonzero (v-exponent, triple) pairs of each homogeneous part of f."""
-    parts = [[] for _ in range(f.order + 1)]
-    for (i, j), coeff in f.items():
-        parts[i + j].append((j, coeff.triple))
-    return parts
 
 
 def sigma_of_integral(h: Jet2) -> GermDiff1:

@@ -13,16 +13,21 @@ text at a point instead of expanding it, Gauss-Jordan over fractions instead
 of fraction-free elimination, the split columns at full order instead of
 modulo a power of x).
 
-The one exception is the last section: the stated elimination operator L on
-homogeneous pairs, kept as a reference recipe on the package's own ``Jet2``
-and exact ``solve``.  The normal form does not use it; the tests check
-its rank by parity and its round trip.
+Two sections are exceptions.  The stated elimination operator L on
+homogeneous pairs is kept as a reference recipe on the package's own ``Jet2``
+and exact ``solve``; the normal form does not use it, and the tests check its
+rank by parity and its round trip.  And the reciprocal and the Lagrange
+series reversion that the integer kernel replaced are kept on the kernel's
+normalized triples, one ``qnorm`` per scalar operation and one ``jet1_mul``
+per power, as the reference at orders where the coefficient recursion above
+is too slow.
 """
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from cuspfol._backend import QZERO, jet1_mul, qadd, qinv, qiszero, qmul, qneg
 from cuspfol.jets import Jet2
 from cuspfol.linalg import solve
 
@@ -522,6 +527,36 @@ def jet1_pairs(jet):
 
 def jet2_pairs(jet):
     return {k: pair_of_coeff(c) for k, c in jet.items()}
+
+
+# --- reversion on normalized kernel triples -----------------------------------
+
+
+def triple_reciprocal(c, n):
+    """1/f up to degree n for a list of kernel triples, term by term."""
+    inv0 = qinv(c[0])
+    out = [inv0]
+    for k in range(1, n + 1):
+        s = QZERO
+        for m in range(1, k + 1):
+            if not qiszero(c[m]):
+                s = qadd(s, qmul(c[m], out[k - m]))
+        out.append(qneg(qmul(s, inv0)))
+    return out
+
+
+def triple_lagrange_inverse(f, n):
+    """The compositional inverse of f (kernel triples, f(0) = 0 != f'(0)) by
+    Lagrange inversion, [z^k]g = (1/k) [z^(k-1)] h^k with h = z/f, each
+    power h^k one ``jet1_mul`` of normalized triples."""
+    h = triple_reciprocal(f[1:], n - 1)
+    g = [QZERO]
+    hk = h
+    for k in range(1, n + 1):
+        g.append(qmul(hk[k - 1], (1, 0, k)))
+        if k < n:
+            hk = jet1_mul(hk, h, n - 1)
+    return g
 
 
 # --- the stated elimination operator L on homogeneous pairs -------------------

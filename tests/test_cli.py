@@ -520,10 +520,17 @@ def test_order_24_and_32_reports_are_pinned(command, text, order, code, report):
 # The --json reports of cohomology at orders 40 and 48, taken from the solve
 # on the full T block (every T column built, its rank modulo a prime) that
 # the graded bound replaced, and at order 64, taken from the graded bound's
-# ranks modulo a prime that the binomial lemma replaced.
-ORDER_40_TO_64_REPORTS = [
+# ranks modulo a prime that the binomial lemma replaced.  Then the reports of
+# sigma, schwarzian, symmetries and first-integral --degree 3 at orders 32
+# and 48, taken from the first integral and the series reversion on
+# normalized triples that the integer kernel replaced.
+FORM_IDS = {CUSP: "cusp", ROADMAP: "roadmap", SINH: "sinh"}
+ORDER_32_TO_64_REPORTS = [
     (
+        "cohomology",
+        ROADMAP,
         40,
+        1,
         '{"certificates": [{"checked": true, "infeasibility_rows": [[[0, 1], '
         '"1"]]}], "command": "cohomology", "data": {"alpha": "-1", "corank": 1,'
         ' "feasible": false, "generator_independent": true, "rank": 860, '
@@ -531,7 +538,10 @@ ORDER_40_TO_64_REPORTS = [
         '"order": 40, "verdict": "ObstructedDimensionOne"}'
     ),
     (
+        "cohomology",
+        ROADMAP,
         48,
+        1,
         '{"certificates": [{"checked": true, "infeasibility_rows": [[[0, 1], '
         '"1"]]}], "command": "cohomology", "data": {"alpha": "-1", "corank": 1,'
         ' "feasible": false, "generator_independent": true, "rank": 1224, '
@@ -539,20 +549,363 @@ ORDER_40_TO_64_REPORTS = [
         '"order": 48, "verdict": "ObstructedDimensionOne"}'
     ),
     (
+        "cohomology",
+        ROADMAP,
         64,
+        1,
         '{"certificates": [{"checked": true, "infeasibility_rows": [[[0, 1], '
         '"1"]]}], "command": "cohomology", "data": {"alpha": "-1", "corank": 1,'
         ' "feasible": false, "generator_independent": true, "rank": 2144, '
         '"rows": 2145, "target": "y1 (distinguished vertical direction)"}, '
         '"order": 64, "verdict": "ObstructedDimensionOne"}'
     ),
+    (
+        "sigma",
+        CUSP,
+        32,
+        0,
+        '{"certificates": [], "command": "sigma", "data": '
+        '{"canonical_alpha": "0", "is_identity": true, "sigma": [[1, "1"]], '
+        '"sigma_order": 32}, "order": 32, "verdict": "Identity"}',
+    ),
+    (
+        "sigma",
+        CUSP,
+        48,
+        0,
+        '{"certificates": [], "command": "sigma", "data": '
+        '{"canonical_alpha": "0", "is_identity": true, "sigma": [[1, "1"]], '
+        '"sigma_order": 48}, "order": 48, "verdict": "Identity"}',
+    ),
+    (
+        "sigma",
+        ROADMAP,
+        32,
+        0,
+        '{"certificates": [], "command": "sigma", "data": '
+        '{"canonical_alpha": "3", "is_identity": false, "sigma": [[1, "1"], '
+        '[2, "1"], [3, "1"], [4, "1"], [5, "1"], [6, "1"], [7, "1"], [8, '
+        '"1"], [9, "1"], [10, "1"], [11, "1"], [12, "1"], [13, "1"], [14, '
+        '"1"], [15, "1"], [16, "1"], [17, "1"], [18, "1"], [19, "1"], [20, '
+        '"1"], [21, "1"], [22, "1"], [23, "1"], [24, "1"], [25, "1"], [26, '
+        '"1"], [27, "1"], [28, "1"], [29, "1"], [30, "1"], [31, "1"], [32, '
+        '"1"]], "sigma_order": 32}, "order": 32, "verdict": "NonIdentity"}',
+    ),
+    (
+        "sigma",
+        ROADMAP,
+        48,
+        0,
+        '{"certificates": [], "command": "sigma", "data": '
+        '{"canonical_alpha": "3", "is_identity": false, "sigma": [[1, "1"], '
+        '[2, "1"], [3, "1"], [4, "1"], [5, "1"], [6, "1"], [7, "1"], [8, '
+        '"1"], [9, "1"], [10, "1"], [11, "1"], [12, "1"], [13, "1"], [14, '
+        '"1"], [15, "1"], [16, "1"], [17, "1"], [18, "1"], [19, "1"], [20, '
+        '"1"], [21, "1"], [22, "1"], [23, "1"], [24, "1"], [25, "1"], [26, '
+        '"1"], [27, "1"], [28, "1"], [29, "1"], [30, "1"], [31, "1"], [32, '
+        '"1"], [33, "1"], [34, "1"], [35, "1"], [36, "1"], [37, "1"], [38, '
+        '"1"], [39, "1"], [40, "1"], [41, "1"], [42, "1"], [43, "1"], [44, '
+        '"1"], [45, "1"], [46, "1"], [47, "1"], [48, "1"]], "sigma_order": '
+        '48}, "order": 48, "verdict": "NonIdentity"}',
+    ),
+    (
+        "sigma",
+        SINH,
+        32,
+        0,
+        '{"certificates": [], "command": "sigma", "data": '
+        '{"canonical_alpha": "0", "is_identity": false, "sigma": [[1, "1"], '
+        '[3, "1/6"], [5, "1/120"], [7, "1/5040"], [9, "1/362880"], [11, '
+        '"1/39916800"], [13, "1/6227020800"], [15, "1/1307674368000"], [17, '
+        '"1/355687428096000"], [19, "1/121645100408832000"], [21, '
+        '"1/51090942171709440000"], [23, "1/25852016738884976640000"], [25, '
+        '"1/15511210043330985984000000"], [27, "1/108888694504183521607680000'
+        '00"], [29, "1/8841761993739701954543616000000"], [31, '
+        '"1/8222838654177922817725562880000000"]], "sigma_order": 32}, '
+        '"order": 32, "verdict": "NonIdentity"}',
+    ),
+    (
+        "sigma",
+        SINH,
+        48,
+        0,
+        '{"certificates": [], "command": "sigma", "data": '
+        '{"canonical_alpha": "0", "is_identity": false, "sigma": [[1, "1"], '
+        '[3, "1/6"], [5, "1/120"], [7, "1/5040"], [9, "1/362880"], [11, '
+        '"1/39916800"], [13, "1/6227020800"], [15, "1/1307674368000"], [17, '
+        '"1/355687428096000"], [19, "1/121645100408832000"], [21, '
+        '"1/51090942171709440000"], [23, "1/25852016738884976640000"], [25, '
+        '"1/15511210043330985984000000"], [27, "1/108888694504183521607680000'
+        '00"], [29, "1/8841761993739701954543616000000"], [31, '
+        '"1/8222838654177922817725562880000000"], [33, '
+        '"1/8683317618811886495518194401280000000"], [35, '
+        '"1/10333147966386144929666651337523200000000"], [37, '
+        '"1/13763753091226345046315979581580902400000000"], [39, '
+        '"1/20397882081197443358640281739902897356800000000"], [41, '
+        '"1/33452526613163807108170062053440751665152000000000"], [43, '
+        '"1/60415263063373835637355132068513997507264512000000000"], [45, '
+        '"1/119622220865480194561963161495657715064383733760000000000"], '
+        '[47, "1/258623241511168180642964355153611979969197632389120000000000'
+        '"]], "sigma_order": 48}, "order": 48, "verdict": "NonIdentity"}',
+    ),
+    (
+        "schwarzian",
+        CUSP,
+        32,
+        0,
+        '{"certificates": [], "command": "schwarzian", "data": '
+        '{"schwarzian": [], "schwarzian_order": 29, "sigma": [[1, "1"]]}, '
+        '"order": 32, "verdict": "Homographic"}',
+    ),
+    (
+        "schwarzian",
+        CUSP,
+        48,
+        0,
+        '{"certificates": [], "command": "schwarzian", "data": '
+        '{"schwarzian": [], "schwarzian_order": 45, "sigma": [[1, "1"]]}, '
+        '"order": 48, "verdict": "Homographic"}',
+    ),
+    (
+        "schwarzian",
+        ROADMAP,
+        32,
+        0,
+        '{"certificates": [], "command": "schwarzian", "data": '
+        '{"schwarzian": [], "schwarzian_order": 29, "sigma": [[1, "1"], [2, '
+        '"1"], [3, "1"], [4, "1"], [5, "1"], [6, "1"], [7, "1"], [8, "1"], '
+        '[9, "1"], [10, "1"], [11, "1"], [12, "1"], [13, "1"], [14, "1"], '
+        '[15, "1"], [16, "1"], [17, "1"], [18, "1"], [19, "1"], [20, "1"], '
+        '[21, "1"], [22, "1"], [23, "1"], [24, "1"], [25, "1"], [26, "1"], '
+        '[27, "1"], [28, "1"], [29, "1"], [30, "1"], [31, "1"], [32, "1"]]}, '
+        '"order": 32, "verdict": "Homographic"}',
+    ),
+    (
+        "schwarzian",
+        ROADMAP,
+        48,
+        0,
+        '{"certificates": [], "command": "schwarzian", "data": '
+        '{"schwarzian": [], "schwarzian_order": 45, "sigma": [[1, "1"], [2, '
+        '"1"], [3, "1"], [4, "1"], [5, "1"], [6, "1"], [7, "1"], [8, "1"], '
+        '[9, "1"], [10, "1"], [11, "1"], [12, "1"], [13, "1"], [14, "1"], '
+        '[15, "1"], [16, "1"], [17, "1"], [18, "1"], [19, "1"], [20, "1"], '
+        '[21, "1"], [22, "1"], [23, "1"], [24, "1"], [25, "1"], [26, "1"], '
+        '[27, "1"], [28, "1"], [29, "1"], [30, "1"], [31, "1"], [32, "1"], '
+        '[33, "1"], [34, "1"], [35, "1"], [36, "1"], [37, "1"], [38, "1"], '
+        '[39, "1"], [40, "1"], [41, "1"], [42, "1"], [43, "1"], [44, "1"], '
+        '[45, "1"], [46, "1"], [47, "1"], [48, "1"]]}, "order": 48, '
+        '"verdict": "Homographic"}',
+    ),
+    (
+        "schwarzian",
+        SINH,
+        32,
+        0,
+        '{"certificates": [], "command": "schwarzian", "data": '
+        '{"schwarzian": [[0, "1"], [2, "-3/2"], [4, "1"], [6, "-17/30"], [8, '
+        '"31/105"], [10, "-691/4725"], [12, "10922/155925"], [14, '
+        '"-929569/28378350"], [16, "3202291/212837625"], [18, '
+        '"-221930581/32564156625"], [20, "9444233042/3093594879375"], [22, '
+        '"-56963745931/42036495125625"], [24, "29435334228302/493088087823581'
+        '25"], [26, "-4187321758505342/16025362854266390625"], [28, '
+        '"344502690252804724/3028793579456347828125"]], "schwarzian_order": '
+        '29, "sigma": [[1, "1"], [3, "1/6"], [5, "1/120"], [7, "1/5040"], '
+        '[9, "1/362880"], [11, "1/39916800"], [13, "1/6227020800"], [15, '
+        '"1/1307674368000"], [17, "1/355687428096000"], [19, '
+        '"1/121645100408832000"], [21, "1/51090942171709440000"], [23, '
+        '"1/25852016738884976640000"], [25, "1/15511210043330985984000000"], '
+        '[27, "1/10888869450418352160768000000"], [29, '
+        '"1/8841761993739701954543616000000"], [31, '
+        '"1/8222838654177922817725562880000000"]]}, "order": 32, "verdict": '
+        '"NonHomographic"}',
+    ),
+    (
+        "schwarzian",
+        SINH,
+        48,
+        0,
+        '{"certificates": [], "command": "schwarzian", "data": '
+        '{"schwarzian": [[0, "1"], [2, "-3/2"], [4, "1"], [6, "-17/30"], [8, '
+        '"31/105"], [10, "-691/4725"], [12, "10922/155925"], [14, '
+        '"-929569/28378350"], [16, "3202291/212837625"], [18, '
+        '"-221930581/32564156625"], [20, "9444233042/3093594879375"], [22, '
+        '"-56963745931/42036495125625"], [24, "29435334228302/493088087823581'
+        '25"], [26, "-4187321758505342/16025362854266390625"], [28, '
+        '"344502690252804724/3028793579456347828125"], [30, '
+        '"-129848163681107301953/2635050414127022610468750"], [32, '
+        '"868320396104950823611/40843281418968850462265625"], [34, '
+        '"-209390615747646519456961/22913080876041525109331015625"], [36, '
+        '"28259319101491102261334882/7217620475953080409439269921875"], [38, '
+        '"-16103843159579478297227731/9628059192779915612591663671875"], '
+        '[40, "705105746914492614138024917342/9894275029460280279279823172402'
+        '34375"], [42, "-258049041719852456757674477826902/851897080036530132'
+        '045992775143841796875"], [44, "51768752002756374733644471311053204/4'
+        '02947318857278752457754582643037169921875"]], "schwarzian_order": '
+        '45, "sigma": [[1, "1"], [3, "1/6"], [5, "1/120"], [7, "1/5040"], '
+        '[9, "1/362880"], [11, "1/39916800"], [13, "1/6227020800"], [15, '
+        '"1/1307674368000"], [17, "1/355687428096000"], [19, '
+        '"1/121645100408832000"], [21, "1/51090942171709440000"], [23, '
+        '"1/25852016738884976640000"], [25, "1/15511210043330985984000000"], '
+        '[27, "1/10888869450418352160768000000"], [29, '
+        '"1/8841761993739701954543616000000"], [31, '
+        '"1/8222838654177922817725562880000000"], [33, '
+        '"1/8683317618811886495518194401280000000"], [35, '
+        '"1/10333147966386144929666651337523200000000"], [37, '
+        '"1/13763753091226345046315979581580902400000000"], [39, '
+        '"1/20397882081197443358640281739902897356800000000"], [41, '
+        '"1/33452526613163807108170062053440751665152000000000"], [43, '
+        '"1/60415263063373835637355132068513997507264512000000000"], [45, '
+        '"1/119622220865480194561963161495657715064383733760000000000"], '
+        '[47, "1/258623241511168180642964355153611979969197632389120000000000'
+        '"]]}, "order": 48, "verdict": "NonHomographic"}',
+    ),
+    (
+        "symmetries",
+        CUSP,
+        32,
+        0,
+        '{"certificates": [], "command": "symmetries", "data": '
+        '{"candidates": [], "infinite": true, "lambda_order": null, "notes": '
+        '["f = 0: every homography is a symmetry"]}, "order": 32, "verdict": '
+        '"InfiniteGroup"}',
+    ),
+    (
+        "symmetries",
+        CUSP,
+        48,
+        0,
+        '{"certificates": [], "command": "symmetries", "data": '
+        '{"candidates": [], "infinite": true, "lambda_order": null, "notes": '
+        '["f = 0: every homography is a symmetry"]}, "order": 48, "verdict": '
+        '"InfiniteGroup"}',
+    ),
+    (
+        "symmetries",
+        ROADMAP,
+        32,
+        0,
+        '{"certificates": [], "command": "symmetries", "data": '
+        '{"candidates": [], "infinite": true, "lambda_order": null, "notes": '
+        '["f = 0: every homography is a symmetry"]}, "order": 32, "verdict": '
+        '"InfiniteGroup"}',
+    ),
+    (
+        "symmetries",
+        ROADMAP,
+        48,
+        0,
+        '{"certificates": [], "command": "symmetries", "data": '
+        '{"candidates": [], "infinite": true, "lambda_order": null, "notes": '
+        '["f = 0: every homography is a symmetry"]}, "order": 48, "verdict": '
+        '"InfiniteGroup"}',
+    ),
+    (
+        "symmetries",
+        SINH,
+        32,
+        0,
+        '{"certificates": [], "command": "symmetries", "data": '
+        '{"candidates": [{"lam": "1", "mu": "0"}, {"lam": "-1", "mu": "0"}], '
+        '"infinite": false, "lambda_order": 2, "notes": []}, "order": 32, '
+        '"verdict": "FiniteCandidates"}',
+    ),
+    (
+        "symmetries",
+        SINH,
+        48,
+        0,
+        '{"certificates": [], "command": "symmetries", "data": '
+        '{"candidates": [{"lam": "1", "mu": "0"}, {"lam": "-1", "mu": "0"}], '
+        '"infinite": false, "lambda_order": 2, "notes": []}, "order": 48, '
+        '"verdict": "FiniteCandidates"}',
+    ),
+    (
+        "first-integral",
+        CUSP,
+        32,
+        0,
+        '{"certificates": [], "command": "first-integral", "data": '
+        '{"degree_bound": 3, "note": "bounded search over monomial probes '
+        'z^k, k <= 3; absence of a relation within the bound is evidence, '
+        'not a proof", "probes": [[1, true], [2, true], [3, true]], "r1": '
+        '{"den": "1", "num": "z"}, "r2": {"den": "1", "num": "z"}}, "order": '
+        '32, "verdict": "RelationFound"}',
+    ),
+    (
+        "first-integral",
+        CUSP,
+        48,
+        0,
+        '{"certificates": [], "command": "first-integral", "data": '
+        '{"degree_bound": 3, "note": "bounded search over monomial probes '
+        'z^k, k <= 3; absence of a relation within the bound is evidence, '
+        'not a proof", "probes": [[1, true], [2, true], [3, true]], "r1": '
+        '{"den": "1", "num": "z"}, "r2": {"den": "1", "num": "z"}}, "order": '
+        '48, "verdict": "RelationFound"}',
+    ),
+    (
+        "first-integral",
+        ROADMAP,
+        32,
+        0,
+        '{"certificates": [], "command": "first-integral", "data": '
+        '{"degree_bound": 3, "note": "bounded search over monomial probes '
+        'z^k, k <= 3; absence of a relation within the bound is evidence, '
+        'not a proof", "probes": [[1, true], [2, true], [3, true]], "r1": '
+        '{"den": "1", "num": "z"}, "r2": {"den": "1 - z", "num": "z"}}, '
+        '"order": 32, "verdict": "RelationFound"}',
+    ),
+    (
+        "first-integral",
+        ROADMAP,
+        48,
+        0,
+        '{"certificates": [], "command": "first-integral", "data": '
+        '{"degree_bound": 3, "note": "bounded search over monomial probes '
+        'z^k, k <= 3; absence of a relation within the bound is evidence, '
+        'not a proof", "probes": [[1, true], [2, true], [3, true]], "r1": '
+        '{"den": "1", "num": "z"}, "r2": {"den": "1 - z", "num": "z"}}, '
+        '"order": 48, "verdict": "RelationFound"}',
+    ),
+    (
+        "first-integral",
+        SINH,
+        32,
+        1,
+        '{"certificates": [], "command": "first-integral", "data": '
+        '{"degree_bound": 3, "note": "bounded search over monomial probes '
+        'z^k, k <= 3; absence of a relation within the bound is evidence, '
+        'not a proof", "probes": [[1, false], [2, false], [3, false]], "r1": '
+        'null, "r2": null}, "order": 32, "verdict": "NoRelationWithinBound"}',
+    ),
+    (
+        "first-integral",
+        SINH,
+        48,
+        1,
+        '{"certificates": [], "command": "first-integral", "data": '
+        '{"degree_bound": 3, "note": "bounded search over monomial probes '
+        'z^k, k <= 3; absence of a relation within the bound is evidence, '
+        'not a proof", "probes": [[1, false], [2, false], [3, false]], "r1": '
+        'null, "r2": null}, "order": 48, "verdict": "NoRelationWithinBound"}',
+    ),
 ]
 
 
-@pytest.mark.parametrize("order, report", ORDER_40_TO_64_REPORTS, ids=["40", "48", "64"])
-def test_order_40_and_48_reports_are_pinned(order, report):
+@pytest.mark.parametrize(
+    "command, text, order, code, report",
+    ORDER_32_TO_64_REPORTS,
+    ids=[
+        str(order) if command == "cohomology" else f"{command}-{FORM_IDS[text]}-{order}"
+        for command, text, order, _, _ in ORDER_32_TO_64_REPORTS
+    ],
+)
+def test_order_40_and_48_reports_are_pinned(command, text, order, code, report):
     want = json.dumps(json.loads(report), sort_keys=True, indent=2) + "\n"
-    assert run_cli("cohomology", ROADMAP, "--order", str(order), "--json") == (1, want)
+    extra = ["--degree", "3"] if command == "first-integral" else []
+    argv = [command, text, "--order", str(order), *extra, "--json"]
+    assert run_cli(*argv) == (code, want)
 
 
 # A dense normal-form template, alpha = 2, a = 1-i, tail at degrees 5..7,

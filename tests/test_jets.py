@@ -19,6 +19,38 @@ def rand_jet1(rng, order, imag=True):
     return Jet1([rand_coeff(rng, imag) for _ in range(order + 1)], order)
 
 
+# Pairwise coprime denominators, up to 2^61 - 1.
+BIG_DENS = (10007, 65537, 999983, 2**31 - 1, 2**61 - 1)
+
+
+def big_coeff(rng):
+    """A nonzero Gaussian rational with large coprime denominators."""
+    re = Fraction(rng.randint(1, 10**6) * rng.choice((-1, 1)), rng.choice(BIG_DENS))
+    return Coeff(re, Fraction(rng.randint(-(10**6), 10**6), rng.choice(BIG_DENS)))
+
+
+# Orders 1..48: every order to 12, then a few larger ones.
+SERIES_ORDERS = (*range(1, 13), 16, 24, 32, 40, 48)
+
+
+def series_inputs(rng, order, lead):
+    """Series at ``order`` with the coefficient of z^lead nonzero and none
+    below: the one term c*z^lead, two terms c*z^lead + d*z^k, a dense series
+    with small coefficients and, to order 8, a dense one with large coprime
+    denominators (its reversion's coefficients grow fast)."""
+    pad = [0] * lead
+    yield Jet1(pad + [big_coeff(rng)], order)
+    k = rng.randint(lead + 1, max(lead + 1, order))
+    yield Jet1(pad + [big_coeff(rng)] + [0] * (k - lead - 1) + [big_coeff(rng)], order)
+    yield Jet1(pad + [1] + [rand_coeff(rng) for _ in range(order - lead)], order)
+    if order <= 8:
+        yield Jet1(pad + [big_coeff(rng) for _ in range(order + 1 - lead)], order)
+
+
+def triples(jet):
+    return [c.triple for c in jet.coeffs]
+
+
 def rand_jet2(rng, order, imag=True, density=0.6):
     d = {}
     for i in range(order + 1):
@@ -113,6 +145,17 @@ class TestJet1:
             if f.coeff(0).is_zero():
                 f = f + 1
             assert (f * f.reciprocal() - 1).is_zero()
+        # one and two terms, large coprime denominators, orders 0..48: the
+        # term-by-term recurrence on fractions (to order 12) and on
+        # normalized triples give the same coefficients
+        for n in (0, *SERIES_ORDERS):
+            for f in series_inputs(rng, n, 0):
+                got = f.reciprocal()
+                assert (f * got - 1).is_zero()
+                assert triples(got) == oracles.triple_reciprocal(triples(f), n)
+                if n <= 12:
+                    want = oracles.s_recip(oracles.jet1_pairs(f), n)
+                    assert oracles.jet1_pairs(got) == want
 
     def test_compose_horner_matches_naive_power_sum(self):
         rng = random.Random(11)
@@ -139,6 +182,16 @@ class TestJet1:
                 f = f + Jet1.variable(n)
             want = oracles.recursive_inverse(oracles.jet1_pairs(f), n)
             assert oracles.jet1_pairs(f.comp_inverse()) == want
+        # one and two terms, large coprime denominators, orders 1..48: the
+        # recursion (to order 10) and Lagrange inversion by one normalized
+        # product per power give the same coefficients
+        for n in SERIES_ORDERS:
+            for f in series_inputs(rng, n, 1):
+                got = f.comp_inverse()
+                assert triples(got) == oracles.triple_lagrange_inverse(triples(f), n)
+                if n <= 10:
+                    want = oracles.recursive_inverse(oracles.jet1_pairs(f), n)
+                    assert oracles.jet1_pairs(got) == want
 
     def test_comp_inverse_preconditions(self):
         for f in (Jet1([0, 1], 0), Jet1([1, 1], 5), Jet1([0, 0, 1], 5)):
@@ -155,6 +208,11 @@ class TestJet1:
             g = f.comp_inverse()
             assert g.compose(f) == Jet1.variable(10)
             assert f.compose(g) == Jet1.variable(10)
+        for n in SERIES_ORDERS:
+            for f in series_inputs(rng, n, 1):
+                g = f.comp_inverse()
+                assert g.compose(f) == Jet1.variable(n)
+                assert f.compose(g) == Jet1.variable(n)
 
     def test_exp_log_compose_to_identity(self):
         n = 12

@@ -196,3 +196,56 @@ def test_sigma_at_a_lower_order_is_the_truncation():
             sig = transversal_structure(c, n).jet
             assert sig.order == n
             assert sig == full.truncate(n)
+
+
+def test_reversion_makes_no_series_product(monkeypatch):
+    # comp_inverse carries the Lagrange powers h^k as integer numerators in
+    # the kernel: sigma at order 64 makes no jet1_mul while it runs
+    import cuspfol.jets
+    from test_cli import run_cli
+
+    products, inside = [], []
+    mul = cuspfol.jets.jet1_mul
+    revert = Jet1.comp_inverse
+
+    def counting_mul(*args):
+        products.append(None)
+        return mul(*args)
+
+    def counting_revert(self):
+        before = len(products)
+        result = revert(self)
+        inside.append(len(products) - before)
+        return result
+
+    monkeypatch.setattr(cuspfol.jets, "jet1_mul", counting_mul)
+    monkeypatch.setattr(Jet1, "comp_inverse", counting_revert)
+    code, out = run_cli("sigma", README_MERO, "--order", "64")
+    assert code == 0
+    assert "verdict: Identity" in out
+    assert inside == [0]
+
+
+def test_constant_germ_integral_normalizes_linearly_often(monkeypatch):
+    # the degree recurrence skips every coefficient whose predecessor and
+    # residual are both zero: on a constant-coefficient germ H is
+    # u + (b0/a0) v, and the qnorm count does not grow with the order
+    from cuspfol import _backend
+
+    calls = []
+    qnorm = _backend.qnorm
+
+    def counting_qnorm(*args):
+        calls.append(None)
+        return qnorm(*args)
+
+    monkeypatch.setattr(_backend, "qnorm", counting_qnorm)
+    counts = []
+    for n in (16, 32, 64):
+        c = corner({(0, 0): Coeff(2, 1)}, {(0, 0): 3}, n)
+        before = len(calls)
+        h = regular_first_integral(c)
+        counts.append(len(calls) - before)
+        assert h == Jet2({(1, 0): 1, (0, 1): Coeff(Fraction(6, 5), Fraction(-3, 5))}, n)
+    assert counts[2] <= 2 * counts[1] <= 4 * counts[0]
+    assert counts[2] <= 64
