@@ -22,18 +22,20 @@ lowest monomial is made monic, so printing and reparsing a pair is exact.
 
 Inside, a value is an unreduced (numerator, denominator) pair of dicts
 ``{(i, j): triple}`` over the kernel's normalized ``(a, b, d)`` triples, with
-a denominator of ``None`` standing for 1; values become ``Coeff`` only in the
-final :class:`~cuspfol.jets.Jet2`.  A sum of polynomials is added term by term
-into one dict, so a long sum costs time linear in its length; a sum with any
-other denominator cross-multiplies from the left, which fixes the ``mero:``
-pair.  A product with a one-term operand, such as each factor of a
-``(c)*x^i*y^j`` term, shifts the other operand's keys in one comprehension;
-a power of a one-term base raises only its coefficient, and any other power
-is taken by repeated squaring of the polynomial.  A product, quotient or
-power with an operand of two or more terms is refused at its operator,
-before it is expanded, when its degree would exceed ``--order``, except in a
-1-form term where an operand has a non-constant denominator: that term is
-refused at its end.
+a denominator of ``None`` standing for 1; the final dicts become
+:class:`~cuspfol.jets.Jet2` as they are.  One precedence-climbing loop (Pratt
+1973) parses a coefficient, one call per operand.  A product or power of
+one-term polynomials is folded into one term, and dividing by a constant
+scales the numerator, so a denominator is 1 or non-constant.  A sum of
+polynomials, rational coefficients included, is added term by term into one
+dict, so a long sum costs time linear in its length; a sum with a
+denominator cross-multiplies from the left, which fixes the ``mero:`` pair.
+A product, quotient or power with an operand of two or more terms is
+refused at its operator, before it is expanded, when its degree would
+exceed ``--order``.  In a 1-form term, an operand with a denominator is not
+checked there: the term is refused at its end as not polynomial, or at the
+``^`` of a power past ``--order`` whose numerator is not constant, which can
+only end non-polynomial.
 
 All errors raised here are :class:`ParseError` carrying 1-based ``line`` and
 ``col`` positions into the source text.
@@ -133,11 +135,25 @@ def _tokenize(text):
 
 
 # ---------------------------------------------------------------------------
-# exact rational-function values: (numerator, denominator) dicts
-# {(i, j): triple} with j the power of y; a denominator None is 1
+# exact rational-function values: a numerator dict {(i, j): triple}, j the
+# power of y, and a denominator dict that is None when it is 1
 
 _ONE_KEY = (0, 0)
-_ONE = {_ONE_KEY: QONE}  # compared against, never mutated
+_SLOTS = (_DX, _DY)
+_ATOMS = {"x": ((1, 0), QONE), "y": ((0, 1), QONE), "i": (_ONE_KEY, (0, 1, 1))}
+# binding power of the binary operators; an operator character is the value
+# of an operator token only, so a token's value alone identifies one
+_BIND = {"+": 1, "-": 1, "*": 2, "/": 2}
+_SIGNS = frozenset("+-")
+_RESULT = {"*": "product", "/": "quotient", "^": "power", "+": "sum", "-": "difference"}
+_NOT_POLYNOMIAL = (
+    "a 1-form coefficient must be polynomial (non-constant denominator; use "
+    "mero: input for a quotient)"
+)
+
+
+def _fail(message, tok):
+    raise ParseError(message, tok[2], tok[3])
 
 
 def _pmul(p, q):
@@ -203,17 +219,11 @@ def _ppow(p, e):
     return out
 
 
-def _den(d):
-    """A denominator dict, or ``None`` when it is 1."""
-    return None if d == _ONE else d
-
-
 def _dmul(d1, d2):
+    """The product of two denominators, None standing for 1."""
     if d1 is None:
-        return _den(d2)
-    if d2 is None:
-        return d1
-    return _den(_pmul(d1, d2))
+        return d2
+    return d1 if d2 is None else _pmul(d1, d2)
 
 
 def _degree(*factors):
@@ -227,206 +237,160 @@ def _degree(*factors):
     return sum(max(i + j for i, j in p) for p in factors if p is not None)
 
 
-_RESULT = {"*": "product", "/": "quotient", "^": "power", "+": "sum", "-": "difference"}
+def _check_degree(op, order, term, val, rhs=None, e=1):
+    """Refuse ``val op rhs`` (or ``val ^ e``) if its degree exceeds ``order``.
 
+    ``val`` and ``rhs`` are (num, den) pairs; ``term`` is the first token of
+    the 1-form term being parsed, None in a mero: input.
 
-class _RatVal:
-    """A rational function held as an unreduced (num, den) polynomial pair."""
+    A sum or difference over denominators is checked once it is formed,
+    as ``val`` alone: forming it is one cross-multiplication of operands
+    that passed these checks, and the degree of its numerator and
+    denominator is then read off exactly.
 
-    __slots__ = ("num", "den")
+    The degree is exact, so only inputs whose later steps discard the
+    value (a cancelling subtraction, a zero factor, an exponent 0) are
+    refused needlessly.  The check applies when an operand has two or
+    more terms, in a mero: input or between 1-form polynomials.  One-term
+    operands, and 1-form values with a denominator, keep the checks at the
+    end of their term, whose messages say what is wrong with them.
 
-    def __init__(self, num, den=None):
-        self.num = num
-        self.den = den
-
-    def add(self, other):
-        # the left-fold cross-multiplication that mero: parsing reads
-        num = _pmul(self.num, other.den) if other.den is not None else dict(self.num)
-        _padd_into(num, _pmul(other.num, self.den) if self.den is not None else other.num)
-        return _RatVal(num, _dmul(self.den, other.den))
-
-    def neg(self):
-        return _RatVal({key: qneg(c) for key, c in self.num.items()}, self.den)
-
-    def mul(self, other):
-        return _RatVal(_pmul(self.num, other.num), _dmul(self.den, other.den))
-
-    def div(self, other):
-        num = _pmul(self.num, other.den) if other.den is not None else self.num
-        return _RatVal(num, _dmul(self.den, other.num))
-
-    def pow(self, e):
-        # repeated squaring; a denominator of 1 stays None
-        return _RatVal(_ppow(self.num, e), self.den and _den(_ppow(self.den, e)))
-
-    def constant_den(self):
-        """The denominator as a triple if it is constant, else None."""
-        if self.den is None:
-            return QONE
-        if len(self.den) == 1 and _ONE_KEY in self.den:
-            return self.den[_ONE_KEY]
-        return None
+    The exception is a 1-form power whose base has a non-constant numerator
+    and a denominator: past the order it is refused at its ``^`` with the
+    end-of-term message, at the term's start.  Values are unreduced pairs,
+    so that denominator is never cancelled, and the power is non-constant
+    wherever it stands: the term can only end non-polynomial.
+    """
+    num, den = val
+    if term is not None and den is not None and op[1] == "^":
+        if any(i or j for i, j in num) and e * max(_degree(num), _degree(den)) > order:
+            _fail(_NOT_POLYNOMIAL, term)
+        return
+    operands = (val,) if rhs is None else (val, rhs)
+    if all(len(n) < 2 and (d is None or len(d) < 2) for n, d in operands):
+        return  # one-term operands only
+    if term is not None and any(d is not None for _, d in operands):
+        return
+    if rhs is None:
+        degree = e * max(_degree(num), _degree(den))
+    elif op[1] == "*":
+        degree = max(_degree(num, rhs[0]), _degree(den, rhs[1]))
+    else:
+        degree = max(_degree(num, rhs[1]), _degree(den, rhs[0]))
+    if degree > order:
+        _fail(
+            f"the {_RESULT[op[1]]} has degree {degree}; raise --order "
+            f"(currently {order}) to keep the computation exact",
+            op,
+        )
 
 
 # ---------------------------------------------------------------------------
-# recursive-descent parser
+# precedence climbing (Pratt 1973): one call per operand
 
-class _Parser:
-    def __init__(self, toks, order, mero=False):
-        self.toks = toks
-        self.order = order
-        self.mero = mero
-        self.pos = 0
+def _parse_expr(toks, k, order, term, floor=1):
+    """Parse the operand at ``toks[k]`` and every binary operator after it
+    that binds at least ``floor``; returns ``(num, den, k)``, ``k`` the first
+    token left.
 
-    def peek(self):
-        return self.toks[self.pos]
-
-    def advance(self):
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message, tok=None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok[2], tok[3])
-
-    def at_op(self, chars):
-        tok = self.toks[self.pos]
-        return tok[0] == _OP and tok[1] in chars
-
-    def expect_op(self, ch, what):
-        if not self.at_op(ch):
-            self.fail(what)
-        return self.advance()
-
-    # poly := product (('+'|'-') product)*
-    def parse_sum(self):
-        val = self.parse_product()
-        owned = False  # whether val.num is this sum's own dict
-        while self.at_op("+-"):
-            op = self.advance()
-            negate = op[1] == "-"
-            rhs = self.parse_product()
-            if val.den is None and rhs.den is None:
-                if not owned:
-                    val = _RatVal(dict(val.num))
-                    owned = True
-                _padd_into(val.num, rhs.num, negate)
+    An operand is an atom or a parenthesized sum, with any signs before it
+    and one ``^ INT`` after it.  The right operand of an operator is parsed
+    by one call at a floor one above the operator's binding power, so it
+    takes exactly the tighter operators.  ``term`` is the first token of
+    the 1-form term being parsed, None in a mero: input.
+    """
+    tok = toks[k]
+    neg = False
+    while tok[1] in _SIGNS:
+        neg ^= tok[1] == "-"
+        k += 1
+        tok = toks[k]
+    kind, value = tok[0], tok[1]
+    den = None
+    if kind == _INT:
+        num = {_ONE_KEY: (value, 0, 1)} if value else {}
+    elif value in _ATOMS:
+        key, c = _ATOMS[value]
+        num = {key: c}
+    elif value == "(":
+        num, den, k = _parse_expr(toks, k + 1, order, term)
+        if toks[k][1] != ")":
+            _fail("expected ')'", toks[k])
+    elif kind == _NAME:
+        _fail(f"unknown variable {value!r} (only x, y and i)", tok)
+    elif kind in _SLOTS:
+        _fail(f"{value!r} cannot appear inside a coefficient", tok)
+    else:
+        _fail("expected a number, 'i', a variable, or '('", tok)
+    k += 1
+    tok = toks[k]
+    if tok[1] == "^":
+        exp = toks[k + 1]
+        if exp[0] != _INT:
+            _fail("exponent must be a nonnegative integer literal", exp)
+        e = exp[1]
+        if den is not None or len(num) > 1:
+            _check_degree(tok, order, term, (num, den), e=e)
+            if den is not None:
+                den = _ppow(den, e) if e else None
+        num = _ppow(num, e)
+        k += 2
+        tok = toks[k]
+    if neg:
+        num = {key: qneg(c) for key, c in num.items()}
+    while True:
+        op = tok[1]
+        bind = _BIND.get(op, 0)
+        if bind < floor or bind == 2 and toks[k + 1][0] in _SLOTS:
+            break  # no operator, a looser one, or the '*' of a term: "3*dx"
+        rnum, rden, k = _parse_expr(toks, k + 1, order, term, bind + 1)
+        if bind == 1:
+            if den is None and rden is None:
+                _padd_into(num, rnum, op == "-")
             else:
-                val = val.add(rhs.neg() if negate else rhs)
-                self.check_degree(op, val)
-                owned = True
-        return val
-
-    # product := unary (('*'|'/') unary)*
-    def parse_product(self):
-        val = self.parse_unary()
-        while self.at_op("*/"):
-            if self.toks[self.pos + 1][0] in (_DX, _DY):
-                break  # the '*' belongs to the term: "3*dx"
-            op = self.advance()
-            rhs = self.parse_unary()
-            if op[1] == "/" and not rhs.num:
-                self.fail("division by zero", op)
-            self.check_degree(op, val, rhs)
-            val = val.mul(rhs) if op[1] == "*" else val.div(rhs)
-        return val
-
-    # unary := ('+'|'-')* power
-    def parse_unary(self):
-        neg = False
-        while self.at_op("+-"):
-            if self.advance()[1] == "-":
-                neg = not neg
-        val = self.parse_power()
-        return val.neg() if neg else val
-
-    # power := atom ('^' INT)?
-    def parse_power(self):
-        val = self.parse_atom()
-        if self.at_op("^"):
-            caret = self.advance()
-            tok = self.peek()
-            if tok[0] != _INT:
-                self.fail("exponent must be a nonnegative integer literal")
-            self.advance()
-            self.check_degree(caret, val, e=tok[1])
-            val = val.pow(tok[1])
-        return val
-
-    def check_degree(self, op, val, rhs=None, e=1):
-        """Refuse ``val op rhs`` (or ``val ^ e``) if its degree exceeds --order.
-
-        A sum or difference over denominators is checked once it is formed,
-        as ``val`` alone: forming it is one cross-multiplication of operands
-        that passed these checks, and the degree of its numerator and
-        denominator is then read off exactly.
-
-        The degree is exact, so only inputs whose later steps discard the
-        value (a cancelling subtraction, a zero factor, an exponent 0) are
-        refused needlessly.  The check applies when an operand has two or
-        more terms, in a mero: input or between 1-form values with constant
-        denominators.  One-term operands, and 1-form values with a
-        non-constant denominator, keep the checks at the end of their term,
-        whose messages say what is wrong with them.
-        """
-        operands = (val,) if rhs is None else (val, rhs)
-        for v in operands:
-            if len(v.num) > 1 or (v.den is not None and len(v.den) > 1):
-                break
+                # the left-fold cross-multiplication that mero: parsing reads
+                if rden is not None:
+                    num = _pmul(num, rden)
+                _padd_into(num, rnum if den is None else _pmul(rnum, den), op == "-")
+                den = _dmul(den, rden)
+                _check_degree(tok, order, term, (num, den))
+        elif op == "*":
+            if den is None and rden is None and len(num) == 1 and len(rnum) == 1:
+                # a product of one-term polynomials is one term
+                ((i1, j1), c1), = num.items()
+                ((i2, j2), c2), = rnum.items()
+                c = c2 if c1 == QONE else c1 if c2 == QONE else qmul(c1, c2)
+                num = {(i1 + i2, j1 + j2): c}
+            else:
+                _check_degree(tok, order, term, (num, den), (rnum, rden))
+                num, den = _pmul(num, rnum), _dmul(den, rden)
         else:
-            return  # one-term operands only
-        if not self.mero and any(v.constant_den() is None for v in operands):
-            return
-        if rhs is None:
-            degree = e * max(_degree(val.num), _degree(val.den))
-        elif op[1] == "*":
-            degree = max(_degree(val.num, rhs.num), _degree(val.den, rhs.den))
-        else:
-            degree = max(_degree(val.num, rhs.den), _degree(val.den, rhs.num))
-        if degree > self.order:
-            self.fail(
-                f"the {_RESULT[op[1]]} has degree {degree}; raise --order "
-                f"(currently {self.order}) to keep the computation exact",
-                op,
-            )
-
-    # atom := INT | 'i' | 'x' | 'y' | '(' poly ')'
-    def parse_atom(self):
-        tok = self.peek()
-        kind, value = tok[0], tok[1]
-        if kind == _INT:
-            self.advance()
-            return _RatVal({_ONE_KEY: (value, 0, 1)} if value else {})
-        if kind == _NAME:
-            self.advance()
-            if value == "x":
-                return _RatVal({(1, 0): QONE})
-            if value == "y":
-                return _RatVal({(0, 1): QONE})
-            if value == "i":
-                return _RatVal({_ONE_KEY: (0, 1, 1)})
-            self.fail(f"unknown variable {value!r} (only x, y and i)", tok)
-        if kind == _OP and value == "(":
-            self.advance()
-            val = self.parse_sum()
-            self.expect_op(")", "expected ')'")
-            return val
-        if kind in (_DX, _DY):
-            self.fail(f"{value!r} cannot appear inside a coefficient", tok)
-        self.fail("expected a number, 'i', a variable, or '('", tok)
+            if not rnum:
+                _fail("division by zero", tok)
+            _check_degree(tok, order, term, (num, den), (rnum, rden))
+            if rden is not None:
+                num = _pmul(num, rden)
+            c = rnum.get(_ONE_KEY) if len(rnum) == 1 else None
+            if c is None:
+                den = _dmul(den, rnum)
+            else:
+                # a constant divisor scales the numerator, so every
+                # denominator is None or non-constant
+                num = _pscale(num, qinv(c))
+        tok = toks[k]
+    return num, den, k
 
 
 def _poly_to_jet(d, order, tok, what):
     for (i, j) in d:
         if i + j > order:
-            raise ParseError(
+            _fail(
                 f"{what} has a degree-{i + j} monomial; raise --order "
                 f"(currently {order}) to keep the computation exact",
-                tok[2],
-                tok[3],
+                tok,
             )
-    return Jet2({key: Coeff.from_triple(t) for key, t in d.items()}, order)
+    # the triples are normalized and nonzero, as Jet2 keeps them
+    return Jet2._raw(d, order)
 
 
 def parse_form(text, order=DEFAULT_ORDER):
@@ -437,27 +401,23 @@ def parse_form(text, order=DEFAULT_ORDER):
     """
     toks = _tokenize(text)
     first = toks[0]
-    mero = first[0] == _NAME and first[1] == "mero" and toks[1][:2] == (_OP, ":")
-    p = _Parser(toks, order, mero)
-    if mero:
-        p.pos = 2
-        return _parse_mero(p, order)
-    return _parse_oneform(p, order)
+    if first[0] == _NAME and first[1] == "mero" and toks[1][1] == ":":
+        return _parse_mero(toks, order)
+    return _parse_oneform(toks, order)
 
 
-def _parse_mero(p, order):
-    start = p.peek()
+def _parse_mero(toks, order):
+    start = toks[2]
     if start[0] == _EOF:
-        p.fail("empty input after 'mero:'")
-    val = p.parse_sum()
-    tok = p.peek()
-    if tok[0] != _EOF:
-        p.fail("unexpected trailing input in a mero: expression", tok)
-    if not val.num:
-        p.fail("the meromorphic function is identically zero", start)
+        _fail("empty input after 'mero:'", start)
+    num, den, k = _parse_expr(toks, 2, order, None)
+    if toks[k][0] != _EOF:
+        _fail("unexpected trailing input in a mero: expression", toks[k])
+    if not num:
+        _fail("the meromorphic function is identically zero", start)
     # canonical constant normalization: the denominator's lowest monomial is
     # made monic, so printing and reparsing is a fixpoint
-    num, den = val.num, val.den or {_ONE_KEY: QONE}
+    den = den or {_ONE_KEY: QONE}
     kmin = min(den, key=lambda k: (k[0] + k[1], k[0], k[1]))
     if den[kmin] != QONE:
         inv = qinv(den[kmin])
@@ -468,50 +428,38 @@ def _parse_mero(p, order):
     )
 
 
-def _parse_oneform(p, order):
-    if p.peek()[0] == _EOF:
-        p.fail("empty input")
+def _parse_oneform(toks, order):
+    if toks[0][0] == _EOF:
+        _fail("empty input", toks[0])
     sums = {_DX: {}, _DY: {}}
     negate = False
+    k = 0
     while True:
-        start = p.peek()
-        slot, val = _parse_term(p)
-        c = val.constant_den()
-        if c is None:
-            p.fail(
-                "a 1-form coefficient must be polynomial (non-constant "
-                "denominator; use mero: input for a quotient)",
-                start,
-            )
-        num = val.num if c == QONE else _pscale(val.num, qinv(c))
+        start = toks[k]
+        if start[0] in _SLOTS:
+            slot, num, k = start[0], {_ONE_KEY: QONE}, k + 1
+        else:
+            num, den, k = _parse_expr(toks, k, order, start)
+            tok = toks[k]
+            if tok[1] == "*":
+                k += 1
+                tok = toks[k]
+            if tok[0] not in _SLOTS:
+                _fail("expected 'dx' or 'dy' after the coefficient", tok)
+            slot, k = tok[0], k + 1
+            if den is not None:
+                _fail(_NOT_POLYNOMIAL, start)
         _padd_into(sums[slot], num, negate)
-        tok = p.peek()
+        tok = toks[k]
         if tok[0] == _EOF:
             break
-        if tok[0] == _OP and tok[1] in "+-":
-            p.advance()
-            negate = tok[1] == "-"
-            continue
-        p.fail("expected '+', '-', or end of input between terms", tok)
-    head = p.toks[0]
-    a = _poly_to_jet(sums[_DX], order, head, "the dx coefficient")
-    b = _poly_to_jet(sums[_DY], order, head, "the dy coefficient")
+        if tok[1] not in _SIGNS:
+            _fail("expected '+', '-', or end of input between terms", tok)
+        negate = tok[1] == "-"
+        k += 1
+    a = _poly_to_jet(sums[_DX], order, toks[0], "the dx coefficient")
+    b = _poly_to_jet(sums[_DY], order, toks[0], "the dy coefficient")
     return OneForm(a, b, ("x", "y"))
-
-
-def _parse_term(p):
-    tok = p.peek()
-    if tok[0] in (_DX, _DY):
-        p.advance()
-        return tok[0], _RatVal({_ONE_KEY: QONE})
-    val = p.parse_sum()
-    if p.at_op("*"):
-        p.advance()
-    tok = p.peek()
-    if tok[0] not in (_DX, _DY):
-        p.fail("expected 'dx' or 'dy' after the coefficient", tok)
-    p.advance()
-    return tok[0], val
 
 
 # ---------------------------------------------------------------------------

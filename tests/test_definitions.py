@@ -11,8 +11,9 @@ script, so they are exempt.
 
 A field of a class, an entry of its ``__slots__`` or an attribute its
 ``__init__`` sets on ``self``, is dead in the same way when nothing outside
-its class body names it as an attribute, a keyword or a whole string: it is
-set and never read.
+its class body reads it: loads it as an attribute, passes it as a keyword,
+or names it in ``getattr``, ``hasattr`` or ``setattr``.  A store such as
+``p.pos = 2`` and a string that only happens to spell the name do not count.
 """
 
 import ast
@@ -107,15 +108,26 @@ def class_fields(tree):
             yield name, node.lineno, node.end_lineno
 
 
+ATTRIBUTE_BUILTINS = {"getattr", "hasattr", "setattr"}
+
+
 def field_references(tree):
-    """(name, line) for every attribute, keyword or whole string in a module."""
+    """(name, line) for every attribute load, keyword, and string naming an
+    attribute in a ``getattr``, ``hasattr`` or ``setattr`` call in a module."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             yield node.attr, node.lineno
         elif isinstance(node, ast.keyword) and node.arg:
             yield node.arg, node.lineno
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
-            yield node.value, node.lineno
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ATTRIBUTE_BUILTINS
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+            and isinstance(node.args[1].value, str)
+        ):
+            yield node.args[1].value, node.lineno
 
 
 def dead_fields(sources):
@@ -143,15 +155,23 @@ def test_the_field_scan_sees_attributes_keywords_and_strings():
             "        self.self_read = self_read\n"
             "    def double(self): return 2 * self.self_read\n"
             "class Slotted:\n"
-            "    __slots__ = ('unread',)\n"
+            "    __slots__ = ('unread', 'stored', 'spelled')\n"
             "class Plain:\n"
             "    ignored: int = 0\n"
             "    def reset(self): self.ignored_too = 0\n"
             "def make(unread): return Report(1, keyword=2)\n"
         ),
-        "test_lib.py": "from lib import make\nmake(0).read\ngetattr(make(0), 'named')\n",
+        "test_lib.py": (
+            "from lib import make, Slotted\n"
+            "make(0).read\n"
+            "getattr(make(0), 'named')\n"
+            "Slotted().stored = 2\n"
+            "print('spelled')\n"
+        ),
     }
-    assert dead_fields(sources) == [("lib.py", "self_read"), ("lib.py", "unread")]
+    assert dead_fields(sources) == [
+        ("lib.py", "self_read"), ("lib.py", "spelled"), ("lib.py", "stored"), ("lib.py", "unread"),
+    ]
 
 
 # the modules whose result and report types are plain classes with fields

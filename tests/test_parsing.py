@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from cuspfol import parsing
 from cuspfol.cli import main
 from cuspfol.coeff import Coeff, format_coeff
 from cuspfol.jets import Jet2
@@ -18,7 +19,7 @@ from oracles import (
 from cuspfol.parsing import (
     MeromorphicPair,
     ParseError,
-    _Parser,
+    _parse_expr,
     _tokenize,
     format_form,
     format_poly,
@@ -96,17 +97,114 @@ def test_power_and_unary_precedence():
     assert parse_form("--x dx").a == Jet2({(1, 0): 1})
 
 
+def expr_value(text, order=64):
+    """The unreduced (num, den) pair of a mero:-style expression."""
+    num, den, _ = _parse_expr(_tokenize(text), 0, order, None)
+    return num, den
+
+
+# (text, the canonical print of its value at order 8, or the bare message,
+# line and column of its error), pinned so that the precedence loop keeps
+# how signs, powers and the '*' of a term bind
+UNARY_AND_PRECEDENCE = [
+    ("-x^2 dx", "(-x^2) dx"),
+    ("--x dx", "(x) dx"),
+    ("2*-x dx", "(-2*x) dx"),
+    ("+-+x dx", "(-x) dx"),
+    ("-(x+y)^2*y dx", "(-y^3 - 2*x*y^2 - x^2*y) dx"),
+    ("-2^2 dx", "(-4) dx"),
+    ("x*-y^2 dx", "(-x*y^2) dx"),
+    ("x - -y dx", "(y + x) dx"),
+    ("x/-2 dx", "(-1/2*x) dx"),
+    ("x/2/3*6 dx", "(x) dx"),
+    ("(-1)^3*x dx", "(-x) dx"),
+    ("3*dx", "(3) dx"),
+    ("mero: -1/-x", "mero: (1) / (x)"),
+    ("mero: -(x)/(-(y))^3", "mero: (x) / (y^3)"),
+    ("x^2^3 dx", ("expected 'dx' or 'dy' after the coefficient", 1, 4)),
+    ("2^3^2 dx", ("expected 'dx' or 'dy' after the coefficient", 1, 4)),
+    ("x/dx", ("expected 'dx' or 'dy' after the coefficient", 1, 2)),
+    ("mero: x*dx", ("unexpected trailing input in a mero: expression", 1, 8)),
+    ("- dx", ("'dx' cannot appear inside a coefficient", 1, 3)),
+    ("x -", ("expected a number, 'i', a variable, or '('", 1, 4)),
+]
+
+
+@pytest.mark.parametrize("text, want", UNARY_AND_PRECEDENCE)
+def test_unary_and_precedence_edge_cases_are_pinned(text, want):
+    if isinstance(want, str):
+        assert format_form(parse_form(text, order=8)) == want
+        return
+    with pytest.raises(ParseError) as e:
+        parse_form(text, order=8)
+    assert (e.value.bare_message, e.value.line, e.value.col) == want
+
+
+def test_the_loop_is_entered_once_per_operand(monkeypatch):
+    """Precedence climbing makes one call per operand, an atom or a
+    parenthesized sum, on a 300-term sum of ``(c)*x^i*y^j`` terms."""
+    rng = random.Random(0x300)
+    terms = []
+    for _ in range(300):
+        i, j = rng.randint(0, 8), rng.randint(0, 8)
+        c = rng.choice([str(rng.randint(-9, 9)), f"{rng.randint(-9, 9)}+{rng.randint(1, 9)}*i"])
+        terms.append(f"({c})*x^{i}*y^{j}")
+    text = f"({' + '.join(terms)}) dx + ({' - '.join(terms)}) dy"
+    toks = _tokenize(text)
+    operands = sum(
+        tok[1] == "(" or tok[0] in ("int", "name") and prev[1] != "^"
+        for prev, tok in zip([toks[-1]] + toks, toks)
+    )
+    calls = 0
+    loop = parsing._parse_expr
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return loop(*args)
+
+    monkeypatch.setattr(parsing, "_parse_expr", counted)
+    parse_form(text, order=16)
+    assert calls == operands > 4 * 600
+
+
+def test_a_sum_of_rational_monomials_is_added_term_by_term(monkeypatch):
+    """All 561 monomials of degree at most 32, each with a rational Gaussian
+    coefficient written ``(p/q+r*i)*x^i*y^j``: a constant divisor scales its
+    one-term numerator, so no product or scaling ever touches a value of two
+    or more terms and the sum is never cross-multiplied; the parsed value is
+    the text's at points."""
+    rng = random.Random(0x561)
+    terms = [
+        f"({rng.randint(-999, 999)}/{rng.randint(1, 9)}{rng.choice('+-')}{rng.randint(1, 99)}*i)*x^{i}*y^{d - i}"
+        for d in range(33)
+        for i in range(d + 1)
+    ]
+    text = " + ".join(terms)
+    sizes = []
+    for name in ("_pmul", "_pscale"):
+        real = getattr(parsing, name)
+
+        def recorded(p, q, real=real, name=name):
+            sizes.append(max(len(p), len(q)) if name == "_pmul" else len(p))
+            return real(p, q)
+
+        monkeypatch.setattr(parsing, name, recorded)
+    w = parse_form(f"({text}) dx", order=32)
+    assert len(terms) == 561 and len(w.a.items()) == 561
+    assert sizes and max(sizes) == 1
+    for x, y in [(rand_point(rng), rand_point(rng)) for _ in range(2)]:
+        assert value_at(w.a, x, y) == eval_expr(text, x, y)
+
+
 def test_power_equals_the_repeated_product():
     # the unreduced (num, den) pair of a power is exactly the e-fold
     # product's, so a polynomial keeps its denominator 1
     bases = ("x", "2*i*x*y^2", "x + y - 1/2", "(y^2+x^3)/(x*y)", "(1+i*x)/(3 - 2*y^2)")
     for text in bases:
-        base = _Parser(_tokenize(text), 64).parse_sum()
-        product = _Parser(_tokenize("1"), 64).parse_sum()
         for e in range(13):
-            power = base.pow(e)
-            assert (power.num, power.den) == (product.num, product.den)
-            product = product.mul(base)
+            product = "*".join([f"({text})"] * e) or "1"
+            assert expr_value(f"({text})^{e}") == expr_value(product)
 
 
 def test_mero_field_arithmetic_is_exact():
@@ -327,8 +425,12 @@ def test_power_beyond_the_order_is_refused_before_it_is_expanded():
         ("*".join(["(1+x+y)"] * 120) + " dx", "the product has degree 17", 128),
         ("mero: x" + "/(1+x+y)" * 120, "the quotient has degree 17", 136),
         ("mero: " + " + ".join(["1/(1+x+y)"] * 60), "the sum has degree 17", 197),
+        # a 1-form quotient power can only end non-polynomial: refused at
+        # its ^ with the end-of-term message, at the term's start
+        ("((1+x+y)/(1+y))^400 dx", "a 1-form coefficient must be polynomial", 1),
+        ("(2*x/y)^100000000000 dx", "a 1-form coefficient must be polynomial", 1),
     ],
-    ids=["product", "quotient", "sum"],
+    ids=["product", "quotient", "sum", "quotient-power", "one-term-quotient-power"],
 )
 def test_products_and_quotients_beyond_the_order_are_refused_at_their_operator(text, message, col):
     start = time.perf_counter()
