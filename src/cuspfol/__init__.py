@@ -4,14 +4,14 @@ Everything is computed over Q(i) with truncated power series (jets); there is
 no floating point anywhere.  The main entry points:
 
 - :mod:`cuspfol.jets` — exact 1- and 2-variable jets.
-- :mod:`cuspfol.poly` — exact dense univariate polynomials: arithmetic, gcd,
-  evaluation and Q(i) roots.
+- :mod:`cuspfol.poly` — exact dense univariate polynomials: arithmetic, gcd
+  and evaluation.
 - :mod:`cuspfol.forms` — foliation 1-forms, blow-ups, the cusp reduction.
 - :mod:`cuspfol.transversal` — first integrals at a corner, the gluing germ.
 - :mod:`cuspfol.normalform` — the degree-by-degree polynomial normal form.
 - :mod:`cuspfol.moduli` — Schwarzians, homographies, equivalence of germs.
-- :mod:`cuspfol.gluing` — the two ruled models, cocycles, the cohomological
-  equation and unfolding triviality.
+- :mod:`cuspfol.gluing` — the two ruled models, cocycles and the cohomological
+  equation.
 - :mod:`cuspfol.firstintegral` — rationality tests and meromorphic first
   integral witnesses.
 - :mod:`cuspfol.parametric` — the same pipeline over a rational-function

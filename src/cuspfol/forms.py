@@ -5,8 +5,8 @@ coefficients.  This module provides the geometric tool chain:
 
 - construction from a meromorphic first integral candidate (num/den),
 - the radial form  x dy - y dx  and radial tangency of homogeneous parts,
-- exact blow-up pullbacks in both standard charts, division by the
-  exceptional coordinate, and tangency analysis along the divisor,
+- exact blow-up pullbacks in both standard charts and division by the
+  exceptional coordinate,
 - ``reduce_cusp``: the decision procedure for "absolutely dicritical of
   cusp type", i.e. the foliation becomes regular and everywhere transverse
   to the exceptional divisor after exactly two blow-ups (the second one
@@ -14,8 +14,7 @@ coefficients.  This module provides the geometric tool chain:
   tangency cone is a*y^2 the verdict reads only the 5-jet: regularity of
   the corner and transversality to both divisor components follow from a
   lemma (see ``reduce_cusp``), so only the two pullbacks that feed the
-  report are built, and the lemma's values are checked again on them,
-- a degree-by-degree solver for relative exactness  eta = df + g*w.
+  report are built, and the lemma's values are checked again on them.
 
 Divisor naming convention used throughout (and by the CLI): after the two
 blow-ups the divisor has two components; D2 is the strict transform of the
@@ -36,8 +35,6 @@ from enum import Enum
 
 from .coeff import Coeff, ZERO
 from .jets import DEFAULT_ORDER, Jet1, Jet2, JetError, pullback_coefficients
-from .linalg import solve
-from .poly import roots_with_multiplicity
 
 
 class OneForm:
@@ -270,56 +267,6 @@ def exceptional_divide(w: OneForm, divisor_var: str) -> tuple[OneForm, int]:
     return OneForm(w.a.exponent_map(shift, n), w.b.exponent_map(shift, n), w.variables), k
 
 
-class DivisorReport:
-    """Tangency analysis of a (divided) 1-form along one coordinate axis."""
-
-    def __init__(
-        self,
-        invariant: bool,
-        restricted: Jet1,
-        tangency_points: list[tuple[Coeff, int]],
-        residual_degree: int,
-        infinity_tangency: bool | None = None,
-    ):
-        self.invariant = invariant
-        self.restricted = restricted
-        self.tangency_points = tangency_points
-        self.residual_degree = residual_degree
-        self.infinity_tangency = infinity_tangency
-
-
-def divisor_analysis(
-    w: OneForm, divisor_var: str, expected_degree: int | None = None
-) -> DivisorReport:
-    """Invariance and tangency points of w along the axis {divisor_var = 0}.
-
-    The axis is invariant exactly when the restriction of the *other*
-    variable's coefficient to the axis vanishes identically; otherwise the
-    roots of that restriction (an exact polynomial within the jet order)
-    are the points where the foliation is tangent to, or singular on, the
-    axis.  Roots are reported inside Q(i) with multiplicity; a rootless
-    residual factor of positive degree signals further points outside Q(i).
-
-    For a divided blow-up pullback the caller knows the total tangency
-    degree the divisor must carry; passing it as ``expected_degree`` makes
-    the report flag a tangency at the chart's point at infinity (the
-    restriction has lower degree than expected exactly when the missing
-    direction is a tangency point).
-    """
-    idx = _axis_index(w, divisor_var)
-    transversal_jet = w.b if idx == 0 else w.a
-    restricted = transversal_jet.restrict_to_axis("y" if idx == 0 else "x")
-    if restricted.is_zero():
-        return DivisorReport(True, restricted, [], 0)
-    deg = restricted.degree()
-    poly = [restricted.coeff(k) for k in range(deg + 1)]
-    roots, residual = roots_with_multiplicity(poly)
-    at_infty = None
-    if expected_degree is not None:
-        at_infty = deg < expected_degree
-    return DivisorReport(False, restricted, roots, residual, at_infty)
-
-
 class ReductionVerdict(Enum):
     """Outcome of the two-blow-up reduction test."""
 
@@ -523,122 +470,3 @@ def reduce_cusp(w: OneForm) -> ReductionReport:
         ReductionVerdict.CUSP_TYPE_ABSOLUTELY_DICRITICAL,
         "two blow-ups reduce the foliation, regular and transverse to both divisor components",
     )
-
-
-class RelativeExactness:
-    """Result of solving  eta = df + g*w  to a given order.
-
-    On failure, ``first_obstructed_degree`` is the smallest degree d such
-    that the equations for all coefficients of total degree <= d are
-    already unsolvable, and ``certificate`` is an exact row combination
-    (label, multiplier) over those equations proving it; labels are
-    ("A"|"B", i, j) for the coefficient of x^i y^j in the named slot.
-    """
-
-    def __init__(
-        self,
-        feasible: bool,
-        order: int,
-        f: Jet2 | None = None,
-        g: Jet2 | None = None,
-        first_obstructed_degree: int | None = None,
-        certificate: list | None = None,
-        certificate_checked: bool = False,
-    ):
-        self.feasible = feasible
-        self.order = order
-        self.f = f
-        self.g = g
-        self.first_obstructed_degree = first_obstructed_degree
-        self.certificate = certificate
-        self.certificate_checked = certificate_checked
-
-
-def _relex_system(eta: OneForm, w: OneForm, order: int, fmax: int, gmax: int):
-    """Rows, rhs, labels, and column maps for the relative exactness system."""
-    fcols = {}
-    gcols = {}
-    cols = 0
-    for d in range(0, gmax + 1):
-        for i in range(d, -1, -1):
-            gcols[(i, d - i)] = cols
-            cols += 1
-    for d in range(1, fmax + 1):
-        for i in range(d, -1, -1):
-            fcols[(i, d - i)] = cols
-            cols += 1
-    wa = {k: c for k, c in w.a.items()}
-    wb = {k: c for k, c in w.b.items()}
-    rows, rhs, labels = [], [], []
-    for d in range(0, order + 1):
-        for i in range(d, -1, -1):
-            j = d - i
-            for slot, jet, wc in (("A", eta.a, wa), ("B", eta.b, wb)):
-                row = [ZERO] * cols
-                if slot == "A":
-                    key = (i + 1, j)
-                    if key in fcols:
-                        row[fcols[key]] = Coeff(i + 1)
-                else:
-                    key = (i, j + 1)
-                    if key in fcols:
-                        row[fcols[key]] = Coeff(j + 1)
-                for (r, s), col in gcols.items():
-                    u, vv = i - r, j - s
-                    if u >= 0 and vv >= 0 and (u, vv) in wc:
-                        row[col] = row[col] + wc[(u, vv)]
-                rows.append(row)
-                rhs.append(jet.coeff(i, j))
-                labels.append((slot, i, j))
-    return rows, rhs, labels, fcols, gcols
-
-
-def relative_exactness_solve(eta: OneForm, w: OneForm, order=None) -> RelativeExactness:
-    """Solve  eta = df + g*w  exactly, degree by degree, up to ``order``.
-
-    Unknowns are the coefficients of f (degrees 1..order+1; the irrelevant
-    constant term is fixed to 0) and of g (degrees 0..order-val(w)).  When
-    the full system is infeasible the solver locates the first obstructed
-    degree and extracts a re-checked Farkas certificate over the equations
-    up to that degree.
-    """
-    eta._require_same_chart(w)
-    n = min(eta.order, w.order) if order is None else order
-    if eta.order < n or w.order < n:
-        raise JetError("requested order exceeds the data's jet order")
-    eta = eta.truncate(n)
-    wt = w.truncate(n)
-    vw = wt.valuation()
-    gmax = n - vw if vw is not None else -1
-
-    def _attempt(upto: int, want_cert: bool):
-        fm = upto + 1
-        gm = min(gmax, upto) if gmax >= 0 else -1
-        rows, rhs, labels, fcols, gcols = _relex_system(eta, wt, upto, fm, gm)
-        res = solve(rows, rhs, certificate=want_cert)
-        return res, rows, rhs, labels, fcols, gcols
-
-    res, rows, rhs, labels, fcols, gcols = _attempt(n, False)
-    if res.feasible:
-        fd = {k: res.solution[c] for k, c in fcols.items()}
-        gd = {k: res.solution[c] for k, c in gcols.items()}
-        f = Jet2(fd, n + 1)
-        g = Jet2(gd, n) if gmax >= 0 else Jet2.zero(n)
-        out = RelativeExactness(True, n, f=f, g=g)
-        resid = (eta - differential(f, eta.variables).truncate(n) - (wt * g)).truncate(n)
-        if not resid.is_zero():
-            raise AssertionError("relative exactness solution failed re-substitution")
-        return out
-    for d in range(0, n + 1):
-        res_d, rows, rhs, labels, fcols, gcols = _attempt(d, True)
-        if not res_d.feasible:
-            cert = [(labels[idx], c) for idx, c in res_d.certificate]
-            checked = res_d.check_certificate(rows, rhs)
-            return RelativeExactness(
-                False,
-                n,
-                first_obstructed_degree=d,
-                certificate=cert,
-                certificate_checked=checked,
-            )
-    raise AssertionError("full system infeasible but every prefix solvable")

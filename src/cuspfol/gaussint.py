@@ -1,10 +1,11 @@
 """Gaussian-integer factorization and exact root extraction in Q(i).
 
 Used to decide, exactly, questions of the form "is there an element of Q(i)
-whose g-th power equals this Gaussian rational?" and to enumerate divisor
-candidates for rational root searches over Q(i).  Everything reduces to
-factoring ordinary integers (trial division + Miller-Rabin + Pollard rho),
-so it is exact with no algebraic-number machinery.
+whose g-th power equals this Gaussian rational?", the C* witness of
+``moduli.cstar_equivalent``.  For g = 1 the answer is the number itself;
+otherwise everything reduces to factoring ordinary integers (trial division
++ Miller-Rabin + Pollard rho), so it is exact with no algebraic-number
+machinery.
 
 Gaussian integers are (re, im) int pairs here; Q(i) scalars cross the
 boundary as :class:`~cuspfol.coeff.Coeff`.
@@ -94,10 +95,6 @@ def factor_int(n: int) -> dict[int, int]:
 
 
 # --- Z[i] arithmetic on (re, im) pairs -------------------------------------
-
-
-def gi_mul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
 def gi_norm(a) -> int:
@@ -191,42 +188,24 @@ def gi_factor(w) -> tuple[tuple[int, int], dict[tuple[int, int], int]]:
     return w, out
 
 
-_MAX_DIVISORS = 4096
-
-
-def gi_divisors(w) -> list[tuple[int, int]]:
-    """All divisors of w up to units (canonical associates)."""
-    _, fac = gi_factor(w)
-    divs = [(1, 0)]
-    for pi, e in fac.items():
-        nxt = []
-        for d in divs:
-            cur = d
-            for k in range(e + 1):
-                nxt.append(cur)
-                if k < e:
-                    cur = gi_mul(cur, pi)
-        divs = nxt
-        if len(divs) > _MAX_DIVISORS:
-            raise ValueError("too many divisors to enumerate")
-    return [canonical_associate(d) for d in divs]
-
-
 UNITS = (Coeff(1), Coeff(0, 1), Coeff(-1), Coeff(0, -1))
 
 
 def nth_roots_in_qi(rho: Coeff, g: int) -> list[Coeff]:
     """All x in Q(i) with x^g = rho, exactly (possibly empty).
 
-    Factors numerator and denominator over Z[i]; a root exists iff every
-    prime valuation is divisible by g and the leftover unit is a g-th power
-    of a unit.  All four unit twists are tested by exact powering, so the
-    returned list is complete.
+    For g = 1 the only root is rho itself, returned without factoring.
+    Otherwise factors numerator and denominator over Z[i]; a root exists
+    iff every prime valuation is divisible by g and the leftover unit is a
+    g-th power of a unit.  All four unit twists are tested by exact
+    powering, so the returned list is complete.
     """
     if g < 1:
         raise ValueError("g must be >= 1")
     if rho.is_zero():
         return [Coeff(0)]
+    if g == 1:
+        return [rho]
     a, b, d = rho.triple
     vals: dict[tuple[int, int], int] = {}
     _, num_fac = gi_factor((a, b))

@@ -230,16 +230,6 @@ def _check_f2_regularity(phi: ModelAutomorphism):
         raise AssertionError("second-model automorphism Taylor data mismatch")
 
 
-def model_homothety(eps, model, order=DEFAULT_ORDER) -> ModelAutomorphism:
-    """(x, y) -> (eps*x, eps*y), an automorphism of either model."""
-    e = Coeff(eps)
-    h = Homography(e)
-    model = Model(model)
-    if model is Model.F1:
-        return model_automorphism(h, model, order=order)
-    return model_automorphism(h, model, leading=e, order=order)
-
-
 def cocycle_compose_check(
     phi1: ModelAutomorphism, c: GluingCocycle, phi2: ModelAutomorphism, order=None
 ) -> GluingCocycle:
@@ -450,7 +440,7 @@ def _solve_coboundary(sigma: GermDiff1, a0: Jet2, target: Jet2, order) -> Coboun
     has its certificate checked again, and a feasible one reads A2 off as
     the remainder.
 
-    Both callers pass A0(0,0) = 1 and ``GermDiff1`` refuses s = 0, so a
+    The caller passes A0(0,0) = 1 and ``GermDiff1`` refuses s = 0, so a
     zero a*s is a fault of the library and raises ``AssertionError``.
     """
     if (a0.coeff(0, 0) * sigma.jet.coeff(1)).is_zero():
@@ -557,101 +547,3 @@ def cohomology_dimension(sigma, alpha0, order) -> CohomologyReport:
     return CohomologyReport(
         order, rows, split.rank, rows - split.rank, independent, split
     )
-
-
-# ---------------------------------------------------------------------------
-# unfoldings
-
-
-def _normalize_family(family: list[Jet2]) -> list[Jet2]:
-    """Rescale A_eps so A_eps(0,0) = 1 identically in the parameter.
-
-    The rescale is the parametrized homothety x -> c(eps)*x with
-    c = 1/A_eps(0,0): each monomial x^i y^j picks up c^(i+1), computed as
-    an exact truncated series in the parameter.
-    """
-    k = len(family) - 1  # order of the parameter series
-    n = min(a.order for a in family)
-    c = Jet1([a.coeff(0, 0) for a in family], k).reciprocal()
-    out = [dict() for _ in family]
-    seen = set()
-    for a in family:
-        for key, _ in a.items():
-            seen.add(key)
-    for (i, j) in seen:
-        series = Jet1([a.coeff(i, j) for a in family], k) * c ** (i + 1)
-        for m, v in enumerate(series.coeffs):
-            if not v.is_zero():
-                out[m][(i, j)] = v
-    return [Jet2(d, n) for d in out]
-
-
-class UnfoldingReport:
-    def __init__(
-        self,
-        trivial: bool,
-        hypothesis_holds: bool,
-        order: int,
-        nontrivial_direction: VectorFieldJet | None = None,
-        solutions: list | None = None,
-        certificates: list | None = None,
-    ):
-        self.trivial = trivial
-        self.hypothesis_holds = hypothesis_holds
-        self.order = order
-        self.nontrivial_direction = nontrivial_direction
-        self.solutions = [] if solutions is None else solutions
-        self.certificates = [] if certificates is None else certificates
-
-    def __bool__(self):
-        return self.trivial
-
-
-def unfolding_triviality_check(sigma, family: list[Jet2], order=None) -> UnfoldingReport:
-    """Decide per-order triviality of a parametrized gluing family.
-
-    ``family`` lists the parameter-power coefficients of A_eps.  The family
-    is first rescaled so A_eps(0,0) = 1 (a parametrized homothety, always
-    available); the triviality criterion is that the y1-coefficient of the
-    rescaled family is parameter-independent.  When it holds, each
-    parameter power is split by the cohomological-equation solver against
-    the base cocycle and the solutions are returned; a failure of the
-    criterion reports the distinguished direction as the obstruction.
-    Each split certifies triviality to first order in its parameter power;
-    the full conjugacy is the (not assembled) composition of their flows.
-    """
-    if isinstance(sigma, Jet1):
-        sigma = GermDiff1(sigma)
-    if not family:
-        raise ValueError("empty family")
-    if family[0].coeff(0, 0).is_zero():
-        raise ValueError("family base needs A(0,0) != 0")
-    n = min(sigma.jet.order, min(a.order for a in family)) if order is None else order
-    norm = _normalize_family([a.truncate(n) for a in family])
-    bad = [k for k in range(1, len(norm)) if not norm[k].coeff(0, 1).is_zero()]
-    if bad:
-        k = bad[0]
-        return UnfoldingReport(
-            False,
-            False,
-            n,
-            nontrivial_direction=VectorFieldJet(
-                Jet2.monomial(0, 1, norm[k].coeff(0, 1), n), "x1"
-            ),
-        )
-    base = norm[0]
-    jac = _radial_jacobian(base)
-    solutions = []
-    certificates = []
-    ok = True
-    for k in range(1, len(norm)):
-        if norm[k].is_zero():
-            continue
-        target = norm[k].div(jac)
-        res = _solve_coboundary(sigma, base, target, n)
-        if res.feasible:
-            solutions.append((k, res))
-        else:
-            ok = False
-            certificates.append((k, res.certificate))
-    return UnfoldingReport(ok, True, n, solutions=solutions, certificates=certificates)

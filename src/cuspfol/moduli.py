@@ -10,16 +10,16 @@ the scalar side of that story:
   two jets lie on the same orbit, with a Q(i) witness when one exists and a
   defining polynomial when the witness lives in an extension field.
 - Homographies z -> lam*z/(1 + mu*z) as exact first-class values.
-- The search for homographic symmetries of a jet by exact elimination.
+- The homographic symmetries of a jet: each unit lam pins mu in closed form,
+  and one exact check of the functional equation keeps or drops it.
 - Normal pairs (sigma, alpha) and their equivalence via canonicalization.
 """
 
 from __future__ import annotations
 
-from math import comb, gcd
+from math import gcd
 
 from .coeff import Coeff, format_coeff
-from . import poly
 from .gaussint import UNITS, nth_roots_in_qi
 from .jets import DEFAULT_ORDER, Jet1, JetError
 
@@ -252,26 +252,33 @@ class SymmetryReport:
         infinite: bool,
         lambda_order: int | None = None,  # symbolic constraint lam^lambda_order = 1
         candidates: list[Homography] | None = None,
-        mu_polynomials: dict[str, list[Coeff]] | None = None,
         notes: list[str] | None = None,
     ):
         self.infinite = infinite
         self.lambda_order = lambda_order
         self.candidates = [] if candidates is None else candidates
-        self.mu_polynomials = {} if mu_polynomials is None else mu_polynomials
         self.notes = [] if notes is None else notes
 
 
 def homographic_symmetries(f: Jet1) -> SymmetryReport:
     """All homographies h with (f o h) * (h')^2 = f, to the jet's order.
 
+    For h = lam*z/(1 + mu*z), h^k * (h')^2 = lam^(k+2) z^k (1 + mu*z)^-(k+4),
+    so coefficient m of (f o h)(h')^2 - f is
+
+        f_m (lam^(m+2) - 1) + sum_(j>=1) f_(m-j) lam^(m-j+2) (-mu)^j C(m+3, j).
+
     For f = 0 the group is infinite (such f is the Schwarzian of a
-    homography) and the report says so.  Otherwise, writing k0 for the
-    lowest nonzero index, the scaling part must satisfy lam^(k0+2) = 1 —
-    reported symbolically — and for each representable lam in {1,-1,i,-i}
-    the shift mu is pinned by an exact polynomial system; its Q(i) roots
-    are enumerated and every returned candidate is re-verified against the
-    functional equation.
+    homography) and the report says so.  Otherwise, with k0 the lowest
+    nonzero index, the equation m = k0 asks lam^(k0+2) = 1, reported
+    symbolically, and for each unit lam in {1, i, -1, -i} satisfying it the
+    equation m = k0 + 1 is linear in mu with leading coefficient
+    -(k0+4) f_k0 != 0: its one solution
+
+        mu = f_(k0+1) (lam - 1) / ((k0 + 4) f_k0)
+
+    is kept exactly when the functional equation holds to the jet's order.
+    When k0 is the order itself nothing constrains mu.
     """
     n = f.order
     if n < 4:
@@ -286,47 +293,18 @@ def homographic_symmetries(f: Jet1) -> SymmetryReport:
     for lam in UNITS:
         if lam ** lam_order != 1:
             continue
-        # Coefficient m of (f o h)(h')^2 - f, as a polynomial in mu:
-        #   f_m (lam^(m+2) - 1) + sum_j f_(m-j) lam^(m-j+2) (-mu)^j C(m+1, j).
-        polys = []
-        for m in range(k0, n + 1):
-            deg = m - k0
-            pc = [Coeff(0)] * (deg + 1)
-            pc[0] = f.coeff(m) * (lam ** (m + 2) - 1)
-            for j in range(1, deg + 1):
-                sign = -1 if j % 2 else 1
-                pc[j] = (
-                    f.coeff(m - j)
-                    * lam ** (m - j + 2)
-                    * Coeff(sign * comb(m + 1, j))
-                )
-            pc = poly.trim(pc)
-            if pc:
-                polys.append(pc)
-        if not polys:
+        if k0 == n:
             report.notes.append(
                 f"lam = {format_coeff(lam)}: no constraint on mu to this order"
             )
             report.infinite = True
             continue
-        g = []
-        for p in polys:
-            g = poly.gcd(g, p) if g else p
-        report.mu_polynomials[format_coeff(lam)] = list(g)
-        if len(g) == 1:
-            continue  # constant gcd: no common root for this lam
-        for mu in poly.roots_qi(g):
-            h = Homography(lam, mu)
-            if _is_symmetry(f, h):
-                report.candidates.append(h)
+        mu = f.coeff(k0 + 1) * (lam - 1) / ((k0 + 4) * f.coeff(k0))
+        h = Homography(lam, mu)
+        hj = h.to_jet(n + 1)  # so that h' is known through z^n
+        if f.compose(hj) * hj.derivative() ** 2 == f:
+            report.candidates.append(h)
     return report
-
-
-def _is_symmetry(f: Jet1, h: Homography) -> bool:
-    n = f.order
-    hj = h.to_jet(n)
-    lhs = f.compose(hj).truncate(n - 1) * (hj.derivative() ** 2)
-    return lhs == f.truncate(n - 1)
 
 
 # --- normal pairs and their equivalence -------------------------------------
@@ -339,20 +317,6 @@ def canonical_alpha(s) -> Coeff:
     if c1.is_zero():
         raise JetError("canonical_alpha needs an invertible germ")
     return 3 * jet.coeff(2) / c1
-
-
-class ModuliClass:
-    """The full invariant of a transversal germ: S(sigma) and its canonical
-    alpha."""
-
-    def __init__(self, schwarzian: Jet1, canonical_alpha: Coeff):
-        self.schwarzian = schwarzian
-        self.canonical_alpha = canonical_alpha
-
-    @classmethod
-    def of(cls, s, order=None) -> "ModuliClass":
-        jet = _as_germ_jet(s)
-        return cls(schwarzian(jet, order), canonical_alpha(jet))
 
 
 class NormalPair:

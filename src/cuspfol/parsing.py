@@ -37,6 +37,10 @@ checked there: the term is refused at its end as not polynomial, or at the
 ``^`` of a power past ``--order`` whose numerator is not constant, which can
 only end non-polynomial.
 
+Parentheses nest at most ``_MAX_NESTING`` deep, so that parsing, one call per
+operand, stays well inside the interpreter's recursion limit; the first
+parenthesis past it is refused.
+
 All errors raised here are :class:`ParseError` carrying 1-based ``line`` and
 ``col`` positions into the source text.
 """
@@ -145,6 +149,10 @@ _ATOMS = {"x": ((1, 0), QONE), "y": ((0, 1), QONE), "i": (_ONE_KEY, (0, 1, 1))}
 # of an operator token only, so a token's value alone identifies one
 _BIND = {"+": 1, "-": 1, "*": 2, "/": 2}
 _SIGNS = frozenset("+-")
+# Each nesting level costs at most two calls of _parse_expr (a right operand
+# and its parenthesis), so 200 levels take at most 400 frames, well below the
+# interpreter's default recursion limit of 1000.
+_MAX_NESTING = 200
 _RESULT = {"*": "product", "/": "quotient", "^": "power", "+": "sum", "-": "difference"}
 _NOT_POLYNOMIAL = (
     "a 1-form coefficient must be polynomial (non-constant denominator; use "
@@ -288,7 +296,7 @@ def _check_degree(op, order, term, val, rhs=None, e=1):
 # ---------------------------------------------------------------------------
 # precedence climbing (Pratt 1973): one call per operand
 
-def _parse_expr(toks, k, order, term, floor=1):
+def _parse_expr(toks, k, order, term, floor=1, depth=0):
     """Parse the operand at ``toks[k]`` and every binary operator after it
     that binds at least ``floor``; returns ``(num, den, k)``, ``k`` the first
     token left.
@@ -297,7 +305,8 @@ def _parse_expr(toks, k, order, term, floor=1):
     and one ``^ INT`` after it.  The right operand of an operator is parsed
     by one call at a floor one above the operator's binding power, so it
     takes exactly the tighter operators.  ``term`` is the first token of
-    the 1-form term being parsed, None in a mero: input.
+    the 1-form term being parsed, None in a mero: input; ``depth`` counts
+    the parentheses open around the operand.
     """
     tok = toks[k]
     neg = False
@@ -313,7 +322,9 @@ def _parse_expr(toks, k, order, term, floor=1):
         key, c = _ATOMS[value]
         num = {key: c}
     elif value == "(":
-        num, den, k = _parse_expr(toks, k + 1, order, term)
+        if depth == _MAX_NESTING:
+            _fail(f"parentheses nest deeper than {_MAX_NESTING}", tok)
+        num, den, k = _parse_expr(toks, k + 1, order, term, 1, depth + 1)
         if toks[k][1] != ")":
             _fail("expected ')'", toks[k])
     elif kind == _NAME:
@@ -343,7 +354,7 @@ def _parse_expr(toks, k, order, term, floor=1):
         bind = _BIND.get(op, 0)
         if bind < floor or bind == 2 and toks[k + 1][0] in _SLOTS:
             break  # no operator, a looser one, or the '*' of a term: "3*dx"
-        rnum, rden, k = _parse_expr(toks, k + 1, order, term, bind + 1)
+        rnum, rden, k = _parse_expr(toks, k + 1, order, term, bind + 1, depth)
         if bind == 1:
             if den is None and rden is None:
                 _padd_into(num, rnum, op == "-")

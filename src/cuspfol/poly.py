@@ -9,10 +9,7 @@ coefficients are exact and complete.
 
 from __future__ import annotations
 
-from math import lcm
-
 from .coeff import Coeff
-from .gaussint import UNITS, gi_divisors
 
 
 def trim(p) -> tuple:
@@ -101,68 +98,3 @@ def evaluate(p, x):
     for c in reversed(p):
         acc = acc * x + c
     return acc
-
-
-def _clear_denominators(p) -> list[tuple[int, int]]:
-    denom = 1
-    for c in p:
-        denom = lcm(denom, c.triple[2])
-    out = []
-    for c in p:
-        a, b, d = c.triple
-        f = denom // d
-        out.append((a * f, b * f))
-    return out
-
-
-def roots_qi(p) -> list[Coeff]:
-    """All Q(i) roots of a nonzero polynomial, by exact divisor enumeration."""
-    p = trim(p)
-    if not p:
-        raise ValueError("zero polynomial has every root")
-    roots = []
-    # Factor out mu = 0 roots.
-    k = 0
-    while k < len(p) and p[k].is_zero():
-        k += 1
-    if k:
-        roots.append(Coeff(0))
-        p = p[k:]
-    if len(p) <= 1:
-        return roots
-    if len(p) == 2:
-        roots.append(-p[0] / p[1])
-        return roots
-    zi = _clear_denominators(p)
-    lead = zi[-1]
-    const = zi[0]
-    cands = set()
-    for s in gi_divisors(const):
-        for t in gi_divisors(lead):
-            base = Coeff(s[0], s[1]) / Coeff(t[0], t[1])
-            for u in UNITS:
-                cands.add(u * base)
-    for cand in cands:
-        if evaluate(p, cand).is_zero():
-            roots.append(cand)
-    return roots
-
-
-def roots_with_multiplicity(p):
-    """All Q(i) roots with multiplicities, sorted by real then imaginary
-    part, plus the degree of the rootless residual factor."""
-    p = trim(p)
-    if len(p) <= 1:
-        return [], 0
-    roots = []
-    for r in roots_qi(p):
-        mult = 0
-        while len(p) > 1:
-            q, rem = divmod(p, (-r, Coeff(1)))
-            if rem:
-                break
-            p = q
-            mult += 1
-        roots.append((r, mult))
-    roots.sort(key=lambda rm: (rm[0].re, rm[0].im))
-    return roots, len(p) - 1

@@ -102,6 +102,14 @@ def test_input_errors_exit_three():
     assert code == 3
 
 
+def test_deep_nesting_is_an_input_error():
+    # 1,200 pairs once overflowed the interpreter's stack inside the parser
+    code, out = run_cli("reduce", "(" * 1200 + "x" + ")" * 1200 + " dx")
+    assert code == 3
+    assert verdict_of(out) == "InputError"
+    assert "error: line 1, column 201: parentheses nest deeper than 200" in out
+
+
 def test_negative_order_is_refused_before_parsing():
     for argv in (("reduce", "x dx"), ("sigma", "not a form"), ("equiv", CUSP, CUSP)):
         code, out = run_cli(*argv, "--order", "-3")

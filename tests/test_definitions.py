@@ -55,11 +55,12 @@ def traced_names():
     return {part for _, _, path in _load_spans().TRACED for part in path.split(".")}
 
 
-def dead_definitions(sources, outside=frozenset()):
+def dead_definitions(sources, outside=frozenset(), defs=definitions):
     """Definitions in ``sources`` ({file: text}) that nothing names.
 
-    Every file in ``sources`` is scanned for definitions and references;
-    ``outside`` holds further names that count as references.
+    Every file in ``sources`` is scanned for references, and for the
+    definitions ``defs`` lists in its tree; ``outside`` holds further names
+    that count as references.
     """
     trees = {fname: ast.parse(text) for fname, text in sources.items()}
     refs = defaultdict(list)
@@ -68,7 +69,7 @@ def dead_definitions(sources, outside=frozenset()):
             refs[name].append((fname, line))
     dead = []
     for fname, tree in trees.items():
-        for name, lo, hi in definitions(tree):
+        for name, lo, hi in defs(tree):
             if name.startswith("__") and name.endswith("__"):
                 continue
             if (fname, name) in EXEMPT or name in outside:

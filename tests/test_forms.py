@@ -1,4 +1,4 @@
-"""Geometry tests: 1-forms, blow-ups, divisor analysis, cusp reduction."""
+"""Geometry tests: 1-forms, blow-ups, cusp reduction."""
 
 import random
 from fractions import Fraction
@@ -10,8 +10,6 @@ from cuspfol.coeff import Coeff
 from cuspfol.forms import (
     OneForm,
     ReductionVerdict,
-    differential,
-    divisor_analysis,
     exceptional_divide,
     form_of_meromorphic,
     linear_change,
@@ -20,11 +18,10 @@ from cuspfol.forms import (
     radial_form,
     radial_tangency,
     reduce_cusp,
-    relative_exactness_solve,
     valuation,
     wedge,
 )
-from cuspfol.jets import Jet1, Jet2, JetError
+from cuspfol.jets import Jet2, JetError
 
 import oracles
 
@@ -255,38 +252,6 @@ def test_exceptional_divide_examples():
     assert k2 == 2 and dt.b == Jet2.one(6) and dt.a.is_zero()
 
 
-# --- divisor analysis -------------------------------------------------------
-
-
-def test_divisor_analysis_cusp_first_chart():
-    w1 = OneForm(
-        j2({(0, 1): 1}, 12), j2({(0, 2): 1, (1, 0): -1}, 12), ("x", "t")
-    )
-    rep = divisor_analysis(w1, "x", expected_degree=2)
-    assert not rep.invariant
-    assert rep.restricted == Jet1((0, 0, 1), 12)
-    assert rep.tangency_points == [(Coeff(0), 2)]
-    assert rep.residual_degree == 0
-    assert rep.infinity_tangency is False
-
-
-def test_divisor_analysis_transverse_and_invariant():
-    w = OneForm(Jet2.one(8), Jet2.one(8), ("x", "t"))
-    rep = divisor_analysis(w, "t")
-    assert not rep.invariant and rep.tangency_points == []
-    xdt = OneForm(Jet2.zero(8), Jet2.var_x(8), ("x", "t"))
-    assert divisor_analysis(xdt, "x").invariant
-
-
-def test_divisor_analysis_irrational_roots_flagged():
-    # restricted polynomial t^2 - 2 has no Q(i) roots: residual degree 2.
-    w = OneForm(Jet2.var_y(8), j2({(0, 2): 1, (0, 0): -2}, 8), ("x", "t"))
-    rep = divisor_analysis(w, "x")
-    assert not rep.invariant
-    assert rep.tangency_points == []
-    assert rep.residual_degree == 2
-
-
 # --- the reduction ----------------------------------------------------------
 
 
@@ -446,7 +411,8 @@ def _five_jet_verdict(w):
 
 def _constant_on_axis(w, divisor_var):
     """The transversal coefficient of w on {divisor_var = 0}, if constant."""
-    r = divisor_analysis(w, divisor_var).restricted
+    first = divisor_var == w.variables[0]
+    r = (w.b if first else w.a).restrict_to_axis("y" if first else "x")
     return r.coeff(0) if r.degree() == 0 else None
 
 
@@ -585,56 +551,6 @@ def test_exceptional_power_radial_criterion():
         w = OneForm(Jet2.monomial(nu, 0, 1, 12), Jet2.zero(12))
         _, k = exceptional_divide(pullback_blowup(w, "x"), "x")
         assert k == nu
-
-
-# --- relative exactness -----------------------------------------------------
-
-
-def test_relative_exactness_eta_equals_w():
-    w = cusp_form(10)
-    res = relative_exactness_solve(w, w, order=8)
-    assert res.feasible
-    assert res.g.coeff(0, 0) == Coeff(1)
-    resid = w.truncate(8) - differential(res.f).truncate(8) - w.truncate(8) * res.g
-    assert resid.truncate(8).is_zero()
-
-
-def test_relative_exactness_exact_differential():
-    f = j2({(2, 1): 1}, 10)
-    eta = differential(f)
-    res = relative_exactness_solve(eta, cusp_form(10), order=8)
-    assert res.feasible
-    check = eta.truncate(8) - differential(res.f).truncate(8) - cusp_form(10).truncate(
-        8
-    ) * res.g
-    assert check.truncate(8).is_zero()
-
-
-def test_relative_exactness_radial_obstruction():
-    # the radial form is not relatively exact w.r.t. the cusp form: the
-    # rotational period shows up as an exact obstruction at degree 1
-    # (frozen output of the solver, certificate re-checked independently)
-    w = cusp_form(13)
-    eta = radial_form(12)
-    res = relative_exactness_solve(eta, w, order=12)
-    assert not res.feasible
-    assert res.first_obstructed_degree == 1
-    assert res.certificate_checked
-    cert = sorted(res.certificate)
-    assert cert == [(("A", 0, 1), Coeff(1)), (("B", 1, 0), Coeff(-1))]
-
-
-def test_relative_exactness_random_constructed():
-    w = cusp_form(12)
-    f = j2({(1, 0): 2, (0, 2): 1, (2, 1): -3}, 12)
-    g = j2({(0, 0): 1, (1, 1): 5}, 12)
-    eta = differential(f) + w * g
-    res = relative_exactness_solve(eta, w, order=9)
-    assert res.feasible
-    resid = (
-        eta.truncate(9) - differential(res.f).truncate(9) - w.truncate(9) * res.g
-    )
-    assert resid.truncate(9).is_zero()
 
 
 # --- pullback_map against the oracle ----------------------------------------

@@ -36,8 +36,6 @@ from cuspfol.gluing import (
     globality_check,
     ks_generator,
     model_automorphism,
-    model_homothety,
-    unfolding_triviality_check,
 )
 from cuspfol.linalg import SolveResult, matrix_rank, solve
 from cuspfol.normalform import normalize
@@ -200,10 +198,11 @@ def test_automorphism_taylor_random():
 
 
 def test_model_homothety():
+    # (x, y) -> (eps*x, eps*y): h = eps*z, with A(0,0) = eps on the F2 side
     n = 8
     eps = Coeff(2, 1)
-    for model in (Model.F1, Model.F2):
-        phi = model_homothety(eps, model, order=n)
+    for model, leading in ((Model.F1, None), (Model.F2, eps)):
+        phi = model_automorphism(Homography(eps), model, leading=leading, order=n)
         mx, my = phi.as_map()
         assert mx == Jet2.var_x(n) * eps
         assert my == Jet2.var_y(n) * eps
@@ -229,7 +228,7 @@ def test_compose_homothety_rescales_unit():
     sig = germ([Coeff(1), Coeff(1)], n)
     c = build_cocycle(sig, Coeff(2))
     phi1 = model_automorphism(Homography.identity(), Model.F1, order=n)
-    hom = model_homothety(Coeff(3), Model.F2, order=n)
+    hom = model_automorphism(Homography(Coeff(3)), Model.F2, leading=Coeff(3), order=n)
     out = cocycle_compose_check(phi1, c, hom)
     # first slot 3*x*A(3x,3y) + sigma(3y): the unit picks up the scale and
     # the base coordinate is rescaled inside both sigma and A
@@ -673,65 +672,3 @@ def test_feasible_split_with_gaussian_denominators_is_solved_exactly(column_buil
         assert rebuilt == target
         assert globality_check(res.field_second.coefficient, Model.F2)
     assert column_builds == [5, 8, 12]
-
-
-# ---------------------------------------------------------------------------
-# unfoldings
-
-
-def test_unfolding_trivial_example():
-    n = 6
-    sig = germ([Coeff(1), Coeff(1)], n)
-    fam = [Jet2({(0, 0): 1, (0, 1): Coeff(3)}, n), Jet2.var_x(n)]
-    rep = unfolding_triviality_check(sig, fam)
-    assert rep.trivial
-    assert rep.hypothesis_holds
-    assert len(rep.solutions) == 1
-    k, split = rep.solutions[0]
-    assert k == 1 and split.feasible
-
-
-def test_unfolding_nontrivial_example():
-    n = 6
-    sig = germ([Coeff(1), Coeff(1)], n)
-    fam = [Jet2.one(n), Jet2.var_y(n)]
-    rep = unfolding_triviality_check(sig, fam)
-    assert not rep.trivial
-    assert not rep.hypothesis_holds
-    assert list(rep.nontrivial_direction.coefficient.items()) == [
-        ((0, 1), Coeff(1))
-    ]
-
-
-def test_unfolding_pure_rescale_is_trivial():
-    # A_eps = (1+7*eps)*(1 + 3*y): a parametrized homothety absorbs the
-    # whole deformation, so no split needs solving at all
-    n = 6
-    sig = germ([Coeff(1), Coeff(2)], n)
-    fam = [
-        Jet2({(0, 0): 1, (0, 1): Coeff(3)}, n),
-        Jet2({(0, 0): Coeff(7), (0, 1): Coeff(21)}, n),
-    ]
-    rep = unfolding_triviality_check(sig, fam)
-    assert rep.trivial
-    assert rep.solutions == []
-
-
-def test_unfolding_unit_shift_is_nontrivial():
-    # A_eps = (1+eps) + 3*y: rescaling to unit leading term makes the
-    # y-coefficient parameter-dependent, which is exactly the obstruction
-    n = 6
-    sig = germ([Coeff(1), Coeff(1)], n)
-    fam = [Jet2({(0, 0): 1, (0, 1): Coeff(3)}, n), Jet2.one(n)]
-    rep = unfolding_triviality_check(sig, fam)
-    assert not rep.trivial
-    assert not rep.hypothesis_holds
-
-
-def test_unfolding_validates_input():
-    n = 6
-    sig = germ([Coeff(1)], n)
-    with pytest.raises(ValueError):
-        unfolding_triviality_check(sig, [])
-    with pytest.raises(ValueError):
-        unfolding_triviality_check(sig, [Jet2.var_y(n), Jet2.var_x(n)])

@@ -1,14 +1,15 @@
 import random
+import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from cuspfol import Coeff, Jet1
-from cuspfol.gaussint import factor_int, gi_factor, gi_norm, nth_roots_in_qi
+from cuspfol.gaussint import factor_int, gi_factor, gi_norm, is_probable_prime, nth_roots_in_qi
 from cuspfol.jets import JetError
 from cuspfol.moduli import (
     Homography,
-    ModuliClass,
     NormalPair,
     canonical_alpha,
     canonical_germ,
@@ -62,13 +63,10 @@ class TestGaussInt:
             if w == (0, 0):
                 continue
             unit, fac = gi_factor(w)
-            prod = unit
-            from cuspfol.gaussint import gi_mul
-
+            prod = Coeff(*unit)
             for pi, e in fac.items():
-                for _ in range(e):
-                    prod = gi_mul(prod, pi)
-            assert prod == w
+                prod = prod * Coeff(*pi) ** e
+            assert prod == Coeff(*w)
             assert gi_norm(unit) == 1
 
     def test_nth_roots_exact(self):
@@ -83,6 +81,15 @@ class TestGaussInt:
         half_i = Coeff(0, Fraction(1, 2))
         cubes = nth_roots_in_qi(half_i**3, 3)
         assert half_i in cubes
+
+    def test_first_root_is_the_number_itself_without_factoring(self):
+        # p*q with p, q primes near 2^40 took seconds to factor by Pollard rho
+        p = next(k for k in range(2**40 + 1, 2**41, 2) if is_probable_prime(k))
+        q = next(k for k in range(p + 2, 2**41, 2) if is_probable_prime(k))
+        for rho in (Coeff(p * q), Coeff(p * q, 1) / Coeff(q)):
+            start = time.perf_counter()
+            assert nth_roots_in_qi(rho, 1) == [rho]
+            assert time.perf_counter() - start < 0.5
 
     def test_nth_roots_random_powers(self):
         rng = random.Random(227)
@@ -302,6 +309,58 @@ class TestSymmetries:
         with pytest.raises(JetError):
             homographic_symmetries(Jet1([0, 1], 3))
 
+    def test_every_candidate_holds_to_the_top_order(self):
+        # valuation 6 at order 7: only the equations of z^6 and z^7 bind,
+        # and mu = 40 (lam - 1) / (10 * -2) for each of the four units
+        f = Jet1([0, 0, 0, 0, 0, 0, -2, 40], 7)
+        r = homographic_symmetries(f)
+        assert r.lambda_order == 8 and not r.infinite
+        found = [(h.lam, h.mu) for h in r.candidates]
+        assert (Coeff(-1), Coeff(4)) in found
+        assert found == [(lam, 2 * (1 - lam)) for lam in (1, I, -1, -I)]
+        for h in r.candidates:
+            assert _pulled_back(f, h) == f
+
+    def test_conjugated_odd_symmetry_is_found(self):
+        # f(-z) = f(z), so s = h^-1 o (-z) o h is a symmetry of the
+        # pulled-back jet g = (f o h) (h')^2; mu != 0 on most draws
+        rng = random.Random(0x5E7)
+        shifted = 0
+        for _ in range(200):
+            n = rng.randint(6, 11)
+            k0 = rng.choice((0, 2, 4))
+            coeffs = [Coeff(0)] * (n + 1)
+            for k in range(k0, n + 1, 2):
+                coeffs[k] = Coeff(rng.randint(-4, 4), rng.randint(-2, 2))
+            while coeffs[k0].is_zero():
+                coeffs[k0] = Coeff(rng.randint(-4, 4), rng.randint(-2, 2))
+            f = Jet1(coeffs, n)
+            mu = Coeff(Fraction(rng.randint(-4, 4), 2), rng.randint(-1, 1))
+            h = Homography(Coeff(1), mu)
+            g = _pulled_back(f, h)
+            s = h.inverse().compose(Homography(Coeff(-1))).compose(h)
+            r = homographic_symmetries(g)
+            assert (s.lam, s.mu) in [(c.lam, c.mu) for c in r.candidates]
+            for c in r.candidates:
+                assert _pulled_back(g, c) == g
+            shifted += not s.mu.is_zero()
+        assert shifted > 150
+
+
+I = Coeff(0, 1)
+
+
+def _pulled_back(f, h):
+    """(f o h) * (h')^2 to the order of f, from h^k (h')^2 =
+    lam^(k+2) z^k (1 + mu z)^-(k+4) term by term, with no composition."""
+    n = f.order
+    out = [Coeff(0)] * (n + 1)
+    for k in range(n + 1):
+        fk = f.coeff(k) * h.lam ** (k + 2)
+        for j in range(n - k + 1):
+            out[k + j] = out[k + j] + fk * (-h.mu) ** j * comb(k + 3 + j, j)
+    return Jet1(out, n)
+
 
 class TestNormalPairs:
     def test_identity_alpha_offset_equivalent(self):
@@ -351,9 +410,3 @@ class TestNormalPairs:
             # and transports alpha by +2mu; the canonical mu makes them meet.
             assert canonical_alpha(new_sigma) == canonical_alpha(s) - 3 * h.mu
             assert canonical_alpha(new_sigma) == alpha + 2 * h.mu
-
-    def test_moduli_class_fields(self):
-        h = Homography(Coeff(3), Coeff(-1))
-        m = ModuliClass.of(h.to_jet(10))
-        assert m.schwarzian.is_zero()
-        assert m.canonical_alpha == 3 * h.to_jet(10).coeff(2) / h.to_jet(10).coeff(1)

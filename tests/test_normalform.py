@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from cuspfol import normalform
 from cuspfol.coeff import Coeff
-from cuspfol.cli import _as_oneform
+from cuspfol.cli import _as_oneform, _sigma_of_form
 from cuspfol.forms import (
     OneForm,
     ReductionVerdict,
@@ -28,6 +28,7 @@ import oracles
 from oracles import HomogeneousPair, L_apply, L_solve, _pair_basis, _pair_coords
 from test_cli import raw_mero
 from test_forms import cusp_form, cusp_family_form
+from test_transversal import SINH, seeded_template
 
 RNG = random.Random(0x0F0A)
 
@@ -358,3 +359,30 @@ def test_alpha_is_read_from_the_4_jet():
             assert alpha == full.alpha
             normalized += 1
     assert normalized >= 5
+
+
+def test_alpha_times_sigma_1_is_minus_one():
+    """alpha * sigma_1 = -1, alpha the normal form's and sigma_1 the z
+    coefficient of sigma, on raw mero: draws that normalize, on seeded
+    templates, and on diagonal changes (x, y) -> (a*x, b*y) of SINH."""
+    rng = random.Random(0xA5)
+    forms = []
+    while len(forms) < 30:
+        w = _as_oneform(raw_mero(rng), 8)
+        rep = reduce_cusp(w)
+        if rep.verdict is not ReductionVerdict.CUSP_TYPE_ABSOLUTELY_DICRITICAL:
+            continue
+        try:
+            normalize(w, reduction=rep)
+        except AssertionError:
+            continue  # defect (a): the degree-5 modulus is not yet data
+        forms.append(w)
+    forms += [seeded_template(rng, 8) for _ in range(5)]
+    sinh = _as_oneform(SINH, 8)
+    i = Coeff(0, 1)
+    for a, b in ((1, 2), (2, 1), (2, 2), (4, 8), (-1, -1), (i, i), (-1, i), (3, 3)):
+        forms.append(linear_change(sinh, ((a, 0), (0, b))))
+    for w in forms:
+        rep, sigma = _sigma_of_form(w, 8)
+        assert normalize(w, reduction=rep).alpha * sigma.coeff(1) == -1
+

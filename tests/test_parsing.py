@@ -17,6 +17,7 @@ from oracles import (
     ONE, ZERO, eval_expr, gadd, gdiv, ginv, gsub, jet2_pairs, p2_eval, p2_mul, p2_scal,
 )
 from cuspfol.parsing import (
+    _MAX_NESTING,
     MeromorphicPair,
     ParseError,
     _parse_expr,
@@ -294,6 +295,22 @@ def test_error_messages():
         parse_form("mero: (x - x)/y")
     with pytest.raises(ParseError, match="unexpected character"):
         parse_form("x % y dx")
+
+
+def test_parentheses_nest_up_to_the_limit():
+    # each level of "1+(" costs two calls of _parse_expr, the most any
+    # parenthesis costs; the limit still parses, one more level is refused
+    # at its opening parenthesis
+    n = _MAX_NESTING
+    deep = "1+(" * n + "x" + ")" * n
+    assert parse_form(deep + " dx").a == Jet2({(0, 0): n, (1, 0): 1}, 16)
+    assert parse_form(f"mero: {deep}").num == Jet2({(0, 0): n, (1, 0): 1}, 16)
+    with pytest.raises(ParseError, match=f"nest deeper than {n}") as e:
+        parse_form("(" * (n + 1) + "x" + ")" * (n + 1) + " dx")
+    assert (e.value.line, e.value.col) == (1, n + 1)
+    with pytest.raises(ParseError) as e:
+        parse_form("mero: " + "1+(" * (n + 1) + "x" + ")" * (n + 1))
+    assert e.value.col == len("mero: ") + 3 * (n + 1)
 
 
 def test_degree_must_fit_the_order():

@@ -76,30 +76,6 @@ def test_gcd_is_monic():
     assert poly.gcd(from_roots(1), from_roots(2)) == (Coeff(1),)
 
 
-def test_roots_with_multiplicity_zero_and_repeated_roots():
-    # z^2 (z - 1)^3 (z + i/2) (z^2 + 2): the quadratic has no Q(i) root.
-    p = poly.mul(from_roots(0, 0, 1, 1, 1, -I / 2), (2, 0, 1))
-    roots, residual = poly.roots_with_multiplicity(p)
-    assert roots == [(-I / 2, 1), (Coeff(0), 2), (Coeff(1), 3)]
-    assert residual == 2
-
-
-def test_roots_with_multiplicity_of_constants():
-    assert poly.roots_with_multiplicity(()) == ([], 0)
-    assert poly.roots_with_multiplicity((5, 0)) == ([], 0)
-
-
-def test_roots_qi_rational_and_gaussian_roots():
-    p = poly.scale(from_roots(Fraction(1, 2), Coeff(0, Fraction(-2, 3)), 3), 6)
-    assert sorted(poly.roots_qi(p), key=lambda c: (c.re, c.im)) == [
-        Coeff(0, Fraction(-2, 3)),
-        Coeff(Fraction(1, 2)),
-        Coeff(3),
-    ]
-    with pytest.raises(ValueError):
-        poly.roots_qi((0,))
-
-
 def test_evaluate_at_a_coeff():
     p = (1, 0, 1)  # 1 + z^2
     assert poly.evaluate(p, I) == 0
