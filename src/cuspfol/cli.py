@@ -28,10 +28,9 @@ from .forms import OneForm, ReductionVerdict, form_of_meromorphic, reduce_cusp
 from .normalform import normalize
 from .transversal import CornerGerm, transversal_structure
 from .moduli import (
-    NormalPair,
     canonical_alpha,
+    homographic_equivalent,
     homographic_symmetries,
-    normal_pair_equivalent,
     schwarzian,
 )
 from .gluing import build_cocycle, cohomology_dimension
@@ -144,13 +143,25 @@ def _sigma_of_form(w, order):
     # sigma mod z^(order+1) reads only corner data of degree < order, so the
     # corner germ's 4*order - 7 blow-up jet is solved no further than printed
     corner = CornerGerm.from_reduction(rep)
-    return rep, transversal_structure(corner, min(order, corner.order)).jet
+    return transversal_structure(corner, min(order, corner.order)).jet
 
 
-def _alpha_of_form(w, rep):
-    # alpha sits in degree 4, and a change of degree n >= 3 moves only
-    # degrees >= n + 2, so the 4-jet of the normalization fixes it
-    return normalize(w, 4, reduction=rep).alpha
+def _alpha_of_sigma(sigma):
+    """The normal form's alpha, read off sigma: alpha = -1/sigma_1.
+
+    With weights w(x) = 2 and w(y) = 3, a cusp-type form whose cubic part
+    is c*y^2 (x dy - y dx) starts in weighted degree 11, with
+    c*y^2 (x dy - y dx) + q*x^3 (x dy - 2y dx), and alpha = q/c.  Every
+    tangent-to-identity change raises the weight, so that part is
+    invariant.  The weighted scaling (t^2 x, t^3 y) leaves sigma_1 as it is:
+    the diagonal law gives sigma'(u) = (1/t) sigma(t u).  Divided by t^11,
+    the scaled form tends to its weighted-degree-11 part as t -> 0, so
+    sigma_1 depends only on that part.  That part is a diagonal image of
+    the model (y^2 + x^3)/(x*y), which has alpha = -1 and sigma = id; the
+    laws of (a x, b y), alpha' = alpha a^3/b^2 and sigma'_1 = b^2/a^3, keep
+    the product.
+    """
+    return -1 / sigma.coeff(1)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +193,7 @@ def _cmd_normal_form(args):
 
 def _cmd_sigma(args):
     w = _as_oneform(args.form, args.order)
-    _, jet = _sigma_of_form(w, args.order)
+    jet = _sigma_of_form(w, args.order)
     ident = jet == Jet1.variable(jet.order)
     data = {
         "sigma": _ser_jet1(jet),
@@ -195,7 +206,7 @@ def _cmd_sigma(args):
 
 def _cmd_schwarzian(args):
     w = _as_oneform(args.form, args.order)
-    _, jet = _sigma_of_form(w, args.order)
+    jet = _sigma_of_form(w, args.order)
     f = schwarzian(jet)
     data = {
         "schwarzian": _ser_jet1(f),
@@ -207,23 +218,20 @@ def _cmd_schwarzian(args):
 
 
 def _cmd_equiv(args):
+    # a change of coordinates moves sigma by a Moebius map after it, which
+    # S ignores, and by a homography before it (see cuspfol.moduli)
     w0 = _as_oneform(args.form, args.order)
     w1 = _as_oneform(args.other, args.order)
-    r0, s0 = _sigma_of_form(w0, args.order)
-    r1, s1 = _sigma_of_form(w1, args.order)
-    a0 = _alpha_of_form(w0, r0)
-    a1 = _alpha_of_form(w1, r1)
-    n = min(s0.order, s1.order)
-    v = normal_pair_equivalent(
-        NormalPair(s0.truncate(n), a0), NormalPair(s1.truncate(n), a1)
-    )
+    s0 = _sigma_of_form(w0, args.order)
+    s1 = _sigma_of_form(w1, args.order)
+    v = homographic_equivalent(schwarzian(s0), schwarzian(s1))
     data = {
-        "alpha_first": _ser_coeff(a0),
-        "alpha_second": _ser_coeff(a1),
+        "alpha_first": _ser_coeff(_alpha_of_sigma(s0)),
+        "alpha_second": _ser_coeff(_alpha_of_sigma(s1)),
         "sigma_first": _ser_jet1(s0),
         "sigma_second": _ser_jet1(s1),
-        "eps": _ser_coeff(v.cstar.eps),
-        "reason": v.cstar.reason,
+        "eps": _ser_coeff(v.eps),
+        "reason": v.reason,
     }
     certs = list(v.constraints)
     if v.equivalent:
@@ -233,7 +241,7 @@ def _cmd_equiv(args):
 
 def _cmd_symmetries(args):
     w = _as_oneform(args.form, args.order)
-    _, jet = _sigma_of_form(w, args.order)
+    jet = _sigma_of_form(w, args.order)
     if jet.order < 7:
         raise _CommandError(
             "symmetry search needs jet order >= 7 (the Schwarzian loses three "
@@ -255,7 +263,7 @@ def _cmd_symmetries(args):
 
 def _cmd_first_integral(args):
     w = _as_oneform(args.form, args.order)
-    _, jet = _sigma_of_form(w, args.order)
+    jet = _sigma_of_form(w, args.order)
     d = args.degree
     if jet.order < 2 * d + 2:
         raise _CommandError(
@@ -277,8 +285,8 @@ def _cmd_first_integral(args):
 
 def _cmd_cohomology(args):
     w = _as_oneform(args.form, args.order)
-    rep, jet = _sigma_of_form(w, args.order)
-    alpha = _alpha_of_form(w, rep)
+    jet = _sigma_of_form(w, args.order)
+    alpha = _alpha_of_sigma(jet)
     n = jet.order
     dim = cohomology_dimension(jet, alpha, n)
     cb = dim.split
@@ -311,8 +319,8 @@ def _cmd_cohomology(args):
 
 def _cmd_glue(args):
     w = _as_oneform(args.form, args.order)
-    rep, jet = _sigma_of_form(w, args.order)
-    alpha = _alpha_of_form(w, rep)
+    jet = _sigma_of_form(w, args.order)
+    alpha = _alpha_of_sigma(jet)
     c = build_cocycle(jet, alpha)
     fx, fy = c.as_map()
     names = ("x1", "y1")
@@ -389,8 +397,8 @@ def build_parser():
     add("normal-form", "compute the formal normal form data")
     add("sigma", "compute the transversal-structure germ at the corner")
     add("schwarzian", "Schwarzian derivative of the transversal structure")
-    add("equiv", "decide equivalence of two forms via their (sigma, alpha) data",
-        two_forms=True)
+    add("equiv", "decide equivalence of two forms by the Schwarzians of their sigma "
+        "up to the C* action", two_forms=True)
     add("symmetries", "homographic symmetries of the Schwarzian invariant")
     fi = add("first-integral", "bounded search for a rational first-integral relation")
     fi.add_argument(

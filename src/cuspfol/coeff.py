@@ -62,10 +62,6 @@ class Coeff:
     def is_zero(self) -> bool:
         return qiszero(self._t)
 
-    def conj(self) -> "Coeff":
-        a, b, d = self._t
-        return Coeff.from_triple((a, -b, d))
-
     def _coerce(self, other):
         if isinstance(other, Coeff):
             return other._t

@@ -135,9 +135,6 @@ class Rational1:
         dd = len(self.den) - 1
         return max(dn, dd)
 
-    def is_constant(self):
-        return self.degree() == 0
-
     def expand(self, order) -> Jet1:
         """Taylor jet at the origin; requires den(0) != 0."""
         if self.den[0].is_zero():

@@ -1,9 +1,10 @@
 """Germs of diffeomorphisms of (C, 0), Schwarzians, and moduli decisions.
 
-The transversal-structure germ sigma of a cusp-type foliation is classified,
-up to the relevant equivalences, by its Schwarzian derivative modulo a C*
-action, together with one canonically chosen constant.  This module carries
-the scalar side of that story:
+A change of coordinates moves the transversal-structure germ sigma of a
+cusp-type form by a Moebius map after it, which the Schwarzian S(sigma)
+ignores, and by a homography lam*z/(1 + mu*z) before it: a scaling for a
+diagonal change, mu != 0 for a shear (x + c*y, y).  Forms are decided on
+S(sigma) alone.  This module carries the scalar side of that story:
 
 - Schwarzian derivative of a jet germ (exact, order drops by 3).
 - The C* action  (eps . f)_k = eps^(k+2) f_k  and the exact decision whether
@@ -12,7 +13,8 @@ the scalar side of that story:
 - Homographies z -> lam*z/(1 + mu*z) as exact first-class values.
 - The homographic symmetries of a jet: each unit lam pins mu in closed form,
   and one exact check of the functional equation keeps or drops it.
-- Normal pairs (sigma, alpha) and their equivalence via canonicalization.
+- The orbits of those homographies, decided on one normal form per jet.
+- Gluing pairs (sigma, alpha), alpha free, and their canonicalization.
 """
 
 from __future__ import annotations
@@ -301,10 +303,34 @@ def homographic_symmetries(f: Jet1) -> SymmetryReport:
             continue
         mu = f.coeff(k0 + 1) * (lam - 1) / ((k0 + 4) * f.coeff(k0))
         h = Homography(lam, mu)
-        hj = h.to_jet(n + 1)  # so that h' is known through z^n
-        if f.compose(hj) * hj.derivative() ** 2 == f:
+        if _homographic_image(f, h) == f:
             report.candidates.append(h)
     return report
+
+
+def _homographic_image(f: Jet1, h: Homography) -> Jet1:
+    """(f o h) * (h')^2 through z^n, n the order of f."""
+    hj = h.to_jet(f.order + 1)  # so that h' is known through z^n
+    return f.compose(hj) * hj.derivative() ** 2
+
+
+def homographic_equivalent(f0: Jet1, f1: Jet1) -> CStarVerdict:
+    """Decide f0 = (f1 o h) * (h')^2 for a homography h = lam*z/(1 + mu*z).
+
+    With k0 the valuation, coefficient k0 + 1 of the image under
+    lam*z/(1 + mu*z) is lam^(k0+2) (lam f_(k0+1) - (k0 + 4) mu f_k0), so
+    one mu (at lam = 1) brings each jet to a normal form with that
+    coefficient 0, and normal forms on one orbit differ by the C* action.
+    """
+    n = min(f0.order, f1.order)
+    forms = []
+    for f in (f0.truncate(n), f1.truncate(n)):
+        if not f.is_zero() and f.valuation() < n:
+            k0 = f.valuation()
+            mu = f.coeff(k0 + 1) / ((k0 + 4) * f.coeff(k0))
+            f = _homographic_image(f, Homography(Coeff(1), mu))
+        forms.append(f)
+    return cstar_equivalent(*forms)
 
 
 # --- normal pairs and their equivalence -------------------------------------
@@ -320,7 +346,11 @@ def canonical_alpha(s) -> Coeff:
 
 
 class NormalPair:
-    """The data (sigma, alpha) selecting one glued foliation model."""
+    """The data (sigma, alpha) selecting one glued foliation model.
+
+    Here alpha is free; a form's alpha is -1/sigma_1, so forms are decided
+    by ``homographic_equivalent`` on their Schwarzians, not as pairs.
+    """
 
     def __init__(self, sigma, alpha=0):
         if isinstance(sigma, Jet1):
@@ -366,7 +396,7 @@ class NormalPairVerdict:
 
 
 def normal_pair_equivalent(p0: NormalPair, p1: NormalPair) -> NormalPairVerdict:
-    """Decide equivalence of two (sigma, alpha) pairs.
+    """Decide equivalence of two gluing pairs (sigma, alpha), alpha free.
 
     Each pair is first canonicalized by an inner homography killing the
     alpha offset; the remaining question is whether the two canonical

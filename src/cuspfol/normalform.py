@@ -53,7 +53,7 @@ from .forms import (
     radial_form,
     reduce_cusp,
 )
-from .jets import Jet2, JetError
+from .jets import Jet2
 
 
 class NormalFormData:
@@ -215,7 +215,7 @@ def _step_change(w: OneForm, n, order):
     )
 
 
-def normalize(w: OneForm, order=None, *, reduction=None) -> NormalFormData:
+def normalize(w: OneForm, *, reduction=None) -> NormalFormData:
     """Reduce a cusp-type form to the template, degree by degree.
 
     Requires reduce_cusp(w) to succeed.  ``reduction``, when given, is the
@@ -232,15 +232,12 @@ def normalize(w: OneForm, order=None, *, reduction=None) -> NormalFormData:
     ``AssertionError`` on defect (a), a form that keeps x^3 y^2 dx at
     degree 5.
     """
-    n_max = w.order if order is None else order
-    if n_max > w.order:
-        raise JetError("requested order exceeds the form's jet order")
+    n_max = w.order
     rep = reduce_cusp(w) if reduction is None else reduction
     if rep.verdict is not ReductionVerdict.CUSP_TYPE_ABSOLUTELY_DICRITICAL:
         raise ValueError(
             f"normalize requires a cusp-type form (reduction verdict: {rep.verdict.value})"
         )
-    w = w.truncate(n_max)
     if rep.applied_linear_change is not None:
         w = linear_change(w, rep.applied_linear_change)
     scale = Coeff(1) / rep.p2_coefficient

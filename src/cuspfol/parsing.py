@@ -153,6 +153,7 @@ _SIGNS = frozenset("+-")
 # and its parenthesis), so 200 levels take at most 400 frames, well below the
 # interpreter's default recursion limit of 1000.
 _MAX_NESTING = 200
+_MAX_COEFF_BITS = 1 << 16  # of a one-term power, checked at its '^'
 _RESULT = {"*": "product", "/": "quotient", "^": "power", "+": "sum", "-": "difference"}
 _NOT_POLYNOMIAL = (
     "a 1-form coefficient must be polynomial (non-constant denominator; use "
@@ -212,10 +213,15 @@ def _pscale(p, c):
     return {key: qmul(v, c) for key, v in p.items()}
 
 
-def _ppow(p, e):
+def _ppow(p, e, op):
     if len(p) == 1:
-        # a one-term power raises only its coefficient
+        # a one-term power raises only its coefficient (a + b*i)/d, whose
+        # parts are at most (|a| + |b|)^e and d^e; a unit has bits == e
         ((i, j), c), = p.items()
+        bits = e * max(abs(c[0]) + abs(c[1]), c[2]).bit_length()
+        if bits > max(e, _MAX_COEFF_BITS):
+            _fail(f"the power's coefficient may need {bits} bits; at most "
+                  f"{_MAX_COEFF_BITS} are allowed", op)
         return {(i * e, j * e): c if c == QONE else (Coeff.from_triple(c) ** e).triple}
     out, base = {_ONE_KEY: QONE}, p
     while e:
@@ -263,21 +269,21 @@ def _check_degree(op, order, term, val, rhs=None, e=1):
     operands, and 1-form values with a denominator, keep the checks at the
     end of their term, whose messages say what is wrong with them.
 
-    The exception is a 1-form power whose base has a non-constant numerator
-    and a denominator: past the order it is refused at its ``^`` with the
-    end-of-term message, at the term's start.  Values are unreduced pairs,
-    so that denominator is never cancelled, and the power is non-constant
-    wherever it stands: the term can only end non-polynomial.
+    The exception is a 1-form power whose base has a denominator: past the
+    order it is refused at its ``^``.  Values are unreduced pairs, so that
+    denominator is never cancelled.  With a non-constant numerator the term
+    can only end non-polynomial, and the refusal has that message, at the
+    term's start; with a constant one a later division can leave a
+    polynomial of the power's degree, and the refusal has the degree message.
     """
     num, den = val
+    operands = (val,) if rhs is None else (val, rhs)
     if term is not None and den is not None and op[1] == "^":
         if any(i or j for i, j in num) and e * max(_degree(num), _degree(den)) > order:
             _fail(_NOT_POLYNOMIAL, term)
-        return
-    operands = (val,) if rhs is None else (val, rhs)
-    if all(len(n) < 2 and (d is None or len(d) < 2) for n, d in operands):
+    elif all(len(n) < 2 and (d is None or len(d) < 2) for n, d in operands):
         return  # one-term operands only
-    if term is not None and any(d is not None for _, d in operands):
+    elif term is not None and any(d is not None for _, d in operands):
         return
     if rhs is None:
         degree = e * max(_degree(num), _degree(den))
@@ -343,8 +349,8 @@ def _parse_expr(toks, k, order, term, floor=1, depth=0):
         if den is not None or len(num) > 1:
             _check_degree(tok, order, term, (num, den), e=e)
             if den is not None:
-                den = _ppow(den, e) if e else None
-        num = _ppow(num, e)
+                den = _ppow(den, e, tok) if e else None
+        num = _ppow(num, e, tok)
         k += 2
         tok = toks[k]
     if neg:

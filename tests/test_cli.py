@@ -19,8 +19,10 @@ import pytest
 
 import cuspfol
 from cuspfol.cli import _as_oneform, main
-from cuspfol.forms import reduce_cusp
+from cuspfol.forms import linear_change, pullback_map, reduce_cusp
+from cuspfol.jets import Jet2
 from cuspfol.normalform import normalize
+from cuspfol.parsing import format_form
 
 RNG = random.Random(0xC11)
 
@@ -999,10 +1001,11 @@ def test_normal_form_reports_are_pinned(text, order, report):
     ids=["normal-form", "cohomology", "equiv"],
 )
 def test_normal_form_eliminates_nothing(monkeypatch, argv):
-    # Each normalization step is solved in closed form, so neither the full
-    # normal form nor the 4-jet that cohomology and equiv read alpha from
-    # reaches the exact solver.  cohomology's one certified solve is pinned
-    # by test_cohomology_eliminates_once and runs no rref either.
+    # Each normalization step is solved in closed form, so the normal form
+    # never reaches the exact solver; cohomology and equiv read alpha off
+    # sigma and normalize nothing (test_only_normal_form_normalizes).
+    # cohomology's one certified solve is pinned by
+    # test_cohomology_eliminates_once and runs no rref either.
     import cuspfol.linalg
     import cuspfol.normalform
 
@@ -1019,6 +1022,120 @@ def test_normal_form_eliminates_nothing(monkeypatch, argv):
     code, _ = run_cli(*argv)
     assert code in (0, 1)
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        (["normal-form", ROADMAP], 1),
+        (["cohomology", ROADMAP], 0),
+        (["glue", ROADMAP], 0),
+        (["equiv", ROADMAP, SINH], 0),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_only_normal_form_normalizes(monkeypatch, argv, calls):
+    # alpha = -1/sigma_1 (cuspfol.cli._alpha_of_sigma), so the moduli
+    # questions need no normal form
+    import cuspfol.cli
+
+    made = []
+
+    def counting_normalize(*args, **kwargs):
+        made.append(None)
+        return normalize(*args, **kwargs)
+
+    monkeypatch.setattr(cuspfol.cli, "normalize", counting_normalize)
+    code, out = run_cli(*argv, "--order", "12")
+    assert code in (0, 1), out
+    assert len(made) == calls
+
+
+# The defect (b) template: alpha = 2, a = -1 and the one tail modulus b_5 = 1.
+# Composing sigma with an inner homography chosen from alpha made equiv call
+# it and its pullback NotEquivalent.
+DEFECT_B = "(-y^3 - 4*x^3*y + x^4*y) dx + (x*y^2 + 2*x^4 - x^3*y) dy"
+
+
+def defect_b_pullback(n=12):
+    """DEFECT_B pulled back along (x + 2*y^2, y - x^2 - 2*x^3), as text."""
+    x, y = Jet2.var_x(n), Jet2.var_y(n)
+    fx = x + Jet2.monomial(0, 2, 2, n)
+    fy = y - Jet2.monomial(2, 0, 1, n) - Jet2.monomial(3, 0, 2, n)
+    return format_form(pullback_map(_as_oneform(DEFECT_B, n), fx, fy, order=n))
+
+
+def _equiv_report(order, verdict, certificates, data):
+    return json.dumps(
+        {
+            "certificates": certificates,
+            "command": "equiv",
+            "data": data,
+            "order": order,
+            "verdict": verdict,
+        },
+        sort_keys=True,
+        indent=2,
+    ) + "\n"
+
+
+SINH_SIGMA = [[1, "1"], [3, "1/6"], [5, "1/120"], [7, "1/5040"], [9, "1/362880"]]
+DEFECT_B_SIGMA = [
+    [1, "-1/2"], [2, "-1/8"], [3, "-1/48"], [4, "-1/384"], [5, "-1/3840"],
+    [6, "-1/46080"], [7, "-1/645120"], [8, "-1/10321920"], [9, "-1/185794560"],
+    [10, "-1/3715891200"], [11, "-1/81749606400"], [12, "-1/1961990553600"],
+]
+DEFECT_B_PULLBACK_SIGMA = [
+    [1, "-1/2"], [2, "-3/8"], [3, "-13/48"], [4, "-25/128"], [5, "-541/3840"],
+    [6, "-1561/15360"], [7, "-47293/645120"], [8, "-36389/688128"],
+    [9, "-7087261/185794560"], [10, "-34082521/1238630400"],
+    [11, "-1622632573/81749606400"], [12, "-267538739/18685624320"],
+]
+
+# equiv --json reports.  Under the diagonal change (x, y) -> (x, 2y) of
+# SINH, sigma' = 2 sigma(2u), and S(sigma) moves by eps = 1/2.
+EQUIV_REPORTS = {
+    "cusp-cusp": (
+        [CUSP, CUSP, "--order", "12"],
+        0,
+        _equiv_report(12, "Equivalent", ["any eps != 0"], {
+            "alpha_first": "-1", "alpha_second": "-1", "eps": "1", "reason": "both zero",
+            "sigma_first": [[1, "1"]], "sigma_second": [[1, "1"]],
+        }),
+    ),
+    "sinh-cusp": (
+        [SINH, CUSP, "--order", "10"],
+        1,
+        _equiv_report(10, "NotEquivalent", [], {
+            "alpha_first": "-1", "alpha_second": "-1", "eps": None,
+            "reason": "support mismatch: the action never creates or kills coefficients",
+            "sigma_first": SINH_SIGMA, "sigma_second": [[1, "1"]],
+        }),
+    ),
+    "defect-b": (
+        [DEFECT_B, defect_b_pullback(), "--order", "12"],
+        0,
+        _equiv_report(12, "Equivalent", ["eps^2 = 1"], {
+            "alpha_first": "2", "alpha_second": "2", "eps": "1", "reason": "witness in Q(i)",
+            "sigma_first": DEFECT_B_SIGMA, "sigma_second": DEFECT_B_PULLBACK_SIGMA,
+        }),
+    ),
+    "sinh-diagonal": (
+        [SINH, format_form(linear_change(_as_oneform(SINH, 10), ((1, 0), (0, 2)))), "--order", "10"],
+        0,
+        _equiv_report(10, "Equivalent", ["eps^2 = 1/4"], {
+            "alpha_first": "-1", "alpha_second": "-1/4", "eps": "1/2",
+            "reason": "witness in Q(i)", "sigma_first": SINH_SIGMA,
+            "sigma_second": [[1, "4"], [3, "8/3"], [5, "8/15"], [7, "16/315"], [9, "8/2835"]],
+        }),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", EQUIV_REPORTS)
+def test_equiv_reports_are_pinned(case):
+    argv, code, report = EQUIV_REPORTS[case]
+    assert run_cli("equiv", *argv, "--json") == (code, report)
 
 
 def test_mero_input_is_parsed_once(monkeypatch):

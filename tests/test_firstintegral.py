@@ -88,8 +88,6 @@ def test_rational_expand():
 def test_rational_degree():
     assert Rational1.variable().degree() == 1
     assert Rational1((1,), (1, 0, 2)).degree() == 2
-    assert Rational1((5,)).is_constant()
-    assert not Rational1.variable().is_constant()
 
 
 # ---------------------------------------------------------------------------

@@ -392,7 +392,7 @@ def test_reduced_split_agrees_with_the_full_matrix():
     questions = [(rand_germ(n, rng), rand_coeff(rng=rng), n) for n in range(3, 13)]
     for text in (README_MERO, ROADMAP_MERO, SINH):
         w = _as_oneform(text, 12)
-        jet = _sigma_of_form(w, 12)[1]
+        jet = _sigma_of_form(w, 12)
         questions.append((GermDiff1(jet), normalize(w).alpha, jet.order))
     for sig, alpha0, n in questions:
         rep = cohomology_dimension(sig, alpha0, n)
@@ -411,7 +411,7 @@ def test_t_columns_are_exact_on_the_rows_the_solver_reads():
     rng = random.Random(0x7C)
     questions = [(rand_germ(n, rng), rand_coeff(rng=rng), n) for n in range(3, 13)]
     w = _as_oneform(README_MERO, 16)
-    questions.append((GermDiff1(_sigma_of_form(w, 16)[1]), normalize(w).alpha, 16))
+    questions.append((GermDiff1(_sigma_of_form(w, 16)), normalize(w).alpha, 16))
     for sig, alpha0, n in questions:
         full = oracles.split_t_columns(
             oracles.jet1_pairs(sig.jet), oracles.pair_of_coeff(alpha0), n

@@ -16,6 +16,7 @@ from cuspfol.moduli import (
     canonicalizing_homography,
     cstar_apply,
     cstar_equivalent,
+    homographic_equivalent,
     homographic_symmetries,
     normal_pair_equivalent,
     schwarzian,
@@ -360,6 +361,39 @@ def _pulled_back(f, h):
         for j in range(n - k + 1):
             out[k + j] = out[k + j] + fk * (-h.mu) ** j * comb(k + 3 + j, j)
     return Jet1(out, n)
+
+
+class TestHomographicEquivalence:
+    def test_images_under_homographies_are_equivalent(self):
+        # g = (f o h) (h')^2: one mu brings f and g to normal forms that
+        # differ by the scaling lam*z, the C* action with eps = lam
+        rng = random.Random(0x0B17)
+        for _ in range(60):
+            n = rng.randint(4, 10)
+            k0 = rng.randint(0, n)
+            coeffs = [Coeff(0)] * k0
+            coeffs += [Coeff(rng.randint(-3, 3), rng.randint(-2, 2)) for _ in range(k0, n + 1)]
+            while coeffs[k0].is_zero():
+                coeffs[k0] = Coeff(rng.randint(-3, 3), rng.randint(-2, 2))
+            f = Jet1(coeffs, n)
+            h = rand_homography(rng, imag=True)
+            v = homographic_equivalent(_pulled_back(f, h), f)
+            assert v.equivalent
+            assert h.lam in v.eps_candidates
+
+    def test_distinct_orbits_are_told_apart(self):
+        f = Jet1([1, 0, 1, 0, 0], 4)
+        g = _pulled_back(Jet1([1, 0, 2, 0, 0], 4), Homography(Coeff(1), Coeff(1)))
+        assert not g.coeff(1).is_zero()
+        v = homographic_equivalent(f, g)
+        assert not v.equivalent
+        assert v.constraints == ["eps^2 = 1", "violated: eps^4 = 1/2"]
+
+    def test_zero_and_top_order_jets(self):
+        # neither has a coefficient for mu to kill: each is its own normal form
+        assert homographic_equivalent(Jet1([0] * 6, 5), Jet1([0] * 6, 5)).equivalent
+        v = homographic_equivalent(Jet1([0] * 5 + [384], 5), Jet1([0] * 5 + [3], 5))
+        assert v.equivalent and v.eps == 2
 
 
 class TestNormalPairs:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from cuspfol import normalform
 from cuspfol.coeff import Coeff
-from cuspfol.cli import _as_oneform, _sigma_of_form
+from cuspfol.cli import _alpha_of_sigma, _as_oneform, _sigma_of_form
 from cuspfol.forms import (
     OneForm,
     ReductionVerdict,
@@ -320,7 +320,7 @@ def test_transform_is_composed_once_when_read(monkeypatch):
 
     monkeypatch.setattr(Jet2, "substitute", counting_substitute)
     monkeypatch.setattr(normalform, "pullback_map", counting_pullback)
-    data = normalize(w0, 16)
+    data = normalize(w0)
     # one change per degree 2..14: the cubic one also spends the x^3 gauge,
     # which this input needs (its x^4 y dy coefficient is nonzero there)
     degrees = [min(i + j for comp in change for (i, j), _ in comp.items()) for change in data.changes]
@@ -350,7 +350,7 @@ def test_alpha_is_read_from_the_4_jet():
             rep = reduce_cusp(w)
             if rep.verdict is not ReductionVerdict.CUSP_TYPE_ABSOLUTELY_DICRITICAL:
                 continue
-            alpha = normalize(w, 4, reduction=rep).alpha
+            alpha = normalize(w.truncate(4), reduction=rep).alpha
             assert not alpha.is_zero()
             try:
                 full = normalize(w, reduction=rep)
@@ -363,8 +363,9 @@ def test_alpha_is_read_from_the_4_jet():
 
 def test_alpha_times_sigma_1_is_minus_one():
     """alpha * sigma_1 = -1, alpha the normal form's and sigma_1 the z
-    coefficient of sigma, on raw mero: draws that normalize, on seeded
-    templates, and on diagonal changes (x, y) -> (a*x, b*y) of SINH."""
+    coefficient of sigma, so that the CLI reads alpha off sigma: on raw
+    mero: draws that normalize, on seeded templates, and on diagonal
+    changes (x, y) -> (a*x, b*y) of SINH."""
     rng = random.Random(0xA5)
     forms = []
     while len(forms) < 30:
@@ -383,6 +384,5 @@ def test_alpha_times_sigma_1_is_minus_one():
     for a, b in ((1, 2), (2, 1), (2, 2), (4, 8), (-1, -1), (i, i), (-1, i), (3, 3)):
         forms.append(linear_change(sinh, ((a, 0), (0, b))))
     for w in forms:
-        rep, sigma = _sigma_of_form(w, 8)
-        assert normalize(w, reduction=rep).alpha * sigma.coeff(1) == -1
+        assert normalize(w).alpha == _alpha_of_sigma(_sigma_of_form(w, 8))
 

@@ -386,11 +386,12 @@ MALFORMED = [
     ('* dx', 8, "expected a number, 'i', a variable, or '('", 1, 1),
     ('x dx - ', 8, "expected a number, 'i', a variable, or '('", 1, 8),
     ('i^2 dx dx', 8, "expected '+', '-', or end of input between terms", 1, 8),
-    # a 1-form base with a non-constant denominator keeps the checks at the
-    # end of its term
+    # a 1-form power of a quotient past the order is refused at its ^: with
+    # a non-constant numerator the term can only end non-polynomial, with a
+    # constant one a later division can make it a polynomial of that degree
     ('((1+x)/(1+y))^5 dx', 4, 'a 1-form coefficient must be polynomial (non-constant denominator; use mero: input for a quotient)', 1, 1),
     ('((1+x)/y)^5 dx', 4, 'a 1-form coefficient must be polynomial (non-constant denominator; use mero: input for a quotient)', 1, 1),
-    ('x/(1/(1+y))^5 dx', 4, 'the dx coefficient has a degree-5 monomial; raise --order (currently 4) to keep the computation exact', 1, 1),
+    ('x/(1/(1+y))^5 dx', 4, 'the power has degree 5; raise --order (currently 4) to keep the computation exact', 1, 12),
     ('x/(1+y)*(x^3+y^3) dx', 3, 'a 1-form coefficient must be polynomial (non-constant denominator; use mero: input for a quotient)', 1, 1),
     # one-term products are checked at the end of the term, others at the operator
     ('x^5*y dx', 5, 'the dx coefficient has a degree-6 monomial; raise --order (currently 5) to keep the computation exact', 1, 1),
@@ -446,8 +447,28 @@ def test_power_beyond_the_order_is_refused_before_it_is_expanded():
         # its ^ with the end-of-term message, at the term's start
         ("((1+x+y)/(1+y))^400 dx", "a 1-form coefficient must be polynomial", 1),
         ("(2*x/y)^100000000000 dx", "a 1-form coefficient must be polynomial", 1),
+        # with a constant numerator a later division could leave a polynomial
+        # of the power's degree: refused at its ^ with that degree
+        ("(1/(1+x+y))^120 dx", "the power has degree 120", 12),
+        ("(1/y)^100000000000 dx", "the power has degree 100000000000", 6),
+        # a power of a constant or of one term is refused at its ^ when its
+        # coefficient may outgrow the bit bound
+        ("2^30000000 dx", "the power's coefficient may need 60000000 bits", 2),
+        ("(2*x)^100000000000 dx", "the power's coefficient may need 200000000000 bits", 6),
+        ("mero: (1/(3*y))^100000000000", "the power's coefficient may need 200000000000 bits", 16),
     ],
-    ids=["product", "quotient", "sum", "quotient-power", "one-term-quotient-power"],
+    ids=[
+        "product",
+        "quotient",
+        "sum",
+        "quotient-power",
+        "one-term-quotient-power",
+        "constant-numerator-quotient-power",
+        "monomial-quotient-power",
+        "constant-power",
+        "one-term-power",
+        "mero-one-term-power",
+    ],
 )
 def test_products_and_quotients_beyond_the_order_are_refused_at_their_operator(text, message, col):
     start = time.perf_counter()
@@ -465,6 +486,7 @@ def test_products_within_the_order_still_parse():
         "mero: (2+x^8+y^8)/((1+x^8)*(1+y^8))", order=16
     )
     assert parse_form("(1+x)^4*(1+x)^4 dx", order=8) == parse_form("(1+x)^8 dx", order=8)
+    assert parse_form("x/(1/(1+y))^5 dx", order=16) == parse_form("x*(1+y)^5 dx", order=16)
     # a zero factor makes the product zero, whatever the other factor's degree
     assert parse_form("0*(x^9 + 1) dx + x dy", order=8) == parse_form("x dy", order=8)
 
