@@ -39,7 +39,20 @@ loop, :func:`_convolve`.  Inside a call at order n it keys the monomial
 x^i y^j by the integer (i + j)(n + 1) + j: the key of a product is the sum
 of its factors' keys and its degree bound is a bound on that sum, so the
 loop adds and compares integers, and the pairs (i, j) are formed again only
-for the output, one ``divmod`` per nonzero coefficient.
+for the output, one ``divmod`` per nonzero coefficient.  The accumulators
+of the Horner steps and of the pullback are multiplied as they are, with no
+copy into a term list; the x term of the x target, the y term of the y
+target and the constant of each Jacobian entry, the identity of a change
+tangent to it, are applied as key shifts and scalar copies
+(:func:`_shift`) rather than multiplied.
+
+There is one pullback, :func:`_pullback`, on numerators.
+:func:`jet2_pullback` scales its input to one denominator and normalizes
+its output; :class:`FormNumerators` keeps a 1-form as numerators over one
+denominator across many pullbacks, dividing out one ``gcd`` after each,
+for the normal form, which reads a few coefficients between its steps and
+forms triples only at the end.  :func:`is_first_integral` re-checks a first
+integral, H_u B - H_v A = 0, in one integer pass with no normalization.
 
 The elimination (:func:`rref`) works the same way, one denominator per
 row: rows are sparse Gaussian-integer numerators over that denominator,
@@ -348,19 +361,27 @@ def _terms(d, n):
 
 
 def _convolve(ta, tb, end, acc):
-    """Add the product of two numerator term lists into ``acc``.
+    """Add the product of two numerator operands into ``acc``.
 
-    Terms are ``(k, a, b, _)`` with Gaussian-integer numerators ``a + b*i``;
-    the last slot is not read.  Within one call of a two-variable routine at
-    order n the monomial x^i y^j has the integer key k = (i + j)(n + 1) + j.
-    A product of total degree at most n has j1 + j2 <= n, so its key is
-    exactly k1 + k2, with no carry, and a product is of degree at most d
-    exactly when its key is below (d + 1)(n + 1): products with key ``end``
-    or more are dropped.  ``acc`` maps keys to ``[re, im]`` and is returned;
-    new keys appear in the order their first product is formed.
+    ``ta`` is an iterable of pairs ``(k, (a, b))``, such as the ``items()``
+    of an accumulator, and ``tb`` a list of terms ``(k, a, b, _)`` whose
+    last slot is not read; both hold Gaussian-integer numerators a + b*i.
+    Within one call of a two-variable routine at order n the monomial
+    x^i y^j has the integer key k = (i + j)(n + 1) + j.  A product of total
+    degree at most n has j1 + j2 <= n, so its key is exactly k1 + k2, with
+    no carry, and a product is of degree at most d exactly when its key is
+    below (d + 1)(n + 1): products with key ``end`` or more are dropped.
+    A term of ``ta`` whose product with the term of least key in ``tb``
+    is dropped is passed over.  ``acc`` maps keys to ``[re, im]`` and is
+    returned; new keys appear in the order their first product is formed.
     """
-    for k1, a1, b1, _ in ta:
+    if not tb:
+        return acc
+    low = min(tb)[0]
+    for k1, (a1, b1) in ta:
         room = end - k1
+        if room <= low:
+            continue
         for k2, a2, b2, _ in tb:
             if k2 >= room:
                 continue
@@ -374,9 +395,33 @@ def _convolve(ta, tb, end, acc):
     return acc
 
 
-def _numerators(acc):
-    """An accumulator ``{key: [re, im]}`` as a term list for :func:`_convolve`."""
-    return [(k, re, im, 1) for k, (re, im) in acc.items() if re or im]
+def _shift(ta, shift, ca, cb, end, acc):
+    """Add (ca + cb*i) times the monomial of key ``shift`` times ``ta`` into
+    ``acc``: the product by a one-term operand as a key shift, with a
+    scalar copy of ``ta`` first unless the scalar is 1.  Operands and bound
+    as in :func:`_convolve`."""
+    room = end - shift
+    if ca != 1 or cb:
+        ta = [(k, (a * ca - b * cb, a * cb + b * ca)) for k, (a, b) in ta if k < room]
+    for k, (a, b) in ta:
+        if k < room:
+            key = k + shift
+            cur = acc.get(key)
+            if cur is None:
+                acc[key] = [a, b]
+            else:
+                cur[0] += a
+                cur[1] += b
+    return acc
+
+
+def _split(terms, key):
+    """``(a, b, rest)``: the numerator of the term of ``key`` in a term list
+    (0, 0 when there is none) and the list of the other terms."""
+    for t in terms:
+        if t[0] == key:
+            return t[1], t[2], [u for u in terms if u is not t]
+    return 0, 0, terms
 
 
 def _normalized(acc, den, n):
@@ -403,7 +448,8 @@ def jet2_mul(da, db, n):
     if not ta:
         return {}
     tb, denb = _scaled(_terms(db, n))
-    return _normalized(_convolve(ta, tb, (n + 1) ** 2, {}), dena * denb, n)
+    pairs = [(k, (a, b)) for k, a, b, _ in ta]
+    return _normalized(_convolve(pairs, tb, (n + 1) ** 2, {}), dena * denb, n)
 
 
 def _fixed_degree(dx, dy, n):
@@ -423,48 +469,47 @@ def _fixed_degree(dx, dy, n):
     return n - v + 2
 
 
-def _substitute(polys, dx, dy, n):
-    """Substitute the targets into each {(i, j): triple} dict of ``polys``.
+def _substitute(accs, dx, dy, n):
+    """Substitute the targets into each numerator map of ``accs``.
 
-    The targets ``dx`` and ``dy`` vanish at the origin and are read up to
-    degree n.  Returns ``(accs, den)``: per poly a ``{k: [re, im]}``
-    accumulator of Gaussian-integer numerators of its substitution, keyed
-    as in :func:`_convolve`, all over the one positive denominator ``den``.
+    ``accs`` are accumulators ``{k: [re, im]}`` at order n, keyed as in
+    :func:`_convolve`, whose Gaussian-integer numerators A_ij share one
+    denominator; they are read, not changed.  The targets ``dx`` and ``dy``
+    vanish at the origin and are read up to degree n.  Returns
+    ``(outs, lcm)``: per map an accumulator of the numerators of its
+    substitution, all over ``lcm`` times the maps' denominator.
 
-    The polys' terms are scaled to their lcm ``ea`` as numerators A_ij, and
-    the targets to theirs, fx = FX/ex and fy = FY/ey, so a substituted
-    monomial is A_ij FX^i FY^j / (ea ex^i ey^j).  The sum is taken over
-    ``den = ea * L`` with L the lcm of ex^i ey^j over the substituted
-    monomials, not the product ex^I ey^J of the largest powers: dense
-    targets have ex = ey, and then L is ex to the largest i + j, about half
-    the size of that product for a dense jet.  With
+    The targets are scaled to their lcms, fx = FX/ex and fy = FY/ey, so a
+    substituted monomial is A_ij FX^i FY^j / (ex^i ey^j).  The sum is taken
+    over L = ``lcm``, the lcm of ex^i ey^j over the substituted monomials,
+    not the product ex^I ey^J of the largest powers: dense targets have
+    ex = ey, and then L is ex to the largest i + j, about half the size of
+    that product for a dense jet.  With
 
         G_i = sum_j A_ij (L / ex^i ey^j) FY^j,
 
     the numerator sum_i FX^i G_i is evaluated by Horner's rule in FX, one
-    product by FX per power of x, so no power of FX is formed.  The powers
-    FY^j are built once and shared by the polys.  Monomials that the change
+    product by FX per power of x, so no power of FX is formed; each Horner
+    accumulator is multiplied as it is.  The powers FY^j are built once and
+    shared by the maps.  The x term of FX, and the y term of FY in its
+    powers, is applied as a key shift and a scalar copy (:func:`_shift`),
+    and only the other terms are convolved.  Monomials that the change
     fixes (see :func:`_fixed_degree`) are copied.
     """
     m = n + 1
     fixed = _fixed_degree(dx, dy, n)
-    ta, ea = _scaled(
-        [
-            (p, i, j, a, b, d)
-            for p, poly in enumerate(polys)
-            for (i, j), (a, b, d) in poly.items()
-            if (a or b) and i + j <= n
-        ]
-    )
-    accs = [{} for _ in polys]
-    groups = [{} for _ in polys]  # per poly, i -> [(j, A_ij)] to substitute
-    for p, i, j, a, b, _ in ta:
-        if i + j >= fixed:
-            accs[p][(i + j) * m + j] = [a, b]
-        else:
-            groups[p].setdefault(i, []).append((j, a, b))
+    outs = [{} for _ in accs]
+    groups = [{} for _ in accs]  # per map, i -> [(j, A_ij)] to substitute
+    for acc, out, g in zip(accs, outs, groups):
+        for k, (a, b) in acc.items():
+            if a or b:
+                e, j = divmod(k, m)
+                if e >= fixed:
+                    out[k] = [a, b]
+                else:
+                    g.setdefault(e - j, []).append((j, a, b))
     if not any(groups):
-        return accs, ea
+        return outs, 1
     tx, ex = _scaled(_terms(dx, n))
     ty, ey = _scaled(_terms(dy, n))
     top = {}  # i -> the largest j substituted with it
@@ -483,15 +528,23 @@ def _substitute(polys, dx, dy, n):
         q = exp_x[i] * exp_y[j]
         lcm = lcm // gcd(lcm, q) * q
     if lcm != 1:
-        for acc in accs:
-            for cur in acc.values():
+        for out in outs:
+            for cur in out.values():
                 cur[0] *= lcm
                 cur[1] *= lcm
+    ya, yb, ty_rest = _split(ty, m + 1)
     py = [[(0, 1, 0, 1)], ty]
+    power = {k: (a, b) for k, a, b, _ in ty}
     for _ in range(top_j - 1):
-        py.append(_numerators(_convolve(py[-1], ty, m * m, {})))
-    for out, g in zip(accs, groups):
-        horner = []  # sum over i' > i of FX^(i'-i-1) G_i'
+        # FY^j = FY^(j-1) * FY, the last power read as an accumulator and
+        # each power kept as a term list for the products below
+        last = power.items()
+        power = _shift(last, m + 1, ya, yb, m * m, {}) if ya or yb else {}
+        _convolve(last, ty_rest, m * m, power)
+        py.append([(k, re, im, 1) for k, (re, im) in power.items() if re or im])
+    xa, xb, tx_rest = _split(tx, m)
+    for out, g in zip(outs, groups):
+        horner = None  # sum over i' > i of FX^(i'-i-1) G_i'
         for i in range(max(g, default=-1), -1, -1):
             # G_i + FX * horner, up to degree n - i: it is multiplied by
             # FX^i, of valuation >= i
@@ -499,12 +552,15 @@ def _substitute(polys, dx, dy, n):
             end = (m - i) * m
             for j, a, b in g.get(i, ()):
                 s = lcm // (exp_x[i] * exp_y[j])
-                _convolve([(0, a * s, b * s, 1)], py[j], end, acc)
+                _convolve(((0, (a * s, b * s)),), py[j], end, acc)
             if horner:
-                _convolve(horner, tx, end, acc)
-            if i:
-                horner = _numerators(acc)
-    return accs, ea * lcm
+                last = horner.items()
+                if xa or xb:
+                    _shift(last, m, xa, xb, end, acc)
+                if tx_rest:
+                    _convolve(last, tx_rest, end, acc)
+            horner = acc
+    return outs, lcm
 
 
 def jet2_substitute(d, dx, dy, n):
@@ -513,24 +569,27 @@ def jet2_substitute(d, dx, dy, n):
     One denominator for the whole substitution (see :func:`_substitute`) and
     one ``qnorm`` per nonzero output coefficient.
     """
-    (acc,), den = _substitute([d], dx, dy, n)
-    return _normalized(acc, den, n)
+    terms, den = _scaled(_terms(d, n))
+    (acc,), lcm = _substitute([{k: [a, b] for k, a, b, _ in terms}], dx, dy, n)
+    return _normalized(acc, den * lcm, n)
 
 
-def jet2_pullback(a, b, fx, fy, n):
-    """The coefficients of  a dx + b dy  pulled back by (fx, fy), at order n.
+def _pullback(accs, fx, fy, n):
+    """The pullback by (fx, fy), at order n, of the 1-form whose coefficient
+    numerators are the two accumulators ``accs`` (see :func:`_substitute`).
 
-    a and b are substituted together over one denominator, sharing the
-    powers of fy; the targets are read up to degree n there, and up to
-    degree n + 1 for their partial derivatives.  The four Jacobian entries are
-    scaled to one denominator, the products
+    Both coefficients are substituted together, sharing the powers of fy;
+    the targets are read up to degree n there, and up to degree n + 1 for
+    their partial derivatives.  The four Jacobian entries are scaled to one
+    denominator, and the products
 
         a(f) fx_x + b(f) fy_x,   a(f) fx_y + b(f) fy_y
 
-    are convolved in integers, and each nonzero output coefficient is
-    normalized once.
+    are formed in integers, the constant term of each entry as a scalar
+    copy (:func:`_shift`).  Returns ``(outs, scale)``: the two accumulators
+    of the pullback, over ``scale`` times the input denominator.
     """
-    (sa, sb), den = _substitute([a, b], fx, fy, n)
+    subs, lcm = _substitute(accs, fx, fy, n)
     m = n + 1
     parts = []
     for slot, f in ((0, fx), (1, fy)):
@@ -546,13 +605,114 @@ def jet2_pullback(a, b, fx, fy, n):
     jac = [[], [], [], []]
     for t in parts:
         jac[t[0]].append(t[1:])
-    sa, sb = _numerators(sa), _numerators(sb)
-    den *= jden
     end = m * m
-    return (
-        _normalized(_convolve(sb, jac[1], end, _convolve(sa, jac[0], end, {})), den, n),
-        _normalized(_convolve(sb, jac[3], end, _convolve(sa, jac[2], end, {})), den, n),
+    outs = []
+    for entries in ((jac[0], jac[1]), (jac[2], jac[3])):
+        acc = {}
+        for sub, entry in zip(subs, entries):
+            ca, cb, rest = _split(entry, 0)
+            items = sub.items()
+            if ca or cb:
+                _shift(items, 0, ca, cb, end, acc)
+            if rest:
+                _convolve(items, rest, end, acc)
+        outs.append(acc)
+    return outs, lcm * jden
+
+
+class FormNumerators:
+    """A 1-form  a dx + b dy  at order n as Gaussian-integer numerators.
+
+    ``accs`` holds the two coefficients as accumulators ``{k: [re, im]}``,
+    keyed as in :func:`_convolve`, over the one positive denominator
+    ``den``.  The key is private to this module: coefficients are read by
+    their exponents (:meth:`numerator`) and the form is handed back as
+    {(i, j): triple} dicts (:meth:`triples`), one ``qnorm`` per nonzero
+    coefficient.  In between, :meth:`pullback` pulls the form back along
+    changes of coordinates with no triple formed.
+    """
+
+    __slots__ = ("accs", "den", "n")
+
+    def __init__(self, a, b, n, scale=QONE):
+        """The form ``scale * (a dx + b dy)`` for {(i, j): triple} dicts
+        ``a`` and ``b``, read up to degree n, and a triple ``scale``."""
+        terms, den = _scaled(
+            [(side, *t) for side, d in enumerate((a, b)) for t in _terms(d, n)]
+        )
+        sa, sb, sd = scale
+        self.accs = ({}, {})
+        for side, k, x, y, _ in terms:
+            self.accs[side][k] = [x * sa - y * sb, x * sb + y * sa]
+        self.den = den * sd
+        self.n = n
+
+    def numerator(self, side, i, j):
+        """The numerator ``(re, im)`` over ``den`` of x^i y^j in the dx
+        (side 0) or the dy (side 1) coefficient."""
+        return self.accs[side].get((i + j) * (self.n + 1) + j, (0, 0))
+
+    def pullback(self, fx, fy):
+        """Pull the form back by (fx, fy), {(i, j): triple} dicts read up to
+        degree n + 1 (see :func:`_pullback`), in place.  One integer ``gcd``
+        of the new denominator and all the numerators is divided out."""
+        accs, scale = _pullback(self.accs, fx, fy, self.n)
+        den = self.den * scale
+        g = gcd(den, *chain.from_iterable(chain.from_iterable(acc.values() for acc in accs)))
+        if g > 1:
+            accs = [{k: [a // g, b // g] for k, (a, b) in acc.items() if a or b} for acc in accs]
+            den //= g
+        self.accs, self.den = accs, den
+
+    def triples(self):
+        """The two coefficients as {(i, j): triple} dicts."""
+        return tuple(_normalized(acc, self.den, self.n) for acc in self.accs)
+
+
+def jet2_pullback(a, b, fx, fy, n):
+    """The coefficients of  a dx + b dy  pulled back by (fx, fy), at order n.
+
+    The coefficients are scaled to one denominator (:class:`FormNumerators`),
+    pulled back in integers (:func:`_pullback`), and each nonzero output
+    coefficient is normalized once.
+    """
+    form = FormNumerators(a, b, n)
+    accs, scale = _pullback(form.accs, fx, fy, n)
+    return tuple(_normalized(acc, form.den * scale, n) for acc in accs)
+
+
+def is_first_integral(h, a, b, n):
+    """Whether  H_u B - H_v A  vanishes up to degree n - 1.
+
+    ``h``, ``a`` and ``b`` are {(i, j): triple} dicts.  H is scaled to one
+    denominator, and A and B together to another.  The partial derivatives
+    of H are read off its numerators, both products are summed in one
+    integer accumulator over the product of the two denominators, and no
+    ``qnorm`` is taken.
+    """
+    m = n  # keys at order n - 1
+    th, _ = _scaled(
+        [
+            ((i + j - 1) * m + j, i, j, x, y, d)
+            for (i, j), (x, y, d) in h.items()
+            if (x or y) and 0 < i + j <= n
+        ]
     )
+    hu = [(k, (i * x, i * y)) for k, i, j, x, y, _ in th if i]
+    hv = [(k - 1, (j * x, j * y)) for k, i, j, x, y, _ in th if j]
+    tf, _ = _scaled(
+        [
+            (side, (i + j) * m + j, sign * x, sign * y, d)
+            for side, sign, f in ((0, -1, a), (1, 1, b))
+            for (i, j), (x, y, d) in f.items()
+            if (x or y) and i + j < n
+        ]
+    )
+    form = ([], [])  # -A and B
+    for side, *t in tf:
+        form[side].append(t)
+    acc = _convolve(hu, form[1], m * m, _convolve(hv, form[0], m * m, {}))
+    return not any(re or im for re, im in acc.values())
 
 
 def rref(rows, limit):

@@ -4,7 +4,8 @@ A foliation germ is given by a 1-form  w = A dx + B dy  with jet
 coefficients.  This module provides the geometric tool chain:
 
 - construction from a meromorphic first integral candidate (num/den),
-- the radial form  x dy - y dx  and radial tangency of homogeneous parts,
+- radial tangency of homogeneous parts: the cofactor of the radial form
+  x dy - y dx,
 - exact blow-up pullbacks in both standard charts and division by the
   exceptional coordinate,
 - ``reduce_cusp``: the decision procedure for "absolutely dicritical of
@@ -34,7 +35,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .coeff import Coeff, ZERO
-from .jets import DEFAULT_ORDER, Jet1, Jet2, JetError, pullback_coefficients
+from .jets import Jet1, Jet2, JetError, pullback_coefficients
 
 
 class OneForm:
@@ -118,18 +119,6 @@ class OneForm:
         return f"OneForm(({self.a!r}) d{x} + ({self.b!r}) d{y})"
 
 
-def radial_form(order=DEFAULT_ORDER, variables=("x", "y")) -> OneForm:
-    """The radial 1-form  x dy - y dx."""
-    return OneForm(
-        Jet2.monomial(0, 1, -1, order), Jet2.monomial(1, 0, 1, order), variables
-    )
-
-
-def differential(f: Jet2, variables=("x", "y")) -> OneForm:
-    """The exact 1-form  df = f_x dx + f_y dy  (order drops by one)."""
-    return OneForm(f.dx(), f.dy(), variables)
-
-
 def form_of_meromorphic(num: Jet2, den: Jet2, variables=("x", "y")) -> OneForm:
     """The 1-form  den*d(num) - num*d(den)  defining the level sets of num/den."""
     if num.is_zero() or den.is_zero():
@@ -137,12 +126,6 @@ def form_of_meromorphic(num: Jet2, den: Jet2, variables=("x", "y")) -> OneForm:
     a = den * num.dx() - num * den.dx()
     b = den * num.dy() - num * den.dy()
     return OneForm(a, b, variables)
-
-
-def wedge(u: OneForm, v: OneForm) -> Jet2:
-    """The coefficient of dx^dy in u^v, i.e.  u_a v_b - u_b v_a."""
-    u._require_same_chart(v)
-    return u.a * v.b - u.b * v.a
 
 
 def valuation(w: OneForm):
@@ -153,21 +136,23 @@ def radial_tangency(w: OneForm, degree: int):
     """The cofactor P with  (A_d dx + B_d dy) = P*(x dy - y dx), if it exists.
 
     The degree-d homogeneous part is tangent to the radial vector field
-    exactly when  x*A_d + y*B_d = 0; in that case x divides B_d and
-    P = B_d/x, a homogeneous cofactor of degree d-1, is returned at order
-    ``w.order - 1`` (read off by the exponent shift x^i y^j -> x^(i-1) y^j).
-    Returns None when the tangency identity fails.
+    exactly when  x*A_d + y*B_d = 0, which is tested coefficient by
+    coefficient: A_d[k-1, d+1-k] + B_d[k, d-k] = 0 for k = 0..d+1.  In that
+    case x divides B_d and P = B_d/x, a homogeneous cofactor of degree d-1,
+    is returned at order ``w.order - 1`` (read off by the exponent shift
+    x^i y^j -> x^(i-1) y^j).  Returns None when the tangency identity fails.
     """
     ad = w.a.homogeneous_part(degree)
     bd = w.b.homogeneous_part(degree)
     n = w.order
     if ad.is_zero() and bd.is_zero():
         return Jet2.zero(n)
-    test = Jet2.var_x(n + 1) * ad.with_order(n + 1) + Jet2.var_y(n + 1) * bd.with_order(
-        n + 1
-    )
-    if not test.is_zero():
-        return None
+    d = degree
+    for k in range(d + 2):
+        a_k = ad.coeff(k - 1, d + 1 - k) if k else ZERO
+        b_k = bd.coeff(k, d - k) if k <= d else ZERO
+        if a_k != -b_k:
+            return None
     # x*A_d = -y*B_d with A_d, B_d not both zero, so B_d != 0 and x | B_d
     return bd.exponent_map(lambda i, j: (i - 1, j), n - 1)
 

@@ -28,11 +28,19 @@ change id + (0, q0*x^3) has zero y^2-projection and shifts only the
 x^4 y dy coefficient (by 2*q0), and the same step sets q0 so that
 coefficient is zero, which makes the data canonical.
 
-Each step pulls the form back along its change and records the change;
-the composite change (``NormalFormData.transform``) is composed from the
-recorded steps only when it is read, since the normal form itself does
-not need it.  A caller that has already run ``reduce_cusp`` on the form
-passes its report to ``normalize`` so the form is reduced once.
+The form is carried from the first step to the last as Gaussian-integer
+numerators over one denominator (``_backend.FormNumerators``), scaled by
+the radial cofactor's inverse on the way in.  Each step reads the 2n + 2
+y^2-coefficients it solves for (and x^4 y dy at n = 3) by their exponents,
+normalizes each entry of its change once, pulls the numerators back along
+the change in integers, divides out one gcd, and re-checks on the
+numerators that the y^2-part is gone.  Triples, ``Coeff`` and ``Jet2`` are
+formed only for the recorded changes and, once, for the final form, on
+which the structural checks run.  The composite change
+(``NormalFormData.transform``) is composed from the recorded steps only
+when it is read, since the normal form itself does not need it.  A caller
+that has already run ``reduce_cusp`` on the form passes its report to
+``normalize`` so the form is reduced once.
 
 The stated per-coefficient elimination operator L, one-to-one at odd
 degrees only, is kept as a test reference (``tests/oracles.py``);
@@ -43,16 +51,9 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from ._backend import QZERO, qdiv, qiszero, qneg, qnorm
+from ._backend import QONE, FormNumerators, qinv, qnorm
 from .coeff import Coeff
-from .forms import (
-    OneForm,
-    ReductionVerdict,
-    linear_change,
-    pullback_map,
-    radial_form,
-    reduce_cusp,
-)
+from .forms import OneForm, ReductionVerdict, linear_change, reduce_cusp
 from .jets import Jet2
 
 
@@ -139,35 +140,20 @@ def reconstruct_normal_form(data: NormalFormData, order=None) -> OneForm:
     return OneForm(Jet2(a, n), Jet2(b, n))
 
 
-def _phi_pullback(w: OneForm, p: Jet2, q: Jet2) -> OneForm:
-    n = w.order
-    fx = Jet2.var_x(n) + p.with_order(n)
-    fy = Jet2.var_y(n) + q.with_order(n)
-    return pullback_map(w, fx, fy, order=n)
-
-
 def _y2_rows(m):
     """Coordinates of the y^2-divisible monomials of coefficient degree m."""
     return [(m - j, j) for j in range(2, m + 1)]
 
 
-def _y2_coords(w: OneForm, m):
-    """The coefficients at ``_y2_rows(m)`` of dx, then of dy, as kernel
-    triples."""
-    keys = _y2_rows(m)
-    a, b = dict(w.a.triple_items()), dict(w.b.triple_items())
-    return [a.get(key, QZERO) for key in keys] + [b.get(key, QZERO) for key in keys]
+def _ratio(c1, u1, c2, u2, den):
+    """(c1 u1 + c2 u2) / den as a triple, for integers c1, c2, den != 0 and
+    numerator pairs u1, u2."""
+    return qnorm(c1 * u1[0] + c2 * u2[0], c1 * u1[1] + c2 * u2[1], den)
 
 
-def _ratio(c1, t1, c2, t2, den):
-    """(c1 t1 + c2 t2) / den for integers c1, c2, den != 0 and triples t1, t2."""
-    a1, b1, d1 = t1
-    a2, b2, d2 = t2
-    return qnorm(c1 * a1 * d2 + c2 * a2 * d1, c1 * b1 * d2 + c2 * b2 * d1, d1 * d2 * den)
-
-
-def _step_change(w: OneForm, n, order):
-    """The change (P_n, Q_n) that kills the y^2-part of w in degree n + 2.
+def _step_change(form: FormNumerators, n, order):
+    """The change (P_n, Q_n) that kills the y^2-part of the form in degree
+    n + 2.
 
     Pulled back along id + (P, Q) with P = sum P_r x^(n-r) y^r and
     Q = sum Q_r x^(n-r) y^r, the anchor y^2 (x dy - y dx) moves by
@@ -175,10 +161,10 @@ def _step_change(w: OneForm, n, order):
         da = -3 y^2 Q - y^3 P_x + x y^2 Q_x
         db = y^2 P + 2 x y Q - y^3 P_y + x y^2 Q_y
 
-    plus terms of degree >= 2n + 1 > n + 2, and nothing else of w moves in
-    degree n + 2.  With t_a[r], t_b[r] minus the coefficients of
-    x^(n-r) y^(r+2) in the dx and the dy coefficient of w, killing the
-    y^2-part reads
+    plus terms of degree >= 2n + 1 > n + 2, and nothing else of the form
+    moves in degree n + 2.  With t_a[r], t_b[r] minus the coefficients of
+    x^(n-r) y^(r+2) in the dx and the dy coefficient, killing the y^2-part
+    reads
 
         (n-3) Q_0 = t_a[0],   (1-n) P_n = t_b[n],
         (1-r) P_r + (r+3) Q_(r+1) = t_b[r],
@@ -187,28 +173,36 @@ def _step_change(w: OneForm, n, order):
     and each 2x2 block has determinant 4(n-1).  At n = 3 the first
     equation is 0 = t_a[0], and t_a[0] != 0 is defect (a).  Otherwise Q_0
     is the cubic gauge: it is set to minus half the x^4 y dy coefficient,
-    the one degree-5 coefficient it moves (by 2 Q_0).  The coefficients
-    are read and solved as kernel triples.
+    the one degree-5 coefficient it moves (by 2 Q_0).  The form is read
+    only at those 2n + 2 coefficients (and x^4 y dy at n = 3), as
+    numerators over its one denominator, and each entry of the change is
+    normalized once.
     """
-    t = [qneg(c) for c in _y2_coords(w, n + 2)]
-    ta, tb = t[: n + 1], t[n + 1 :]
-    det = 4 * (n - 1)
-    pd = {(0, n): qdiv(tb[n], (1 - n, 0, 1))}
-    qd = {}
+    rows = _y2_rows(n + 2)
+    ca = [form.numerator(0, i, j) for i, j in rows]
+    cb = [form.numerator(1, i, j) for i, j in rows]
+    den = form.den
+    det = 4 * (n - 1) * den
+    pd, qd = {}, {}
+    if any(cb[n]):
+        pd[(0, n)] = qnorm(*cb[n], (n - 1) * den)
     for r in range(n):
-        if qiszero(ta[r + 1]) and qiszero(tb[r]):
+        if not (any(ca[r + 1]) or any(cb[r])):
             continue
-        pd[(n - r, r)] = _ratio(n - r - 4, tb[r], -(r + 3), ta[r + 1], det)
-        qd[(n - r - 1, r + 1)] = _ratio(1 - r, ta[r + 1], n - r, tb[r], det)
+        pd[(n - r, r)] = _ratio(r + 3, ca[r + 1], r + 4 - n, cb[r], det)
+        qd[(n - r - 1, r + 1)] = _ratio(r - 1, ca[r + 1], r - n, cb[r], det)
     if n != 3:
-        qd[(n, 0)] = qdiv(ta[0], (n - 3, 0, 1))
-    elif not qiszero(ta[0]):
+        if any(ca[0]):
+            qd[(n, 0)] = qnorm(*ca[0], (3 - n) * den)
+    elif any(ca[0]):
         raise AssertionError(
             f"elimination system is infeasible at degree {n} "
             f"(rank {2 * n + 1}); the input cannot be brought to the template"
         )
     else:
-        qd[(3, 0)] = qdiv(w.b.coeff(4, 1).triple, (-2, 0, 1))
+        gauge = form.numerator(1, 4, 1)
+        if any(gauge):
+            qd[(3, 0)] = qnorm(*gauge, -2 * den)
     return (
         Jet2({key: Coeff.from_triple(c) for key, c in pd.items()}, order),
         Jet2({key: Coeff.from_triple(c) for key, c in qd.items()}, order),
@@ -226,8 +220,8 @@ def normalize(w: OneForm, *, reduction=None) -> NormalFormData:
     y^2-divisible part of the coefficient-degree-(n+2) homogeneous part
     with an exact change id + (P_n, Q_n) solved in closed form
     (``_step_change``); the cubic change also sets the x^4 y dy
-    coefficient to zero.  Each step pulls the form back along its change
-    once and records the change in ``changes``; the composite
+    coefficient to zero.  Each step pulls the form's numerators back along
+    its change once and records the change in ``changes``; the composite
     ``transform`` is built from them only when it is read.  Raises
     ``AssertionError`` on defect (a), a form that keeps x^3 y^2 dx at
     degree 5.
@@ -240,23 +234,29 @@ def normalize(w: OneForm, *, reduction=None) -> NormalFormData:
         )
     if rep.applied_linear_change is not None:
         w = linear_change(w, rep.applied_linear_change)
-    scale = Coeff(1) / rep.p2_coefficient
-    w = w * scale
+    scale = Coeff.from_triple(qinv(rep.p2_coefficient.triple))
+    form = FormNumerators(
+        dict(w.a.triple_items()), dict(w.b.triple_items()), n_max, scale.triple
+    )
 
     changes = []
     for n in range(2, n_max - 1):
-        p, q = _step_change(w, n, n_max)
+        p, q = _step_change(form, n, n_max)
         if p.is_zero() and q.is_zero():
             continue
-        w = _phi_pullback(w, p, q)
+        fx, fy = {(1, 0): QONE}, {(0, 1): QONE}
+        fx.update(p.triple_items())
+        fy.update(q.triple_items())
+        form.pullback(fx, fy)
         changes.append((p, q))
-        if not all(qiszero(c) for c in _y2_coords(w, n + 2)):
+        if any(any(form.numerator(side, i, j)) for side in (0, 1) for i, j in _y2_rows(n + 2)):
             raise AssertionError(f"y^2-part survived elimination at degree {n + 2}")
+    a, b = form.triples()
+    w = OneForm(Jet2._raw(a, n_max), Jet2._raw(b, n_max))
 
     # read off the residual data and check the structural identities
-    if w.homogeneous_part(3) != (radial_form(n_max) * Jet2.monomial(0, 2, 1, n_max)).truncate(
-        n_max
-    ).homogeneous_part(3):
+    anchor = OneForm(Jet2.monomial(0, 3, -1, n_max), Jet2.monomial(1, 2, 1, n_max))
+    if w.homogeneous_part(3) != anchor:
         raise AssertionError("degree-3 part is not the radial anchor after rescale")
     alpha = w.b.coeff(4, 0)
     if alpha.is_zero():

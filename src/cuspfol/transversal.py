@@ -16,7 +16,8 @@ The degree recurrence for H and the reversion run in the kernel, on
 Gaussian-integer numerators with one ``qnorm`` per output coefficient
 (:func:`cuspfol._backend.first_integral` and
 :func:`cuspfol._backend.jet1_revert`); H is checked again exactly,
-dH ^ form = 0, before sigma is read off it.
+dH ^ form = 0, in one integer pass over its numerators
+(:func:`cuspfol._backend.is_first_integral`), before sigma is read off it.
 
 sigma does not depend on the choice of H: any other first integral is
 phi(H) for a unit reparametrization phi, which cancels in the composition
@@ -31,9 +32,9 @@ solves at its ``--order`` rather than at the corner germ's order.
 
 from __future__ import annotations
 
-from ._backend import first_integral
+from ._backend import first_integral, is_first_integral
 from .coeff import Coeff
-from .forms import OneForm, ReductionReport, differential, wedge
+from .forms import OneForm, ReductionReport
 from .jets import Jet1, Jet2, JetError
 from .moduli import GermDiff1
 
@@ -95,19 +96,21 @@ def regular_first_integral(c: CornerGerm, order=None) -> Jet2:
     one per homogeneous part of H, and one ``qnorm`` per nonzero
     coefficient of H.  A coefficient whose predecessor in the
     back-substitution and whose residual are both zero is zero and is
-    skipped, so a sparse H costs little.  H is then checked again exactly:
-    dH ^ form must vanish to order N-1.
+    skipped, so a sparse H costs little.  H is then checked again exactly,
+    afresh from the returned coefficients: dH ^ form = H_u*B - H_v*A must
+    vanish to order N-1, evaluated in one integer pass
+    (:func:`~cuspfol._backend.is_first_integral`).
     """
     w = c.form
     n = w.order if order is None else order
     if order is not None and order > w.order:
         raise JetError("requested order exceeds the corner germ's jet order")
-    a = w.a.truncate(n)
-    b = w.b.truncate(n)
-    coeffs = first_integral(dict(a.triple_items()), dict(b.triple_items()), n)
-    h = Jet2({key: Coeff.from_triple(t) for key, t in coeffs.items()}, n)
-    resid = wedge(differential(h, w.variables), OneForm(a, b, w.variables).truncate(n - 1))
-    if not resid.is_zero():
+    if n < 1:  # the re-check reads dH, of order n - 1
+        raise JetError("cannot differentiate an order-0 jet")
+    a = dict(w.a.truncate(n).triple_items())
+    b = dict(w.b.truncate(n).triple_items())
+    h = Jet2({key: Coeff.from_triple(t) for key, t in first_integral(a, b, n).items()}, n)
+    if not is_first_integral(dict(h.triple_items()), a, b, n):
         raise AssertionError("first integral failed the dH ^ w = 0 re-check")
     return h
 

@@ -13,14 +13,17 @@ text at a point instead of expanding it, Gauss-Jordan over fractions instead
 of fraction-free elimination, the split columns at full order instead of
 modulo a power of x).
 
-Two sections are exceptions.  The stated elimination operator L on
+Three sections are exceptions.  The stated elimination operator L on
 homogeneous pairs is kept as a reference recipe on the package's own ``Jet2``
 and exact ``solve``; the normal form does not use it, and the tests check its
-rank by parity and its round trip.  And the reciprocal and the Lagrange
-series reversion that the integer kernel replaced are kept on the kernel's
-normalized triples, one ``qnorm`` per scalar operation and one ``jet1_mul``
-per power, as the reference at orders where the coefficient recursion above
-is too slow.
+rank by parity and its round trip.  The radial form, the wedge of two
+1-forms and the differential of a jet are kept on the package's ``OneForm``
+and ``Jet2`` products; the wedge is the reference for the first integral's
+integer re-check.  And the reciprocal and the Lagrange series reversion
+that the integer kernel replaced are kept on the kernel's normalized
+triples, one ``qnorm`` per scalar operation and one ``jet1_mul`` per power,
+as the reference at orders where the coefficient recursion above is too
+slow.
 """
 
 import re
@@ -28,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from cuspfol._backend import QZERO, jet1_mul, qadd, qinv, qiszero, qmul, qneg
+from cuspfol.forms import OneForm
 from cuspfol.jets import Jet2
 from cuspfol.linalg import solve
 
@@ -192,16 +196,24 @@ def p2_dy(a):
 
 
 def p2_scal(a, c):
-    return {k: gmul(v, c) for k, v in a.items() if not g_is_zero(gmul(v, c))}
+    out = {}
+    for k, v in a.items():
+        w = gmul(v, c)
+        if not g_is_zero(w):
+            out[k] = w
+    return out
 
 
-def p2_substitute(a, fx, fy, n):
+def p2_substitute(a, fx, fy, n, monomials=None):
     """a(fx, fy) up to degree n, one full product per monomial.
 
     The per-monomial substitution: powers of fx and fy are built up front
     and every monomial a_ij x^i y^j contributes fx^i * fy^j * a_ij to the
-    sum.  No grouping and no pass-through.
+    sum.  No grouping and no pass-through.  ``monomials``, when given, is a
+    dict of the products fx^i * fy^j already formed for the same targets
+    and n, keyed by (i, j); it is read and filled.
     """
+    monomials = {} if monomials is None else monomials
     max_i = max((i for (i, _) in a), default=0)
     max_j = max((j for (_, j) in a), default=0)
     px, py = [{(0, 0): ONE}], [{(0, 0): ONE}]
@@ -211,13 +223,18 @@ def p2_substitute(a, fx, fy, n):
         py.append(p2_mul(py[-1], fy, n))
     out = {}
     for (i, j), c in a.items():
-        out = p2_add(out, p2_scal(p2_mul(px[i], py[j], n), c))
+        if (i, j) not in monomials:
+            monomials[(i, j)] = p2_mul(px[i], py[j], n)
+        out = p2_add(out, p2_scal(monomials[(i, j)], c))
     return out
 
 
 def p2_pullback(a, b, fx, fy, n):
-    """The 1-form a dx + b dy pulled back by (fx, fy), up to degree n."""
-    asub, bsub = p2_substitute(a, fx, fy, n + 1), p2_substitute(b, fx, fy, n + 1)
+    """The 1-form a dx + b dy pulled back by (fx, fy), up to degree n; the
+    two coefficients share their substituted monomials."""
+    monomials = {}
+    asub = p2_substitute(a, fx, fy, n + 1, monomials)
+    bsub = p2_substitute(b, fx, fy, n + 1, monomials)
     return (
         p2_add(p2_mul(asub, p2_dx(fx), n), p2_mul(bsub, p2_dx(fy), n)),
         p2_add(p2_mul(asub, p2_dy(fx), n), p2_mul(bsub, p2_dy(fy), n)),
@@ -646,3 +663,24 @@ def L_solve(target: HomogeneousPair) -> HomogeneousPair:
         if not sol[n + 1 + k].is_zero():
             qd[(n - k, k)] = sol[n + 1 + k]
     return HomogeneousPair(Jet2(pd, order), Jet2(qd, order), n)
+
+
+# --- the radial form and the wedge of two 1-forms, on the package's OneForm ----
+
+
+def radial_form(order, variables=("x", "y")) -> OneForm:
+    """The radial 1-form  x dy - y dx."""
+    return OneForm(
+        Jet2.monomial(0, 1, -1, order), Jet2.monomial(1, 0, 1, order), variables
+    )
+
+
+def differential(f: Jet2, variables=("x", "y")) -> OneForm:
+    """The exact 1-form  df = f_x dx + f_y dy  (order drops by one)."""
+    return OneForm(f.dx(), f.dy(), variables)
+
+
+def wedge(u: OneForm, v: OneForm) -> Jet2:
+    """The coefficient of dx^dy in u^v, i.e.  u_a v_b - u_b v_a."""
+    u._require_same_chart(v)
+    return u.a * v.b - u.b * v.a

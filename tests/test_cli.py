@@ -112,6 +112,67 @@ def test_deep_nesting_is_an_input_error():
     assert "error: line 1, column 201: parentheses nest deeper than 200" in out
 
 
+def fuzz_text(rng):
+    """A seeded input that nests deeply, raises to large exponents and
+    carries large coefficients."""
+
+    def atom(depth):
+        r = rng.random()
+        if r < 0.4 or depth > 2:
+            return rng.choice(["x", "y", "i", "x*y", "(1+x)", "(x-i*y)"])
+        if r < 0.55:
+            digits = rng.choice([1, 1, 40, 400, 4000, 20000])
+            return str(rng.randint(1, 9)) + "7" * (digits - 1)
+        if r < 0.7:
+            return f"{rng.randint(1, 9)}/{'3' * rng.choice([1, 30, 600])}"
+        return "(" + expr(depth + 1) + ")"
+
+    def factor(depth):
+        s = atom(depth)
+        if rng.random() < 0.25:
+            big = rng.random() < 0.2
+            s += "^" + str(rng.choice([17, 4096, 65537, 10**12, 10**40] if big else [0, 1, 2, 3]))
+        if rng.random() < 0.15:
+            k = rng.choice([201, 700] if rng.random() < 0.2 else [1, 3, 60, 190])
+            s = "(" * k + s + ")" * k
+        return s
+
+    def expr(depth):
+        terms = []
+        for _ in range(rng.randint(1, 2)):
+            terms.append("*".join(factor(depth) for _ in range(rng.randint(1, 3))))
+        return rng.choice([" + ", " - "]).join(terms)
+
+    if rng.random() < 0.3:
+        return f"mero:({expr(0)})/({expr(0)})"
+    return f"({expr(0)}) dx + ({expr(0)}) dy"
+
+
+# Bounded work, not speed: a draw that multiplies coefficients of tens of
+# thousands of bits can take about 2 s on a shared 2-core host.
+FUZZ_SECONDS = 10
+
+
+def test_fuzzed_inputs_exit_classified_within_a_time_bound():
+    """Seeded inputs that nest deeply (past the 200 limit too), raise to
+    large exponents and carry large coefficients, numerals past the
+    interpreter's digit limit included: each answers with an exit code from
+    0 to 3 within a fixed time, and an input error says so."""
+    rng = random.Random(0xF022)
+    codes = []
+    for _ in range(120):
+        order = str(rng.choice([4, 8, 12]))
+        argv = [rng.choice(["reduce", "sigma"]), fuzz_text(rng), "--order", order]
+        start = time.perf_counter()
+        code, out = run_cli(*argv)
+        assert time.perf_counter() - start < FUZZ_SECONDS, argv
+        assert code in (0, 1, 2, 3), argv
+        if code == 3:
+            assert verdict_of(out) == "InputError"
+        codes.append(code)
+    assert 3 in codes and (1 in codes or 2 in codes)
+
+
 def test_negative_order_is_refused_before_parsing():
     for argv in (("reduce", "x dx"), ("sigma", "not a form"), ("equiv", CUSP, CUSP)):
         code, out = run_cli(*argv, "--order", "-3")

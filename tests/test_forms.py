@@ -15,15 +15,14 @@ from cuspfol.forms import (
     linear_change,
     pullback_blowup,
     pullback_map,
-    radial_form,
     radial_tangency,
     reduce_cusp,
     valuation,
-    wedge,
 )
 from cuspfol.jets import Jet2, JetError
 
 import oracles
+from oracles import radial_form, wedge
 
 RNG = random.Random(0x5EED5)
 

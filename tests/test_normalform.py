@@ -2,9 +2,13 @@
 reduction to the y^2-radial template."""
 
 import random
+import sys
 from fractions import Fraction
 
-from cuspfol import normalform
+import pytest
+
+from cuspfol import _backend, forms, normalform
+from cuspfol._backend import FormNumerators
 from cuspfol.coeff import Coeff
 from cuspfol.cli import _alpha_of_sigma, _as_oneform, _sigma_of_form
 from cuspfol.forms import (
@@ -26,7 +30,7 @@ from cuspfol.normalform import (
 
 import oracles
 from oracles import HomogeneousPair, L_apply, L_solve, _pair_basis, _pair_coords
-from test_cli import raw_mero
+from test_cli import MOVED, raw_mero
 from test_forms import cusp_form, cusp_family_form
 from test_transversal import SINH, seeded_template
 
@@ -127,6 +131,11 @@ def test_pair_space_partition():
         assert 2 * len(y2) + 4 == 2 * (m + 1)
 
 
+def numerators(w):
+    """The form as the kernel numerators that ``_step_change`` reads."""
+    return FormNumerators(dict(w.a.triple_items()), dict(w.b.triple_items()), w.order)
+
+
 def test_action_matrix_matches_anchor_pullback():
     """Fed minus the y^2-part that a basis change id + (P, Q) adds to the
     anchor, pulled back exactly by the oracle, the closed-form step returns
@@ -149,9 +158,9 @@ def test_action_matrix_matches_anchor_pullback():
                     continue
             a = {key: -e for key, e in zip(keys, col[: n + 1])}
             b = {key: -e for key, e in zip(keys, col[n + 1 :])}
-            assert _step_change(OneForm(Jet2(a, m), Jet2(b, m)), n, m) == (p, q)
+            assert _step_change(numerators(OneForm(Jet2(a, m), Jet2(b, m))), n, m) == (p, q)
     d5 = OneForm(Jet2.zero(5), mono(4, 1, Coeff(3, -1), 5))
-    assert _step_change(d5, 3, 5) == (
+    assert _step_change(numerators(d5), 3, 5) == (
         Jet2.zero(5),
         mono(3, 0, Coeff(Fraction(-3, 2), Fraction(1, 2)), 5),
     )
@@ -314,12 +323,14 @@ def test_transform_is_composed_once_when_read(monkeypatch):
         calls.append(1)
         return substitute(self, *args, **kwargs)
 
+    pullback = FormNumerators.pullback
+
     def counting_pullback(*args, **kwargs):
         pullbacks.append(1)
-        return pullback_map(*args, **kwargs)
+        return pullback(*args, **kwargs)
 
     monkeypatch.setattr(Jet2, "substitute", counting_substitute)
-    monkeypatch.setattr(normalform, "pullback_map", counting_pullback)
+    monkeypatch.setattr(FormNumerators, "pullback", counting_pullback)
     data = normalize(w0)
     # one change per degree 2..14: the cubic one also spends the x^3 gauge,
     # which this input needs (its x^4 y dy coefficient is nonzero there)
@@ -386,3 +397,155 @@ def test_alpha_times_sigma_1_is_minus_one():
     for w in forms:
         assert normalize(w).alpha == _alpha_of_sigma(_sigma_of_form(w, 8))
 
+
+# ---------------------------------------------------------------------------
+# normalize against a step-by-step reference on Fraction pairs
+
+
+def _scaled_pair(t, k):
+    return (t[0] * k, t[1] * k)
+
+
+def reference_normalization(w, linear):
+    """The normal form data of w, step by step on Fraction pairs.
+
+    The linear change is the reduction's, given as ``linear``; the scale is
+    read off the x y^2 dy coefficient it leaves.  Each degree n solves the
+    equations of ``_step_change`` by Cramer's rule on the 2x2 blocks, pulls
+    the form back along id + (P, Q) with ``oracles.p2_pullback`` and checks
+    that the y^2-part of degree n + 2 is gone.  Raises ``AssertionError``
+    on defect (a).
+    """
+    g = oracles
+    order = w.order
+    a, b = g.jet2_pairs(w.a), g.jet2_pairs(w.b)
+    if linear is not None:
+        (m00, m01), (m10, m11) = [[g.pair_of_coeff(Coeff(c)) for c in row] for row in linear]
+        fx = {k: v for k, v in (((1, 0), m00), ((0, 1), m01)) if not g.g_is_zero(v)}
+        fy = {k: v for k, v in (((1, 0), m10), ((0, 1), m11)) if not g.g_is_zero(v)}
+        a, b = g.p2_pullback(a, b, fx, fy, order)
+    scale = g.ginv(b[(1, 2)])
+    a, b = g.p2_scal(a, scale), g.p2_scal(b, scale)
+    changes = []
+    for n in range(2, order - 1):
+        ta = [_scaled_pair(a.get((n - r, r + 2), g.ZERO), -1) for r in range(n + 1)]
+        tb = [_scaled_pair(b.get((n - r, r + 2), g.ZERO), -1) for r in range(n + 1)]
+        p = {(0, n): _scaled_pair(tb[n], Fraction(1, 1 - n))}
+        q = {}
+        for r in range(n):
+            # (1-r) P_r + (r+3) Q_(r+1) = tb[r], -(n-r) P_r + (n-r-4) Q_(r+1) = ta[r+1]
+            m11, m12, m21, m22 = 1 - r, r + 3, r - n, n - r - 4
+            det = Fraction(1, m11 * m22 - m12 * m21)
+            p[(n - r, r)] = _scaled_pair(
+                g.gsub(_scaled_pair(tb[r], m22), _scaled_pair(ta[r + 1], m12)), det
+            )
+            q[(n - r - 1, r + 1)] = _scaled_pair(
+                g.gsub(_scaled_pair(ta[r + 1], m11), _scaled_pair(tb[r], m21)), det
+            )
+        if n != 3:
+            q[(n, 0)] = _scaled_pair(ta[0], Fraction(1, n - 3))
+        elif not g.g_is_zero(ta[0]):
+            raise AssertionError("x^3 y^2 dx survives the cubic step")
+        else:
+            q[(3, 0)] = _scaled_pair(b.get((4, 1), g.ZERO), Fraction(-1, 2))
+        p = {k: v for k, v in p.items() if not g.g_is_zero(v)}
+        q = {k: v for k, v in q.items() if not g.g_is_zero(v)}
+        if not p and not q:
+            continue
+        fx, fy = g.p2_add({(1, 0): g.ONE}, p), g.p2_add({(0, 1): g.ONE}, q)
+        a, b = g.p2_pullback(a, b, fx, fy, order)
+        changes.append((p, q))
+        y2 = [(n + 2 - j, j) for j in range(2, n + 3)]
+        assert all(key not in a and key not in b for key in y2)
+    zero = g.ZERO
+    tail = {}
+    for m in range(5, order + 1):
+        residual = ((a, (m, 0)), (a, (m - 1, 1)), (b, (m, 0)), (b, (m - 1, 1)))
+        tail[m] = tuple(c.get(key, zero) for c, key in residual)
+    return b[(4, 0)], b.get((3, 1), zero), tail, scale, changes
+
+
+def moved_templates(rng):
+    """Seeded templates moved by changes of degree 2 and 3 and multiplied by
+    a constant, at orders 8 to 14, and one that needs a linear change."""
+    out = []
+    for order in [8] * 15 + [9, 10, 11, 12, 14]:
+        w = seeded_template(rng, order)
+        p = rand_homogeneous(2, order) + rand_homogeneous(3, order)
+        q = rand_homogeneous(2, order) + rand_homogeneous(3, order)
+        w = pullback_map(w, Jet2.var_x(order) + p, Jet2.var_y(order) + q, order=order)
+        out.append(w * Coeff(rng.choice([1, 2, -3]), rng.choice([0, 1])))
+    swap = ((Coeff(0), Coeff(1)), (Coeff(1), Coeff(0)))
+    out.append(linear_change(out[0], swap))
+    return out
+
+
+def test_normalize_matches_the_step_by_step_reference():
+    """normalize carries the form as kernel numerators from its first step
+    to its last; the reference carries Fraction pairs and pulls back with
+    the oracle.  Every field of the data agrees, the recorded changes
+    included, on 20 moved templates and one input that needs a linear
+    change; defect (a) raises the same message."""
+    rng = random.Random(0x2EF)
+    linear = 0
+    for w in moved_templates(rng):
+        rep = reduce_cusp(w)
+        assert rep.verdict is ReductionVerdict.CUSP_TYPE_ABSOLUTELY_DICRITICAL
+        data = normalize(w)
+        alpha, a, tail, scale, changes = reference_normalization(w, rep.applied_linear_change)
+        pair = oracles.pair_of_coeff
+        assert pair(data.alpha) == alpha and pair(data.a) == a
+        assert {m: tuple(map(pair, t)) for m, t in data.tail.items()} == tail
+        assert pair(data.scale) == scale
+        assert data.applied_linear_change == rep.applied_linear_change
+        assert [(oracles.jet2_pairs(p), oracles.jet2_pairs(q)) for p, q in data.changes] == changes
+        assert all(p.order == q.order == w.order for p, q in data.changes)
+        linear += data.applied_linear_change is not None
+    assert linear == 1
+
+    defect = _as_oneform("mero:(y^2+x^3+x^3*y)/(x*y)", 8)
+    rep = reduce_cusp(defect)
+    with pytest.raises(AssertionError) as raised:
+        normalize(defect, reduction=rep)
+    assert str(raised.value) == (
+        "elimination system is infeasible at degree 3 (rank 7); "
+        "the input cannot be brought to the template"
+    )
+    with pytest.raises(AssertionError, match="x\\^3 y\\^2 dx"):
+        reference_normalization(defect, rep.applied_linear_change)
+
+
+def test_normalize_pulls_back_on_numerators(monkeypatch):
+    """normalize carries the form as kernel numerators over one denominator
+    from its first step to its last.  On the pinned moved template at order
+    16 it calls no ``pullback_map``, and it normalizes at most one triple
+    per nonzero coefficient of the final form plus one per coefficient the
+    steps read to solve their changes (2n + 2 at degree n, and x^4 y dy at
+    n = 3): no step normalizes the whole form."""
+    w = _as_oneform(MOVED, 16)
+    rep = reduce_cusp(w)
+    pullbacks, norms = [], []
+    pullback, qnorm = forms.pullback_map, _backend.qnorm
+
+    def counting_pullback(*args, **kwargs):
+        pullbacks.append(1)
+        return pullback(*args, **kwargs)
+
+    def counting_qnorm(*args):
+        norms.append(args)
+        return qnorm(*args)
+
+    for module in (forms, normalform):
+        monkeypatch.setattr(module, "pullback_map", counting_pullback, raising=False)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cuspfol") and getattr(module, "qnorm", None) is qnorm:
+            monkeypatch.setattr(module, "qnorm", counting_qnorm)
+    data = normalize(w, reduction=rep)
+    monkeypatch.undo()
+
+    assert pullbacks == []
+    assert len(data.changes) == 13
+    final = reconstruct_normal_form(data)
+    nonzero = len(final.a.triple_items()) + len(final.b.triple_items())
+    read = sum(2 * n + 2 for n in range(2, 15)) + 1
+    assert 0 < len(norms) <= nonzero + read

@@ -3,9 +3,12 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from cuspfol import _backend, transversal
 from cuspfol.coeff import Coeff
 from cuspfol.forms import OneForm, form_of_meromorphic, reduce_cusp
-from cuspfol.jets import Jet1, Jet2
+from cuspfol.jets import Jet1, Jet2, JetError
 from cuspfol.moduli import schwarzian
 from cuspfol.normalform import NormalFormData, reconstruct_normal_form
 from cuspfol.parsing import MeromorphicPair, parse_form
@@ -249,3 +252,44 @@ def test_constant_germ_integral_normalizes_linearly_often(monkeypatch):
         assert h == Jet2({(1, 0): 1, (0, 1): Coeff(Fraction(6, 5), Fraction(-3, 5))}, n)
     assert counts[2] <= 2 * counts[1] <= 4 * counts[0]
     assert counts[2] <= 64
+
+
+def test_integer_recheck_agrees_with_the_wedge(monkeypatch):
+    """The re-check of H reads H_u B - H_v A in one integer pass; it agrees
+    with dH ^ w built from ``Jet2`` products (``oracles.wedge``) on the
+    first integrals of seeded corner germs, true and with one coefficient
+    moved, and orders 1 to n.  A wrong H from the solver is refused with
+    the re-check's message."""
+    rng = random.Random(0x4EC)
+    germs = [corner_of(text, 8) for text in (README_MERO, SINH)]
+    for _ in range(4):
+        a, b = rand_unit_jet(9, 4, rng), rand_unit_jet(9, 4, rng)
+        germs.append(CornerGerm(OneForm(a, b, ("u", "v"))))
+    checked = {True: 0, False: 0}
+    for c in germs:
+        w = c.form
+        for n in (1, 2, w.order // 2, w.order):
+            h = regular_first_integral(c, n)
+            i = rng.randint(0, n - 1)
+            moved = h + Jet2.monomial(i, n - i, Coeff(rng.choice([1, -2]), rng.choice([0, 3])), n)
+            for jet in (h, moved):
+                a, b = w.a.truncate(n), w.b.truncate(n)
+                dh = oracles.differential(jet, w.variables)
+                want = oracles.wedge(dh, OneForm(a, b, w.variables).truncate(n - 1)).is_zero()
+                got = _backend.is_first_integral(
+                    *(dict(f.triple_items()) for f in (jet, a, b)), n
+                )
+                assert got == want
+                checked[got] += 1
+    assert checked[True] == checked[False] == 4 * len(germs)
+
+    def wrong(a, b, n):
+        h = _backend.first_integral(a, b, n)
+        h[(1, n - 1)] = (1, 0, 1) if h.get((1, n - 1)) != (1, 0, 1) else (2, 0, 1)
+        return h
+
+    with pytest.raises(JetError, match="order-0"):
+        regular_first_integral(germs[0], 0)  # dH has no order to be read at
+    monkeypatch.setattr(transversal, "first_integral", wrong)
+    with pytest.raises(AssertionError, match=r"^first integral failed the dH \^ w = 0 re-check$"):
+        regular_first_integral(germs[0])
