@@ -44,7 +44,8 @@ of the Horner steps and of the pullback are multiplied as they are, with no
 copy into a term list; the x term of the x target, the y term of the y
 target and the constant of each Jacobian entry, the identity of a change
 tangent to it, are applied as key shifts and scalar copies
-(:func:`_shift`) rather than multiplied.
+(:func:`_shift`) rather than multiplied.  A substituted monomial, a scalar
+times a power of the y target, is added in place with no call.
 
 There is one pullback, :func:`_pullback`, on numerators.
 :func:`jet2_pullback` scales its input to one denominator and normalizes
@@ -491,10 +492,15 @@ def _substitute(accs, dx, dy, n):
     the numerator sum_i FX^i G_i is evaluated by Horner's rule in FX, one
     product by FX per power of x, so no power of FX is formed; each Horner
     accumulator is multiplied as it is.  The powers FY^j are built once and
-    shared by the maps.  The x term of FX, and the y term of FY in its
-    powers, is applied as a key shift and a scalar copy (:func:`_shift`),
-    and only the other terms are convolved.  Monomials that the change
-    fixes (see :func:`_fixed_degree`) are copied.
+    shared by the maps.  Each row A_ij (L / ex^i ey^j) FY^j of G_i is added
+    into the Horner accumulator term by term, in place, with no call: a
+    scalar times a term list needs neither :func:`_convolve`'s outer loop
+    nor its scan for the least key.  The x term of FX, and the y term of
+    FY in its powers, is applied as a key shift and a scalar copy
+    (:func:`_shift`), and only the other terms are convolved; a Horner
+    accumulator of one term multiplies FX as a key shift and a scalar copy
+    too.  Monomials that the change fixes (see :func:`_fixed_degree`) are
+    copied.
     """
     m = n + 1
     fixed = _fixed_degree(dx, dy, n)
@@ -543,17 +549,35 @@ def _substitute(accs, dx, dy, n):
         _convolve(last, ty_rest, m * m, power)
         py.append([(k, re, im, 1) for k, (re, im) in power.items() if re or im])
     xa, xb, tx_rest = _split(tx, m)
+    # FX as accumulator items, its x term first as in the Horner step below
+    fx_pairs = [(k, (a, b)) for k, a, b, _ in tx_rest]
+    if xa or xb:
+        fx_pairs.insert(0, (m, (xa, xb)))
     for out, g in zip(outs, groups):
-        horner = None  # sum over i' > i of FX^(i'-i-1) G_i'
+        horner = {}  # sum over i' > i of FX^(i'-i-1) G_i'
         for i in range(max(g, default=-1), -1, -1):
             # G_i + FX * horner, up to degree n - i: it is multiplied by
             # FX^i, of valuation >= i
             acc = out if i == 0 else {}
             end = (m - i) * m
             for j, a, b in g.get(i, ()):
+                # the row A_ij s FY^j, added term by term
                 s = lcm // (exp_x[i] * exp_y[j])
-                _convolve(((0, (a * s, b * s)),), py[j], end, acc)
-            if horner:
+                a *= s
+                b *= s
+                for k, a2, b2, _ in py[j]:
+                    if k < end:
+                        cur = acc.get(k)
+                        if cur is None:
+                            acc[k] = [a * a2 - b * b2, a * b2 + b * a2]
+                        else:
+                            cur[0] += a * a2 - b * b2
+                            cur[1] += a * b2 + b * a2
+            if len(horner) == 1:
+                # one term times FX: a key shift and a scalar copy of FX
+                ((k, (a, b)),) = horner.items()
+                _shift(fx_pairs, k, a, b, end, acc)
+            elif horner:
                 last = horner.items()
                 if xa or xb:
                     _shift(last, m, xa, xb, end, acc)

@@ -13,23 +13,27 @@ Two input shapes share one tokenizer:
       mero: (y^2 + x^3) / (x*y)
 
 Coefficient literals are integers (ASCII digits), rationals ``p/q`` and the
-imaginary unit ``i``; floating-point literals are rejected.  Arithmetic inside
-a coefficient runs over exact rational functions, so ``1/2*x^2`` and
-``(y^2+x^3)/(x*y)`` both mean what they say; a 1-form coefficient must come
-out polynomial (a constant denominator), a ``mero:`` input keeps its
-numerator/denominator pair up to one overall constant: the denominator's
-lowest monomial is made monic, so printing and reparsing a pair is exact.
+imaginary unit ``i``; floating-point literals are rejected, and so is a
+numeral longer than the interpreter converts (``sys.get_int_max_str_digits``).
+
+Arithmetic inside a coefficient runs over exact rational functions, so
+``1/2*x^2`` and ``(y^2+x^3)/(x*y)`` both mean what they say; a 1-form
+coefficient must come out polynomial (a constant denominator), a ``mero:``
+input keeps its numerator/denominator pair up to one overall constant: the
+denominator's lowest monomial is made monic, so printing and reparsing a
+pair is exact.
 
 Inside, a value is an unreduced (numerator, denominator) pair of dicts
 ``{(i, j): triple}`` over the kernel's normalized ``(a, b, d)`` triples, with
 a denominator of ``None`` standing for 1; the final dicts become
 :class:`~cuspfol.jets.Jet2` as they are.  One precedence-climbing loop (Pratt
 1973) parses a coefficient, one call per operand.  A product or power of
-one-term polynomials is folded into one term, and dividing by a constant
-scales the numerator, so a denominator is 1 or non-constant.  A sum of
-polynomials, rational coefficients included, is added term by term into one
-dict, so a long sum costs time linear in its length; a sum with a
-denominator cross-multiplies from the left, which fixes the ``mero:`` pair.
+one-term polynomials is folded into one term (``x^e`` and ``y^e`` only
+scale the monomial's key), and dividing by a constant scales the
+numerator, so a denominator is 1 or non-constant.  A sum of polynomials,
+rational coefficients included, is added term by term into one dict, so a
+long sum costs time linear in its length; a sum with a denominator
+cross-multiplies from the left, which fixes the ``mero:`` pair.
 A product, quotient or power with an operand of two or more terms is
 refused at its operator, before it is expanded, when its degree would
 exceed ``--order``.  In a 1-form term, an operand with a denominator is not
@@ -41,11 +45,22 @@ Parentheses nest at most ``_MAX_NESTING`` deep, so that parsing, one call per
 operand, stays well inside the interpreter's recursion limit; the first
 parenthesis past it is refused.
 
+The tokenizer is one compiled ``re.findall`` over the text.  A token is a
+pair ``(kind, value)``; the words that recur (operators, ``x``, ``y``,
+``i``, ``dx``, ``dy``, ``mero`` and the numerals below 100) map to pairs
+shared from one fixed table, and only other numerals and names build one.
+
 All errors raised here are :class:`ParseError` carrying 1-based ``line`` and
-``col`` positions into the source text.
+``col`` positions into the source text.  Tokens carry no position: a
+refusal names the index of its token, and its line and column are read off
+the text again only when the :class:`ParseError` is raised.
 """
 
 from __future__ import annotations
+
+import re
+import sys
+from itertools import islice
 
 from ._backend import QONE, qadd, qinv, qmul, qneg
 from .coeff import Coeff
@@ -88,54 +103,88 @@ class MeromorphicPair:
 
 
 # ---------------------------------------------------------------------------
-# tokenizer: a token is a tuple (kind, value, line, col)
+# tokenizer: a token is a pair (kind, value), one shared pair per word of
+# _TOKENS; positions are read off the text again only for an error
 
 _DX, _DY, _INT, _NAME, _OP, _EOF = "dx", "dy", "int", "name", "op", "eof"
-_OP_CHARS = "+-*/^():"
 _DIGITS = "0123456789"
+# A word is an ASCII numeral, with the '.' of a floating-point literal if one
+# follows; a run of word characters (str.isalnum() or '_') that does not start
+# with a decimal digit; or any one character but a space, tab, CR or LF, which
+# are skipped.  \w and \d match exactly what str.isalnum() and
+# str.isdecimal() accept, so the words are the tokens of a scan character by
+# character, except a word that starts with a digit that is not decimal
+# ('²') or a numeral with its '.', which _new_token refuses there.
+_WORD = re.compile(r"[0-9]+\.?|[^\W\d]\w*|[^ \t\r\n]")
+_TOKENS = {
+    **{ch: (_OP, ch) for ch in "+-*/^():"},
+    **{word: (_NAME, word) for word in ("x", "y", "i", "mero")},
+    _DX: (_DX, _DX),
+    _DY: (_DY, _DY),
+    **{str(v): (_INT, v) for v in range(100)},
+}
+_END = (_EOF, None)
+
+
+class _Refusal(Exception):
+    """A :class:`ParseError` before its position is known.
+
+    Its args are the message and an integer: the index of the token the
+    parser refuses, or, from :func:`_new_token`, the offset of the refused
+    character in its word.
+    """
+
+
+def _new_token(word):
+    """The token of a word that is not in ``_TOKENS``: a numeral or a name."""
+    if word[0] in _DIGITS:
+        if word[-1] == ".":
+            raise _Refusal(
+                "floating-point literals are not supported; write an exact rational p/q",
+                len(word) - 1,
+            )
+        try:
+            return (_INT, int(word))
+        except ValueError:  # past the interpreter's limit for int(str)
+            raise _Refusal(
+                f"the numeral has {len(word)} digits; at most "
+                f"{sys.get_int_max_str_digits()} are allowed",
+                0,
+            ) from None
+    if word[0].isalpha() or word[0] == "_":
+        return (_NAME, word)
+    raise _Refusal(f"unexpected character {word[0]!r}", 0)
 
 
 def _tokenize(text):
-    toks = []
-    append = toks.append
-    line, base = 1, 0  # base: index of the first character of the line
-    k, n = 0, len(text)
-    while k < n:
-        ch = text[k]
-        if ch in " \t\r":
-            k += 1
-        elif ch == "\n":
-            line += 1
-            k += 1
-            base = k
-        elif ch in _OP_CHARS:
-            append((_OP, ch, line, k - base + 1))
-            k += 1
-        elif ch in _DIGITS:
-            start = k
-            k += 1
-            while k < n and text[k] in _DIGITS:
-                k += 1
-            if k < n and text[k] == ".":
-                raise ParseError(
-                    "floating-point literals are not supported; write an exact "
-                    "rational p/q",
-                    line,
-                    k - base + 1,
-                )
-            append((_INT, int(text[start:k]), line, start - base + 1))
-        elif ch.isalpha() or ch == "_":
-            start = k
-            k += 1
-            while k < n and (text[k].isalnum() or text[k] == "_"):
-                k += 1
-            word = text[start:k]
-            kind = word if word == _DX or word == _DY else _NAME
-            append((kind, word, line, start - base + 1))
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, k - base + 1)
-    append((_EOF, None, line, k - base + 1))
+    """The tokens of ``text``, ending with the ``eof`` token."""
+    words = _WORD.findall(text)
+    get = _TOKENS.get
+    try:
+        toks = [get(word) or _new_token(word) for word in words]
+    except _Refusal:
+        # the first refused word again, now with its index
+        for k, word in enumerate(words):
+            if word not in _TOKENS:
+                try:
+                    _new_token(word)
+                except _Refusal as refusal:
+                    message, shift = refusal.args
+                    raise ParseError(message, *_position(text, k, shift)) from None
+    toks.append(_END)
     return toks
+
+
+def _position(text, k, shift=0):
+    """The 1-based line and column of the ``k``-th token of ``text``, moved
+    on by ``shift`` characters; the ``eof`` token is at the end of the text.
+
+    Only an error calls it: it finds the token's word again, so a tab or a
+    CR counts as one column, as every other character does.
+    """
+    match = next(islice(_WORD.finditer(text), k, None), None)
+    offset = (len(text) if match is None else match.start()) + shift
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +210,9 @@ _NOT_POLYNOMIAL = (
 )
 
 
-def _fail(message, tok):
-    raise ParseError(message, tok[2], tok[3])
+def _fail(message, k):
+    """Refuse the input at its ``k``-th token."""
+    raise _Refusal(message, k)
 
 
 def _pmul(p, q):
@@ -213,7 +263,7 @@ def _pscale(p, c):
     return {key: qmul(v, c) for key, v in p.items()}
 
 
-def _ppow(p, e, op):
+def _ppow(p, e, k):
     if len(p) == 1:
         # a one-term power raises only its coefficient (a + b*i)/d, whose
         # parts are at most (|a| + |b|)^e and d^e; a unit has bits == e
@@ -221,7 +271,7 @@ def _ppow(p, e, op):
         bits = e * max(abs(c[0]) + abs(c[1]), c[2]).bit_length()
         if bits > max(e, _MAX_COEFF_BITS):
             _fail(f"the power's coefficient may need {bits} bits; at most "
-                  f"{_MAX_COEFF_BITS} are allowed", op)
+                  f"{_MAX_COEFF_BITS} are allowed", k)
         return {(i * e, j * e): c if c == QONE else (Coeff.from_triple(c) ** e).triple}
     out, base = {_ONE_KEY: QONE}, p
     while e:
@@ -251,11 +301,12 @@ def _degree(*factors):
     return sum(max(i + j for i, j in p) for p in factors if p is not None)
 
 
-def _check_degree(op, order, term, val, rhs=None, e=1):
+def _check_degree(op, k, order, term, val, rhs=None, e=1):
     """Refuse ``val op rhs`` (or ``val ^ e``) if its degree exceeds ``order``.
 
-    ``val`` and ``rhs`` are (num, den) pairs; ``term`` is the first token of
-    the 1-form term being parsed, None in a mero: input.
+    ``op`` is the operator's character and ``k`` the index of its token;
+    ``val`` and ``rhs`` are (num, den) pairs; ``term`` is the index of the
+    first token of the 1-form term being parsed, None in a mero: input.
 
     A sum or difference over denominators is checked once it is formed,
     as ``val`` alone: forming it is one cross-multiplication of operands
@@ -278,7 +329,7 @@ def _check_degree(op, order, term, val, rhs=None, e=1):
     """
     num, den = val
     operands = (val,) if rhs is None else (val, rhs)
-    if term is not None and den is not None and op[1] == "^":
+    if term is not None and den is not None and op == "^":
         if any(i or j for i, j in num) and e * max(_degree(num), _degree(den)) > order:
             _fail(_NOT_POLYNOMIAL, term)
     elif all(len(n) < 2 and (d is None or len(d) < 2) for n, d in operands):
@@ -287,15 +338,15 @@ def _check_degree(op, order, term, val, rhs=None, e=1):
         return
     if rhs is None:
         degree = e * max(_degree(num), _degree(den))
-    elif op[1] == "*":
+    elif op == "*":
         degree = max(_degree(num, rhs[0]), _degree(den, rhs[1]))
     else:
         degree = max(_degree(num, rhs[1]), _degree(den, rhs[0]))
     if degree > order:
         _fail(
-            f"the {_RESULT[op[1]]} has degree {degree}; raise --order "
+            f"the {_RESULT[op]} has degree {degree}; raise --order "
             f"(currently {order}) to keep the computation exact",
-            op,
+            k,
         )
 
 
@@ -310,9 +361,9 @@ def _parse_expr(toks, k, order, term, floor=1, depth=0):
     An operand is an atom or a parenthesized sum, with any signs before it
     and one ``^ INT`` after it.  The right operand of an operator is parsed
     by one call at a floor one above the operator's binding power, so it
-    takes exactly the tighter operators.  ``term`` is the first token of
-    the 1-form term being parsed, None in a mero: input; ``depth`` counts
-    the parentheses open around the operand.
+    takes exactly the tighter operators.  ``term`` is the index of the first
+    token of the 1-form term being parsed, None in a mero: input; ``depth``
+    counts the parentheses open around the operand.
     """
     tok = toks[k]
     neg = False
@@ -320,7 +371,7 @@ def _parse_expr(toks, k, order, term, floor=1, depth=0):
         neg ^= tok[1] == "-"
         k += 1
         tok = toks[k]
-    kind, value = tok[0], tok[1]
+    kind, value = tok
     den = None
     if kind == _INT:
         num = {_ONE_KEY: (value, 0, 1)} if value else {}
@@ -329,28 +380,32 @@ def _parse_expr(toks, k, order, term, floor=1, depth=0):
         num = {key: c}
     elif value == "(":
         if depth == _MAX_NESTING:
-            _fail(f"parentheses nest deeper than {_MAX_NESTING}", tok)
+            _fail(f"parentheses nest deeper than {_MAX_NESTING}", k)
         num, den, k = _parse_expr(toks, k + 1, order, term, 1, depth + 1)
         if toks[k][1] != ")":
-            _fail("expected ')'", toks[k])
+            _fail("expected ')'", k)
     elif kind == _NAME:
-        _fail(f"unknown variable {value!r} (only x, y and i)", tok)
+        _fail(f"unknown variable {value!r} (only x, y and i)", k)
     elif kind in _SLOTS:
-        _fail(f"{value!r} cannot appear inside a coefficient", tok)
+        _fail(f"{value!r} cannot appear inside a coefficient", k)
     else:
-        _fail("expected a number, 'i', a variable, or '('", tok)
+        _fail("expected a number, 'i', a variable, or '('", k)
     k += 1
     tok = toks[k]
     if tok[1] == "^":
-        exp = toks[k + 1]
-        if exp[0] != _INT:
-            _fail("exponent must be a nonnegative integer literal", exp)
-        e = exp[1]
-        if den is not None or len(num) > 1:
-            _check_degree(tok, order, term, (num, den), e=e)
+        kind, e = toks[k + 1]
+        if kind != _INT:
+            _fail("exponent must be a nonnegative integer literal", k + 1)
+        if den is None and len(num) == 1:
+            ((i, j), c), = num.items()
+            # x^e and y^e: a unit power only scales the monomial's key
+            num = {(i * e, j * e): c} if c == QONE else _ppow(num, e, k)
+        else:
+            if num or den is not None:
+                _check_degree("^", k, order, term, (num, den), e=e)
             if den is not None:
-                den = _ppow(den, e, tok) if e else None
-        num = _ppow(num, e, tok)
+                den = _ppow(den, e, k) if e else None
+            num = _ppow(num, e, k)
         k += 2
         tok = toks[k]
     if neg:
@@ -360,6 +415,7 @@ def _parse_expr(toks, k, order, term, floor=1, depth=0):
         bind = _BIND.get(op, 0)
         if bind < floor or bind == 2 and toks[k + 1][0] in _SLOTS:
             break  # no operator, a looser one, or the '*' of a term: "3*dx"
+        at = k
         rnum, rden, k = _parse_expr(toks, k + 1, order, term, bind + 1, depth)
         if bind == 1:
             if den is None and rden is None:
@@ -370,7 +426,7 @@ def _parse_expr(toks, k, order, term, floor=1, depth=0):
                     num = _pmul(num, rden)
                 _padd_into(num, rnum if den is None else _pmul(rnum, den), op == "-")
                 den = _dmul(den, rden)
-                _check_degree(tok, order, term, (num, den))
+                _check_degree(op, at, order, term, (num, den))
         elif op == "*":
             if den is None and rden is None and len(num) == 1 and len(rnum) == 1:
                 # a product of one-term polynomials is one term
@@ -379,12 +435,12 @@ def _parse_expr(toks, k, order, term, floor=1, depth=0):
                 c = c2 if c1 == QONE else c1 if c2 == QONE else qmul(c1, c2)
                 num = {(i1 + i2, j1 + j2): c}
             else:
-                _check_degree(tok, order, term, (num, den), (rnum, rden))
+                _check_degree(op, at, order, term, (num, den), (rnum, rden))
                 num, den = _pmul(num, rnum), _dmul(den, rden)
         else:
             if not rnum:
-                _fail("division by zero", tok)
-            _check_degree(tok, order, term, (num, den), (rnum, rden))
+                _fail("division by zero", at)
+            _check_degree(op, at, order, term, (num, den), (rnum, rden))
             if rden is not None:
                 num = _pmul(num, rden)
             c = rnum.get(_ONE_KEY) if len(rnum) == 1 else None
@@ -398,13 +454,13 @@ def _parse_expr(toks, k, order, term, floor=1, depth=0):
     return num, den, k
 
 
-def _poly_to_jet(d, order, tok, what):
+def _poly_to_jet(d, order, k, what):
     for (i, j) in d:
         if i + j > order:
             _fail(
                 f"{what} has a degree-{i + j} monomial; raise --order "
                 f"(currently {order}) to keep the computation exact",
-                tok,
+                k,
             )
     # the triples are normalized and nonzero, as Jet2 keeps them
     return Jet2._raw(d, order)
@@ -417,21 +473,23 @@ def parse_form(text, order=DEFAULT_ORDER):
     for plain input, a :class:`MeromorphicPair` for ``mero:`` input.
     """
     toks = _tokenize(text)
-    first = toks[0]
-    if first[0] == _NAME and first[1] == "mero" and toks[1][1] == ":":
-        return _parse_mero(toks, order)
-    return _parse_oneform(toks, order)
+    try:
+        if toks[0] == _TOKENS["mero"] and toks[1][1] == ":":
+            return _parse_mero(toks, order)
+        return _parse_oneform(toks, order)
+    except _Refusal as refusal:
+        message, k = refusal.args
+        raise ParseError(message, *_position(text, k)) from None
 
 
 def _parse_mero(toks, order):
-    start = toks[2]
-    if start[0] == _EOF:
-        _fail("empty input after 'mero:'", start)
+    if toks[2][0] == _EOF:
+        _fail("empty input after 'mero:'", 2)
     num, den, k = _parse_expr(toks, 2, order, None)
     if toks[k][0] != _EOF:
-        _fail("unexpected trailing input in a mero: expression", toks[k])
+        _fail("unexpected trailing input in a mero: expression", k)
     if not num:
-        _fail("the meromorphic function is identically zero", start)
+        _fail("the meromorphic function is identically zero", 2)
     # canonical constant normalization: the denominator's lowest monomial is
     # made monic, so printing and reparsing is a fixpoint
     den = den or {_ONE_KEY: QONE}
@@ -440,30 +498,30 @@ def _parse_mero(toks, order):
         inv = qinv(den[kmin])
         num, den = _pscale(num, inv), _pscale(den, inv)
     return MeromorphicPair(
-        _poly_to_jet(num, order, start, "the numerator"),
-        _poly_to_jet(den, order, start, "the denominator"),
+        _poly_to_jet(num, order, 2, "the numerator"),
+        _poly_to_jet(den, order, 2, "the denominator"),
     )
 
 
 def _parse_oneform(toks, order):
     if toks[0][0] == _EOF:
-        _fail("empty input", toks[0])
+        _fail("empty input", 0)
     sums = {_DX: {}, _DY: {}}
     negate = False
     k = 0
     while True:
-        start = toks[k]
-        if start[0] in _SLOTS:
-            slot, num, k = start[0], {_ONE_KEY: QONE}, k + 1
+        kind = toks[k][0]
+        if kind in _SLOTS:
+            slot, num, k = kind, {_ONE_KEY: QONE}, k + 1
         else:
+            start = k
             num, den, k = _parse_expr(toks, k, order, start)
-            tok = toks[k]
-            if tok[1] == "*":
+            if toks[k][1] == "*":
                 k += 1
-                tok = toks[k]
-            if tok[0] not in _SLOTS:
-                _fail("expected 'dx' or 'dy' after the coefficient", tok)
-            slot, k = tok[0], k + 1
+            slot = toks[k][0]
+            if slot not in _SLOTS:
+                _fail("expected 'dx' or 'dy' after the coefficient", k)
+            k += 1
             if den is not None:
                 _fail(_NOT_POLYNOMIAL, start)
         _padd_into(sums[slot], num, negate)
@@ -471,11 +529,11 @@ def _parse_oneform(toks, order):
         if tok[0] == _EOF:
             break
         if tok[1] not in _SIGNS:
-            _fail("expected '+', '-', or end of input between terms", tok)
+            _fail("expected '+', '-', or end of input between terms", k)
         negate = tok[1] == "-"
         k += 1
-    a = _poly_to_jet(sums[_DX], order, toks[0], "the dx coefficient")
-    b = _poly_to_jet(sums[_DY], order, toks[0], "the dy coefficient")
+    a = _poly_to_jet(sums[_DX], order, 0, "the dx coefficient")
+    b = _poly_to_jet(sums[_DY], order, 0, "the dy coefficient")
     return OneForm(a, b, ("x", "y"))
 
 

@@ -9,7 +9,9 @@ residuals in the corner first integral, the Riccati form of the Schwarzian
 instead of the direct quotient formula, cofactor determinants, one product
 per monomial instead of grouped substitution, pulling the anchor back
 instead of the closed-form normal-form action, evaluating an expression's
-text at a point instead of expanding it, Gauss-Jordan over fractions instead
+text at a point instead of expanding it, tokens scanned one character at a
+time with their positions instead of words matched by one regular
+expression, Gauss-Jordan over fractions instead
 of fraction-free elimination, the split columns at full order instead of
 modulo a power of x).
 
@@ -27,6 +29,7 @@ slow.
 """
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -529,6 +532,61 @@ def eval_expr(text, x, y):
     if toks[pos] is not None:
         raise ValueError(f"trailing input in {text!r}")
     return val
+
+
+# --- tokens by a scan character by character ---------------------------------
+
+
+def tokenize_by_characters(text):
+    """The tokens of the form syntax, scanned one character at a time.
+
+    Returns ``(tokens, error)``: the tokens as ``(kind, value, line, col)``
+    with 1-based positions, ending with ``("eof", None, line, col)`` at the
+    end of the text, and ``None``; or the tokens before the first refused
+    character and ``(message, line, col)`` of its refusal.  Spaces, tabs,
+    CRs and LFs separate tokens; an ASCII numeral is an integer, refused
+    when a '.' follows it or when it has more digits than the interpreter
+    converts; a word starts with a letter or '_' and goes on over
+    ``str.isalnum()`` characters and '_'; any other character is refused.
+    """
+    toks = []
+    line, base = 1, 0  # base: index of the first character of the line
+    k, n = 0, len(text)
+    while k < n:
+        ch = text[k]
+        if ch in " \t\r":
+            k += 1
+        elif ch == "\n":
+            line += 1
+            k += 1
+            base = k
+        elif ch in "+-*/^():":
+            toks.append(("op", ch, line, k - base + 1))
+            k += 1
+        elif ch in "0123456789":
+            start = k
+            k += 1
+            while k < n and text[k] in "0123456789":
+                k += 1
+            if k < n and text[k] == ".":
+                message = "floating-point literals are not supported; write an exact rational p/q"
+                return toks, (message, line, k - base + 1)
+            limit = sys.get_int_max_str_digits()
+            if limit and k - start > limit:
+                message = f"the numeral has {k - start} digits; at most {limit} are allowed"
+                return toks, (message, line, start - base + 1)
+            toks.append(("int", int(text[start:k]), line, start - base + 1))
+        elif ch.isalpha() or ch == "_":
+            start = k
+            k += 1
+            while k < n and (text[k].isalnum() or text[k] == "_"):
+                k += 1
+            word = text[start:k]
+            toks.append((word if word in ("dx", "dy") else "name", word, line, start - base + 1))
+        else:
+            return toks, (f"unexpected character {ch!r}", line, k - base + 1)
+    toks.append(("eof", None, line, k - base + 1))
+    return toks, None
 
 
 # --- bridges to package values (public API only) ----------------------------

@@ -112,6 +112,25 @@ def test_deep_nesting_is_an_input_error():
     assert "error: line 1, column 201: parentheses nest deeper than 200" in out
 
 
+def test_a_numeral_past_the_digit_limit_is_refused_at_its_position():
+    """int() converts at most sys.get_int_max_str_digits() digits; a longer
+    numeral is an input error at its first digit, naming that limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out = run_cli("reduce", "1" * 5000 + " dx", "--order", "4")
+        assert code == 3
+        assert verdict_of(out) == "InputError"
+        assert "error: line 1, column 1: the numeral has 5000 digits; at most 4300 are allowed" in out
+        code, out = run_cli("reduce", "x dx +\n  " + "7" * 4301 + "*x dy", "--order", "4")
+        assert code == 3
+        assert "error: line 2, column 3: the numeral has 4301 digits; at most 4300 are allowed" in out
+        code, out = run_cli("reduce", "7" * 4300 + "*x dx", "--order", "4")
+        assert verdict_of(out) != "InputError"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def fuzz_text(rng):
     """A seeded input that nests deeply, raises to large exponents and
     carries large coefficients."""
@@ -148,6 +167,14 @@ def fuzz_text(rng):
     return f"({expr(0)}) dx + ({expr(0)}) dy"
 
 
+def fuzz_argvs():
+    """The 120 seeded fuzz questions, each an argv of ``main``."""
+    rng = random.Random(0xF022)
+    for _ in range(120):
+        order = str(rng.choice([4, 8, 12]))
+        yield [rng.choice(["reduce", "sigma"]), fuzz_text(rng), "--order", order]
+
+
 # Bounded work, not speed: a draw that multiplies coefficients of tens of
 # thousands of bits can take about 2 s on a shared 2-core host.
 FUZZ_SECONDS = 10
@@ -158,11 +185,8 @@ def test_fuzzed_inputs_exit_classified_within_a_time_bound():
     large exponents and carry large coefficients, numerals past the
     interpreter's digit limit included: each answers with an exit code from
     0 to 3 within a fixed time, and an input error says so."""
-    rng = random.Random(0xF022)
     codes = []
-    for _ in range(120):
-        order = str(rng.choice([4, 8, 12]))
-        argv = [rng.choice(["reduce", "sigma"]), fuzz_text(rng), "--order", order]
+    for argv in fuzz_argvs():
         start = time.perf_counter()
         code, out = run_cli(*argv)
         assert time.perf_counter() - start < FUZZ_SECONDS, argv

@@ -549,3 +549,27 @@ def test_normalize_pulls_back_on_numerators(monkeypatch):
     nonzero = len(final.a.triple_items()) + len(final.b.triple_items())
     read = sum(2 * n + 2 for n in range(2, 15)) + 1
     assert 0 < len(norms) <= nonzero + read
+
+
+def test_substitution_rows_are_added_without_a_product_call(monkeypatch):
+    """The substitution adds each row A_ij s FY^j into its accumulator, and
+    applies a one-term Horner accumulator to FX as a key shift, with no
+    ``_convolve`` call: on the pinned moved template at order 16 every
+    ``_convolve`` call of ``normalize`` has a first operand of two or more
+    terms."""
+    w = _as_oneform(MOVED, 16)
+    rep = reduce_cusp(w)
+    sizes = []
+    convolve = _backend._convolve
+
+    def counting_convolve(ta, tb, end, acc):
+        ta = list(ta)
+        sizes.append(len(ta))
+        return convolve(ta, tb, end, acc)
+
+    monkeypatch.setattr(_backend, "_convolve", counting_convolve)
+    data = normalize(w, reduction=rep)
+    monkeypatch.undo()
+
+    assert len(data.changes) == 13
+    assert sizes and min(sizes) >= 2

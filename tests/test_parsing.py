@@ -3,6 +3,7 @@
 import contextlib
 import io
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from cuspfol.cli import main
 from cuspfol.coeff import Coeff, format_coeff
 from cuspfol.jets import Jet2
 from cuspfol.forms import OneForm
+import oracles
 from oracles import (
     ONE, ZERO, eval_expr, gadd, gdiv, ginv, gsub, jet2_pairs, p2_eval, p2_mul, p2_scal,
 )
@@ -26,6 +28,7 @@ from cuspfol.parsing import (
     format_poly,
     parse_form,
 )
+from test_cli import fuzz_argvs
 
 RNG = random.Random(0x50A1)
 
@@ -141,20 +144,25 @@ def test_unary_and_precedence_edge_cases_are_pinned(text, want):
     assert (e.value.bare_message, e.value.line, e.value.col) == want
 
 
-def test_the_loop_is_entered_once_per_operand(monkeypatch):
-    """Precedence climbing makes one call per operand, an atom or a
-    parenthesized sum, on a 300-term sum of ``(c)*x^i*y^j`` terms."""
+def three_hundred_terms():
+    """A 1-form whose coefficients are 300-term sums of ``(c)*x^i*y^j``."""
     rng = random.Random(0x300)
     terms = []
     for _ in range(300):
         i, j = rng.randint(0, 8), rng.randint(0, 8)
         c = rng.choice([str(rng.randint(-9, 9)), f"{rng.randint(-9, 9)}+{rng.randint(1, 9)}*i"])
         terms.append(f"({c})*x^{i}*y^{j}")
-    text = f"({' + '.join(terms)}) dx + ({' - '.join(terms)}) dy"
+    return f"({' + '.join(terms)}) dx + ({' - '.join(terms)}) dy"
+
+
+def test_the_loop_is_entered_once_per_operand(monkeypatch):
+    """Precedence climbing makes one call per operand, an atom or a
+    parenthesized sum, on a 300-term sum of ``(c)*x^i*y^j`` terms."""
+    text = three_hundred_terms()
     toks = _tokenize(text)
     operands = sum(
-        tok[1] == "(" or tok[0] in ("int", "name") and prev[1] != "^"
-        for prev, tok in zip([toks[-1]] + toks, toks)
+        value == "(" or kind in ("int", "name") and prev != "^"
+        for (_, prev), (kind, value) in zip([toks[-1]] + toks, toks)
     )
     calls = 0
     loop = parsing._parse_expr
@@ -406,6 +414,67 @@ MALFORMED = [
     ('x^² dx', 8, "unexpected character '²'", 1, 3),
     ('x^٣ dx', 8, "unexpected character '٣'", 1, 3),
 ]
+
+
+# Inputs on which the tokenizer must agree with the scan character by
+# character: line ends and tabs, the characters that str.isalpha(),
+# str.isalnum() and str.isdecimal() tell apart, whitespace that is not a
+# separator, and floating-point literals.
+TOKENIZER_CASES = [
+    "x dx +\r\n  (y\t+ 2)\r\n\t- 3*x^2 dy",
+    "\tmero:\r\n(x^2 +\ty)\r\n/\t(x*y)\r\n",
+    "x dx\r\n+\t\ty dy\r\n+ 1.5 dy",
+    "x dx\n\t+ y\r\n\r\n+ % dy",
+    "x^²", "x^٣", "é", "_a1", "\f", "\v", "1.5", "3.", ".5",
+    "x² dx", "3² dx", "x٣y dx", "١٢ dx", "12x dx", "x12 dx", "Ⅳ dx", "½ dx",
+    "007 dx + 0*x dy", "mero:x", "", "  \n\r\t", "x dx 3.", "dxdy dx",
+]
+
+
+def assert_tokens_agree(text):
+    """``_tokenize`` gives the kinds and values of the scan character by
+    character, and ``_position`` its line and column for each token; or
+    both refuse the text with one message at one position."""
+    want, error = oracles.tokenize_by_characters(text)
+    if error is not None:
+        with pytest.raises(ParseError) as e:
+            _tokenize(text)
+        assert (e.value.bare_message, e.value.line, e.value.col) == error, text
+        return
+    toks = _tokenize(text)
+    assert toks == [(kind, value) for kind, value, _, _ in want], text
+    step = max(1, len(toks) // 16)
+    for k in sorted({*range(0, len(toks), step), len(toks) - 1}):
+        assert parsing._position(text, k) == want[k][2:], (text, k)
+
+
+@pytest.mark.parametrize("text", TOKENIZER_CASES)
+def test_tokens_agree_with_a_scan_character_by_character(text):
+    assert_tokens_agree(text)
+
+
+def test_tokens_agree_with_a_scan_character_by_character_on_the_fuzz():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        refused = 0
+        for argv in fuzz_argvs():
+            assert_tokens_agree(argv[1])
+            refused += oracles.tokenize_by_characters(argv[1])[1] is not None
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert refused > 0  # the 20,000-digit numerals
+
+
+def test_the_success_path_reads_no_positions(monkeypatch):
+    """Tokens carry no positions: one is computed only for an error."""
+
+    def refuse(*args):
+        raise AssertionError("a position was computed without an error")
+
+    monkeypatch.setattr(parsing, "_position", refuse)
+    assert isinstance(parse_form(three_hundred_terms(), order=16), OneForm)
+    assert isinstance(parse_form("mero:\t(y^2 + x^3 + x^2*y)\r\n/ (x*y + x^3)", order=16), MeromorphicPair)
 
 
 @pytest.mark.parametrize("text, order, message, line, col", MALFORMED)
