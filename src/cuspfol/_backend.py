@@ -28,7 +28,7 @@ one denominator per homogeneous part, and skips each coefficient whose
 inputs are zero.  Each of them normalizes an output coefficient once.
 
 Substitution (:func:`jet2_substitute`) and the pullback of a 1-form
-(:func:`jet2_pullback`) follow the same rule, with one denominator per
+(:class:`FormNumerators`) follow the same rule, with one denominator per
 substitution: the coefficients and the targets are scaled to their lcms,
 the sum of the substituted monomials is taken in Gaussian integers over the
 lcm of the denominators they pick up from the targets, and each nonzero
@@ -47,19 +47,15 @@ tangent to it, are applied as key shifts and scalar copies
 (:func:`_shift`) rather than multiplied.  A substituted monomial, a scalar
 times a power of the y target, is added in place with no call.
 
-There is one pullback, :func:`_pullback`, on numerators.
-:func:`jet2_pullback` scales its input to one denominator and normalizes
-its output; :class:`FormNumerators` keeps a 1-form as numerators over one
-denominator across many pullbacks, dividing out one ``gcd`` after each,
-for the normal form, which reads a few coefficients between its steps and
-forms triples only at the end.  :func:`is_first_integral` re-checks a first
+There is one pullback, :func:`_pullback`, on numerators, and one entry
+to it, :class:`FormNumerators`: it keeps a 1-form as numerators over one
+denominator across any number of pullbacks, dividing out one ``gcd`` after
+each, and forms triples only when asked.  A single pullback forms them
+once; the normal form reads a few coefficients between its steps and forms
+them only at the end.  :func:`is_first_integral` re-checks a first
 integral, H_u B - H_v A = 0, in one integer pass with no normalization.
 
-The elimination (:func:`rref`) works the same way, one denominator per
-row: rows are sparse Gaussian-integer numerators over that denominator,
-pivots are made real by their conjugates, each row update is
-fraction-free and one integer ``gcd`` keeps the row in lowest terms.
-Triples are formed only for the result.
+The elimination (:func:`rref`) is a plain Gauss-Jordan on rows of triples.
 """
 
 from itertools import chain
@@ -693,18 +689,6 @@ class FormNumerators:
         return tuple(_normalized(acc, self.den, self.n) for acc in self.accs)
 
 
-def jet2_pullback(a, b, fx, fy, n):
-    """The coefficients of  a dx + b dy  pulled back by (fx, fy), at order n.
-
-    The coefficients are scaled to one denominator (:class:`FormNumerators`),
-    pulled back in integers (:func:`_pullback`), and each nonzero output
-    coefficient is normalized once.
-    """
-    form = FormNumerators(a, b, n)
-    accs, scale = _pullback(form.accs, fx, fy, n)
-    return tuple(_normalized(acc, form.den * scale, n) for acc in accs)
-
-
 def is_first_integral(h, a, b, n):
     """Whether  H_u B - H_v A  vanishes up to degree n - 1.
 
@@ -744,25 +728,11 @@ def rref(rows, limit):
     ``limit`` columns; row operations apply to the full rows, so columns
     beyond ``limit`` may carry an augmented right-hand side.
 
-    The pivot of column ``c`` is the first row at or below the current one
-    that is nonzero there.  Every other row is cleared in that column, and
-    only pivot rows are scaled, to pivot 1; a row is never added into
-    another.  So the rows are fixed by the pivot choice, and the work can
-    be fraction-free:
-
-    - each row is held sparse as ``{col: (re, im)}``, Gaussian-integer
-      numerators over one positive denominator, the lcm of its entries';
-    - a new pivot row is multiplied by the conjugate of its pivot and
-      divided by the gcd of its parts, so its pivot is a positive integer
-      N, and its scale is dropped from then on;
-    - clearing column ``c`` from another row with entry F there is
-      ``N*row - F*pivot_row``, with the row's denominator multiplied by N;
-      one integer ``gcd`` over the parts and the denominator brings the row
-      back to lowest terms, and the parts are divided by it on the next
-      pass over the row.
-
-    Each row is converted back to normalized triples once, at the end: a
-    pivot row over its pivot, any other row over its denominator.
+    Plain Gauss-Jordan on dense rows of triples.  The pivot of column ``c``
+    is the first row at or below the current one that is nonzero there; it
+    is swapped up and divided by its pivot, and every other row that is
+    nonzero in column ``c`` has that multiple of it subtracted, over the
+    pivot row's nonzero entries only, with one ``qnorm`` per entry.
 
     Returns ``(pivots, origin)``: the pivot columns in row order, and for
     each output row the index of the input row it came from (the
@@ -773,81 +743,35 @@ def rref(rows, limit):
     independent.
     """
     nrows = len(rows)
-    work = []
-    dens = []
-    for row in rows:
-        terms, den = _scaled([(m, *t) for m, t in enumerate(row) if t[0] or t[1]])
-        work.append({m: (a, b) for m, a, b, _ in terms})
-        dens.append(den)
-    # row k's stored parts are cuts[k] times its parts in lowest terms
-    cuts = [1] * nrows
     origin = list(range(nrows))
     pivots = []
     r = 0
     for c in range(limit):
+        if r == nrows:
+            break
         p = r
-        while p < nrows and c not in work[p]:
+        while p < nrows and not (rows[p][c][0] or rows[p][c][1]):
             p += 1
         if p == nrows:
             continue
-        if p != r:
-            for lst in (rows, work, dens, cuts, origin):
-                lst[p], lst[r] = lst[r], lst[p]
-        prow = work[r]
-        pa, pb = prow[c]
-        if pb:
-            prow = {
-                m: (a * pa + b * pb, b * pa - a * pb) for m, (a, b) in prow.items()
-            }
-        g = gcd(*chain.from_iterable(prow.values()))
-        if prow[c][0] < 0:
-            g = -g
-        if g != 1:
-            prow = {m: (a // g, b // g) for m, (a, b) in prow.items()}
-        work[r] = prow
-        # a pivot row's scale is free: denominator 0 keeps it out of the gcds
-        dens[r] = 0
-        cuts[r] = 1
-        piv = prow[c][0]
+        rows[p], rows[r] = rows[r], rows[p]
+        origin[p], origin[r] = origin[r], origin[p]
+        inv = qinv(rows[r][c])
+        prow = rows[r] = [qmul(v, inv) for v in rows[r]]
+        support = [(m, v) for m, v in enumerate(prow) if v[0] or v[1]]
         for k in range(nrows):
-            other = work[k]
-            if k == r or c not in other:
+            f = rows[k][c]
+            if k == r or not (f[0] or f[1]):
                 continue
-            g = cuts[k]
-            fa, fb = other[c]
-            if g != 1:
-                fa //= g
-                fb //= g
-                other = {
-                    m: (a // g * piv, b // g * piv) for m, (a, b) in other.items()
-                }
-            elif piv != 1:
-                other = {m: (a * piv, b * piv) for m, (a, b) in other.items()}
-            for m, (a, b) in prow.items():
-                cur = other.get(m)
-                if cur is None:
-                    other[m] = (fb * b - fa * a, -(fa * b + fb * a))
-                else:
-                    re = cur[0] - (fa * a - fb * b)
-                    im = cur[1] - (fa * b + fb * a)
-                    if re or im:
-                        other[m] = (re, im)
-                    else:
-                        del other[m]
-            den = dens[k] * piv
-            g = gcd(den, *chain.from_iterable(other.values())) or 1
-            work[k] = other
-            dens[k] = den // g
-            cuts[k] = g
+            row = rows[k] = rows[k][:]
+            fa, fb, fd = f
+            for m, (pa, pb, pd) in support:
+                # row[m] - f * pivot_row[m], normalized once
+                a, b, d = row[m]
+                e = fd * pd
+                row[m] = qnorm(
+                    a * e - (fa * pa - fb * pb) * d, b * e - (fa * pb + fb * pa) * d, d * e
+                )
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
-    for k in range(nrows):
-        row = work[k]
-        den = row[pivots[k]][0] if k < len(pivots) else dens[k] * cuts[k]
-        out = [QZERO] * len(rows[k])
-        for m, (a, b) in row.items():
-            out[m] = qnorm(a, b, den)
-        rows[k] = out
     return pivots, origin

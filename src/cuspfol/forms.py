@@ -34,8 +34,9 @@ from __future__ import annotations
 
 from enum import Enum
 
+from ._backend import FormNumerators
 from .coeff import Coeff, ZERO
-from .jets import Jet1, Jet2, JetError, pullback_coefficients
+from .jets import Jet1, Jet2, JetError, _check_targets
 
 
 class OneForm:
@@ -119,13 +120,13 @@ class OneForm:
         return f"OneForm(({self.a!r}) d{x} + ({self.b!r}) d{y})"
 
 
-def form_of_meromorphic(num: Jet2, den: Jet2, variables=("x", "y")) -> OneForm:
+def form_of_meromorphic(num: Jet2, den: Jet2) -> OneForm:
     """The 1-form  den*d(num) - num*d(den)  defining the level sets of num/den."""
     if num.is_zero() or den.is_zero():
         raise ValueError("form_of_meromorphic needs nonzero numerator and denominator")
     a = den * num.dx() - num * den.dx()
     b = den * num.dy() - num * den.dy()
-    return OneForm(a, b, variables)
+    return OneForm(a, b)
 
 
 def valuation(w: OneForm):
@@ -157,27 +158,31 @@ def radial_tangency(w: OneForm, degree: int):
     return bd.exponent_map(lambda i, j: (i - 1, j), n - 1)
 
 
-def pullback_map(w: OneForm, fx: Jet2, fy: Jet2, order=None, variables=None) -> OneForm:
+def pullback_map(w: OneForm, fx: Jet2, fy: Jet2, order=None) -> OneForm:
     """Pull back w under the map (x, y) -> (fx, fy) fixing the origin.
 
     The default output order is  min(w.order, fx.order, fy.order) - 1  (one
     derivative is taken).  An explicit ``order`` may be at most that
     minimum: the coefficients are substituted at exactly ``order``, and at
     the minimum itself the derivatives of fx and fy are read as exact
-    polynomials.  A larger ``order`` raises :class:`JetError`.
+    polynomials.  A larger ``order``, or a target with a constant term,
+    raises :class:`JetError`.
 
     Both coefficients are substituted over one denominator, sharing the
     powers of fy, and multiplied by the Jacobian numerators in integers, so
     each nonzero output coefficient is normalized once (see
-    :func:`~cuspfol.jets.pullback_coefficients`).
+    :class:`~cuspfol._backend.FormNumerators`).
     """
     top = min(w.order, fx.order, fy.order)
     if order is None:
         order = top - 1
     elif order > top:
         raise JetError(f"pullback order {order} exceeds the data order {top}")
-    a, b = pullback_coefficients(w.a, w.b, fx, fy, order)
-    return OneForm(a, b, variables or w.variables)
+    _check_targets(fx, fy)
+    form = FormNumerators(dict(w.a.triple_items()), dict(w.b.triple_items()), order)
+    form.pullback(dict(fx.triple_items()), dict(fy.triple_items()))
+    a, b = form.triples()
+    return OneForm(Jet2._raw(a, order), Jet2._raw(b, order), w.variables)
 
 
 def linear_change(w: OneForm, m) -> OneForm:

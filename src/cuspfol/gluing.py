@@ -231,7 +231,7 @@ def _check_f2_regularity(phi: ModelAutomorphism):
 
 
 def cocycle_compose_check(
-    phi1: ModelAutomorphism, c: GluingCocycle, phi2: ModelAutomorphism, order=None
+    phi1: ModelAutomorphism, c: GluingCocycle, phi2: ModelAutomorphism
 ) -> GluingCocycle:
     """Exact composition phi1 o c o phi2, renormalized to cocycle shape.
 
@@ -243,7 +243,7 @@ def cocycle_compose_check(
     """
     if phi2.model is not Model.F2 or phi1.model is not Model.F1:
         raise ValueError("compose expects a second-model phi2 and first-model phi1")
-    n = min(c.order, phi1.A.order, phi2.A.order) if order is None else order
+    n = min(c.order, phi1.A.order, phi2.A.order)
     f2x, f2y = phi2.as_map(n)
     cx, cy = c.as_map(n)
     f1x, f1y = phi1.as_map(n)

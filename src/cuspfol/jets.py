@@ -22,7 +22,6 @@ from ._backend import (
     jet1_reciprocal,
     jet1_revert,
     jet2_mul,
-    jet2_pullback,
     jet2_substitute,
     qadd,
     qinv,
@@ -537,19 +536,6 @@ def _monokey(item):
 def _check_targets(fx: Jet2, fy: Jet2):
     if (0, 0) in fx._d or (0, 0) in fy._d:
         raise JetError("substitution target must vanish at the origin")
-
-
-def pullback_coefficients(a: Jet2, b: Jet2, fx: Jet2, fy: Jet2, order: int):
-    """The coefficients of  a dx + b dy  pulled back by (fx, fy), at ``order``.
-
-    The coefficients are substituted at ``order`` (at most the orders of a
-    and b and of the targets), and the targets' terms up to degree
-    ``order + 1`` give the Jacobian; see
-    :func:`~cuspfol._backend.jet2_pullback`.
-    """
-    _check_targets(fx, fy)
-    da, db = jet2_pullback(a._d, b._d, fx._d, fy._d, order)
-    return Jet2._raw(da, order), Jet2._raw(db, order)
 
 
 def _jet2_reciprocal(b: Jet2) -> Jet2:

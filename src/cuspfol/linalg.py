@@ -12,9 +12,9 @@ small square solve when the row is not zero itself).  The certificate is
 exact and re-checkable.
 
 Matrices enter as rows of Coeff-like entries or of normalized kernel
-triples and leave as rows of triples; the kernel eliminates them
-fraction-free, over one denominator per row (see
-:func:`cuspfol._backend.rref`), and returns every entry normalized again.
+triples.  They are copied to rows of triples, which the kernel eliminates
+in place by plain Gauss-Jordan (:func:`cuspfol._backend.rref`); solutions,
+certificates and determinants leave as Coeff.
 """
 
 from __future__ import annotations

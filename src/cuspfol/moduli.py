@@ -113,15 +113,13 @@ class Homography:
         return cls(c1, -jet.coeff(2) / c1)
 
 
-def schwarzian(s, order=None) -> Jet1:
+def schwarzian(s) -> Jet1:
     """Schwarzian derivative S(f) = f'''/f' - (3/2)(f''/f')^2 as a jet.
 
     Input of order N yields output of order N-3.  Vanishes identically on
     homographies, and obeys S(f o g) = (S(f) o g)*(g')^2 + S(g).
     """
     f = _as_germ_jet(s)
-    if order is not None:
-        f = f.truncate(order)
     if f.order < 3:
         raise JetError("schwarzian needs jet order >= 3")
     if f.coeff(1).is_zero():

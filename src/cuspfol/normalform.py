@@ -121,23 +121,15 @@ class NormalFormData:
         return comp_x, comp_y
 
 
-def reconstruct_normal_form(data: NormalFormData, order=None) -> OneForm:
+def reconstruct_normal_form(data: NormalFormData) -> OneForm:
     """The template 1-form carrying exactly the data's coefficients."""
-    n = data.order if order is None else order
     a = {(0, 3): Coeff(-1), (3, 1): -2 * data.alpha}
     b = {(1, 2): Coeff(1), (4, 0): data.alpha, (3, 1): data.a}
     for m, (am, bm, cm, dm) in data.tail.items():
-        if m > n:
-            continue
-        if not am.is_zero():
-            a[(m, 0)] = am
-        if not bm.is_zero():
-            a[(m - 1, 1)] = bm
-        if not cm.is_zero():
-            b[(m, 0)] = cm
-        if not dm.is_zero():
-            b[(m - 1, 1)] = dm
-    return OneForm(Jet2(a, n), Jet2(b, n))
+        a[(m, 0)], a[(m - 1, 1)] = am, bm
+        b[(m, 0)], b[(m - 1, 1)] = cm, dm
+    # Jet2 drops the zero coefficients and those above the order
+    return OneForm(Jet2(a, data.order), Jet2(b, data.order))
 
 
 def _y2_rows(m):

@@ -173,9 +173,7 @@ class ParamForm3:
         )
 
 
-def param_form_of_meromorphic(
-    num: ParamPoly2, den: ParamPoly2, variables=("x", "y", "z")
-) -> ParamForm3:
+def param_form_of_meromorphic(num: ParamPoly2, den: ParamPoly2) -> ParamForm3:
     """den*d(num) - num*d(den) with the parameter differentiated too."""
     if num.is_zero() or den.is_zero():
         raise ValueError("need nonzero numerator and denominator")
@@ -183,7 +181,6 @@ def param_form_of_meromorphic(
         den * num.dx() - num * den.dx(),
         den * num.dy() - num * den.dy(),
         den * num.dz() - num * den.dz(),
-        variables,
     )
 
 

@@ -11,9 +11,9 @@ per monomial instead of grouped substitution, pulling the anchor back
 instead of the closed-form normal-form action, evaluating an expression's
 text at a point instead of expanding it, tokens scanned one character at a
 time with their positions instead of words matched by one regular
-expression, Gauss-Jordan over fractions instead
-of fraction-free elimination, the split columns at full order instead of
-modulo a power of x).
+expression, the split columns at full order instead of modulo a power of
+x).  Only the elimination shares its algorithm with the library: both are
+Gauss-Jordan, here over ``Fraction`` pairs rather than normalized triples.
 
 Three sections are exceptions.  The stated elimination operator L on
 homogeneous pairs is kept as a reference recipe on the package's own ``Jet2``

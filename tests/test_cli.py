@@ -1003,6 +1003,52 @@ def test_order_40_and_48_reports_are_pinned(command, text, order, code, report):
     assert run_cli(*argv) == (code, want)
 
 
+# first-integral at order 24 and the largest degree that order allows, 11:
+# each of the eleven probes solves 13 Hankel rows in 11 unknowns, the
+# widest systems a question at that order eliminates.  The reports were taken from the
+# fraction-free elimination that plain Gauss-Jordan replaced.
+PROBES_TRUE = ", ".join(f"[{k}, true]" for k in range(1, 12))
+PROBES_FALSE = ", ".join(f"[{k}, false]" for k in range(1, 12))
+DEGREE_11_HEAD = (
+    '{"certificates": [], "command": "first-integral", "data": '
+    '{"degree_bound": 11, "note": "bounded search over monomial probes '
+    'z^k, k <= 11; absence of a relation within the bound is evidence, '
+    'not a proof", "probes": ['
+)
+ORDER_24_DEGREE_11_REPORTS = [
+    (
+        CUSP,
+        0,
+        DEGREE_11_HEAD + PROBES_TRUE + '], "r1": {"den": "1", "num": "z"}, '
+        '"r2": {"den": "1", "num": "z"}}, "order": 24, "verdict": "RelationFound"}',
+    ),
+    (
+        ROADMAP,
+        0,
+        DEGREE_11_HEAD + PROBES_TRUE + '], "r1": {"den": "1", "num": "z"}, '
+        '"r2": {"den": "1 - z", "num": "z"}}, "order": 24, '
+        '"verdict": "RelationFound"}',
+    ),
+    (
+        SINH,
+        1,
+        DEGREE_11_HEAD + PROBES_FALSE + '], "r1": null, "r2": null}, '
+        '"order": 24, "verdict": "NoRelationWithinBound"}',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "text, code, report",
+    ORDER_24_DEGREE_11_REPORTS,
+    ids=[FORM_IDS[text] for text, _, _ in ORDER_24_DEGREE_11_REPORTS],
+)
+def test_first_integral_at_the_largest_degree_is_pinned(text, code, report):
+    want = json.dumps(json.loads(report), sort_keys=True, indent=2) + "\n"
+    argv = ["first-integral", text, "--order", "24", "--degree", "11", "--json"]
+    assert run_cli(*argv) == (code, want)
+
+
 # A dense normal-form template, alpha = 2, a = 1-i, tail at degrees 5..7,
 # as A dx + B dy written in the placeholders X and Y.
 TEMPLATE_A = "-Y^3 - 4*X^3*Y + X^4*Y + 3*X^6 + i*X^5*Y + 1/2*X^7"

@@ -533,6 +533,15 @@ def test_pullback_map_rejects_an_order_above_the_data():
         pullback_map(w.truncate(6), fx, fx, order=7)
 
 
+def test_pullback_map_rejects_a_target_with_a_constant_term():
+    w = rand_poly_form(2, 10)
+    x, y = j2({(1, 0): 1}, 10), j2({(0, 1): 1}, 10)
+    moved = j2({(0, 0): 1, (1, 0): 1}, 10)
+    for fx, fy in ((moved, y), (x, moved)):
+        with pytest.raises(JetError, match="vanish at the origin"):
+            pullback_map(w, fx, fy)
+
+
 def test_exceptional_power_radial_criterion():
     # dicritical cones P*w_R of valuation v divide by exactly x^(v+1)
     for deg in (0, 1, 2):

@@ -5,12 +5,12 @@ denominator per operand and normalize each output coefficient once; these
 tests check them against ``oracles.s_mul``/``oracles.p2_mul`` on seeded
 inputs (empty and zero operands, truncation, large and mixed denominators,
 pure-imaginary entries), check that every output triple is normalized, and
-count the normalizations.  ``rref`` eliminates fraction-free over one
-denominator per row; it must return the same pivots, the same row origins
-and the same triples as a plain Gauss-Jordan over ``Fraction`` pairs
-(``oracles.rref_reference``) on rank-deficient matrices, augmented ones
-with ``limit`` below the width, non-real pivots, rows of mixed denominators
-and sizes up to 40 by 90.  Through an identity block carried past ``limit``
+count the normalizations.  ``rref`` is a Gauss-Jordan on normalized
+triples; it must return the same pivots, the same row origins and the same
+triples as the one over ``Fraction`` pairs (``oracles.rref_reference``) on
+rank-deficient matrices, augmented ones with ``limit`` below the width,
+non-real pivots, rows of mixed denominators, sizes up to 40 by 90 and the
+Hankel systems of the first-integral probes on sigma^k of the SINH form.  Through an identity block carried past ``limit``
 the tests also check what a certified solve reads off the origins: a
 non-pivot output row is its input row minus a combination of the pivot
 rows' input rows.  Last, products, substitutions and pullbacks are checked
@@ -25,13 +25,16 @@ from math import gcd
 import pytest
 
 from cuspfol import _backend
-from cuspfol._backend import QONE, QZERO, jet1_mul, jet2_mul, qadd, qmul, qnorm, rref
+from cuspfol._backend import QONE, QZERO, jet1_mul, jet2_mul, qadd, qmul, qneg, qnorm, rref
 from cuspfol.coeff import Coeff
-from cuspfol.forms import OneForm, pullback_map
+from cuspfol.forms import OneForm, pullback_map, reduce_cusp
 from cuspfol.jets import Jet2
+from cuspfol.parsing import parse_form
+from cuspfol.transversal import CornerGerm, transversal_structure
 
 import oracles
 
+SINH = "(-y^3 + 2*x^3*y + x^4*y) dx + (x*y^2 - x^4) dy"  # sigma = sinh
 BIG = 2**64 + 13  # a denominator above 2**64 (odd, so it survives gcds with 2)
 DENOMS = {
     "one": [1],
@@ -316,6 +319,22 @@ class TestRref:
         assert len(pivots) == 16
         assert_non_pivot_rows_keep_their_origin(work, 50, pivots, origin)
 
+    @pytest.mark.parametrize("degree", [3, 11])
+    def test_hankel_probes_of_the_sinh_sigma(self, degree):
+        # the systems first-integral solves on the SINH form at order 24:
+        # for g = sigma^k, row m = degree + 1 .. 24 holds g_(m-1) .. g_(m-degree)
+        # and carries -g_m, as in firstintegral.hankel_rationality
+        n = 24
+        corner = CornerGerm.from_reduction(reduce_cusp(parse_form(SINH, n)))
+        sigma = transversal_structure(corner, n).jet
+        for k in range(1, 5):
+            g = [c.triple for c in (sigma**k).coeffs]
+            a = [[g[m - j] for j in range(1, degree + 1)] for m in range(degree + 1, n + 1)]
+            rhs = [qneg(g[m]) for m in range(degree + 1, n + 1)]
+            work = augmented(a, rhs)
+            pivots, origin = assert_rref_matches_reference(work, degree)
+            assert_non_pivot_rows_keep_their_origin(work, degree + 1, pivots, origin)
+
 
 # --- the integer monomial keys at their boundary -----------------------------
 
@@ -384,6 +403,9 @@ def test_products_substitutions_and_pullbacks_at_the_key_boundary(n, density, lo
         back = pullback_map(w, fx, fy, order=n)
         want = oracles.p2_pullback(pairs(f), pairs(g), pairs(fx), pairs(fy), n)
         assert (pairs(back.a), pairs(back.b)) == want
-        # the kernel itself stores no key beyond degree n
-        raw = _backend.jet2_pullback(*(dict(h.triple_items()) for h in (f, g, fx, fy)), n)
-        assert tuple({key: pair(t) for key, t in part.items()} for part in raw) == want
+        # the kernel itself stores no key beyond degree n: x^n y^0 ... x^0 y^n
+        # are the keys n(n + 1) ... n(n + 2)
+        raw = _backend.FormNumerators(dict(f.triple_items()), dict(g.triple_items()), n)
+        raw.pullback(dict(fx.triple_items()), dict(fy.triple_items()))
+        assert max(max(acc, default=0) for acc in raw.accs) <= n * (n + 2)
+        assert tuple({key: pair(t) for key, t in part.items()} for part in raw.triples()) == want
