@@ -44,8 +44,14 @@ of the Horner steps and of the pullback are multiplied as they are, with no
 copy into a term list; the x term of the x target, the y term of the y
 target and the constant of each Jacobian entry, the identity of a change
 tangent to it, are applied as key shifts and scalar copies
-(:func:`_shift`) rather than multiplied.  A substituted monomial, a scalar
-times a power of the y target, is added in place with no call.
+(:func:`_shift`) rather than multiplied.  A change tangent to the identity,
+x + p and y + q with p and q of lowest degree v, keeps at most
+t = (n - e) // (v - 1) factors p or q on a monomial of degree e: a monomial
+with t = 0 is copied, one with t at most ``_TAYLOR_BANDS`` is expanded by
+the binomial theorem over products p^k q^l formed once per substitution,
+and only the others, and every monomial of any other change, go through
+Horner's rule in the x target.  A Horner row, a scalar times a power of the
+y target, is added in place with no call.
 
 There is one pullback, :func:`_pullback`, on numerators, and one entry
 to it, :class:`FormNumerators`: it keeps a 1-form as numerators over one
@@ -59,7 +65,7 @@ The elimination (:func:`rref`) is a plain Gauss-Jordan on rows of triples.
 """
 
 from itertools import chain
-from math import gcd
+from math import comb, gcd
 
 BACKEND = "python"
 
@@ -449,21 +455,100 @@ def jet2_mul(da, db, n):
     return _normalized(_convolve(pairs, tb, (n + 1) ** 2, {}), dena * denb, n)
 
 
-def _fixed_degree(dx, dy, n):
-    """Lowest degree of the monomials that (dx, dy) fixes modulo degree n + 1.
+# The monomials that a near-identity change moves at most _TAYLOR_BANDS
+# times within the order are expanded by the binomial theorem, the others
+# by Horner's rule (see _route).  On the 147 normal forms of the first
+# dense-nf questions at seeds 43, 1 and 2035 (best of 6 interleaved rounds
+# each, Python 3.11 on a shared 2-core x86-64 host), normalize took
+# 0.74-0.91, 0.69-0.82, 0.73-0.88 and 0.75-0.86 of its time with no band
+# (copies and Horner's rule only) at 1, 2, 3 and 4 bands; 2 was the
+# fastest at each seed.
+_TAYLOR_BANDS = 2
 
-    For a change tangent to the identity, x + p and y + q with p and q of
-    lowest degree v >= 2, every monomial of degree d >= n - v + 2 maps to
-    itself plus terms of degree d + v - 1 > n.  Any other change fixes no
-    monomial, which is reported as n + 1.
+
+def _route(accs, dx, dy, n):
+    """Sort the monomials of the numerator maps ``accs`` (see
+    :func:`_substitute`) by how the change (dx, dy) moves them at order n.
+
+    Let the change be tangent to the identity, x + p and y + q with p and q
+    of lowest degree v >= 2 up to degree n.  The term
+    C(i, k) C(j, l) x^(i-k) y^(j-l) p^k q^l of (x + p)^i (y + q)^j has
+    degree at least e + (k + l)(v - 1), for e = i + j, so within order n
+    the monomial x^i y^j keeps the terms with k + l <= t(e) =
+    floor((n - e) / (v - 1)) only.  A monomial with t(e) = 0 maps to
+    itself.  One with 1 <= t(e) <= ``_TAYLOR_BANDS`` is itself plus those
+    terms; each term with k + l >= 1 whose p^k q^l is not zero is listed
+    under (k, l) as the key of x^(i-k) y^(j-l) and the numerator
+    C(i, k) C(j, l) A_ij.  Every other monomial, and every monomial of any
+    other change, is left to Horner's rule.
+
+    Returns ``(outs, bands, groups)``, one entry per map: an accumulator
+    holding A_ij at x^i y^j for each monomial with t(e) <= ``_TAYLOR_BANDS``;
+    a dict (k, l) -> [(key, (a, b))] of those binomial terms; and the
+    Horner groups, i -> [(j, a, b)].
     """
-    if dx.get((1, 0)) != QONE or dy.get((0, 1)) != QONE or (0, 1) in dx or (1, 0) in dy:
-        return n + 1
-    v = min(
-        (i + j for part in (dx, dy) for (i, j) in part if 2 <= i + j <= n),
-        default=n + 2,
-    )
-    return n - v + 2
+    m = n + 1
+    outs = [{} for _ in accs]
+    bands = [{} for _ in accs]
+    groups = [{} for _ in accs]
+    if dx.get((1, 0)) == QONE and dy.get((0, 1)) == QONE and (0, 1) not in dx and (1, 0) not in dy:
+        lows = [[i + j for i, j in part if 2 <= i + j <= n] for part in (dx, dy)]
+        # an identity up to degree n moves no monomial
+        step = min(chain(*lows), default=n + 2) - 1
+        # t(e) > _TAYLOR_BANDS below the key horner_end, t(e) = 0 from the
+        # key copy_start on
+        horner_end = (n - (_TAYLOR_BANDS + 1) * step + 1) * m
+        copy_start = (n - step + 1) * m
+        # the terms (k, l) of the bands, their key offsets, and the
+        # binomial coefficients C(i, k) and C(j, l) by i and j
+        terms = [
+            (k, l, (k + l) * m + l)
+            for k in range(_TAYLOR_BANDS + 1 if lows[0] else 1)
+            for l in range(_TAYLOR_BANDS + 1 - k if lows[1] else 1)
+            if k or l
+        ]
+        binom = [[comb(i, k) for i in range(m)] for k in range(_TAYLOR_BANDS + 1)]
+    else:
+        horner_end = copy_start = m * m
+    for acc, out, band, g in zip(accs, outs, bands, groups):
+        zone = []  # the monomials of the bands as (key, i, j, t(e), a, b)
+        for key, (a, b) in acc.items():
+            if not (a or b):
+                continue
+            if key < horner_end:
+                e, j = divmod(key, m)
+                g.setdefault(e - j, []).append((j, a, b))
+                continue
+            out[key] = [a, b]
+            if key < copy_start:
+                e, j = divmod(key, m)
+                zone.append((key, e - j, j, (n - e) // step, a, b))
+        if not zone:
+            continue
+        for k, l, off in terms:
+            ck, cl = binom[k], binom[l]
+            rows = []
+            for key, i, j, t, a, b in zone:
+                if t >= k + l and i >= k and j >= l:
+                    c = ck[i] * cl[j]
+                    rows.append((key - off, (a * c, b * c)))
+            if rows:
+                band[(k, l)] = rows
+    return outs, bands, groups
+
+
+def _times(ta, tb, end, acc):
+    """Add the product of ``ta``, pairs ``(k, (a, b))``, and ``tb``, terms
+    ``(k, a, b, _)``, into ``acc``: as a key shift and a scalar copy
+    (:func:`_shift`) when either operand is one term, else by
+    :func:`_convolve`.  Bound as in :func:`_convolve`."""
+    if len(tb) == 1:
+        ((k, a, b, _),) = tb
+        return _shift(ta, k, a, b, end, acc)
+    if len(ta) == 1:
+        ((k, (a, b)),) = ta
+        return _shift([(k2, (a2, b2)) for k2, a2, b2, _ in tb], k, a, b, end, acc)
+    return _convolve(ta, tb, end, acc)
 
 
 def _substitute(accs, dx, dy, n):
@@ -476,41 +561,48 @@ def _substitute(accs, dx, dy, n):
     ``(outs, lcm)``: per map an accumulator of the numerators of its
     substitution, all over ``lcm`` times the maps' denominator.
 
-    The targets are scaled to their lcms, fx = FX/ex and fy = FY/ey, so a
-    substituted monomial is A_ij FX^i FY^j / (ex^i ey^j).  The sum is taken
-    over L = ``lcm``, the lcm of ex^i ey^j over the substituted monomials,
-    not the product ex^I ey^J of the largest powers: dense targets have
-    ex = ey, and then L is ex to the largest i + j, about half the size of
-    that product for a dense jet.  With
+    Each monomial takes one of three routes (see :func:`_route`), by how
+    often a change tangent to the identity, x + p and y + q with p and q of
+    lowest degree v, can move it within order n: t(e) = floor((n - e) /
+    (v - 1)) times for a monomial of degree e.  One with t(e) = 0 is
+    copied.  One with 1 <= t(e) <= ``_TAYLOR_BANDS`` is expanded by the
+    binomial theorem, A_ij (x + p)^i (y + q)^j = A_ij x^i y^j plus the terms
+    C(i, k) C(j, l) A_ij x^(i-k) y^(j-l) p^k q^l with 1 <= k + l <= t(e).
+    Every other monomial, and every monomial of any other change, is
+    substituted by Horner's rule.
 
-        G_i = sum_j A_ij (L / ex^i ey^j) FY^j,
+    The targets are scaled to their lcms, fx = FX/ex and fy = FY/ey, so
+    p^k q^l is P^k Q^l / (ex^k ey^l), with P = FX - ex x and Q = FY - ey y,
+    and a substituted monomial is A_ij FX^i FY^j / (ex^i ey^j).  The sum is
+    taken over L = ``lcm``, the lcm of ex^k ey^l over the products P^k Q^l
+    that a binomial term uses and of ex^i ey^j over the monomials Horner's
+    rule substitutes, not the product ex^I ey^J of the largest powers: dense
+    targets have ex = ey, and then L is ex to the largest i + j, about half
+    the size of that product for a dense jet.
 
-    the numerator sum_i FX^i G_i is evaluated by Horner's rule in FX, one
-    product by FX per power of x, so no power of FX is formed; each Horner
-    accumulator is multiplied as it is.  The powers FY^j are built once and
-    shared by the maps.  Each row A_ij (L / ex^i ey^j) FY^j of G_i is added
-    into the Horner accumulator term by term, in place, with no call: a
-    scalar times a term list needs neither :func:`_convolve`'s outer loop
-    nor its scan for the least key.  The x term of FX, and the y term of
-    FY in its powers, is applied as a key shift and a scalar copy
-    (:func:`_shift`), and only the other terms are convolved; a Horner
-    accumulator of one term multiplies FX as a key shift and a scalar copy
-    too.  Monomials that the change fixes (see :func:`_fixed_degree`) are
-    copied.
+    The products P^k Q^l, k + l <= ``_TAYLOR_BANDS``, are formed once per
+    substitution and shared by the maps, each scaled by L / (ex^k ey^l);
+    the binomial terms of one (k, l) are multiplied by it in one product
+    call, through :func:`_times`, so an operand of one term is a key shift
+    and a scalar copy.  With
+
+        G_i = sum_j A_ij (L / ex^i ey^j) FY^j
+
+    over the monomials left to it, the numerator sum_i FX^i G_i is
+    evaluated by Horner's rule in FX, one product by FX per power of x, so
+    no power of FX is formed; each Horner accumulator is multiplied as it
+    is.  The powers FY^j are built once and shared by the maps.  Each row
+    A_ij (L / ex^i ey^j) FY^j of G_i is added into the Horner accumulator
+    term by term, in place, with no call: a scalar times a term list needs
+    neither :func:`_convolve`'s outer loop nor its scan for the least key.
+    The x term of FX, and the y term of FY in its powers, is applied as a
+    key shift and a scalar copy (:func:`_shift`), and only the other terms
+    are convolved; a Horner accumulator of one term multiplies FX as a key
+    shift and a scalar copy too.
     """
     m = n + 1
-    fixed = _fixed_degree(dx, dy, n)
-    outs = [{} for _ in accs]
-    groups = [{} for _ in accs]  # per map, i -> [(j, A_ij)] to substitute
-    for acc, out, g in zip(accs, outs, groups):
-        for k, (a, b) in acc.items():
-            if a or b:
-                e, j = divmod(k, m)
-                if e >= fixed:
-                    out[k] = [a, b]
-                else:
-                    g.setdefault(e - j, []).append((j, a, b))
-    if not any(groups):
+    outs, bands, groups = _route(accs, dx, dy, n)
+    if not any(groups) and not any(bands):
         return outs, 1
     tx, ex = _scaled(_terms(dx, n))
     ty, ey = _scaled(_terms(dy, n))
@@ -518,15 +610,17 @@ def _substitute(accs, dx, dy, n):
     for g in groups:
         for i, row in g.items():
             top[i] = max(top.get(i, 0), max(j for j, _, _ in row))
-    top_j = max(top.values())
+    used = set().union(*bands)  # the (k, l) with a binomial term
+    top_x = max(chain(top, (k for k, _ in used)), default=0)
+    top_y = max(chain(top.values(), (l for _, l in used)), default=0)
     exp_x = [1]
-    for _ in range(max(top)):
+    for _ in range(top_x):
         exp_x.append(exp_x[-1] * ex)
     exp_y = [1]
-    for _ in range(top_j):
+    for _ in range(top_y):
         exp_y.append(exp_y[-1] * ey)
     lcm = 1
-    for i, j in top.items():
+    for i, j in chain(top.items(), used):
         q = exp_x[i] * exp_y[j]
         lcm = lcm // gcd(lcm, q) * q
     if lcm != 1:
@@ -534,7 +628,34 @@ def _substitute(accs, dx, dy, n):
             for cur in out.values():
                 cur[0] *= lcm
                 cur[1] *= lcm
+    xa, xb, tx_rest = _split(tx, m)
     ya, yb, ty_rest = _split(ty, m + 1)
+    if used:
+        # p^k q^l over ex^k ey^l, formed once: the powers of p and of q,
+        # then their products
+        end = m * m
+        pp, qp = [None, tx_rest], [None, ty_rest]
+        for powers, count in ((pp, max(k for k, _ in used)), (qp, max(l for _, l in used))):
+            while len(powers) <= count:
+                last = [(key, (a, b)) for key, a, b, _ in powers[-1]]
+                acc = _times(last, powers[1], end, {})
+                powers.append([(key, re, im, 1) for key, (re, im) in acc.items() if re or im])
+        products = {}
+        for k, l in used:
+            if k and l:
+                acc = _times([(key, (a, b)) for key, a, b, _ in pp[k]], qp[l], end, {})
+                tb = [(key, re, im, 1) for key, (re, im) in acc.items() if re or im]
+            else:
+                tb = qp[l] if l else pp[k]
+            s = lcm // (exp_x[k] * exp_y[l])
+            products[(k, l)] = [(key, a * s, b * s, 1) for key, a, b, _ in tb]
+        for out, band in zip(outs, bands):
+            for kl, rows in band.items():
+                if products[kl]:
+                    _times(rows, products[kl], end, out)
+    if not any(groups):
+        return outs, lcm
+    top_j = max(top.values())
     py = [[(0, 1, 0, 1)], ty]
     power = {k: (a, b) for k, a, b, _ in ty}
     for _ in range(top_j - 1):
@@ -542,9 +663,9 @@ def _substitute(accs, dx, dy, n):
         # each power kept as a term list for the products below
         last = power.items()
         power = _shift(last, m + 1, ya, yb, m * m, {}) if ya or yb else {}
-        _convolve(last, ty_rest, m * m, power)
+        if ty_rest:
+            _convolve(last, ty_rest, m * m, power)
         py.append([(k, re, im, 1) for k, (re, im) in power.items() if re or im])
-    xa, xb, tx_rest = _split(tx, m)
     # FX as accumulator items, its x term first as in the Horner step below
     fx_pairs = [(k, (a, b)) for k, a, b, _ in tx_rest]
     if xa or xb:

@@ -397,8 +397,8 @@ def build_parser():
     add("normal-form", "compute the formal normal form data")
     add("sigma", "compute the transversal-structure germ at the corner")
     add("schwarzian", "Schwarzian derivative of the transversal structure")
-    add("equiv", "decide equivalence of two forms by the Schwarzians of their sigma "
-        "up to the C* action", two_forms=True)
+    add("equiv", "decide equivalence of two forms: whether the Schwarzians of their "
+        "sigma lie on one orbit of z -> lam*z/(1 + mu*z)", two_forms=True)
     add("symmetries", "homographic symmetries of the Schwarzian invariant")
     fi = add("first-integral", "bounded search for a rational first-integral relation")
     fi.add_argument(

@@ -120,10 +120,37 @@ class OneForm:
         return f"OneForm(({self.a!r}) d{x} + ({self.b!r}) d{y})"
 
 
+# The size budget of input coefficients, in bits: a product of coefficients
+# of magnitudes m1 and m2 (see ``magnitude``) is refused before it is formed
+# when m1*m2 has more bits, at each '*' of the parser and at the cross
+# products of ``form_of_meromorphic``.
+MAX_COEFF_BITS = 1 << 16
+
+
+def magnitude(triples):
+    """The largest |a| + |b| + d over kernel triples (a, b, d), each standing
+    for (a + b*i)/d; 0 for none.  The real and imaginary parts and the
+    denominator of a product of coefficients of magnitudes m1 and m2 are all
+    below m1*m2."""
+    return max((abs(a) + abs(b) + d for a, b, d in triples), default=0)
+
+
 def form_of_meromorphic(num: Jet2, den: Jet2) -> OneForm:
-    """The 1-form  den*d(num) - num*d(den)  defining the level sets of num/den."""
+    """The 1-form  den*d(num) - num*d(den)  defining the level sets of num/den.
+
+    Raises ``ValueError`` when the magnitudes of the two jets' coefficients
+    multiply past ``MAX_COEFF_BITS`` bits.
+    """
     if num.is_zero() or den.is_zero():
         raise ValueError("form_of_meromorphic needs nonzero numerator and denominator")
+    size = magnitude(t for _, t in num.triple_items()) * magnitude(
+        t for _, t in den.triple_items()
+    )
+    if size >> MAX_COEFF_BITS:
+        raise ValueError(
+            f"the cross products of the numerator and the denominator may need "
+            f"{size.bit_length()} bits; at most {MAX_COEFF_BITS} are allowed"
+        )
     a = den * num.dx() - num * den.dx()
     b = den * num.dy() - num * den.dy()
     return OneForm(a, b)

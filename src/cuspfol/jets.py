@@ -484,8 +484,10 @@ class Jet2(_Jet):
         so each power of x costs one product by fx and each power of y one
         product by fy.  When the change is tangent to the identity,
         fx = x + p and fy = y + q with p and q of lowest degree v >= 2, a
-        monomial of degree d >= order - v + 2 maps to itself modulo degree
-        order + 1 and is copied instead of substituted.
+        monomial of degree d keeps only the terms of its binomial expansion
+        with at most t = (order - d) // (v - 1) factors p or q: it is copied
+        when t = 0 and expanded by the binomial theorem when t is small
+        (see :func:`~cuspfol._backend._substitute`).
         """
         _check_targets(fx, fy)
         n = min(self._n, fx._n, fy._n)

@@ -36,10 +36,14 @@ long sum costs time linear in its length; a sum with a denominator
 cross-multiplies from the left, which fixes the ``mero:`` pair.
 A product, quotient or power with an operand of two or more terms is
 refused at its operator, before it is expanded, when its degree would
-exceed ``--order``.  In a 1-form term, an operand with a denominator is not
-checked there: the term is refused at its end as not polynomial, or at the
-``^`` of a power past ``--order`` whose numerator is not constant, which can
-only end non-polynomial.
+exceed ``--order``.  Coefficients have a size budget of
+``MAX_COEFF_BITS`` bits: a product is refused at its ``*``, before it is
+formed, when the largest coefficient magnitudes (``forms.magnitude``) of
+its factors multiply past it, and a power at its ``^`` when its
+coefficients may pass it.  In a 1-form term, an operand with a denominator
+is not checked there: the term is refused at its end as not polynomial, or
+at the ``^`` of a power past ``--order`` whose numerator is not constant,
+which can only end non-polynomial.
 
 Parentheses nest at most ``_MAX_NESTING`` deep, so that parsing, one call per
 operand, stays well inside the interpreter's recursion limit; the first
@@ -65,7 +69,7 @@ from itertools import islice
 from ._backend import QONE, qadd, qinv, qmul, qneg
 from .coeff import Coeff
 from .jets import DEFAULT_ORDER, Jet2, format_poly
-from .forms import OneForm
+from .forms import MAX_COEFF_BITS, OneForm, magnitude
 
 __all__ = [
     "ParseError",
@@ -202,7 +206,6 @@ _SIGNS = frozenset("+-")
 # and its parenthesis), so 200 levels take at most 400 frames, well below the
 # interpreter's default recursion limit of 1000.
 _MAX_NESTING = 200
-_MAX_COEFF_BITS = 1 << 16  # of a one-term power, checked at its '^'
 _RESULT = {"*": "product", "/": "quotient", "^": "power", "+": "sum", "-": "difference"}
 _NOT_POLYNOMIAL = (
     "a 1-form coefficient must be polynomial (non-constant denominator; use "
@@ -269,9 +272,14 @@ def _ppow(p, e, k):
         # parts are at most (|a| + |b|)^e and d^e; a unit has bits == e
         ((i, j), c), = p.items()
         bits = e * max(abs(c[0]) + abs(c[1]), c[2]).bit_length()
-        if bits > max(e, _MAX_COEFF_BITS):
-            _fail(f"the power's coefficient may need {bits} bits; at most "
-                  f"{_MAX_COEFF_BITS} are allowed", k)
+    else:
+        # a power is e - 1 products: each coefficient is below m^e times a
+        # multinomial coefficient, m the base's magnitude
+        bits = e * magnitude(p.values()).bit_length()
+    if bits > max(e, MAX_COEFF_BITS):
+        _fail(f"the power's coefficient may need {bits} bits; at most "
+              f"{MAX_COEFF_BITS} are allowed", k)
+    if len(p) == 1:
         return {(i * e, j * e): c if c == QONE else (Coeff.from_triple(c) ** e).triple}
     out, base = {_ONE_KEY: QONE}, p
     while e:
@@ -281,6 +289,19 @@ def _ppow(p, e, k):
         if e:
             base = _pmul(base, base)
     return out
+
+
+def _magnitude(num, den):
+    """The magnitude (``forms.magnitude``) of a (num, den) value."""
+    m = magnitude(num.values())
+    return m if den is None else max(m, magnitude(den.values()))
+
+
+def _too_large(size):
+    return (
+        f"the product's coefficients may need {size.bit_length()} bits; at most "
+        f"{MAX_COEFF_BITS} are allowed"
+    )
 
 
 def _dmul(d1, d2):
@@ -432,10 +453,23 @@ def _parse_expr(toks, k, order, term, floor=1, depth=0):
                 # a product of one-term polynomials is one term
                 ((i1, j1), c1), = num.items()
                 ((i2, j2), c2), = rnum.items()
-                c = c2 if c1 == QONE else c1 if c2 == QONE else qmul(c1, c2)
+                if c1 == QONE:
+                    c = c2
+                elif c2 == QONE:
+                    c = c1
+                else:
+                    a1, b1, d1 = c1
+                    a2, b2, d2 = c2
+                    size = (abs(a1) + abs(b1) + d1) * (abs(a2) + abs(b2) + d2)
+                    if size >> MAX_COEFF_BITS:
+                        _fail(_too_large(size), at)
+                    c = qmul(c1, c2)
                 num = {(i1 + i2, j1 + j2): c}
             else:
                 _check_degree(op, at, order, term, (num, den), (rnum, rden))
+                size = _magnitude(num, den) * _magnitude(rnum, rden)
+                if size >> MAX_COEFF_BITS:
+                    _fail(_too_large(size), at)
                 num, den = _pmul(num, rnum), _dmul(den, rden)
         else:
             if not rnum:

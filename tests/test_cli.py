@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -175,6 +176,27 @@ def fuzz_argvs():
         yield [rng.choice(["reduce", "sigma"]), fuzz_text(rng), "--order", order]
 
 
+def big_product_argvs():
+    """Products of 4,000-digit numerals, each factor within the coefficient
+    bit budget: the shape of a fuzz draw that took 2.2 s in ``reduce``
+    (``mero:(y)/(((4777...7)^3*4*3/333...3 + ...)*(...))^2``), and products
+    of more such factors, which took up to 28 s before the budget was
+    checked at each product."""
+    n, p, q = "4" + "7" * 3999, "5" + "7" * 3999, "3" * 600
+    f, g = f"({n}*x+{p}*y+1)", f"({p}*x+{n}*y+1)"
+    texts = [
+        f"mero:(y)/((({n})^3*4*3/{q} + x*({p})^2)*(({p})^3*y + {n}*x))^2",
+        f"mero:(y)/((({n})^3*4*3/{q} + x)*({p}*y + {n}*x))^2",
+        "mero:(y^2+x^3+" + "*".join([f] * 8) + ")/(x*y+" + "*".join([g] * 8) + ")",
+        f"mero:(({n})^3*y^2+x^3)/(({p})^3*x*y+x^3)",
+        f"(({n}^3*3/7 + {p}^3*x/11 + y*{n}/13)^12) dx + x dy",
+        "*".join([n] * 40) + "*x dx + y dy",
+    ]
+    for text in texts:
+        for command in ("reduce", "sigma"):
+            yield [command, text, "--order", "12"]
+
+
 # Bounded work, not speed: a draw that multiplies coefficients of tens of
 # thousands of bits can take about 2 s on a shared 2-core host.
 FUZZ_SECONDS = 10
@@ -183,10 +205,12 @@ FUZZ_SECONDS = 10
 def test_fuzzed_inputs_exit_classified_within_a_time_bound():
     """Seeded inputs that nest deeply (past the 200 limit too), raise to
     large exponents and carry large coefficients, numerals past the
-    interpreter's digit limit included: each answers with an exit code from
-    0 to 3 within a fixed time, and an input error says so."""
+    interpreter's digit limit and products of large numerals included: each
+    answers with an exit code from 0 to 3 within a fixed time, and an input
+    error says so."""
     codes = []
-    for argv in fuzz_argvs():
+    big = list(big_product_argvs())
+    for argv in chain(fuzz_argvs(), big):
         start = time.perf_counter()
         code, out = run_cli(*argv)
         assert time.perf_counter() - start < FUZZ_SECONDS, argv
@@ -195,6 +219,16 @@ def test_fuzzed_inputs_exit_classified_within_a_time_bound():
             assert verdict_of(out) == "InputError"
         codes.append(code)
     assert 3 in codes and (1 in codes or 2 in codes)
+    assert codes[-len(big):] == [3] * len(big)
+
+
+def test_equiv_help_names_the_orbits_it_decides():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+        main(["--help"])
+    text = " ".join(out.getvalue().split())
+    assert "lam*z/(1 + mu*z)" in text
+    assert "C* action" not in text
 
 
 def test_negative_order_is_refused_before_parsing():

@@ -95,6 +95,16 @@ def test_form_of_meromorphic_exact_and_product():
     assert w2.a == Jet2.var_y(7) and w2.b == Jet2.var_x(7)
 
 
+def test_form_of_meromorphic_refuses_cross_products_past_the_bit_budget():
+    # magnitudes 2^40000 and 2^25537 + 1 multiply past 2^65536; one bit less
+    # in the second passes
+    num = j2({(0, 2): 2**40000 - 1, (3, 0): 1}, 8)
+    with pytest.raises(ValueError, match="may need 65538 bits; at most 65536 are allowed"):
+        form_of_meromorphic(num, j2({(1, 1): 2**25537}, 8))
+    w = form_of_meromorphic(num, j2({(1, 1): 2**25535}, 8))
+    assert w.a.coeff(0, 3) == -(2**40000 - 1) * 2**25535
+
+
 def test_form_arithmetic_and_chart_guard():
     w = cusp_form()
     assert (w + w) - w == w

@@ -368,6 +368,23 @@ def boundary_target(rng, n, linear, low, density):
     return Jet2(d, n + 1)
 
 
+def tangent_change(rng, n, degrees):
+    """The targets x + p and y + q of order n + 1 of a change tangent to the
+    identity: p and q hold one or two seeded monomials of each degree in
+    ``degrees`` and, as in :func:`boundary_target`, terms of degree n + 1."""
+    parts = []
+    for linear in ((1, 0), (0, 1)):
+        d = {linear: Coeff(1)}
+        for deg in degrees:
+            for _ in range(rng.choice((1, 2))):
+                i = rng.randint(0, deg)
+                d[(i, deg - i)] = Coeff.from_triple(rand_triple(rng, DENOMS["mixed"], zero=0))
+        for i in (0, n + 1):
+            d[(i, n + 1 - i)] = Coeff.from_triple(rand_triple(rng, DENOMS["mixed"], zero=0))
+        parts.append(Jet2(d, n + 1))
+    return parts
+
+
 @pytest.mark.parametrize(
     "n, density, low, tail", [(1, 1.0, 2, 1.0), (2, 1.0, 2, 1.0), (17, 0.3, 9, 0.2), (40, 0.04, 20, 0.02)]
 )
@@ -409,3 +426,21 @@ def test_products_substitutions_and_pullbacks_at_the_key_boundary(n, density, lo
         raw.pullback(dict(fx.triple_items()), dict(fy.triple_items()))
         assert max(max(acc, default=0) for acc in raw.accs) <= n * (n + 2)
         assert tuple({key: pair(t) for key, t in part.items()} for part in raw.triples()) == want
+    if n < 17:
+        return
+    # Changes tangent to the identity, homogeneous of each valuation v and
+    # one of two degrees.  At order n a monomial of degree e keeps the terms
+    # p^k q^l of its binomial expansion with k + l <= t(e) = (n - e) // (v - 1):
+    # over these changes it is copied (t = 0), expanded in every binomial
+    # band (1 <= t <= _TAYLOR_BANDS) and left to Horner's rule.
+    bands = _backend._TAYLOR_BANDS
+    degrees = {i + j for jet in (f, g) for (i, j), _ in jet.triple_items() if i + j <= n}
+    seen = set()
+    for valuations in [(v,) for v in range(2, n + 1)] + [(3, n // 2)]:
+        fx, fy = tangent_change(rng, n, valuations)
+        seen |= {min((n - e) // (valuations[0] - 1), bands + 1) for e in degrees}
+        assert pairs(a.substitute(fx, fy)) == oracles.p2_substitute(pairs(a), pairs(fx), pairs(fy), n)
+        back = pullback_map(w, fx, fy, order=n)
+        want = oracles.p2_pullback(pairs(f), pairs(g), pairs(fx), pairs(fy), n)
+        assert (pairs(back.a), pairs(back.b)) == want
+    assert seen == set(range(bands + 2))

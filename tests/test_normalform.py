@@ -551,6 +551,44 @@ def test_normalize_pulls_back_on_numerators(monkeypatch):
     assert 0 < len(norms) <= nonzero + read
 
 
+def test_no_monomial_of_a_binomial_band_enters_a_horner_row(monkeypatch):
+    """Along id + h, h of valuation v, a monomial of degree e keeps at most
+    t(e) = (n - e) // (v - 1) factors of h at order n.  On the pinned moved
+    template at order 16, ``normalize`` leaves no monomial with
+    t(e) <= ``_TAYLOR_BANDS`` to Horner's rule: each is copied or expanded
+    by the binomial theorem, and each of those routes holds monomials."""
+    w = _as_oneform(MOVED, 16)
+    rep = reduce_cusp(w)
+    route = _backend._route
+    bands = _backend._TAYLOR_BANDS
+    counts = {"copied": 0, "banded": 0, "horner": 0, "horner_within_bands": 0}
+
+    def counting_route(accs, dx, dy, n):
+        outs, expansions, groups = route(accs, dx, dy, n)
+        v = min(i + j for part in (dx, dy) for i, j in part if i + j >= 2)
+        for acc, out, g in zip(accs, outs, groups):
+            for i, row in g.items():
+                for j, _, _ in row:
+                    counts["horner"] += 1
+                    counts["horner_within_bands"] += (n - i - j) // (v - 1) <= bands
+            for key, (a, b) in acc.items():
+                if a or b:
+                    e = key // (n + 1)
+                    if (n - e) // (v - 1) == 0:
+                        counts["copied"] += 1
+                    elif (n - e) // (v - 1) <= bands:
+                        counts["banded"] += 1
+                        assert key in out
+        return outs, expansions, groups
+
+    monkeypatch.setattr(_backend, "_route", counting_route)
+    normalize(w, reduction=rep)
+    monkeypatch.undo()
+
+    assert counts["horner_within_bands"] == 0
+    assert counts["copied"] and counts["banded"] and counts["horner"]
+
+
 def test_substitution_rows_are_added_without_a_product_call(monkeypatch):
     """The substitution adds each row A_ij s FY^j into its accumulator, and
     applies a one-term Horner accumulator to FX as a key shift, with no

@@ -550,6 +550,33 @@ def test_products_and_quotients_beyond_the_order_are_refused_at_their_operator(t
     assert (e.value.line, e.value.col) == (1, col)
 
 
+BIG = "4" + "7" * 3999  # a 4,000-digit numeral of 13,288 bits
+TWO_TERMS = f"({BIG}*x + y)"
+QUOTIENT = f"({BIG} + x/{BIG})"
+
+
+@pytest.mark.parametrize(
+    "head, tail, message",
+    [
+        ("*".join([BIG] * 4), "*" + "*".join([BIG] * 2) + "*x dx", "product's coefficients may need 66434"),
+        ("*".join([TWO_TERMS] * 4), "*" + "*".join([TWO_TERMS] * 2) + " dx", "product's coefficients may need 66434"),
+        ("mero: y/(" + "*".join([QUOTIENT] * 4), "*" + QUOTIENT + ")", "product's coefficients may need 66434"),
+        (TWO_TERMS, "^5 dx", "power's coefficient may need 66435"),
+    ],
+    ids=["one-term", "two-term", "mero", "two-term-power"],
+)
+def test_products_past_the_bit_budget_are_refused_at_their_operator(head, tail, message):
+    """Coefficients of magnitudes m1 and m2 (``forms.magnitude``) multiply
+    to parts below m1*m2: a product is refused at its '*', before it is
+    formed, when m1*m2 has more than ``MAX_COEFF_BITS`` bits, here at the
+    fifth factor of 13,288 bits; a power of a sum is refused at its '^'."""
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=f"the {message} bits; at most 65536") as e:
+        parse_form(head + tail, order=16)
+    assert time.perf_counter() - start < 0.1
+    assert (e.value.line, e.value.col) == (1, len(head) + 1)
+
+
 def test_products_within_the_order_still_parse():
     assert parse_form("mero: 1/(1+x^8) + 1/(1+y^8)", order=16) == parse_form(
         "mero: (2+x^8+y^8)/((1+x^8)*(1+y^8))", order=16
