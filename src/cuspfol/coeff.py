@@ -3,11 +3,13 @@
 ``Coeff`` wraps the kernel's normalized integer triple ``(a, b, d)`` —
 meaning ``(a + b*i)/d`` — behind an immutable value type whose real and
 imaginary parts are exposed as ``fractions.Fraction``.  No floats anywhere.
+``format_coeff`` prints the triple itself, with no ``Fraction`` formed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from ._backend import QONE, QZERO, qadd, qdiv, qinv, qiszero, qmul, qneg, qnorm, qsub
 
@@ -155,8 +157,31 @@ ONE = Coeff.from_triple(QONE)
 I = Coeff.from_triple((0, 1, 1))
 
 
-def _fmt_frac(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+# Decimal conversion splits an integer of this size or more: str() takes
+# any shorter one at every setting of sys.set_int_max_str_digits (which
+# refuses limits below 640 digits, 0 meaning none).
+_SPLIT = 10**600
+
+
+def _decimal(n: int) -> str:
+    """The decimal digits of n, at any length: a long n is split in two by a
+    power of ten near the middle of its digits."""
+    if -_SPLIT < n < _SPLIT:
+        return str(n)
+    if n < 0:
+        return "-" + _decimal(-n)
+    k = n.bit_length() * 3 // 20  # about half of its digits: log10(2) > 0.3
+    hi, lo = divmod(n, 10**k)
+    return _decimal(hi) + _decimal(lo).rjust(k, "0")
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """num/den (den > 0) in lowest terms as ``p`` or ``p/q``: one ``gcd``."""
+    g = gcd(num, den)
+    if g != 1:
+        num //= g
+        den //= g
+    return _decimal(num) if den == 1 else f"{_decimal(num)}/{_decimal(den)}"
 
 
 def format_coeff(c: Coeff) -> str:
@@ -164,19 +189,21 @@ def format_coeff(c: Coeff) -> str:
 
     Pure reals print as ``p`` or ``p/q``; pure imaginaries as ``i``, ``-i`` or
     ``p/q*i``; mixed values as ``re+im*i`` / ``re-im*i`` with the imaginary
-    magnitude printed unsigned after the sign.
+    magnitude printed unsigned after the sign.  The parts a/d and b/d of the
+    triple (a, b, d) are each reduced by one ``gcd``, and integers of any
+    length are printed, past the interpreter's limit on ``str(int)`` too.
     """
-    re, im = c.re, c.im
-    if im == 0:
-        return _fmt_frac(re)
-    if im == 1:
+    a, b, d = c._t
+    if b == 0:
+        return _ratio_text(a, d)
+    if b == d:
         im_s = "i"
-    elif im == -1:
+    elif b == -d:
         im_s = "-i"
     else:
-        im_s = f"{_fmt_frac(im)}*i"
-    if re == 0:
+        im_s = f"{_ratio_text(b, d)}*i"
+    if a == 0:
         return im_s
     if im_s.startswith("-"):
-        return f"{_fmt_frac(re)}-{im_s[1:]}"
-    return f"{_fmt_frac(re)}+{im_s}"
+        return f"{_ratio_text(a, d)}-{im_s[1:]}"
+    return f"{_ratio_text(a, d)}+{im_s}"

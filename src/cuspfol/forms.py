@@ -25,18 +25,22 @@ In the second-blow-up chart (xi, t) produced here, D2 = {xi = 0} and
 D1 = {t = 0}.
 
 Everything is exact over Q(i); no approximation is used anywhere.  Blow-up
-pullbacks are exponent maps on the polynomial coefficients, so they *raise*
+pullbacks move the monomials of the polynomial coefficients, so they *raise*
 the jet order (an order-N input yields an order 2N+1 pullback); see
-``pullback_blowup``.
+``pullback_blowup``.  The reduction works on the jets' kernel triples from
+the input form to the report: the radial test, the blow-ups and the
+divisions build their {(i, j): triple} dicts directly, and every zero test
+and comparison is one of triples.  ``Coeff`` values are formed only for
+the report's fields.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 
-from ._backend import FormNumerators
+from ._backend import QZERO, FormNumerators, qdiv, qiszero, qmul, qneg
 from .coeff import Coeff, ZERO
-from .jets import Jet1, Jet2, JetError, _check_targets
+from .jets import Jet2, JetError, _check_targets
 
 
 class OneForm:
@@ -169,20 +173,21 @@ def radial_tangency(w: OneForm, degree: int):
     case x divides B_d and P = B_d/x, a homogeneous cofactor of degree d-1,
     is returned at order ``w.order - 1`` (read off by the exponent shift
     x^i y^j -> x^(i-1) y^j).  Returns None when the tangency identity fails.
+    The d + 1 coefficients of each part are read by their exponents and
+    compared as kernel triples.
     """
-    ad = w.a.homogeneous_part(degree)
-    bd = w.b.homogeneous_part(degree)
     n = w.order
-    if ad.is_zero() and bd.is_zero():
-        return Jet2.zero(n)
     d = degree
-    for k in range(d + 2):
-        a_k = ad.coeff(k - 1, d + 1 - k) if k else ZERO
-        b_k = bd.coeff(k, d - k) if k <= d else ZERO
-        if a_k != -b_k:
-            return None
+    if d > n:
+        return Jet2.zero(n)
+    ad = [w.a.triple(i, d - i) for i in range(d + 1)]
+    bd = [w.b.triple(i, d - i) for i in range(d + 1)]
+    if not any(t[0] or t[1] for t in ad + bd):
+        return Jet2.zero(n)
+    if not (qiszero(bd[0]) and qiszero(ad[d]) and all(bd[i + 1] == qneg(ad[i]) for i in range(d))):
+        return None
     # x*A_d = -y*B_d with A_d, B_d not both zero, so B_d != 0 and x | B_d
-    return bd.exponent_map(lambda i, j: (i - 1, j), n - 1)
+    return Jet2._raw({(i - 1, d - i): t for i, t in enumerate(bd) if t[0] or t[1]}, n - 1)
 
 
 def pullback_map(w: OneForm, fx: Jet2, fy: Jet2, order=None) -> OneForm:
@@ -223,8 +228,8 @@ def linear_change(w: OneForm, m) -> OneForm:
     if det.is_zero():
         raise ValueError("linear_change needs an invertible matrix")
     n = w.order
-    fx = Jet2.monomial(1, 0, m00, n) + Jet2.monomial(0, 1, m01, n)
-    fy = Jet2.monomial(1, 0, m10, n) + Jet2.monomial(0, 1, m11, n)
+    fx = Jet2({(1, 0): m00, (0, 1): m01}, n)
+    fy = Jet2({(1, 0): m10, (0, 1): m11}, n)
     return pullback_map(w, fx, fy, order=n)
 
 
@@ -233,27 +238,30 @@ def pullback_blowup(w: OneForm, chart: str, new_var: str | None = None) -> OneFo
 
     chart "x" substitutes  y = t*x  (the chart covering all directions but
     the y-axis); the result is a form in (x, t).  chart "y" substitutes
-    x = s*y, giving a form in (s, y).  Both are exponent maps on the
+    x = s*y, giving a form in (s, y).  Both move the monomials of the
     polynomial coefficients: chart "x" sends x^i y^j to x^(i+j) t^j and
     chart "y" sends it to s^i y^(i+j), so the output order is 2*order+1: a
     monomial of degree <= N maps to degree i+2j <= 2N, and the extra factor
-    of t (resp. x, s, y) from  dy = t dx + x dt  adds one more.
+    of t (resp. x, s, y) from  dy = t dx + x dt  adds one more.  Each image
+    is one dict of kernel triples built from the old ones, and the ``Jet2``
+    sum of two images adds only the keys they share.
     """
     n = w.order
     out = 2 * n + 1
     xname, yname = w.variables
+    a, b = w.a.triple_items(), w.b.triple_items()
     if chart == "x":
         # A dx + B dy -> (A + t B) dx + x B dt
-        a_new = w.a.exponent_map(lambda i, j: (i + j, j), out) + w.b.exponent_map(
-            lambda i, j: (i + j, j + 1), out
+        a_new = Jet2._raw({(i + j, j): t for (i, j), t in a}, out) + Jet2._raw(
+            {(i + j, j + 1): t for (i, j), t in b}, out
         )
-        b_new = w.b.exponent_map(lambda i, j: (i + j + 1, j), out)
+        b_new = Jet2._raw({(i + j + 1, j): t for (i, j), t in b}, out)
         return OneForm(a_new, b_new, (xname, new_var or "t"))
     if chart == "y":
         # A dx + B dy -> y A ds + (s A + B) dy
-        a_new = w.a.exponent_map(lambda i, j: (i, i + j + 1), out)
-        b_new = w.a.exponent_map(lambda i, j: (i + 1, i + j), out) + w.b.exponent_map(
-            lambda i, j: (i, i + j), out
+        a_new = Jet2._raw({(i, i + j + 1): t for (i, j), t in a}, out)
+        b_new = Jet2._raw({(i + 1, i + j): t for (i, j), t in a}, out) + Jet2._raw(
+            {(i, i + j): t for (i, j), t in b}, out
         )
         return OneForm(a_new, b_new, (new_var or "s", yname))
     raise ValueError("chart must be 'x' or 'y'")
@@ -280,8 +288,12 @@ def exceptional_divide(w: OneForm, divisor_var: str) -> tuple[OneForm, int]:
     if not k:
         return w, 0
     n = w.order - k
-    shift = (lambda i, j: (i - k, j)) if idx == 0 else (lambda i, j: (i, j - k))
-    return OneForm(w.a.exponent_map(shift, n), w.b.exponent_map(shift, n), w.variables), k
+    di, dj = (k, 0) if idx == 0 else (0, k)
+    a, b = (
+        Jet2._raw({(i - di, j - dj): t for (i, j), t in jet.triple_items()}, n)
+        for jet in (w.a, w.b)
+    )
+    return OneForm(a, b, w.variables), k
 
 
 class ReductionVerdict(Enum):
@@ -379,11 +391,14 @@ def reduce_cusp(w: OneForm) -> ReductionReport:
       regular and the foliation is transverse to both components
       everywhere.
 
-    Only the two pullbacks that feed the report are built.  The cone, the
-    first exceptional power with the divided dt coefficient on D2 (compared
-    with a*t^2 exactly, so no root is sought), and the second exceptional
-    power with the corner values are checked again exactly; a failure there
-    is a fault of the library and raises AssertionError.
+    Only the two pullbacks that feed the report are built, each as dicts
+    of kernel triples moved monomial by monomial (``pullback_blowup``) and
+    divided by a shift of the exponents (``exceptional_divide``), and every
+    check below compares triples.  The cone, the first exceptional power
+    with the divided dt coefficient on D2 (compared with a*t^2 exactly, so
+    no root is sought), and the second exceptional power with the corner
+    values are checked again exactly; a failure there is a fault of the
+    library and raises AssertionError.
 
     A failing zero/nonzero decision that is visible inside the jet order is
     definitive.  Below the certifying threshold (order 5) only the degree-3
@@ -412,30 +427,29 @@ def reduce_cusp(w: OneForm) -> ReductionReport:
             ReductionVerdict.NOT_DICRITICAL,
             "degree-3 part is not radial: the first blow-up is not dicritical",
         )
-    p20, p11, p02 = p.coeff(2, 0), p.coeff(1, 1), p.coeff(0, 2)
-    disc = p11 * p11 - 4 * p20 * p02
-    if not disc.is_zero():
+    p20, p11, p02 = p.triple(2, 0), p.triple(1, 1), p.triple(0, 2)
+    if qmul(p11, p11) != qmul(qmul(p20, p02), (4, 0, 1)):
         return _finish(
             rep,
             ReductionVerdict.WRONG_REDUCTION_TREE,
             "tangency cone has two distinct directions (cofactor is not a perfect square)",
         )
-    if p02.is_zero():
+    if qiszero(p02):
         # Double direction at t = infinity (cofactor a*x^2): swap the axes.
         mat = ((0, 1), (1, 0))
         w = linear_change(w, mat)
         rep.applied_linear_change = mat
-    elif not p11.is_zero():
+    elif not qiszero(p11):
         # Shear the double direction y = t0*x down to t = 0.
-        t0 = -p11 / (2 * p02)
-        mat = ((1, 0), (t0, 1))
+        t0 = qdiv(qneg(p11), qmul(p02, (2, 0, 1)))
+        mat = ((1, 0), (Coeff.from_triple(t0), 1))
         w = linear_change(w, mat)
         rep.applied_linear_change = mat
     p = radial_tangency(w, 3)
-    a = ZERO if p is None else p.coeff(0, 2)
-    if a.is_zero() or p != Jet2.monomial(0, 2, a, p.order):
+    a = QZERO if p is None else p.triple(0, 2)
+    if qiszero(a) or dict(p.triple_items()) != {(0, 2): a}:
         raise AssertionError("the moved tangency cone is not a*y^2 with a != 0")
-    rep.p2_coefficient = a
+    rep.p2_coefficient = Coeff.from_triple(a)
 
     if n < _CERTIFYING_ORDER:
         return _finish(
@@ -448,13 +462,14 @@ def reduce_cusp(w: OneForm) -> ReductionReport:
     xname = w.variables[0]
     w1, k1 = exceptional_divide(pullback_blowup(w, "x", new_var="t"), xname)
     rep.exceptional_power_1 = k1
-    if k1 != 4 or w1.b.restrict_to_axis("y") != Jet1.monomial(2, a, w1.order):
+    on_d2 = [(key, t) for key, t in w1.b.triple_items() if key[0] == 0]
+    if k1 != 4 or on_d2 != [((0, 2), a)]:
         raise AssertionError("the first blow-up does not leave one double point t = 0 on D2")
     rep.singular_points_on_D2 = [(ZERO, 2)]
     rep.tangency_at_infinity = False
 
     # --- the tangency point must be singular, with radial linear part ---
-    if not w1.a.coeff(0, 0).is_zero():
+    if not qiszero(w1.a.triple(0, 0)):
         return _finish(
             rep,
             ReductionVerdict.WRONG_REDUCTION_TREE,
@@ -462,14 +477,14 @@ def reduce_cusp(w: OneForm) -> ReductionReport:
         )
     # The linear part is c*t dx + a5*x dx + b4*x dt (its t dt term is 0):
     # radial when a5 = 0 and b4 = -c != 0.
-    c, a5, b4 = w1.a.coeff(0, 1), w1.a.coeff(1, 0), w1.b.coeff(1, 0)
-    if c.is_zero() and a5.is_zero() and b4.is_zero():
+    c, a5, b4 = w1.a.triple(0, 1), w1.a.triple(1, 0), w1.b.triple(1, 0)
+    if qiszero(c) and qiszero(a5) and qiszero(b4):
         return _finish(
             rep,
             ReductionVerdict.WRONG_REDUCTION_TREE,
             "tangency point has multiplicity >= 2 after the first blow-up",
         )
-    if not (a5.is_zero() and b4 == -c and not c.is_zero()):
+    if not (qiszero(a5) and b4 == qneg(c) and not qiszero(c)):
         return _finish(
             rep,
             ReductionVerdict.NOT_DICRITICAL,
@@ -480,7 +495,7 @@ def reduce_cusp(w: OneForm) -> ReductionReport:
     w2, k2 = exceptional_divide(pullback_blowup(w1, "y", new_var="xi"), "t")
     rep.second_chart_form = w2
     rep.exceptional_power_2 = k2
-    if k2 != 2 or w2.a.coeff(0, 0) != c or w2.b.coeff(0, 0) != a:
+    if k2 != 2 or w2.a.triple(0, 0) != c or w2.b.triple(0, 0) != a:
         raise AssertionError("the second blow-up does not leave c dxi + a dt at the corner")
     return _finish(
         rep,

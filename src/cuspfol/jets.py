@@ -4,8 +4,8 @@ A jet of order N stores exact coefficients for all monomials of total degree
 <= N; higher-order terms are unknown, not zero.  Jets are immutable values:
 arithmetic returns new objects and truncates to the minimum of the operand
 orders.  Substitution works at the minimum of the orders of its inputs and
-division needs a unit divisor.  Blow-ups and division by a coordinate are
-monomial changes, written as :meth:`Jet2.exponent_map`.
+division needs a unit divisor.  A monomial change is
+:meth:`Jet2.exponent_map`.
 
 Internally coefficients are the kernel triples (a, b, d) ~ (a+b*i)/d; the
 public surface deals in :class:`~cuspfol.coeff.Coeff`.
@@ -347,9 +347,14 @@ class Jet2(_Jet):
         return self._d.items()
 
     def coeff(self, i, j) -> Coeff:
+        return Coeff.from_triple(self.triple(i, j))
+
+    def triple(self, i, j):
+        """The kernel triple of x^i y^j (see :meth:`coeff`), with no
+        ``Coeff`` built."""
         if i < 0 or j < 0 or i + j > self._n:
             raise JetError(f"monomial ({i},{j}) outside jet order {self._n}")
-        return Coeff.from_triple(self._d.get((i, j), QZERO))
+        return self._d.get((i, j), QZERO)
 
     def is_zero(self):
         return not self._d
@@ -375,8 +380,12 @@ class Jet2(_Jet):
         return max(i + j for (i, j) in self._d)
 
     def truncate(self, order):
+        """The jet at a lower order; at its own order, the jet itself (jets
+        are immutable, so nothing is copied)."""
         if order > self._n:
             raise JetError("truncate cannot raise the order")
+        if order == self._n:
+            return self
         d = {k: t for k, t in self._d.items() if k[0] + k[1] <= order}
         return Jet2._raw(d, order)
 
@@ -418,20 +427,24 @@ class Jet2(_Jet):
         return Jet2._raw(d, order)
 
     def _bin(self, other, op):
+        """self op other for op ``qadd`` or ``qsub``: a key that only one
+        operand holds keeps its triple (negated when only the right operand
+        of a difference holds it), so only the shared keys are added."""
         n = min(self._n, other._n)
-        d = {}
-        for k, t in self._d.items():
-            if k[0] + k[1] <= n:
-                d[k] = t
-        for k, u in other._d.items():
-            if k[0] + k[1] > n:
-                continue
+        # truncating below the order builds a new dict, so only the jet at
+        # its own order is copied
+        d = dict(self._d) if n == self._n else self.truncate(n)._d
+        lone = qneg if op is qsub else None
+        for k, u in other.truncate(n)._d.items():
             cur = d.get(k)
-            r = op(cur, u) if cur is not None else op(QZERO, u)
-            if qiszero(r):
-                d.pop(k, None)
-            else:
+            if cur is None:
+                d[k] = lone(u) if lone else u
+                continue
+            r = op(cur, u)
+            if r[0] or r[1]:
                 d[k] = r
+            else:
+                del d[k]
         return Jet2._raw(d, n)
 
     def __neg__(self):

@@ -34,13 +34,14 @@ the radial cofactor's inverse on the way in.  Each step reads the 2n + 2
 y^2-coefficients it solves for (and x^4 y dy at n = 3) by their exponents,
 normalizes each entry of its change once, pulls the numerators back along
 the change in integers, divides out one gcd, and re-checks on the
-numerators that the y^2-part is gone.  Triples, ``Coeff`` and ``Jet2`` are
-formed only for the recorded changes and, once, for the final form, on
-which the structural checks run.  The composite change
-(``NormalFormData.transform``) is composed from the recorded steps only
-when it is read, since the normal form itself does not need it.  A caller
-that has already run ``reduce_cusp`` on the form passes its report to
-``normalize`` so the form is reduced once.
+numerators that the y^2-part is gone.  Each recorded change is a pair of
+jets over the triples the step computed.  The final form is read once as
+two {(i, j): triple} dicts, on which the structural checks run and the
+data is read off; ``Coeff`` is formed only for the returned data.  The
+composite change (``NormalFormData.transform``) is composed from the
+recorded steps only when it is read, since the normal form itself does
+not need it.  A caller that has already run ``reduce_cusp`` on the form
+passes its report to ``normalize`` so the form is reduced once.
 
 The stated per-coefficient elimination operator L, one-to-one at odd
 degrees only, is kept as a test reference (``tests/oracles.py``);
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from ._backend import QONE, FormNumerators, qinv, qnorm
+from ._backend import QONE, QZERO, FormNumerators, qinv, qiszero, qmul, qnorm
 from .coeff import Coeff
 from .forms import OneForm, ReductionVerdict, linear_change, reduce_cusp
 from .jets import Jet2
@@ -132,6 +133,11 @@ def reconstruct_normal_form(data: NormalFormData) -> OneForm:
     return OneForm(Jet2(a, data.order), Jet2(b, data.order))
 
 
+# The (dx, dy) coefficients of x^i y^(3-i), i = 0..3, in the anchor
+# -y^3 dx + x y^2 dy; None where a coefficient is zero.
+_ANCHOR = [((-1, 0, 1), None), (None, QONE), (None, None), (None, None)]
+
+
 def _y2_rows(m):
     """Coordinates of the y^2-divisible monomials of coefficient degree m."""
     return [(m - j, j) for j in range(2, m + 1)]
@@ -168,7 +174,7 @@ def _step_change(form: FormNumerators, n, order):
     the one degree-5 coefficient it moves (by 2 Q_0).  The form is read
     only at those 2n + 2 coefficients (and x^4 y dy at n = 3), as
     numerators over its one denominator, and each entry of the change is
-    normalized once.
+    normalized once and stored as it is, a zero entry dropped.
     """
     rows = _y2_rows(n + 2)
     ca = [form.numerator(0, i, j) for i, j in rows]
@@ -181,8 +187,12 @@ def _step_change(form: FormNumerators, n, order):
     for r in range(n):
         if not (any(ca[r + 1]) or any(cb[r])):
             continue
-        pd[(n - r, r)] = _ratio(r + 3, ca[r + 1], r + 4 - n, cb[r], det)
-        qd[(n - r - 1, r + 1)] = _ratio(r - 1, ca[r + 1], r - n, cb[r], det)
+        p = _ratio(r + 3, ca[r + 1], r + 4 - n, cb[r], det)
+        if p[0] or p[1]:
+            pd[(n - r, r)] = p
+        q = _ratio(r - 1, ca[r + 1], r - n, cb[r], det)
+        if q[0] or q[1]:
+            qd[(n - r - 1, r + 1)] = q
     if n != 3:
         if any(ca[0]):
             qd[(n, 0)] = qnorm(*ca[0], (3 - n) * den)
@@ -195,10 +205,7 @@ def _step_change(form: FormNumerators, n, order):
         gauge = form.numerator(1, 4, 1)
         if any(gauge):
             qd[(3, 0)] = qnorm(*gauge, -2 * den)
-    return (
-        Jet2({key: Coeff.from_triple(c) for key, c in pd.items()}, order),
-        Jet2({key: Coeff.from_triple(c) for key, c in qd.items()}, order),
-    )
+    return Jet2._raw(pd, order), Jet2._raw(qd, order)
 
 
 def normalize(w: OneForm, *, reduction=None) -> NormalFormData:
@@ -244,36 +251,32 @@ def normalize(w: OneForm, *, reduction=None) -> NormalFormData:
         if any(any(form.numerator(side, i, j)) for side in (0, 1) for i, j in _y2_rows(n + 2)):
             raise AssertionError(f"y^2-part survived elimination at degree {n + 2}")
     a, b = form.triples()
-    w = OneForm(Jet2._raw(a, n_max), Jet2._raw(b, n_max))
 
     # read off the residual data and check the structural identities
-    anchor = OneForm(Jet2.monomial(0, 3, -1, n_max), Jet2.monomial(1, 2, 1, n_max))
-    if w.homogeneous_part(3) != anchor:
+    if [(a.get((i, 3 - i)), b.get((i, 3 - i))) for i in range(4)] != _ANCHOR:
         raise AssertionError("degree-3 part is not the radial anchor after rescale")
-    alpha = w.b.coeff(4, 0)
-    if alpha.is_zero():
+    alpha = b.get((4, 0), QZERO)
+    if qiszero(alpha):
         raise AssertionError("normal form has alpha = 0 on a cusp-type input")
-    if not w.a.coeff(4, 0).is_zero():
+    if (4, 0) in a:
         raise AssertionError("x^4 dx coefficient survived normalization")
-    if w.a.coeff(3, 1) != -2 * alpha:
+    if a.get((3, 1)) != qmul(alpha, (-2, 0, 1)):
         raise AssertionError("x^3 y dx coefficient is not -2*alpha")
-    a_coeff = w.b.coeff(3, 1)
-    tail = {}
-    for m in range(5, n_max + 1):
-        tail[m] = (
-            w.a.coeff(m, 0),
-            w.a.coeff(m - 1, 1),
-            w.b.coeff(m, 0),
-            w.b.coeff(m - 1, 1),
-        )
-    if 5 in tail and not tail[5][0].is_zero():
+    if (5, 0) in a:
         raise AssertionError("a_5 != 0 after normalization of a cusp-type input")
-    if 5 in tail and not tail[5][3].is_zero():
+    if (4, 1) in b:
         raise AssertionError("x^4 y dy coefficient survived the cubic step")
+    tail = {
+        m: tuple(
+            Coeff.from_triple(side.get(key, QZERO))
+            for side, key in ((a, (m, 0)), (a, (m - 1, 1)), (b, (m, 0)), (b, (m - 1, 1)))
+        )
+        for m in range(5, n_max + 1)
+    }
     return NormalFormData(
         order=n_max,
-        alpha=alpha,
-        a=a_coeff,
+        alpha=Coeff.from_triple(alpha),
+        a=Coeff.from_triple(b.get((3, 1), QZERO)),
         tail=tail,
         changes=changes,
         applied_linear_change=rep.applied_linear_change,

@@ -15,7 +15,7 @@ expression, the split columns at full order instead of modulo a power of
 x).  Only the elimination shares its algorithm with the library: both are
 Gauss-Jordan, here over ``Fraction`` pairs rather than normalized triples.
 
-Three sections are exceptions.  The stated elimination operator L on
+Four sections are exceptions.  The stated elimination operator L on
 homogeneous pairs is kept as a reference recipe on the package's own ``Jet2``
 and exact ``solve``; the normal form does not use it, and the tests check its
 rank by parity and its round trip.  The radial form, the wedge of two
@@ -25,7 +25,9 @@ integer re-check.  And the reciprocal and the Lagrange series reversion
 that the integer kernel replaced are kept on the kernel's normalized
 triples, one ``qnorm`` per scalar operation and one ``jet1_mul`` per power,
 as the reference at orders where the coefficient recursion above is too
-slow.
+slow.  And the cusp reduction that the library now runs on kernel triples
+is kept as it was before: blow-ups as ``Jet2.exponent_map`` calls summed
+with ``Jet2`` addition, and every check a comparison of ``Coeff`` values.
 """
 
 import re
@@ -34,8 +36,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from cuspfol._backend import QZERO, jet1_mul, qadd, qinv, qiszero, qmul, qneg
-from cuspfol.forms import OneForm
-from cuspfol.jets import Jet2
+from cuspfol.coeff import ZERO as CZERO, Coeff
+from cuspfol.forms import OneForm, ReductionReport, ReductionVerdict, pullback_map
+from cuspfol.jets import Jet1, Jet2
 from cuspfol.linalg import solve
 
 ZERO = (Fraction(0), Fraction(0))
@@ -742,3 +745,143 @@ def wedge(u: OneForm, v: OneForm) -> Jet2:
     """The coefficient of dx^dy in u^v, i.e.  u_a v_b - u_b v_a."""
     u._require_same_chart(v)
     return u.a * v.b - u.b * v.a
+
+
+# --- the cusp reduction on exponent maps, Jet2 sums and Coeff comparisons -----
+
+
+def ref_radial_tangency(w: OneForm, degree):
+    """The cofactor P with A_d dx + B_d dy = P*(x dy - y dx), or None: the
+    identity x*A_d + y*B_d = 0 read one ``Coeff`` at a time, and P read off
+    B_d by an exponent map."""
+    ad = w.a.homogeneous_part(degree)
+    bd = w.b.homogeneous_part(degree)
+    n = w.order
+    if ad.is_zero() and bd.is_zero():
+        return Jet2.zero(n)
+    d = degree
+    for k in range(d + 2):
+        a_k = ad.coeff(k - 1, d + 1 - k) if k else CZERO
+        b_k = bd.coeff(k, d - k) if k <= d else CZERO
+        if a_k != -b_k:
+            return None
+    return bd.exponent_map(lambda i, j: (i - 1, j), n - 1)
+
+
+def ref_linear_change(w: OneForm, m) -> OneForm:
+    """w pulled back by (m00 x + m01 y, m10 x + m11 y), targets as Jet2 sums."""
+    (m00, m01), (m10, m11) = m
+    n = w.order
+    fx = Jet2.monomial(1, 0, Coeff(m00), n) + Jet2.monomial(0, 1, Coeff(m01), n)
+    fy = Jet2.monomial(1, 0, Coeff(m10), n) + Jet2.monomial(0, 1, Coeff(m11), n)
+    return pullback_map(w, fx, fy, order=n)
+
+
+def ref_pullback_blowup(w: OneForm, chart, new_var=None) -> OneForm:
+    """The blow-up pullback as exponent maps and ``Jet2`` sums, at order
+    2*order + 1."""
+    out = 2 * w.order + 1
+    xname, yname = w.variables
+    if chart == "x":
+        a = w.a.exponent_map(lambda i, j: (i + j, j), out) + w.b.exponent_map(
+            lambda i, j: (i + j, j + 1), out
+        )
+        b = w.b.exponent_map(lambda i, j: (i + j + 1, j), out)
+        return OneForm(a, b, (xname, new_var or "t"))
+    a = w.a.exponent_map(lambda i, j: (i, i + j + 1), out)
+    b = w.a.exponent_map(lambda i, j: (i + 1, i + j), out) + w.b.exponent_map(
+        lambda i, j: (i, i + j), out
+    )
+    return OneForm(a, b, (new_var or "s", yname))
+
+
+def ref_exceptional_divide(w: OneForm, divisor_var):
+    """(w / v^k, k) for the largest power v^k dividing both coefficients."""
+    idx = w.variables.index(divisor_var)
+    axis = "xy"[idx]
+    k = min(
+        (v for v in (w.a.valuation(axis), w.b.valuation(axis)) if v is not None),
+        default=0,
+    )
+    if not k:
+        return w, 0
+    n = w.order - k
+    shift = (lambda i, j: (i - k, j)) if idx == 0 else (lambda i, j: (i, j - k))
+    return OneForm(w.a.exponent_map(shift, n), w.b.exponent_map(shift, n), w.variables), k
+
+
+def ref_reduce_cusp(w: OneForm) -> ReductionReport:
+    """``forms.reduce_cusp`` on the helpers above: every zero test and every
+    comparison on ``Coeff`` values, the restriction to D2 as a ``Jet1``."""
+    rep = ReductionReport(order=w.order)
+
+    def finish(verdict, reason):
+        rep.verdict, rep.reason = verdict, reason
+        return rep
+
+    n = w.order
+    v = w.valuation()
+    if v is None:
+        return finish(ReductionVerdict.INCONCLUSIVE, "form vanishes to the working order")
+    if v != 3:
+        return finish(
+            ReductionVerdict.WRONG_REDUCTION_TREE,
+            f"valuation {v} != 3: the reduction tree of a cusp starts at multiplicity 3",
+        )
+    rep.is_valuation_3 = True
+    p = ref_radial_tangency(w, 3)
+    if p is None:
+        return finish(
+            ReductionVerdict.NOT_DICRITICAL,
+            "degree-3 part is not radial: the first blow-up is not dicritical",
+        )
+    p20, p11, p02 = p.coeff(2, 0), p.coeff(1, 1), p.coeff(0, 2)
+    if not (p11 * p11 - 4 * p20 * p02).is_zero():
+        return finish(
+            ReductionVerdict.WRONG_REDUCTION_TREE,
+            "tangency cone has two distinct directions (cofactor is not a perfect square)",
+        )
+    if p02.is_zero():
+        rep.applied_linear_change = ((0, 1), (1, 0))
+    elif not p11.is_zero():
+        rep.applied_linear_change = ((1, 0), (-p11 / (2 * p02), 1))
+    if rep.applied_linear_change is not None:
+        w = ref_linear_change(w, rep.applied_linear_change)
+    p = ref_radial_tangency(w, 3)
+    a = CZERO if p is None else p.coeff(0, 2)
+    assert not a.is_zero() and p == Jet2.monomial(0, 2, a, p.order)
+    rep.p2_coefficient = a
+    if n < 5:
+        return finish(
+            ReductionVerdict.INCONCLUSIVE,
+            f"degree-3 checks pass but order {n} < 5 cannot certify the blow-ups",
+        )
+    w1, k1 = ref_exceptional_divide(ref_pullback_blowup(w, "x", "t"), w.variables[0])
+    rep.exceptional_power_1 = k1
+    assert k1 == 4 and w1.b.restrict_to_axis("y") == Jet1.monomial(2, a, w1.order)
+    rep.singular_points_on_D2 = [(CZERO, 2)]
+    rep.tangency_at_infinity = False
+    if not w1.a.coeff(0, 0).is_zero():
+        return finish(
+            ReductionVerdict.WRONG_REDUCTION_TREE,
+            "tangency point on D2 is a regular point of the transformed foliation",
+        )
+    c, a5, b4 = w1.a.coeff(0, 1), w1.a.coeff(1, 0), w1.b.coeff(1, 0)
+    if c.is_zero() and a5.is_zero() and b4.is_zero():
+        return finish(
+            ReductionVerdict.WRONG_REDUCTION_TREE,
+            "tangency point has multiplicity >= 2 after the first blow-up",
+        )
+    if not (a5.is_zero() and b4 == -c and not c.is_zero()):
+        return finish(
+            ReductionVerdict.NOT_DICRITICAL,
+            "second blow-up is not dicritical: linear part at the tangency point is not radial",
+        )
+    w2, k2 = ref_exceptional_divide(ref_pullback_blowup(w1, "y", "xi"), "t")
+    rep.second_chart_form = w2
+    rep.exceptional_power_2 = k2
+    assert k2 == 2 and w2.a.coeff(0, 0) == c and w2.b.coeff(0, 0) == a
+    return finish(
+        ReductionVerdict.CUSP_TYPE_ABSOLUTELY_DICRITICAL,
+        "two blow-ups reduce the foliation, regular and transverse to both divisor components",
+    )

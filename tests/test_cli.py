@@ -132,6 +132,28 @@ def test_a_numeral_past_the_digit_limit_is_refused_at_its_position():
         sys.set_int_max_str_digits(limit)
 
 
+def test_a_coefficient_past_the_digit_limit_is_printed_in_full():
+    """A report may hold a coefficient longer than str(int) converts: the
+    cone coefficient of the SINH form times N^3, N a 4,000-digit numeral,
+    has 12,000 digits.  It is printed exactly, and the interpreter's limit
+    is left as it was."""
+    n = "7" + "3" * 3998 + "1"
+    cube = "*".join([n] * 3)
+    text = f"{cube}*(-y^3 + 2*x^3*y + x^4*y) dx + {cube}*(x*y^2 - x^4) dy"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out = run_cli("reduce", text, "--order", "8", "--json")
+        assert sys.get_int_max_str_digits() == 4300
+        sys.set_int_max_str_digits(0)
+        want = str(int(n) ** 3)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    report = json.loads(out)
+    assert (code, report["verdict"]) == (0, "CuspTypeAbsolutelyDicritical")
+    assert report["data"]["p2_coefficient"] == want
+
+
 def fuzz_text(rng):
     """A seeded input that nests deeply, raises to large exponents and
     carries large coefficients."""
@@ -1154,6 +1176,111 @@ NORMAL_FORM_REPORTS = [
 )
 def test_normal_form_reports_are_pinned(text, order, report):
     assert run_cli("normal-form", text, "--order", str(order), "--json") == (0, report)
+
+
+def _reduce_report(order, verdict, reason, **data):
+    """The reduce --json report: the fields a run sets are given, the others
+    keep the values of a run that stopped before them."""
+    accepted = verdict == "CuspTypeAbsolutelyDicritical"
+    fields = {
+        "applied_linear_change": None,
+        "corner_regular": accepted,
+        "exceptional_power_1": None,
+        "exceptional_power_2": None,
+        "is_valuation_3": True,
+        "p2_coefficient": None,
+        "reason": reason,
+        "singular_points_on_D2": [],
+        "tangency_at_infinity": None,
+        "transverse_to_D1": accepted,
+        "transverse_to_D2": accepted,
+    }
+    fields.update(data)
+    report = {"certificates": [], "command": "reduce", "data": fields, "order": order,
+              "verdict": verdict}
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+SWAP = "mero:(x^2+y^3+x*y^2)/(x*y+y^3)"
+SHEAR = "mero:(3*(y-(1+i)/2*x)^2+x^3)/(x*(y-(1+i)/2*x))"
+CUSP_REASON = (
+    "two blow-ups reduce the foliation, regular and transverse to both divisor components"
+)
+# What the first blow-up records on a cone a*y^2 at order >= 5.
+FIRST_BLOWUP = {"exceptional_power_1": 4, "singular_points_on_D2": [["0", 2]],
+                "tangency_at_infinity": False}
+CORNER = dict(FIRST_BLOWUP, exceptional_power_2=2)
+
+# One reduce --json report per verdict branch of reduce_cusp.
+REDUCE_REPORTS = {
+    "cusp": (CUSP, 8, 0, _reduce_report(8, "CuspTypeAbsolutelyDicritical", CUSP_REASON,
+                                        p2_coefficient="1", **CORNER)),
+    "cusp-swap": (SWAP, 8, 0, _reduce_report(
+        8, "CuspTypeAbsolutelyDicritical", CUSP_REASON, p2_coefficient="1",
+        applied_linear_change=[[0, 1], [1, 0]], **CORNER)),
+    "cusp-shear": (SHEAR, 8, 0, _reduce_report(
+        8, "CuspTypeAbsolutelyDicritical", CUSP_REASON, p2_coefficient="3",
+        applied_linear_change=[[1, 0], ["1/2+1/2*i", 1]], **CORNER)),
+    "cone-not-radial": ("(y^3) dx", 8, 1, _reduce_report(
+        8, "NotDicritical", "degree-3 part is not radial: the first blow-up is not dicritical")),
+    "linear-part-not-radial": ("-y^3 dx + (x*y^2 + x^4) dy", 8, 1, _reduce_report(
+        8, "NotDicritical",
+        "second blow-up is not dicritical: linear part at the tangency point is not radial",
+        p2_coefficient="1", **FIRST_BLOWUP)),
+    "valuation": ("x dx + y dy", 8, 1, _reduce_report(
+        8, "WrongReductionTree",
+        "valuation 1 != 3: the reduction tree of a cusp starts at multiplicity 3",
+        is_valuation_3=False)),
+    "two-directions": ("mero:(x^2+y^2+x^3)/(x*y)", 8, 1, _reduce_report(
+        8, "WrongReductionTree",
+        "tangency cone has two distinct directions (cofactor is not a perfect square)")),
+    "regular-tangency-point": ("-y^3 dx + x*y^2 dy + x^4 dx", 8, 1, _reduce_report(
+        8, "WrongReductionTree",
+        "tangency point on D2 is a regular point of the transformed foliation",
+        p2_coefficient="1", **FIRST_BLOWUP)),
+    "multiplicity-2": ("-y^3 dx + x*y^2 dy", 8, 1, _reduce_report(
+        8, "WrongReductionTree", "tangency point has multiplicity >= 2 after the first blow-up",
+        p2_coefficient="1", **FIRST_BLOWUP)),
+    "below-order-5": (CUSP, 4, 2, _reduce_report(
+        4, "Inconclusive", "degree-3 checks pass but order 4 < 5 cannot certify the blow-ups",
+        p2_coefficient="1")),
+    "vanishes": ("0 dx", 8, 2, _reduce_report(
+        8, "Inconclusive", "form vanishes to the working order", is_valuation_3=False)),
+}
+
+
+@pytest.mark.parametrize("case", REDUCE_REPORTS)
+def test_reduce_reports_are_pinned(case):
+    text, order, code, report = REDUCE_REPORTS[case]
+    assert run_cli("reduce", text, "--order", str(order), "--json") == (code, report)
+
+
+def _linear_normal_form_report(change, scale, alpha, a, tail):
+    data = {"a": a, "alpha": alpha, "applied_linear_change": change, "scale": scale,
+            "tail": tail, "trivial_tail": False}
+    report = {"certificates": [], "command": "normal-form", "data": data, "order": 8,
+              "verdict": "Normalized"}
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+ZERO_TAIL = [[7, ["0", "0", "0", "0"]], [8, ["0", "0", "0", "0"]]]
+# normal-form --json on inputs that need the swap and the shear.
+LINEAR_NORMAL_FORM_REPORTS = {
+    "swap": (SWAP, _linear_normal_form_report(
+        [[0, 1], [1, 0]], "1", "-1", "-2",
+        [[5, ["0", "3", "1", "0"]], [6, ["-2", "0", "0", "0"]], *ZERO_TAIL])),
+    "shear": ("mero:(3*(y-(1+i)/2*x)^2+x^3+x^2*y)/(x*(y-(1+i)/2*x)+x^3)",
+              _linear_normal_form_report(
+                  [[1, 0], ["1/2+1/2*i", 1]], "1/3", "-1/2-1/6*i", "-10/3",
+                  [[5, ["0", "31/3", "19/9", "0"]], [6, ["-280/27", "0", "0", "0"]],
+                   *ZERO_TAIL])),
+}
+
+
+@pytest.mark.parametrize("case", LINEAR_NORMAL_FORM_REPORTS)
+def test_normal_form_reports_after_a_linear_change_are_pinned(case):
+    text, report = LINEAR_NORMAL_FORM_REPORTS[case]
+    assert run_cli("normal-form", text, "--order", "8", "--json") == (0, report)
 
 
 @pytest.mark.parametrize(

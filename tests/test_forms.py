@@ -1,11 +1,13 @@
 """Geometry tests: 1-forms, blow-ups, cusp reduction."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from cuspfol import _backend
+from cuspfol.cli import _as_oneform
 from cuspfol.coeff import Coeff
 from cuspfol.forms import (
     OneForm,
@@ -20,9 +22,11 @@ from cuspfol.forms import (
     valuation,
 )
 from cuspfol.jets import Jet2, JetError
+from cuspfol.normalform import NormalFormData, reconstruct_normal_form
 
 import oracles
 from oracles import radial_form, wedge
+from test_cli import raw_mero
 
 RNG = random.Random(0x5EED5)
 
@@ -664,3 +668,93 @@ def test_pullback_map_normalizes_once_per_output_coefficient(monkeypatch):
         stored = len(out.a.triple_items()) + len(out.b.triple_items())
         assert len(norms) == stored > 0
     assert products == []
+
+
+# --- the reduction against the reference route --------------------------------
+
+
+def report_fields(rep):
+    """Every field of a ReductionReport, the types of the linear change's
+    entries and the corner chart form's order, variables and dicts included."""
+    w2 = rep.second_chart_form
+    change = rep.applied_linear_change
+    return {
+        "order": rep.order,
+        "verdict": rep.verdict,
+        "reason": rep.reason,
+        "is_valuation_3": rep.is_valuation_3,
+        "p2_coefficient": (type(rep.p2_coefficient), rep.p2_coefficient),
+        "applied_linear_change": None
+        if change is None
+        else [[(type(v), v) for v in row] for row in change],
+        "exceptional_power_1": rep.exceptional_power_1,
+        "singular_points_on_D2": [(type(t), t, m) for t, m in rep.singular_points_on_D2],
+        "tangency_at_infinity": rep.tangency_at_infinity,
+        "exceptional_power_2": rep.exceptional_power_2,
+        "implied": (rep.corner_regular, rep.transverse_to_D1, rep.transverse_to_D2),
+        "second_chart_form": None
+        if w2 is None
+        else (w2.order, w2.variables, dict(w2.a.triple_items()), dict(w2.b.triple_items())),
+    }
+
+
+def _template_draw(rng, order):
+    """A normal-form template with random alpha, a and tail, scaled by a
+    constant; alpha = 0 or a nonzero a_5 on some draws."""
+
+    def small():
+        return Coeff(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng.randint(-1, 1))
+
+    tail = {m: tuple(small() for _ in range(4)) for m in range(5, order + 1)}
+    if 5 in tail and rng.random() < 0.7:
+        tail[5] = (Coeff(0), *tail[5][1:3], Coeff(0))
+    alpha = Coeff(0) if rng.random() < 0.15 else small() or Coeff(1)
+    w = reconstruct_normal_form(NormalFormData(order, alpha, small(), tail))
+    return w * (small() or Coeff(0, 1))
+
+
+def _tangent_change(rng, order):
+    def part():
+        return {(i, d - i): rand_coeff() for d in (2, 3) for i in range(d + 1) if rng.random() < 0.3}
+
+    return (
+        Jet2({(1, 0): 1, **part()}, order),
+        Jet2({(0, 1): 1, **part()}, order),
+    )
+
+
+def _reduction_draws(rng):
+    """(kind, form) pairs over every branch of reduce_cusp, at orders 3..16
+    (raw ``mero:`` draws from order 4)."""
+    for _ in range(6):
+        for order in range(3, 17):
+            if order >= 4:  # the draws reach degree 4
+                yield "raw-mero", _as_oneform(raw_mero(rng), order)
+            template = _template_draw(rng, order)
+            yield "template", template
+            yield "moved", pullback_map(template, *_tangent_change(rng, order), order=order)
+            yield "swap", linear_change(template, ((0, 1), (1, 0)))
+            yield "shear", linear_change(template, ((1, 0), (rand_coeff() or Coeff(1), 1)))
+            yield "regular-point", template + OneForm(
+                Jet2.monomial(4, 0, rand_coeff() or Coeff(2), order), Jet2.zero(order)
+            )
+            yield "cone-draw", _cone_draw(rng, order)
+            yield "non-cusp", dense_form(order)
+            yield "two-directions", radial_form(order) * j2({(1, 1): 1, (0, 2): rand_coeff()}, order)
+            yield "not-radial", OneForm(j2({(3, 0): 1, (2, 1): rand_coeff()}, order), Jet2.zero(order))
+            yield "valuation", radial_form(order) * j2({(0, 1): 1, (2, 1): 1}, order)
+            yield "zero", OneForm(Jet2.zero(order), Jet2.zero(order))
+
+
+def test_reduce_cusp_matches_the_reference_route():
+    rng = random.Random(0xC0FFEE)
+    seen = set()
+    for kind, w in _reduction_draws(rng):
+        rep = reduce_cusp(w)
+        assert report_fields(rep) == report_fields(oracles.ref_reduce_cusp(w)), kind
+        seen.add((rep.verdict, re.sub(r"\d+", "N", rep.reason)))
+        if rep.applied_linear_change is not None:
+            seen.add(("change", rep.applied_linear_change[0][0] == 0))
+    assert ("change", True) in seen and ("change", False) in seen
+    reasons = {reason for verdict, reason in seen if verdict != "change"}
+    assert len(reasons) == 9, sorted(reasons)

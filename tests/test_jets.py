@@ -307,6 +307,56 @@ class TestJet2:
             )
             assert got == want
 
+    @staticmethod
+    def sum_operands(rng, order):
+        """Pairs of jets, one at ``order`` and one at a random order near
+        it, whose keys are disjoint, overlapping or cancelling, each pair in
+        both orders; the zero jet too."""
+        a = rand_jet2(rng, order, density=0.5)
+        other = rng.randint(max(order - 3, 0), order + 3)
+        held = dict(a.triple_items())
+        keys = [(i, d - i) for d in range(other + 1) for i in range(d + 1)]
+        disjoint = Jet2(
+            {k: rand_coeff(rng) for k in keys if k not in held and rng.random() < 0.5}, other
+        )
+        overlapping = rand_jet2(rng, other, density=0.5)
+        cancelling = -a.with_order(other) + Jet2({(0, other): 1, (other, 0): -2}, other)
+        for b in (disjoint, overlapping, cancelling, Jet2.zero(other)):
+            yield a, b
+            yield b, a
+
+    def test_sums_and_differences_match_the_oracle(self):
+        rng = random.Random(0x5A5)
+        for order in range(6):
+            for a, b in self.sum_operands(rng, order):
+                n = min(a.order, b.order)
+                pa = oracles.jet2_pairs(a.truncate(n))
+                pb = oracles.jet2_pairs(b.truncate(n))
+                for got, want in (
+                    (a + b, oracles.p2_add(pa, pb)),
+                    (a - b, oracles.p2_add(pa, oracles.p2_scal(pb, oracles.from_int(-1)))),
+                ):
+                    assert got.order == n
+                    assert oracles.jet2_pairs(got) == want
+                    assert all(not _backend.qiszero(t) for _, t in got.triple_items())
+
+    def test_a_difference_negates_a_key_only_the_right_operand_holds(self):
+        a = Jet2({(1, 0): 2}, 4)
+        b = Jet2({(0, 2): Coeff(Fraction(3, 4), -1), (1, 0): 2}, 4)
+        d = a - b
+        assert dict(d.triple_items()) == {(0, 2): (-3, 4, 4)}
+        assert b - a == -d
+
+    def test_truncate_at_the_own_order_is_the_jet(self):
+        rng = random.Random(0x7C)
+        for order in range(7):
+            f = rand_jet2(rng, order)
+            assert f.truncate(order) == f
+            for low in range(order):
+                g = f.truncate(low)
+                assert g.order == low
+                assert dict(g.items()) == {k: c for k, c in f.items() if sum(k) <= low}
+
     def test_exact_division_examples(self):
         """Division is by units only: exact quotients by non-units raise too."""
         x = Jet2.var_x(8)

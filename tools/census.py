@@ -1,0 +1,77 @@
+"""A byte census of the CLI over the benchmark's question streams.
+
+Run from anywhere, on the checkout that holds this file:
+
+    python3 tools/census.py [--seeds 1 43 2035] [--questions 600]
+                            [--workloads sweep series dense-nf cohomology]
+
+For each workload and seed it asks the first ``--questions`` questions of
+the seeded stream (``perfbench/workloads.py``) and then the workload's
+anchors, in process, each as ``cuspfol.cli.main(argv + ["--json"])``, and
+prints one line
+
+    <workload> seed=<seed> questions=<count> sha256=<hex>
+
+with one sha256 over every question's argv, exit code and stdout.  Two
+checkouts answer alike exactly when their lines match, so a change that
+must keep the output byte for byte runs this at both and compares.  A
+question that raises is hashed by its exception's type and message.
+
+Stdlib only; it imports the checkout's ``src/cuspfol`` and reads
+``perfbench/workloads.py`` without changing it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import itertools
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+import workloads  # noqa: E402
+from cuspfol import cli  # noqa: E402
+
+
+def answer(argv):
+    """(exit code or the exception, stdout) of one question."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        try:
+            code = cli.main(list(argv) + ["--json"])
+        except (Exception, SystemExit) as e:
+            code = f"raise {type(e).__name__}: {e}"
+    return code, buf.getvalue()
+
+
+def census(name, seed, count):
+    """(number of questions, sha256 hex) of one workload and seed."""
+    questions = list(itertools.islice(workloads.stream(name, seed), count))
+    questions += workloads.anchors(name)
+    digest = hashlib.sha256()
+    for q in questions:
+        code, out = answer(q.argv)
+        digest.update(repr((q.argv, code, out)).encode())
+    return len(questions), digest.hexdigest()
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 43, 2035])
+    parser.add_argument("--questions", type=int, default=600)
+    parser.add_argument("--workloads", nargs="+", default=list(workloads.WORKLOADS),
+                        choices=list(workloads.WORKLOADS))
+    args = parser.parse_args(argv)
+    for name in args.workloads:
+        for seed in args.seeds:
+            count, hexdigest = census(name, seed, args.questions)
+            print(f"{name} seed={seed} questions={count} sha256={hexdigest}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
