@@ -9,6 +9,16 @@ structured report: a fixed top-level shape
 as plain ``key: value`` lines, or as canonical JSON under ``--json`` (sorted
 keys, two-space indent, so equal inputs give byte-identical output).
 
+The grammar (commands, positionals, options and defaults) is written once,
+in ``_GRAMMAR`` and ``_OPTIONS``.  ``main`` first reads the canonical argv
+with ``_read_argv``: the command, then its positionals and its options,
+each option at most once and spelled in full, ``--order N`` and
+``--degree N`` with N of ASCII digits.  Every other argv, help and
+refusals included, goes to the argparse parser built from the same table,
+once per process, so argparse alone writes help, usage and error text and
+reads every other spelling it accepts (``--order=8``, ``--ord 8``, ``--``).
+An ``--order`` above ``MAX_ORDER`` is refused as invalid input.
+
 Exit status: 0 for a positive verdict, 1 for a negative one, 2 when the
 computation cannot decide at the working order, 3 for invalid input, 4 for
 an internal failure (a failed assertion or an arithmetic error in the
@@ -42,6 +52,12 @@ EXIT_NEGATIVE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
 EXIT_INTERNAL = 4
+
+# The largest --order accepted; larger orders are refused as input errors.
+# Work grows steeply with the order: on the SINH form every subcommand
+# answers within about 2 s at order 160, and equiv takes about 7 s at 192
+# (one process each, Python 3.11 on a shared 2-core host).
+MAX_ORDER = 160
 
 
 # ---------------------------------------------------------------------------
@@ -334,16 +350,71 @@ def _cmd_glue(args):
     return "CocycleBuilt", data, [], EXIT_OK
 
 
-_COMMANDS = {
-    "reduce": _cmd_reduce,
-    "normal-form": _cmd_normal_form,
-    "sigma": _cmd_sigma,
-    "schwarzian": _cmd_schwarzian,
-    "equiv": _cmd_equiv,
-    "symmetries": _cmd_symmetries,
-    "first-integral": _cmd_first_integral,
-    "cohomology": _cmd_cohomology,
-    "glue": _cmd_glue,
+# ---------------------------------------------------------------------------
+# the grammar, written once: build_parser and _read_argv both read it
+
+# option -> (default, help); an int default takes a value N, False is a flag
+_OPTIONS = {
+    "order": (16, "jet truncation order for the computation"),
+    "json": (False, "print the report as canonical JSON"),
+    "degree": (4, "degree bound for the rational relation search"),
+}
+_POSITIONALS = {
+    "form": "form expression, or mero: quotient",
+    "other": "second form expression",
+}
+_ONE_FORM = ("form",)
+_COMMON = ("order", "json")
+
+# command -> (handler, help, positionals, options)
+_GRAMMAR = {
+    "reduce": (_cmd_reduce, "run the two-blow-up reduction test", _ONE_FORM, _COMMON),
+    "normal-form": (
+        _cmd_normal_form, "compute the formal normal form data", _ONE_FORM, _COMMON
+    ),
+    "sigma": (
+        _cmd_sigma,
+        "compute the transversal-structure germ at the corner",
+        _ONE_FORM,
+        _COMMON,
+    ),
+    "schwarzian": (
+        _cmd_schwarzian,
+        "Schwarzian derivative of the transversal structure",
+        _ONE_FORM,
+        _COMMON,
+    ),
+    "equiv": (
+        _cmd_equiv,
+        "decide equivalence of two forms: whether the Schwarzians of their "
+        "sigma lie on one orbit of z -> lam*z/(1 + mu*z)",
+        ("form", "other"),
+        _COMMON,
+    ),
+    "symmetries": (
+        _cmd_symmetries,
+        "homographic symmetries of the Schwarzian invariant",
+        _ONE_FORM,
+        _COMMON,
+    ),
+    "first-integral": (
+        _cmd_first_integral,
+        "bounded search for a rational first-integral relation",
+        _ONE_FORM,
+        (*_COMMON, "degree"),
+    ),
+    "cohomology": (
+        _cmd_cohomology,
+        "dimension of the deformation space of the gluing",
+        _ONE_FORM,
+        _COMMON,
+    ),
+    "glue": (
+        _cmd_glue,
+        "build the model gluing cocycle from the (sigma, alpha) data",
+        _ONE_FORM,
+        _COMMON,
+    ),
 }
 
 
@@ -376,39 +447,18 @@ def build_parser():
         "cusp-type plane 1-forms.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, two_forms=False):
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("form", help="form expression, or mero: quotient")
-        if two_forms:
-            sp.add_argument("other", help="second form expression")
-        sp.add_argument(
-            "--order",
-            type=int,
-            default=16,
-            help="jet truncation order for the computation (default 16)",
-        )
-        sp.add_argument(
-            "--json", action="store_true", help="print the report as canonical JSON"
-        )
-        return sp
-
-    add("reduce", "run the two-blow-up reduction test")
-    add("normal-form", "compute the formal normal form data")
-    add("sigma", "compute the transversal-structure germ at the corner")
-    add("schwarzian", "Schwarzian derivative of the transversal structure")
-    add("equiv", "decide equivalence of two forms: whether the Schwarzians of their "
-        "sigma lie on one orbit of z -> lam*z/(1 + mu*z)", two_forms=True)
-    add("symmetries", "homographic symmetries of the Schwarzian invariant")
-    fi = add("first-integral", "bounded search for a rational first-integral relation")
-    fi.add_argument(
-        "--degree",
-        type=int,
-        default=4,
-        help="degree bound for the rational relation search (default 4)",
-    )
-    add("cohomology", "dimension of the deformation space of the gluing")
-    add("glue", "build the model gluing cocycle from the (sigma, alpha) data")
+    for command, (_, help_text, positionals, options) in _GRAMMAR.items():
+        sp = sub.add_parser(command, help=help_text)
+        for name in positionals:
+            sp.add_argument(name, help=_POSITIONALS[name])
+        for name in options:
+            default, text = _OPTIONS[name]
+            if default is False:
+                sp.add_argument(f"--{name}", action="store_true", help=text)
+            else:
+                sp.add_argument(
+                    f"--{name}", type=int, default=default, help=f"{text} (default {default})"
+                )
     return parser
 
 
@@ -418,12 +468,56 @@ def _parser():
     return build_parser()
 
 
+def _read_argv(argv):
+    """The namespace of a canonical argv, or None to leave it to argparse.
+
+    Canonical: the command first, then its positionals, none starting with
+    ``-``, and each of its options at most once and spelled in full, an int
+    option followed by ASCII digits.  argparse reads such an argv to the
+    same namespace.
+    """
+    if not argv or argv[0] not in _GRAMMAR:
+        return None
+    _, _, positionals, options = _GRAMMAR[argv[0]]
+    values, words = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            words.append(token)
+            continue
+        name = token[2:]
+        if not token.startswith("--") or name not in options or name in values:
+            return None
+        if _OPTIONS[name][0] is False:
+            values[name] = True
+            continue
+        digits = next(tokens, "")
+        if not (digits.isascii() and digits.isdigit()):
+            return None
+        try:
+            values[name] = int(digits)
+        except ValueError:  # past the interpreter's digit limit
+            return None
+    if len(words) != len(positionals):
+        return None
+    args = argparse.Namespace(command=argv[0], **dict(zip(positionals, words)))
+    for name in options:
+        setattr(args, name, values.get(name, _OPTIONS[name][0]))
+    return args
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    handler = _COMMANDS[args.command]
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:
+        args = _parser().parse_args(argv)
+    handler = _GRAMMAR[args.command][0]
     try:
         if args.order < 0:
             raise _CommandError(f"--order must be nonnegative (got {args.order})")
+        if args.order > MAX_ORDER:
+            raise _CommandError(f"--order must be at most {MAX_ORDER} (got {args.order})")
         verdict, data, certs, code = handler(args)
     except _CommandError as e:
         verdict, data, certs, code = e.verdict, {"error": str(e)}, [], e.code

@@ -318,11 +318,13 @@ class ReductionReport:
     """Data of the two-step reduction; every stage that ran is recorded.
 
     Computed: ``is_valuation_3``, the cone coefficient ``p2_coefficient``
-    (a in :func:`reduce_cusp`), the ``applied_linear_change``, the
-    exceptional powers of the two blow-ups, the corner chart form
-    ``second_chart_form``, and the tangency pattern on the first exceptional
-    curve D2: ``singular_points_on_D2`` lists its tangency/singular points
-    in the first-chart coordinate t with their multiplicities, and
+    (a in :func:`reduce_cusp`), the ``applied_linear_change`` and the
+    ``moved_form`` it gives (the input itself when no change is needed;
+    set once the cone is a*y^2), the exceptional powers of the two
+    blow-ups, the corner chart form ``second_chart_form``, and the
+    tangency pattern on the first exceptional curve D2:
+    ``singular_points_on_D2`` lists its tangency/singular points in the
+    first-chart coordinate t with their multiplicities, and
     ``tangency_at_infinity`` flags the direction the chart misses.  On a
     cusp-type form the pattern is exactly [(0, 2)] and the second blow-up is
     centered there.
@@ -339,6 +341,7 @@ class ReductionReport:
         self.is_valuation_3 = False
         self.p2_coefficient = None
         self.applied_linear_change = None
+        self.moved_form = None
         self.exceptional_power_1 = None
         self.singular_points_on_D2 = []
         self.tangency_at_infinity = None
@@ -450,6 +453,7 @@ def reduce_cusp(w: OneForm) -> ReductionReport:
     if qiszero(a) or dict(p.triple_items()) != {(0, 2): a}:
         raise AssertionError("the moved tangency cone is not a*y^2 with a != 0")
     rep.p2_coefficient = Coeff.from_triple(a)
+    rep.moved_form = w
 
     if n < _CERTIFYING_ORDER:
         return _finish(

@@ -54,7 +54,7 @@ from functools import cached_property
 
 from ._backend import QONE, QZERO, FormNumerators, qinv, qiszero, qmul, qnorm
 from .coeff import Coeff
-from .forms import OneForm, ReductionVerdict, linear_change, reduce_cusp
+from .forms import OneForm, ReductionVerdict, reduce_cusp
 from .jets import Jet2
 
 
@@ -213,17 +213,17 @@ def normalize(w: OneForm, *, reduction=None) -> NormalFormData:
 
     Requires reduce_cusp(w) to succeed.  ``reduction``, when given, is the
     caller's own ``reduce_cusp(w)`` report and is used in its place; its
-    verdict is checked all the same.  The preliminary linear change of the
-    reduction (if any) and a scalar multiple making the radial cofactor
-    exactly y^2 are applied first; then each degree n from 2 up kills the
-    y^2-divisible part of the coefficient-degree-(n+2) homogeneous part
-    with an exact change id + (P_n, Q_n) solved in closed form
-    (``_step_change``); the cubic change also sets the x^4 y dy
-    coefficient to zero.  Each step pulls the form's numerators back along
-    its change once and records the change in ``changes``; the composite
-    ``transform`` is built from them only when it is read.  Raises
-    ``AssertionError`` on defect (a), a form that keeps x^3 y^2 dx at
-    degree 5.
+    verdict is checked all the same.  The form is read as the reduction
+    left it after its linear change (``moved_form``), and a scalar
+    multiple making the radial cofactor exactly y^2 is applied first; then
+    each degree n from 2 up kills the y^2-divisible part of the
+    coefficient-degree-(n+2) homogeneous part with an exact change
+    id + (P_n, Q_n) solved in closed form (``_step_change``); the cubic
+    change also sets the x^4 y dy coefficient to zero.  Each step pulls the
+    form's numerators back along its change once and records the change in
+    ``changes``; the composite ``transform`` is built from them only when
+    it is read.  Raises ``AssertionError`` on defect (a), a form that keeps
+    x^3 y^2 dx at degree 5.
     """
     n_max = w.order
     rep = reduce_cusp(w) if reduction is None else reduction
@@ -231,8 +231,7 @@ def normalize(w: OneForm, *, reduction=None) -> NormalFormData:
         raise ValueError(
             f"normalize requires a cusp-type form (reduction verdict: {rep.verdict.value})"
         )
-    if rep.applied_linear_change is not None:
-        w = linear_change(w, rep.applied_linear_change)
+    w = rep.moved_form
     scale = Coeff.from_triple(qinv(rep.p2_coefficient.triple))
     form = FormNumerators(
         dict(w.a.triple_items()), dict(w.b.triple_items()), n_max, scale.triple

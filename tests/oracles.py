@@ -851,6 +851,7 @@ def ref_reduce_cusp(w: OneForm) -> ReductionReport:
     a = CZERO if p is None else p.coeff(0, 2)
     assert not a.is_zero() and p == Jet2.monomial(0, 2, a, p.order)
     rep.p2_coefficient = a
+    rep.moved_form = w
     if n < 5:
         return finish(
             ReductionVerdict.INCONCLUSIVE,

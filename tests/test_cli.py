@@ -6,6 +6,7 @@ shape and exit codes; two tests go through a real subprocess.
 
 import io
 import contextlib
+import hashlib
 import json
 import os
 import random
@@ -13,7 +14,7 @@ import re
 import subprocess
 import sys
 import time
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 import pytest
@@ -229,9 +230,10 @@ def test_fuzzed_inputs_exit_classified_within_a_time_bound():
     large exponents and carry large coefficients, numerals past the
     interpreter's digit limit and products of large numerals included: each
     answers with an exit code from 0 to 3 within a fixed time, and an input
-    error says so."""
+    error says so.  An order past the ceiling is refused the same way."""
     codes = []
     big = list(big_product_argvs())
+    big += [[command, CUSP, "--order", "10000000"] for command in ("sigma", "normal-form")]
     for argv in chain(fuzz_argvs(), big):
         start = time.perf_counter()
         code, out = run_cli(*argv)
@@ -1283,6 +1285,23 @@ def test_normal_form_reports_after_a_linear_change_are_pinned(case):
     assert run_cli("normal-form", text, "--order", "8", "--json") == (0, report)
 
 
+@pytest.mark.parametrize("case", LINEAR_NORMAL_FORM_REPORTS)
+def test_normal_form_pulls_back_along_the_linear_change_once(monkeypatch, case):
+    # reduce_cusp moves the form and keeps it; normalize reads it from there
+    import cuspfol.forms
+
+    calls = []
+
+    def counting_pullback_map(*args, **kwargs):
+        calls.append(None)
+        return pullback_map(*args, **kwargs)
+
+    monkeypatch.setattr(cuspfol.forms, "pullback_map", counting_pullback_map)
+    text, report = LINEAR_NORMAL_FORM_REPORTS[case]
+    assert run_cli("normal-form", text, "--order", "8", "--json") == (0, report)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1536,6 +1555,147 @@ def test_parser_survives_a_bad_argv(capsys):
     assert out1 == out2
 
 
+def cli_bytes(argv):
+    """(exit code, stdout, stderr) of one ``main`` call, argparse exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# sha256 of json.dumps([exit code, stdout, stderr]) at 80 columns, for the
+# argv whose bytes argparse alone writes: help, usage and refusals.  The
+# layout is argparse's own and differs between Python versions.
+ARGPARSE_BYTES = {
+    ("--help",): "9e9035a61684a963f484644093c9d590b7e7539ec13dd742048fb3f85bec88f3",
+    ("reduce", "--help"): "3fcf28d1d565c7895310405df76e5fd3b4c4576d6bf6b189fa07e25fe4835f71",
+    ("first-integral", "--help"):
+        "43b48953bb50534ad0bf698ecdcb01c68bf4721346fe28f409e694d746ac7bb1",
+    (): "7e273001de4d8012794763db7293001ff701a74235cc714d25c5567617871c6b",
+    ("no-such-command", CUSP): "723bca0150495a4680f69ac7c8137c62bc60ab345131e02a0f81a888574dec62",
+    ("normal-form",): "83a5bd6b5c3c388dfc2cf69b16576b536003dd3c25e1bc52f530cc60445e2e74",
+    ("equiv", CUSP): "684ed27d7c01726c64cd53b7a0864a232d61e5f3e8278e53d91d10f7b381510c",
+    ("sigma", CUSP, "--order", "x"):
+        "2e294c6bf4bc12ca4766a70c3f7134a08cf6103f881729e902cf5e10dbeefffb",
+    ("sigma", CUSP, "--order", "²"):
+        "80f1ee775934457130b9e48ead8875e67729c5a7d9a7c4ac90236b8d7b948266",
+    ("sigma", CUSP, "extra"): "94926834f34147b5853857d28bec2bfe550a6b5f480f54d837392f9794dc21d2",
+    ("sigma", CUSP, "--bogus"): "ed696633b7535435038f07aec64f5a593d5605c3da9695fca3d69c71e3dc6a70",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="bytes pinned on Python 3.11")
+def test_help_usage_and_refusals_are_pinned(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv, digest in ARGPARSE_BYTES.items():
+        printed = json.dumps(cli_bytes(argv)).encode()
+        assert hashlib.sha256(printed).hexdigest() == digest, argv
+
+
+@pytest.mark.parametrize(
+    "spelling",
+    [
+        ["sigma", CUSP, "--order=8", "--json"],
+        ["sigma", CUSP, "--ord", "8", "--json"],
+        ["sigma", CUSP, "--order", "8", "--js"],
+        ["sigma", "--order", "8", "--json", CUSP],
+        ["sigma", "--order", "8", "--json", "--", CUSP],
+        ["sigma", CUSP, "--order", " 8", "--json"],
+        ["first-integral", "--deg=3", SINH, "--order", "8", "--json"],
+    ],
+    ids=["equals", "prefix", "json-prefix", "options-first", "dashes", "space", "degree"],
+)
+def test_other_spellings_print_the_canonical_bytes(spelling):
+    canonical = [spelling[0], CUSP if CUSP in spelling else SINH, "--order", "8", "--json"]
+    if spelling[0] == "first-integral":
+        canonical += ["--degree", "3"]
+    assert cli_bytes(spelling) == cli_bytes(canonical)
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def workload_cycle_argvs(seed=1):
+    """Every argv of the first cycle of each benchmark workload, ``--json``
+    appended as the benchmark sends it."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    for name, slots in workloads.WORKLOADS.items():
+        for question in islice(workloads.stream(name, seed), len(slots)):
+            yield [*question.argv, "--json"]
+
+
+# Tokens near the canonical shape: every command, forms, option names and
+# values that argparse reads differently or refuses.
+FUZZ_COMMANDS = ["reduce", "normal-form", "sigma", "schwarzian", "equiv", "symmetries",
+                 "first-integral", "cohomology", "glue", "no-such-command"]
+FUZZ_WORDS = [CUSP, SINH, "x dx", "extra", "8", "", "-", "-3", "-x dx", "--"]
+FUZZ_OPTIONS = ["--order", "--degree", "--json", "--ord", "--js", "--deg", "--bogus",
+                "--order=8", "--help", "-h"]
+FUZZ_VALUES = ["8", "12", "0", "08", "-3", "+8", "1_0", " 8", "x", "²", "٣", "", "-",
+               "9" * 5000]
+
+
+def fuzz_argv(rng):
+    command = rng.choice(FUZZ_COMMANDS)
+    argv = [command] if rng.random() < 0.97 else []
+    forms = 2 if command == "equiv" else 1
+    words = rng.choices([CUSP, SINH], k=forms if rng.random() < 0.8 else 3 - forms)
+    if rng.random() < 0.3:
+        words.append(rng.choice(FUZZ_WORDS))
+    options = []
+    for _ in range(rng.choice([0, 1, 2, 2, 3])):
+        own = ["--order", "--json"] + ["--degree"] * (command == "first-integral")
+        name = rng.choice(own if rng.random() < 0.75 else FUZZ_OPTIONS)
+        options.append([name])
+        if name in ("--order", "--degree", "--ord", "--deg"):
+            value = rng.choice(["4", "8", "16"]) if rng.random() < 0.6 else rng.choice(FUZZ_VALUES)
+            options[-1].append(value)
+    pieces = [[w] for w in words] + options
+    rng.shuffle(pieces)
+    return argv + [token for piece in pieces for token in piece]
+
+
+def test_canonical_reader_agrees_with_argparse():
+    """Where the canonical reader answers, argparse reads the same namespace;
+    where argparse exits (help or refusal), the reader leaves the argv to it."""
+    from cuspfol import cli
+
+    rng = random.Random(0xA5C11)
+    argvs = list(workload_cycle_argvs()) + [fuzz_argv(rng) for _ in range(20_000)]
+    read = fallback = 0
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for argv in argvs:
+            mine = cli._read_argv(argv)
+            try:
+                theirs = cli._parser().parse_args(argv)
+            except SystemExit:
+                assert mine is None, argv
+                continue
+            if mine is None:
+                fallback += 1
+            else:
+                assert mine == theirs, argv
+                read += 1
+    assert read > 2000 and fallback > 2000, (read, fallback)
+
+
+def test_workload_argv_never_builds_the_parser():
+    from cuspfol import cli
+
+    cli._parser.cache_clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in workload_cycle_argvs():
+            cli.main(argv)
+    assert cli._parser.cache_info().currsize == 0
+
+
 def raw_mero(rng):
     """An unfiltered draw from mero:(y^2 + x^3 + ...)/(x*y + ...)."""
 
@@ -1632,6 +1792,15 @@ def test_subprocess_entry_point(tmp_path):
     proc = run_child(["-m", "cuspfol.cli", "reduce", CUSP], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "verdict: CuspTypeAbsolutelyDicritical" in proc.stdout
+    # main(None) reads sys.argv[1:], a canonical spelling and one only
+    # argparse reads alike
+    printed = set()
+    for spelling in (["sigma", CUSP, "--order", "8"], ["sigma", "--order=8", "--", CUSP]):
+        proc = run_child(["-m", "cuspfol.cli", *spelling], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert "verdict: Identity" in proc.stdout
+        printed.add(proc.stdout)
+    assert len(printed) == 1
 
 
 # Every module of the package that one CLI call needs is loaded at start.

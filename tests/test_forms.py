@@ -675,9 +675,11 @@ def test_pullback_map_normalizes_once_per_output_coefficient(monkeypatch):
 
 def report_fields(rep):
     """Every field of a ReductionReport, the types of the linear change's
-    entries and the corner chart form's order, variables and dicts included."""
+    entries and the moved and corner chart forms' orders, variables and
+    dicts included."""
     w2 = rep.second_chart_form
     change = rep.applied_linear_change
+    moved = rep.moved_form
     return {
         "order": rep.order,
         "verdict": rep.verdict,
@@ -687,6 +689,10 @@ def report_fields(rep):
         "applied_linear_change": None
         if change is None
         else [[(type(v), v) for v in row] for row in change],
+        "moved_form": None
+        if moved is None
+        else (moved.order, moved.variables, dict(moved.a.triple_items()),
+              dict(moved.b.triple_items())),
         "exceptional_power_1": rep.exceptional_power_1,
         "singular_points_on_D2": [(type(t), t, m) for t, m in rep.singular_points_on_D2],
         "tangency_at_infinity": rep.tangency_at_infinity,
