@@ -104,14 +104,6 @@ class Homography:
             raise ZeroDivisionError("pole of the homography")
         return self.lam * z / den
 
-    @classmethod
-    def fit_from_jet(cls, jet: Jet1) -> "Homography":
-        """The homography matching the 2-jet: lam = f'(0), mu = -f''(0)/(2f'(0))."""
-        c1 = jet.coeff(1)
-        if c1.is_zero():
-            raise JetError("cannot fit a homography to a singular germ")
-        return cls(c1, -jet.coeff(2) / c1)
-
 
 def schwarzian(s) -> Jet1:
     """Schwarzian derivative S(f) = f'''/f' - (3/2)(f''/f')^2 as a jet.

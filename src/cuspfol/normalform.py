@@ -38,10 +38,11 @@ numerators that the y^2-part is gone.  Each recorded change is a pair of
 jets over the triples the step computed.  The final form is read once as
 two {(i, j): triple} dicts, on which the structural checks run and the
 data is read off; ``Coeff`` is formed only for the returned data.  The
-composite change (``NormalFormData.transform``) is composed from the
-recorded steps only when it is read, since the normal form itself does
-not need it.  A caller that has already run ``reduce_cusp`` on the form
-passes its report to ``normalize`` so the form is reduced once.
+steps' changes are recorded and never composed, since no question needs
+the composite change; the tests compose it (``tests/oracles.py``) to
+check that it takes the form to its normal form.  A caller that has
+already run ``reduce_cusp`` on the form passes its report to
+``normalize`` so the form is reduced once.
 
 The stated per-coefficient elimination operator L, one-to-one at odd
 degrees only, is kept as a test reference (``tests/oracles.py``);
@@ -49,8 +50,6 @@ degrees only, is kept as a test reference (``tests/oracles.py``);
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 from ._backend import QONE, QZERO, FormNumerators, qinv, qiszero, qmul, qnorm
 from .coeff import Coeff
@@ -68,12 +67,10 @@ class NormalFormData:
     as pairs (P_n, Q_n) of order-``order`` jets, in the order they were
     applied, at most one per degree: the cubic gauge q0*x^3 is part of the
     cubic change, and a degree that needs no change records none.
-    ``transform`` is their composite, the accumulated tangent-to-identity
-    change (as a pair of jet components), composed from ``changes`` on
-    first read and kept.  ``applied_linear_change`` and ``scale`` record
-    the preliminary linear normalization and the scalar multiple taking the
-    radial cofactor to y^2 - both are part of the equivalence but not
-    tangent to the identity, so they are kept apart.
+    ``applied_linear_change`` and ``scale`` record the preliminary linear
+    normalization and the scalar multiple taking the radial cofactor to
+    y^2 - both are part of the equivalence but not tangent to the
+    identity, so they are kept apart.
     """
 
     def __init__(
@@ -109,17 +106,6 @@ class NormalFormData:
 
     def is_trivial_tail(self) -> bool:
         return all(all(c.is_zero() for c in t) for t in self.tail.values())
-
-    @cached_property
-    def transform(self) -> tuple[Jet2, Jet2]:
-        x = Jet2.var_x(self.order)
-        y = Jet2.var_y(self.order)
-        comp_x, comp_y = x, y
-        for p, q in self.changes:
-            fx, fy = x + p, y + q
-            comp_x = comp_x.substitute(fx, fy)
-            comp_y = comp_y.substitute(fx, fy)
-        return comp_x, comp_y
 
 
 def reconstruct_normal_form(data: NormalFormData) -> OneForm:
@@ -221,9 +207,9 @@ def normalize(w: OneForm, *, reduction=None) -> NormalFormData:
     id + (P_n, Q_n) solved in closed form (``_step_change``); the cubic
     change also sets the x^4 y dy coefficient to zero.  Each step pulls the
     form's numerators back along its change once and records the change in
-    ``changes``; the composite ``transform`` is built from them only when
-    it is read.  Raises ``AssertionError`` on defect (a), a form that keeps
-    x^3 y^2 dx at degree 5.
+    ``changes``; their composite is never built.  Raises
+    ``AssertionError`` on defect (a), a form that keeps x^3 y^2 dx at
+    degree 5.
     """
     n_max = w.order
     rep = reduce_cusp(w) if reduction is None else reduction

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from .coeff import Coeff
 from .firstintegral import Rational1, _as_rational
-from .forms import OneForm
 from .jets import DEFAULT_ORDER, Jet2
 
 
@@ -163,14 +162,6 @@ class ParamForm3:
 
     def is_zero(self):
         return self.a.is_zero() and self.b.is_zero() and self.c.is_zero()
-
-    def slice_form(self, value, order=DEFAULT_ORDER) -> OneForm:
-        """The induced 1-form on the slice z = value (the dz-slot drops)."""
-        return OneForm(
-            self.a.evaluate_param(value, order),
-            self.b.evaluate_param(value, order),
-            self.variables[:2],
-        )
 
 
 def param_form_of_meromorphic(num: ParamPoly2, den: ParamPoly2) -> ParamForm3:

@@ -12,28 +12,35 @@ solved degree by degree (constructive Frobenius); then
 
     sigma = (v -> H(0, v))^{-1}  composed with  (u -> H(u, 0)).
 
-The degree recurrence for H and the reversion run in the kernel, on
-Gaussian-integer numerators with one ``qnorm`` per output coefficient
-(:func:`cuspfol._backend.first_integral` and
-:func:`cuspfol._backend.jet1_revert`); H is checked again exactly,
+This holds for any first integral.  :func:`transversal_structure` takes
+the one normalized on D1, H(0, v) = v: it solves the germ with its two
+slots swapped, where that normalization is the recurrence's own
+H(u, 0) = u, and swaps the result back.  The first factor is then the
+identity and sigma is H(u, 0), read off the u-axis with no series
+reversion.  The reversion (:func:`cuspfol._backend.jet1_revert`) is left
+only to :func:`sigma_of_integral` on an integral not normalized on D1.
+
+The degree recurrence for H runs in the kernel, on Gaussian-integer
+numerators with one ``qnorm`` per output coefficient
+(:func:`cuspfol._backend.first_integral`); H is checked again exactly,
 dH ^ form = 0, in one integer pass over its numerators
 (:func:`cuspfol._backend.is_first_integral`), before sigma is read off it.
 
 sigma does not depend on the choice of H: any other first integral is
 phi(H) for a unit reparametrization phi, which cancels in the composition
-(property-tested with H -> H + H^2).
+(property-tested with H -> H + H^2, and against the integral normalized
+on D2, read through the reversion).
 
 sigma mod z^(N+1) reads only corner data of degree < N: H_(d+1) is solved
-from the corner coefficients of degree <= d, and the reversion and the
-composition read their inputs only up to degree N.  The two blow-ups give
-the corner germ jet order 4N - 7 for a form known to order N, so the CLI
-solves at its ``--order`` rather than at the corner germ's order.
+from the corner coefficients of degree <= d, and sigma reads H only up to
+degree N.  The two blow-ups give the corner germ jet order 4N - 7 for a
+form known to order N, so the CLI solves at its ``--order`` rather than
+at the corner germ's order.
 """
 
 from __future__ import annotations
 
 from ._backend import first_integral, is_first_integral
-from .coeff import Coeff
 from .forms import OneForm, ReductionReport
 from .jets import Jet1, Jet2, JetError
 from .moduli import GermDiff1
@@ -100,6 +107,9 @@ def regular_first_integral(c: CornerGerm, order=None) -> Jet2:
     afresh from the returned coefficients: dH ^ form = H_u*B - H_v*A must
     vanish to order N-1, evaluated in one integer pass
     (:func:`~cuspfol._backend.is_first_integral`).
+
+    The coefficients come back as the kernel's triples and are stored in
+    the returned jet as they are, with no ``Coeff`` built.
     """
     w = c.form
     n = w.order if order is None else order
@@ -109,10 +119,10 @@ def regular_first_integral(c: CornerGerm, order=None) -> Jet2:
         raise JetError("cannot differentiate an order-0 jet")
     a = dict(w.a.truncate(n).triple_items())
     b = dict(w.b.truncate(n).triple_items())
-    h = Jet2({key: Coeff.from_triple(t) for key, t in first_integral(a, b, n).items()}, n)
-    if not is_first_integral(dict(h.triple_items()), a, b, n):
+    h = first_integral(a, b, n)
+    if not is_first_integral(h, a, b, n):
         raise AssertionError("first integral failed the dH ^ w = 0 re-check")
-    return h
+    return Jet2._raw(h, n)
 
 
 def sigma_of_integral(h: Jet2) -> GermDiff1:
@@ -120,18 +130,24 @@ def sigma_of_integral(h: Jet2) -> GermDiff1:
 
     With g1 = H(.,0) and g2 = H(0,.), both tangent-to-identity up to a
     unit factor, sigma = g2^{-1} o g1.  Reparametrizing H by any unit
-    series phi(H) leaves the composition unchanged.  When g1 is the
-    identity, as for the integral :func:`regular_first_integral` returns
-    (normalized by H(u, 0) = u), sigma is g2^{-1} itself and no
-    composition is taken.
+    series phi(H) leaves the composition unchanged.  When g2 is the
+    identity, as for the integral normalized on D1 that
+    :func:`transversal_structure` passes, sigma is g1 itself and no
+    reversion is taken.  When g1 is the identity, as for the integral
+    :func:`regular_first_integral` returns (normalized by H(u, 0) = u),
+    sigma is g2^{-1} itself and no composition is taken.  Any other H goes
+    through the reversion and the composition.
     """
     g1 = h.restrict_to_axis("x")
     g2 = h.restrict_to_axis("y")
     for g in (g1, g2):
         if not g.coeff(0).is_zero() or g.coeff(1).is_zero():
             raise ValueError("integral is not transverse-normalized on the axes")
+    identity = Jet1.variable(h.order)
+    if g2 == identity:
+        return GermDiff1(g1)
     inverse = g2.comp_inverse()
-    if g1 == Jet1.variable(g1.order):
+    if g1 == identity:
         return GermDiff1(inverse)
     return GermDiff1(inverse.compose(g1))
 
@@ -142,5 +158,14 @@ def transversal_structure(c: CornerGerm, order=None) -> GermDiff1:
     ``order`` (at most the corner germ's order, which is the default) is the
     order of the returned jet; it equals the full sigma truncated to
     ``order``, since sigma mod z^(N+1) reads only corner data of degree < N.
+
+    The first integral is the one normalized on D1, H(0, v) = v:
+    :func:`regular_first_integral` solves the germ with its two slots
+    swapped (and re-checks dH ^ form = 0 there), and the result is swapped
+    back, so sigma = H(., 0) with no reversion.
     """
-    return sigma_of_integral(regular_first_integral(c, order))
+    w = c.form
+    swapped = CornerGerm(
+        OneForm(w.b.swap_variables(), w.a.swap_variables(), w.variables[::-1])
+    )
+    return sigma_of_integral(regular_first_integral(swapped, order).swap_variables())

@@ -28,6 +28,10 @@ as the reference at orders where the coefficient recursion above is too
 slow.  And the cusp reduction that the library now runs on kernel triples
 is kept as it was before: blow-ups as ``Jet2.exponent_map`` calls summed
 with ``Jet2`` addition, and every check a comparison of ``Coeff`` values.
+And three helpers that no question needs are kept here for the tests that
+read them, on the package's own types: the homography fitted to a 2-jet,
+the composite of a normal form's recorded changes, and the slice of a
+parametric 1-form.
 """
 
 import re
@@ -38,8 +42,9 @@ from fractions import Fraction
 from cuspfol._backend import QZERO, jet1_mul, qadd, qinv, qiszero, qmul, qneg
 from cuspfol.coeff import ZERO as CZERO, Coeff
 from cuspfol.forms import OneForm, ReductionReport, ReductionVerdict, pullback_map
-from cuspfol.jets import Jet1, Jet2
+from cuspfol.jets import Jet1, Jet2, JetError
 from cuspfol.linalg import solve
+from cuspfol.moduli import Homography
 
 ZERO = (Fraction(0), Fraction(0))
 ONE = (Fraction(1), Fraction(0))
@@ -885,4 +890,39 @@ def ref_reduce_cusp(w: OneForm) -> ReductionReport:
     return finish(
         ReductionVerdict.CUSP_TYPE_ABSOLUTELY_DICRITICAL,
         "two blow-ups reduce the foliation, regular and transverse to both divisor components",
+    )
+
+
+# ---------------------------------------------------------------------------
+# helpers that only tests read
+
+
+def fit_homography(jet):
+    """The homography matching the 2-jet: lam = f'(0), mu = -f''(0)/(2f'(0))."""
+    c1 = jet.coeff(1)
+    if c1.is_zero():
+        raise JetError("cannot fit a homography to a singular germ")
+    return Homography(c1, -jet.coeff(2) / c1)
+
+
+def normal_form_transform(data):
+    """The composite of a ``NormalFormData``'s recorded changes id + (P, Q),
+    in the order they were applied, as a pair of jet components."""
+    x = Jet2.var_x(data.order)
+    y = Jet2.var_y(data.order)
+    comp_x, comp_y = x, y
+    for p, q in data.changes:
+        fx, fy = x + p, y + q
+        comp_x = comp_x.substitute(fx, fy)
+        comp_y = comp_y.substitute(fx, fy)
+    return comp_x, comp_y
+
+
+def slice_form(form3, value, order):
+    """The 1-form a ``ParamForm3`` induces on the slice z = value (the
+    dz-slot drops)."""
+    return OneForm(
+        form3.a.evaluate_param(value, order),
+        form3.b.evaluate_param(value, order),
+        form3.variables[:2],
     )

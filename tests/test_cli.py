@@ -230,11 +230,16 @@ def test_fuzzed_inputs_exit_classified_within_a_time_bound():
     large exponents and carry large coefficients, numerals past the
     interpreter's digit limit and products of large numerals included: each
     answers with an exit code from 0 to 3 within a fixed time, and an input
-    error says so.  An order past the ceiling is refused the same way."""
+    error says so.  An order past the ceiling is refused the same way, and
+    sigma, equiv and symmetries on SINH answer at the ceiling itself."""
     codes = []
     big = list(big_product_argvs())
     big += [[command, CUSP, "--order", "10000000"] for command in ("sigma", "normal-form")]
-    for argv in chain(fuzz_argvs(), big):
+    ceiling = [
+        [*command, SINH, "--order", str(cuspfol.cli.MAX_ORDER)]
+        for command in (["sigma"], ["equiv", SINH], ["symmetries"])
+    ]
+    for argv in chain(fuzz_argvs(), big, ceiling):
         start = time.perf_counter()
         code, out = run_cli(*argv)
         assert time.perf_counter() - start < FUZZ_SECONDS, argv
@@ -243,7 +248,7 @@ def test_fuzzed_inputs_exit_classified_within_a_time_bound():
             assert verdict_of(out) == "InputError"
         codes.append(code)
     assert 3 in codes and (1 in codes or 2 in codes)
-    assert codes[-len(big):] == [3] * len(big)
+    assert codes[-len(big) - len(ceiling):] == [3] * len(big) + [0] * len(ceiling)
 
 
 def test_equiv_help_names_the_orbits_it_decides():

@@ -166,7 +166,7 @@ class TestSchwarzian:
             h = rand_homography(rng, imag=True)
             jet = h.to_jet(12)
             assert schwarzian(jet).is_zero()
-            fit = Homography.fit_from_jet(jet)
+            fit = oracles.fit_homography(jet)
             assert fit.lam == h.lam and fit.mu == h.mu
             assert fit.to_jet(12) == jet
 

@@ -7,7 +7,7 @@ import pytest
 
 from cuspfol import _backend, transversal
 from cuspfol.coeff import Coeff
-from cuspfol.forms import OneForm, form_of_meromorphic, reduce_cusp
+from cuspfol.forms import OneForm, form_of_meromorphic, pullback_map, reduce_cusp
 from cuspfol.jets import Jet1, Jet2, JetError
 from cuspfol.moduli import schwarzian
 from cuspfol.normalform import NormalFormData, reconstruct_normal_form
@@ -201,32 +201,75 @@ def test_sigma_at_a_lower_order_is_the_truncation():
             assert sig == full.truncate(n)
 
 
-def test_reversion_makes_no_series_product(monkeypatch):
-    # comp_inverse carries the Lagrange powers h^k as integer numerators in
-    # the kernel: sigma at order 64 makes no jet1_mul while it runs
+def test_sigma_takes_no_series_reversion(monkeypatch):
+    # the corner first integral is normalized on D1, H(0, v) = v, so sigma
+    # is H(u, 0) as it stands: the sigma subcommand reverts no series
     import cuspfol.jets
     from test_cli import run_cli
 
-    products, inside = [], []
-    mul = cuspfol.jets.jet1_mul
-    revert = Jet1.comp_inverse
+    calls = []
 
-    def counting_mul(*args):
-        products.append(None)
-        return mul(*args)
+    def refuse(*args):
+        calls.append(args)
+        raise AssertionError("sigma reverted a series")
 
-    def counting_revert(self):
-        before = len(products)
-        result = revert(self)
-        inside.append(len(products) - before)
-        return result
+    monkeypatch.setattr(Jet1, "comp_inverse", refuse)
+    monkeypatch.setattr(cuspfol.jets, "jet1_revert", refuse)
+    monkeypatch.setattr(_backend, "jet1_revert", refuse)
+    for text, verdict in ((README_MERO, "Identity"), (SINH, "NonIdentity")):
+        code, out = run_cli("sigma", text, "--order", "64")
+        assert code == 0
+        assert f"verdict: {verdict}" in out
+    assert calls == []
 
-    monkeypatch.setattr(cuspfol.jets, "jet1_mul", counting_mul)
-    monkeypatch.setattr(Jet1, "comp_inverse", counting_revert)
-    code, out = run_cli("sigma", README_MERO, "--order", "64")
-    assert code == 0
-    assert "verdict: Identity" in out
-    assert inside == [0]
+
+def plain_or_moved_template(rng, order):
+    """A seeded template, moved by x + p, y + q with p and q seeded of
+    degrees 2 and 3 on about half of the draws."""
+    w = seeded_template(rng, order)
+    if rng.random() < 0.5:
+        return w
+
+    def part():
+        return Jet2(
+            {(i, e - i): Coeff(rng.randint(-3, 3), rng.randint(-2, 2)) for e in (2, 3) for i in range(e + 1)},
+            order,
+        )
+
+    return pullback_map(w, Jet2.var_x(order) + part(), Jet2.var_y(order) + part(), order=order)
+
+
+def test_sigma_off_d1_equals_the_reversion_route(monkeypatch):
+    """sigma read off the integral normalized on D1 equals sigma through the
+    reversion of the integral normalized on D2, g2^{-1} with g2 = H(0, .):
+    at every order 5 to 32 on the corner germs of the README, ROADMAP and
+    SINH forms, and at two orders each on those of 24 seeded templates,
+    plain and moved, so that each order 5 to 32 is met.  The integral sigma
+    is read off satisfies H(0, v) = v and dH ^ w = 0."""
+    integrals = []
+    read_off = transversal.sigma_of_integral
+
+    def recording(h):
+        integrals.append(h)
+        return read_off(h)
+
+    monkeypatch.setattr(transversal, "sigma_of_integral", recording)
+    rng = random.Random(0xD1)
+    germs = [(corner_of(text, 10), range(5, 33)) for text in (README_MERO, ROADMAP_MERO, SINH)]
+    for k in range(24):
+        w = plain_or_moved_template(rng, 10)
+        germs.append((CornerGerm.from_reduction(reduce_cusp(w)), (5 + k, 32 - k)))
+    for c, orders in germs:
+        assert c.order >= 32
+        for n in orders:
+            integrals.clear()
+            sig = transversal_structure(c, n).jet
+            [h] = integrals
+            assert h.order == n
+            assert h.restrict_to_axis("y") == Jet1.variable(n)
+            a, b = (dict(f.truncate(n).triple_items()) for f in (c.form.a, c.form.b))
+            assert _backend.is_first_integral(dict(h.triple_items()), a, b, n)
+            assert sig == read_off(regular_first_integral(c, n)).jet
 
 
 def test_constant_germ_integral_normalizes_linearly_often(monkeypatch):
