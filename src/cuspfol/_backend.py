@@ -25,7 +25,11 @@ each power h^k as integer numerators over one divisor of D^k, with D the
 lcm of h's denominators; no power is normalized.  The first integral
 (:func:`first_integral`) forms each degree's residual in integers over
 one denominator per homogeneous part, and skips each coefficient whose
-inputs are zero.  Each of them normalizes an output coefficient once.
+inputs are zero.  The image of a series under a homography,
+(f o h) * (h')^2 with h = lam*z/(1 + mu*z)
+(:func:`jet1_homographic_image`), is read off its binomial closed form in
+Gaussian integers, with no composition.  Each of them normalizes an output
+coefficient once.
 
 Substitution (:func:`jet2_substitute`) and the pullback of a 1-form
 (:class:`FormNumerators`) follow the same rule, with one denominator per
@@ -62,6 +66,8 @@ them only at the end.  :func:`is_first_integral` re-checks a first
 integral, H_u B - H_v A = 0, in one integer pass with no normalization.
 
 The elimination (:func:`rref`) is a plain Gauss-Jordan on rows of triples.
+On request it reports the pivots it divides by, from which
+``linalg.determinant`` reads a determinant with no second elimination.
 """
 
 from itertools import chain
@@ -230,6 +236,54 @@ def jet1_reciprocal(c, n):
         out.append(
             qnorm(ub * sb - ua * sa, -(ua * sb + ub * sa), norm * lcm) if sa or sb else QZERO
         )
+    return out
+
+
+def jet1_homographic_image(c, lam, mu, n):
+    """The coefficients of (f o h) * (h')^2 up to degree n, h = lam*z/(1 + mu*z).
+
+    Since h^k (h')^2 = lam^(k+2) z^k (1 + mu*z)^-(k+4), coefficient m is
+
+        sum_(j=0..m) f_(m-j) lam^(m-j+2) (-mu)^j C(m+3, j).
+
+    The terms f_k lam^(k+2) are brought to one denominator D, as F_k/D, and
+    -mu is M/E with M a Gaussian integer; with B_k = F_k E^k, coefficient
+    m is the Gaussian integer sum_j C(m+3, j) B_(m-j) M^j over D E^m, one
+    integer multiply-add per pair (k, j) with B_k and M^j nonzero, and is
+    normalized once.  For mu = 0 only j = 0 remains.
+    """
+    power = qmul(lam, lam)
+    terms = []
+    for k, t in enumerate(c[: n + 1]):
+        if t[0] or t[1]:
+            terms.append((k, *qmul(t, power)))
+        power = qmul(power, lam)
+    terms, den = _scaled(terms)
+    ma, mb, e = qneg(mu)
+    b = [None] * (n + 1)  # B_k as (re, im), None where f_k = 0
+    for k, x, y, _ in terms:
+        ek = e**k
+        b[k] = (x * ek, y * ek)
+    mpow = [(1, 0)]  # M^j, only while nonzero
+    if ma or mb:
+        for _ in range(n):
+            x, y = mpow[-1]
+            mpow.append((x * ma - y * mb, x * mb + y * ma))
+    out = [QZERO] * (n + 1)
+    em = den
+    for m in range(n + 1):
+        re = im = 0
+        for j in range(min(m, len(mpow) - 1) + 1):
+            bk = b[m - j]
+            if bk is None:
+                continue
+            (x, y), (u, v) = bk, mpow[j]
+            w = comb(m + 3, j)
+            re += w * (x * u - y * v)
+            im += w * (x * v + y * u)
+        if re or im:
+            out[m] = qnorm(re, im, em)
+        em *= e
     return out
 
 
@@ -844,10 +898,12 @@ def is_first_integral(h, a, b, n):
     return not any(re or im for re, im in acc.values())
 
 
-def rref(rows, limit):
+def rref(rows, limit, scales=None):
     """Reduced row echelon form in place, pivoting only in the first
     ``limit`` columns; row operations apply to the full rows, so columns
-    beyond ``limit`` may carry an augmented right-hand side.
+    beyond ``limit`` may carry an augmented right-hand side.  When
+    ``scales`` is a list, each pivot's value before its row is divided by
+    it is appended, in row order.
 
     Plain Gauss-Jordan on dense rows of triples.  The pivot of column ``c``
     is the first row at or below the current one that is nonzero there; it
@@ -877,6 +933,8 @@ def rref(rows, limit):
             continue
         rows[p], rows[r] = rows[r], rows[p]
         origin[p], origin[r] = origin[r], origin[p]
+        if scales is not None:
+            scales.append(rows[r][c])
         inv = qinv(rows[r][c])
         prow = rows[r] = [qmul(v, inv) for v in rows[r]]
         support = [(m, v) for m, v in enumerate(prow) if v[0] or v[1]]

@@ -17,7 +17,8 @@ each option at most once and spelled in full, ``--order N`` and
 refusals included, goes to the argparse parser built from the same table,
 once per process, so argparse alone writes help, usage and error text and
 reads every other spelling it accepts (``--order=8``, ``--ord 8``, ``--``).
-An ``--order`` above ``MAX_ORDER`` is refused as invalid input.
+An ``--order`` above ``MAX_ORDER``, or a ``--degree`` above ``MAX_DEGREE``,
+is refused as invalid input.
 
 Exit status: 0 for a positive verdict, 1 for a negative one, 2 when the
 computation cannot decide at the working order, 3 for invalid input, 4 for
@@ -58,6 +59,12 @@ EXIT_INTERNAL = 4
 # answers within about 2 s at order 160, and equiv takes about 7 s at 192
 # (one process each, Python 3.11 on a shared 2-core host).
 MAX_ORDER = 160
+
+# The largest --degree accepted by first-integral.  Its d Hankel probes
+# eliminate (order - d) x d systems, so work grows steeply with d: at
+# order 160 the SINH form answers in about 1.6 s at degree 24 and 4.6 s at
+# 32, and the README and ROADMAP forms within 0.9 s (in process, same host).
+MAX_DEGREE = 24
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +525,8 @@ def main(argv=None) -> int:
             raise _CommandError(f"--order must be nonnegative (got {args.order})")
         if args.order > MAX_ORDER:
             raise _CommandError(f"--order must be at most {MAX_ORDER} (got {args.order})")
+        if getattr(args, "degree", 0) > MAX_DEGREE:
+            raise _CommandError(f"--degree must be at most {MAX_DEGREE} (got {args.degree})")
         verdict, data, certs, code = handler(args)
     except _CommandError as e:
         verdict, data, certs, code = e.verdict, {"error": str(e)}, [], e.code

@@ -15,6 +15,13 @@ that are decidable at finite jet order:
   equivalent foliations,
 * a bounded search for a relation over monomial probes R1 = z^k.
 
+The probes run on the kernel's one-variable routines: sigma^k is one
+``jet1_mul`` of sigma^(k-1) by sigma, the Hankel rows are its triples, P is
+the head of ``jet1_mul(Q, sigma^k)``, and P * Q^-1 = sigma^k is checked
+exactly with ``jet1_reciprocal``.  Only the pair a search prints is reduced
+to a :class:`Rational1` (the one place ``poly.gcd`` runs), and it is
+checked again after the reduction.
+
 The bounded search is evidence, not proof: absence of a relation up to the
 degree bound is reported as exactly that.  The general existence problem
 is bilinear in (R1, R2) and is deliberately not attempted here.
@@ -25,6 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import poly
+from ._backend import QONE, jet1_mul, jet1_reciprocal, qneg
 from .coeff import Coeff
 from .jets import DEFAULT_ORDER, Jet1, Jet2
 from .linalg import determinant, solve
@@ -136,11 +144,14 @@ class Rational1:
         return max(dn, dd)
 
     def expand(self, order) -> Jet1:
-        """Taylor jet at the origin; requires den(0) != 0."""
+        """Taylor jet at the origin; requires den(0) != 0.
+
+        A polynomial at z is its own coefficient jet, so this is one
+        series division of those jets.
+        """
         if self.den[0].is_zero():
             raise ValueError("pole at the origin")
-        z = Jet1.variable(order)
-        return poly.evaluate(self.num, z).div(poly.evaluate(self.den, z))
+        return Jet1(self.num, order).div(Jet1(self.den, order))
 
 
 def rational_precompose(r: Rational1, h: Homography) -> Rational1:
@@ -178,9 +189,8 @@ def verify_rational_relation(r1: Rational1, r2: Rational1, sigma, order) -> bool
     if sigma.order < order:
         raise ValueError("sigma jet is shorter than the requested order")
     s = sigma.truncate(order)
-    z = Jet1.variable(order)
-    lhs = poly.evaluate(r1.num, s) * poly.evaluate(r2.den, z) - poly.evaluate(
-        r2.num, z
+    lhs = poly.evaluate(r1.num, s) * Jet1(r2.den, order) - Jet1(
+        r2.num, order
     ) * poly.evaluate(r1.den, s)
     return lhs.is_zero()
 
@@ -199,6 +209,39 @@ def hankel_determinant(g: Jet1, size, shift=0) -> Coeff:
     )
 
 
+def _check_pade_order(d, n):
+    if n < 2 * d + 2:
+        raise ValueError(f"order {n} insufficient: need at least {2 * d + 2}")
+
+
+def _pade(g, d, n):
+    """(P, Q) with P/Q = g to order n, deg P, deg Q <= d and Q(0) = 1, or None.
+
+    ``g`` is a list of kernel triples g_0..g_n.  The Hankel rows
+    coefficient_m(Q*g) = 0, d < m <= n, are solved for Q_1..Q_d in one
+    ``linalg.solve``; P is the degree-<=d head of ``jet1_mul(Q, g)``, and
+    P * Q^-1 = g to order n is checked exactly.  Both are triple lists.
+    """
+    rows = [g[m - d : m][::-1] for m in range(d + 1, n + 1)]
+    res = solve(rows, [qneg(g[m]) for m in range(d + 1, n + 1)])
+    if not res.feasible:
+        return None
+    q = [QONE] + [c.triple for c in res.solution]
+    p = jet1_mul(q, g, n)[: d + 1]
+    if jet1_mul(p, jet1_reciprocal(q, n), n) != g:
+        return None
+    return p, q
+
+
+def _reduced(p, q, g, n) -> Rational1:
+    """P/Q as a reduced :class:`Rational1`, checked again against g."""
+    cand = Rational1(
+        tuple(Coeff.from_triple(t) for t in p), tuple(Coeff.from_triple(t) for t in q)
+    )
+    assert list(cand.expand(n).triples) == g, "reduced Pade pair does not re-expand to g"
+    return cand
+
+
 def hankel_rationality(g: Jet1, max_deg, order) -> Rational1 | None:
     """Reconstruct g as a rational function of degree <= max_deg, if any.
 
@@ -206,31 +249,19 @@ def hankel_rationality(g: Jet1, max_deg, order) -> Rational1 | None:
     rational function P/Q (deg P, deg Q <= d, Q(0) != 0) to order N >= 2d+2
     iff the linear system  coefficient_m(Q*g) = 0 for d < m <= N  has a
     solution with Q(0) = 1; then P is the degree-<=d head of Q*g.  The
-    reconstruction is reduced, re-expanded, and compared with g exactly.
+    system is solved on g's kernel triples, P * Q^-1 = g is checked
+    exactly, and the reconstruction is reduced and re-expanded once more.
     """
     d = int(max_deg)
     n = int(order)
     if d < 0:
         raise ValueError("degree bound must be >= 0")
-    if n < 2 * d + 2:
-        raise ValueError(f"order {n} insufficient: need at least {2 * d + 2}")
+    _check_pade_order(d, n)
     if g.order < n:
         raise ValueError(f"jet order {g.order} is shorter than requested order {n}")
-    rows = []
-    rhs = []
-    for m in range(d + 1, n + 1):
-        rows.append([g.coeff(m - k) if m - k >= 0 else Coeff(0) for k in range(1, d + 1)])
-        rhs.append(-g.coeff(m))
-    res = solve(rows, rhs)
-    if not res.feasible:
-        return None
-    q = (Coeff(1),) + tuple(res.solution)
-    prod = Jet1(q, n) * g.truncate(n)
-    p = tuple(prod.coeff(k) for k in range(min(d, n) + 1))
-    cand = Rational1(p, q)
-    if cand.expand(n) != g.truncate(n):
-        return None
-    return cand
+    t = list(g.triples[: n + 1])
+    pq = _pade(t, d, n)
+    return None if pq is None else _reduced(*pq, t, n)
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +315,12 @@ class FirstIntegralReport:
 def no_first_integral_witness(sigma, d, order) -> FirstIntegralReport:
     """Probe R1 = z^k, k <= d, for rationality of R1 o sigma.
 
-    Each probe expands (sigma)^k and asks ``hankel_rationality`` for a
-    degree-<=d reconstruction; the first hit is returned as the relation
-    (R1, R2).  A miss on every probe is evidence of no first integral
-    within the bound - a bounded search, not a proof.
+    Probe k takes sigma^k as one ``jet1_mul`` of sigma^(k-1) by sigma and
+    asks for a degree-<=d Pade pair P/Q of it, as ``hankel_rationality``
+    does, on kernel triples.  Only the first hit, which the report
+    carries as the relation (R1, R2), is reduced to a :class:`Rational1`
+    and checked again.  A miss on every probe is evidence of no first
+    integral within the bound - a bounded search, not a proof.
     """
     if isinstance(sigma, GermDiff1):
         sigma = sigma.jet
@@ -297,14 +330,17 @@ def no_first_integral_witness(sigma, d, order) -> FirstIntegralReport:
     n = int(order)
     if sigma.order < n:
         raise ValueError("sigma jet is shorter than the requested order")
-    s = sigma.truncate(n)
+    _check_pade_order(d, n)
+    s = list(sigma.triples[: n + 1])
+    power = [QONE]
     probes = []
     found = None
     for k in range(1, d + 1):
-        r2 = hankel_rationality(s**k, d, n)
-        probes.append((k, r2 is not None))
-        if r2 is not None and found is None:
-            found = (Rational1((0,) * k + (1,)), r2)
+        power = jet1_mul(power, s, n)
+        pq = _pade(power, d, n)
+        probes.append((k, pq is not None))
+        if pq is not None and found is None:
+            found = (Rational1((0,) * k + (1,)), _reduced(*pq, power, n))
     note = (
         f"bounded search over monomial probes z^k, k <= {d}; "
         "absence of a relation within the bound is evidence, not a proof"

@@ -131,6 +131,11 @@ class Jet1(_Jet):
     def coeffs(self):
         return tuple(Coeff.from_triple(t) for t in self._c)
 
+    @property
+    def triples(self):
+        """The coefficients as kernel triples, lowest degree first."""
+        return self._c
+
     def coeff(self, k) -> Coeff:
         if k < 0 or k > self._n:
             raise JetError(f"coefficient index {k} outside jet order {self._n}")

@@ -1,7 +1,10 @@
 """Exact dense linear algebra over Q(i).
 
 Thin layer over the kernel RREF: solve, rank, determinant, and
-infeasibility certificates.  A certificate for an unsolvable system A x = b
+infeasibility certificates.  Every one of them is a single :func:`rref`
+call (a certified solve may add one small square one); the determinant is
+read off the pivots that elimination divides by and the sign of its row
+permutation.  A certificate for an unsolvable system A x = b
 is a row combination y with  y^T A = 0  and  y^T b != 0.
 
 A certified solve eliminates only [A | b], with no identity block: a
@@ -19,7 +22,7 @@ certificates and determinants leave as Coeff.
 
 from __future__ import annotations
 
-from ._backend import QONE, QZERO, qadd, qdiv, qiszero, qmul, qneg, qsub, rref
+from ._backend import QONE, QZERO, qadd, qiszero, qmul, qneg, rref
 from .coeff import Coeff, as_triple
 
 
@@ -121,29 +124,24 @@ def matrix_rank(rows) -> int:
 
 
 def determinant(rows) -> Coeff:
-    """Exact determinant by Gaussian elimination with division."""
+    """Exact determinant, read off the one :func:`rref`.
+
+    Gauss-Jordan divides each pivot row by its pivot and otherwise only
+    swaps rows or subtracts multiples of the pivot row, so a nonsingular
+    matrix has determinant the product of the pivots before that division
+    times the sign of the row permutation; a matrix of lower rank has 0.
+    """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
-    a = [_triples(r) for r in rows]
+    work = [_triples(r) for r in rows]
+    scales = []
+    pivots, origin = rref(work, n, scales)
+    if len(pivots) < n:
+        return Coeff(0)
     det = QONE
-    for c in range(n):
-        p = -1
-        for k in range(c, n):
-            if not qiszero(a[k][c]):
-                p = k
-                break
-        if p < 0:
-            return Coeff(0)
-        if p != c:
-            a[c], a[p] = a[p], a[c]
-            det = qneg(det)
-        piv = a[c][c]
-        det = qmul(det, piv)
-        for k in range(c + 1, n):
-            f = a[k][c]
-            if qiszero(f):
-                continue
-            ratio = qdiv(f, piv)
-            a[k] = [qsub(a[k][m], qmul(ratio, a[c][m])) for m in range(n)]
-    return Coeff.from_triple(det)
+    for v in scales:
+        det = qmul(det, v)
+    # the sign of a permutation is the parity of its inversions
+    inversions = sum(origin[i] > origin[j] for i in range(n) for j in range(i + 1, n))
+    return Coeff.from_triple(qneg(det) if inversions % 2 else det)

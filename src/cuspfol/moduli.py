@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from math import gcd
 
+from ._backend import jet1_homographic_image
 from .coeff import Coeff, format_coeff
 from .gaussint import UNITS, nth_roots_in_qi
 from .jets import DEFAULT_ORDER, Jet1, JetError
@@ -269,8 +270,10 @@ def homographic_symmetries(f: Jet1) -> SymmetryReport:
 
         mu = f_(k0+1) (lam - 1) / ((k0 + 4) f_k0)
 
-    is kept exactly when the functional equation holds to the jet's order.
-    When k0 is the order itself nothing constrains mu.
+    is kept exactly when the functional equation holds to the jet's order,
+    with the image (f o h)(h')^2 read off the sum above
+    (:func:`_homographic_image`).  When k0 is the order itself nothing
+    constrains mu.
     """
     n = f.order
     if n < 4:
@@ -299,9 +302,14 @@ def homographic_symmetries(f: Jet1) -> SymmetryReport:
 
 
 def _homographic_image(f: Jet1, h: Homography) -> Jet1:
-    """(f o h) * (h')^2 through z^n, n the order of f."""
-    hj = h.to_jet(f.order + 1)  # so that h' is known through z^n
-    return f.compose(hj) * hj.derivative() ** 2
+    """(f o h) * (h')^2 through z^n, n the order of f.
+
+    Read off the closed form of ``homographic_symmetries``' docstring by
+    the kernel's :func:`~cuspfol._backend.jet1_homographic_image`: one
+    integer multiply-add per pair of coefficients, and no composition.
+    """
+    n = f.order
+    return Jet1._raw(jet1_homographic_image(f.triples, h.lam.triple, h.mu.triple, n), n)
 
 
 def homographic_equivalent(f0: Jet1, f1: Jet1) -> CStarVerdict:

@@ -31,7 +31,11 @@ with ``Jet2`` addition, and every check a comparison of ``Coeff`` values.
 And three helpers that no question needs are kept here for the tests that
 read them, on the package's own types: the homography fitted to a 2-jet,
 the composite of a normal form's recorded changes, and the slice of a
-parametric 1-form.
+parametric 1-form.  And the two sigma consumers that now run on kernel
+triples are kept as they ran on ``Coeff``, ``poly`` and ``Jet1`` objects:
+the monomial-probe first-integral search, with a reduced ``Rational1``
+re-expanded by Horner's rule at z for every hit, and the homographic image
+of a jet as a composition with the homography's jet.
 """
 
 import re
@@ -39,8 +43,10 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+from cuspfol import poly
 from cuspfol._backend import QZERO, jet1_mul, qadd, qinv, qiszero, qmul, qneg
 from cuspfol.coeff import ZERO as CZERO, Coeff
+from cuspfol.firstintegral import Rational1
 from cuspfol.forms import OneForm, ReductionReport, ReductionVerdict, pullback_map
 from cuspfol.jets import Jet1, Jet2, JetError
 from cuspfol.linalg import solve
@@ -926,3 +932,49 @@ def slice_form(form3, value, order):
         form3.b.evaluate_param(value, order),
         form3.variables[:2],
     )
+
+
+# ---------------------------------------------------------------------------
+# the sigma consumers on Coeff, poly and Jet1 objects
+
+
+def pade_by_horner(g, d, n):
+    """g as a reduced ``Rational1`` of degree <= d to order n, or None.
+
+    The Hankel rows coefficient_m(Q*g) = 0, d < m <= n, as ``Coeff`` rows
+    through ``linalg.solve``; P is the head of the ``Jet1`` product Q*g;
+    P/Q is reduced by ``poly.gcd`` and re-expanded by Horner's rule at the
+    variable jet, and kept only if that expansion is g.
+    """
+    rows = [[g.coeff(m - k) for k in range(1, d + 1)] for m in range(d + 1, n + 1)]
+    res = solve(rows, [-g.coeff(m) for m in range(d + 1, n + 1)])
+    if not res.feasible:
+        return None
+    q = (Coeff(1),) + tuple(res.solution)
+    prod = Jet1(q, n) * g.truncate(n)
+    cand = Rational1(tuple(prod.coeff(k) for k in range(d + 1)), q)
+    z = Jet1.variable(n)
+    if poly.evaluate(cand.num, z).div(poly.evaluate(cand.den, z)) != g.truncate(n):
+        return None
+    return cand
+
+
+def witness_by_horner(sigma, d, n):
+    """(probes, r1, r2) of the search over R1 = z^k, k <= d: sigma^k by
+    ``Jet1`` powering and :func:`pade_by_horner` on each; the relation is
+    the first hit, and r1 and r2 are None when no probe hits."""
+    s = sigma.truncate(n)
+    probes = []
+    found = (None, None)
+    for k in range(1, d + 1):
+        r2 = pade_by_horner(s**k, d, n)
+        probes.append((k, r2 is not None))
+        if r2 is not None and found[0] is None:
+            found = (Rational1((0,) * k + (1,)), r2)
+    return (tuple(probes), *found)
+
+
+def homographic_image_by_composition(f, h):
+    """(f o h) * (h')^2 through the order of f, by composing with h's jet."""
+    hj = h.to_jet(f.order + 1)  # so that h' is known through z^n
+    return f.compose(hj) * hj.derivative() ** 2

@@ -230,14 +230,25 @@ def test_fuzzed_inputs_exit_classified_within_a_time_bound():
     large exponents and carry large coefficients, numerals past the
     interpreter's digit limit and products of large numerals included: each
     answers with an exit code from 0 to 3 within a fixed time, and an input
-    error says so.  An order past the ceiling is refused the same way, and
-    sigma, equiv and symmetries on SINH answer at the ceiling itself."""
+    error says so.  An order or a degree past its ceiling is refused the
+    same way; sigma, equiv and symmetries on SINH answer at the order
+    ceiling, and first-integral at both ceilings on the README, ROADMAP
+    and SINH forms."""
     codes = []
+    top, degree = str(cuspfol.cli.MAX_ORDER), str(cuspfol.cli.MAX_DEGREE)
     big = list(big_product_argvs())
     big += [[command, CUSP, "--order", "10000000"] for command in ("sigma", "normal-form")]
+    big += [
+        ["first-integral", text, "--order", top, "--degree", str(cuspfol.cli.MAX_DEGREE + 1)]
+        for text in (CUSP, SINH)
+    ]
     ceiling = [
-        [*command, SINH, "--order", str(cuspfol.cli.MAX_ORDER)]
+        [*command, SINH, "--order", top]
         for command in (["sigma"], ["equiv", SINH], ["symmetries"])
+    ]
+    ceiling += [
+        ["first-integral", text, "--order", top, "--degree", degree]
+        for text in (CUSP, ROADMAP, SINH)
     ]
     for argv in chain(fuzz_argvs(), big, ceiling):
         start = time.perf_counter()
@@ -248,7 +259,7 @@ def test_fuzzed_inputs_exit_classified_within_a_time_bound():
             assert verdict_of(out) == "InputError"
         codes.append(code)
     assert 3 in codes and (1 in codes or 2 in codes)
-    assert codes[-len(big) - len(ceiling):] == [3] * len(big) + [0] * len(ceiling)
+    assert codes[-len(big) - len(ceiling):] == [3] * len(big) + [0] * 5 + [1]
 
 
 def test_equiv_help_names_the_orbits_it_decides():
@@ -1112,6 +1123,7 @@ def test_first_integral_at_the_largest_degree_is_pinned(text, code, report):
     assert run_cli(*argv) == (code, want)
 
 
+
 # A dense normal-form template, alpha = 2, a = 1-i, tail at degrees 5..7,
 # as A dx + B dy written in the placeholders X and Y.
 TEMPLATE_A = "-Y^3 - 4*X^3*Y + X^4*Y + 3*X^6 + i*X^5*Y + 1/2*X^7"
@@ -1828,3 +1840,48 @@ def test_cli_start_imports_no_dataclass_machinery(tmp_path):
     loaded = set(proc.stdout.split())
     assert not loaded & {"dataclasses", "inspect"}
     assert CLI_MODULES <= loaded, sorted(CLI_MODULES - loaded)
+
+
+# --json reports of the sigma consumers at orders 24 and 64: first-integral
+# at degrees 3 and 8, symmetries and equiv, on the README, ROADMAP and SINH
+# forms, and on MOVED, whose Schwarzian is brought to its normal form by a
+# homography with mu != 0.  sha256 of (exit code, stdout), taken from the
+# Coeff and poly probes and the composed homographic image that the kernel
+# routines replaced.
+SIGMA_CONSUMER_PINS = [
+    (("first-integral", CUSP, "--order", "24", "--degree", "3"), 0, "27a1e66a748f68dac418d76a027fcadc641d8f7f9197d1329d2d658e91245294"),
+    (("first-integral", CUSP, "--order", "24", "--degree", "8"), 0, "f8016e3fabdcef70af89d95b47872c8d16b20a2326b68960f20b8883fd245937"),
+    (("first-integral", CUSP, "--order", "64", "--degree", "3"), 0, "c9113ffa3df73abda3ebba4191162c0ae9528ff1e4a88a2f4ae89f7df72ef0fc"),
+    (("first-integral", CUSP, "--order", "64", "--degree", "8"), 0, "4b6c7e5ce28a7a1c022aa3392dab0e52cd6222b369923d825929d00c99afcf37"),
+    (("symmetries", CUSP, "--order", "64"), 0, "59fa89803a24002d86109d5639fb9ca3bedf293d37e79cd0856bfccd07754e4f"),
+    (("equiv", CUSP, CUSP, "--order", "64"), 0, "2860f067072b1d1dcd151a770ce079655c8bf3090714b6c10406473253db9c53"),
+    (("first-integral", ROADMAP, "--order", "24", "--degree", "3"), 0, "76868a6a7b00c903abe67f7de0be38b8d9e403b1e17f49e0b1e55a9dafe3f638"),
+    (("first-integral", ROADMAP, "--order", "24", "--degree", "8"), 0, "181e2a9608359b07b8b03368336fb8d364dd7618ec38dcc7907d66b3c6e67050"),
+    (("first-integral", ROADMAP, "--order", "64", "--degree", "3"), 0, "e89489629b8d04115c72b98f0d48d275025884505c2241cb79576634e733965a"),
+    (("first-integral", ROADMAP, "--order", "64", "--degree", "8"), 0, "7aabe1636b397437b5a48c1f4221988ef7ce3e652db9128674d1a33947b92152"),
+    (("symmetries", ROADMAP, "--order", "64"), 0, "59fa89803a24002d86109d5639fb9ca3bedf293d37e79cd0856bfccd07754e4f"),
+    (("equiv", ROADMAP, ROADMAP, "--order", "64"), 0, "6a860b71a76af92d48d19a6549139b76f66202256ca306253de1147c4ac9ee63"),
+    (("first-integral", SINH, "--order", "24", "--degree", "3"), 1, "d79827c195e749d3574b0928328941acbec459ac453dd946fd6272cf8bf0da9d"),
+    (("first-integral", SINH, "--order", "24", "--degree", "8"), 1, "e38f3f5229b6dd5930cc42ffc30c0710e4bab84397988e4ebc9030a72283ee38"),
+    (("first-integral", SINH, "--order", "64", "--degree", "3"), 1, "d195ed1b6ed876cf2b4f9e217e2f78793fe8a82b4ec8b84bca420b8408c16369"),
+    (("first-integral", SINH, "--order", "64", "--degree", "8"), 1, "4839a038f792b142716e25b634b8af1638029aeea63851118a751b3747f85ce3"),
+    (("symmetries", SINH, "--order", "64"), 0, "da1c21f1d158b1cb179c042402ed3971e3da2c11a8283a500090c7cba73f89e5"),
+    (("equiv", SINH, SINH, "--order", "64"), 0, "a3a38f0cf7f9403a69187f5cdf6e62aca91335686a324fa297b031e9c7f86a13"),
+    (("symmetries", MOVED, "--order", "64"), 0, "95c8c039c1e2e779448e15d5e54aab0278c860d0fdc9c76f7f86e4175d160879"),
+    (("equiv", MOVED, MOVED, "--order", "64"), 0, "f95d549edadcf5e5c4593430b7bdd7a7f482c48c8347443917eb1f47987a0582"),
+    (("equiv", SINH, MOVED, "--order", "64"), 1, "f22549f01505808d904e9cdfea0f064099624c8a2d974c06b3ff9bd92d031624"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    SIGMA_CONSUMER_PINS,
+    ids=[
+        "-".join(FORM_IDS.get(a, "moved" if a == MOVED else a.lstrip("-")) for a in argv)
+        for argv, _, _ in SIGMA_CONSUMER_PINS
+    ],
+)
+def test_sigma_consumer_reports_are_pinned(argv, code, digest):
+    got_code, out = run_cli(*argv, "--json")
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

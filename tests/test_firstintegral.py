@@ -8,6 +8,7 @@ import pytest
 
 from cuspfol.coeff import Coeff
 from cuspfol.forms import ReductionVerdict, form_of_meromorphic, reduce_cusp
+from cuspfol.transversal import CornerGerm, transversal_structure
 from cuspfol.jets import Jet1
 from cuspfol.moduli import GermDiff1, Homography
 from cuspfol.firstintegral import (
@@ -21,6 +22,7 @@ from cuspfol.firstintegral import (
     verify_rational_relation,
 )
 
+import oracles
 from oracles import hankel_of_series
 
 RNG = random.Random(0x41A7)
@@ -288,6 +290,98 @@ def test_witness_exponential_not_found():
     assert "not a proof" in rep.note
     assert isinstance(rep, FirstIntegralReport)
     assert not rep
+
+
+def template_sigmas(count, order=32):
+    """sigma at ``order`` of ``count`` seeded templates (plain and moved)."""
+    from test_transversal import plain_or_moved_template
+
+    rng = random.Random(0x5E)
+    out = []
+    for _ in range(count):
+        c = CornerGerm.from_reduction(reduce_cusp(plain_or_moved_template(rng, 10)))
+        out.append(transversal_structure(c, order).jet)
+    return out
+
+
+def test_witness_matches_the_horner_route():
+    """The kernel search against the search on Coeff, poly and Jet1 objects
+    (``oracles.witness_by_horner``): equal probes, r1 and r2 on sigma of
+    the README and ROADMAP forms, of seeded homographies lam*z/(1 + mu*z)
+    and of SINH, and on 20 seeded templates, at seeded orders 8 to 32 and
+    degrees 1 to 5.  Every probe hits on the first two kinds, and the
+    templates miss on every probe."""
+    from test_transversal import README_MERO, ROADMAP_MERO, SINH, corner_of
+
+    rng = random.Random(0xF1A)
+    hits = [transversal_structure(corner_of(t, 10), 32).jet for t in (README_MERO, ROADMAP_MERO)]
+    for _ in range(6):
+        lam = rand_coeff(True)
+        mu = rand_coeff() if rng.random() < 0.8 else Coeff(0)
+        hits.append(Homography(lam, mu).to_jet(32))
+    misses = template_sigmas(20)
+    sinh = transversal_structure(corner_of(SINH, 10), 32).jet
+    cases = [(s, True) for s in hits] + [(sinh, None)] + [(s, False) for s in misses]
+    orders = set()
+    for sigma, hit in cases:
+        for _ in range(2):
+            d = rng.randint(1, 5)
+            n = rng.randint(max(8, 2 * d + 2), 32)
+            orders.add(n)
+            rep = no_first_integral_witness(sigma, d, n)
+            probes, r1, r2 = oracles.witness_by_horner(sigma, d, n)
+            assert (rep.probes, rep.r1, rep.r2) == (probes, r1, r2)
+            if hit is not None:
+                assert [h for _, h in probes] == [hit] * d
+    assert min(orders) <= 10 and max(orders) >= 30
+
+
+def test_witness_reduces_only_the_printed_pair(monkeypatch):
+    """poly.gcd runs once for r1 and once for r2 when a probe hits, and not
+    at all when none does, however many probes hit."""
+    import cuspfol.poly
+
+    calls = []
+    gcd = cuspfol.poly.gcd
+
+    def counting_gcd(a, b):
+        calls.append(len(b))
+        return gcd(a, b)
+
+    monkeypatch.setattr(cuspfol.poly, "gcd", counting_gcd)
+    rep = no_first_integral_witness(GermDiff1.identity(N), 5, N)
+    assert rep.probes == tuple((k, True) for k in range(1, 6))
+    assert len(calls) == 2
+    calls.clear()
+    sig = Homography(Coeff(2), Coeff(1, -1)).to_jet(N)
+    rep = no_first_integral_witness(sig, 4, N)
+    assert all(hit for _, hit in rep.probes) and len(calls) == 2
+    calls.clear()
+    rep = no_first_integral_witness(GermDiff1(exp_jet()), 5, N)
+    assert not rep.relation_found and calls == []
+
+
+def test_hankel_rationality_reads_the_kernel_triples(monkeypatch):
+    """The wrapper solves and checks on kernel triples and reduces its one
+    hit, whose re-expansion reads num and den at z as their coefficient
+    jets: one Jet1 product, the series division, and no composition."""
+    import cuspfol.jets
+
+    products = []
+    mul = cuspfol.jets.Jet1.__mul__
+
+    def counting_mul(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    r = Rational1((1, 2, Coeff(0, 1)), (1, Coeff(1, 1), 3))
+    g = r.expand(N)
+    monkeypatch.setattr(cuspfol.jets.Jet1, "__mul__", counting_mul)
+    assert hankel_rationality(g, 2, N) == r
+    assert len(products) == 1
+    products.clear()
+    assert hankel_rationality(exp_jet(), 4, N) is None
+    assert products == []
 
 
 def test_witness_validates_input():

@@ -131,6 +131,17 @@ class TestJet1:
         assert (a * b).order == 4
         assert (a + b).order == 4
 
+    def test_triples_are_the_normalized_coefficients(self):
+        rng = random.Random(5)
+        for n in (0, 1, 7):
+            f = rand_jet1(rng, n)
+            assert len(f.triples) == n + 1
+            assert tuple(Coeff.from_triple(t) for t in f.triples) == f.coeffs
+            assert all(t == Coeff.from_triple(t).triple for t in f.triples)
+        assert Jet1([Fraction(2, 4), Coeff(0, 3)], 3).triples == (
+            (1, 0, 2), (0, 3, 1), (0, 0, 1), (0, 0, 1)
+        )
+
     def test_geometric_series(self):
         # 1/(1-z): all coefficients 1.
         one = Jet1.one(10)

@@ -110,16 +110,65 @@ def test_rank_transpose_invariant():
         assert matrix_rank(rows) == matrix_rank(cols)
 
 
+def pairs(rows):
+    return [[oracles.pair_of_coeff(Coeff(c)) for c in row] for row in rows]
+
+
 def test_determinant_vs_cofactor_oracle():
+    """Seeded Q(i) matrices of sizes 1 to 6, nonsingular and singular (one
+    row a combination of the others, or a zero column), against the
+    cofactor expansion; the singular ones have determinant 0."""
     rng = random.Random(113)
-    for _ in range(10):
-        n = rng.randint(1, 4)
+    singular = 0
+    for trial in range(60):
+        n = 1 + trial % 6
         rows = [[rand_coeff(rng) for _ in range(n)] for _ in range(n)]
-        want = oracles.det_cofactor(
-            [[oracles.pair_of_coeff(c) for c in row] for row in rows]
-        )
+        if trial % 3 == 1 and n > 1:
+            a, b = rand_coeff(rng), rand_coeff(rng)
+            rows[rng.randrange(n)] = [a * x + b * y for x, y in zip(rows[0], rows[-1])]
+            if rng.random() < 0.5:
+                rng.shuffle(rows)
+        elif trial % 3 == 2:
+            col = rng.randrange(n)
+            for row in rows:
+                row[col] = Coeff(0)
         got = determinant(rows)
-        assert (got.re, got.im) == want
+        assert (got.re, got.im) == oracles.det_cofactor(pairs(rows))
+        singular += got.is_zero()
+    assert singular >= 20
+
+
+def test_determinant_of_the_criterion_09_hankel_matrices():
+    """The Hankel matrices [c_(shift+i+j)] of e^z - 1 at order 16, every
+    size 1 to 6 and shift 0 to 2, against the cofactor expansion; size 6 at
+    shift 1 is criterion 09's frozen refutation."""
+    from math import factorial
+
+    series = [Coeff(0)] + [Coeff(1) / factorial(k) for k in range(1, 17)]
+    for size in range(1, 7):
+        for shift in range(3):
+            rows = [[series[shift + i + j] for j in range(size)] for i in range(size)]
+            got = determinant(rows)
+            assert (got.re, got.im) == oracles.det_cofactor(pairs(rows))
+    rows = [[series[1 + i + j] for j in range(6)] for i in range(6)]
+    assert determinant(rows) == Coeff(-1) / Coeff(222531556847250309120000000)
+
+
+def test_determinant_is_one_elimination(monkeypatch):
+    import cuspfol.linalg
+
+    calls = []
+    rref = cuspfol.linalg.rref
+
+    def counting_rref(*args, **kwargs):
+        calls.append(len(args[0]))
+        return rref(*args, **kwargs)
+
+    monkeypatch.setattr(cuspfol.linalg, "rref", counting_rref)
+    assert determinant([[0, 1, 2], [1, 0, 3], [4, -3, 8]]) == -2
+    assert determinant([[1, 2], [2, 4]]) == 0
+    assert determinant([]) == 1
+    assert calls == [3, 2, 0]
 
 
 def test_determinant_singular():

@@ -444,3 +444,39 @@ class TestNormalPairs:
             # and transports alpha by +2mu; the canonical mu makes them meet.
             assert canonical_alpha(new_sigma) == canonical_alpha(s) - 3 * h.mu
             assert canonical_alpha(new_sigma) == alpha + 2 * h.mu
+
+
+def test_homographic_image_matches_the_composition():
+    """The kernel's closed form against (f o h) * (h')^2 by composing with
+    h's jet (``oracles.homographic_image_by_composition``): seeded f, lam and
+    mu at orders 4 to 64, mu = 0 and lam off the units included."""
+    from cuspfol.moduli import _homographic_image
+
+    rng = random.Random(0x1A6)
+    orders = list(range(4, 33)) + [40, 48, 56, 64]
+    for k, n in enumerate(orders):
+        coeffs = [
+            Coeff(Fraction(rng.randint(-5, 5), rng.randint(1, 4)), rng.randint(-3, 3))
+            if rng.random() < 0.6
+            else 0
+            for _ in range(n + 1)
+        ]
+        f = Jet1(coeffs, n)
+        h = rand_homography(rng, imag=k % 2 == 1)
+        if k % 4 == 0:
+            h = Homography(h.lam, 0)
+        assert _homographic_image(f, h) == oracles.homographic_image_by_composition(f, h)
+    assert _homographic_image(Jet1.zero(8), Homography(2, 3)) == Jet1.zero(8)
+
+
+def test_symmetries_and_equiv_compose_no_series(monkeypatch):
+    """homographic_symmetries and homographic_equivalent read the image in
+    closed form: neither composes a jet."""
+
+    def refuse(*args):
+        raise AssertionError("Jet1.compose")
+
+    monkeypatch.setattr(Jet1, "compose", refuse)
+    f = Jet1([0, 0, 3, 1, Coeff(2, 1), 0, 5, 1, 0, 2], 9)
+    assert len(homographic_symmetries(f).candidates) == 1
+    assert homographic_equivalent(f, f).equivalent

@@ -3,7 +3,7 @@
 Run from anywhere, on the checkout that holds this file:
 
     python3 tools/census.py [--seeds 1 43 2035] [--questions 600]
-                            [--workloads sweep series dense-nf cohomology]
+                            [--workloads sweep series dense-nf cohomology high-order]
 
 For each workload and seed it asks the first ``--questions`` questions of
 the seeded stream (``perfbench/workloads.py``) and then the workload's
@@ -16,6 +16,13 @@ with one sha256 over every question's argv, exit code and stdout.  Two
 checkouts answer alike exactly when their lines match, so a change that
 must keep the output byte for byte runs this at both and compares.  A
 question that raises is hashed by its exception's type and message.
+
+The last line, ``high-order questions=<count> sha256=<hex>``, hashes the
+same way the questions the streams never ask at high orders:
+``first-integral`` (at the default degree and at degree 8),
+``symmetries`` and ``equiv`` (each ordered pair) on the README, ROADMAP
+and SINH forms at orders 64 and 160.  ``--workloads`` selects it by that
+name.
 
 Stdlib only; it imports the checkout's ``src/cuspfol`` and reads
 ``perfbench/workloads.py`` without changing it.
@@ -49,25 +56,51 @@ def answer(argv):
     return code, buf.getvalue()
 
 
+HIGH_ORDER_FORMS = (
+    "mero:(y^2+x^3)/(x*y)",
+    "mero:(y^2+x^3+x^2*y)/(x*y+x^3)",
+    "(-y^3 + 2*x^3*y + x^4*y) dx + (x*y^2 - x^4) dy",
+)
+
+
+def high_order_argvs():
+    for order in ("64", "160"):
+        for f in HIGH_ORDER_FORMS:
+            yield ["first-integral", f, "--order", order]
+            yield ["first-integral", f, "--order", order, "--degree", "8"]
+            yield ["symmetries", f, "--order", order]
+            for g in HIGH_ORDER_FORMS:
+                yield ["equiv", f, g, "--order", order]
+
+
+def digest(argvs):
+    """(number of questions, sha256 hex) of a list of argvs."""
+    h = hashlib.sha256()
+    for argv in argvs:
+        code, out = answer(argv)
+        h.update(repr((argv, code, out)).encode())
+    return len(argvs), h.hexdigest()
+
+
 def census(name, seed, count):
     """(number of questions, sha256 hex) of one workload and seed."""
     questions = list(itertools.islice(workloads.stream(name, seed), count))
     questions += workloads.anchors(name)
-    digest = hashlib.sha256()
-    for q in questions:
-        code, out = answer(q.argv)
-        digest.update(repr((q.argv, code, out)).encode())
-    return len(questions), digest.hexdigest()
+    return digest([q.argv for q in questions])
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 43, 2035])
     parser.add_argument("--questions", type=int, default=600)
-    parser.add_argument("--workloads", nargs="+", default=list(workloads.WORKLOADS),
-                        choices=list(workloads.WORKLOADS))
+    names = [*workloads.WORKLOADS, "high-order"]
+    parser.add_argument("--workloads", nargs="+", default=names, choices=names)
     args = parser.parse_args(argv)
     for name in args.workloads:
+        if name == "high-order":
+            count, hexdigest = digest(list(high_order_argvs()))
+            print(f"high-order questions={count} sha256={hexdigest}", flush=True)
+            continue
         for seed in args.seeds:
             count, hexdigest = census(name, seed, args.questions)
             print(f"{name} seed={seed} questions={count} sha256={hexdigest}", flush=True)
