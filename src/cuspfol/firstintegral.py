@@ -219,8 +219,13 @@ def _pade(g, d, n):
 
     ``g`` is a list of kernel triples g_0..g_n.  The Hankel rows
     coefficient_m(Q*g) = 0, d < m <= n, are solved for Q_1..Q_d in one
-    ``linalg.solve``; P is the degree-<=d head of ``jet1_mul(Q, g)``, and
-    P * Q^-1 = g to order n is checked exactly.  Both are triple lists.
+    ``linalg.solve``; None means they are infeasible.  P is the degree-<=d
+    head of ``jet1_mul(Q, g)``, and P * Q^-1 = g to order n is checked
+    exactly.  Both are triple lists.
+
+    A solution with Q(0) = 1 makes that check an identity: Q*g agrees with
+    P to order n, and Q is invertible.  So a failed check is a fault of the
+    library, an ``AssertionError`` as in :func:`_reduced`, not a miss.
     """
     rows = [g[m - d : m][::-1] for m in range(d + 1, n + 1)]
     res = solve(rows, [qneg(g[m]) for m in range(d + 1, n + 1)])
@@ -229,7 +234,7 @@ def _pade(g, d, n):
     q = [QONE] + [c.triple for c in res.solution]
     p = jet1_mul(q, g, n)[: d + 1]
     if jet1_mul(p, jet1_reciprocal(q, n), n) != g:
-        return None
+        raise AssertionError("a feasible Hankel solution fails P * Q^-1 = g")
     return p, q
 
 

@@ -1,5 +1,6 @@
 """Tests for rational-first-integral criteria."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -382,6 +383,37 @@ def test_hankel_rationality_reads_the_kernel_triples(monkeypatch):
     products.clear()
     assert hankel_rationality(exp_jet(), 4, N) is None
     assert products == []
+
+
+def test_a_failed_pade_recheck_is_an_internal_error(monkeypatch, capsys):
+    """A feasible Hankel solve with Q(0) = 1 makes P * Q^-1 = g an
+    identity, so a solution that fails it is a fault of the library:
+    exit 4 with InternalError through the CLI, not NoRelationWithinBound,
+    and an AssertionError from hankel_rationality, not "not rational"."""
+    import cuspfol.firstintegral
+    from cuspfol.cli import main
+
+    solve = cuspfol.firstintegral.solve
+
+    def perturbed(rows, rhs, **kwargs):
+        # add 1 to an unknown that some row reads, so that row fails
+        res = solve(rows, rhs, **kwargs)
+        if res.feasible:
+            j = next(j for j in range(len(rows[0])) if any(row[j][:2] != (0, 0) for row in rows))
+            res.solution[j] = res.solution[j] + Coeff(1)
+        return res
+
+    argv = ["first-integral", "mero:(y^2+x^3)/(x*y)", "--order", "10", "--degree", "3"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cuspfol.firstintegral, "solve", perturbed)
+    assert main(argv + ["--json"]) == 4
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["verdict"] == "InternalError"
+    assert rep["data"]["error"] == "AssertionError: a feasible Hankel solution fails P * Q^-1 = g"
+    r = Rational1((1, 2, Coeff(0, 1)), (1, Coeff(1, 1), 3))
+    with pytest.raises(AssertionError):
+        hankel_rationality(r.expand(N), 2, N)
 
 
 def test_witness_validates_input():
