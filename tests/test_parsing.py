@@ -527,7 +527,7 @@ TOKENIZER_CASES = [
     "(-54*i)*x dx", "(-5+4*i)*x dx", "(123456789012345678)*x^007 dx",
     "(1234567890123456789)*x dx", "(1/05)*x dx", "(1/0)*x dx", "(*i)*x dx",
     "x^2^3 dx", "x^1.5 dx", "x^2y dx", "x^1234 dx", "x^(2) dx", "2x^2 dx", "xx^2 dx",
-    "(3)(4) dx", "(3)x dx", "(3).5 dx", "(3)^2 dx", "(3)٣ dx", "(٣)*x dx", "x^٣",
+    "(3)(4) dx", "(3)x dx", "(3).5 dx", "(3)^2 dx", "(3)٣ dx", "(٣)*x dx",
     "(1+2*i)^2*x dx", "(1+i)*x dx", "( 3 )*x dx", "(3 )*y^2 dx", "y^2_ dx",
     "(1/23/4*i)*x dx", "(1+2+3*i)*x dx", "(1-2/3-4*i)*y dx",
 ]
