@@ -52,9 +52,9 @@ parenthesis past it is refused.
 
 The tokenizer is one compiled ``re.findall`` over the text.  A token is a
 pair ``(kind, value)``; the words that recur (operators, ``x``, ``y``,
-``i``, ``dx``, ``dy``, ``mero``, the numerals below 100, and ``x^e`` and
-``y^e`` for e below 100) map to pairs shared from one fixed table, and only
-other words build one.  Two kinds of word stand for one term each:
+``i``, ``dx``, ``dy``, ``mero``, the numerals below 100) map to pairs shared
+from one table, a variable power joins it when it is first read, and only
+other words build a pair.  Two kinds of word stand for one term each:
 
 * a parenthesized Gaussian-rational literal ``(p)``, ``(p/q)``,
   ``(p+r*i)``, ``(p/q-r/s*i)`` or ``(r/s*i)``, whose value is its kernel
@@ -63,20 +63,17 @@ other words build one.  Two kinds of word stand for one term each:
 * a variable power ``x^e`` or ``y^e``, e of at most 3 digits, whose value
   is its monomial key.
 
-Each is one word only where the next character is not ``^``, ``.``, a
-digit or a word character.  So ``x^2^3``, ``(1+2*i)^2``, ``x^1.5`` and
-``(3)x`` are split into the plain words they cover, and every text means
-what it means with plain words only, or is refused with the same message
-at the same position.  A literal opens one nesting level, as its parenthesis does.  A
-``*`` whose left value is one term folds such a word on its right into
-that term, with no call.  A ``*``-chain such as ``(c)*x^2*y`` is not one
-word: ``1/(c)*x^2*y`` is ``(1/(c))*x^2*y``, and a chain word would make it
-``1/((c)*x^2*y)``.  A term ``(a+b*i)*x^i*y^j`` of a moved ``dense-nf``
-template (``perfbench``) with its ``+`` is 6 words, not 16, and
-``parse_form`` over the forms of the first 400 ``dense-nf`` questions at
-seed 43 (1.2 MB of text) takes 341 ms, against 696 ms with plain words
-only: 2.0-2.3 times faster over three runs, each the best of 7 with both
-parsers alternating in one process (Python 3.11, shared 2-core host).
+Each is one word only where no ``^`` follows, not even past spaces, tabs
+and line ends, and the next character is not ``.``, a digit or a word
+character.  So ``x^2^3``, ``x^2 ^3``, ``(1+2*i)^2``, ``x^1.5`` and ``(3)x``
+are split into the plain words they cover, and every text means what it
+means with plain words only, or is refused with the same message at the
+same position.  A literal opens one nesting level, as its parenthesis
+does.  A ``*`` whose left value is one term folds such a word on its right
+into that term, with no call.  A ``*``-chain such as ``(c)*x^2*y`` is not
+one word: ``1/(c)*x^2*y`` is ``(1/(c))*x^2*y``, and a chain word would make
+it ``1/((c)*x^2*y)``.  A term ``(a+b*i)*x^i*y^j`` with its ``+`` is 6 words,
+not 16.
 
 All errors raised here are :class:`ParseError` carrying 1-based ``line`` and
 ``col`` positions into the source text.  Tokens carry no position: a
@@ -151,19 +148,21 @@ _DIGITS = "0123456789"
 # - a run of word characters (str.isalnum() or '_') that does not start
 #   with a decimal digit;
 # - or any one character but a space, tab, CR or LF, which are skipped.
-# The first two are words only where no '^', '.' or word character follows,
-# so that they read as the words they cover would: every other text is split
-# into the same words as without them.  \w and \d match exactly what
+# The first two are words only where no '^' follows, not even past skipped
+# whitespace, and no '.' or word character follows (_ALONE), so that they
+# read as the words they cover would: every other text is split into the
+# same words as without them.  \w and \d match exactly what
 # str.isalnum() and str.isdecimal() accept, so the words are the tokens of a
 # scan character by character, except a word that starts with a digit that
 # is not decimal ('²') or a numeral with its '.', which _new_token refuses
 # there.
 _NUMERAL = r"[-+]?[0-9]{1,18}(?:/[1-9][0-9]{0,17})?"
 _SIGNED = r"[-+][0-9]{1,18}(?:/[1-9][0-9]{0,17})?"
+_ALONE = r"(?![ \t\r\n]*\^|[.\w])"
 _WORD = re.compile(
     r"[-+*/^:)]"  # first, as the commonest words; they start no other word
-    rf"|\((?:{_NUMERAL}(?:{_SIGNED}\*i)?|{_NUMERAL}\*i)\)(?![\^.\w])"
-    r"|[xy]\^[0-9]{1,3}(?![\^.\w])"
+    rf"|\((?:{_NUMERAL}(?:{_SIGNED}\*i)?|{_NUMERAL}\*i)\){_ALONE}"
+    rf"|[xy]\^[0-9]{{1,3}}{_ALONE}"
     r"|[0-9]+\.?|[^\W\d]\w*|[^ \t\r\n]"
 )
 _TOKENS = {
@@ -172,8 +171,6 @@ _TOKENS = {
     _DX: (_DX, _DX),
     _DY: (_DY, _DY),
     **{str(v): (_INT, v) for v in range(100)},
-    **{f"x^{e}": (_POW, (e, 0)) for e in range(100)},
-    **{f"y^{e}": (_POW, (0, e)) for e in range(100)},
 }
 _END = (_EOF, None)
 
@@ -218,8 +215,10 @@ def _new_token(word):
     if word[0] == "(":
         return (_LIT, _literal(word[1:-1]))
     if word[1:2] == "^":
+        # kept in _TOKENS: there are at most 2,220 such words
         e = int(word[2:])
-        return (_POW, (e, 0) if word[0] == "x" else (0, e))
+        tok = _TOKENS[word] = (_POW, (e, 0) if word[0] == "x" else (0, e))
+        return tok
     if word[0] in _DIGITS:
         if word[-1] == ".":
             raise _Refusal(

@@ -135,6 +135,13 @@ UNARY_AND_PRECEDENCE = [
     # Gaussian rational and a variable power are single tokens only where
     # they read as the plain words they cover
     ("(1+2*i)^2*x dx", "((-3+4*i)*x) dx"),
+    # no '^' follows either word even past whitespace, which is skipped
+    ("(1+2*i) ^2*x dx", "((-3+4*i)*x) dx"),
+    ("x*(3) ^2 dx", "(9*x) dx"),
+    ("(3)\r\n^2*x dx", "(9*x) dx"),
+    ("x^2 ^3 dx", ("expected 'dx' or 'dy' after the coefficient", 1, 5)),
+    ("x^2\t^3 dx", ("expected 'dx' or 'dy' after the coefficient", 1, 5)),
+    ("1/x^2\n^3 dx", ("expected 'dx' or 'dy' after the coefficient", 2, 1)),
     ("(1/05)*x dx", "(1/5*x) dx"),
     ("(-2*i)*x dx", "(-2*i*x) dx"),
     ("(-5+4*i)*x dx", "((-5+4*i)*x) dx"),
@@ -528,7 +535,7 @@ TOKENIZER_CASES = [
     "(1234567890123456789)*x dx", "(1/05)*x dx", "(1/0)*x dx", "(*i)*x dx",
     "x^2^3 dx", "x^1.5 dx", "x^2y dx", "x^1234 dx", "x^(2) dx", "2x^2 dx", "xx^2 dx",
     "(3)(4) dx", "(3)x dx", "(3).5 dx", "(3)^2 dx", "(3)٣ dx", "(٣)*x dx",
-    "(1+2*i)^2*x dx", "(1+i)*x dx", "( 3 )*x dx", "(3 )*y^2 dx", "y^2_ dx",
+    "(1+2*i)^2*x dx", "(1+2*i) ^2*x dx", "x*(3)\r\n^2 dx", "x^2\t^3 dx", "(1+i)*x dx", "( 3 )*x dx", "(3 )*y^2 dx", "y^2_ dx",
     "(1/23/4*i)*x dx", "(1+2+3*i)*x dx", "(1-2/3-4*i)*y dx",
 ]
 
@@ -747,19 +754,26 @@ def rand_word(rng, constant=False, nonzero=False):
     return f"({sign}{p}{rng.choice('+-')}{r}*i)"
 
 
+def caret(rng):
+    """A '^', most often bare, else with skipped whitespace around it."""
+    return rng.choice(["^", "^", "^", " ^", "^ ", "\t^", "\r\n^ "])
+
+
 def word_in_context(rng, depth, polynomial):
     """A literal or variable-power word where the tokenizer must tell it
-    from the plain words it covers: after '/', before and after '^', under
-    a unary '-', nested, and in a chain of '*'."""
+    from the plain words it covers: after '/', before and after '^', with
+    or without whitespace, under a unary '-', nested, and in a chain of
+    '*'."""
     word = rand_word(rng)
     other = rand_expr(rng, depth, polynomial)
     divisor = rand_word(rng, constant=polynomial, nonzero=True)
     return rng.choice([
         f"{other}/{divisor}",
-        f"{rand_word(rng, constant=True)}^{rng.randint(0, 3)}",
-        f"({word})^{rng.randint(0, 3)}",
-        f"({other})^{rng.randint(0, 3)}*{word}",
-        f"{rng.randint(0, 3)}^{rng.randint(0, 3)}*{word}",
+        f"{rand_word(rng, constant=True)}{caret(rng)}{rng.randint(0, 3)}",
+        f"{other}*{rand_word(rng, constant=True)}{caret(rng)}{rng.randint(0, 3)}",
+        f"({word}){caret(rng)}{rng.randint(0, 3)}",
+        f"({other}){caret(rng)}{rng.randint(0, 3)}*{word}",
+        f"{rng.randint(0, 3)}{caret(rng)}{rng.randint(0, 3)}*{word}",
         f"-{word}",
         f"-{word}*{other}",
         f"({word})",
@@ -786,7 +800,7 @@ def rand_expr(rng, depth, polynomial):
         den = rng.choice(["3", "(2*i)", "(1+i)"]) if polynomial else rand_expr(rng, depth - 1, False)
         return f"{rand_expr(rng, depth - 1, polynomial)}/{den}"
     if r < 0.95:
-        return f"({rand_expr(rng, depth - 1, polynomial)})^{rng.randint(0, 3)}"
+        return f"({rand_expr(rng, depth - 1, polynomial)}){caret(rng)}{rng.randint(0, 3)}"
     return "-" + rand_expr(rng, depth - 1, polynomial)
 
 
