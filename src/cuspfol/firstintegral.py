@@ -96,12 +96,6 @@ class Rational1:
     def __neg__(self):
         return Rational1(poly.scale(self.num, Coeff(-1)), self.den)
 
-    def __sub__(self, other):
-        return self + (-_as_rational(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = _as_rational(other)
         return Rational1(
@@ -109,12 +103,6 @@ class Rational1:
         )
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_rational(other)
-        return Rational1(
-            poly.mul(self.num, other.den), poly.mul(self.den, other.num)
-        )
 
     def derivative(self) -> "Rational1":
         """d/dz by the quotient rule, returned reduced."""
@@ -130,13 +118,6 @@ class Rational1:
         """The rational function z -> self(factor * z)."""
         f = Coeff(factor)
         return Rational1(poly.scale_variable(self.num, f), poly.scale_variable(self.den, f))
-
-    def evaluate(self, point) -> Coeff:
-        p = Coeff(point)
-        d = poly.evaluate(self.den, p)
-        if d.is_zero():
-            raise ValueError(f"pole at {p}")
-        return poly.evaluate(self.num, p) / d
 
     def degree(self):
         dn = len(self.num) - 1 if self.num else 0

@@ -67,9 +67,6 @@ class OneForm:
     def order(self) -> int:
         return self.a.order
 
-    def is_zero(self) -> bool:
-        return self.a.is_zero() and self.b.is_zero()
-
     def valuation(self):
         """Minimal total degree with a nonzero coefficient; None if zero."""
         va = self.a.valuation()
@@ -79,45 +76,6 @@ class OneForm:
         if vb is None:
             return va
         return min(va, vb)
-
-    def truncate(self, order) -> "OneForm":
-        return OneForm(self.a.truncate(order), self.b.truncate(order), self.variables)
-
-    def with_order(self, order) -> "OneForm":
-        """Reinterpret at a different order (asserts polynomial exactness)."""
-        return OneForm(self.a.with_order(order), self.b.with_order(order), self.variables)
-
-    def homogeneous_part(self, deg) -> "OneForm":
-        return OneForm(
-            self.a.homogeneous_part(deg), self.b.homogeneous_part(deg), self.variables
-        )
-
-    def _require_same_chart(self, other: "OneForm"):
-        if self.variables != other.variables:
-            raise ValueError(
-                f"1-forms live in different charts: {self.variables} vs {other.variables}"
-            )
-
-    def __add__(self, other):
-        if not isinstance(other, OneForm):
-            return NotImplemented
-        self._require_same_chart(other)
-        return OneForm(self.a + other.a, self.b + other.b, self.variables)
-
-    def __sub__(self, other):
-        if not isinstance(other, OneForm):
-            return NotImplemented
-        self._require_same_chart(other)
-        return OneForm(self.a - other.a, self.b - other.b, self.variables)
-
-    def __neg__(self):
-        return OneForm(-self.a, -self.b, self.variables)
-
-    def __mul__(self, other):
-        """Multiply by a scalar or by a function (Jet2)."""
-        return OneForm(self.a * other, self.b * other, self.variables)
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         x, y = self.variables
@@ -158,10 +116,6 @@ def form_of_meromorphic(num: Jet2, den: Jet2) -> OneForm:
     a = den * num.dx() - num * den.dx()
     b = den * num.dy() - num * den.dy()
     return OneForm(a, b)
-
-
-def valuation(w: OneForm):
-    return w.valuation()
 
 
 def radial_tangency(w: OneForm, degree: int):

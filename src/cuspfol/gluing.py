@@ -105,9 +105,6 @@ class VectorFieldJet:
         self.coefficient = coefficient
         self.chart = chart
 
-    def is_zero(self) -> bool:
-        return self.coefficient.is_zero()
-
 
 class GluingCocycle:
     """(x1, y1) -> (x1*A(x1,y1) + sigma(y1), sigma(y1)) with A(0,0) != 0."""

@@ -69,18 +69,6 @@ class _Jet:
     def __rsub__(self, other):
         return (-self) + other
 
-    def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
-            raise JetError("jet powers take a nonnegative integer exponent")
-        acc = self.one(self._n)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
-
 
 class Jet1(_Jet):
     """A truncated series  c0 + c1*z + ... + cN*z^N  (+ unknown tail)."""
@@ -107,21 +95,12 @@ class Jet1(_Jet):
         return obj
 
     @classmethod
-    def zero(cls, order=DEFAULT_ORDER):
-        return cls((), order)
-
-    @classmethod
     def one(cls, order=DEFAULT_ORDER):
         return cls((1,), order)
 
     @classmethod
     def variable(cls, order=DEFAULT_ORDER):
         return cls((0, 1), order)
-
-    @classmethod
-    def monomial(cls, k, c=1, order=DEFAULT_ORDER):
-        t = [0] * k + [c]
-        return cls(t, order)
 
     @property
     def order(self):
@@ -151,27 +130,10 @@ class Jet1(_Jet):
                 return k
         return None
 
-    def degree(self):
-        """Largest k with nonzero coefficient; None for the zero jet."""
-        for k in range(self._n, -1, -1):
-            if not qiszero(self._c[k]):
-                return k
-        return None
-
     def truncate(self, order):
         if order > self._n:
             raise JetError("truncate cannot raise the order")
         return Jet1._raw(self._c[: order + 1], order)
-
-    def with_order(self, order):
-        """Reinterpret as a jet of the given order, padding with zeros.
-
-        Raising the order asserts the stored coefficients are exact
-        polynomial data (the new high-degree coefficients are claimed zero).
-        """
-        if order <= self._n:
-            return self.truncate(order)
-        return Jet1._raw(self._c, order)
 
     def _bin(self, other, op):
         n = min(self._n, other._n)
@@ -379,11 +341,6 @@ class Jet2(_Jet):
         k = 0 if axis == "x" else 1
         return min(key[k] for key in self._d)
 
-    def degree(self):
-        if not self._d:
-            return None
-        return max(i + j for (i, j) in self._d)
-
     def truncate(self, order):
         """The jet at a lower order; at its own order, the jet itself (jets
         are immutable, so nothing is copied)."""
@@ -395,7 +352,12 @@ class Jet2(_Jet):
         return Jet2._raw(d, order)
 
     def with_order(self, order):
-        """Reinterpret at a different order (see :meth:`Jet1.with_order`)."""
+        """Reinterpret at a different order: truncate below it, pad with
+        zeros above it.
+
+        Raising the order asserts the stored coefficients are exact
+        polynomial data (the new high-degree coefficients are claimed zero).
+        """
         if order <= self._n:
             return self.truncate(order)
         return Jet2._raw(dict(self._d), order)
@@ -407,10 +369,6 @@ class Jet2(_Jet):
         cut again, is the cut of the full product.
         """
         d = {key: t for key, t in self._d.items() if key[0] <= k}
-        return Jet2._raw(d, self._n)
-
-    def homogeneous_part(self, deg) -> "Jet2":
-        d = {k: t for k, t in self._d.items() if k[0] + k[1] == deg}
         return Jet2._raw(d, self._n)
 
     def exponent_map(self, image, order) -> "Jet2":

@@ -71,13 +71,6 @@ class Homography:
         self.lam = lam
         self.mu = mu
 
-    @classmethod
-    def identity(cls) -> "Homography":
-        return cls(Coeff(1), Coeff(0))
-
-    def is_identity(self) -> bool:
-        return self.lam == 1 and self.mu.is_zero()
-
     def to_jet(self, order=DEFAULT_ORDER) -> Jet1:
         # lam*z * sum_k (-mu z)^k
         coeffs = [Coeff(0)]
@@ -90,27 +83,16 @@ class Homography:
     def to_germ(self, order=DEFAULT_ORDER) -> GermDiff1:
         return GermDiff1(self.to_jet(order))
 
-    def compose(self, other: "Homography") -> "Homography":
-        """self after other: (self.compose(other))(z) = self(other(z))."""
-        return Homography(
-            self.lam * other.lam, other.mu + self.mu * other.lam
-        )
-
     def inverse(self) -> "Homography":
         return Homography(1 / self.lam, -self.mu / self.lam)
-
-    def evaluate(self, z: Coeff) -> Coeff:
-        den = 1 + self.mu * z
-        if den.is_zero():
-            raise ZeroDivisionError("pole of the homography")
-        return self.lam * z / den
 
 
 def schwarzian(s) -> Jet1:
     """Schwarzian derivative S(f) = f'''/f' - (3/2)(f''/f')^2 as a jet.
 
     Input of order N yields output of order N-3.  Vanishes identically on
-    homographies, and obeys S(f o g) = (S(f) o g)*(g')^2 + S(g).
+    homographies, and obeys S(f o g) = (S(f) o g)*(g')^2 + S(g).  One
+    series division: S = r' - r^2/2 for r = f''/f' at order N-2.
     """
     f = _as_germ_jet(s)
     if f.order < 3:
@@ -119,11 +101,9 @@ def schwarzian(s) -> Jet1:
         raise JetError("schwarzian needs an invertible germ (f'(0) != 0)")
     n = f.order
     d1 = f.derivative()
-    d2 = d1.derivative()
-    d3 = d2.derivative()
-    lead = d3.div(d1.truncate(n - 3))
-    ratio = d2.div(d1.truncate(n - 2))
-    return lead - (ratio * ratio).truncate(n - 3) * (Coeff(3) / 2)
+    r = d1.derivative().div(d1.truncate(n - 2))
+    head = r.truncate(n - 3)
+    return r.derivative() - head * head * (Coeff(1) / 2)
 
 
 def cstar_apply(f: Jet1, eps) -> Jet1:

@@ -11,16 +11,15 @@ finitely supported with no truncation, and the family form is
 
 Blow-ups of the parameter axis {x = y = 0} act on the (x, y)-part by the
 usual chart substitutions and leave dz alone, so the two standard charts
-and the exceptional division extend verbatim.  Evaluating the parameter
-recovers ordinary jets and plugs back into the plain two-variable
-machinery, which is how the family computations are cross-checked.
+and the exceptional division extend verbatim.  Each slice z = const is
+an ordinary form of the plain two-variable machinery, and the tests
+cross-check the family computations against those slices.
 """
 
 from __future__ import annotations
 
 from .coeff import Coeff
 from .firstintegral import Rational1, _as_rational
-from .jets import DEFAULT_ORDER, Jet2
 
 
 class ParamPoly2:
@@ -47,20 +46,11 @@ class ParamPoly2:
     def zero(cls):
         return cls()
 
-    def items(self):
-        return sorted(self._d.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-
-    def coeff(self, i, j) -> Rational1:
-        return self._d.get((i, j), Rational1((0,)))
-
     def is_zero(self):
         return not self._d
 
     def support(self):
         return sorted(self._d)
-
-    def degree(self):
-        return max((i + j for (i, j) in self._d), default=None)
 
     def __eq__(self, other):
         if not isinstance(other, ParamPoly2):
@@ -139,12 +129,6 @@ class ParamPoly2:
             {key: v.scale_variable(factor) for key, v in self._d.items()}
         )
 
-    def evaluate_param(self, value, order=DEFAULT_ORDER) -> Jet2:
-        """The plain two-variable jet of the slice z = value."""
-        return Jet2(
-            {key: v.evaluate(value) for key, v in self._d.items()}, order
-        )
-
     def __repr__(self):
         return f"ParamPoly2({self._d!r})"
 
@@ -159,9 +143,6 @@ class ParamForm3:
         self.b = b
         self.c = c
         self.variables = variables
-
-    def is_zero(self):
-        return self.a.is_zero() and self.b.is_zero() and self.c.is_zero()
 
 
 def param_form_of_meromorphic(num: ParamPoly2, den: ParamPoly2) -> ParamForm3:

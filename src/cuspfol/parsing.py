@@ -89,15 +89,13 @@ from itertools import islice
 
 from ._backend import QONE, qadd, qinv, qmul, qneg, qnorm
 from .coeff import Coeff
-from .jets import DEFAULT_ORDER, Jet2, format_poly
+from .jets import DEFAULT_ORDER, Jet2
 from .forms import MAX_COEFF_BITS, OneForm, magnitude
 
 __all__ = [
     "ParseError",
     "MeromorphicPair",
     "parse_form",
-    "format_form",
-    "format_poly",
 ]
 
 
@@ -688,28 +686,3 @@ def _parse_oneform(toks, order):
     a = _poly_to_jet(sums[_DX], order, 0, "the dx coefficient")
     b = _poly_to_jet(sums[_DY], order, 0, "the dy coefficient")
     return OneForm(a, b, ("x", "y"))
-
-
-# ---------------------------------------------------------------------------
-# canonical printer (round-trips through parse_form at the same order)
-
-def format_form(obj) -> str:
-    """Canonical text for an :class:`OneForm` or :class:`MeromorphicPair`.
-
-    ``parse_form(format_form(obj), order=<same order>)`` reproduces the
-    object exactly (for forms in the standard x, y chart).
-    """
-    if isinstance(obj, MeromorphicPair):
-        num = format_poly(dict(obj.num.items()))
-        den = format_poly(dict(obj.den.items()))
-        return f"mero: ({num}) / ({den})"
-    w = obj
-    names = w.variables
-    parts = []
-    if not w.a.is_zero():
-        parts.append(f"({format_poly(dict(w.a.items()), names)}) d{names[0]}")
-    if not w.b.is_zero():
-        parts.append(f"({format_poly(dict(w.b.items()), names)}) d{names[1]}")
-    if not parts:
-        return f"0 d{names[0]}"
-    return " + ".join(parts)

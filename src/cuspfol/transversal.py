@@ -18,7 +18,9 @@ slots swapped, where that normalization is the recurrence's own
 H(u, 0) = u, and swaps the result back.  The first factor is then the
 identity and sigma is H(u, 0), read off the u-axis with no series
 reversion.  The reversion (:func:`cuspfol._backend.jet1_revert`) is left
-only to :func:`sigma_of_integral` on an integral not normalized on D1.
+to :func:`sigma_of_integral` on an integral not normalized on D1 and to
+:meth:`cuspfol.moduli.GermDiff1.inverse`, which the cocycle round trip of
+acceptance criterion 10 runs.
 
 The degree recurrence for H runs in the kernel, on Gaussian-integer
 numerators with one ``qnorm`` per output coefficient

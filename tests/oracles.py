@@ -21,17 +21,21 @@ and exact ``solve``; the normal form does not use it, and the tests check its
 rank by parity and its round trip.  The radial form, the wedge of two
 1-forms and the differential of a jet are kept on the package's ``OneForm``
 and ``Jet2`` products; the wedge is the reference for the first integral's
-integer re-check.  And the reciprocal and the Lagrange series reversion
+integer re-check.  Beside them, the arithmetic no question needs and the
+tests build inputs with: sums of 1-forms, a 1-form times a scalar or a
+function, a 1-form at another order, the homogeneous part of a jet and
+the powers of a jet.  And the reciprocal and the Lagrange series reversion
 that the integer kernel replaced are kept on the kernel's normalized
 triples, one ``qnorm`` per scalar operation and one ``jet1_mul`` per power,
 as the reference at orders where the coefficient recursion above is too
 slow.  And the cusp reduction that the library now runs on kernel triples
 is kept as it was before: blow-ups as ``Jet2.exponent_map`` calls summed
 with ``Jet2`` addition, and every check a comparison of ``Coeff`` values.
-And three helpers that no question needs are kept here for the tests that
+And four helpers that no question needs are kept here for the tests that
 read them, on the package's own types: the homography fitted to a 2-jet,
-the composite of a normal form's recorded changes, and the slice of a
-parametric 1-form.  And the two sigma consumers that now run on kernel
+the composite of a normal form's recorded changes, the parametric
+polynomial through two plain slices, and the canonical text of a form,
+which parses back to it.  And the two sigma consumers that now run on kernel
 triples are kept as they ran on ``Coeff``, ``poly`` and ``Jet1`` objects:
 the monomial-probe first-integral search, with a reduced ``Rational1``
 re-expanded by Horner's rule at z for every hit, and the homographic image
@@ -48,9 +52,11 @@ from cuspfol._backend import QZERO, jet1_mul, qadd, qinv, qiszero, qmul, qneg
 from cuspfol.coeff import ZERO as CZERO, Coeff
 from cuspfol.firstintegral import Rational1
 from cuspfol.forms import OneForm, ReductionReport, ReductionVerdict, pullback_map
-from cuspfol.jets import Jet1, Jet2, JetError
+from cuspfol.jets import Jet1, Jet2, JetError, format_poly
 from cuspfol.linalg import solve
 from cuspfol.moduli import Homography
+from cuspfol.parametric import ParamPoly2
+from cuspfol.parsing import MeromorphicPair
 
 ZERO = (Fraction(0), Fraction(0))
 ONE = (Fraction(1), Fraction(0))
@@ -737,7 +743,7 @@ def L_solve(target: HomogeneousPair) -> HomogeneousPair:
     return HomogeneousPair(Jet2(pd, order), Jet2(qd, order), n)
 
 
-# --- the radial form and the wedge of two 1-forms, on the package's OneForm ----
+# --- 1-forms and jets on the package's OneForm and Jet2 ----------------------
 
 
 def radial_form(order, variables=("x", "y")) -> OneForm:
@@ -754,8 +760,42 @@ def differential(f: Jet2, variables=("x", "y")) -> OneForm:
 
 def wedge(u: OneForm, v: OneForm) -> Jet2:
     """The coefficient of dx^dy in u^v, i.e.  u_a v_b - u_b v_a."""
-    u._require_same_chart(v)
+    assert u.variables == v.variables, "1-forms live in different charts"
     return u.a * v.b - u.b * v.a
+
+
+def form_sum(*forms) -> OneForm:
+    """The sum of 1-forms of one chart, at the least of their orders."""
+    first, *rest = forms
+    a, b = first.a, first.b
+    for w in rest:
+        assert w.variables == first.variables, "1-forms live in different charts"
+        a, b = a + w.a, b + w.b
+    return OneForm(a, b, first.variables)
+
+
+def form_scale(w: OneForm, f) -> OneForm:
+    """f*w for a scalar or a ``Jet2`` f."""
+    return OneForm(w.a * f, w.b * f, w.variables)
+
+
+def form_at_order(w: OneForm, order) -> OneForm:
+    """w truncated to a lower order, or read as exact polynomial data at a
+    higher one (``Jet2.with_order``)."""
+    return OneForm(w.a.with_order(order), w.b.with_order(order), w.variables)
+
+
+def homogeneous_part(jet: Jet2, deg) -> Jet2:
+    """The terms of total degree ``deg``, at the jet's order."""
+    return Jet2({k: c for k, c in jet.items() if k[0] + k[1] == deg}, jet.order)
+
+
+def jet_power(jet, e):
+    """jet^e for an integer e >= 0, by repeated products."""
+    acc = jet.one(jet.order)
+    for _ in range(e):
+        acc = acc * jet
+    return acc
 
 
 # --- the cusp reduction on exponent maps, Jet2 sums and Coeff comparisons -----
@@ -765,8 +805,8 @@ def ref_radial_tangency(w: OneForm, degree):
     """The cofactor P with A_d dx + B_d dy = P*(x dy - y dx), or None: the
     identity x*A_d + y*B_d = 0 read one ``Coeff`` at a time, and P read off
     B_d by an exponent map."""
-    ad = w.a.homogeneous_part(degree)
-    bd = w.b.homogeneous_part(degree)
+    ad = homogeneous_part(w.a, degree)
+    bd = homogeneous_part(w.b, degree)
     n = w.order
     if ad.is_zero() and bd.is_zero():
         return Jet2.zero(n)
@@ -870,7 +910,7 @@ def ref_reduce_cusp(w: OneForm) -> ReductionReport:
         )
     w1, k1 = ref_exceptional_divide(ref_pullback_blowup(w, "x", "t"), w.variables[0])
     rep.exceptional_power_1 = k1
-    assert k1 == 4 and w1.b.restrict_to_axis("y") == Jet1.monomial(2, a, w1.order)
+    assert k1 == 4 and w1.b.restrict_to_axis("y") == Jet1([0, 0, a], w1.order)
     rep.singular_points_on_D2 = [(CZERO, 2)]
     rep.tangency_at_infinity = False
     if not w1.a.coeff(0, 0).is_zero():
@@ -924,14 +964,31 @@ def normal_form_transform(data):
     return comp_x, comp_y
 
 
-def slice_form(form3, value, order):
-    """The 1-form a ``ParamForm3`` induces on the slice z = value (the
-    dz-slot drops)."""
-    return OneForm(
-        form3.a.evaluate_param(value, order),
-        form3.b.evaluate_param(value, order),
-        form3.variables[:2],
-    )
+def param_poly_through(at0: Jet2, at1: Jet2):
+    """The ``ParamPoly2`` whose coefficients are of degree <= 1 in z and
+    whose slices at z = 0 and z = 1 are the polynomials of the two jets."""
+    c0, c1 = dict(at0.items()), dict(at1.items())
+    return ParamPoly2({
+        key: Rational1((c0.get(key, CZERO), c1.get(key, CZERO) - c0.get(key, CZERO)))
+        for key in c0.keys() | c1.keys()
+    })
+
+
+def format_form(obj) -> str:
+    """Canonical text for a ``OneForm`` or ``MeromorphicPair``:
+    ``parse_form(format_form(obj), order=<same order>)`` reproduces the
+    object exactly (for forms in the standard x, y chart)."""
+    if isinstance(obj, MeromorphicPair):
+        num = format_poly(dict(obj.num.items()))
+        den = format_poly(dict(obj.den.items()))
+        return f"mero: ({num}) / ({den})"
+    names = obj.variables
+    parts = [
+        f"({format_poly(dict(jet.items()), names)}) d{name}"
+        for jet, name in ((obj.a, names[0]), (obj.b, names[1]))
+        if not jet.is_zero()
+    ]
+    return " + ".join(parts) or f"0 d{names[0]}"
 
 
 # ---------------------------------------------------------------------------
@@ -967,7 +1024,7 @@ def witness_by_horner(sigma, d, n):
     probes = []
     found = (None, None)
     for k in range(1, d + 1):
-        r2 = pade_by_horner(s**k, d, n)
+        r2 = pade_by_horner(jet_power(s, k), d, n)
         probes.append((k, r2 is not None))
         if r2 is not None and found[0] is None:
             found = (Rational1((0,) * k + (1,)), r2)
@@ -977,4 +1034,5 @@ def witness_by_horner(sigma, d, n):
 def homographic_image_by_composition(f, h):
     """(f o h) * (h')^2 through the order of f, by composing with h's jet."""
     hj = h.to_jet(f.order + 1)  # so that h' is known through z^n
-    return f.compose(hj) * hj.derivative() ** 2
+    d = hj.derivative()
+    return f.compose(hj) * d * d

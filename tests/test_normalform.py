@@ -29,7 +29,15 @@ from cuspfol.normalform import (
 )
 
 import oracles
-from oracles import HomogeneousPair, L_apply, L_solve, _pair_basis, _pair_coords
+from oracles import (
+    HomogeneousPair,
+    L_apply,
+    L_solve,
+    _pair_basis,
+    _pair_coords,
+    form_at_order,
+    form_scale,
+)
 from test_cli import MOVED, raw_mero
 from test_forms import cusp_form, cusp_family_form
 from test_transversal import SINH, seeded_template
@@ -255,7 +263,7 @@ def test_normalize_invariant_under_tangent_changes():
 
 
 def test_normalize_scalar_multiple():
-    data = normalize(cusp_form() * Coeff(3))
+    data = normalize(form_scale(cusp_form(), Coeff(3)))
     assert data.scale == Coeff(1) / Coeff(3)
     assert data.alpha == Coeff(-1)
     assert data.a == Coeff(0)
@@ -283,7 +291,7 @@ def test_normalize_family():
         w0 = cusp_family_form(z)
         if data.applied_linear_change is not None:
             w0 = linear_change(w0, data.applied_linear_change)
-        w0 = w0 * data.scale
+        w0 = form_scale(w0, data.scale)
         tx, ty = oracles.normal_form_transform(data)
         assert pullback_map(w0, tx, ty, order=data.order) == reconstruct_normal_form(data)
 
@@ -358,7 +366,7 @@ def test_alpha_is_read_from_the_4_jet():
             rep = reduce_cusp(w)
             if rep.verdict is not ReductionVerdict.CUSP_TYPE_ABSOLUTELY_DICRITICAL:
                 continue
-            alpha = normalize(w.truncate(4), reduction=rep).alpha
+            alpha = normalize(form_at_order(w, 4), reduction=rep).alpha
             assert not alpha.is_zero()
             try:
                 full = normalize(w, reduction=rep)
@@ -471,7 +479,7 @@ def moved_templates(rng):
         p = rand_homogeneous(2, order) + rand_homogeneous(3, order)
         q = rand_homogeneous(2, order) + rand_homogeneous(3, order)
         w = pullback_map(w, Jet2.var_x(order) + p, Jet2.var_y(order) + q, order=order)
-        out.append(w * Coeff(rng.choice([1, 2, -3]), rng.choice([0, 1])))
+        out.append(form_scale(w, Coeff(rng.choice([1, 2, -3]), rng.choice([0, 1]))))
     swap = ((Coeff(0), Coeff(1)), (Coeff(1), Coeff(0)))
     out.append(linear_change(out[0], swap))
     return out
