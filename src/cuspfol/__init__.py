@@ -14,8 +14,8 @@ no floating point anywhere.  The main entry points:
   equation.
 - :mod:`cuspfol.firstintegral` — rationality tests and meromorphic first
   integral witnesses.
-- :mod:`cuspfol.parametric` — the same pipeline over a rational-function
-  parameter field, for one-parameter families.
+- :mod:`cuspfol.parametric` — the same blow-ups on a family polynomial in a
+  symbolic parameter, one plain form per power of the parameter.
 - :mod:`cuspfol.parsing` — the exact text format for forms and quotients.
 - :mod:`cuspfol.cli` — the ``cuspfol`` command-line interface.
 """

@@ -2,9 +2,9 @@
 
 Everything hot in the library bottoms out here: exact arithmetic in Q(i),
 truncated power-series convolution in one and two variables, the
-reciprocal and the series reversion of one-variable series, the formal
-first integral of a regular corner germ, substitution into two-variable
-series, and reduced row echelon form over Q(i).
+reciprocal of a one-variable series, the formal first integral of a
+regular corner germ, substitution into two-variable series, and reduced
+row echelon form over Q(i).
 
 A Gaussian-rational scalar is a normalized integer triple ``(a, b, d)``
 standing for ``(a + b*i)/d`` with ``d > 0`` and ``gcd(a, b, d) == 1``.  Zero
@@ -15,14 +15,14 @@ denominator per operand: its nonzero coefficients are scaled to the lcm of
 their denominators, the Gaussian-integer numerators are convolved in plain
 integers, and each nonzero output coefficient is normalized once, over the
 product of the two lcms.  A product therefore makes one ``qnorm`` per output
-coefficient, not one per term and one per partial sum.
+coefficient, not one per term and one per partial sum.  They are the only
+series products: the parser's exact polynomial products are
+:func:`jet2_mul` at the degree of the product, and the powers of the
+series reversion (``Jet1.comp_inverse``) are :func:`jet1_mul` products.
 
 The one-variable series routines keep to the same rule.  The reciprocal
 (:func:`jet1_reciprocal`) sums each coefficient's recurrence in Gaussian
-integers over the lcm of the denominators it reads.  The reversion
-(:func:`jet1_revert`, Lagrange inversion) scales h = z/f once and carries
-each power h^k as integer numerators over one divisor of D^k, with D the
-lcm of h's denominators; no power is normalized.  The first integral
+integers over the lcm of the denominators it reads.  The first integral
 (:func:`first_integral`) forms each degree's residual in integers over
 one denominator per homogeneous part, and skips each coefficient whose
 inputs are zero.  The image of a series under a homography,
@@ -284,38 +284,6 @@ def jet1_homographic_image(c, lam, mu, n):
         if re or im:
             out[m] = qnorm(re, im, em)
         em *= e
-    return out
-
-
-def jet1_revert(h, n):
-    """Lagrange inversion: the compositional inverse g of z/h, up to degree n.
-
-    ``h`` is the coefficient list of a unit, read up to degree n - 1, and
-    [z^k]g = (1/k) [z^(k-1)] h^k.  h is scaled once to the lcm D of its
-    denominators, h = H/D, and each power h^k is carried as Gaussian-integer
-    numerators up to degree n - 1 over one integer dividing D^k: one
-    convolution with the nonzero terms of H per power, and one integer
-    ``gcd`` that takes the common factor out of the numerators and that
-    denominator.  Each coefficient of g is normalized once.
-    """
-    terms, den = _scaled(_nonzero1(h, n - 1))
-    out = [QZERO] * (n + 1)
-    re, im = [0] * n, [0] * n
-    for s, a, b, _ in terms:
-        re[s], im[s] = a, b
-    dk = den  # h^k is (re + i*im) / dk
-    for k in range(1, n + 1):
-        if re[k - 1] or im[k - 1]:
-            out[k] = qnorm(re[k - 1], im[k - 1], k * dk)
-        if k < n:
-            power = [(s, re[s], im[s], 1) for s in range(n) if re[s] or im[s]]
-            re, im = _convolve1(power, terms, n - 1)
-            dk *= den
-            g = gcd(dk, *re, *im)
-            if g > 1:
-                re = [x // g for x in re]
-                im = [y // g for y in im]
-                dk //= g
     return out
 
 

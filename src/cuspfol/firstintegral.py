@@ -29,22 +29,12 @@ is bilinear in (R1, R2) and is deliberately not attempted here.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import poly
 from ._backend import QONE, jet1_mul, jet1_reciprocal, qneg
 from .coeff import Coeff
 from .jets import DEFAULT_ORDER, Jet1, Jet2
 from .linalg import determinant, solve
 from .moduli import GermDiff1, Homography
-
-
-def _as_rational(v):
-    if isinstance(v, Rational1):
-        return v
-    if isinstance(v, (int, Fraction, Coeff)):
-        return Rational1((v,))
-    raise TypeError(f"cannot interpret {type(v).__name__} as a rational function")
 
 
 class Rational1:
@@ -76,48 +66,6 @@ class Rational1:
 
     def __hash__(self):
         return hash((self.num, self.den))
-
-    @classmethod
-    def variable(cls):
-        return cls((0, 1))
-
-    def is_zero(self):
-        return not self.num
-
-    def __add__(self, other):
-        other = _as_rational(other)
-        return Rational1(
-            poly.add(poly.mul(self.num, other.den), poly.mul(other.num, self.den)),
-            poly.mul(self.den, other.den),
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Rational1(poly.scale(self.num, Coeff(-1)), self.den)
-
-    def __mul__(self, other):
-        other = _as_rational(other)
-        return Rational1(
-            poly.mul(self.num, other.num), poly.mul(self.den, other.den)
-        )
-
-    __rmul__ = __mul__
-
-    def derivative(self) -> "Rational1":
-        """d/dz by the quotient rule, returned reduced."""
-        return Rational1(
-            poly.add(
-                poly.mul(poly.derivative(self.num), self.den),
-                poly.scale(poly.mul(self.num, poly.derivative(self.den)), Coeff(-1)),
-            ),
-            poly.mul(self.den, self.den),
-        )
-
-    def scale_variable(self, factor) -> "Rational1":
-        """The rational function z -> self(factor * z)."""
-        f = Coeff(factor)
-        return Rational1(poly.scale_variable(self.num, f), poly.scale_variable(self.den, f))
 
     def degree(self):
         dn = len(self.num) - 1 if self.num else 0
@@ -224,7 +172,8 @@ def _reduced(p, q, g, n) -> Rational1:
     cand = Rational1(
         tuple(Coeff.from_triple(t) for t in p), tuple(Coeff.from_triple(t) for t in q)
     )
-    assert list(cand.expand(n).triples) == g, "reduced Pade pair does not re-expand to g"
+    if list(cand.expand(n).triples) != g:
+        raise AssertionError("reduced Pade pair does not re-expand to g")
     return cand
 
 

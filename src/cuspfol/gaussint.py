@@ -164,12 +164,14 @@ def gi_factor(w) -> tuple[tuple[int, int], dict[tuple[int, int], int]]:
     out: dict[tuple[int, int], int] = {}
     for p, ep in factor_int(gi_norm(w)).items():
         if p % 4 == 3:
-            assert ep % 2 == 0
+            if ep % 2:
+                raise AssertionError("an inert prime divides the norm to an odd power")
             pi = (p, 0)
             e = ep // 2
             for _ in range(e):
                 q, r = gi_divmod(w, pi)
-                assert r == (0, 0)
+                if r != (0, 0):
+                    raise AssertionError("an inert prime of the norm does not divide w")
                 w = q
             out[pi] = out.get(pi, 0) + e
             continue
@@ -184,7 +186,8 @@ def gi_factor(w) -> tuple[tuple[int, int], dict[tuple[int, int], int]]:
                 e += 1
             if e:
                 out[cand] = out.get(cand, 0) + e
-    assert gi_norm(w) == 1, "leftover non-unit after factorization"
+    if gi_norm(w) != 1:
+        raise AssertionError("leftover non-unit after factorization")
     return w, out
 
 

@@ -5,7 +5,9 @@ A jet of order N stores exact coefficients for all monomials of total degree
 arithmetic returns new objects and truncates to the minimum of the operand
 orders.  Substitution works at the minimum of the orders of its inputs and
 division needs a unit divisor.  A monomial change is
-:meth:`Jet2.exponent_map`.
+:meth:`Jet2.exponent_map`.  Products are the kernel's ``jet1_mul`` and
+``jet2_mul``, and the series reversion :meth:`Jet1.comp_inverse` takes
+its powers with ``jet1_mul``.
 
 Internally coefficients are the kernel triples (a, b, d) ~ (a+b*i)/d; the
 public surface deals in :class:`~cuspfol.coeff.Coeff`.
@@ -20,7 +22,6 @@ from ._backend import (
     QZERO,
     jet1_mul,
     jet1_reciprocal,
-    jet1_revert,
     jet2_mul,
     jet2_substitute,
     qadd,
@@ -177,13 +178,9 @@ class Jet1(_Jet):
         """Compositional inverse g with g(f(z)) = z; needs f(0)=0, f'(0)!=0.
 
         Series reversion by Lagrange inversion: with the unit h = z/f(z),
-        [z^k]g = (1/k) [z^(k-1)] h^k.  The kernel's
-        :func:`~cuspfol._backend.jet1_revert` scales h once to the lcm D of
-        its denominators and carries the powers h^k as Gaussian-integer
-        numerators over a divisor of D^k, one convolution with the nonzero
-        terms of h per power; each coefficient of g is normalized once.  No
-        power is normalized and no :func:`~cuspfol._backend.jet1_mul` is
-        made.
+        [z^k]g = (1/k) [z^(k-1)] h^k.  h is one kernel reciprocal and each
+        power h^k one :func:`~cuspfol._backend.jet1_mul` by h, at order
+        N - 1.
         """
         if self._n < 1:
             raise JetError("compositional inverse needs a jet of order >= 1")
@@ -192,7 +189,14 @@ class Jet1(_Jet):
         if qiszero(self._c[1]):
             raise JetError("compositional inverse needs f'(0) != 0")
         n = self._n
-        return Jet1._raw(jet1_revert(jet1_reciprocal(self._c[1:], n - 1), n), n)
+        h = jet1_reciprocal(self._c[1:], n - 1)
+        out = [QZERO] * (n + 1)
+        power = h
+        for k in range(1, n + 1):
+            out[k] = qmul(power[k - 1], (1, 0, k))
+            if k < n:
+                power = jet1_mul(power, h, n - 1)
+        return Jet1._raw(out, n)
 
     def reciprocal(self) -> "Jet1":
         """1/self; needs a nonzero constant term.

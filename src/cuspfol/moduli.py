@@ -41,10 +41,6 @@ class GermDiff1:
     def identity(cls, order=DEFAULT_ORDER) -> "GermDiff1":
         return cls(Jet1.variable(order))
 
-    @property
-    def order(self):
-        return self.jet.order
-
     def compose(self, other: "GermDiff1") -> "GermDiff1":
         return GermDiff1(self.jet.compose(other.jet))
 
@@ -170,7 +166,8 @@ def cstar_equivalent(f0: Jet1, f1: Jet1) -> CStarVerdict:
             us[j] *= x
         us[idx] = y
         cur_g = new_g
-    assert cur_g == g
+    if cur_g != g:
+        raise AssertionError("the Bezout multipliers do not reach the gcd")
     rho = Coeff(1)
     for u, r in zip(us, ratios):
         rho = rho * r ** u
@@ -187,7 +184,8 @@ def cstar_equivalent(f0: Jet1, f1: Jet1) -> CStarVerdict:
     if roots:
         eps = roots[0]
         check = cstar_apply(f1.truncate(n), eps)
-        assert check == f0.truncate(n), "internal witness verification failed"
+        if check != f0.truncate(n):
+            raise AssertionError("internal witness verification failed")
         return CStarVerdict(
             True,
             eps=eps,
@@ -349,11 +347,6 @@ def canonicalizing_homography(pair: NormalPair) -> Homography:
     return Homography(Coeff(1), mu)
 
 
-def canonical_germ(pair: NormalPair) -> Jet1:
-    h = canonicalizing_homography(pair)
-    return pair.sigma.jet.compose(h.to_jet(pair.sigma.order))
-
-
 class NormalPairVerdict:
     def __init__(
         self,
@@ -376,14 +369,16 @@ class NormalPairVerdict:
 def normal_pair_equivalent(p0: NormalPair, p1: NormalPair) -> NormalPairVerdict:
     """Decide equivalence of two gluing pairs (sigma, alpha), alpha free.
 
-    Each pair is first canonicalized by an inner homography killing the
+    Each pair is first canonicalized by an inner homography h killing the
     alpha offset; the remaining question is whether the two canonical
-    Schwarzians lie on one C* orbit, which is decided exactly.
+    Schwarzians lie on one C* orbit, which is decided exactly.  Since
+    S(h) = 0, the Schwarzian of sigma o h is (S(sigma) o h) * (h')^2, the
+    homographic image of S(sigma), so no composition is formed.
     """
     h0 = canonicalizing_homography(p0)
     h1 = canonicalizing_homography(p1)
-    s0 = schwarzian(canonical_germ(p0))
-    s1 = schwarzian(canonical_germ(p1))
+    s0 = _homographic_image(schwarzian(p0.sigma), h0)
+    s1 = _homographic_image(schwarzian(p1.sigma), h1)
     n = min(s0.order, s1.order)
     verdict = cstar_equivalent(s0.truncate(n), s1.truncate(n))
     constraints = [

@@ -87,7 +87,7 @@ import re
 import sys
 from itertools import islice
 
-from ._backend import QONE, qadd, qinv, qmul, qneg, qnorm
+from ._backend import QONE, jet2_mul, qadd, qinv, qmul, qneg, qnorm
 from .coeff import Coeff
 from .jets import DEFAULT_ORDER, Jet2
 from .forms import MAX_COEFF_BITS, OneForm, magnitude
@@ -296,34 +296,6 @@ def _fail(message, k):
     raise _Refusal(message, k)
 
 
-def _pmul(p, q):
-    """The product of two polynomial dicts, zero sums dropped as they occur.
-
-    A one-term operand only shifts the other operand's keys, which stay
-    distinct, so no sum is formed and, with no zero divisors, none of the
-    products is zero: that product is one comprehension, in the other
-    operand's key order.
-    """
-    if len(q) == 1:
-        p, q = q, p
-    if len(p) == 1:
-        ((i1, j1), c1), = p.items()
-        if c1 == QONE:
-            return {(i1 + i2, j1 + j2): c2 for (i2, j2), c2 in q.items()}
-        return {(i1 + i2, j1 + j2): qmul(c1, c2) for (i2, j2), c2 in q.items()}
-    out = {}
-    for (i1, j1), c1 in p.items():
-        for (i2, j2), c2 in q.items():
-            key = (i1 + i2, j1 + j2)
-            s = out.get(key)
-            s = qmul(c1, c2) if s is None else qadd(s, qmul(c1, c2))
-            if s[0] or s[1]:
-                out[key] = s
-            else:
-                del out[key]
-    return out
-
-
 def _padd_into(acc, p, negate=False):
     """Add (or subtract) polynomial ``p`` into the dict ``acc`` in place."""
     for key, c in p.items():
@@ -362,10 +334,10 @@ def _ppow(p, e, k):
     out, base = {_ONE_KEY: QONE}, p
     while e:
         if e & 1:
-            out = _pmul(out, base)
+            out = jet2_mul(out, base, _degree(out, base))
         e >>= 1
         if e:
-            base = _pmul(base, base)
+            base = jet2_mul(base, base, _degree(base, base))
     return out
 
 
@@ -401,7 +373,7 @@ def _dmul(d1, d2):
     """The product of two denominators, None standing for 1."""
     if d1 is None:
         return d2
-    return d1 if d2 is None else _pmul(d1, d2)
+    return d1 if d2 is None else jet2_mul(d1, d2, _degree(d1, d2))
 
 
 def _degree(*factors):
@@ -572,8 +544,10 @@ def _parse_expr(toks, k, order, term, floor=1, depth=0):
             else:
                 # the left-fold cross-multiplication that mero: parsing reads
                 if rden is not None:
-                    num = _pmul(num, rden)
-                _padd_into(num, rnum if den is None else _pmul(rnum, den), op == "-")
+                    num = jet2_mul(num, rden, _degree(num, rden))
+                if den is not None:
+                    rnum = jet2_mul(rnum, den, _degree(rnum, den))
+                _padd_into(num, rnum, op == "-")
                 den = _dmul(den, rden)
                 _check_degree(op, at, order, term, (num, den))
         elif op == "*":
@@ -587,13 +561,13 @@ def _parse_expr(toks, k, order, term, floor=1, depth=0):
                 size = _magnitude(num, den) * _magnitude(rnum, rden)
                 if size >> MAX_COEFF_BITS:
                     _fail(_too_large(size), at)
-                num, den = _pmul(num, rnum), _dmul(den, rden)
+                num, den = jet2_mul(num, rnum, _degree(num, rnum)), _dmul(den, rden)
         else:
             if not rnum:
                 _fail("division by zero", at)
             _check_degree(op, at, order, term, (num, den), (rnum, rden))
             if rden is not None:
-                num = _pmul(num, rden)
+                num = jet2_mul(num, rden, _degree(num, rden))
             c = rnum.get(_ONE_KEY) if len(rnum) == 1 else None
             if c is None:
                 den = _dmul(den, rnum)

@@ -44,20 +44,6 @@ def scale(a, s) -> tuple:
     return trim([v * s for v in a])
 
 
-def derivative(p) -> tuple:
-    return trim([p[k] * Coeff(k) for k in range(1, len(p))])
-
-
-def scale_variable(p, factor) -> tuple:
-    """The polynomial z -> p(factor * z)."""
-    out = []
-    power = Coeff(1)
-    for c in p:
-        out.append(c * power)
-        power = power * factor
-    return trim(out)
-
-
 def divmod(a, b) -> tuple[tuple, tuple]:
     """Quotient and remainder of ``a`` by ``b``; ``b`` may carry trailing zeros."""
     b = trim(b)

@@ -17,8 +17,9 @@ the one normalized on D1, H(0, v) = v: it solves the germ with its two
 slots swapped, where that normalization is the recurrence's own
 H(u, 0) = u, and swaps the result back.  The first factor is then the
 identity and sigma is H(u, 0), read off the u-axis with no series
-reversion.  The reversion (:func:`cuspfol._backend.jet1_revert`) is left
-to :func:`sigma_of_integral` on an integral not normalized on D1 and to
+reversion.  The reversion (:meth:`cuspfol.jets.Jet1.comp_inverse`,
+Lagrange inversion over kernel products) is left to
+:func:`sigma_of_integral` on an integral not normalized on D1 and to
 :meth:`cuspfol.moduli.GermDiff1.inverse`, which the cocycle round trip of
 acceptance criterion 10 runs.
 

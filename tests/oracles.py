@@ -31,11 +31,10 @@ as the reference at orders where the coefficient recursion above is too
 slow.  And the cusp reduction that the library now runs on kernel triples
 is kept as it was before: blow-ups as ``Jet2.exponent_map`` calls summed
 with ``Jet2`` addition, and every check a comparison of ``Coeff`` values.
-And four helpers that no question needs are kept here for the tests that
+And three helpers that no question needs are kept here for the tests that
 read them, on the package's own types: the homography fitted to a 2-jet,
-the composite of a normal form's recorded changes, the parametric
-polynomial through two plain slices, and the canonical text of a form,
-which parses back to it.  And the two sigma consumers that now run on kernel
+the composite of a normal form's recorded changes, and the canonical text
+of a form, which parses back to it.  And the two sigma consumers that now run on kernel
 triples are kept as they ran on ``Coeff``, ``poly`` and ``Jet1`` objects:
 the monomial-probe first-integral search, with a reduced ``Rational1``
 re-expanded by Horner's rule at z for every hit, and the homographic image
@@ -55,7 +54,6 @@ from cuspfol.forms import OneForm, ReductionReport, ReductionVerdict, pullback_m
 from cuspfol.jets import Jet1, Jet2, JetError, format_poly
 from cuspfol.linalg import solve
 from cuspfol.moduli import Homography
-from cuspfol.parametric import ParamPoly2
 from cuspfol.parsing import MeromorphicPair
 
 ZERO = (Fraction(0), Fraction(0))
@@ -962,16 +960,6 @@ def normal_form_transform(data):
         comp_x = comp_x.substitute(fx, fy)
         comp_y = comp_y.substitute(fx, fy)
     return comp_x, comp_y
-
-
-def param_poly_through(at0: Jet2, at1: Jet2):
-    """The ``ParamPoly2`` whose coefficients are of degree <= 1 in z and
-    whose slices at z = 0 and z = 1 are the polynomials of the two jets."""
-    c0, c1 = dict(at0.items()), dict(at1.items())
-    return ParamPoly2({
-        key: Rational1((c0.get(key, CZERO), c1.get(key, CZERO) - c0.get(key, CZERO)))
-        for key in c0.keys() | c1.keys()
-    })
 
 
 def format_form(obj) -> str:

@@ -57,7 +57,6 @@ from cuspfol.normalform import (
     reconstruct_normal_form,
 )
 from cuspfol.parametric import (
-    ParamPoly2,
     exceptional_divide_param,
     family_form,
     pullback_blowup_param,
@@ -146,9 +145,9 @@ def test_criterion_01_family_blowup_matches_reference_series():
         (1 - z*t) dx + (1 - z*x) dt + t*x dz,
 
     both in the convention that writes the parameter with the opposite
-    sign (coefficient-level z -> -z); the computation itself is pinned in
-    the native sign as well.  Equality is bit-exact on rational-function
-    coefficients.
+    sign (z -> -z, the z^k component times (-1)^k); the computation itself
+    is pinned in the native sign as well.  Each slot is compared as its
+    polynomials per power of z, bit-exact on Q(i) coefficients.
     """
     om = family_form()
     w1, k1 = exceptional_divide_param(pullback_blowup_param(om, "x"), "x")
@@ -158,26 +157,32 @@ def test_criterion_01_family_blowup_matches_reference_series():
     assert (k1, k2) == (4, 2)
     assert w1.variables == ("x", "t", "z") and w2.variables == ("x", "t", "z")
 
-    Z = Rational1.variable()
-
-    def neg(p):
-        return p.scale_param(Coeff(-1))
+    def slot(f, name, sign=1):
+        """The slot's polynomial per power k of z, times sign^k, trailing
+        zero components dropped; slot "c" is the dz-slot."""
+        polys = [
+            {key: v * sign**k for key, v in (c if name == "c" else getattr(w, name)).items()}
+            for k, (w, c) in enumerate(f.components)
+        ]
+        while polys and not polys[-1]:
+            polys.pop()
+        return polys
 
     # native sign convention
-    assert w1.a == ParamPoly2({(0, 1): 1, (0, 2): Z})
-    assert w1.b == ParamPoly2({(0, 2): 1, (1, 0): -1})
-    assert w1.c == ParamPoly2({(1, 2): 1})
-    assert w2.a == ParamPoly2({(0, 0): 1, (0, 1): Z})
-    assert w2.b == ParamPoly2({(0, 0): 1, (1, 0): Z})
-    assert w2.c == ParamPoly2({(1, 1): 1})
+    assert slot(w1, "a") == [{(0, 1): 1}, {(0, 2): 1}]
+    assert slot(w1, "b") == [{(0, 2): 1, (1, 0): -1}]
+    assert slot(w1, "c") == [{(1, 2): 1}]
+    assert slot(w2, "a") == [{(0, 0): 1}, {(0, 1): 1}]
+    assert slot(w2, "b") == [{(0, 0): 1}, {(1, 0): 1}]
+    assert slot(w2, "c") == [{(1, 1): 1}]
 
     # reference series, parameter negated
-    assert neg(w1.a) == ParamPoly2({(0, 1): 1, (0, 2): -Z})  # t*(1 - z*t)
-    assert neg(w1.b) == ParamPoly2({(0, 2): 1, (1, 0): -1})  # t^2 - x
-    assert neg(w1.c) == ParamPoly2({(1, 2): 1})  # t^2*x
-    assert neg(w2.a) == ParamPoly2({(0, 0): 1, (0, 1): -Z})  # 1 - z*t
-    assert neg(w2.b) == ParamPoly2({(0, 0): 1, (1, 0): -Z})  # 1 - z*x
-    assert neg(w2.c) == ParamPoly2({(1, 1): 1})  # t*x
+    assert slot(w1, "a", -1) == [{(0, 1): 1}, {(0, 2): -1}]  # t*(1 - z*t)
+    assert slot(w1, "b", -1) == [{(0, 2): 1, (1, 0): -1}]  # t^2 - x
+    assert slot(w1, "c", -1) == [{(1, 2): 1}]  # t^2*x
+    assert slot(w2, "a", -1) == [{(0, 0): 1}, {(0, 1): -1}]  # 1 - z*t
+    assert slot(w2, "b", -1) == [{(0, 0): 1}, {(1, 0): -1}]  # 1 - z*x
+    assert slot(w2, "c", -1) == [{(1, 1): 1}]  # t*x
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@
 import json
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -69,17 +68,6 @@ def test_rational_normalization():
         Rational1((1,), ())
 
 
-def test_rational_arithmetic_takes_fractions_as_scalars():
-    half = Fraction(1, 2)
-    r = Rational1((Coeff(1), Coeff(2)))  # 1 + 2z
-    assert r * half == Rational1((half, 1))
-    assert half * r == r * Coeff(half)
-    assert r + half == Rational1((Fraction(3, 2), 2))
-    assert half + r == r + half
-    with pytest.raises(TypeError):
-        r * 0.5
-
-
 def test_rational_expand():
     geo = Rational1((1,), (1, -1)).expand(10)
     assert geo == Jet1([1] * 11, 10)
@@ -88,7 +76,7 @@ def test_rational_expand():
 
 
 def test_rational_degree():
-    assert Rational1.variable().degree() == 1
+    assert Rational1((0, 1)).degree() == 1
     assert Rational1((1,), (1, 0, 2)).degree() == 2
 
 
@@ -97,7 +85,7 @@ def test_rational_degree():
 
 
 def test_verify_identity_relation():
-    z = Rational1.variable()
+    z = Rational1((0, 1))
     assert verify_rational_relation(z, z, GermDiff1.identity(N), 8)
 
 
@@ -106,12 +94,12 @@ def test_verify_even_function_absorbs_sign():
     neg = GermDiff1(Jet1([0, -1], N))
     assert verify_rational_relation(sq, sq, neg, 10)
     # but the identity function does not
-    z = Rational1.variable()
+    z = Rational1((0, 1))
     assert not verify_rational_relation(z, z, neg, 10)
 
 
 def test_verify_direct_mismatch():
-    z = Rational1.variable()
+    z = Rational1((0, 1))
     shift = GermDiff1(Jet1([0, 1, 1], N))
     assert not verify_rational_relation(z, z, shift, 8)
 
@@ -125,7 +113,7 @@ def test_verify_is_pole_safe():
 
 
 def test_verify_requires_long_enough_sigma():
-    z = Rational1.variable()
+    z = Rational1((0, 1))
     with pytest.raises(ValueError):
         verify_rational_relation(z, z, GermDiff1.identity(4), 8)
 

@@ -4,8 +4,7 @@
 module goes through the public surface (``items``, ``coeff``, ``coeffs``),
 so the storage can change without touching callers.  Each library and test
 module is parsed with ``ast`` and may not read an attribute named ``_c`` or
-``_d``.  ``parametric.py`` is exempt: its own ``ParamPoly2._d`` is that
-class's storage, not a jet's.
+``_d``.
 """
 
 import ast
@@ -15,7 +14,7 @@ import pytest
 from test_imports import MODULES
 
 STORAGE = {"_c", "_d"}
-EXEMPT = {"jets.py", "parametric.py"}
+EXEMPT = {"jets.py"}
 
 
 def storage_reads(source):

@@ -11,8 +11,8 @@ from cuspfol.jets import JetError
 from cuspfol.moduli import (
     Homography,
     NormalPair,
+    _homographic_image,
     canonical_alpha,
-    canonical_germ,
     canonicalizing_homography,
     cstar_apply,
     cstar_equivalent,
@@ -396,7 +396,8 @@ class TestNormalPairs:
         # Canonicalizer of the offset pair: mu = -(5 - 0)/5 = -1.
         assert v.h1.mu == -1
         assert v.h0.mu.is_zero()
-        assert schwarzian(canonical_germ(p1)).is_zero()
+        h1 = canonicalizing_homography(p1)
+        assert schwarzian(p1.sigma.jet.compose(h1.to_jet(12))).is_zero()
 
     def test_reflexive(self):
         rng = random.Random(277)
@@ -431,11 +432,14 @@ class TestNormalPairs:
             alpha = Coeff(rng.randint(-5, 5))
             p = NormalPair(s, alpha)
             h = canonicalizing_homography(p)
-            new_sigma = canonical_germ(p)
+            new_sigma = s.compose(h.to_jet(s.order))
             # Composing with z/(1+mu z) shifts the canonical alpha by -3mu
             # and transports alpha by +2mu; the canonical mu makes them meet.
             assert canonical_alpha(new_sigma) == canonical_alpha(s) - 3 * h.mu
             assert canonical_alpha(new_sigma) == alpha + 2 * h.mu
+            # S(h) = 0, so normal_pair_equivalent reads S(sigma o h) as the
+            # homographic image of S(sigma)
+            assert schwarzian(new_sigma) == _homographic_image(schwarzian(s), h)
 
 
 def test_homographic_image_matches_the_composition():

@@ -91,9 +91,3 @@ def test_evaluate_at_a_jet1_point():
     zero = poly.evaluate((), s)
     assert isinstance(zero, Jet1) and zero.is_zero() and zero.order == 4
     assert poly.evaluate((3,), s) == Jet1([3], 4)
-
-
-def test_derivative_and_scale_variable():
-    assert poly.derivative((5, 1, 3)) == (Coeff(1), Coeff(6))
-    assert poly.derivative((5,)) == ()
-    assert poly.scale_variable((1, 1, 1), 2) == (Coeff(1), Coeff(2), Coeff(4))
