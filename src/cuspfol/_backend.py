@@ -48,14 +48,16 @@ of the Horner steps and of the pullback are multiplied as they are, with no
 copy into a term list; the x term of the x target, the y term of the y
 target and the constant of each Jacobian entry, the identity of a change
 tangent to it, are applied as key shifts and scalar copies
-(:func:`_shift`) rather than multiplied.  A change tangent to the identity,
-x + p and y + q with p and q of lowest degree v, keeps at most
-t = (n - e) // (v - 1) factors p or q on a monomial of degree e: a monomial
-with t = 0 is copied, one with t at most ``_TAYLOR_BANDS`` is expanded by
-the binomial theorem over products p^k q^l formed once per substitution,
-and only the others, and every monomial of any other change, go through
-Horner's rule in the x target.  A Horner row, a scalar times a power of the
-y target, is added in place with no call.
+(:func:`_shift`) rather than multiplied, and so is a one-term operand of
+:func:`jet2_mul`, such as the x*y of a quotient's denominator.  A change
+tangent to the identity, x + p and y + q with p and q of lowest degree v,
+keeps at most t = (n - e) // (v - 1) factors p or q on a monomial of
+degree e: a monomial with t = 0 is copied, one with t at most
+``_TAYLOR_BANDS`` is expanded by the binomial theorem over products
+p^k q^l formed once per substitution, and only the others, and every
+monomial of any other change, go through Horner's rule in the x target.  A
+Horner row, a scalar times a power of the y target, is added in place with
+no call.
 
 There is one pullback, :func:`_pullback`, on numerators, and one entry
 to it, :class:`FormNumerators`: it keeps a 1-form as numerators over one
@@ -467,14 +469,16 @@ def jet2_mul(da, db, n):
     Keys with total degree > n are dropped; zero results are not stored.
     As in :func:`jet1_mul`, the numerators are convolved over each operand's
     lcm of denominators and each nonzero output coefficient is normalized
-    once.  Keys appear in the order their first product is formed.
+    once; a one-term operand, such as x*y, is a key shift and a scalar copy
+    (:func:`_times`).  Keys appear in the order their first product is
+    formed.
     """
     ta, dena = _scaled(_terms(da, n))
     if not ta:
         return {}
     tb, denb = _scaled(_terms(db, n))
     pairs = [(k, (a, b)) for k, a, b, _ in ta]
-    return _normalized(_convolve(pairs, tb, (n + 1) ** 2, {}), dena * denb, n)
+    return _normalized(_times(pairs, tb, (n + 1) ** 2, {}), dena * denb, n)
 
 
 # The monomials that a near-identity change moves at most _TAYLOR_BANDS

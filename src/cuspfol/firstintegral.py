@@ -19,8 +19,13 @@ The probes run on the kernel's one-variable routines: sigma^k is one
 ``jet1_mul`` of sigma^(k-1) by sigma, the Hankel rows are its triples, P is
 the head of ``jet1_mul(Q, sigma^k)``, and P * Q^-1 = sigma^k is checked
 exactly with ``jet1_reciprocal``.  Only the pair a search prints is reduced
-to a :class:`Rational1` (the one place ``poly.gcd`` runs), and it is
-checked again after the reduction.
+to a :class:`Rational1`, and it is checked again after the reduction.
+
+Polynomials are the kernel's too.  A :class:`Rational1` is reduced by a
+monic gcd on lists of kernel triples (``_divmod``, ``_gcd``), a polynomial
+is evaluated at sigma as the composition of its coefficient jet, and
+r o h for a homography h is read off a binomial closed form with no
+polynomial product.
 
 The bounded search is evidence, not proof: absence of a relation up to the
 degree bound is reported as exactly that.  The general existence problem
@@ -29,12 +34,46 @@ is bilinear in (R1, R2) and is deliberately not attempted here.
 
 from __future__ import annotations
 
-from . import poly
-from ._backend import QONE, jet1_mul, jet1_reciprocal, qneg
-from .coeff import Coeff
+from math import comb
+
+from ._backend import QONE, QZERO, jet1_mul, jet1_reciprocal, qinv, qiszero, qmul, qneg, qsub
+from .coeff import Coeff, as_triple
 from .jets import DEFAULT_ORDER, Jet1, Jet2
 from .linalg import determinant, solve
 from .moduli import GermDiff1, Homography
+
+
+def _trim(p) -> list:
+    """The triples of a sequence of ``Coeff``, ints or fractions, trailing
+    zeros dropped, so ``[]`` is the zero polynomial."""
+    out = [as_triple(v) for v in p]
+    while out and qiszero(out[-1]):
+        out.pop()
+    return out
+
+
+def _divmod(a, b) -> tuple[list, list]:
+    """Quotient and remainder of the trimmed triple list ``a`` by ``b`` != []."""
+    r = list(a)
+    q = [QZERO] * max(len(r) - len(b) + 1, 0)
+    inv = qinv(b[-1])
+    while len(r) >= len(b):
+        f = qmul(r[-1], inv)
+        k = len(r) - len(b)
+        q[k] = f
+        for i, v in enumerate(b):
+            r[k + i] = qsub(r[k + i], qmul(f, v))
+        while r and qiszero(r[-1]):
+            r.pop()
+    return q, r
+
+
+def _gcd(a, b) -> list:
+    """The monic gcd of two trimmed triple lists, not both zero."""
+    while b:
+        a, b = b, _divmod(a, b)[1]
+    inv = qinv(a[-1])
+    return [qmul(t, inv) for t in a]
 
 
 class Rational1:
@@ -46,18 +85,17 @@ class Rational1:
     """
 
     def __init__(self, num: tuple, den: tuple = (Coeff(1),)):
-        num = poly.trim(num)
-        den = poly.trim(den)
+        num = _trim(num)
+        den = _trim(den)
         if not den:
             raise ValueError("rational function needs a nonzero denominator")
-        g = poly.gcd(num, den)
-        if g and len(g) > 1:
-            num, _ = poly.divmod(num, g)
-            den, _ = poly.divmod(den, g)
-        unit = den[0] if not den[0].is_zero() else den[-1]
-        s = Coeff(1) / unit
-        self.num = poly.scale(num, s)
-        self.den = poly.scale(den, s)
+        g = _gcd(num, den)
+        if len(g) > 1:
+            num = _divmod(num, g)[0]
+            den = _divmod(den, g)[0]
+        s = qinv(den[0] if not qiszero(den[0]) else den[-1])
+        self.num = tuple(Coeff.from_triple(qmul(t, s)) for t in num)
+        self.den = tuple(Coeff.from_triple(qmul(t, s)) for t in den)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -84,21 +122,24 @@ class Rational1:
 
 
 def rational_precompose(r: Rational1, h: Homography) -> Rational1:
-    """The rational function r o h, cleared of denominators exactly."""
+    """The rational function r o h, cleared of denominators exactly.
+
+    With d = ``r.degree()`` and h = lam*z/(1 + mu*z), a numerator or
+    denominator P of r becomes sum_i p_i (lam*z)^i (1 + mu*z)^(d-i), whose
+    coefficient m is sum_(i <= m) p_i lam^i C(d-i, m-i) mu^(m-i).
+    """
     d = r.degree()
-    lz = (Coeff(0), h.lam)  # lam*z
-    u = (Coeff(1), h.mu)  # 1 + mu*z
-    lz_pow = [(Coeff(1),)]
-    u_pow = [(Coeff(1),)]
-    for _ in range(d):
-        lz_pow.append(poly.mul(lz_pow[-1], lz))
-        u_pow.append(poly.mul(u_pow[-1], u))
+    lam = [h.lam**i for i in range(d + 1)]
+    mu = [h.mu**k for k in range(d + 1)]
 
     def push(p):
-        out = ()
-        for i, c in enumerate(p):
-            out = poly.add(out, poly.scale(poly.mul(lz_pow[i], u_pow[d - i]), c))
-        return out
+        return [
+            sum(
+                (c * lam[i] * mu[m - i] * comb(d - i, m - i) for i, c in enumerate(p[: m + 1])),
+                Coeff(0),
+            )
+            for m in range(d + 1)
+        ]
 
     return Rational1(push(r.num), push(r.den))
 
@@ -118,9 +159,9 @@ def verify_rational_relation(r1: Rational1, r2: Rational1, sigma, order) -> bool
     if sigma.order < order:
         raise ValueError("sigma jet is shorter than the requested order")
     s = sigma.truncate(order)
-    lhs = poly.evaluate(r1.num, s) * Jet1(r2.den, order) - Jet1(
+    lhs = Jet1(r1.num, order).compose(s) * Jet1(r2.den, order) - Jet1(
         r2.num, order
-    ) * poly.evaluate(r1.den, s)
+    ) * Jet1(r1.den, order).compose(s)
     return lhs.is_zero()
 
 

@@ -38,15 +38,17 @@ the system is the number of admissible rows plus the rank of that block.
 That rank takes no arithmetic.  A T column of valuation d vanishes on the
 rows of degree below d, so the block is block triangular and its rank is at
 least the sum of the ranks of its diagonal blocks G_d: the rows x1^p
-y1^(d-p) of degree d against the columns of valuation d.  On them a column
-factor * x3^i * y3^j is the product of the linear parts a*x1 + s*y1 of the
-factor and of x3 o psi and s*y1 of y3 o psi, where a = A0(0,0) and
-s = sigma'(0), so G_d[p][i] = C(i+1, p) a^p s^(d-p).  The polynomials
-C(X, p) with p < r are a basis of those of degree < r, and the columns
-evaluate them at distinct points i+1, never fewer than the r rows; so when
-a*s != 0 every G_d has full row rank and the ranks sum to rows - 1.  The y1
-row is zero in every T column, which caps the rank at rows - 1 and is the
-certificate.  A target with no y1 term is solved exactly on the whole block.
+y1^(d-p) of degree d against the columns of valuation d.  The gluing unit
+A0 = 1 + alpha*y1 does not depend on x1, so the factor A0*x3/J, with
+J = A0 + x1*dA0/dx1, is x3 and a T column is x3^(i+1) * y3^j.  On those
+rows it is the product of the linear parts x1 + s*y1 of x3 o psi and s*y1
+of y3 o psi, where s = sigma'(0), so G_d[p][i] = C(i+1, p) s^(d-p).  The
+polynomials C(X, p) with p < r are a basis of those of degree < r, and the
+columns evaluate them at distinct points i+1, never fewer than the r rows;
+so when s != 0 every G_d has full row rank and the ranks sum to rows - 1.
+The y1 row is zero in every T column, which caps the rank at rows - 1 and is
+the certificate.  A target with no y1 term is solved exactly on the whole
+block.
 """
 
 from __future__ import annotations
@@ -272,23 +274,12 @@ def _row_keys(order):
     return [(p, d - p) for d in range(order + 1) for p in range(d, -1, -1)]
 
 
-def _radial_jacobian(a0: Jet2) -> Jet2:
-    """A0 + x*dA0/dx, the x-derivative of x*A0, computed coefficient-wise."""
-    return Jet2(
-        {key: c * Coeff(key[0] + 1) for key, c in a0.items()}, a0.order
-    )
-
-
-def _split_maps(sigma: GermDiff1, a0: Jet2, order):
-    """x3 o psi, y3 o psi and the factor A0*x3/J, to the given order.
-
-    Truncation is a ring map and J = A0 + x1*dA0/dx1 is a unit, so at a
-    lower order these are exactly the truncations of the full-order maps.
-    """
+def _split_maps(sigma: GermDiff1, alpha, order):
+    """x3 o psi = x1*(1 + alpha*y1) + sigma(y1) and y3 o psi = sigma(y1), to
+    the given order: at a lower order exactly the truncations of the
+    full-order maps."""
     s2 = Jet2.from_jet1(sigma.jet.truncate(order), "y")
-    a0 = a0.truncate(order)
-    x3 = Jet2.var_x(order) * a0 + s2
-    return x3, s2, (a0 * x3).div(_radial_jacobian(a0))
+    return Jet2.var_x(order) * _unit(alpha, order) + s2, s2
 
 
 def _t_keys(n):
@@ -304,8 +295,8 @@ def _a2_keys(n):
 
 
 def _t_columns(maps, n):
-    """factor * x3^i * s2^j for every T monomial x^i y^j of the order-n split,
-    from ``maps`` = (x3, s2, factor) and at their order.
+    """x3^(i+1) * s2^j for every T monomial x^i y^j of the order-n split,
+    from ``maps`` = (x3, s2) and at their order.
 
     The solver reads a T column only on the rows x1^p y1^q that are not
     F2-admissible (q > 2p), and those have p <= (n-1)//3; so the powers of
@@ -317,15 +308,15 @@ def _t_columns(maps, n):
     columns' degrees, as on the order-1 maps of the y1 row.
     """
     top = (n - 1) // 3
-    x3, s2, factor = maps
+    x3, s2 = maps
     x3 = x3.drop_x_above(top)
-    fxpow = [factor.drop_x_above(top)]
+    xpow = [x3]
     ypow = [Jet2.one(s2.order)]
     for _ in range(n - 1):
-        p = (fxpow[-1] * x3).drop_x_above(top)
+        p = (xpow[-1] * x3).drop_x_above(top)
         if p.is_zero():
             break
-        fxpow.append(p)
+        xpow.append(p)
     for _ in range(n - 1):
         p = ypow[-1] * s2
         if p.is_zero():
@@ -333,25 +324,27 @@ def _t_columns(maps, n):
         ypow.append(p)
     zero = Jet2.zero(s2.order)
     return [
-        fxpow[i] * ypow[j] if i < len(fxpow) and j < len(ypow) else zero
+        xpow[i] * ypow[j] if i < len(xpow) and j < len(ypow) else zero
         for i, j in _t_keys(n)
     ]
 
 
-def _coboundary_columns(sigma: GermDiff1, a0: Jet2, order):
+def _coboundary_columns(sigma: GermDiff1, alpha, order):
     """Column functions of the split equation, indexed by unknown labels.
 
     The transported first-model field (x3-y3)*T*x3*d/dx3 contributes, for
     each admissible monomial x^i y^j of T (i > j, degree < order), the
-    function (A0*(x1*A0+sigma)/J) * (x3 o psi)^i * (y3 o psi)^j with
-    J = A0+x1*dA0/dx1 (built as :func:`_t_columns` says); a second-model
-    monomial (i,j) of A2, one that extends to the second chart of "F2",
-    contributes -x1^i y1^j.  The T columns come first, in the order of
-    :func:`_t_keys`.  Also returns the jets x3 o psi, y3 o psi and the
-    factor, at full order, for the re-check and the remainder.
+    function (A0*x3/J) * (x3 o psi)^i * (y3 o psi)^j with J = A0 +
+    x1*dA0/dx1.  The gluing unit A0 = 1 + alpha*y1 does not depend on x1,
+    so J = A0 and the factor is x3 o psi: the column is
+    (x3 o psi)^(i+1) * (y3 o psi)^j (built as :func:`_t_columns` says).  A
+    second-model monomial (i,j) of A2, one that extends to the second chart
+    of "F2", contributes -x1^i y1^j.  The T columns come first, in the
+    order of :func:`_t_keys`.  Also returns the jets x3 o psi and y3 o psi,
+    at full order, for the re-check and the remainder.
     """
     n = order
-    maps = _split_maps(sigma, a0, n)
+    maps = _split_maps(sigma, alpha, n)
     a2_keys = _a2_keys(n)
     cols = _t_columns(maps, n) + [Jet2.monomial(i, j, -1, n) for i, j in a2_keys]
     labels = [("T", *key) for key in _t_keys(n)] + [("A2", *key) for key in a2_keys]
@@ -416,7 +409,7 @@ def _infeasible(cert, rank, cols, goal, n) -> CoboundaryResult:
     return CoboundaryResult(False, n, rank, certificate=cert, certificate_checked=checked)
 
 
-def _solve_coboundary(sigma: GermDiff1, a0: Jet2, target: Jet2, order) -> CoboundaryResult:
+def _solve_coboundary(sigma: GermDiff1, alpha, target: Jet2, order) -> CoboundaryResult:
     """Split ``target`` exactly, reducing only the block the A2 columns miss.
 
     Every A2 column is -x1^i y1^j on an F2-admissible row, so those rows are
@@ -426,9 +419,9 @@ def _solve_coboundary(sigma: GermDiff1, a0: Jet2, target: Jet2, order) -> Coboun
     left-kernel vector of the full system vanishes on the admissible rows.
 
     The y1 row has degree 1, below the valuation of every T column, so it
-    is zero in the block and caps its rank at rows - 1.  With a = A0(0,0)
-    and s = sigma'(0) nonzero, the diagonal blocks G_d of the block have
-    full row rank (see the module docstring), so the rank is rows - 1 and
+    is zero in the block and caps its rank at rows - 1.  ``GermDiff1``
+    refuses s = sigma'(0) = 0, so the diagonal blocks G_d of the block have
+    full row rank (see the module docstring), the rank is rows - 1 and
     the left kernel is spanned by the y1 row: a target with a nonzero y1
     coefficient is infeasible with the y1 row as its certificate, checked
     again on the full system's y1 row, which the columns' parts of degree
@@ -436,12 +429,7 @@ def _solve_coboundary(sigma: GermDiff1, a0: Jet2, target: Jet2, order) -> Coboun
     with a zero y1 coefficient solves the block exactly; an infeasible one
     has its certificate checked again, and a feasible one reads A2 off as
     the remainder.
-
-    The caller passes A0(0,0) = 1 and ``GermDiff1`` refuses s = 0, so a
-    zero a*s is a fault of the library and raises ``AssertionError``.
     """
-    if (a0.coeff(0, 0) * sigma.jet.coeff(1)).is_zero():
-        raise AssertionError("the split needs A0(0,0) != 0 and sigma'(0) != 0")
     n = order
     goal = dict(target.triple_items())
     a2_keys = _a2_keys(n)
@@ -450,11 +438,11 @@ def _solve_coboundary(sigma: GermDiff1, a0: Jet2, target: Jet2, order) -> Coboun
     if not qiszero(goal.get((0, 1), QZERO)):
         # the full system's y1 row, read off every column's part of degree
         # <= 1; an A2 column of higher degree is zero there and left out
-        low = _t_columns(_split_maps(sigma, a0, 1), n)
+        low = _t_columns(_split_maps(sigma, alpha, 1), n)
         low += [Jet2.monomial(i, j, -1, 1) for i, j in a2_keys if i + j <= 1]
         rank = len(admissible) + len(free_rows) - 1
         return _infeasible([((0, 1), Coeff(1))], rank, low, goal, n)
-    cols, _, (x3, s2, factor) = _coboundary_columns(sigma, a0, n)
+    cols, _, (x3, s2) = _coboundary_columns(sigma, alpha, n)
     t_keys = _t_keys(n)
     res = solve(
         _rows_on(free_rows, cols[: len(t_keys)]),
@@ -466,7 +454,7 @@ def _solve_coboundary(sigma: GermDiff1, a0: Jet2, target: Jet2, order) -> Coboun
         cert = [(free_rows[r], w) for r, w in res.certificate]
         return _infeasible(cert, rank, cols, goal, n)
     tilde = Jet2(dict(zip(t_keys, res.solution)), n)
-    a2 = factor * tilde.substitute(x3, s2) - target.truncate(n)
+    a2 = x3 * tilde.substitute(x3, s2) - target.truncate(n)
     # the remainder must be a field on the second model
     if not globality_check(a2, Model.F2):
         raise AssertionError("coboundary split left a non-admissible remainder")
@@ -493,7 +481,7 @@ def coboundary_solve(sigma, alpha0, target: VectorFieldJet, order=None) -> Cobou
     if isinstance(sigma, Jet1):
         sigma = GermDiff1(sigma)
     n = min(sigma.jet.order, target.coefficient.order) if order is None else order
-    return _solve_coboundary(sigma, _unit(alpha0, n), target.coefficient.truncate(n), n)
+    return _solve_coboundary(sigma, alpha0, target.coefficient.truncate(n), n)
 
 
 def ks_generator(order=DEFAULT_ORDER) -> VectorFieldJet:
@@ -534,7 +522,7 @@ def cohomology_dimension(sigma, alpha0, order) -> CohomologyReport:
     the admissible rows by themselves.  In that block the y1 row is zero,
     which bounds the rank by rows - 1 and certifies infeasibility.  The
     block's diagonal blocks by degree are binomial matrices scaled by
-    powers of A0(0,0) and sigma'(0), of full row rank, so the rank reaches
+    powers of sigma'(0), of full row rank, so the rank reaches
     rows - 1: the corank is 1 with no full-order T column and no
     elimination (see :func:`_solve_coboundary`).
     """

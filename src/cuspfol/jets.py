@@ -46,11 +46,16 @@ class _Jet:
     """The operators :class:`Jet1` and :class:`Jet2` share.
 
     Each subclass supplies ``_bin`` (a coefficient-wise operation on two jets
-    of its kind), ``one`` and the order ``_n``; a scalar operand stands for
-    the constant jet at the other operand's order.
+    of its kind), ``_ONE`` (the constant 1 as its constructor takes it) and
+    the order ``_n``; a scalar operand stands for the constant jet at the
+    other operand's order.
     """
 
     __slots__ = ()
+
+    @classmethod
+    def one(cls, order=DEFAULT_ORDER):
+        return cls(cls._ONE, order)
 
     def _operand(self, other):
         if isinstance(other, _SCALARS):
@@ -75,6 +80,7 @@ class Jet1(_Jet):
     """A truncated series  c0 + c1*z + ... + cN*z^N  (+ unknown tail)."""
 
     __slots__ = ("_c", "_n")
+    _ONE = (1,)
 
     def __init__(self, coeffs=(), order=DEFAULT_ORDER):
         n = int(order)
@@ -94,10 +100,6 @@ class Jet1(_Jet):
         obj._c = tuple(triples[: order + 1]) + (QZERO,) * (order + 1 - len(triples))
         obj._n = order
         return obj
-
-    @classmethod
-    def one(cls, order=DEFAULT_ORDER):
-        return cls((1,), order)
 
     @classmethod
     def variable(cls, order=DEFAULT_ORDER):
@@ -245,6 +247,7 @@ class Jet2(_Jet):
     """A truncated series in two variables: {(i, j): coeff}, i+j <= order."""
 
     __slots__ = ("_d", "_n")
+    _ONE = {(0, 0): 1}
 
     def __init__(self, coeffs=None, order=DEFAULT_ORDER):
         n = int(order)
@@ -273,10 +276,6 @@ class Jet2(_Jet):
     @classmethod
     def zero(cls, order=DEFAULT_ORDER):
         return cls._raw({}, order)
-
-    @classmethod
-    def one(cls, order=DEFAULT_ORDER):
-        return cls({(0, 0): 1}, order)
 
     @classmethod
     def monomial(cls, i, j, c=1, order=DEFAULT_ORDER):

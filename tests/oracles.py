@@ -35,9 +35,9 @@ And three helpers that no question needs are kept here for the tests that
 read them, on the package's own types: the homography fitted to a 2-jet,
 the composite of a normal form's recorded changes, and the canonical text
 of a form, which parses back to it.  And the two sigma consumers that now run on kernel
-triples are kept as they ran on ``Coeff``, ``poly`` and ``Jet1`` objects:
-the monomial-probe first-integral search, with a reduced ``Rational1``
-re-expanded by Horner's rule at z for every hit, and the homographic image
+triples are kept as they ran on ``Coeff`` and ``Jet1`` objects: the
+monomial-probe first-integral search, with a reduced ``Rational1``
+re-expanded at z for every hit, and the homographic image
 of a jet as a composition with the homography's jet.
 """
 
@@ -46,7 +46,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from cuspfol import poly
 from cuspfol._backend import QZERO, jet1_mul, qadd, qinv, qiszero, qmul, qneg
 from cuspfol.coeff import ZERO as CZERO, Coeff
 from cuspfol.firstintegral import Rational1
@@ -980,7 +979,7 @@ def format_form(obj) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the sigma consumers on Coeff, poly and Jet1 objects
+# the sigma consumers on Coeff and Jet1 objects
 
 
 def pade_by_horner(g, d, n):
@@ -988,7 +987,8 @@ def pade_by_horner(g, d, n):
 
     The Hankel rows coefficient_m(Q*g) = 0, d < m <= n, as ``Coeff`` rows
     through ``linalg.solve``; P is the head of the ``Jet1`` product Q*g;
-    P/Q is reduced by ``poly.gcd`` and re-expanded by Horner's rule at the
+    P/Q is reduced to a ``Rational1`` and re-expanded as the quotient of the
+    jets of its numerator and denominator, which is Horner's rule at the
     variable jet, and kept only if that expansion is g.
     """
     rows = [[g.coeff(m - k) for k in range(1, d + 1)] for m in range(d + 1, n + 1)]
@@ -998,8 +998,7 @@ def pade_by_horner(g, d, n):
     q = (Coeff(1),) + tuple(res.solution)
     prod = Jet1(q, n) * g.truncate(n)
     cand = Rational1(tuple(prod.coeff(k) for k in range(d + 1)), q)
-    z = Jet1.variable(n)
-    if poly.evaluate(cand.num, z).div(poly.evaluate(cand.den, z)) != g.truncate(n):
+    if Jet1(cand.num, n).div(Jet1(cand.den, n)) != g.truncate(n):
         return None
     return cand
 

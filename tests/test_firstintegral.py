@@ -163,6 +163,49 @@ def test_rational_precompose_matches_jet_composition():
         assert comp.expand(10) == r.expand(10).compose(h.to_jet(10))
 
 
+def gaussian_poly(rng, degree):
+    """Coefficients of a polynomial of exact degree ``degree`` over Q(i)."""
+    def coeff():
+        return Coeff(rng.randint(-5, 5), rng.randint(-5, 5)) / Coeff(rng.randint(1, 4), rng.randint(-2, 2))
+
+    head = coeff()
+    while head.is_zero():
+        head = coeff()
+    return [coeff() for _ in range(degree)] + [head]
+
+
+def test_reduction_cancels_a_common_factor():
+    """Rational1(P*G, Q*G) == Rational1(P, Q) for seeded Gaussian P, Q and
+    G, the products taken as Jet1 products at their exact degree."""
+    rng = random.Random(0x6CD)
+
+    def times(a, b):
+        n = len(a) + len(b) - 2
+        return (Jet1(a, n) * Jet1(b, n)).coeffs
+
+    for _ in range(40):
+        p, q = gaussian_poly(rng, rng.randint(0, 4)), gaussian_poly(rng, rng.randint(0, 4))
+        g = gaussian_poly(rng, rng.randint(1, 3))
+        assert Rational1(times(p, g), times(q, g)) == Rational1(p, q)
+
+
+def test_rational_precompose_expands_as_the_composed_jet():
+    """rational_precompose(r, h).expand(n) == r.expand(n) o h for seeded r
+    finite at 0 and seeded homographies h = lam*z/(1 + mu*z), mu = 0 too."""
+    rng = random.Random(0x6CE)
+    for _ in range(30):
+        num = gaussian_poly(rng, rng.randint(0, 4))
+        den = gaussian_poly(rng, rng.randint(0, 4))
+        while den[0].is_zero():
+            den = gaussian_poly(rng, len(den) - 1)
+        r = Rational1(num, den)
+        lam = gaussian_poly(rng, 0)[0]
+        mu = gaussian_poly(rng, 0)[0] if rng.random() < 0.8 else Coeff(0)
+        h = Homography(lam, mu)
+        n = rng.randint(1, 12)
+        assert rational_precompose(r, h).expand(n) == r.expand(n).compose(h.to_jet(n))
+
+
 # ---------------------------------------------------------------------------
 # rationality testing
 
@@ -293,7 +336,7 @@ def template_sigmas(count, order=32):
 
 
 def test_witness_matches_the_horner_route():
-    """The kernel search against the search on Coeff, poly and Jet1 objects
+    """The kernel search against the search on Coeff and Jet1 objects
     (``oracles.witness_by_horner``): equal probes, r1 and r2 on sigma of
     the README and ROADMAP forms, of seeded homographies lam*z/(1 + mu*z)
     and of SINH, and on 20 seeded templates, at seeded orders 8 to 32 and
@@ -325,18 +368,18 @@ def test_witness_matches_the_horner_route():
 
 
 def test_witness_reduces_only_the_printed_pair(monkeypatch):
-    """poly.gcd runs once for r1 and once for r2 when a probe hits, and not
-    at all when none does, however many probes hit."""
-    import cuspfol.poly
+    """The gcd of the reduction runs once for r1 and once for r2 when a probe
+    hits, and not at all when none does, however many probes hit."""
+    import cuspfol.firstintegral
 
     calls = []
-    gcd = cuspfol.poly.gcd
+    gcd = cuspfol.firstintegral._gcd
 
     def counting_gcd(a, b):
         calls.append(len(b))
         return gcd(a, b)
 
-    monkeypatch.setattr(cuspfol.poly, "gcd", counting_gcd)
+    monkeypatch.setattr(cuspfol.firstintegral, "_gcd", counting_gcd)
     rep = no_first_integral_witness(GermDiff1.identity(N), 5, N)
     assert rep.probes == tuple((k, True) for k in range(1, 6))
     assert len(calls) == 2

@@ -25,7 +25,6 @@ from cuspfol.gluing import (
     _coboundary_columns,
     _row_keys,
     _rows_on,
-    _solve_coboundary,
     _split_maps,
     _t_columns,
     _t_keys,
@@ -416,8 +415,7 @@ def test_t_columns_are_exact_on_the_rows_the_solver_reads():
         full = oracles.split_t_columns(
             oracles.jet1_pairs(sig.jet), oracles.pair_of_coeff(alpha0), n
         )
-        a0 = Jet2({(0, 0): 1, (0, 1): alpha0}, n)
-        cols, labels, _ = _coboundary_columns(sig, a0, n)
+        cols, labels, _ = _coboundary_columns(sig, alpha0, n)
         read = [(p, q) for (p, q) in _row_keys(n) if q > 2 * p]
         t_cols = {(i, j): col for col, (kind, i, j) in zip(cols, labels) if kind == "T"}
         assert list(t_cols) == list(full)
@@ -438,7 +436,7 @@ def test_feasible_split_reads_the_second_field_off_the_remainder():
         # that extend to the second chart of F2 (2i - j >= 0)
         t_keys = [(i, j) for (i, j) in _row_keys(n - 1) if i > j]
         a2_keys = [(i, j) for (i, j) in _row_keys(n) if 2 * i >= j]
-        labels = _coboundary_columns(sig, Jet2.one(n), n)[1]
+        labels = _coboundary_columns(sig, alpha0, n)[1]
         assert labels == [("T", *k) for k in t_keys] + [("A2", *k) for k in a2_keys]
         tilde, a2 = (
             Jet2({key: rand_coeff(rng=rng) for key in rng.sample(keys, 4)}, n)
@@ -510,8 +508,7 @@ def _full_block_split(sig, alpha0, target, n):
     test_t_columns_are_exact_on_the_rows_the_solver_reads), read on the rows
     no A2 column pivots and solved by ``linalg.solve`` (the kernel rref); an
     infeasibility certificate is checked on every T and A2 column."""
-    a0 = Jet2({(0, 0): 1, (0, 1): alpha0}, n)
-    cols, labels, _ = _coboundary_columns(sig, a0, n)
+    cols, labels, _ = _coboundary_columns(sig, alpha0, n)
     admissible = {(i, j) for kind, i, j in labels if kind == "A2"}
     free = [key for key in _row_keys(n) if key not in admissible]
     t_cols = [col for col, label in zip(cols, labels) if label[0] == "T"]
@@ -540,9 +537,9 @@ def column_builds(monkeypatch):
     orders = []
     columns = cuspfol.gluing._coboundary_columns
 
-    def recording_columns(sigma, a0, order):
+    def recording_columns(sigma, alpha, order):
         orders.append(order)
-        return columns(sigma, a0, order)
+        return columns(sigma, alpha, order)
 
     monkeypatch.setattr(cuspfol.gluing, "_coboundary_columns", recording_columns)
     return orders
@@ -618,14 +615,13 @@ def test_binomial_blocks_have_full_row_rank():
 
 def test_diagonal_blocks_are_scaled_binomial_blocks():
     # G_d, the free rows of degree d against the T columns of valuation d,
-    # built from the linear parts of the order-1 maps, is
-    # diag(a^p s^(d-p)) B_d with a = A0(0,0) and s = sigma'(0)
+    # built from the linear parts of the order-1 maps, is diag(s^(d-p)) B_d
+    # with s = sigma'(0): the gluing unit 1 + alpha*y1 has A0(0,0) = 1
     rng = random.Random(0x81)
     for n in range(2, 25):
         sig = seeded_sigma(rng, n, n % 2 == 0)
-        a0 = Jet2({(0, 0): gaussian_coeff(rng, nonzero=True), (0, 1): gaussian_coeff(rng)}, n)
-        a, s = a0.coeff(0, 0), sig.jet.coeff(1)
-        lin = [oracles.homogeneous_part(g, 1).with_order(n) for g in _split_maps(sig, a0, 1)]
+        alpha, s = gaussian_coeff(rng), sig.jet.coeff(1)
+        lin = [oracles.homogeneous_part(g, 1).with_order(n) for g in _split_maps(sig, alpha, 1)]
         blocks = {}
         for (i, j), col in zip(_t_keys(n), _t_columns(lin, n)):
             blocks.setdefault(i + j + 1, []).append(col)
@@ -634,18 +630,10 @@ def test_diagonal_blocks_are_scaled_binomial_blocks():
             rows = [(p, d - p) for p in range((d - 1) // 3 + 1)]
             got = [[Coeff.from_triple(t) for t in row] for row in _rows_on(rows, cols)]
             want = [
-                [a**p * s ** (d - p) * Coeff(c) for c in row]
+                [s ** (d - p) * Coeff(c) for c in row]
                 for p, row in enumerate(binomial_block(d))
             ]
             assert got == want, (n, d)
-
-
-def test_split_without_the_lemma_hypothesis_is_a_library_fault():
-    # both callers pass A0(0,0) = 1, so a zero A0(0,0) is refused outright
-    n = 6
-    sig = germ([Coeff(1), Coeff(2)], n)
-    with pytest.raises(AssertionError):
-        _solve_coboundary(sig, Jet2({(0, 1): 1}, n), ks_generator(n).coefficient, n)
 
 
 def test_feasible_split_with_gaussian_denominators_is_solved_exactly(column_builds):

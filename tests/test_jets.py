@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cuspfol import Coeff, Jet1, Jet2, _backend, poly
+from cuspfol import Coeff, Jet1, Jet2, _backend
 from cuspfol.jets import JetError
 
 import oracles
@@ -246,11 +246,6 @@ class TestJet1:
         rhs = f.derivative() * g.truncate(7) + f.truncate(7) * g.derivative()
         assert lhs == rhs
 
-    def test_eval_poly(self):
-        f = Jet1([1, 2, 3], 5)  # 1 + 2z + 3z^2
-        assert poly.evaluate(f.coeffs, Coeff(2)) == 17
-        assert poly.evaluate(f.coeffs, Coeff(0, 1)) == Coeff(-2, 2)
-
     def test_scale_variable(self):
         f = Jet1([5, 1, 1, 1], 3)
         g = f.scale_variable(Coeff(2))
@@ -259,7 +254,7 @@ class TestJet1:
     def test_valuation_and_degree(self):
         assert Jet1((), 4).valuation() is None
         assert Jet1([0, 0, 7], 4).valuation() == 2
-        assert len(poly.trim(Jet1([0, 0, 7], 4).coeffs)) - 1 == 2
+        assert max(k for k, c in enumerate(Jet1([0, 0, 7], 4).coeffs) if not c.is_zero()) == 2
 
     def test_div_by_non_unit_raises(self):
         z3 = Jet1([0, 0, 0, 1], 9)

@@ -153,6 +153,18 @@ class TestJet1Mul:
         assert out == jet1_mul(ca, cb, 12)
 
 
+def first_products(da, db, n):
+    """The keys of the products of two operands, in the order their first
+    product of nonzero terms within degree n is formed."""
+    first = []
+    for (i1, j1), t in da.items():
+        for (i2, j2), u in db.items():
+            key = (i1 + i2, j1 + j2)
+            if t != QZERO and u != QZERO and sum(key) <= n and key not in first:
+                first.append(key)
+    return first
+
+
 class TestJet2Mul:
     @pytest.mark.parametrize("seed", [4, 5, 6])
     def test_matches_oracle(self, seed):
@@ -169,14 +181,33 @@ class TestJet2Mul:
     @pytest.mark.parametrize("seed", [7, 8])
     def test_keys_in_order_of_first_product(self, seed):
         for da, db, n in jet2_cases(seed):
-            first = []
-            for (i1, j1), t in da.items():
-                for (i2, j2), u in db.items():
-                    key = (i1 + i2, j1 + j2)
-                    if t != QZERO and u != QZERO and sum(key) <= n and key not in first:
-                        first.append(key)
             out = jet2_mul(da, db, n)
-            assert list(out) == [k for k in first if k in out]
+            assert list(out) == [k for k in first_products(da, db, n) if k in out]
+
+    def test_a_one_term_operand_is_a_key_shift(self, monkeypatch):
+        # the x*y of a quotient's denominator or the x of a parser product
+        # x*(...): an operand of one term multiplies by a key shift and a
+        # scalar copy, in either order, with no convolution; the product and
+        # its key order are the oracle's
+        calls = []
+        convolve = _backend._convolve
+
+        def counting_convolve(*args):
+            calls.append(None)
+            return convolve(*args)
+
+        monkeypatch.setattr(_backend, "_convolve", counting_convolve)
+        rng = random.Random(9)
+        for _, db, n in jet2_cases(9):
+            i = rng.randint(0, n)
+            one = {(i, rng.randint(0, n - i)): rand_triple(rng, DENOMS["mixed"], zero=0)}
+            for da, db in ((one, db), (db, one)):
+                out = jet2_mul(da, db, n)
+                pa = {k: pair(t) for k, t in da.items() if t != QZERO}
+                pb = {k: pair(t) for k, t in db.items() if t != QZERO}
+                assert {k: pair(t) for k, t in out.items()} == oracles.p2_mul(pa, pb, n)
+                assert list(out) == [k for k in first_products(da, db, n) if k in out]
+        assert calls == []
 
     def test_cancelling_sums_store_no_key(self):
         # (x + y)(x - y) = x^2 - y^2: the xy terms cancel
