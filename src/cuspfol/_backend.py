@@ -36,36 +36,37 @@ Substitution (:func:`jet2_substitute`) and the pullback of a 1-form
 substitution: the coefficients and the targets are scaled to their lcms,
 the sum of the substituted monomials is taken in Gaussian integers over the
 lcm of the denominators they pick up from the targets, and each nonzero
-output coefficient is normalized once.  A pullback multiplies both
-substituted coefficients by the Jacobian numerators before that one
-normalization.  The two-variable routines share one integer multiply-add
-loop, :func:`_convolve`.  Inside a call at order n it keys the monomial
-x^i y^j by the integer (i + j)(n + 1) + j: the key of a product is the sum
-of its factors' keys and its degree bound is a bound on that sum, so the
-loop adds and compares integers, and the pairs (i, j) are formed again only
-for the output, one ``divmod`` per nonzero coefficient.  The accumulators
-of the Horner steps and of the pullback are multiplied as they are, with no
-copy into a term list; the x term of the x target, the y term of the y
-target and the constant of each Jacobian entry, the identity of a change
-tangent to it, are applied as key shifts and scalar copies
-(:func:`_shift`) rather than multiplied, and so is a one-term operand of
-:func:`jet2_mul`, such as the x*y of a quotient's denominator.  A change
-tangent to the identity, x + p and y + q with p and q of lowest degree v,
-keeps at most t = (n - e) // (v - 1) factors p or q on a monomial of
-degree e: a monomial with t = 0 is copied, one with t at most
-``_TAYLOR_BANDS`` is expanded by the binomial theorem over products
-p^k q^l formed once per substitution, and only the others, and every
-monomial of any other change, go through Horner's rule in the x target.  A
-Horner row, a scalar times a power of the y target, is added in place with
-no call.
+output coefficient is normalized once.  The two-variable products share
+one integer multiply-add loop, :func:`_convolve`.  Inside a call at order
+n it keys the monomial x^i y^j by the integer (i + j)(n + 1) + j: the key
+of a product is the sum of its factors' keys and its degree bound is a
+bound on that sum, so the loop adds and compares integers, and the pairs
+(i, j) are formed again only for the output, one ``divmod`` per nonzero
+coefficient.  A one-term operand of :func:`jet2_mul`, such as the x*y of a
+quotient's denominator, and the y term of the y target in its powers are
+key shifts and scalar copies (:func:`_shift`).
 
-There is one pullback, :func:`_pullback`, on numerators, and one entry
-to it, :class:`FormNumerators`: it keeps a 1-form as numerators over one
-denominator across any number of pullbacks, dividing out one ``gcd`` after
-each, and forms triples only when asked.  A single pullback forms them
-once; the normal form reads a few coefficients between its steps and forms
-them only at the end.  :func:`is_first_integral` re-checks a first
-integral, H_u B - H_v A = 0, in one integer pass with no normalization.
+A substitution and a pullback carry a 1-form a dx + b dy as one form
+accumulator that maps each key to ``[re_dx, im_dx, re_dy, im_dy]``, so
+the form loops :func:`_convolve_form` and :func:`_add_row` visit each key
+and each term it is multiplied by once for both coefficients; a jet is
+substituted as the dx coefficient of a form with dy coefficient 0.  A
+change tangent to the identity, x + p and y + q with p and q of lowest
+degree v, keeps at most t = (n - e) // (v - 1) factors p or q on a
+monomial of degree e: a monomial with t = 0 is copied, one with t at most
+``_TAYLOR_BANDS`` is expanded by the binomial theorem over products
+p^k q^l formed once per substitution, and the others, and every monomial
+of any other change, go through Horner's rule in the x target.  The
+pullback (:func:`_pullback`) multiplies the substituted pair (A, B) by the
+Jacobian in one pass, A J0 + B J1 for dx and A J2 + B J3 for dy.
+
+There is one entry to the pullback, :class:`FormNumerators`: it keeps a
+1-form as numerators over one denominator across any number of pullbacks,
+dividing out one ``gcd`` after each unless the denominator is 1, and forms
+triples only when asked.  A single pullback forms them once; the normal
+form reads a few coefficients between its steps and forms them only at
+the end.  :func:`is_first_integral` re-checks a first integral,
+H_u B - H_v A = 0, in one integer pass with no normalization.
 
 The elimination (:func:`rref`) is a plain Gauss-Jordan on rows of triples.
 On request it reports the pivots it divides by, from which
@@ -442,15 +443,6 @@ def _shift(ta, shift, ca, cb, end, acc):
     return acc
 
 
-def _split(terms, key):
-    """``(a, b, rest)``: the numerator of the term of ``key`` in a term list
-    (0, 0 when there is none) and the list of the other terms."""
-    for t in terms:
-        if t[0] == key:
-            return t[1], t[2], [u for u in terms if u is not t]
-    return 0, 0, terms
-
-
 def _normalized(acc, den, n):
     """An accumulator over ``den`` at order n as a {(i, j): triple} dict: one
     ``divmod`` and one ``qnorm`` per nonzero coefficient."""
@@ -492,8 +484,48 @@ def jet2_mul(da, db, n):
 _TAYLOR_BANDS = 2
 
 
-def _route(accs, dx, dy, n):
-    """Sort the monomials of the numerator maps ``accs`` (see
+def _convolve_form(ta, tb, end, acc):
+    """As :func:`_convolve`, for a form operand ``ta``: pairs
+    ``(k, (a, b, c, d))`` holding the numerators a + b*i of the dx and
+    c + d*i of the dy coefficient, both multiplied by each term of ``tb`` in
+    one pass.  ``acc`` maps keys to ``[re_dx, im_dx, re_dy, im_dy]``."""
+    if not tb:
+        return acc
+    low = min(tb)[0]
+    for k1, (a1, b1, c1, d1) in ta:
+        room = end - k1
+        if room <= low:
+            continue
+        for k2, a2, b2, _ in tb:
+            if k2 < room:
+                cur = acc.get(k1 + k2)
+                if cur is None:
+                    cur = acc[k1 + k2] = [0, 0, 0, 0]
+                cur[0] += a1 * a2 - b1 * b2
+                cur[1] += a1 * b2 + b1 * a2
+                cur[2] += c1 * a2 - d1 * b2
+                cur[3] += c1 * b2 + d1 * a2
+    return acc
+
+
+def _add_row(acc, shift, a, b, c, d, tb, end):
+    """Add (a + b*i, c + d*i) times the monomial of key ``shift`` times the
+    terms ``tb`` into the form accumulator ``acc``, term by term: a Horner
+    row, or a product with a one-term form operand, with no outer loop."""
+    room = end - shift
+    for k, a2, b2, _ in tb:
+        if k < room:
+            cur = acc.get(k + shift)
+            if cur is None:
+                cur = acc[k + shift] = [0, 0, 0, 0]
+            cur[0] += a * a2 - b * b2
+            cur[1] += a * b2 + b * a2
+            cur[2] += c * a2 - d * b2
+            cur[3] += c * b2 + d * a2
+
+
+def _route(acc, dx, dy, n):
+    """Sort the monomials of the form accumulator ``acc`` (see
     :func:`_substitute`) by how the change (dx, dy) moves them at order n.
 
     Let the change be tangent to the identity, x + p and y + q with p and q
@@ -504,19 +536,17 @@ def _route(accs, dx, dy, n):
     floor((n - e) / (v - 1)) only.  A monomial with t(e) = 0 maps to
     itself.  One with 1 <= t(e) <= ``_TAYLOR_BANDS`` is itself plus those
     terms; each term with k + l >= 1 whose p^k q^l is not zero is listed
-    under (k, l) as the key of x^(i-k) y^(j-l) and the numerator
-    C(i, k) C(j, l) A_ij.  Every other monomial, and every monomial of any
-    other change, is left to Horner's rule.
+    under (k, l) as the key of x^(i-k) y^(j-l) and the numerators
+    C(i, k) C(j, l) (A_ij, B_ij).  Every other monomial, and every monomial
+    of any other change, is left to Horner's rule.
 
-    Returns ``(outs, bands, groups)``, one entry per map: an accumulator
-    holding A_ij at x^i y^j for each monomial with t(e) <= ``_TAYLOR_BANDS``;
-    a dict (k, l) -> [(key, (a, b))] of those binomial terms; and the
-    Horner groups, i -> [(j, a, b)].
+    Returns ``(out, bands, groups)``: a form accumulator holding
+    (A_ij, B_ij) at x^i y^j for each monomial with t(e) <=
+    ``_TAYLOR_BANDS``; a dict (k, l) -> [(key, (a, b, c, d))] of those
+    binomial terms; and the Horner groups, i -> [(j, a, b, c, d)].
     """
     m = n + 1
-    outs = [{} for _ in accs]
-    bands = [{} for _ in accs]
-    groups = [{} for _ in accs]
+    out, bands, groups = {}, {}, {}
     if dx.get((1, 0)) == QONE and dy.get((0, 1)) == QONE and (0, 1) not in dx and (1, 0) not in dy:
         lows = [[i + j for i, j in part if 2 <= i + j <= n] for part in (dx, dy)]
         # an identity up to degree n moves no monomial
@@ -536,31 +566,30 @@ def _route(accs, dx, dy, n):
         binom = [[comb(i, k) for i in range(m)] for k in range(_TAYLOR_BANDS + 1)]
     else:
         horner_end = copy_start = m * m
-    for acc, out, band, g in zip(accs, outs, bands, groups):
-        zone = []  # the monomials of the bands as (key, i, j, t(e), a, b)
-        for key, (a, b) in acc.items():
-            if not (a or b):
-                continue
-            if key < horner_end:
-                e, j = divmod(key, m)
-                g.setdefault(e - j, []).append((j, a, b))
-                continue
-            out[key] = [a, b]
-            if key < copy_start:
-                e, j = divmod(key, m)
-                zone.append((key, e - j, j, (n - e) // step, a, b))
-        if not zone:
+    zone = []  # the monomials of the bands as (key, i, j, t(e), a, b, c, d)
+    for key, (a, b, c, d) in acc.items():
+        if not (a or b or c or d):
             continue
-        for k, l, off in terms:
-            ck, cl = binom[k], binom[l]
-            rows = []
-            for key, i, j, t, a, b in zone:
-                if t >= k + l and i >= k and j >= l:
-                    c = ck[i] * cl[j]
-                    rows.append((key - off, (a * c, b * c)))
-            if rows:
-                band[(k, l)] = rows
-    return outs, bands, groups
+        if key < horner_end:
+            e, j = divmod(key, m)
+            groups.setdefault(e - j, []).append((j, a, b, c, d))
+            continue
+        out[key] = [a, b, c, d]
+        if key < copy_start:
+            e, j = divmod(key, m)
+            zone.append((key, e - j, j, (n - e) // step, a, b, c, d))
+    if not zone:
+        return out, bands, groups
+    for k, l, off in terms:
+        ck, cl = binom[k], binom[l]
+        rows = []
+        for key, i, j, t, a, b, c, d in zone:
+            if t >= k + l and i >= k and j >= l:
+                s = ck[i] * cl[j]
+                rows.append((key - off, (a * s, b * s, c * s, d * s)))
+        if rows:
+            bands[(k, l)] = rows
+    return out, bands, groups
 
 
 def _times(ta, tb, end, acc):
@@ -577,263 +606,229 @@ def _times(ta, tb, end, acc):
     return _convolve(ta, tb, end, acc)
 
 
-def _substitute(accs, dx, dy, n):
-    """Substitute the targets into each numerator map of ``accs``.
+def _substitute(acc, dx, dy, n):
+    """Substitute the targets into both coefficients of a form.
 
-    ``accs`` are accumulators ``{k: [re, im]}`` at order n, keyed as in
-    :func:`_convolve`, whose Gaussian-integer numerators A_ij share one
-    denominator; they are read, not changed.  The targets ``dx`` and ``dy``
-    vanish at the origin and are read up to degree n.  Returns
-    ``(outs, lcm)``: per map an accumulator of the numerators of its
-    substitution, all over ``lcm`` times the maps' denominator.
+    ``acc`` is a form accumulator at order n (see :class:`FormNumerators`),
+    the numerators A_ij and B_ij of both coefficients over one denominator;
+    it is read, not changed.  The targets ``dx`` and ``dy`` vanish at the
+    origin and are read up to degree n.  Returns ``(out, lcm)``: the form
+    accumulator of the substitution, over ``lcm`` times the form's
+    denominator.
 
-    Each monomial takes one of three routes (see :func:`_route`), by how
-    often a change tangent to the identity, x + p and y + q with p and q of
-    lowest degree v, can move it within order n: t(e) = floor((n - e) /
-    (v - 1)) times for a monomial of degree e.  One with t(e) = 0 is
-    copied.  One with 1 <= t(e) <= ``_TAYLOR_BANDS`` is expanded by the
-    binomial theorem, A_ij (x + p)^i (y + q)^j = A_ij x^i y^j plus the terms
-    C(i, k) C(j, l) A_ij x^(i-k) y^(j-l) p^k q^l with 1 <= k + l <= t(e).
-    Every other monomial, and every monomial of any other change, is
-    substituted by Horner's rule.
+    Each monomial is copied, expanded by the binomial theorem or left to
+    Horner's rule (see :func:`_route`).  The targets are scaled to their
+    lcms, fx = FX/ex and fy = FY/ey, so p^k q^l is P^k Q^l / (ex^k ey^l),
+    with P = FX - ex x and Q = FY - ey y, and a substituted monomial is
+    A_ij FX^i FY^j / (ex^i ey^j).  The sum is taken over L = ``lcm``, the
+    lcm of ex^k ey^l over the products P^k Q^l that a binomial term uses and
+    of ex^i ey^j over the monomials Horner's rule substitutes, not the
+    product ex^I ey^J of the largest powers: dense targets have ex = ey,
+    and then L is ex to the largest i + j, about half the size of that
+    product for a dense jet.
 
-    The targets are scaled to their lcms, fx = FX/ex and fy = FY/ey, so
-    p^k q^l is P^k Q^l / (ex^k ey^l), with P = FX - ex x and Q = FY - ey y,
-    and a substituted monomial is A_ij FX^i FY^j / (ex^i ey^j).  The sum is
-    taken over L = ``lcm``, the lcm of ex^k ey^l over the products P^k Q^l
-    that a binomial term uses and of ex^i ey^j over the monomials Horner's
-    rule substitutes, not the product ex^I ey^J of the largest powers: dense
-    targets have ex = ey, and then L is ex to the largest i + j, about half
-    the size of that product for a dense jet.
+    The products P^k Q^l are formed once, each scaled by L / (ex^k ey^l),
+    and the binomial terms of one (k, l) are multiplied by it in one pass
+    (:func:`_convolve_form`).  With
 
-    The products P^k Q^l, k + l <= ``_TAYLOR_BANDS``, are formed once per
-    substitution and shared by the maps, each scaled by L / (ex^k ey^l);
-    the binomial terms of one (k, l) are multiplied by it in one product
-    call, through :func:`_times`, so an operand of one term is a key shift
-    and a scalar copy.  With
-
-        G_i = sum_j A_ij (L / ex^i ey^j) FY^j
+        G_i = sum_j (A_ij, B_ij) (L / ex^i ey^j) FY^j
 
     over the monomials left to it, the numerator sum_i FX^i G_i is
     evaluated by Horner's rule in FX, one product by FX per power of x, so
     no power of FX is formed; each Horner accumulator is multiplied as it
-    is.  The powers FY^j are built once and shared by the maps.  Each row
-    A_ij (L / ex^i ey^j) FY^j of G_i is added into the Horner accumulator
-    term by term, in place, with no call: a scalar times a term list needs
-    neither :func:`_convolve`'s outer loop nor its scan for the least key.
-    The x term of FX, and the y term of FY in its powers, is applied as a
-    key shift and a scalar copy (:func:`_shift`), and only the other terms
-    are convolved; a Horner accumulator of one term multiplies FX as a key
-    shift and a scalar copy too.
+    is.  The powers FY^j are built once, the y term of FY applied as a key
+    shift and a scalar copy (:func:`_shift`).  A row (A_ij, B_ij) s FY^j of
+    G_i, a one-term Horner accumulator times FX and a one-term band are
+    added term by term (:func:`_add_row`), both numerators on each term.
     """
     m = n + 1
-    outs, bands, groups = _route(accs, dx, dy, n)
-    if not any(groups) and not any(bands):
-        return outs, 1
+    out, bands, groups = _route(acc, dx, dy, n)
+    if not groups and not bands:
+        return out, 1
     tx, ex = _scaled(_terms(dx, n))
     ty, ey = _scaled(_terms(dy, n))
-    top = {}  # i -> the largest j substituted with it
-    for g in groups:
-        for i, row in g.items():
-            top[i] = max(top.get(i, 0), max(j for j, _, _ in row))
-    used = set().union(*bands)  # the (k, l) with a binomial term
-    top_x = max(chain(top, (k for k, _ in used)), default=0)
-    top_y = max(chain(top.values(), (l for _, l in used)), default=0)
-    exp_x = [1]
-    for _ in range(top_x):
+    top = {i: max(row)[0] for i, row in groups.items()}  # i -> its largest j
+    exp_x, exp_y = [1], [1]
+    for _ in range(max(chain(top, (k for k, _ in bands)), default=0)):
         exp_x.append(exp_x[-1] * ex)
-    exp_y = [1]
-    for _ in range(top_y):
+    for _ in range(max(chain(top.values(), (l for _, l in bands)), default=0)):
         exp_y.append(exp_y[-1] * ey)
     lcm = 1
-    for i, j in chain(top.items(), used):
+    for i, j in chain(top.items(), bands):
         q = exp_x[i] * exp_y[j]
         lcm = lcm // gcd(lcm, q) * q
     if lcm != 1:
-        for out in outs:
-            for cur in out.values():
-                cur[0] *= lcm
-                cur[1] *= lcm
-    xa, xb, tx_rest = _split(tx, m)
-    ya, yb, ty_rest = _split(ty, m + 1)
-    if used:
+        out = {k: [a * lcm, b * lcm, c * lcm, d * lcm] for k, (a, b, c, d) in out.items()}
+    end = m * m
+    ya, yb = next(((a, b) for k, a, b, _ in ty if k == m + 1), (0, 0))
+    ty_rest = [t for t in ty if t[0] != m + 1]
+    if bands:
         # p^k q^l over ex^k ey^l, formed once: the powers of p and of q,
         # then their products
-        end = m * m
-        pp, qp = [None, tx_rest], [None, ty_rest]
-        for powers, count in ((pp, max(k for k, _ in used)), (qp, max(l for _, l in used))):
+        pp, qp = [None, [t for t in tx if t[0] != m]], [None, ty_rest]
+        for powers, count in ((pp, max(k for k, _ in bands)), (qp, max(l for _, l in bands))):
             while len(powers) <= count:
                 last = [(key, (a, b)) for key, a, b, _ in powers[-1]]
-                acc = _times(last, powers[1], end, {})
-                powers.append([(key, re, im, 1) for key, (re, im) in acc.items() if re or im])
-        products = {}
-        for k, l in used:
+                power = _times(last, powers[1], end, {})
+                powers.append([(key, re, im, 1) for key, (re, im) in power.items() if re or im])
+        for (k, l), rows in bands.items():
             if k and l:
-                acc = _times([(key, (a, b)) for key, a, b, _ in pp[k]], qp[l], end, {})
-                tb = [(key, re, im, 1) for key, (re, im) in acc.items() if re or im]
+                power = _times([(key, (a, b)) for key, a, b, _ in pp[k]], qp[l], end, {})
+                tb = [(key, re, im, 1) for key, (re, im) in power.items() if re or im]
             else:
                 tb = qp[l] if l else pp[k]
             s = lcm // (exp_x[k] * exp_y[l])
-            products[(k, l)] = [(key, a * s, b * s, 1) for key, a, b, _ in tb]
-        for out, band in zip(outs, bands):
-            for kl, rows in band.items():
-                if products[kl]:
-                    _times(rows, products[kl], end, out)
-    if not any(groups):
-        return outs, lcm
-    top_j = max(top.values())
+            tb = [(key, a * s, b * s, 1) for key, a, b, _ in tb]
+            if len(rows) == 1:
+                ((key, (a, b, c, d)),) = rows
+                _add_row(out, key, a, b, c, d, tb, end)
+            else:
+                _convolve_form(rows, tb, end, out)
+    if not groups:
+        return out, lcm
     py = [[(0, 1, 0, 1)], ty]
     power = {k: (a, b) for k, a, b, _ in ty}
-    for _ in range(top_j - 1):
+    for _ in range(max(top.values()) - 1):
         # FY^j = FY^(j-1) * FY, the last power read as an accumulator and
-        # each power kept as a term list for the products below
+        # each power kept as a term list for the rows below
         last = power.items()
-        power = _shift(last, m + 1, ya, yb, m * m, {}) if ya or yb else {}
+        power = _shift(last, m + 1, ya, yb, end, {}) if ya or yb else {}
         if ty_rest:
-            _convolve(last, ty_rest, m * m, power)
+            _convolve(last, ty_rest, end, power)
         py.append([(k, re, im, 1) for k, (re, im) in power.items() if re or im])
-    # FX as accumulator items, its x term first as in the Horner step below
-    fx_pairs = [(k, (a, b)) for k, a, b, _ in tx_rest]
-    if xa or xb:
-        fx_pairs.insert(0, (m, (xa, xb)))
-    for out, g in zip(outs, groups):
-        horner = {}  # sum over i' > i of FX^(i'-i-1) G_i'
-        for i in range(max(g, default=-1), -1, -1):
-            # G_i + FX * horner, up to degree n - i: it is multiplied by
-            # FX^i, of valuation >= i
-            acc = out if i == 0 else {}
-            end = (m - i) * m
-            for j, a, b in g.get(i, ()):
-                # the row A_ij s FY^j, added term by term
-                s = lcm // (exp_x[i] * exp_y[j])
-                a *= s
-                b *= s
-                for k, a2, b2, _ in py[j]:
-                    if k < end:
-                        cur = acc.get(k)
-                        if cur is None:
-                            acc[k] = [a * a2 - b * b2, a * b2 + b * a2]
-                        else:
-                            cur[0] += a * a2 - b * b2
-                            cur[1] += a * b2 + b * a2
-            if len(horner) == 1:
-                # one term times FX: a key shift and a scalar copy of FX
-                ((k, (a, b)),) = horner.items()
-                _shift(fx_pairs, k, a, b, end, acc)
-            elif horner:
-                last = horner.items()
-                if xa or xb:
-                    _shift(last, m, xa, xb, end, acc)
-                if tx_rest:
-                    _convolve(last, tx_rest, end, acc)
-            horner = acc
-    return outs, lcm
+    horner = {}  # sum over i' > i of FX^(i'-i-1) G_i'
+    for i in range(max(groups), -1, -1):
+        # G_i + FX * horner, up to degree n - i: it is multiplied by FX^i,
+        # of valuation >= i
+        part = out if i == 0 else {}
+        end = (m - i) * m
+        for j, a, b, c, d in groups.get(i, ()):
+            s = lcm // (exp_x[i] * exp_y[j])
+            _add_row(part, 0, a * s, b * s, c * s, d * s, py[j], end)
+        if len(horner) == 1:
+            ((k, (a, b, c, d)),) = horner.items()
+            _add_row(part, k, a, b, c, d, tx, end)
+        elif horner:
+            _convolve_form(horner.items(), tx, end, part)
+        horner = part
+    return out, lcm
 
 
 def jet2_substitute(d, dx, dy, n):
-    """d(dx, dy) at order n, for targets vanishing at the origin.
-
-    One denominator for the whole substitution (see :func:`_substitute`) and
-    one ``qnorm`` per nonzero output coefficient.
+    """d(dx, dy) at order n, for targets vanishing at the origin: the dx
+    coefficient of the form d dx + 0 dy substituted by :func:`_substitute`,
+    over one denominator, with one ``qnorm`` per nonzero output coefficient.
     """
     terms, den = _scaled(_terms(d, n))
-    (acc,), lcm = _substitute([{k: [a, b] for k, a, b, _ in terms}], dx, dy, n)
-    return _normalized(acc, den * lcm, n)
+    acc, lcm = _substitute({k: [a, b, 0, 0] for k, a, b, _ in terms}, dx, dy, n)
+    return _normalized({k: v[:2] for k, v in acc.items()}, den * lcm, n)
 
 
-def _pullback(accs, fx, fy, n):
-    """The pullback by (fx, fy), at order n, of the 1-form whose coefficient
-    numerators are the two accumulators ``accs`` (see :func:`_substitute`).
+def _pullback(acc, fx, fy, n):
+    """The pullback by (fx, fy), at order n, of the form accumulator ``acc``
+    (see :func:`_substitute`), the targets read up to degree n there and up
+    to degree n + 1 for their partial derivatives.
 
-    Both coefficients are substituted together, sharing the powers of fy;
-    the targets are read up to degree n there, and up to degree n + 1 for
-    their partial derivatives.  The four Jacobian entries are scaled to one
-    denominator, and the products
-
-        a(f) fx_x + b(f) fy_x,   a(f) fx_y + b(f) fy_y
-
-    are formed in integers, the constant term of each entry as a scalar
-    copy (:func:`_shift`).  Returns ``(outs, scale)``: the two accumulators
-    of the pullback, over ``scale`` times the input denominator.
+    The Jacobian entries J0 = fx_x, J1 = fy_x, J2 = fx_y and J3 = fy_y are
+    scaled to one denominator and stacked by key, and one pass over the
+    substituted pairs (A, B) forms dx: A J0 + B J1 and dy: A J2 + B J3 in
+    integers; a constant term that is a scalar times the identity, as for a
+    change tangent to it, is a scaled copy.  Returns ``(out, scale)``: the
+    form accumulator of the pullback, over ``scale`` times the input
+    denominator.
     """
-    subs, lcm = _substitute(accs, fx, fy, n)
+    sub, lcm = _substitute(acc, fx, fy, n)
     m = n + 1
     parts = []
-    for slot, f in ((0, fx), (1, fy)):
+    for slot, f in ((0, fx), (2, fy)):
         for (i, j), (fa, fb, fd) in f.items():
-            e = i + j - 1
-            if e > n:
-                continue
-            if i:
-                parts.append((slot, e * m + j, i * fa, i * fb, fd))
-            if j:
-                parts.append((slot + 2, e * m + j - 1, j * fa, j * fb, fd))
+            if i + j <= m:
+                if i:
+                    parts.append(((i + j - 1) * m + j, slot, i * fa, i * fb, fd))
+                if j:
+                    parts.append(((i + j - 1) * m + j - 1, slot + 4, j * fa, j * fb, fd))
     parts, jden = _scaled(parts)
-    jac = [[], [], [], []]
-    for t in parts:
-        jac[t[0]].append(t[1:])
-    end = m * m
-    outs = []
-    for entries in ((jac[0], jac[1]), (jac[2], jac[3])):
-        acc = {}
-        for sub, entry in zip(subs, entries):
-            ca, cb, rest = _split(entry, 0)
-            items = sub.items()
-            if ca or cb:
-                _shift(items, 0, ca, cb, end, acc)
-            if rest:
-                _convolve(items, rest, end, acc)
-        outs.append(acc)
-    return outs, lcm * jden
+    jac = {}
+    for key, slot, a, b, _ in parts:
+        jac.setdefault(key, [0] * 8)[slot : slot + 2] = a, b
+    const = jac.get(0)
+    out = {}
+    if const and not any(const[2:6]) and const[:2] == const[6:]:
+        p0, q0 = jac.pop(0)[:2]
+        out = {
+            k: [a * p0 - b * q0, a * q0 + b * p0, c * p0 - d * q0, c * q0 + d * p0]
+            for k, (a, b, c, d) in sub.items()
+        }
+    terms = [(k, *entries) for k, entries in jac.items()]
+    low = min(terms)[0] if terms else m * m
+    for k1, (a, b, c, d) in sub.items():
+        room = m * m - k1
+        if room <= low:
+            continue
+        for k2, p0, q0, p1, q1, p2, q2, p3, q3 in terms:
+            if k2 < room:
+                cur = out.get(k1 + k2)
+                if cur is None:
+                    cur = out[k1 + k2] = [0, 0, 0, 0]
+                cur[0] += a * p0 - b * q0 + c * p1 - d * q1
+                cur[1] += a * q0 + b * p0 + c * q1 + d * p1
+                cur[2] += a * p2 - b * q2 + c * p3 - d * q3
+                cur[3] += a * q2 + b * p2 + c * q3 + d * p3
+    return out, lcm * jden
 
 
 class FormNumerators:
     """A 1-form  a dx + b dy  at order n as Gaussian-integer numerators.
 
-    ``accs`` holds the two coefficients as accumulators ``{k: [re, im]}``,
-    keyed as in :func:`_convolve`, over the one positive denominator
-    ``den``.  The key is private to this module: coefficients are read by
-    their exponents (:meth:`numerator`) and the form is handed back as
-    {(i, j): triple} dicts (:meth:`triples`), one ``qnorm`` per nonzero
+    ``acc`` maps each monomial key, as in :func:`_convolve`, to the
+    numerators ``[re_dx, im_dx, re_dy, im_dy]`` of both coefficients, over
+    the one positive denominator ``den``, so that a pullback visits each key
+    once for both.  The key is private to this module: coefficients are
+    read by their exponents (:meth:`numerator`) and the form is handed back
+    as {(i, j): triple} dicts (:meth:`triples`), one ``qnorm`` per nonzero
     coefficient.  In between, :meth:`pullback` pulls the form back along
     changes of coordinates with no triple formed.
     """
 
-    __slots__ = ("accs", "den", "n")
+    __slots__ = ("acc", "den", "n")
 
     def __init__(self, a, b, n, scale=QONE):
         """The form ``scale * (a dx + b dy)`` for {(i, j): triple} dicts
         ``a`` and ``b``, read up to degree n, and a triple ``scale``."""
-        terms, den = _scaled(
-            [(side, *t) for side, d in enumerate((a, b)) for t in _terms(d, n)]
-        )
+        terms, den = _scaled([(s, *t) for s, d in ((0, a), (2, b)) for t in _terms(d, n)])
         sa, sb, sd = scale
-        self.accs = ({}, {})
-        for side, k, x, y, _ in terms:
-            self.accs[side][k] = [x * sa - y * sb, x * sb + y * sa]
+        self.acc = {}
+        for s, k, x, y, _ in terms:
+            self.acc.setdefault(k, [0, 0, 0, 0])[s : s + 2] = x * sa - y * sb, x * sb + y * sa
         self.den = den * sd
         self.n = n
 
     def numerator(self, side, i, j):
         """The numerator ``(re, im)`` over ``den`` of x^i y^j in the dx
         (side 0) or the dy (side 1) coefficient."""
-        return self.accs[side].get((i + j) * (self.n + 1) + j, (0, 0))
+        cur = self.acc.get((i + j) * (self.n + 1) + j, (0, 0, 0, 0))
+        return cur[2 * side], cur[2 * side + 1]
 
     def pullback(self, fx, fy):
         """Pull the form back by (fx, fy), {(i, j): triple} dicts read up to
         degree n + 1 (see :func:`_pullback`), in place.  One integer ``gcd``
-        of the new denominator and all the numerators is divided out."""
-        accs, scale = _pullback(self.accs, fx, fy, self.n)
+        of the new denominator and all the numerators is divided out; a new
+        denominator of 1 skips it."""
+        acc, scale = _pullback(self.acc, fx, fy, self.n)
         den = self.den * scale
-        g = gcd(den, *chain.from_iterable(chain.from_iterable(acc.values() for acc in accs)))
-        if g > 1:
-            accs = [{k: [a // g, b // g] for k, (a, b) in acc.items() if a or b} for acc in accs]
-            den //= g
-        self.accs, self.den = accs, den
+        if den > 1:
+            g = gcd(den, *chain.from_iterable(acc.values()))
+            if g > 1:
+                acc = {k: [x // g for x in v] for k, v in acc.items() if any(v)}
+                den //= g
+        self.acc, self.den = acc, den
 
     def triples(self):
         """The two coefficients as {(i, j): triple} dicts."""
-        return tuple(_normalized(acc, self.den, self.n) for acc in self.accs)
+        return tuple(
+            _normalized({k: v[s : s + 2] for k, v in self.acc.items()}, self.den, self.n)
+            for s in (0, 2)
+        )
 
 
 def is_first_integral(h, a, b, n):

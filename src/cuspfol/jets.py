@@ -454,7 +454,8 @@ class Jet2(_Jet):
 
         The kernel's :func:`~cuspfol._backend.jet2_substitute` does the work
         on Gaussian-integer numerators over one denominator per
-        substitution, with one ``qnorm`` per nonzero output coefficient.
+        substitution, as the dx coefficient of a form whose dy coefficient
+        is 0, with one ``qnorm`` per nonzero output coefficient.
         The monomials are grouped by their power of x and summed by
         Horner's rule in fx,
 

@@ -30,11 +30,13 @@ coefficient is zero, which makes the data canonical.
 
 The form is carried from the first step to the last as Gaussian-integer
 numerators over one denominator (``_backend.FormNumerators``), scaled by
-the radial cofactor's inverse on the way in.  Each step reads the 2n + 2
-y^2-coefficients it solves for (and x^4 y dy at n = 3) by their exponents,
-normalizes each entry of its change once, pulls the numerators back along
-the change in integers, divides out one gcd, and re-checks on the
-numerators that the y^2-part is gone.  Each recorded change is a pair of
+the radial cofactor's inverse on the way in; the dx and the dy numerators
+of a monomial sit in one entry, so a pullback visits each monomial once
+for both.  Each step reads the 2n + 2 y^2-coefficients it solves for (and
+x^4 y dy at n = 3) by their exponents, normalizes each entry of its change
+once, pulls the numerators back along the change in integers, divides out
+one gcd unless the new denominator is 1, and re-checks on the numerators
+that the y^2-part is gone.  Each recorded change is a pair of
 jets over the triples the step computed.  The final form is read once as
 two {(i, j): triple} dicts, on which the structural checks run and the
 data is read off; ``Coeff`` is formed only for the returned data.  The

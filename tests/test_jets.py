@@ -459,13 +459,16 @@ class TestJet2:
         f = rand_jet2(rng, 12, density=1.0)
         fx, fy = rand_map(rng, 12), rand_map(rng, 12)
         products, scalings, counts = [], [], {"jet2_mul": 0, "qnorm": 0}
-        convolve = _backend._convolve
+        # the powers of fy go through _convolve, the Horner steps by fx
+        # through _convolve_form
+        for loop in ("_convolve", "_convolve_form"):
+            convolve = getattr(_backend, loop)
 
-        def counted_convolve(ta, tb, n, acc):
-            (products if len(ta) > 1 else scalings).append(n)
-            return convolve(ta, tb, n, acc)
+            def counted_convolve(ta, tb, n, acc, convolve=convolve):
+                (products if len(ta) > 1 else scalings).append(n)
+                return convolve(ta, tb, n, acc)
 
-        monkeypatch.setattr(_backend, "_convolve", counted_convolve)
+            monkeypatch.setattr(_backend, loop, counted_convolve)
         for name in counts:
             original = getattr(_backend, name)
 

@@ -15,7 +15,9 @@ the tests also check what a certified solve reads off the origins: a
 non-pivot output row is its input row minus a combination of the pivot
 rows' input rows.  Last, products, substitutions and pullbacks are checked
 where the kernel's integer monomial keys meet the order: degree n against
-degree n + 1.
+degree n + 1, and the pullback's form accumulator, which holds the dx and
+dy numerators of a key together, on forms with one side zero or keys on
+one side only.
 """
 
 import random
@@ -455,7 +457,7 @@ def test_products_substitutions_and_pullbacks_at_the_key_boundary(n, density, lo
         # are the keys n(n + 1) ... n(n + 2)
         raw = _backend.FormNumerators(dict(f.triple_items()), dict(g.triple_items()), n)
         raw.pullback(dict(fx.triple_items()), dict(fy.triple_items()))
-        assert max(max(acc, default=0) for acc in raw.accs) <= n * (n + 2)
+        assert max(raw.acc, default=0) <= n * (n + 2)
         assert tuple({key: pair(t) for key, t in part.items()} for part in raw.triples()) == want
     if n < 17:
         return
@@ -475,3 +477,129 @@ def test_products_substitutions_and_pullbacks_at_the_key_boundary(n, density, lo
         want = oracles.p2_pullback(pairs(f), pairs(g), pairs(fx), pairs(fy), n)
         assert (pairs(back.a), pairs(back.b)) == want
     assert seen == set(range(bands + 2))
+
+
+# --- the form accumulator: both coefficients at one key ----------------------
+
+
+def rand_part(rng, n, dens, keys=None):
+    """A seeded {(i, j): triple} dict with a nonzero term at each key of
+    ``keys`` (every monomial of degree at most n when None)."""
+    if keys is None:
+        keys = [(i, deg - i) for deg in range(n + 1) for i in range(deg + 1)]
+    return {key: rand_triple(rng, dens, zero=0) for key in keys}
+
+
+def near_identity(rng, n, v, dens):
+    """The targets x + p and y + q with p and q homogeneous of degree v, and
+    terms of degree n + 1 that only the Jacobian reads."""
+    fx, fy = {(1, 0): QONE}, {(0, 1): QONE}
+    for f in (fx, fy):
+        f.update(rand_part(rng, n, dens, [(i, v - i) for i in range(v + 1)]))
+        f[(n + 1, 0)] = rand_triple(rng, dens, zero=0)
+    return fx, fy
+
+
+def test_form_numerators_on_one_sided_forms(monkeypatch):
+    """``FormNumerators`` keeps the dx and the dy numerators of a key in one
+    entry.  Against ``oracles.p2_pullback``, on seeded forms at the
+    extremes of that layout: a zero dx side and a zero dy side; every key
+    on one side only, read back through ``numerator`` before and after;
+    a sum that cancels on the dy side only; changes with denominators, so
+    that one gcd is divided out, and integer ones that keep the
+    denominator 1; a change tangent to the identity whose monomials are
+    copied, expanded in a band and left to Horner's rule; and a linear swap
+    and a shear, which leave every monomial to Horner's rule."""
+    rng = random.Random("one-sided")
+    n = 12
+    mixed = DENOMS["mixed"]
+    routes, scales = [], []
+    route, pullback = _backend._route, _backend._pullback
+
+    def recording_route(acc, dx, dy, n):
+        out, bands, groups = route(acc, dx, dy, n)
+        routes.append((len(out), len(bands), len(groups)))
+        return out, bands, groups
+
+    def recording_pullback(acc, fx, fy, n):
+        out, scale = pullback(acc, fx, fy, n)
+        scales.append(scale)
+        return out, scale
+
+    monkeypatch.setattr(_backend, "_route", recording_route)
+    monkeypatch.setattr(_backend, "_pullback", recording_pullback)
+
+    def pairs(d):
+        return {k: pair(t) for k, t in d.items() if t[0] or t[1]}
+
+    def check(a, b, changes):
+        """Pull the form a dx + b dy back along each change in turn, against
+        the oracle; returns the form and, per step, its denominator before,
+        the pullback's scale and its denominator after."""
+        form = _backend.FormNumerators(a, b, n)
+        want = (pairs(a), pairs(b))
+        steps = []
+        for fx, fy in changes:
+            den = form.den
+            form.pullback(fx, fy)
+            steps.append((den, scales[-1], form.den))
+            want = oracles.p2_pullback(*want, pairs(fx), pairs(fy), n)
+            assert tuple(pairs(part) for part in form.triples()) == want
+            for side in (0, 1):
+                for deg in range(n + 1):
+                    for i in range(deg + 1):
+                        re, im = form.numerator(side, i, deg - i)
+                        got = (Fraction(re, form.den), Fraction(im, form.den))
+                        assert got == want[side].get((i, deg - i), oracles.ZERO)
+        return form, steps
+
+    shear = ({(1, 0): QONE, (0, 1): qnorm(2, -1, 3)}, {(0, 1): QONE})
+    swap = ({(0, 1): QONE}, {(1, 0): QONE})
+    tangent = near_identity(rng, n, 3, mixed)
+
+    # one side zero, under each kind of change
+    for a, b in ((rand_part(rng, n, mixed), {}), ({}, rand_part(rng, n, mixed))):
+        for change in (tangent, swap, shear):
+            check(a, b, [change])
+
+    # every key on one side only, read before any pullback too
+    keys = [(i, deg - i) for deg in range(n + 1) for i in range(deg + 1)]
+    rng.shuffle(keys)
+    a = rand_part(rng, n, mixed, keys[::2])
+    b = rand_part(rng, n, mixed, keys[1::2])
+    form = _backend.FormNumerators(a, b, n)
+    for side, part in ((0, a), (1, b)):
+        for (i, j), t in part.items():
+            re, im = form.numerator(side, i, j)
+            assert (Fraction(re, form.den), Fraction(im, form.den)) == pair(t)
+            assert form.numerator(1 - side, i, j) == (0, 0)
+    check(a, b, [tangent, shear])
+
+    # G (dx - dy) along (x + y, y) is G(x + y, y) dx: on the dy side the two
+    # Jacobian terms cancel at every key, on the dx side nothing does
+    g = rand_part(rng, n, mixed)
+    unit_shear = ({(1, 0): QONE, (0, 1): QONE}, {(0, 1): QONE})
+    form, _ = check(g, {k: qneg(t) for k, t in g.items()}, [unit_shear])
+    assert form.triples()[0] and not form.triples()[1]
+
+    # denominators in the change: each step divides out a gcd g > 1; an
+    # integer form under integer changes keeps the denominator 1
+    a, b = rand_part(rng, n, mixed), rand_part(rng, n, mixed)
+    _, steps = check(a, b, [near_identity(rng, n, v, [2, 3, 6]) for v in (2, 5)])
+    assert all(after < den * scale for den, scale, after in steps)
+    whole = DENOMS["one"]
+    a, b = rand_part(rng, n, whole), rand_part(rng, n, whole)
+    _, steps = check(a, b, [near_identity(rng, n, v, whole) for v in (2, 4, 7)])
+    assert steps == [(1, 1, 1)] * 3
+
+    # the three routes of a change tangent to the identity: at order 12 and
+    # valuation 3 a monomial of degree e keeps t(e) = (12 - e) // 2 factors,
+    # copied at e >= 11, in a band at 7 <= e <= 10, by Horner's rule below
+    routes.clear()
+    check(rand_part(rng, n, mixed), rand_part(rng, n, mixed), [tangent])
+    ((copied, banded, horner),) = routes
+    assert copied and banded and horner
+    # a swap and a shear leave every monomial to Horner's rule
+    routes.clear()
+    check(rand_part(rng, n, mixed), rand_part(rng, n, mixed), [swap, shear])
+    assert [(copied, banded) for copied, banded, _ in routes] == [(0, 0), (0, 0)]

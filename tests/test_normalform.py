@@ -568,23 +568,22 @@ def test_no_monomial_of_a_binomial_band_enters_a_horner_row(monkeypatch):
     bands = _backend._TAYLOR_BANDS
     counts = {"copied": 0, "banded": 0, "horner": 0, "horner_within_bands": 0}
 
-    def counting_route(accs, dx, dy, n):
-        outs, expansions, groups = route(accs, dx, dy, n)
+    def counting_route(acc, dx, dy, n):
+        out, expansions, groups = route(acc, dx, dy, n)
         v = min(i + j for part in (dx, dy) for i, j in part if i + j >= 2)
-        for acc, out, g in zip(accs, outs, groups):
-            for i, row in g.items():
-                for j, _, _ in row:
-                    counts["horner"] += 1
-                    counts["horner_within_bands"] += (n - i - j) // (v - 1) <= bands
-            for key, (a, b) in acc.items():
-                if a or b:
-                    e = key // (n + 1)
-                    if (n - e) // (v - 1) == 0:
-                        counts["copied"] += 1
-                    elif (n - e) // (v - 1) <= bands:
-                        counts["banded"] += 1
-                        assert key in out
-        return outs, expansions, groups
+        for i, row in groups.items():
+            for j, *_ in row:
+                counts["horner"] += 1
+                counts["horner_within_bands"] += (n - i - j) // (v - 1) <= bands
+        for key, numerators in acc.items():
+            if any(numerators):
+                e = key // (n + 1)
+                if (n - e) // (v - 1) == 0:
+                    counts["copied"] += 1
+                elif (n - e) // (v - 1) <= bands:
+                    counts["banded"] += 1
+                    assert key in out
+        return out, expansions, groups
 
     monkeypatch.setattr(_backend, "_route", counting_route)
     normalize(w, reduction=rep)
@@ -595,24 +594,31 @@ def test_no_monomial_of_a_binomial_band_enters_a_horner_row(monkeypatch):
 
 
 def test_substitution_rows_are_added_without_a_product_call(monkeypatch):
-    """The substitution adds each row A_ij s FY^j into its accumulator, and
-    applies a one-term Horner accumulator to FX as a key shift, with no
-    ``_convolve`` call: on the pinned moved template at order 16 every
-    ``_convolve`` call of ``normalize`` has a first operand of two or more
-    terms."""
+    """The substitution adds each row (A_ij, B_ij) s FY^j into its
+    accumulator, and applies a one-term Horner accumulator or band to its
+    factor, term by term with no product call: on the pinned moved template
+    at order 16 every ``_convolve_form`` call of ``normalize`` has a first
+    operand of two or more terms, and rows and one-term operands are
+    added."""
     w = _as_oneform(MOVED, 16)
     rep = reduce_cusp(w)
-    sizes = []
-    convolve = _backend._convolve
+    sizes, rows = [], []
+    convolve, add_row = _backend._convolve_form, _backend._add_row
 
     def counting_convolve(ta, tb, end, acc):
         ta = list(ta)
         sizes.append(len(ta))
         return convolve(ta, tb, end, acc)
 
-    monkeypatch.setattr(_backend, "_convolve", counting_convolve)
+    def counting_add_row(*args):
+        rows.append(None)
+        return add_row(*args)
+
+    monkeypatch.setattr(_backend, "_convolve_form", counting_convolve)
+    monkeypatch.setattr(_backend, "_add_row", counting_add_row)
     data = normalize(w, reduction=rep)
     monkeypatch.undo()
 
     assert len(data.changes) == 13
     assert sizes and min(sizes) >= 2
+    assert rows

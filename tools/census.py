@@ -21,8 +21,11 @@ The last line, ``high-order questions=<count> sha256=<hex>``, hashes the
 same way the questions the streams never ask at high orders:
 ``first-integral`` (at the default degree and at degree 8),
 ``symmetries`` and ``equiv`` (each ordered pair) on the README, ROADMAP
-and SINH forms at orders 64 and 160.  ``--workloads`` selects it by that
-name.
+and SINH forms at orders 64 and 160; ``normal-form`` on those three forms
+at order 64 and on the moved defect-(b) template
+(``workloads.DEFECT_B_MOVED``) at orders 24 and 32, above the streams'
+orders 12-16, where its pullbacks carry larger numerators.
+``--workloads`` selects it by that name.
 
 Stdlib only; it imports the checkout's ``src/cuspfol`` and reads
 ``perfbench/workloads.py`` without changing it.
@@ -71,6 +74,10 @@ def high_order_argvs():
             yield ["symmetries", f, "--order", order]
             for g in HIGH_ORDER_FORMS:
                 yield ["equiv", f, g, "--order", order]
+    for f in HIGH_ORDER_FORMS:
+        yield ["normal-form", f, "--order", "64"]
+    for order in ("24", "32"):
+        yield ["normal-form", workloads.DEFECT_B_MOVED, "--order", order]
 
 
 def digest(argvs):
