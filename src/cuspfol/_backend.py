@@ -19,13 +19,18 @@ coefficient, not one per term and one per partial sum.  They are the only
 series products: the parser's exact polynomial products are
 :func:`jet2_mul` at the degree of the product, and the powers of the
 series reversion (``Jet1.comp_inverse``) are :func:`jet1_mul` products.
+The level form den*d(num) - num*d(den) of a quotient (:func:`mero_form`)
+is one pass over the pairs of terms of num and den on the same rule, with
+no derivative or product jet: each pair adds a multiple of one integer
+product to one dx and one dy coefficient.
 
 The one-variable series routines keep to the same rule.  The reciprocal
 (:func:`jet1_reciprocal`) sums each coefficient's recurrence in Gaussian
 integers over the lcm of the denominators it reads.  The first integral
 (:func:`first_integral`) forms each degree's residual in integers over
-one denominator per homogeneous part, and skips each coefficient whose
-inputs are zero.  The image of a series under a homography,
+one denominator per homogeneous part, visits only the parts that meet a
+nonconstant term of the form, and skips each coefficient whose inputs are
+zero.  The image of a series under a homography,
 (f o h) * (h')^2 with h = lam*z/(1 + mu*z)
 (:func:`jet1_homographic_image`), is read off its binomial closed form in
 Gaussian integers, with no composition.  Each of them normalizes an output
@@ -308,8 +313,10 @@ def first_integral(a, b, n):
     The residual is formed in integers: the parts of degree 1 .. n-1 of B
     and -A are scaled once to one denominator, each homogeneous part of
     H_u and H_v to one denominator (its part of H's), and a degree's
-    residual is summed over the lcm of the parts of H that reach it.  Each
-    nonzero h[m+1] is normalized once.
+    residual is summed over the lcm of the parts of H that reach it.  The
+    degrees k where A or B has a nonconstant term are listed once, and the
+    degree-d residual visits the parts of H of degree d - k for those k
+    only.  Each nonzero h[m+1] is normalized once.
     """
     ia, ib, id_ = qinv(a[(0, 0)])
     ra, rb, rd = qmul(b[(0, 0)], (ia, ib, id_))
@@ -324,12 +331,11 @@ def first_integral(a, b, n):
     coef = [([], []) for _ in range(n)]  # degree k: numerators of [B]_k, -[A]_k
     for k, j, side, x, y, _ in terms:
         coef[k][side].append((j, x, y))
+    degrees = sorted({t[0] for t in terms})  # where A or B has a nonconstant term
     out = {}
     grads = []  # degree e: (den, [H_u]_e, [H_v]_e) as (m, re, im), or None
     for d in range(n):
-        reached = [
-            (e, g) for e, g in enumerate(grads) if g and (coef[d - e][0] or coef[d - e][1])
-        ]
+        reached = [(d - k, grads[d - k]) for k in degrees if k <= d and grads[d - k]]
         lcm = 1
         for _, (dh, _, _) in reached:
             lcm = lcm // gcd(lcm, dh) * dh
@@ -471,6 +477,47 @@ def jet2_mul(da, db, n):
     tb, denb = _scaled(_terms(db, n))
     pairs = [(k, (a, b)) for k, a, b, _ in ta]
     return _normalized(_times(pairs, tb, (n + 1) ** 2, {}), dena * denb, n)
+
+
+def mero_form(num, den, n):
+    """The coefficients of den*d(num) - num*d(den) up to degree n, for num
+    and den given as ``((i, j), triple)`` pairs, such as the items of a
+    {(i, j): triple} dict: a pair of such dicts (dx coefficient, dy
+    coefficient).
+
+    The term q x^i y^j of den and the term p x^k y^l of num add
+    (k - i) q p to x^(i+k-1) y^(j+l) in dx and (l - j) q p to
+    x^(i+k) y^(j+l-1) in dy, so a pair enters exactly when
+    i + j + k + l <= n + 1.  The sums are formed in Gaussian integers over
+    the product of the two operands' lcms of denominators, with no product
+    jet and no derivative jet, and each nonzero output coefficient is
+    normalized once.
+    """
+    td, dd = _scaled([(i, j, a, b, d) for (i, j), (a, b, d) in den if a or b])
+    tn, dn = _scaled(sorted((i + j, i, j, a, b, d) for (i, j), (a, b, d) in num if a or b))
+    ax, ay = {}, {}
+    for i, j, qa, qb, _ in td:
+        room = n + 1 - i - j
+        for e, k, l, pa, pb, _ in tn:
+            if e > room:
+                break
+            re = qa * pa - qb * pb
+            im = qa * pb + qb * pa
+            c = k - i
+            if c:
+                cur = ax.setdefault((i + k - 1, j + l), [0, 0])
+                cur[0] += c * re
+                cur[1] += c * im
+            c = l - j
+            if c:
+                cur = ay.setdefault((i + k, j + l - 1), [0, 0])
+                cur[0] += c * re
+                cur[1] += c * im
+    common = dd * dn
+    return tuple(
+        {key: qnorm(re, im, common) for key, (re, im) in acc.items() if re or im}
+        for acc in (ax, ay)
+    )
 
 
 # The monomials that a near-identity change moves at most _TAYLOR_BANDS

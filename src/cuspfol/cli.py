@@ -7,7 +7,11 @@ structured report: a fixed top-level shape
     {command, order, verdict, data, certificates}
 
 as plain ``key: value`` lines, or as canonical JSON under ``--json`` (sorted
-keys, two-space indent, so equal inputs give byte-identical output).
+keys, two-space indent, so equal inputs give byte-identical output).  One
+recursive writer prints that JSON, byte for byte the text of
+``json.dumps(report, sort_keys=True, indent=2)``: with an indent,
+``json.dumps`` runs its pure-Python encoder, and a report holds only
+dicts, lists, strings, ints, booleans and None.
 
 The grammar (commands, positionals, options and defaults) is written once,
 in ``_GRAMMAR`` and ``_OPTIONS``.  ``main`` first reads the canonical argv
@@ -33,7 +37,7 @@ import functools
 import json
 import sys
 
-from .coeff import Coeff, format_coeff
+from .coeff import Coeff, format_coeff, format_triple
 from .jets import Jet1, format_poly
 from .forms import OneForm, ReductionVerdict, form_of_meromorphic, reduce_cusp
 from .normalform import normalize
@@ -56,14 +60,15 @@ EXIT_INTERNAL = 4
 
 # The largest --order accepted; larger orders are refused as input errors.
 # Work grows steeply with the order: on the SINH form every subcommand
-# answers within about 2 s at order 160, and equiv takes about 7 s at 192
-# (one process each, Python 3.11 on a shared 2-core host).
+# answers within about 0.2 s at order 160 (one process each, Python 3.11
+# on a shared 2-core host), and equiv takes about 0.17 s at 192 (in
+# process, the bound lifted).
 MAX_ORDER = 160
 
 # The largest --degree accepted by first-integral.  Its d Hankel probes
 # eliminate (order - d) x d systems, so work grows steeply with d: at
-# order 160 the SINH form answers in about 1.6 s at degree 24 and 4.6 s at
-# 32, and the README and ROADMAP forms within 0.9 s (in process, same host).
+# order 160 the SINH form answers in about 1.1 s at degree 24 and 3.8 s at
+# 32, and the README and ROADMAP forms within 0.6 s (in process, same host).
 MAX_DEGREE = 24
 
 
@@ -74,11 +79,11 @@ def _ser_coeff(c):
     return None if c is None else format_coeff(c)
 
 def _ser_jet1(j):
-    return [[k, format_coeff(c)] for k, c in enumerate(j.coeffs) if not c.is_zero()]
+    return [[k, format_triple(t)] for k, t in enumerate(j.triples) if t[0] or t[1]]
 
 def _ser_jet2(j):
-    terms = sorted(j.items(), key=lambda kc: (sum(kc[0]), kc[0]))
-    return [[i, jj, format_coeff(c)] for (i, jj), c in terms]
+    terms = sorted(j.triple_items(), key=lambda kt: (sum(kt[0]), kt[0]))
+    return [[i, jj, format_triple(t)] for (i, jj), t in terms]
 
 
 def _ser_matrix(mat):
@@ -89,8 +94,8 @@ def _ser_matrix(mat):
 
 def _ser_rational(r):
     z = "z"
-    num = format_poly({(k, 0): c for k, c in enumerate(r.num) if not c.is_zero()}, (z, z))
-    den = format_poly({(k, 0): c for k, c in enumerate(r.den) if not c.is_zero()}, (z, z))
+    num = format_poly({(k, 0): c.triple for k, c in enumerate(r.num) if c}, (z, z))
+    den = format_poly({(k, 0): c.triple for k, c in enumerate(r.den) if c}, (z, z))
     return {"num": num, "den": den}
 
 
@@ -351,8 +356,8 @@ def _cmd_glue(args):
         "sigma": _ser_jet1(jet),
         "alpha": _ser_coeff(alpha),
         "unit": _ser_jet2(c.A),
-        "map_first": format_poly(dict(fx.items()), names),
-        "map_second": format_poly(dict(fy.items()), names),
+        "map_first": format_poly(dict(fx.triple_items()), names),
+        "map_second": format_poly(dict(fy.triple_items()), names),
     }
     return "CocycleBuilt", data, [], EXIT_OK
 
@@ -428,10 +433,63 @@ _GRAMMAR = {
 # ---------------------------------------------------------------------------
 # report printing
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _write_json(value, pad, out):
+    """Append the text of ``value`` to the list ``out`` exactly as
+    ``json.dumps(value, sort_keys=True, indent=2)`` writes it, nested at the
+    indent ``pad``.
+
+    A report holds dicts with str keys, lists, str, int, bool and None;
+    anything else raises ``TypeError``.  Strings go through the escape
+    function ``json.dumps`` itself uses.
+    """
+    kind = type(value)
+    if kind is str:
+        out.append(_quote(value))
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"a report key must be a str, not {type(key).__name__}")
+            out.append(sep + _quote(key) + ": ")
+            _write_json(value[key], inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif kind is list:
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif kind is int:
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"a report cannot hold a {kind.__name__}")
+
+
 def _print_report(report, as_json, stream):
     if as_json:
-        stream.write(json.dumps(report, sort_keys=True, indent=2))
-        stream.write("\n")
+        out = []
+        _write_json(report, "", out)
+        out.append("\n")
+        stream.write("".join(out))
         return
     stream.write(f"command: {report['command']}\n")
     stream.write(f"order: {report['order']}\n")

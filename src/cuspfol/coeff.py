@@ -3,7 +3,8 @@
 ``Coeff`` wraps the kernel's normalized integer triple ``(a, b, d)`` —
 meaning ``(a + b*i)/d`` — behind an immutable value type whose real and
 imaginary parts are exposed as ``fractions.Fraction``.  No floats anywhere.
-``format_coeff`` prints the triple itself, with no ``Fraction`` formed.
+``format_triple`` prints a triple, and ``format_coeff`` a ``Coeff``'s, with
+no ``Fraction`` formed.
 """
 
 from __future__ import annotations
@@ -185,7 +186,14 @@ def _ratio_text(num: int, den: int) -> str:
 
 
 def format_coeff(c: Coeff) -> str:
-    """Canonical text form, re-parseable by the expression parser.
+    """Canonical text form of a ``Coeff``: :func:`format_triple` of its
+    triple."""
+    return format_triple(c._t)
+
+
+def format_triple(t) -> str:
+    """Canonical text form of a kernel triple, re-parseable by the
+    expression parser.
 
     Pure reals print as ``p`` or ``p/q``; pure imaginaries as ``i``, ``-i`` or
     ``p/q*i``; mixed values as ``re+im*i`` / ``re-im*i`` with the imaginary
@@ -193,7 +201,7 @@ def format_coeff(c: Coeff) -> str:
     triple (a, b, d) are each reduced by one ``gcd``, and integers of any
     length are printed, past the interpreter's limit on ``str(int)`` too.
     """
-    a, b, d = c._t
+    a, b, d = t
     if b == 0:
         return _ratio_text(a, d)
     if b == d:

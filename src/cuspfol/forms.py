@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from ._backend import QZERO, FormNumerators, qdiv, qiszero, qmul, qneg
+from ._backend import QZERO, FormNumerators, mero_form, qdiv, qiszero, qmul, qneg
 from .coeff import Coeff, ZERO
 from .jets import Jet2, JetError, _check_targets
 
@@ -100,8 +100,12 @@ def magnitude(triples):
 def form_of_meromorphic(num: Jet2, den: Jet2) -> OneForm:
     """The 1-form  den*d(num) - num*d(den)  defining the level sets of num/den.
 
-    Raises ``ValueError`` when the magnitudes of the two jets' coefficients
-    multiply past ``MAX_COEFF_BITS`` bits.
+    The form has order min(num.order, den.order) - 1.  It is formed in one
+    kernel pass over the pairs of terms of den and num
+    (:func:`~cuspfol._backend.mero_form`), with no derivative or product
+    jet and one ``qnorm`` per output coefficient.  Raises ``ValueError``
+    when the magnitudes of the two jets' coefficients multiply past
+    ``MAX_COEFF_BITS`` bits.
     """
     if num.is_zero() or den.is_zero():
         raise ValueError("form_of_meromorphic needs nonzero numerator and denominator")
@@ -113,9 +117,11 @@ def form_of_meromorphic(num: Jet2, den: Jet2) -> OneForm:
             f"the cross products of the numerator and the denominator may need "
             f"{size.bit_length()} bits; at most {MAX_COEFF_BITS} are allowed"
         )
-    a = den * num.dx() - num * den.dx()
-    b = den * num.dy() - num * den.dy()
-    return OneForm(a, b)
+    n = min(num.order, den.order) - 1
+    if n < 0:
+        raise JetError("cannot differentiate an order-0 jet")
+    a, b = mero_form(num.triple_items(), den.triple_items(), n)
+    return OneForm(Jet2._raw(a, n), Jet2._raw(b, n))
 
 
 def radial_tangency(w: OneForm, degree: int):

@@ -289,9 +289,12 @@ def _t_keys(n):
 
 def _a2_keys(n):
     """The A2 monomials of the order-n split: those that extend to the
-    second chart of "F2"."""
-    f2 = ModelTransition(Model.F2)
-    return [key for key in _row_keys(n) if f2.is_global_monomial(*key)]
+    second chart of "F2", in the order of :func:`_row_keys`.
+
+    x^p y^q goes to x2^(2p-q) y2^p, so it extends exactly when 2p >= q, that
+    is 3p >= d on degree d = p + q: read off the exponents, p from d down
+    to ceil(d/3)."""
+    return [(p, d - p) for d in range(n + 1) for p in range(d, (d + 2) // 3 - 1, -1)]
 
 
 def _t_columns(maps, n):
@@ -425,23 +428,24 @@ def _solve_coboundary(sigma: GermDiff1, alpha, target: Jet2, order) -> Coboundar
     the left kernel is spanned by the y1 row: a target with a nonzero y1
     coefficient is infeasible with the y1 row as its certificate, checked
     again on the full system's y1 row, which the columns' parts of degree
-    <= 1 give exactly.  No full-order T column is built then.  A target
-    with a zero y1 coefficient solves the block exactly; an infeasible one
-    has its certificate checked again, and a feasible one reads A2 off as
-    the remainder.
+    <= 1 give exactly.  No full-order T column is built then, and neither
+    are the rows outside the admissible ones: the rank rows - 1 is read off
+    rows = (n + 1)(n + 2)/2.  A target with a zero y1 coefficient lists
+    those rows and solves the block exactly; an infeasible one has its
+    certificate checked again, and a feasible one reads A2 off as the
+    remainder.
     """
     n = order
     goal = dict(target.triple_items())
-    a2_keys = _a2_keys(n)
-    admissible = set(a2_keys)
-    free_rows = [key for key in _row_keys(n) if key not in admissible]
     if not qiszero(goal.get((0, 1), QZERO)):
         # the full system's y1 row, read off every column's part of degree
         # <= 1; an A2 column of higher degree is zero there and left out
         low = _t_columns(_split_maps(sigma, alpha, 1), n)
-        low += [Jet2.monomial(i, j, -1, 1) for i, j in a2_keys if i + j <= 1]
-        rank = len(admissible) + len(free_rows) - 1
+        low += [Jet2.monomial(i, j, -1, 1) for i, j in _a2_keys(1)]
+        rank = (n + 1) * (n + 2) // 2 - 1
         return _infeasible([((0, 1), Coeff(1))], rank, low, goal, n)
+    admissible = set(_a2_keys(n))
+    free_rows = [key for key in _row_keys(n) if key not in admissible]
     cols, _, (x3, s2) = _coboundary_columns(sigma, alpha, n)
     t_keys = _t_keys(n)
     res = solve(
@@ -527,7 +531,7 @@ def cohomology_dimension(sigma, alpha0, order) -> CohomologyReport:
     elimination (see :func:`_solve_coboundary`).
     """
     split = coboundary_solve(sigma, alpha0, ks_generator(order), order)
-    rows = len(_row_keys(order))
+    rows = (order + 1) * (order + 2) // 2
     independent = not split.feasible and split.certificate_checked
     return CohomologyReport(
         order, rows, split.rank, rows - split.rank, independent, split

@@ -31,7 +31,7 @@ from ._backend import (
     qneg,
     qsub,
 )
-from .coeff import Coeff, as_triple, format_coeff
+from .coeff import Coeff, as_triple, format_triple
 
 DEFAULT_ORDER = 16
 
@@ -239,7 +239,7 @@ class Jet1(_Jet):
         return hash((self._n, self._c))
 
     def __repr__(self):
-        d = {(k, 0): Coeff.from_triple(t) for k, t in enumerate(self._c) if not qiszero(t)}
+        d = {(k, 0): t for k, t in enumerate(self._c) if not qiszero(t)}
         return f"Jet1({format_poly(d, ('z', 'z'))})"
 
 
@@ -507,7 +507,7 @@ class Jet2(_Jet):
         return hash((self._n, tuple(sorted(self._d.items()))))
 
     def __repr__(self):
-        return f"Jet2({format_poly(dict(self.items()))})"
+        return f"Jet2({format_poly(self._d)})"
 
 
 def _monokey(item):
@@ -540,25 +540,30 @@ def _jet2_reciprocal(b: Jet2) -> Jet2:
     return acc * Coeff.from_triple(inv0)
 
 
-def _fmt_coeff_factor(c):
-    s = format_coeff(c)
+def _fmt_coeff_factor(t):
+    s = format_triple(t)
     if "+" in s[1:] or "-" in s[1:]:
         return f"({s})"
     return s
 
 
+_QMINUS_ONE = (-1, 0, 1)
+
+
 def format_poly(d, names=("x", "y")):
-    """A polynomial dict {(i, j): Coeff} as canonical source text.
+    """A polynomial dict {(i, j): triple} of kernel triples as canonical
+    source text.
 
     The text parses back to the same polynomial; ``Jet1`` and ``Jet2`` print
-    their coefficients with it.
+    their coefficients with it.  No ``Coeff`` is built: a coefficient 1 or
+    -1 is told by its triple.
     """
     if not d:
         return "0"
     xn, yn = names
     pieces = []
     for (i, j) in sorted(d, key=lambda k: (k[0] + k[1], k[0], k[1])):
-        c = d[(i, j)]
+        t = d[(i, j)]
         mono = []
         if i:
             mono.append(xn if i == 1 else f"{xn}^{i}")
@@ -566,13 +571,13 @@ def format_poly(d, names=("x", "y")):
             mono.append(yn if j == 1 else f"{yn}^{j}")
         mono_s = "*".join(mono)
         if not mono_s:
-            term = format_coeff(c)
-        elif c == 1:
+            term = format_triple(t)
+        elif t == QONE:
             term = mono_s
-        elif c == -1:
+        elif t == _QMINUS_ONE:
             term = f"-{mono_s}"
         else:
-            term = f"{_fmt_coeff_factor(c)}*{mono_s}"
+            term = f"{_fmt_coeff_factor(t)}*{mono_s}"
         pieces.append(term)
     out = pieces[0]
     for term in pieces[1:]:

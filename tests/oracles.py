@@ -21,7 +21,8 @@ and exact ``solve``; the normal form does not use it, and the tests check its
 rank by parity and its round trip.  The radial form, the wedge of two
 1-forms and the differential of a jet are kept on the package's ``OneForm``
 and ``Jet2`` products; the wedge is the reference for the first integral's
-integer re-check.  Beside them, the arithmetic no question needs and the
+integer re-check, and the level form of a quotient as ``Jet2`` derivatives,
+products and differences the reference for its one-pass kernel.  Beside them, the arithmetic no question needs and the
 tests build inputs with: sums of 1-forms, a 1-form times a scalar or a
 function, a 1-form at another order, the homogeneous part of a jet and
 the powers of a jet.  And the reciprocal and the Lagrange series reversion
@@ -755,6 +756,13 @@ def differential(f: Jet2, variables=("x", "y")) -> OneForm:
     return OneForm(f.dx(), f.dy(), variables)
 
 
+def mero_form_by_jets(num: Jet2, den: Jet2) -> OneForm:
+    """den*d(num) - num*d(den) as ``forms.form_of_meromorphic`` formed it
+    before its one-pass kernel: four derivative jets, four ``Jet2``
+    products and two differences."""
+    return OneForm(den * num.dx() - num * den.dx(), den * num.dy() - num * den.dy())
+
+
 def wedge(u: OneForm, v: OneForm) -> Jet2:
     """The coefficient of dx^dy in u^v, i.e.  u_a v_b - u_b v_a."""
     assert u.variables == v.variables, "1-forms live in different charts"
@@ -966,12 +974,12 @@ def format_form(obj) -> str:
     ``parse_form(format_form(obj), order=<same order>)`` reproduces the
     object exactly (for forms in the standard x, y chart)."""
     if isinstance(obj, MeromorphicPair):
-        num = format_poly(dict(obj.num.items()))
-        den = format_poly(dict(obj.den.items()))
+        num = format_poly(dict(obj.num.triple_items()))
+        den = format_poly(dict(obj.den.triple_items()))
         return f"mero: ({num}) / ({den})"
     names = obj.variables
     parts = [
-        f"({format_poly(dict(jet.items()), names)}) d{name}"
+        f"({format_poly(dict(jet.triple_items()), names)}) d{name}"
         for jet, name in ((obj.a, names[0]), (obj.b, names[1]))
         if not jet.is_zero()
     ]

@@ -6,6 +6,7 @@ shape and exit codes; two tests go through a real subprocess.
 
 import io
 import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -20,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import cuspfol
-from cuspfol.cli import _as_oneform, main
+from cuspfol.cli import _as_oneform, _print_report, main
 from cuspfol.forms import linear_change, pullback_map, reduce_cusp
 from cuspfol.jets import Jet2
 from cuspfol.normalform import normalize
@@ -1555,6 +1556,75 @@ def test_json_shape_and_determinism():
     assert rep["data"]["sigma"] == [[1, "1"]]
 
 
+def test_cohomology_anchors_check_their_certificate():
+    # the README and ROADMAP quotients at orders 12-16
+    workloads = load_workloads()
+    anchors = [q.argv for q in workloads.anchors("cohomology") if q.argv[0] == "cohomology"]
+    assert anchors
+    for argv in anchors:
+        code, out = run_cli(*argv, "--json")
+        assert code == 1
+        (cert,) = json.loads(out)["certificates"]
+        assert cert["checked"] is True
+
+
+def written(value):
+    """What the report writer prints for ``value``."""
+    buf = io.StringIO()
+    _print_report(value, True, buf)
+    return buf.getvalue()
+
+
+def test_json_writer_prints_the_bytes_of_json_dumps_on_every_stream(monkeypatch):
+    # every --json report of the first 100 questions of each benchmark
+    # stream at seed 43, with the anchors, as tools/census.py reads them
+    import cuspfol.cli
+
+    reports = []
+    print_report = cuspfol.cli._print_report
+
+    def recording(report, as_json, stream):
+        reports.append(report)
+        print_report(report, as_json, stream)
+
+    monkeypatch.setattr(cuspfol.cli, "_print_report", recording)
+    workloads = load_workloads()
+    for name in workloads.WORKLOADS:
+        anchors = [q.argv for q in workloads.anchors(name)]
+        for argv in [*stream_argvs(name), *anchors]:
+            del reports[:]
+            _, out = run_cli(*argv, "--json")
+            (report,) = reports
+            assert out == json.dumps(report, sort_keys=True, indent=2) + "\n", argv
+
+
+AWKWARD = ['"', "\\", "\x00\x1f\x7f\n\t", "é", "\U0001d11e", 'a"b\\c\u2028é\U0001d11e']
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {},
+        [],
+        {"a": {}, "b": [], "c": [[], {}], "d": [{"e": []}]},
+        [[[]], [{}], {"": {}}],
+        *AWKWARD,
+        {text: text for text in AWKWARD},
+        [{text: [text]} for text in AWKWARD],
+        [True, False, None, 0, -1, 2**200, -(2**200)],
+        {"z": 1, "a": [True, None], "m": {"y": False, "b": "x"}, "": 0},
+    ],
+)
+def test_json_writer_prints_the_bytes_of_json_dumps(value):
+    assert written(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [1.5, {1, 2}, {"data": [0.0]}, ["x", {"s": {3}}], {1: "a"}])
+def test_json_writer_refuses_what_a_report_cannot_hold(value):
+    with pytest.raises(TypeError):
+        written(value)
+
+
 def test_parser_survives_a_bad_argv(capsys):
     """The parser is built once per process; a rejected argv leaves it as it
     was, so the same question prints the same bytes before and after."""
@@ -1645,6 +1715,13 @@ def load_workloads():
     finally:
         sys.path.remove(str(PERFBENCH))
     return workloads
+
+
+@functools.cache
+def stream_argvs(name, seed=43, count=100):
+    """The argvs of the first ``count`` questions of a benchmark stream, as
+    ``tools/census.py`` reads them; a tuple, since every caller shares it."""
+    return tuple(q.argv for q in islice(load_workloads().stream(name, seed), count))
 
 
 def workload_cycle_argvs(seed=1):

@@ -22,6 +22,7 @@ from cuspfol.gluing import (
     ModelAutomorphism,
     ModelTransition,
     VectorFieldJet,
+    _a2_keys,
     _coboundary_columns,
     _row_keys,
     _rows_on,
@@ -362,6 +363,14 @@ def _split_ranks(sig, alpha0, n):
     keys, rows = _full_split(sig, alpha0, n)
     aug = [row + [Coeff(int(key == (0, 1)))] for row, key in zip(rows, keys)]
     return matrix_rank(rows), matrix_rank(aug)
+
+
+def test_a2_keys_are_read_off_the_exponents():
+    # x^p y^q extends to the second chart of "F2" exactly when 2p >= q: the
+    # exponent rule lists the same keys as the transition, in row order
+    f2 = ModelTransition(Model.F2)
+    for n in range(49):
+        assert _a2_keys(n) == [key for key in _row_keys(n) if f2.is_global_monomial(*key)]
 
 
 def test_cohomology_corank_one():

@@ -17,7 +17,9 @@ rows' input rows.  Last, products, substitutions and pullbacks are checked
 where the kernel's integer monomial keys meet the order: degree n against
 degree n + 1, and the pullback's form accumulator, which holds the dx and
 dy numerators of a key together, on forms with one side zero or keys on
-one side only.
+one side only.  The level form of a quotient, one pass over the pairs of
+terms of num and den, is checked against the derivative and product jets
+it replaced (``oracles.mero_form_by_jets``), at the truncation edge too.
 """
 
 import random
@@ -29,7 +31,7 @@ import pytest
 from cuspfol import _backend
 from cuspfol._backend import QONE, QZERO, jet1_mul, jet2_mul, qadd, qmul, qneg, qnorm, rref
 from cuspfol.coeff import Coeff
-from cuspfol.forms import OneForm, pullback_map, reduce_cusp
+from cuspfol.forms import OneForm, form_of_meromorphic, pullback_map, reduce_cusp
 from cuspfol.jets import Jet2
 from cuspfol.parsing import parse_form
 from cuspfol.transversal import CornerGerm, transversal_structure
@@ -603,3 +605,105 @@ def test_form_numerators_on_one_sided_forms(monkeypatch):
     routes.clear()
     check(rand_part(rng, n, mixed), rand_part(rng, n, mixed), [swap, shear])
     assert [(copied, banded) for copied, banded, _ in routes] == [(0, 0), (0, 0)]
+
+
+# ---------------------------------------------------------------------------
+# the level form of a quotient in one pass
+
+
+def rand_jet2(rng, order, dens, terms, low=0):
+    """A seeded Jet2 at ``order`` with up to ``terms`` Gaussian-rational terms
+    of degree ``low`` .. ``order``."""
+    d = {}
+    for _ in range(terms):
+        e = rng.randint(low, order)
+        i = rng.randint(0, e)
+        d[(i, e - i)] = Coeff.from_triple(rand_triple(rng, dens, zero=0))
+    return Jet2(d, order)
+
+
+class TestMeroForm:
+    """``forms.form_of_meromorphic`` through ``_backend.mero_form`` against
+    the Jet2 route it replaced, ``oracles.mero_form_by_jets``."""
+
+    def check(self, num, den):
+        w = form_of_meromorphic(num, den)
+        want = oracles.mero_form_by_jets(num, den)
+        assert w.a.order == w.b.order == want.a.order == min(num.order, den.order) - 1
+        assert (w.a, w.b) == (want.a, want.b)
+        for jet in (w.a, w.b):
+            for _, t in jet.triple_items():
+                assert_normalized(t)
+                assert t[0] or t[1]
+        return w
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_the_jet_route(self, seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            dens = DENOMS[rng.choice(sorted(DENOMS))]
+            # num.order above, below and equal to den.order, as parametric
+            # asks for the family's numerators against one denominator
+            on, od = rng.randint(1, 9), rng.randint(1, 9)
+            num = rand_jet2(rng, on, dens, rng.randint(1, 12))
+            den = rand_jet2(rng, od, dens, rng.randint(1, 12))
+            if not num.is_zero() and not den.is_zero():
+                self.check(num, den)
+
+    def test_a_constant_denominator_is_the_differential(self):
+        rng = random.Random(4)
+        for dens in DENOMS.values():
+            num = rand_jet2(rng, 8, dens, 10)
+            c = Coeff.from_triple(rand_triple(rng, dens, zero=0))
+            w = self.check(num, Jet2({(0, 0): c}, 8))
+            assert (w.a, w.b) == (num.dx() * c, num.dy() * c)
+
+    def test_a_multiple_of_the_denominator_has_zero_form(self):
+        rng = random.Random(5)
+        for dens in DENOMS.values():
+            den = rand_jet2(rng, 7, dens, 8)
+            c = Coeff.from_triple(rand_triple(rng, dens, zero=0))
+            w = self.check(den * c, den)
+            assert w.a.is_zero() and w.b.is_zero()
+
+    def test_pairs_at_the_truncation_edge(self):
+        # n = 6: a pair enters when i + j + k + l <= 7, so x^i y^j against
+        # x^k y^l with i + j + k + l = 7 lands in degree 6 and one at 8 is
+        # dropped; the operands carry only those terms
+        n = 6
+        for (i, j), (k, l) in [((2, 1), (3, 1)), ((0, 3), (4, 0)), ((1, 0), (0, 6))]:
+            den = Jet2({(i, j): Coeff(2, 1)}, n + 1)
+            num = Jet2({(k, l): Coeff(-3, 5)}, n + 1)
+            w = self.check(num, den)
+            edge = [key for jet in (w.a, w.b) for key, _ in jet.triple_items()]
+            assert edge and all(a + b == n for a, b in edge)
+            # one degree more on each side: the pair sums to n + 2
+            den = Jet2({(i + 1, j): Coeff(2, 1)}, n + 1)
+            w = self.check(num, den)
+            assert w.a.is_zero() and w.b.is_zero()
+
+    def test_normalizes_each_output_coefficient_once(self, monkeypatch):
+        rng = random.Random(6)
+        num = rand_jet2(rng, 10, DENOMS["mixed"], 20)
+        den = rand_jet2(rng, 10, DENOMS["mixed"], 20)
+        calls = []
+        norm = _backend.qnorm
+
+        def counted(a, b, d):
+            calls.append(d)
+            return norm(a, b, d)
+
+        monkeypatch.setattr(_backend, "qnorm", counted)
+        a, b = _backend.mero_form(num.triple_items(), den.triple_items(), 9)
+        monkeypatch.undo()
+        assert len(calls) == len(a) + len(b)
+        assert all(d == calls[0] for d in calls)
+
+    def test_bit_budget_refusal_is_unchanged(self):
+        num = Jet2({(0, 2): 2**40000 - 1, (3, 0): 1}, 8)
+        with pytest.raises(ValueError) as refusal:
+            form_of_meromorphic(num, Jet2({(1, 1): 2**25537}, 8))
+        assert str(refusal.value) == (
+            "the cross products of the numerator and the denominator may need "
+            "65538 bits; at most 65536 are allowed"
+        )

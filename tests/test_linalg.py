@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 from cuspfol import Coeff
-from cuspfol.linalg import determinant, matrix_rank, solve
+from cuspfol.linalg import SolveResult, determinant, matrix_rank, solve
 
 import oracles
 
@@ -42,6 +42,24 @@ def test_infeasible_certificate():
     assert not res.feasible
     assert res.certificate is not None
     assert res.check_certificate([[Coeff(1), Coeff(1)], [Coeff(2), Coeff(2)]], [Coeff(1), Coeff(3)])
+
+
+def test_certificate_recheck_on_a_matrix_with_zero_entries():
+    # the re-check multiplies only the nonzero entries of the certificate's
+    # rows; every column sum and the verdict are those of the full product
+    q = lambda *v: [Coeff(x) for x in v]  # noqa: E731
+    rows = [q(1, 0, 2, 0), q(2, 0, 4, 0), q(0, 3, 0, 0)]
+    y = [(0, Coeff(2)), (1, Coeff(-1))]
+    assert SolveResult(False, 2, certificate=y).check_certificate(rows, q(1, 1, 5))
+    # y^T b = 2 - 2 = 0
+    assert not SolveResult(False, 2, certificate=y).check_certificate(rows, q(1, 2, 5))
+    # column 1 is nonzero in row 2 alone, so y^T A = (0, 3, 0, 0)
+    y_bad = [*y, (2, Coeff(1))]
+    assert not SolveResult(False, 2, certificate=y_bad).check_certificate(rows, q(1, 1, 5))
+    # rows given as kernel triples read alike
+    triples = [[c.triple for c in row] for row in rows]
+    assert SolveResult(False, 2, certificate=y).check_certificate(triples, q(1, 1, 5))
+    assert not SolveResult(False, 2, certificate=None).check_certificate(rows, q(1, 1, 5))
 
 
 def test_certificate_random_rank_deficient():

@@ -437,7 +437,7 @@ def test_exponent_must_be_integer_literal():
 
 
 def test_format_poly_names_and_zero():
-    d = {(1, 0): Coeff(1), (0, 2): Coeff(-3)}
+    d = {(1, 0): (1, 0, 1), (0, 2): (-3, 0, 1)}
     assert format_poly(d, ("u", "v")) == "u - 3*v^2"
     assert format_poly({}) == "0"
 

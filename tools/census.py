@@ -2,7 +2,7 @@
 
 Run from anywhere, on the checkout that holds this file:
 
-    python3 tools/census.py [--seeds 1 43 2035] [--questions 600]
+    python3 tools/census.py [--seeds 1 43 2035] [--questions 600] [--plain]
                             [--workloads sweep series dense-nf cohomology high-order]
 
 For each workload and seed it asks the first ``--questions`` questions of
@@ -16,6 +16,12 @@ with one sha256 over every question's argv, exit code and stdout.  Two
 checkouts answer alike exactly when their lines match, so a change that
 must keep the output byte for byte runs this at both and compares.  A
 question that raises is hashed by its exception's type and message.
+``--plain`` asks the same questions without ``--json`` and hashes the
+plain-text reports; its lines read ``<workload> plain seed=...``.
+
+``tools/census.lock`` holds the lines of seed 43 at 60 questions, with and
+without ``--plain``, and the ``high-order`` line; ``tests/test_census.py``
+computes them again in process and compares.
 
 The last line, ``high-order questions=<count> sha256=<hex>``, hashes the
 same way the questions the streams never ask at high orders:
@@ -48,12 +54,13 @@ import workloads  # noqa: E402
 from cuspfol import cli  # noqa: E402
 
 
-def answer(argv):
-    """(exit code or the exception, stdout) of one question."""
+def answer(argv, plain=False):
+    """(exit code or the exception, stdout) of one question, asked with
+    ``--json`` unless ``plain``."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         try:
-            code = cli.main(list(argv) + ["--json"])
+            code = cli.main(list(argv) + ([] if plain else ["--json"]))
         except (Exception, SystemExit) as e:
             code = f"raise {type(e).__name__}: {e}"
     return code, buf.getvalue()
@@ -80,37 +87,49 @@ def high_order_argvs():
         yield ["normal-form", workloads.DEFECT_B_MOVED, "--order", order]
 
 
-def digest(argvs):
+def digest(argvs, plain=False):
     """(number of questions, sha256 hex) of a list of argvs."""
     h = hashlib.sha256()
     for argv in argvs:
-        code, out = answer(argv)
+        code, out = answer(argv, plain)
         h.update(repr((argv, code, out)).encode())
     return len(argvs), h.hexdigest()
 
 
-def census(name, seed, count):
-    """(number of questions, sha256 hex) of one workload and seed."""
-    questions = list(itertools.islice(workloads.stream(name, seed), count))
-    questions += workloads.anchors(name)
-    return digest([q.argv for q in questions])
+def questions(name, seed, count):
+    """The argvs of the first ``count`` questions of a workload's stream and
+    of its anchors."""
+    stream = itertools.islice(workloads.stream(name, seed), count)
+    return [q.argv for q in [*stream, *workloads.anchors(name)]]
+
+
+def line(name, seed, argvs, plain=False):
+    """The census line of one workload and seed, asked as ``argvs``."""
+    count, hexdigest = digest(argvs, plain)
+    tag = " plain" if plain else ""
+    return f"{name}{tag} seed={seed} questions={count} sha256={hexdigest}"
+
+
+def high_order_line(plain=False):
+    count, hexdigest = digest(list(high_order_argvs()), plain)
+    tag = " plain" if plain else ""
+    return f"high-order{tag} questions={count} sha256={hexdigest}"
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 43, 2035])
     parser.add_argument("--questions", type=int, default=600)
+    parser.add_argument("--plain", action="store_true", help="hash the reports without --json")
     names = [*workloads.WORKLOADS, "high-order"]
     parser.add_argument("--workloads", nargs="+", default=names, choices=names)
     args = parser.parse_args(argv)
     for name in args.workloads:
         if name == "high-order":
-            count, hexdigest = digest(list(high_order_argvs()))
-            print(f"high-order questions={count} sha256={hexdigest}", flush=True)
+            print(high_order_line(args.plain), flush=True)
             continue
         for seed in args.seeds:
-            count, hexdigest = census(name, seed, args.questions)
-            print(f"{name} seed={seed} questions={count} sha256={hexdigest}", flush=True)
+            print(line(name, seed, questions(name, seed, args.questions), args.plain), flush=True)
 
 
 if __name__ == "__main__":
