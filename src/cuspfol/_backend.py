@@ -47,9 +47,8 @@ n it keys the monomial x^i y^j by the integer (i + j)(n + 1) + j: the key
 of a product is the sum of its factors' keys and its degree bound is a
 bound on that sum, so the loop adds and compares integers, and the pairs
 (i, j) are formed again only for the output, one ``divmod`` per nonzero
-coefficient.  A one-term operand of :func:`jet2_mul`, such as the x*y of a
-quotient's denominator, and the y term of the y target in its powers are
-key shifts and scalar copies (:func:`_shift`).
+coefficient.  Every two-variable product, a one-term operand included,
+goes through it.
 
 A substitution and a pullback carry a 1-form a dx + b dy as one form
 accumulator that maps each key to ``[re_dx, im_dx, re_dy, im_dy]``, so
@@ -140,6 +139,20 @@ def qinv(t):
 
 def qdiv(t, u):
     return qmul(t, qinv(u))
+
+
+def add_into(acc, p, negate=False):
+    """Add (or subtract) the {key: triple} dict ``p`` into the dict ``acc``
+    in place; a sum that cancels deletes its key."""
+    for key, c in p.items():
+        if negate:
+            c = qneg(c)
+        if key in acc:
+            c = qadd(acc[key], c)
+            if not (c[0] or c[1]):
+                del acc[key]
+                continue
+        acc[key] = c
 
 
 def _scaled(terms):
@@ -429,26 +442,6 @@ def _convolve(ta, tb, end, acc):
     return acc
 
 
-def _shift(ta, shift, ca, cb, end, acc):
-    """Add (ca + cb*i) times the monomial of key ``shift`` times ``ta`` into
-    ``acc``: the product by a one-term operand as a key shift, with a
-    scalar copy of ``ta`` first unless the scalar is 1.  Operands and bound
-    as in :func:`_convolve`."""
-    room = end - shift
-    if ca != 1 or cb:
-        ta = [(k, (a * ca - b * cb, a * cb + b * ca)) for k, (a, b) in ta if k < room]
-    for k, (a, b) in ta:
-        if k < room:
-            key = k + shift
-            cur = acc.get(key)
-            if cur is None:
-                acc[key] = [a, b]
-            else:
-                cur[0] += a
-                cur[1] += b
-    return acc
-
-
 def _normalized(acc, den, n):
     """An accumulator over ``den`` at order n as a {(i, j): triple} dict: one
     ``divmod`` and one ``qnorm`` per nonzero coefficient."""
@@ -466,17 +459,16 @@ def jet2_mul(da, db, n):
 
     Keys with total degree > n are dropped; zero results are not stored.
     As in :func:`jet1_mul`, the numerators are convolved over each operand's
-    lcm of denominators and each nonzero output coefficient is normalized
-    once; a one-term operand, such as x*y, is a key shift and a scalar copy
-    (:func:`_times`).  Keys appear in the order their first product is
-    formed.
+    lcm of denominators (:func:`_convolve`) and each nonzero output
+    coefficient is normalized once.  Keys appear in the order their first
+    product is formed.
     """
     ta, dena = _scaled(_terms(da, n))
     if not ta:
         return {}
     tb, denb = _scaled(_terms(db, n))
     pairs = [(k, (a, b)) for k, a, b, _ in ta]
-    return _normalized(_times(pairs, tb, (n + 1) ** 2, {}), dena * denb, n)
+    return _normalized(_convolve(pairs, tb, (n + 1) ** 2, {}), dena * denb, n)
 
 
 def mero_form(num, den, n):
@@ -555,16 +547,15 @@ def _convolve_form(ta, tb, end, acc):
     return acc
 
 
-def _add_row(acc, shift, a, b, c, d, tb, end):
-    """Add (a + b*i, c + d*i) times the monomial of key ``shift`` times the
-    terms ``tb`` into the form accumulator ``acc``, term by term: a Horner
-    row, or a product with a one-term form operand, with no outer loop."""
-    room = end - shift
+def _add_row(acc, a, b, c, d, tb, end):
+    """Add (a + b*i, c + d*i) times the terms ``tb`` below the key ``end``
+    into the form accumulator ``acc``, term by term: a Horner row, with no
+    outer loop."""
     for k, a2, b2, _ in tb:
-        if k < room:
-            cur = acc.get(k + shift)
+        if k < end:
+            cur = acc.get(k)
             if cur is None:
-                cur = acc[k + shift] = [0, 0, 0, 0]
+                cur = acc[k] = [0, 0, 0, 0]
             cur[0] += a * a2 - b * b2
             cur[1] += a * b2 + b * a2
             cur[2] += c * a2 - d * b2
@@ -639,20 +630,6 @@ def _route(acc, dx, dy, n):
     return out, bands, groups
 
 
-def _times(ta, tb, end, acc):
-    """Add the product of ``ta``, pairs ``(k, (a, b))``, and ``tb``, terms
-    ``(k, a, b, _)``, into ``acc``: as a key shift and a scalar copy
-    (:func:`_shift`) when either operand is one term, else by
-    :func:`_convolve`.  Bound as in :func:`_convolve`."""
-    if len(tb) == 1:
-        ((k, a, b, _),) = tb
-        return _shift(ta, k, a, b, end, acc)
-    if len(ta) == 1:
-        ((k, (a, b)),) = ta
-        return _shift([(k2, (a2, b2)) for k2, a2, b2, _ in tb], k, a, b, end, acc)
-    return _convolve(ta, tb, end, acc)
-
-
 def _substitute(acc, dx, dy, n):
     """Substitute the targets into both coefficients of a form.
 
@@ -682,11 +659,11 @@ def _substitute(acc, dx, dy, n):
 
     over the monomials left to it, the numerator sum_i FX^i G_i is
     evaluated by Horner's rule in FX, one product by FX per power of x, so
-    no power of FX is formed; each Horner accumulator is multiplied as it
-    is.  The powers FY^j are built once, the y term of FY applied as a key
-    shift and a scalar copy (:func:`_shift`).  A row (A_ij, B_ij) s FY^j of
-    G_i, a one-term Horner accumulator times FX and a one-term band are
-    added term by term (:func:`_add_row`), both numerators on each term.
+    no power of FX is formed.  The powers FY^j are built once
+    (:func:`_convolve`).  Each band and each Horner accumulator, one term or
+    more, is multiplied by its factor in one call of :func:`_convolve_form`;
+    a row (A_ij, B_ij) s FY^j of G_i is added term by term
+    (:func:`_add_row`), both numerators on each term.
     """
     m = n + 1
     out, bands, groups = _route(acc, dx, dy, n)
@@ -707,7 +684,6 @@ def _substitute(acc, dx, dy, n):
     if lcm != 1:
         out = {k: [a * lcm, b * lcm, c * lcm, d * lcm] for k, (a, b, c, d) in out.items()}
     end = m * m
-    ya, yb = next(((a, b) for k, a, b, _ in ty if k == m + 1), (0, 0))
     ty_rest = [t for t in ty if t[0] != m + 1]
     if bands:
         # p^k q^l over ex^k ey^l, formed once: the powers of p and of q,
@@ -716,21 +692,17 @@ def _substitute(acc, dx, dy, n):
         for powers, count in ((pp, max(k for k, _ in bands)), (qp, max(l for _, l in bands))):
             while len(powers) <= count:
                 last = [(key, (a, b)) for key, a, b, _ in powers[-1]]
-                power = _times(last, powers[1], end, {})
+                power = _convolve(last, powers[1], end, {})
                 powers.append([(key, re, im, 1) for key, (re, im) in power.items() if re or im])
         for (k, l), rows in bands.items():
             if k and l:
-                power = _times([(key, (a, b)) for key, a, b, _ in pp[k]], qp[l], end, {})
+                power = _convolve([(key, (a, b)) for key, a, b, _ in pp[k]], qp[l], end, {})
                 tb = [(key, re, im, 1) for key, (re, im) in power.items() if re or im]
             else:
                 tb = qp[l] if l else pp[k]
             s = lcm // (exp_x[k] * exp_y[l])
             tb = [(key, a * s, b * s, 1) for key, a, b, _ in tb]
-            if len(rows) == 1:
-                ((key, (a, b, c, d)),) = rows
-                _add_row(out, key, a, b, c, d, tb, end)
-            else:
-                _convolve_form(rows, tb, end, out)
+            _convolve_form(rows, tb, end, out)
     if not groups:
         return out, lcm
     py = [[(0, 1, 0, 1)], ty]
@@ -738,10 +710,7 @@ def _substitute(acc, dx, dy, n):
     for _ in range(max(top.values()) - 1):
         # FY^j = FY^(j-1) * FY, the last power read as an accumulator and
         # each power kept as a term list for the rows below
-        last = power.items()
-        power = _shift(last, m + 1, ya, yb, end, {}) if ya or yb else {}
-        if ty_rest:
-            _convolve(last, ty_rest, end, power)
+        power = _convolve(power.items(), ty, end, {})
         py.append([(k, re, im, 1) for k, (re, im) in power.items() if re or im])
     horner = {}  # sum over i' > i of FX^(i'-i-1) G_i'
     for i in range(max(groups), -1, -1):
@@ -751,11 +720,8 @@ def _substitute(acc, dx, dy, n):
         end = (m - i) * m
         for j, a, b, c, d in groups.get(i, ()):
             s = lcm // (exp_x[i] * exp_y[j])
-            _add_row(part, 0, a * s, b * s, c * s, d * s, py[j], end)
-        if len(horner) == 1:
-            ((k, (a, b, c, d)),) = horner.items()
-            _add_row(part, k, a, b, c, d, tx, end)
-        elif horner:
+            _add_row(part, a * s, b * s, c * s, d * s, py[j], end)
+        if horner:
             _convolve_form(horner.items(), tx, end, part)
         horner = part
     return out, lcm

@@ -397,18 +397,19 @@ def reduce_cusp(w: OneForm) -> ReductionReport:
             ReductionVerdict.WRONG_REDUCTION_TREE,
             "tangency cone has two distinct directions (cofactor is not a perfect square)",
         )
+    mat = None
     if qiszero(p02):
         # Double direction at t = infinity (cofactor a*x^2): swap the axes.
         mat = ((0, 1), (1, 0))
-        w = linear_change(w, mat)
-        rep.applied_linear_change = mat
     elif not qiszero(p11):
         # Shear the double direction y = t0*x down to t = 0.
         t0 = qdiv(qneg(p11), qmul(p02, (2, 0, 1)))
         mat = ((1, 0), (Coeff.from_triple(t0), 1))
+    if mat is not None:
+        # an unmoved form keeps its cone
         w = linear_change(w, mat)
         rep.applied_linear_change = mat
-    p = radial_tangency(w, 3)
+        p = radial_tangency(w, 3)
     a = QZERO if p is None else p.triple(0, 2)
     if qiszero(a) or dict(p.triple_items()) != {(0, 2): a}:
         raise AssertionError("the moved tangency cone is not a*y^2 with a != 0")

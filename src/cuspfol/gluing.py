@@ -305,10 +305,6 @@ def _t_columns(maps, n):
     F2-admissible (q > 2p), and those have p <= (n-1)//3; so the powers of
     x3 and the columns are built modulo x1^((n-1)//3 + 1), which leaves
     every row the solver reads exact.
-
-    Each power loop stops at its first zero power, and a column past it is
-    the zero jet, built with no product; that happens only below the
-    columns' degrees, as on the order-1 maps of the y1 row.
     """
     top = (n - 1) // 3
     x3, s2 = maps
@@ -316,20 +312,9 @@ def _t_columns(maps, n):
     xpow = [x3]
     ypow = [Jet2.one(s2.order)]
     for _ in range(n - 1):
-        p = (xpow[-1] * x3).drop_x_above(top)
-        if p.is_zero():
-            break
-        xpow.append(p)
-    for _ in range(n - 1):
-        p = ypow[-1] * s2
-        if p.is_zero():
-            break
-        ypow.append(p)
-    zero = Jet2.zero(s2.order)
-    return [
-        xpow[i] * ypow[j] if i < len(xpow) and j < len(ypow) else zero
-        for i, j in _t_keys(n)
-    ]
+        xpow.append((xpow[-1] * x3).drop_x_above(top))
+        ypow.append(ypow[-1] * s2)
+    return [xpow[i] * ypow[j] for i, j in _t_keys(n)]
 
 
 def _coboundary_columns(sigma: GermDiff1, alpha, order):
@@ -399,9 +384,10 @@ def _rows_on(keys, cols):
 
 def _infeasible(cert, rank, cols, goal, n) -> CoboundaryResult:
     """The infeasible split with certificate ``cert``, a list of (row key,
-    weight), checked again on the full system: every T and every A2 column.
-    Only the certificate's own rows enter y^T A and y^T b, so only they are
-    read from ``cols``."""
+    weight), checked again on the columns ``cols``: every T and every A2
+    column of the full system, or columns that stand for them on the
+    certificate's rows.  Only the certificate's own rows enter y^T A and
+    y^T b, so only they are read from ``cols``."""
     cert_rows = [key for key, _ in cert]
     full = SolveResult(
         False, rank, certificate=[(k, w) for k, (_, w) in enumerate(cert)]
@@ -428,20 +414,24 @@ def _solve_coboundary(sigma: GermDiff1, alpha, target: Jet2, order) -> Coboundar
     the left kernel is spanned by the y1 row: a target with a nonzero y1
     coefficient is infeasible with the y1 row as its certificate, checked
     again on the full system's y1 row, which the columns' parts of degree
-    <= 1 give exactly.  No full-order T column is built then, and neither
-    are the rows outside the admissible ones: the rank rows - 1 is read off
-    rows = (n + 1)(n + 2)/2.  A target with a zero y1 coefficient lists
-    those rows and solves the block exactly; an infeasible one has its
+    <= 1 give exactly.  Every T column x3^(i+1) s2^j has i >= 1, so it is
+    x3^2 times a jet, and truncation is a ring map: its part of degree <= 1
+    is zero whenever that of x3^2 is, so the one column x3^2, at order 1,
+    stands for the whole T block there.  No T column is built then, and
+    neither are the rows outside the admissible ones: the rank rows - 1 is
+    read off rows = (n + 1)(n + 2)/2.  A target with a zero y1 coefficient
+    lists those rows and solves the block exactly; an infeasible one has its
     certificate checked again, and a feasible one reads A2 off as the
     remainder.
     """
     n = order
     goal = dict(target.triple_items())
     if not qiszero(goal.get((0, 1), QZERO)):
-        # the full system's y1 row, read off every column's part of degree
-        # <= 1; an A2 column of higher degree is zero there and left out
-        low = _t_columns(_split_maps(sigma, alpha, 1), n)
-        low += [Jet2.monomial(i, j, -1, 1) for i, j in _a2_keys(1)]
+        # the full system's y1 row, read off the columns' parts of degree
+        # <= 1: x3^2 for the T block, and the A2 columns of degree <= 1; an
+        # A2 column of higher degree is zero there and left out
+        x3 = _split_maps(sigma, alpha, 1)[0]
+        low = [x3 * x3] + [Jet2.monomial(i, j, -1, 1) for i, j in _a2_keys(1)]
         rank = (n + 1) * (n + 2) // 2 - 1
         return _infeasible([((0, 1), Coeff(1))], rank, low, goal, n)
     admissible = set(_a2_keys(n))

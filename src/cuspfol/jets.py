@@ -20,6 +20,7 @@ from fractions import Fraction
 from ._backend import (
     QONE,
     QZERO,
+    add_into,
     jet1_mul,
     jet1_reciprocal,
     jet2_mul,
@@ -393,24 +394,14 @@ class Jet2(_Jet):
         return Jet2._raw(d, order)
 
     def _bin(self, other, op):
-        """self op other for op ``qadd`` or ``qsub``: a key that only one
-        operand holds keeps its triple (negated when only the right operand
-        of a difference holds it), so only the shared keys are added."""
+        """self op other for op ``qadd`` or ``qsub``: the right operand is
+        added into a copy of the left one (:func:`add_into`), negated for a
+        difference, so only the shared keys are added."""
         n = min(self._n, other._n)
         # truncating below the order builds a new dict, so only the jet at
         # its own order is copied
         d = dict(self._d) if n == self._n else self.truncate(n)._d
-        lone = qneg if op is qsub else None
-        for k, u in other.truncate(n)._d.items():
-            cur = d.get(k)
-            if cur is None:
-                d[k] = lone(u) if lone else u
-                continue
-            r = op(cur, u)
-            if r[0] or r[1]:
-                d[k] = r
-            else:
-                del d[k]
+        add_into(d, other.truncate(n)._d, op is qsub)
         return Jet2._raw(d, n)
 
     def __neg__(self):

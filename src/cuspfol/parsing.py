@@ -87,7 +87,7 @@ import re
 import sys
 from itertools import islice
 
-from ._backend import QONE, jet2_mul, qadd, qinv, qmul, qneg, qnorm
+from ._backend import QONE, add_into, jet2_mul, qinv, qmul, qneg, qnorm
 from .coeff import Coeff
 from .jets import DEFAULT_ORDER, Jet2
 from .forms import MAX_COEFF_BITS, OneForm, magnitude
@@ -296,22 +296,6 @@ def _fail(message, k):
     raise _Refusal(message, k)
 
 
-def _padd_into(acc, p, negate=False):
-    """Add (or subtract) polynomial ``p`` into the dict ``acc`` in place."""
-    for key, c in p.items():
-        if negate:
-            c = qneg(c)
-        s = acc.get(key)
-        if s is None:
-            acc[key] = c
-        else:
-            s = qadd(s, c)
-            if s[0] or s[1]:
-                acc[key] = s
-            else:
-                del acc[key]
-
-
 def _pscale(p, c):
     return {key: qmul(v, c) for key, v in p.items()}
 
@@ -491,16 +475,11 @@ def _parse_expr(toks, k, order, term, floor=1, depth=0):
         kind, e = toks[k + 1]
         if kind != _INT:
             _fail("exponent must be a nonnegative integer literal", k + 1)
-        if den is None and len(num) == 1:
-            ((i, j), c), = num.items()
-            # x^e and y^e: a unit power only scales the monomial's key
-            num = {(i * e, j * e): c} if c == QONE else _ppow(num, e, k)
-        else:
-            if num or den is not None:
-                _check_degree("^", k, order, term, (num, den), e=e)
-            if den is not None:
-                den = _ppow(den, e, k) if e else None
-            num = _ppow(num, e, k)
+        if num or den is not None:
+            _check_degree("^", k, order, term, (num, den), e=e)
+        if den is not None:
+            den = _ppow(den, e, k) if e else None
+        num = _ppow(num, e, k)
         k += 2
         tok = toks[k]
     if neg:
@@ -540,14 +519,14 @@ def _parse_expr(toks, k, order, term, floor=1, depth=0):
         rnum, rden, k = _parse_expr(toks, k + 1, order, term, bind + 1, depth)
         if bind == 1:
             if den is None and rden is None:
-                _padd_into(num, rnum, op == "-")
+                add_into(num, rnum, op == "-")
             else:
                 # the left-fold cross-multiplication that mero: parsing reads
                 if rden is not None:
                     num = jet2_mul(num, rden, _degree(num, rden))
                 if den is not None:
                     rnum = jet2_mul(rnum, den, _degree(rnum, den))
-                _padd_into(num, rnum, op == "-")
+                add_into(num, rnum, op == "-")
                 den = _dmul(den, rden)
                 _check_degree(op, at, order, term, (num, den))
         elif op == "*":
@@ -649,7 +628,7 @@ def _parse_oneform(toks, order):
             k += 1
             if den is not None:
                 _fail(_NOT_POLYNOMIAL, start)
-        _padd_into(sums[slot], num, negate)
+        add_into(sums[slot], num, negate)
         tok = toks[k]
         if tok[0] == _EOF:
             break

@@ -469,11 +469,11 @@ def test_cohomology_eliminates_once(monkeypatch):
 
 
 def test_y1_row_multiplies_no_vanishing_power(monkeypatch):
-    # the y1 row is read off the order-1 maps, whose powers vanish from the
-    # second on: each power loop stops at its first zero power, no T column
-    # is a product, and the A2 columns past degree 1 are not built, so the
-    # split makes the same few Jet2 products at every order (the factor of
-    # the T columns is x3 itself, with no product or division)
+    # the y1 row is read off the order-1 maps: x3 = x1*(1 + alpha*y1) +
+    # sigma(y1) is one product and x3^2, which stands for every T column
+    # there, is the other; no T column is built and the A2 columns past
+    # degree 1 are not built, so the split makes the same two Jet2 products
+    # at every order
     import cuspfol.gluing
     import cuspfol.jets
 
@@ -497,7 +497,7 @@ def test_y1_row_multiplies_no_vanishing_power(monkeypatch):
         code, out = run_cli("cohomology", CUSP, "--order", str(order))
         assert code == 1
         assert verdict_of(out) == "ObstructedDimensionOne"
-    assert per_split == [4, 4]
+    assert per_split == [2, 2]
 
 
 ROADMAP = "mero:(y^2+x^3+x^2*y)/(x*y+x^3)"

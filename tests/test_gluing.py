@@ -605,6 +605,29 @@ def test_sigma1_the_prime_cannot_see_falls_back(column_builds, first):
     assert column_builds == []
 
 
+def test_the_y1_recheck_stands_x3_squared_for_the_t_block(monkeypatch):
+    # every T column x3^(i+1) s2^j has i >= 1, so it is x3^2 times a jet and
+    # its y1 entry is zero at full order; the split re-checks the y1
+    # certificate on x3^2 at order 1 and the A2 columns of degree <= 1, so
+    # an A2 key list that holds y1 itself makes that re-check fail
+    import cuspfol.gluing
+
+    rng = random.Random(0x82)
+    for n in range(3, 17):
+        sig = seeded_sigma(rng, n, n % 2 == 0)
+        alpha0 = gaussian_coeff(rng)
+        cols, labels, _ = _coboundary_columns(sig, alpha0, n)
+        t_cols = [col for col, label in zip(cols, labels) if label[0] == "T"]
+        assert len(t_cols) == len(_t_keys(n))
+        assert all(col.coeff(0, 1).is_zero() for col in t_cols), n
+        res = coboundary_solve(sig, alpha0, ks_generator(n), order=n)
+        assert not res.feasible and res.certificate_checked is True
+        with monkeypatch.context() as m:
+            m.setattr(cuspfol.gluing, "_a2_keys", lambda order: _a2_keys(order) + [(0, 1)])
+            res = coboundary_solve(sig, alpha0, ks_generator(n), order=n)
+        assert not res.feasible and res.certificate_checked is False, n
+
+
 def binomial_block(d):
     """B_d = [C(i+1, p)]: the rows p = 0..(d-1)//3 of the free rows of degree
     d against the T monomials x^i y^j of valuation i + j + 1 = d, i falling

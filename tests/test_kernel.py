@@ -188,19 +188,11 @@ class TestJet2Mul:
             out = jet2_mul(da, db, n)
             assert list(out) == [k for k in first_products(da, db, n) if k in out]
 
-    def test_a_one_term_operand_is_a_key_shift(self, monkeypatch):
+    def test_a_one_term_operand_is_a_key_shift(self):
         # the x*y of a quotient's denominator or the x of a parser product
-        # x*(...): an operand of one term multiplies by a key shift and a
-        # scalar copy, in either order, with no convolution; the product and
-        # its key order are the oracle's
-        calls = []
-        convolve = _backend._convolve
-
-        def counting_convolve(*args):
-            calls.append(None)
-            return convolve(*args)
-
-        monkeypatch.setattr(_backend, "_convolve", counting_convolve)
+        # x*(...): a product with an operand of one term, in either order,
+        # is the other operand scaled and shifted by that term's key; the
+        # product and its key order are the oracle's
         rng = random.Random(9)
         for _, db, n in jet2_cases(9):
             i = rng.randint(0, n)
@@ -211,7 +203,6 @@ class TestJet2Mul:
                 pb = {k: pair(t) for k, t in db.items() if t != QZERO}
                 assert {k: pair(t) for k, t in out.items()} == oracles.p2_mul(pa, pb, n)
                 assert list(out) == [k for k in first_products(da, db, n) if k in out]
-        assert calls == []
 
     def test_cancelling_sums_store_no_key(self):
         # (x + y)(x - y) = x^2 - y^2: the xy terms cancel
@@ -605,6 +596,81 @@ def test_form_numerators_on_one_sided_forms(monkeypatch):
     routes.clear()
     check(rand_part(rng, n, mixed), rand_part(rng, n, mixed), [swap, shear])
     assert [(copied, banded) for copied, banded, _ in routes] == [(0, 0), (0, 0)]
+
+
+def test_one_term_operands_of_a_substitution(monkeypatch):
+    """A band of one row, a Horner accumulator of one term and a one-term p
+    or q go through the loops that take longer operands: ``_convolve_form``
+    for the bands and the Horner steps, ``_convolve`` for the powers of p
+    and q.  Seeded substitutions (``jet2_substitute``) and pullbacks
+    (``FormNumerators``) that reach each of them agree with
+    ``oracles.p2_substitute`` and ``oracles.p2_pullback``, and each case is
+    reached."""
+    rng = random.Random("one-term")
+    n = 12
+    mixed = DENOMS["mixed"]
+    seen = set()
+    route, form_loop = _backend._route, _backend._convolve_form
+
+    def recording_route(acc, dx, dy, n):
+        out, bands, groups = route(acc, dx, dy, n)
+        if any(len(rows) == 1 for rows in bands.values()):
+            seen.add("one-row band")
+        for name, f, linear, side in (("p", dx, (1, 0), 0), ("q", dy, (0, 1), 1)):
+            tail = [key for key in f if key != linear and sum(key) <= n]
+            if len(tail) == 1 and any(band[side] for band in bands):
+                seen.add(f"one-term {name}")
+        return out, bands, groups
+
+    def recording_form_loop(ta, tb, end, acc):
+        if not isinstance(ta, list) and len(ta) == 1:  # a Horner accumulator
+            seen.add("one-term Horner accumulator")
+        return form_loop(ta, tb, end, acc)
+
+    monkeypatch.setattr(_backend, "_route", recording_route)
+    monkeypatch.setattr(_backend, "_convolve_form", recording_form_loop)
+
+    def pairs(d):
+        return {k: pair(t) for k, t in d.items() if t[0] or t[1]}
+
+    def check(a, b, fx, fy):
+        want = oracles.p2_substitute(pairs(a), pairs(fx), pairs(fy), n)
+        assert pairs(_backend.jet2_substitute(a, fx, fy, n)) == want
+        form = _backend.FormNumerators(a, b, n)
+        form.pullback(fx, fy)
+        want = oracles.p2_pullback(pairs(a), pairs(b), pairs(fx), pairs(fy), n)
+        assert tuple(pairs(part) for part in form.triples()) == want
+
+    def one_term(v):
+        """x + p with p one seeded monomial of degree v, and a term of degree
+        n + 1 that only the Jacobian reads."""
+        i = rng.randint(0, v)
+        return {(1, 0): QONE, (i, v - i): rand_triple(rng, mixed, zero=0),
+                (n + 1, 0): rand_triple(rng, mixed, zero=0)}
+
+    def swapped(f):
+        return {(j, i): t for (i, j), t in f.items()}
+
+    # one-term p, q or both, of valuation 2 and 3, on dense forms
+    for v in (2, 3):
+        p, q = one_term(v), swapped(one_term(v))
+        for fx, fy in ((p, q), near_identity(rng, n, v, mixed)[:1] + (q,),
+                       (p, near_identity(rng, n, v, mixed)[1])):
+            check(rand_part(rng, n, mixed), rand_part(rng, n, mixed), fx, fy)
+    # at valuation 3 a monomial of degree 7..10 is in a band: a form with one
+    # such monomial has one row in each band it reaches, beside monomials
+    # left to Horner's rule (degree <= 6) and copied (degree 11, 12)
+    keys = [(i, e - i) for e in (*range(7), 11, 12) for i in range(e + 1)]
+    for lone in ((5, 4), (0, 7), (8, 2)):
+        a = rand_part(rng, n, mixed, keys + [lone])
+        check(a, rand_part(rng, n, mixed, keys), *near_identity(rng, n, 3, mixed))
+    # a generic change: the top Horner group x^4 holds one row, so the
+    # accumulator the next step multiplies by FX is one term
+    keys = [(4, 0)] + [(i, e - i) for e in range(n + 1) for i in range(min(e, 3) + 1)]
+    fx = {(1, 0): qnorm(2, 1, 3), (0, 1): qnorm(-1, 0, 2), (1, 1): qnorm(5, 0, 7)}
+    fy = {(1, 0): qnorm(0, 1, 5), (0, 1): qnorm(3, -2, 1), (2, 0): qnorm(1, 1, 2)}
+    check(rand_part(rng, n, mixed, keys), rand_part(rng, n, mixed, keys[1:]), fx, fy)
+    assert seen == {"one-row band", "one-term p", "one-term q", "one-term Horner accumulator"}
 
 
 # ---------------------------------------------------------------------------

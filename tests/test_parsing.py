@@ -106,6 +106,16 @@ def expr_value(text, order=64):
     return num, den
 
 
+def _past_order(what, degree):
+    return (
+        f"the {what} has a degree-{degree} monomial; raise --order (currently 8) to keep "
+        "the computation exact"
+    )
+
+
+_BITS = "the power's coefficient may need 199998 bits; at most 65536 are allowed"
+
+
 # (text, the canonical print of its value at order 8, or the bare message,
 # line and column of its error), pinned so that the precedence loop keeps
 # how signs, powers and the '*' of a term bind
@@ -175,6 +185,33 @@ UNARY_AND_PRECEDENCE = [
                  ("parentheses nest deeper than 200", 1, 201), id="literal-at-depth-201"),
     pytest.param("(" * 200 + "x*(3)" + ")" * 200 + " dx",
                  ("parentheses nest deeper than 200", 1, 203), id="factor-at-depth-201"),
+    # a '^' after a one-term value (a parenthesized variable, the unit i, a
+    # product) takes the path of every other power: its value, its
+    # bit-budget refusal and the degree refusal at the end of its term
+    ("(x)^5 dx", "(x^5) dx"),
+    ("(y)^0*x dy", "(x) dy"),
+    ("((x))^3*y dx", "(x^3*y) dx"),
+    ("(x)^9 dx", (_past_order("dx coefficient", 9), 1, 1)),
+    ("(x)^99999 dx", (_past_order("dx coefficient", 99999), 1, 1)),
+    ("x^99999 dx", (_past_order("dx coefficient", 99999), 1, 1)),
+    ("y^99999 dy", (_past_order("dy coefficient", 99999), 1, 1)),
+    ("x^99999*0 dx", "0 dx"),
+    ("(x)^99999 - (x)^99999 dx", "0 dx"),
+    ("i^2 dx", "(-1) dx"),
+    ("i^3*y dx", "(-i*y) dx"),
+    ("i^0 dx", "(1) dx"),
+    ("i^99999*x dx", "(-i*x) dx"),
+    ("-i^2 dx", "(1) dx"),
+    ("(i)^5 dx", "(i) dx"),
+    ("(2*x)^3 dx", "(8*x^3) dx"),
+    ("(3*x)^99999 dx", (_BITS, 1, 6)),
+    ("(x/3)^99999 dy", (_BITS, 1, 6)),
+    ("x^99999/x^99999 dx", (parsing._NOT_POLYNOMIAL, 1, 1)),
+    ("mero: (x)^3/(y)", "mero: (x^3) / (y)"),
+    ("mero: x^99999/y", (_past_order("numerator", 99999), 1, 7)),
+    ("mero: y/(x)^99999", (_past_order("denominator", 99999), 1, 7)),
+    ("mero: i^7*x/(x+y)", "mero: (-i*x) / (y + x)"),
+    ("mero: (3*x)^99999/y", (_BITS, 1, 12)),
 ]
 
 
