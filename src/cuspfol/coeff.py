@@ -31,13 +31,8 @@ class Coeff:
     __slots__ = ("_t",)
 
     def __init__(self, re=0, im=0):
-        if isinstance(re, Coeff):
-            t = re._t
-            if im:
-                t = qadd(t, _to_triple(0, im))
-            object.__setattr__(self, "_t", t)
-        else:
-            object.__setattr__(self, "_t", _to_triple(re, im))
+        t = re._t if isinstance(re, Coeff) and not im else _to_triple(re, im)
+        object.__setattr__(self, "_t", t)
 
     @classmethod
     def from_triple(cls, t) -> "Coeff":

@@ -48,7 +48,10 @@ columns evaluate them at distinct points i+1, never fewer than the r rows;
 so when s != 0 every G_d has full row rank and the ranks sum to rows - 1.
 The y1 row is zero in every T column, which caps the rank at rows - 1 and is
 the certificate.  A target with no y1 term is solved exactly on the whole
-block.
+block, its T columns built as plain powers of x3 and sigma(y1).  Every
+infeasibility certificate is checked again on the full system's rows, and a
+certificate that fails that check raises ``AssertionError``, which the CLI
+reports as an internal error.
 """
 
 from __future__ import annotations
@@ -171,21 +174,22 @@ def model_automorphism(h: Homography, model, leading=None, order=DEFAULT_ORDER) 
     """The automorphism of the model induced by a homography of the base.
 
     On "F1" the coefficient is (a+b*y)/((a+b*x)^2), pinned by the diagonal
-    condition A(x,x) = h(x)/x.  On "F2" it is c*(a+b*y)^2 where the scale c
-    is free (the homothety direction); ``leading`` selects A(0,0), default
-    1/h'(0).  Regularity on the second chart is asserted by transporting
+    condition A(x,x) = h(x)/x; its divisor is a series in x alone, so it is
+    a product by the one-variable reciprocal :meth:`Jet1.reciprocal`.  On
+    "F2" it is c*(a+b*y)^2 where the scale c is free (the homothety
+    direction); ``leading`` selects A(0,0), default 1/h'(0).  Regularity on the second chart is asserted by transporting
     the second component through the model transition.
     """
     model = Model(model)
     a, b = _homography_params(h)
     lin_y = Jet2({(0, 0): a, (0, 1): b}, order)  # a + b*y
-    lin_x = Jet2({(0, 0): a, (1, 0): b}, order)  # a + b*x
     if model is Model.F1:
         if leading is not None:
             raise ValueError(
                 "the diagonal condition pins the scale on the first model"
             )
-        A = lin_y.div(lin_x * lin_x)
+        lin_x = Jet1((a, b), order)  # a + b*x
+        A = lin_y * Jet2.from_jet1((lin_x * lin_x).reciprocal(), "x")
         phi = ModelAutomorphism(model, h, A)
         _check_f1_regularity(phi, a, b)
         return phi
@@ -288,31 +292,22 @@ def _t_keys(n):
 
 
 def _a2_keys(n):
-    """The A2 monomials of the order-n split: those that extend to the
-    second chart of "F2", in the order of :func:`_row_keys`.
-
-    x^p y^q goes to x2^(2p-q) y2^p, so it extends exactly when 2p >= q, that
-    is 3p >= d on degree d = p + q: read off the exponents, p from d down
-    to ceil(d/3)."""
-    return [(p, d - p) for d in range(n + 1) for p in range(d, (d + 2) // 3 - 1, -1)]
+    """The A2 monomials of the order-n split: the rows of
+    :func:`_row_keys` that extend to the second chart of "F2"
+    (:meth:`ModelTransition.is_global_monomial`), in that order."""
+    f2 = ModelTransition(Model.F2)
+    return [key for key in _row_keys(n) if f2.is_global_monomial(*key)]
 
 
 def _t_columns(maps, n):
     """x3^(i+1) * s2^j for every T monomial x^i y^j of the order-n split,
-    from ``maps`` = (x3, s2) and at their order.
-
-    The solver reads a T column only on the rows x1^p y1^q that are not
-    F2-admissible (q > 2p), and those have p <= (n-1)//3; so the powers of
-    x3 and the columns are built modulo x1^((n-1)//3 + 1), which leaves
-    every row the solver reads exact.
-    """
-    top = (n - 1) // 3
+    from ``maps`` = (x3, s2) and at their order: plain powers, exact on
+    every row."""
     x3, s2 = maps
-    x3 = x3.drop_x_above(top)
     xpow = [x3]
     ypow = [Jet2.one(s2.order)]
     for _ in range(n - 1):
-        xpow.append((xpow[-1] * x3).drop_x_above(top))
+        xpow.append(xpow[-1] * x3)
         ypow.append(ypow[-1] * s2)
     return [xpow[i] * ypow[j] for i, j in _t_keys(n)]
 
@@ -387,15 +382,17 @@ def _infeasible(cert, rank, cols, goal, n) -> CoboundaryResult:
     weight), checked again on the columns ``cols``: every T and every A2
     column of the full system, or columns that stand for them on the
     certificate's rows.  Only the certificate's own rows enter y^T A and
-    y^T b, so only they are read from ``cols``."""
+    y^T b, so only they are read from ``cols``.  A certificate that fails
+    the re-check is a fault of the split and raises ``AssertionError``."""
     cert_rows = [key for key, _ in cert]
     full = SolveResult(
         False, rank, certificate=[(k, w) for k, (_, w) in enumerate(cert)]
     )
-    checked = full.check_certificate(
+    if not full.check_certificate(
         _rows_on(cert_rows, cols), [goal.get(key, QZERO) for key in cert_rows]
-    )
-    return CoboundaryResult(False, n, rank, certificate=cert, certificate_checked=checked)
+    ):
+        raise AssertionError("coboundary split certificate failed its re-check")
+    return CoboundaryResult(False, n, rank, certificate=cert, certificate_checked=True)
 
 
 def _solve_coboundary(sigma: GermDiff1, alpha, target: Jet2, order) -> CoboundaryResult:
@@ -420,9 +417,10 @@ def _solve_coboundary(sigma: GermDiff1, alpha, target: Jet2, order) -> Coboundar
     stands for the whole T block there.  No T column is built then, and
     neither are the rows outside the admissible ones: the rank rows - 1 is
     read off rows = (n + 1)(n + 2)/2.  A target with a zero y1 coefficient
-    lists those rows and solves the block exactly; an infeasible one has its
-    certificate checked again, and a feasible one reads A2 off as the
-    remainder.
+    lists those rows and solves the block exactly, on the T columns of
+    :func:`_t_columns`; an infeasible one has its certificate checked again,
+    and a feasible one reads A2 off as the remainder.  A certificate that
+    fails its re-check raises ``AssertionError`` (:func:`_infeasible`).
     """
     n = order
     goal = dict(target.triple_items())

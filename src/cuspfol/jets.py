@@ -3,11 +3,13 @@
 A jet of order N stores exact coefficients for all monomials of total degree
 <= N; higher-order terms are unknown, not zero.  Jets are immutable values:
 arithmetic returns new objects and truncates to the minimum of the operand
-orders.  Substitution works at the minimum of the orders of its inputs and
-division needs a unit divisor.  A monomial change is
-:meth:`Jet2.exponent_map`.  Products are the kernel's ``jet1_mul`` and
-``jet2_mul``, and the series reversion :meth:`Jet1.comp_inverse` takes
-its powers with ``jet1_mul``.
+orders.  Substitution works at the minimum of the orders of its inputs.
+Division is :class:`Jet1`'s only, by a unit, through the kernel's
+``jet1_reciprocal``; a two-variable quotient whose divisor is a series in
+one variable is a product by that reciprocal embedded with
+:meth:`Jet2.from_jet1`.  A monomial change is :meth:`Jet2.exponent_map`.
+Products are the kernel's ``jet1_mul`` and ``jet2_mul``, and the series
+reversion :meth:`Jet1.comp_inverse` takes its powers with ``jet1_mul``.
 
 Internally coefficients are the kernel triples (a, b, d) ~ (a+b*i)/d; the
 public surface deals in :class:`~cuspfol.coeff.Coeff`.
@@ -26,7 +28,6 @@ from ._backend import (
     jet2_mul,
     jet2_substitute,
     qadd,
-    qinv,
     qiszero,
     qmul,
     qneg,
@@ -366,15 +367,6 @@ class Jet2(_Jet):
             return self.truncate(order)
         return Jet2._raw(dict(self._d), order)
 
-    def drop_x_above(self, k) -> "Jet2":
-        """The jet modulo x^(k+1): every monomial of x-degree above k dropped.
-
-        Reduction modulo x^(k+1) is a ring map, so a product of cut jets,
-        cut again, is the cut of the full product.
-        """
-        d = {key: t for key, t in self._d.items() if key[0] <= k}
-        return Jet2._raw(d, self._n)
-
     def exponent_map(self, image, order) -> "Jet2":
         """Move each monomial c x^i y^j to c x^k y^l, (k, l) = image(i, j).
 
@@ -482,13 +474,6 @@ class Jet2(_Jet):
     def swap_variables(self) -> "Jet2":
         return Jet2._raw({(j, i): t for (i, j), t in self._d.items()}, self._n)
 
-    def div(self, other: "Jet2") -> "Jet2":
-        """Series division by a unit (see :meth:`Jet1.div`)."""
-        if not isinstance(other, Jet2):
-            raise JetError("div expects a Jet2")
-        n = min(self._n, other._n)
-        return self.truncate(n) * _jet2_reciprocal(other.truncate(n))
-
     def __eq__(self, other):
         if not isinstance(other, Jet2):
             return NotImplemented
@@ -509,26 +494,6 @@ def _monokey(item):
 def _check_targets(fx: Jet2, fy: Jet2):
     if (0, 0) in fx._d or (0, 0) in fy._d:
         raise JetError("substitution target must vanish at the origin")
-
-
-def _jet2_reciprocal(b: Jet2) -> Jet2:
-    n = b.order
-    c0 = b._d.get((0, 0))
-    if c0 is None:
-        raise JetError("reciprocal needs a unit (nonzero constant term)")
-    inv0 = qinv(c0)
-    rest = Jet2._raw({k: t for k, t in b._d.items() if k != (0, 0)}, n)
-    # 1/(c0 + r) = (1/c0) * sum_k (-r/c0)^k, degree-filtered by valuation.
-    term = Jet2.one(n)
-    acc = Jet2.one(n)
-    step = rest * Coeff.from_triple(qneg(inv0))
-    v = step.valuation() or (n + 1)
-    k = 1
-    while k * v <= n:
-        term = term * step
-        acc = acc + term
-        k += 1
-    return acc * Coeff.from_triple(inv0)
 
 
 def _fmt_coeff_factor(t):

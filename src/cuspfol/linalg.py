@@ -45,12 +45,8 @@ class SolveResult:
         self.certificate = certificate
 
     def check_certificate(self, rows, rhs) -> bool:
-        """Re-verify  y^T A = 0, y^T b != 0  against the original system.
-
-        A zero entry of A adds nothing to a column's sum, so only the
-        nonzero entries of the certificate's rows are multiplied and added:
-        the sums, and the verdict, are those of the full products.
-        """
+        """Re-verify  y^T A = 0, y^T b != 0  against the original system:
+        every entry of the certificate's rows is multiplied and added."""
         if self.certificate is None:
             return False
         ncols = len(rows[0]) if rows else 0
@@ -60,8 +56,7 @@ class SolveResult:
         for idx, c in self.certificate:
             ct = c.triple
             for m, t in enumerate(_triples(rows[idx])):
-                if t[0] or t[1]:
-                    comb[m] = qadd(comb[m], qmul(ct, t))
+                comb[m] = qadd(comb[m], qmul(ct, t))
             acc_b = qadd(acc_b, qmul(ct, b[idx]))
         return all(qiszero(t) for t in comb) and not qiszero(acc_b)
 

@@ -19,8 +19,9 @@ H(u, 0) = u, and swaps the result back.  The first factor is then the
 identity and sigma is H(u, 0), read off the u-axis with no series
 reversion.  The reversion (:meth:`cuspfol.jets.Jet1.comp_inverse`,
 Lagrange inversion over kernel products) is left to
-:func:`sigma_of_integral` on an integral not normalized on D1 and to
-:meth:`cuspfol.moduli.GermDiff1.inverse`, which the cocycle round trip of
+:func:`sigma_of_integral` on an integral not normalized on D1, where g2^{-1}
+is always composed with g1 (with g1 = z too: that composition is exact), and
+to :meth:`cuspfol.moduli.GermDiff1.inverse`, which the cocycle round trip of
 acceptance criterion 10 runs.
 
 The degree recurrence for H runs in the kernel, on Gaussian-integer
@@ -136,23 +137,19 @@ def sigma_of_integral(h: Jet2) -> GermDiff1:
     series phi(H) leaves the composition unchanged.  When g2 is the
     identity, as for the integral normalized on D1 that
     :func:`transversal_structure` passes, sigma is g1 itself and no
-    reversion is taken.  When g1 is the identity, as for the integral
+    reversion is taken.  Any other H goes through the reversion and the
+    composition; for g1 the identity, as for the integral
     :func:`regular_first_integral` returns (normalized by H(u, 0) = u),
-    sigma is g2^{-1} itself and no composition is taken.  Any other H goes
-    through the reversion and the composition.
+    composing with z is exact and gives g2^{-1}.
     """
     g1 = h.restrict_to_axis("x")
     g2 = h.restrict_to_axis("y")
     for g in (g1, g2):
         if not g.coeff(0).is_zero() or g.coeff(1).is_zero():
             raise ValueError("integral is not transverse-normalized on the axes")
-    identity = Jet1.variable(h.order)
-    if g2 == identity:
+    if g2 == Jet1.variable(h.order):
         return GermDiff1(g1)
-    inverse = g2.comp_inverse()
-    if g1 == identity:
-        return GermDiff1(inverse)
-    return GermDiff1(inverse.compose(g1))
+    return GermDiff1(g2.comp_inverse().compose(g1))
 
 
 def transversal_structure(c: CornerGerm, order=None) -> GermDiff1:

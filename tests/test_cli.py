@@ -377,6 +377,19 @@ def test_failed_reduction_recheck_exits_internal(monkeypatch):
     assert "error: AssertionError: the first blow-up" in out
 
 
+def test_failed_certificate_recheck_exits_internal(monkeypatch):
+    # a certificate that fails its re-check is a fault of the library, not
+    # an Obstructed verdict with an unchecked certificate
+    monkeypatch.setattr(cuspfol.linalg.SolveResult, "check_certificate", lambda *a: False)
+    code, out = run_cli("cohomology", CUSP)
+    assert code == 4
+    assert verdict_of(out) == "InternalError"
+    assert "error: AssertionError: coboundary split certificate failed its re-check" in out
+    code, out = run_cli("cohomology", CUSP, "--json")
+    assert code == 4
+    assert json.loads(out)["verdict"] == "InternalError"
+
+
 def test_first_integral_search():
     code, out = run_cli("first-integral", CUSP, "--order", "10", "--degree", "3")
     assert code == 0

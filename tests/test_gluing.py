@@ -197,6 +197,22 @@ def test_automorphism_taylor_random():
         assert phi2.A.coeff(0, 1) == Coeff(2) * mu * phi2.A.coeff(0, 0)
 
 
+def test_first_model_coefficient_times_the_square_is_the_numerator():
+    # A = (a+b*y)/(a+b*x)^2 with h(z) = z/(a+b*z): A times (a+b*x)^2 is
+    # a+b*y exactly, at every monomial of the jet, for Gaussian lam and mu
+    # with denominators
+    rng = random.Random(0x83)
+    for n in range(4, 17):
+        for _ in range(3):
+            lam = gaussian_coeff(rng, nonzero=True)
+            mu = gaussian_coeff(rng, nonzero=True)
+            a, b = 1 / lam, mu / lam
+            A = model_automorphism(Homography(lam, mu), Model.F1, order=n).A
+            lin_x = Jet2({(0, 0): a, (1, 0): b}, n)
+            assert A.order == n
+            assert A * lin_x * lin_x == Jet2({(0, 0): a, (0, 1): b}, n), n
+
+
 def test_model_homothety():
     # (x, y) -> (eps*x, eps*y): h = eps*z, with A(0,0) = eps on the F2 side
     n = 8
@@ -365,14 +381,6 @@ def _split_ranks(sig, alpha0, n):
     return matrix_rank(rows), matrix_rank(aug)
 
 
-def test_a2_keys_are_read_off_the_exponents():
-    # x^p y^q extends to the second chart of "F2" exactly when 2p >= q: the
-    # exponent rule lists the same keys as the transition, in row order
-    f2 = ModelTransition(Model.F2)
-    for n in range(49):
-        assert _a2_keys(n) == [key for key in _row_keys(n) if f2.is_global_monomial(*key)]
-
-
 def test_cohomology_corank_one():
     sig = germ([Coeff(1), Coeff(1)], 8)
     for n in range(3, 9):
@@ -413,9 +421,9 @@ def test_reduced_split_agrees_with_the_full_matrix():
 
 
 def test_t_columns_are_exact_on_the_rows_the_solver_reads():
-    # the T columns are built modulo x1^((n-1)//3 + 1); on every row
-    # x1^p y1^q that is not F2-admissible (q > 2p) they must equal the
-    # full-order columns factor * x3^i * sigma(y1)^j
+    # the T columns are plain powers x3^(i+1) * s2^j at order n: on every row
+    # x1^p y1^q of degree <= n they equal the oracle's full-order columns
+    # factor * x3^i * sigma(y1)^j
     rng = random.Random(0x7C)
     questions = [(rand_germ(n, rng), rand_coeff(rng=rng), n) for n in range(3, 13)]
     w = _as_oneform(README_MERO, 16)
@@ -425,14 +433,14 @@ def test_t_columns_are_exact_on_the_rows_the_solver_reads():
             oracles.jet1_pairs(sig.jet), oracles.pair_of_coeff(alpha0), n
         )
         cols, labels, _ = _coboundary_columns(sig, alpha0, n)
-        read = [(p, q) for (p, q) in _row_keys(n) if q > 2 * p]
         t_cols = {(i, j): col for col, (kind, i, j) in zip(cols, labels) if kind == "T"}
         assert list(t_cols) == list(full)
         for key, col in t_cols.items():
+            assert col.order == n
             got = oracles.jet2_pairs(col)
             want = full[key]
-            assert [got.get(row, oracles.ZERO) for row in read] == [
-                want.get(row, oracles.ZERO) for row in read
+            assert [got.get(row, oracles.ZERO) for row in _row_keys(n)] == [
+                want.get(row, oracles.ZERO) for row in _row_keys(n)
             ], (n, key)
 
 
@@ -609,7 +617,8 @@ def test_the_y1_recheck_stands_x3_squared_for_the_t_block(monkeypatch):
     # every T column x3^(i+1) s2^j has i >= 1, so it is x3^2 times a jet and
     # its y1 entry is zero at full order; the split re-checks the y1
     # certificate on x3^2 at order 1 and the A2 columns of degree <= 1, so
-    # an A2 key list that holds y1 itself makes that re-check fail
+    # an A2 key list that holds y1 itself makes that re-check fail, and a
+    # failed re-check raises
     import cuspfol.gluing
 
     rng = random.Random(0x82)
@@ -624,8 +633,8 @@ def test_the_y1_recheck_stands_x3_squared_for_the_t_block(monkeypatch):
         assert not res.feasible and res.certificate_checked is True
         with monkeypatch.context() as m:
             m.setattr(cuspfol.gluing, "_a2_keys", lambda order: _a2_keys(order) + [(0, 1)])
-            res = coboundary_solve(sig, alpha0, ks_generator(n), order=n)
-        assert not res.feasible and res.certificate_checked is False, n
+            with pytest.raises(AssertionError, match="failed its re-check"):
+                coboundary_solve(sig, alpha0, ks_generator(n), order=n)
 
 
 def binomial_block(d):

@@ -363,33 +363,6 @@ class TestJet2:
                 assert g.order == low
                 assert dict(g.items()) == {k: c for k, c in f.items() if sum(k) <= low}
 
-    def test_exact_division_examples(self):
-        """Division is by units only: exact quotients by non-units raise too."""
-        x = Jet2.var_x(8)
-        y = Jet2.var_y(8)
-        for num, den in (
-            (x * x - y * y, x - y),
-            (x * y * -2, y),
-            (x + 1, Jet2.zero(8)),
-        ):
-            with pytest.raises(JetError):
-                num.div(den)
-
-    def test_exact_division_remainder_raises(self):
-        x = Jet2.var_x(6)
-        y = Jet2.var_y(6)
-        with pytest.raises(JetError):
-            (x * x + y).div(y)
-
-    def test_unit_division_roundtrip(self):
-        rng = random.Random(29)
-        for _ in range(10):
-            b = rand_jet2(rng, 6)
-            if b.coeff(0, 0).is_zero():
-                b = b + 1
-            a = rand_jet2(rng, 6)
-            assert (a.div(b) * b - a).is_zero()
-
     def test_partials_commute(self):
         rng = random.Random(31)
         f = rand_jet2(rng, 8)

@@ -45,8 +45,8 @@ def test_infeasible_certificate():
 
 
 def test_certificate_recheck_on_a_matrix_with_zero_entries():
-    # the re-check multiplies only the nonzero entries of the certificate's
-    # rows; every column sum and the verdict are those of the full product
+    # the re-check multiplies every entry of the certificate's rows, zeros
+    # included, and reads the verdict off the column sums and y^T b
     q = lambda *v: [Coeff(x) for x in v]  # noqa: E731
     rows = [q(1, 0, 2, 0), q(2, 0, 4, 0), q(0, 3, 0, 0)]
     y = [(0, Coeff(2)), (1, Coeff(-1))]

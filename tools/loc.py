@@ -6,7 +6,8 @@ Run from anywhere, on the checkout that holds this file:
 
 With no argument it counts ``src/cuspfol`` and ``tests``.  For each
 directory it prints one line per ``*.py`` module, ``<lines> <path>``, and a
-total line ``<lines> <dir> total``.  A code line is a physical line that
+total line ``<lines> <dir> total``; a reader that closes the pipe early ends
+it quietly, with exit code 1.  A code line is a physical line that
 holds a token of the program: comments, blank lines and docstrings (the
 string that opens a module, class or function body) are not counted.
 
@@ -67,5 +68,18 @@ def main():
         print(f"{total:6d} {d} total")
 
 
+def run(entry):
+    """Call ``entry()``; a reader that closes the pipe early (``loc.py |
+    head``) ends it quietly, with exit code 1."""
+    try:
+        entry()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # as the Python docs advise: point stdout at devnull so the flush at
+        # exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+
+
 if __name__ == "__main__":
-    main()
+    run(main)
