@@ -212,8 +212,6 @@ def jet1_mul(ca, cb, n):
     if not ta:
         return out
     tb, db = _scaled(_nonzero1(cb, n))
-    if not tb:
-        return out
     re, im = _convolve1(ta, tb, n)
     den = da * db
     for s in range(n + 1):
@@ -464,8 +462,6 @@ def jet2_mul(da, db, n):
     product is formed.
     """
     ta, dena = _scaled(_terms(da, n))
-    if not ta:
-        return {}
     tb, denb = _scaled(_terms(db, n))
     pairs = [(k, (a, b)) for k, a, b, _ in ta]
     return _normalized(_convolve(pairs, tb, (n + 1) ** 2, {}), dena * denb, n)
@@ -667,8 +663,6 @@ def _substitute(acc, dx, dy, n):
     """
     m = n + 1
     out, bands, groups = _route(acc, dx, dy, n)
-    if not groups and not bands:
-        return out, 1
     tx, ex = _scaled(_terms(dx, n))
     ty, ey = _scaled(_terms(dy, n))
     top = {i: max(row)[0] for i, row in groups.items()}  # i -> its largest j

@@ -131,7 +131,9 @@ class Coeff:
         return self._t == t
 
     def __hash__(self):
-        return hash(self._t)
+        # a real value hashes as the Fraction (or int) it equals
+        a, b, d = self._t
+        return hash(self._t) if b else hash(Fraction(a, d))
 
     def __bool__(self):
         return not self.is_zero()

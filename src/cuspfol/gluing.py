@@ -47,11 +47,14 @@ polynomials C(X, p) with p < r are a basis of those of degree < r, and the
 columns evaluate them at distinct points i+1, never fewer than the r rows;
 so when s != 0 every G_d has full row rank and the ranks sum to rows - 1.
 The y1 row is zero in every T column, which caps the rank at rows - 1 and is
-the certificate.  A target with no y1 term is solved exactly on the whole
-block, its T columns built as plain powers of x3 and sigma(y1).  Every
-infeasibility certificate is checked again on the full system's rows, and a
-certificate that fails that check raises ``AssertionError``, which the CLI
-reports as an internal error.
+the certificate.  This rank lemma decides every split: the left kernel is
+spanned by the y1 row, so a target with no y1 term lies in the image, and
+elimination of the whole block, its T columns built as plain powers of x3
+and sigma(y1) (both read off ``build_cocycle``), only finds its split.  The
+certificate is checked again on the full system's y1 row.  A certificate
+that fails that check, or an elimination that finds a y1-free target
+infeasible, raises ``AssertionError``, which the CLI reports as an internal
+error.
 """
 
 from __future__ import annotations
@@ -131,16 +134,11 @@ class GluingCocycle:
         return first, s2
 
 
-def _unit(alpha, order) -> Jet2:
-    """The one-parameter gluing unit A = 1 + alpha*y1."""
-    return Jet2({(0, 0): 1, (0, 1): alpha}, order)
-
-
 def build_cocycle(sigma, alpha) -> GluingCocycle:
     """The one-parameter gluing shape A = 1 + alpha*y1."""
     if isinstance(sigma, Jet1):
         sigma = GermDiff1(sigma)
-    return GluingCocycle(sigma, _unit(alpha, sigma.jet.order))
+    return GluingCocycle(sigma, Jet2({(0, 0): 1, (0, 1): alpha}, sigma.jet.order))
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +161,6 @@ class ModelAutomorphism:
         )
 
 
-def _homography_params(h: Homography):
-    # h(z) = lam*z/(1+mu*z) rewritten as z/(a+b*z)
-    a = Coeff(1) / h.lam
-    b = h.mu / h.lam
-    return a, b
-
-
 def model_automorphism(h: Homography, model, leading=None, order=DEFAULT_ORDER) -> ModelAutomorphism:
     """The automorphism of the model induced by a homography of the base.
 
@@ -177,11 +168,13 @@ def model_automorphism(h: Homography, model, leading=None, order=DEFAULT_ORDER) 
     condition A(x,x) = h(x)/x; its divisor is a series in x alone, so it is
     a product by the one-variable reciprocal :meth:`Jet1.reciprocal`.  On
     "F2" it is c*(a+b*y)^2 where the scale c is free (the homothety
-    direction); ``leading`` selects A(0,0), default 1/h'(0).  Regularity on the second chart is asserted by transporting
-    the second component through the model transition.
+    direction); ``leading`` selects A(0,0), default 1/h'(0).  Regularity on
+    the second chart is asserted by transporting the second component of
+    :meth:`ModelAutomorphism.as_map` through the model transition.
     """
     model = Model(model)
-    a, b = _homography_params(h)
+    # h(z) = lam*z/(1+mu*z) rewritten as z/(a+b*z)
+    a, b = Coeff(1) / h.lam, h.mu / h.lam
     lin_y = Jet2({(0, 0): a, (0, 1): b}, order)  # a + b*y
     if model is Model.F1:
         if leading is not None:
@@ -191,7 +184,7 @@ def model_automorphism(h: Homography, model, leading=None, order=DEFAULT_ORDER) 
         lin_x = Jet1((a, b), order)  # a + b*x
         A = lin_y * Jet2.from_jet1((lin_x * lin_x).reciprocal(), "x")
         phi = ModelAutomorphism(model, h, A)
-        _check_f1_regularity(phi, a, b)
+        _check_f1_regularity(phi)
         return phi
     lead = a if leading is None else Coeff(leading)
     if lead.is_zero():
@@ -203,17 +196,15 @@ def model_automorphism(h: Homography, model, leading=None, order=DEFAULT_ORDER) 
     return phi
 
 
-def _check_f1_regularity(phi: ModelAutomorphism, a, b):
-    n = phi.A.order
-    x = Jet2.var_x(n)
-    hy = Jet2.from_jet1(phi.h.to_jet(n), "y")
+def _check_f1_regularity(phi: ModelAutomorphism):
+    fx, hy = phi.as_map()
     # second-chart second component: h(y) * x * A(x,y) must be global
-    rep = globality_check(hy * x * phi.A, Model.F1)
+    rep = globality_check(hy * fx, Model.F1)
     if not rep:
         raise AssertionError(f"first-model automorphism not global: {rep.violations}")
     # diagonal condition A(x,x) = h(x)/x, i.e. x*A(x,x) = h(x)
-    diag = (x * phi.A.substitute(x, x)).restrict_to_axis("x")
-    if diag != phi.h.to_jet(n):
+    x = Jet2.var_x(fx.order)
+    if fx.substitute(x, x).restrict_to_axis("x") != phi.h.to_jet(fx.order):
         raise AssertionError("diagonal condition failed for first-model automorphism")
     # Taylor data tied to h: r = h''(0), s = -h''(0)/2
     hpp = Coeff(-2) * phi.h.lam * phi.h.mu
@@ -222,10 +213,8 @@ def _check_f1_regularity(phi: ModelAutomorphism, a, b):
 
 
 def _check_f2_regularity(phi: ModelAutomorphism):
-    n = phi.A.order
-    x = Jet2.var_x(n)
-    hy = Jet2.from_jet1(phi.h.to_jet(n), "y")
-    rep = globality_check(hy * hy * x * phi.A, Model.F2)
+    fx, hy = phi.as_map()
+    rep = globality_check(hy * hy * fx, Model.F2)
     if not rep:
         raise AssertionError(f"second-model automorphism not global: {rep.violations}")
     # u = A_y(0,0) relates to h''(0)/h'(0) = -2*mu scaled by the leading term
@@ -278,14 +267,6 @@ def _row_keys(order):
     return [(p, d - p) for d in range(order + 1) for p in range(d, -1, -1)]
 
 
-def _split_maps(sigma: GermDiff1, alpha, order):
-    """x3 o psi = x1*(1 + alpha*y1) + sigma(y1) and y3 o psi = sigma(y1), to
-    the given order: at a lower order exactly the truncations of the
-    full-order maps."""
-    s2 = Jet2.from_jet1(sigma.jet.truncate(order), "y")
-    return Jet2.var_x(order) * _unit(alpha, order) + s2, s2
-
-
 def _t_keys(n):
     """The T monomials x^i y^j of the order-n split: i > j, degree < n."""
     return [(i, j) for (i, j) in _row_keys(n - 1) if i > j]
@@ -310,28 +291,6 @@ def _t_columns(maps, n):
         xpow.append(xpow[-1] * x3)
         ypow.append(ypow[-1] * s2)
     return [xpow[i] * ypow[j] for i, j in _t_keys(n)]
-
-
-def _coboundary_columns(sigma: GermDiff1, alpha, order):
-    """Column functions of the split equation, indexed by unknown labels.
-
-    The transported first-model field (x3-y3)*T*x3*d/dx3 contributes, for
-    each admissible monomial x^i y^j of T (i > j, degree < order), the
-    function (A0*x3/J) * (x3 o psi)^i * (y3 o psi)^j with J = A0 +
-    x1*dA0/dx1.  The gluing unit A0 = 1 + alpha*y1 does not depend on x1,
-    so J = A0 and the factor is x3 o psi: the column is
-    (x3 o psi)^(i+1) * (y3 o psi)^j (built as :func:`_t_columns` says).  A
-    second-model monomial (i,j) of A2, one that extends to the second chart
-    of "F2", contributes -x1^i y1^j.  The T columns come first, in the
-    order of :func:`_t_keys`.  Also returns the jets x3 o psi and y3 o psi,
-    at full order, for the re-check and the remainder.
-    """
-    n = order
-    maps = _split_maps(sigma, alpha, n)
-    a2_keys = _a2_keys(n)
-    cols = _t_columns(maps, n) + [Jet2.monomial(i, j, -1, n) for i, j in a2_keys]
-    labels = [("T", *key) for key in _t_keys(n)] + [("A2", *key) for key in a2_keys]
-    return cols, labels, maps
 
 
 class CoboundaryResult:
@@ -408,19 +367,21 @@ def _solve_coboundary(sigma: GermDiff1, alpha, target: Jet2, order) -> Coboundar
     is zero in the block and caps its rank at rows - 1.  ``GermDiff1``
     refuses s = sigma'(0) = 0, so the diagonal blocks G_d of the block have
     full row rank (see the module docstring), the rank is rows - 1 and
-    the left kernel is spanned by the y1 row: a target with a nonzero y1
-    coefficient is infeasible with the y1 row as its certificate, checked
-    again on the full system's y1 row, which the columns' parts of degree
-    <= 1 give exactly.  Every T column x3^(i+1) s2^j has i >= 1, so it is
-    x3^2 times a jet, and truncation is a ring map: its part of degree <= 1
-    is zero whenever that of x3^2 is, so the one column x3^2, at order 1,
-    stands for the whole T block there.  No T column is built then, and
-    neither are the rows outside the admissible ones: the rank rows - 1 is
-    read off rows = (n + 1)(n + 2)/2.  A target with a zero y1 coefficient
-    lists those rows and solves the block exactly, on the T columns of
-    :func:`_t_columns`; an infeasible one has its certificate checked again,
-    and a feasible one reads A2 off as the remainder.  A certificate that
-    fails its re-check raises ``AssertionError`` (:func:`_infeasible`).
+    the left kernel is spanned by the y1 row.  That rank lemma decides
+    every split.  A target with a nonzero y1 coefficient is infeasible with
+    the y1 row as its certificate, checked again on the full system's y1
+    row, which the columns' parts of degree <= 1 give exactly.  Every T
+    column x3^(i+1) s2^j has i >= 1, so it is x3^2 times a jet, and
+    truncation is a ring map: its part of degree <= 1 is zero whenever that
+    of x3^2 is, so the one column x3^2, at order 1, stands for the whole T
+    block there.  No T column is built then, and neither are the rows
+    outside the admissible ones: the rank rows - 1 is read off
+    rows = (n + 1)(n + 2)/2.  A target with a zero y1 coefficient is
+    orthogonal to the left kernel, so its split is feasible and elimination
+    of the block on the T columns of :func:`_t_columns` only finds it; A2 is
+    read off as the remainder.  A certificate that fails its re-check
+    (:func:`_infeasible`), or an elimination that finds a y1-free target
+    infeasible, raises ``AssertionError``.
     """
     n = order
     goal = dict(target.triple_items())
@@ -428,24 +389,23 @@ def _solve_coboundary(sigma: GermDiff1, alpha, target: Jet2, order) -> Coboundar
         # the full system's y1 row, read off the columns' parts of degree
         # <= 1: x3^2 for the T block, and the A2 columns of degree <= 1; an
         # A2 column of higher degree is zero there and left out
-        x3 = _split_maps(sigma, alpha, 1)[0]
+        x3 = build_cocycle(sigma, alpha).as_map(1)[0]
         low = [x3 * x3] + [Jet2.monomial(i, j, -1, 1) for i, j in _a2_keys(1)]
         rank = (n + 1) * (n + 2) // 2 - 1
         return _infeasible([((0, 1), Coeff(1))], rank, low, goal, n)
     admissible = set(_a2_keys(n))
     free_rows = [key for key in _row_keys(n) if key not in admissible]
-    cols, _, (x3, s2) = _coboundary_columns(sigma, alpha, n)
-    t_keys = _t_keys(n)
+    x3, s2 = build_cocycle(sigma, alpha).as_map(n)
     res = solve(
-        _rows_on(free_rows, cols[: len(t_keys)]),
+        _rows_on(free_rows, _t_columns((x3, s2), n)),
         [goal.get(key, QZERO) for key in free_rows],
-        certificate=True,
     )
-    rank = len(admissible) + res.rank
     if not res.feasible:
-        cert = [(free_rows[r], w) for r, w in res.certificate]
-        return _infeasible(cert, rank, cols, goal, n)
-    tilde = Jet2(dict(zip(t_keys, res.solution)), n)
+        raise AssertionError(
+            "the rank lemma makes a split with no y1 term feasible, "
+            "and elimination found it infeasible"
+        )
+    tilde = Jet2(dict(zip(_t_keys(n), res.solution)), n)
     a2 = x3 * tilde.substitute(x3, s2) - target.truncate(n)
     # the remainder must be a field on the second model
     if not globality_check(a2, Model.F2):
@@ -454,7 +414,7 @@ def _solve_coboundary(sigma: GermDiff1, alpha, target: Jet2, order) -> Coboundar
     return CoboundaryResult(
         True,
         n,
-        rank,
+        len(admissible) + res.rank,
         field_first=VectorFieldJet(a1, "x3"),
         field_second=VectorFieldJet(a2, "x1"),
         tilde=tilde,
@@ -465,10 +425,12 @@ def coboundary_solve(sigma, alpha0, target: VectorFieldJet, order=None) -> Cobou
     """Split a vertical overlap field against the one-parameter gluing.
 
     Solves  target = (transport of X1) - X2  at the given jet order for
-    the cocycle with A = 1 + alpha0*y1.  Infeasibility comes with a
-    re-checked certificate: the labeled row combination no admissible
-    split can satisfy.  Infeasibility at one order persists at all higher
-    orders (the lower system is a subsystem of the higher one).
+    the cocycle with A = 1 + alpha0*y1.  By the rank lemma of
+    :func:`_solve_coboundary` the split is infeasible exactly when the
+    target has a y1 term, and then it comes with a re-checked certificate:
+    the y1 row, a row combination no admissible split can satisfy.
+    Infeasibility at one order persists at all higher orders (the lower
+    system is a subsystem of the higher one).
     """
     if isinstance(sigma, Jet1):
         sigma = GermDiff1(sigma)

@@ -458,18 +458,18 @@ def test_cohomology_eliminates_once(monkeypatch):
     rrefs = []
     builds = []
     rref = cuspfol.linalg.rref
-    columns = cuspfol.gluing._coboundary_columns
+    columns = cuspfol.gluing._t_columns
 
     def counting_rref(rows, limit):
         rrefs.append((len(rows), limit, len(rows[0])))
         return rref(rows, limit)
 
-    def counting_columns(sigma, alpha, order):
-        builds.append(order)
-        return columns(sigma, alpha, order)
+    def counting_columns(maps, n):
+        builds.append(n)
+        return columns(maps, n)
 
     monkeypatch.setattr(cuspfol.linalg, "rref", counting_rref)
-    monkeypatch.setattr(cuspfol.gluing, "_coboundary_columns", counting_columns)
+    monkeypatch.setattr(cuspfol.gluing, "_t_columns", counting_columns)
     for order in (6, 16):
         code, out = run_cli("cohomology", CUSP, "--order", str(order))
         assert code == 1

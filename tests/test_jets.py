@@ -116,6 +116,11 @@ class TestCoeff:
         with pytest.raises(AttributeError):
             c.re = 5
         assert len({Coeff(1, 2), Coeff(2, 4) / 2, Coeff(3)}) == 2
+        # equal values hash alike, across types too
+        assert 1 in {Coeff(1)} and Coeff(1) in {1}
+        assert Coeff(Fraction(1, 2)) in {Fraction(1, 2)}
+        assert Fraction(-3, 4) in {Coeff(-3) / 4}
+        assert hash(Coeff(0)) == hash(0) and Coeff(0, 1) not in {0, 1}
 
     def test_integers_build_their_triple_directly(self):
         for n in (0, 1, -1, -12, 2**200 + 1, -(2**200) + 3):

@@ -24,6 +24,7 @@ it replaced (``oracles.mero_form_by_jets``), at the truncation edge too.
 
 import random
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 import pytest
@@ -105,7 +106,9 @@ def jet2_cases(seed):
 class TestJet1Mul:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_oracle(self, seed):
-        for ca, cb, n in jet1_cases(seed):
+        # beside the seeded cases, an empty and a zero second operand
+        one = [qnorm(1, 2, 3), qnorm(0, 5, 7)]
+        for ca, cb, n in chain(jet1_cases(seed), [(one, [], 3), (one, [QZERO] * 2, 3)]):
             out = jet1_mul(ca, cb, n)
             assert len(out) == n + 1
             for t in out:
@@ -172,7 +175,9 @@ def first_products(da, db, n):
 class TestJet2Mul:
     @pytest.mark.parametrize("seed", [4, 5, 6])
     def test_matches_oracle(self, seed):
-        for da, db, n in jet2_cases(seed):
+        # beside the seeded cases, an empty and a zero first operand
+        one = {(0, 0): qnorm(1, 2, 3), (1, 2): qnorm(0, 5, 7)}
+        for da, db, n in chain(jet2_cases(seed), [({}, one, 3), ({(2, 1): QZERO}, one, 3)]):
             out = jet2_mul(da, db, n)
             for key, t in out.items():
                 assert t != QZERO, key
@@ -501,8 +506,9 @@ def test_form_numerators_on_one_sided_forms(monkeypatch):
     a sum that cancels on the dy side only; changes with denominators, so
     that one gcd is divided out, and integer ones that keep the
     denominator 1; a change tangent to the identity whose monomials are
-    copied, expanded in a band and left to Horner's rule; and a linear swap
-    and a shear, which leave every monomial to Horner's rule."""
+    copied, expanded in a band and left to Horner's rule; a linear swap
+    and a shear, which leave every monomial to Horner's rule; and a change
+    that moves no monomial, on a form and on the zero form."""
     rng = random.Random("one-sided")
     n = 12
     mixed = DENOMS["mixed"]
@@ -596,6 +602,14 @@ def test_form_numerators_on_one_sided_forms(monkeypatch):
     routes.clear()
     check(rand_part(rng, n, mixed), rand_part(rng, n, mixed), [swap, shear])
     assert [(copied, banded) for copied, banded, _ in routes] == [(0, 0), (0, 0)]
+    # the identity up to degree n, with a term of degree n + 1 that only the
+    # Jacobian reads, copies every monomial: no band and no Horner group;
+    # the zero form has neither under any change
+    identity = ({(1, 0): QONE, (n + 1, 0): rand_triple(rng, mixed, zero=0)}, {(0, 1): QONE})
+    routes.clear()
+    check(rand_part(rng, n, mixed), rand_part(rng, n, mixed), [identity])
+    check({}, {}, [identity, shear])
+    assert [(banded, horner) for _, banded, horner in routes] == [(0, 0)] * 3
 
 
 def test_one_term_operands_of_a_substitution(monkeypatch):
