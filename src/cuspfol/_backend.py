@@ -41,19 +41,19 @@ Substitution (:func:`jet2_substitute`) and the pullback of a 1-form
 substitution: the coefficients and the targets are scaled to their lcms,
 the sum of the substituted monomials is taken in Gaussian integers over the
 lcm of the denominators they pick up from the targets, and each nonzero
-output coefficient is normalized once.  The two-variable products share
-one integer multiply-add loop, :func:`_convolve`.  Inside a call at order
-n it keys the monomial x^i y^j by the integer (i + j)(n + 1) + j: the key
-of a product is the sum of its factors' keys and its degree bound is a
-bound on that sum, so the loop adds and compares integers, and the pairs
-(i, j) are formed again only for the output, one ``divmod`` per nonzero
-coefficient.  Every two-variable product, a one-term operand included,
-goes through it.
+output coefficient is normalized once.  Every numerator product, in one
+variable or two, goes through one integer multiply-add loop,
+:func:`_convolve`.  Inside a two-variable call at order n it keys the
+monomial x^i y^j by the integer (i + j)(n + 1) + j, and z^k of one
+variable by k: the key of a product is the sum of its factors' keys and its
+degree bound is a bound on that sum, so the loop adds and compares
+integers, and the pairs (i, j) are formed again only for the output, one
+``divmod`` per nonzero coefficient.
 
 A substitution and a pullback carry a 1-form a dx + b dy as one form
 accumulator that maps each key to ``[re_dx, im_dx, re_dy, im_dy]``, so
-the form loops :func:`_convolve_form` and :func:`_add_row` visit each key
-and each term it is multiplied by once for both coefficients; a jet is
+the one form-product loop :func:`_convolve_form` visits each key and each
+term it is multiplied by once for both coefficients; a jet is
 substituted as the dx coefficient of a form with dy coefficient 0.  A
 change tangent to the identity, x + p and y + q with p and q of lowest
 degree v, keeps at most t = (n - e) // (v - 1) factors p or q on a
@@ -175,25 +175,6 @@ def _scaled(terms):
     return scaled, den
 
 
-def _convolve1(ta, tb, n):
-    """The numerator convolution of two one-variable term lists.
-
-    Terms are ``(k, a, b, _)`` with Gaussian-integer numerators ``a + b*i``,
-    in increasing k; the last slot is not read.  Returns the lists of real
-    and imaginary parts of the product up to degree n.
-    """
-    re = [0] * (n + 1)
-    im = [0] * (n + 1)
-    for k, a1, b1, _ in ta:
-        for m, a2, b2, _ in tb:
-            s = k + m
-            if s > n:
-                break
-            re[s] += a1 * a2 - b1 * b2
-            im[s] += a1 * b2 + b1 * a2
-    return re, im
-
-
 def _nonzero1(c, n):
     """The nonzero coefficients of a list up to degree n as ``(k, a, b, d)``."""
     return [(k, a, b, d) for k, (a, b, d) in enumerate(c[: n + 1]) if a or b]
@@ -203,20 +184,21 @@ def jet1_mul(ca, cb, n):
     """Convolve two coefficient lists, truncated at degree n (inclusive).
 
     Each operand's nonzero coefficients are brought to the lcm of their
-    denominators, the Gaussian-integer numerators are convolved, and each
-    nonzero output coefficient is normalized once, over the product of the
-    two lcms.
+    denominators, the Gaussian-integer numerators are convolved by
+    :func:`_convolve`, keyed by their exponents with ``end`` = n + 1, and
+    each nonzero output coefficient is normalized once, over the product of
+    the two lcms.
     """
     out = [QZERO] * (n + 1)
     ta, da = _scaled(_nonzero1(ca, n))
     if not ta:
         return out
     tb, db = _scaled(_nonzero1(cb, n))
-    re, im = _convolve1(ta, tb, n)
+    acc = _convolve([(k, (a, b)) for k, a, b, _ in ta], tb, n + 1, {})
     den = da * db
-    for s in range(n + 1):
-        if re[s] or im[s]:
-            out[s] = qnorm(re[s], im[s], den)
+    for k, (re, im) in acc.items():
+        if re or im:
+            out[k] = qnorm(re, im, den)
     return out
 
 
@@ -411,22 +393,19 @@ def _convolve(ta, tb, end, acc):
     ``ta`` is an iterable of pairs ``(k, (a, b))``, such as the ``items()``
     of an accumulator, and ``tb`` a list of terms ``(k, a, b, _)`` whose
     last slot is not read; both hold Gaussian-integer numerators a + b*i.
-    Within one call of a two-variable routine at order n the monomial
-    x^i y^j has the integer key k = (i + j)(n + 1) + j.  A product of total
-    degree at most n has j1 + j2 <= n, so its key is exactly k1 + k2, with
-    no carry, and a product is of degree at most d exactly when its key is
-    below (d + 1)(n + 1): products with key ``end`` or more are dropped.
-    A term of ``ta`` whose product with the term of least key in ``tb``
-    is dropped is passed over.  ``acc`` maps keys to ``[re, im]`` and is
-    returned; new keys appear in the order their first product is formed.
+    The key of a product is the sum of its factors' keys, and products
+    with key ``end`` or more are dropped.  In one variable z^k has the key
+    k, and a product is of degree at most n exactly when its key is below
+    ``end`` = n + 1.  Within one call of a two-variable routine at order n
+    the monomial x^i y^j has the integer key k = (i + j)(n + 1) + j.  A
+    product of total degree at most n has j1 + j2 <= n, so its key is
+    exactly k1 + k2, with no carry, and a product is of degree at most d
+    exactly when its key is below (d + 1)(n + 1).  ``acc`` maps keys to
+    ``[re, im]`` and is returned; new keys appear in the order their first
+    product is formed.
     """
-    if not tb:
-        return acc
-    low = min(tb)[0]
     for k1, (a1, b1) in ta:
         room = end - k1
-        if room <= low:
-            continue
         for k2, a2, b2, _ in tb:
             if k2 >= room:
                 continue
@@ -524,13 +503,8 @@ def _convolve_form(ta, tb, end, acc):
     ``(k, (a, b, c, d))`` holding the numerators a + b*i of the dx and
     c + d*i of the dy coefficient, both multiplied by each term of ``tb`` in
     one pass.  ``acc`` maps keys to ``[re_dx, im_dx, re_dy, im_dy]``."""
-    if not tb:
-        return acc
-    low = min(tb)[0]
     for k1, (a1, b1, c1, d1) in ta:
         room = end - k1
-        if room <= low:
-            continue
         for k2, a2, b2, _ in tb:
             if k2 < room:
                 cur = acc.get(k1 + k2)
@@ -541,21 +515,6 @@ def _convolve_form(ta, tb, end, acc):
                 cur[2] += c1 * a2 - d1 * b2
                 cur[3] += c1 * b2 + d1 * a2
     return acc
-
-
-def _add_row(acc, a, b, c, d, tb, end):
-    """Add (a + b*i, c + d*i) times the terms ``tb`` below the key ``end``
-    into the form accumulator ``acc``, term by term: a Horner row, with no
-    outer loop."""
-    for k, a2, b2, _ in tb:
-        if k < end:
-            cur = acc.get(k)
-            if cur is None:
-                cur = acc[k] = [0, 0, 0, 0]
-            cur[0] += a * a2 - b * b2
-            cur[1] += a * b2 + b * a2
-            cur[2] += c * a2 - d * b2
-            cur[3] += c * b2 + d * a2
 
 
 def _route(acc, dx, dy, n):
@@ -656,10 +615,10 @@ def _substitute(acc, dx, dy, n):
     over the monomials left to it, the numerator sum_i FX^i G_i is
     evaluated by Horner's rule in FX, one product by FX per power of x, so
     no power of FX is formed.  The powers FY^j are built once
-    (:func:`_convolve`).  Each band and each Horner accumulator, one term or
-    more, is multiplied by its factor in one call of :func:`_convolve_form`;
-    a row (A_ij, B_ij) s FY^j of G_i is added term by term
-    (:func:`_add_row`), both numerators on each term.
+    (:func:`_convolve`).  Each band, each Horner accumulator and each row
+    (A_ij, B_ij) s FY^j of G_i is multiplied by its factor in one call of
+    :func:`_convolve_form`; a row is a one-term form operand, the scalars
+    (A_ij, B_ij) s at key 0.
     """
     m = n + 1
     out, bands, groups = _route(acc, dx, dy, n)
@@ -714,7 +673,7 @@ def _substitute(acc, dx, dy, n):
         end = (m - i) * m
         for j, a, b, c, d in groups.get(i, ()):
             s = lcm // (exp_x[i] * exp_y[j])
-            _add_row(part, a * s, b * s, c * s, d * s, py[j], end)
+            _convolve_form([(0, (a * s, b * s, c * s, d * s))], py[j], end, part)
         if horner:
             _convolve_form(horner.items(), tx, end, part)
         horner = part

@@ -16,13 +16,16 @@ from ._backend import QONE, QZERO, qadd, qdiv, qinv, qiszero, qmul, qneg, qnorm,
 
 
 def _to_triple(re, im=0):
-    """Build a normalized triple from int/Fraction real and imaginary parts."""
+    """Build a normalized triple from int or Fraction real and imaginary
+    parts; a part of any other type, a float or a string among them, raises
+    ``TypeError``."""
     if type(re) is int and type(im) is int:
         return (re, im, 1)
-    fr = Fraction(re)
-    fi = Fraction(im)
-    d = fr.denominator * fi.denominator
-    return qnorm(fr.numerator * fi.denominator, fi.numerator * fr.denominator, d)
+    for part in (re, im):
+        if not isinstance(part, (int, Fraction)):
+            raise TypeError(f"a Coeff part must be int or Fraction, not {type(part).__name__}")
+    d = re.denominator * im.denominator
+    return qnorm(re.numerator * im.denominator, im.numerator * re.denominator, d)
 
 
 class Coeff:

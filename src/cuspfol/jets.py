@@ -18,6 +18,7 @@ public surface deals in :class:`~cuspfol.coeff.Coeff`.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 
 from ._backend import (
     QONE,
@@ -42,6 +43,15 @@ _SCALARS = (int, Fraction, Coeff)
 
 class JetError(ValueError):
     pass
+
+
+def _order(order):
+    """A jet order: an integer (``operator.index``, so a float raises
+    ``TypeError``) that is not negative."""
+    n = index(order)
+    if n < 0:
+        raise JetError("order must be >= 0")
+    return n
 
 
 class _Jet:
@@ -85,9 +95,7 @@ class Jet1(_Jet):
     _ONE = (1,)
 
     def __init__(self, coeffs=(), order=DEFAULT_ORDER):
-        n = int(order)
-        if n < 0:
-            raise JetError("order must be >= 0")
+        n = _order(order)
         c = [QZERO] * (n + 1)
         for k, v in enumerate(coeffs):
             if k > n:
@@ -136,6 +144,7 @@ class Jet1(_Jet):
         return None
 
     def truncate(self, order):
+        order = _order(order)
         if order > self._n:
             raise JetError("truncate cannot raise the order")
         return Jet1._raw(self._c[: order + 1], order)
@@ -252,9 +261,7 @@ class Jet2(_Jet):
     _ONE = {(0, 0): 1}
 
     def __init__(self, coeffs=None, order=DEFAULT_ORDER):
-        n = int(order)
-        if n < 0:
-            raise JetError("order must be >= 0")
+        n = _order(order)
         d = {}
         if coeffs:
             for (i, j), v in coeffs.items():
@@ -349,6 +356,7 @@ class Jet2(_Jet):
     def truncate(self, order):
         """The jet at a lower order; at its own order, the jet itself (jets
         are immutable, so nothing is copied)."""
+        order = _order(order)
         if order > self._n:
             raise JetError("truncate cannot raise the order")
         if order == self._n:
@@ -363,6 +371,7 @@ class Jet2(_Jet):
         Raising the order asserts the stored coefficients are exact
         polynomial data (the new high-degree coefficients are claimed zero).
         """
+        order = _order(order)
         if order <= self._n:
             return self.truncate(order)
         return Jet2._raw(dict(self._d), order)
@@ -374,8 +383,7 @@ class Jet2(_Jet):
         dropped, and a negative image exponent raises :class:`JetError`.
         ``image`` must be one-to-one on the monomials of the jet.
         """
-        if order < 0:
-            raise JetError("order must be >= 0")
+        order = _order(order)
         d = {}
         for (i, j), t in self._d.items():
             k, l = image(i, j)

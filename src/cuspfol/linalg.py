@@ -67,9 +67,13 @@ def solve(rows, rhs, *, certificate=False) -> SolveResult:
     ``rows`` is a list of equation rows (Coeff-like entries or kernel
     triples), ``rhs`` the right-hand sides.  Returns a particular solution
     with free variables set to zero, and on infeasibility optionally a
-    Farkas-style certificate (list of (row index, multiplier)).
+    Farkas-style certificate (list of (row index, multiplier)).  A ragged
+    matrix, or a right-hand side whose length is not the row count, raises
+    ``ValueError``.
     """
     m = len(rows)
+    if len(rhs) != m:
+        raise ValueError(f"{len(rhs)} right-hand sides for {m} rows")
     if m == 0:
         return SolveResult(True, 0, solution=[])
     ncols = len(rows[0])
@@ -116,9 +120,12 @@ def _certificate(a, pivots, origin, r):
 
 
 def matrix_rank(rows) -> int:
+    """The rank of a matrix; a ragged one raises ``ValueError``."""
     if not rows:
         return 0
     work = [_triples(r) for r in rows]
+    if any(len(r) != len(work[0]) for r in work):
+        raise ValueError("ragged matrix")
     pivots, _ = rref(work, len(work[0]))
     return len(pivots)
 

@@ -128,6 +128,17 @@ class TestCoeff:
             assert Coeff(n) == Coeff(Fraction(n)) and hash(Coeff(n)) == hash(Coeff(Fraction(n)))
             assert Coeff(n, 1 - n) == Coeff(Fraction(n), Fraction(1 - n))
 
+    @pytest.mark.parametrize(
+        "parts, name",
+        [((0.1,), "float"), (("3/4",), "str"), ((1, 0.5), "float"), ((Coeff(1), 2), "Coeff")],
+    )
+    def test_inexact_parts_are_refused(self, parts, name):
+        """Only int and Fraction parts are exact: a float, a string or a
+        Coeff as a part raises TypeError naming its type, as ``Coeff(1) +
+        0.5`` does, where ``Fraction`` would round or parse it."""
+        with pytest.raises(TypeError, match=name):
+            Coeff(*parts)
+
 
 class TestJet1:
     def test_truncation_to_min_order(self):
@@ -430,10 +441,10 @@ class TestJet2:
     def test_substitute_makes_one_product_per_power(self, monkeypatch):
         """A dense order-12 jet under a generic map costs at most 2*12
         integer products of two jets, the powers of fy and one Horner step by
-        fx per power of x, a one-term operand included; the scalar multiple
-        of a power of fy of each monomial is added in place, with no product
-        call; no product of normalized jets, and one qnorm per nonzero output
-        coefficient."""
+        fx per power of x; the scalar multiple of a power of fy of each
+        monomial is a call with a one-term first operand, a scaled row, and
+        is not counted; no product of normalized jets, and one qnorm per
+        nonzero output coefficient."""
         rng = random.Random(53)
         f = rand_jet2(rng, 12, density=1.0)
         fx, fy = rand_map(rng, 12), rand_map(rng, 12)
@@ -444,7 +455,9 @@ class TestJet2:
             convolve = getattr(_backend, loop)
 
             def counted_convolve(ta, tb, n, acc, convolve=convolve):
-                products.append(n)
+                ta = list(ta)
+                if len(ta) > 1:
+                    products.append(n)
                 return convolve(ta, tb, n, acc)
 
             monkeypatch.setattr(_backend, loop, counted_convolve)
@@ -485,6 +498,36 @@ class TestJet2:
         with pytest.raises(JetError):
             f.truncate(5)
         assert f.with_order(5).order == 5
+
+
+def test_orders_are_nonnegative_integers():
+    """A jet order goes through ``operator.index``, so a float order raises
+    TypeError; a negative one raises JetError in the constructors, in
+    ``truncate`` and in ``with_order`` below the order alike."""
+    for build in (lambda n: Jet1([1, 2], n), lambda n: Jet2({(0, 1): 1}, n)):
+        with pytest.raises(TypeError):
+            build(2.9)
+        with pytest.raises(JetError):
+            build(-1)
+        jet = build(3)
+        for order in (-1, -2):
+            with pytest.raises(JetError):
+                jet.truncate(order)
+        with pytest.raises(TypeError):
+            jet.truncate(1.5)
+        assert jet.truncate(0).order == 0
+    with pytest.raises(JetError):
+        Jet2({(0, 1): 1}, 3).with_order(-2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: Jet1([Fraction(1, 2), 0.5], 3), lambda: Jet2({(0, 0): 0.25}, 2)],
+    ids=["Jet1", "Jet2"],
+)
+def test_float_coefficients_are_refused(build):
+    with pytest.raises(TypeError, match="float"):
+        build()
 
 
 @pytest.mark.parametrize(

@@ -84,6 +84,14 @@ def jet1_cases(seed):
         ca = [rand_triple(rng, dens, kind=kind) for _ in range(rng.randint(0, n + 4))]
         cb = [rand_triple(rng, dens, kind=kind) for _ in range(rng.randint(0, n + 4))]
         yield ca, cb, n
+    # the orders of the series reversion and the census's high-order line:
+    # one dense operand against one that is mostly zero, both past n + 1
+    for n in (16, 64, 160):
+        dens = DENOMS[rng.choice(sorted(DENOMS))]
+        ca = [rand_triple(rng, dens) for _ in range(n + 3)]
+        cb = [rand_triple(rng, dens, zero=0.9) for _ in range(n + 2)]
+        yield ca, cb, n
+        yield cb, ca, n
 
 
 def jet2_cases(seed):
@@ -105,11 +113,24 @@ def jet2_cases(seed):
 
 class TestJet1Mul:
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_matches_oracle(self, seed):
+    def test_matches_oracle(self, seed, monkeypatch):
+        """Seeded cases up to order 160 against the oracle; each product
+        with a nonzero first operand is one call of the integer loop
+        ``_convolve``, keyed by exponent and bounded by ``end`` = n + 1."""
+        convolve = _backend._convolve
+        ends = []
+
+        def counted(ta, tb, end, acc):
+            ends.append(end)
+            return convolve(ta, tb, end, acc)
+
+        monkeypatch.setattr(_backend, "_convolve", counted)
         # beside the seeded cases, an empty and a zero second operand
         one = [qnorm(1, 2, 3), qnorm(0, 5, 7)]
         for ca, cb, n in chain(jet1_cases(seed), [(one, [], 3), (one, [QZERO] * 2, 3)]):
+            ends.clear()
             out = jet1_mul(ca, cb, n)
+            assert ends == ([n + 1] if any(a or b for a, b, _ in ca[: n + 1]) else [])
             assert len(out) == n + 1
             for t in out:
                 assert_normalized(t)

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from cuspfol import Coeff
 from cuspfol.linalg import SolveResult, determinant, matrix_rank, solve
 
@@ -191,6 +193,28 @@ def test_determinant_is_one_elimination(monkeypatch):
 
 def test_determinant_singular():
     assert determinant([[1, 2], [2, 4]]).is_zero()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: solve([[1]], [1, 5]),  # a right-hand side past the rows
+        lambda: solve([[1], [2]], [1]),  # one short of them
+        lambda: solve([], [1]),
+        lambda: solve([[1, 2], [3]], [1, 2]),
+        lambda: matrix_rank([[1, 2], [3]]),
+        lambda: matrix_rank([[1], [2, 3]]),
+        lambda: determinant([[1, 2]]),
+    ],
+    ids=["rhs-long", "rhs-short", "rhs-no-rows", "solve-ragged", "rank-ragged",
+         "rank-ragged-short-first", "determinant-not-square"],
+)
+def test_shapes_that_do_not_match_are_refused(call):
+    """A right-hand side whose length is not the row count, a ragged matrix
+    and a matrix that is not square for ``determinant`` raise ValueError,
+    not an IndexError or a result that ignores the extra entries."""
+    with pytest.raises(ValueError):
+        call()
 
 
 # ---------------------------------------------------------------------------

@@ -593,30 +593,26 @@ def test_no_monomial_of_a_binomial_band_enters_a_horner_row(monkeypatch):
     assert counts["copied"] and counts["banded"] and counts["horner"]
 
 
-def test_substitution_rows_are_added_without_a_product_call(monkeypatch):
-    """The substitution adds each row (A_ij, B_ij) s FY^j into its
-    accumulator term by term with no product call (``_add_row``), and
-    multiplies the bands and the Horner accumulators, one term or more, by
-    their factors in ``_convolve_form``: on the pinned moved template at
-    order 16 ``normalize`` makes 13 changes and runs both."""
+def test_substitution_rows_and_accumulators_share_the_form_loop(monkeypatch):
+    """The substitution multiplies each row (A_ij, B_ij) s FY^j, a one-term
+    form operand, and each band and Horner accumulator, one term or more, by
+    its factor in the one form-product loop ``_convolve_form``: on the pinned
+    moved template at order 16 ``normalize`` makes 13 changes and passes it
+    first operands of both sizes."""
     w = _as_oneform(MOVED, 16)
     rep = reduce_cusp(w)
-    products, rows = [], []
-    convolve, add_row = _backend._convolve_form, _backend._add_row
+    sizes = []
+    convolve = _backend._convolve_form
 
     def counting_convolve(ta, tb, end, acc):
-        products.append(None)
+        ta = list(ta)
+        sizes.append(len(ta))
         return convolve(ta, tb, end, acc)
 
-    def counting_add_row(*args):
-        rows.append(None)
-        return add_row(*args)
-
     monkeypatch.setattr(_backend, "_convolve_form", counting_convolve)
-    monkeypatch.setattr(_backend, "_add_row", counting_add_row)
     data = normalize(w, reduction=rep)
     monkeypatch.undo()
 
     assert len(data.changes) == 13
-    assert products
-    assert rows
+    assert 1 in sizes
+    assert any(size > 1 for size in sizes)
