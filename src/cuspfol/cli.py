@@ -171,7 +171,7 @@ def _sigma_of_form(w, order):
     # sigma mod z^(order+1) reads only corner data of degree < order, so the
     # corner germ's 4*order - 7 blow-up jet is solved no further than printed
     corner = CornerGerm.from_reduction(rep)
-    return transversal_structure(corner, min(order, corner.order)).jet
+    return transversal_structure(corner, min(order, corner.order))
 
 
 def _alpha_of_sigma(sigma):

@@ -40,7 +40,7 @@ from ._backend import QONE, QZERO, jet1_mul, jet1_reciprocal, qinv, qiszero, qmu
 from .coeff import Coeff, as_triple
 from .jets import DEFAULT_ORDER, Jet1, Jet2
 from .linalg import determinant, solve
-from .moduli import GermDiff1, Homography
+from .moduli import Homography
 
 
 def _trim(p) -> list:
@@ -148,14 +148,12 @@ def rational_precompose(r: Rational1, h: Homography) -> Rational1:
 # the relation R1 o sigma = R2
 
 
-def verify_rational_relation(r1: Rational1, r2: Rational1, sigma, order) -> bool:
+def verify_rational_relation(r1: Rational1, r2: Rational1, sigma: Jet1, order) -> bool:
     """Exact check of P1(sigma)*Q2(z) - P2(z)*Q1(sigma) = 0 to the order.
 
     Denominator-cleared, so rational functions with poles (even at the
     origin) are handled without division.
     """
-    if isinstance(sigma, GermDiff1):
-        sigma = sigma.jet
     if sigma.order < order:
         raise ValueError("sigma jet is shorter than the requested order")
     s = sigma.truncate(order)
@@ -288,7 +286,7 @@ class FirstIntegralReport:
         return self.relation_found
 
 
-def no_first_integral_witness(sigma, d, order) -> FirstIntegralReport:
+def no_first_integral_witness(sigma: Jet1, d, order) -> FirstIntegralReport:
     """Probe R1 = z^k, k <= d, for rationality of R1 o sigma.
 
     Probe k takes sigma^k as one ``jet1_mul`` of sigma^(k-1) by sigma and
@@ -298,8 +296,6 @@ def no_first_integral_witness(sigma, d, order) -> FirstIntegralReport:
     and checked again.  A miss on every probe is evidence of no first
     integral within the bound - a bounded search, not a proof.
     """
-    if isinstance(sigma, GermDiff1):
-        sigma = sigma.jet
     d = int(d)
     if d < 1:
         raise ValueError("degree bound must be >= 1")

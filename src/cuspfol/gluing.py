@@ -45,7 +45,9 @@ rows it is the product of the linear parts x1 + s*y1 of x3 o psi and s*y1
 of y3 o psi, where s = sigma'(0), so G_d[p][i] = C(i+1, p) s^(d-p).  The
 polynomials C(X, p) with p < r are a basis of those of degree < r, and the
 columns evaluate them at distinct points i+1, never fewer than the r rows;
-so when s != 0 every G_d has full row rank and the ranks sum to rows - 1.
+so when s != 0, which :func:`~cuspfol.moduli.invertible_germ` checks on
+every cocycle and every split, every G_d has full row rank and the ranks
+sum to rows - 1.
 The y1 row is zero in every T column, which caps the rank at rows - 1 and is
 the certificate.  This rank lemma decides every split: the left kernel is
 spanned by the y1 row, so a target with no y1 term lies in the image, and
@@ -65,7 +67,7 @@ from ._backend import QZERO, qiszero
 from .coeff import Coeff
 from .jets import DEFAULT_ORDER, Jet1, Jet2
 from .linalg import SolveResult, solve
-from .moduli import GermDiff1, Homography
+from .moduli import Homography, invertible_germ
 
 
 class Model(Enum):
@@ -117,28 +119,26 @@ class VectorFieldJet:
 class GluingCocycle:
     """(x1, y1) -> (x1*A(x1,y1) + sigma(y1), sigma(y1)) with A(0,0) != 0."""
 
-    def __init__(self, sigma: GermDiff1, A: Jet2):
+    def __init__(self, sigma: Jet1, A: Jet2):
         if A.coeff(0, 0).is_zero():
             raise ValueError("cocycle needs A(0,0) != 0")
-        self.sigma = sigma
+        self.sigma = invertible_germ(sigma)
         self.A = A
 
     @property
     def order(self):
-        return min(self.sigma.jet.order, self.A.order)
+        return min(self.sigma.order, self.A.order)
 
     def as_map(self, order=None):
         n = self.order if order is None else order
-        s2 = Jet2.from_jet1(self.sigma.jet.truncate(n), "y")
+        s2 = Jet2.from_jet1(self.sigma.truncate(n), "y")
         first = Jet2.var_x(n) * self.A.truncate(n) + s2
         return first, s2
 
 
-def build_cocycle(sigma, alpha) -> GluingCocycle:
+def build_cocycle(sigma: Jet1, alpha) -> GluingCocycle:
     """The one-parameter gluing shape A = 1 + alpha*y1."""
-    if isinstance(sigma, Jet1):
-        sigma = GermDiff1(sigma)
-    return GluingCocycle(sigma, Jet2({(0, 0): 1, (0, 1): alpha}, sigma.jet.order))
+    return GluingCocycle(sigma, Jet2({(0, 0): 1, (0, 1): alpha}, sigma.order))
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +248,7 @@ def cocycle_compose_check(
         raise ValueError(
             f"composed map is not of cocycle shape (second component touches {stray})"
         )
-    sigma_new = GermDiff1(out_y.restrict_to_axis("y"))
+    sigma_new = out_y.restrict_to_axis("y")
     diff = out_x - out_y
     stray = [key for key, _ in diff.items() if key[0] == 0]
     if stray:
@@ -354,7 +354,7 @@ def _infeasible(cert, rank, cols, goal, n) -> CoboundaryResult:
     return CoboundaryResult(False, n, rank, certificate=cert, certificate_checked=True)
 
 
-def _solve_coboundary(sigma: GermDiff1, alpha, target: Jet2, order) -> CoboundaryResult:
+def _solve_coboundary(sigma: Jet1, alpha, target: Jet2, order) -> CoboundaryResult:
     """Split ``target`` exactly, reducing only the block the A2 columns miss.
 
     Every A2 column is -x1^i y1^j on an F2-admissible row, so those rows are
@@ -364,11 +364,12 @@ def _solve_coboundary(sigma: GermDiff1, alpha, target: Jet2, order) -> Coboundar
     left-kernel vector of the full system vanishes on the admissible rows.
 
     The y1 row has degree 1, below the valuation of every T column, so it
-    is zero in the block and caps its rank at rows - 1.  ``GermDiff1``
-    refuses s = sigma'(0) = 0, so the diagonal blocks G_d of the block have
-    full row rank (see the module docstring), the rank is rows - 1 and
-    the left kernel is spanned by the y1 row.  That rank lemma decides
-    every split.  A target with a nonzero y1 coefficient is infeasible with
+    is zero in the block and caps its rank at rows - 1.
+    :func:`coboundary_solve` refuses s = sigma'(0) = 0 through
+    :func:`~cuspfol.moduli.invertible_germ`, so the diagonal blocks G_d of
+    the block have full row rank (see the module docstring), the rank is
+    rows - 1 and the left kernel is spanned by the y1 row.  That rank
+    lemma decides every split.  A target with a nonzero y1 coefficient is infeasible with
     the y1 row as its certificate, checked again on the full system's y1
     row, which the columns' parts of degree <= 1 give exactly.  Every T
     column x3^(i+1) s2^j has i >= 1, so it is x3^2 times a jet, and
@@ -421,7 +422,7 @@ def _solve_coboundary(sigma: GermDiff1, alpha, target: Jet2, order) -> Coboundar
     )
 
 
-def coboundary_solve(sigma, alpha0, target: VectorFieldJet, order=None) -> CoboundaryResult:
+def coboundary_solve(sigma: Jet1, alpha0, target: VectorFieldJet, order=None) -> CoboundaryResult:
     """Split a vertical overlap field against the one-parameter gluing.
 
     Solves  target = (transport of X1) - X2  at the given jet order for
@@ -432,9 +433,8 @@ def coboundary_solve(sigma, alpha0, target: VectorFieldJet, order=None) -> Cobou
     Infeasibility at one order persists at all higher orders (the lower
     system is a subsystem of the higher one).
     """
-    if isinstance(sigma, Jet1):
-        sigma = GermDiff1(sigma)
-    n = min(sigma.jet.order, target.coefficient.order) if order is None else order
+    invertible_germ(sigma)
+    n = min(sigma.order, target.coefficient.order) if order is None else order
     return _solve_coboundary(sigma, alpha0, target.coefficient.truncate(n), n)
 
 

@@ -98,9 +98,9 @@ class Jet1(_Jet):
         n = _order(order)
         c = [QZERO] * (n + 1)
         for k, v in enumerate(coeffs):
-            if k > n:
-                break
-            c[k] = as_triple(v)
+            t = as_triple(v)  # past the order too: an inexact one is refused
+            if k <= n:
+                c[k] = t
         self._c = tuple(c)
         self._n = n
 
@@ -267,10 +267,8 @@ class Jet2(_Jet):
             for (i, j), v in coeffs.items():
                 if i < 0 or j < 0:
                     raise JetError("negative exponent in Jet2")
-                if i + j > n:
-                    continue
-                t = as_triple(v)
-                if not qiszero(t):
+                t = as_triple(v)  # past the order too: an inexact one is refused
+                if i + j <= n and not qiszero(t):
                     d[(i, j)] = t
         self._d = d
         self._n = n

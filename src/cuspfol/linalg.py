@@ -46,10 +46,20 @@ class SolveResult:
 
     def check_certificate(self, rows, rhs) -> bool:
         """Re-verify  y^T A = 0, y^T b != 0  against the original system:
-        every entry of the certificate's rows is multiplied and added."""
+        every entry of the certificate's rows is multiplied and added.  A
+        right-hand side whose length is not the row count, a ragged matrix
+        or a certificate row outside the matrix raises ``ValueError``, as
+        in :func:`solve`."""
+        m = len(rows)
+        if len(rhs) != m:
+            raise ValueError(f"{len(rhs)} right-hand sides for {m} rows")
+        ncols = len(rows[0]) if rows else 0
+        if any(len(row) != ncols for row in rows):
+            raise ValueError("ragged matrix")
         if self.certificate is None:
             return False
-        ncols = len(rows[0]) if rows else 0
+        if any(not 0 <= idx < m for idx, _ in self.certificate):
+            raise ValueError(f"certificate row outside the {m} rows")
         b = _triples(rhs)
         comb = [QZERO] * ncols
         acc_b = QZERO

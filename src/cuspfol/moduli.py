@@ -6,6 +6,10 @@ ignores, and by a homography lam*z/(1 + mu*z) before it: a scaling for a
 diagonal change, mu != 0 for a shear (x + c*y, y).  Forms are decided on
 S(sigma) alone.  This module carries the scalar side of that story:
 
+- Germs sigma are plain :class:`~cuspfol.jets.Jet1` values, composed with
+  ``Jet1.compose`` and inverted with ``Jet1.comp_inverse``;
+  :func:`invertible_germ` checks sigma(0) = 0 and sigma'(0) != 0 where the
+  math needs them: the gluing cocycle, the coboundary split and normal pairs.
 - Schwarzian derivative of a jet germ (exact, order drops by 3).
 - The C* action  (eps . f)_k = eps^(k+2) f_k  and the exact decision whether
   two jets lie on the same orbit, with a Q(i) witness when one exists and a
@@ -27,33 +31,14 @@ from .gaussint import UNITS, nth_roots_in_qi
 from .jets import DEFAULT_ORDER, Jet1, JetError
 
 
-class GermDiff1:
-    """An invertible germ of (C,0): a jet with f(0)=0, f'(0)!=0."""
-
-    def __init__(self, jet: Jet1):
-        if not jet.coeff(0).is_zero():
-            raise JetError("germ must fix the origin")
-        if jet.coeff(1).is_zero():
-            raise JetError("germ must have invertible linear part")
-        self.jet = jet
-
-    @classmethod
-    def identity(cls, order=DEFAULT_ORDER) -> "GermDiff1":
-        return cls(Jet1.variable(order))
-
-    def compose(self, other: "GermDiff1") -> "GermDiff1":
-        return GermDiff1(self.jet.compose(other.jet))
-
-    def inverse(self) -> "GermDiff1":
-        return GermDiff1(self.jet.comp_inverse())
-
-
-def _as_germ_jet(s) -> Jet1:
-    if isinstance(s, GermDiff1):
-        return s.jet
-    if isinstance(s, Jet1):
-        return s
-    raise TypeError("expected a GermDiff1 or Jet1")
+def invertible_germ(jet: Jet1) -> Jet1:
+    """``jet`` itself, once it is checked to be an invertible germ of
+    (C, 0): sigma(0) = 0 and sigma'(0) != 0.  Otherwise ``JetError``."""
+    if not jet.coeff(0).is_zero():
+        raise JetError("germ must fix the origin")
+    if jet.coeff(1).is_zero():
+        raise JetError("germ must have invertible linear part")
+    return jet
 
 
 class Homography:
@@ -76,21 +61,17 @@ class Homography:
             p = p * (-self.mu)
         return Jet1(coeffs, order)
 
-    def to_germ(self, order=DEFAULT_ORDER) -> GermDiff1:
-        return GermDiff1(self.to_jet(order))
-
     def inverse(self) -> "Homography":
         return Homography(1 / self.lam, -self.mu / self.lam)
 
 
-def schwarzian(s) -> Jet1:
+def schwarzian(f: Jet1) -> Jet1:
     """Schwarzian derivative S(f) = f'''/f' - (3/2)(f''/f')^2 as a jet.
 
     Input of order N yields output of order N-3.  Vanishes identically on
     homographies, and obeys S(f o g) = (S(f) o g)*(g')^2 + S(g).  One
     series division: S = r' - r^2/2 for r = f''/f' at order N-2.
     """
-    f = _as_germ_jet(s)
     if f.order < 3:
         raise JetError("schwarzian needs jet order >= 3")
     if f.coeff(1).is_zero():
@@ -312,9 +293,8 @@ def homographic_equivalent(f0: Jet1, f1: Jet1) -> CStarVerdict:
 # --- normal pairs and their equivalence -------------------------------------
 
 
-def canonical_alpha(s) -> Coeff:
+def canonical_alpha(jet: Jet1) -> Coeff:
     """(3/2) * sigma''(0)/sigma'(0), with sigma''(0) = 2 * (z^2 coefficient)."""
-    jet = _as_germ_jet(s)
     c1 = jet.coeff(1)
     if c1.is_zero():
         raise JetError("canonical_alpha needs an invertible germ")
@@ -328,10 +308,8 @@ class NormalPair:
     by ``homographic_equivalent`` on their Schwarzians, not as pairs.
     """
 
-    def __init__(self, sigma, alpha=0):
-        if isinstance(sigma, Jet1):
-            sigma = GermDiff1(sigma)
-        self.sigma = sigma
+    def __init__(self, sigma: Jet1, alpha=0):
+        self.sigma = invertible_germ(sigma)
         self.alpha = Coeff(alpha)
 
 
@@ -342,7 +320,7 @@ def canonicalizing_homography(pair: NormalPair) -> Homography:
     produces an equivalent pair whose alpha equals the canonical alpha of
     the new sigma; the leftover freedom is exactly the C* scaling.
     """
-    ca = canonical_alpha(pair.sigma.jet)
+    ca = canonical_alpha(pair.sigma)
     mu = -(pair.alpha - ca) / 5
     return Homography(Coeff(1), mu)
 

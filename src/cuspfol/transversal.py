@@ -21,8 +21,8 @@ reversion.  The reversion (:meth:`cuspfol.jets.Jet1.comp_inverse`,
 Lagrange inversion over kernel products) is left to
 :func:`sigma_of_integral` on an integral not normalized on D1, where g2^{-1}
 is always composed with g1 (with g1 = z too: that composition is exact), and
-to :meth:`cuspfol.moduli.GermDiff1.inverse`, which the cocycle round trip of
-acceptance criterion 10 runs.
+to the inverse of sigma itself, ``sigma.comp_inverse()``, which the cocycle
+round trip of acceptance criterion 10 takes.
 
 The degree recurrence for H runs in the kernel, on Gaussian-integer
 numerators with one ``qnorm`` per output coefficient
@@ -47,7 +47,6 @@ from __future__ import annotations
 from ._backend import first_integral, is_first_integral
 from .forms import OneForm, ReductionReport
 from .jets import Jet1, Jet2, JetError
-from .moduli import GermDiff1
 
 
 class CornerGerm:
@@ -129,7 +128,7 @@ def regular_first_integral(c: CornerGerm, order=None) -> Jet2:
     return Jet2._raw(h, n)
 
 
-def sigma_of_integral(h: Jet2) -> GermDiff1:
+def sigma_of_integral(h: Jet2) -> Jet1:
     """The transversal structure read off any first integral.
 
     With g1 = H(.,0) and g2 = H(0,.), both tangent-to-identity up to a
@@ -148,11 +147,11 @@ def sigma_of_integral(h: Jet2) -> GermDiff1:
         if not g.coeff(0).is_zero() or g.coeff(1).is_zero():
             raise ValueError("integral is not transverse-normalized on the axes")
     if g2 == Jet1.variable(h.order):
-        return GermDiff1(g1)
-    return GermDiff1(g2.comp_inverse().compose(g1))
+        return g1
+    return g2.comp_inverse().compose(g1)
 
 
-def transversal_structure(c: CornerGerm, order=None) -> GermDiff1:
+def transversal_structure(c: CornerGerm, order=None) -> Jet1:
     """The germ sigma: (D2, corner) -> (D1, corner) matching leaf levels.
 
     ``order`` (at most the corner germ's order, which is the default) is the

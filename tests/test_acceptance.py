@@ -44,7 +44,6 @@ from cuspfol.gluing import (
 from cuspfol.jets import Jet1, Jet2
 from cuspfol.linalg import matrix_rank
 from cuspfol.moduli import (
-    GermDiff1,
     Homography,
     NormalPair,
     canonical_alpha,
@@ -101,7 +100,7 @@ def rand_germ(order):
 
 def germ(coeffs, order):
     tail = [Coeff(0)] * (order + 1 - len(coeffs))
-    return GermDiff1(Jet1([Coeff(0)] + coeffs + tail, order))
+    return Jet1([Coeff(0)] + coeffs + tail, order)
 
 
 def rand_homogeneous(n, order):
@@ -213,7 +212,7 @@ def test_criterion_03_base_cusp_has_identity_transversal_structure():
     """For (y^2 + x^3)/(x*y) the corner germ is the identity to order 12."""
     rep = reduce_cusp(cusp_family(Coeff(0)))
     sig = transversal_structure(CornerGerm.from_reduction(rep), order=12)
-    assert sig.jet.truncate(12) == Jet1.variable(12)
+    assert sig.truncate(12) == Jet1.variable(12)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +340,7 @@ def _split_ranks(sig, alpha0, n):
     """rank(M) and rank(M | y1) of the order-n split matrix M, built in full
     by the Fraction-pair oracle."""
     keys, pairs = oracles.split_matrix(
-        oracles.jet1_pairs(sig.jet), oracles.pair_of_coeff(Coeff(alpha0)), n
+        oracles.jet1_pairs(sig), oracles.pair_of_coeff(Coeff(alpha0)), n
     )
     rows = [[Coeff(*v) for v in row] for row in pairs]
     aug = [row + [Coeff(int(key == (0, 1)))] for row, key in zip(rows, keys)]
@@ -360,7 +359,7 @@ def test_criterion_06_vertical_generator_obstruction_and_corank():
     distinguished generator independent of the image.
     """
     for n in range(3, 11):
-        for sig in (GermDiff1.identity(n), germ([Coeff(1), Coeff(1)], n)):
+        for sig in (Jet1.variable(n), germ([Coeff(1), Coeff(1)], n)):
             for alpha0 in (Coeff(0), Coeff(1)):
                 res = coboundary_solve(sig, alpha0, ks_generator(n), order=n)
                 assert not res.feasible
@@ -378,7 +377,7 @@ def test_criterion_06_vertical_generator_obstruction_and_corank():
             {(1, 0): rand_coeff(), (1, 2): rand_coeff(), (3, 0): rand_coeff()}, n
         )
         u = Jet2({(0, 0): 1, (0, 1): alpha0}, n)
-        s2 = Jet2.from_jet1(sig.jet, "y")
+        s2 = Jet2.from_jet1(sig, "y")
         psi_x = Jet2.var_x(n) * u + s2
         target = psi_x * tilde.substitute(psi_x, s2) - a2
         res = coboundary_solve(sig, alpha0, VectorFieldJet(target), order=n)
@@ -424,8 +423,8 @@ def test_criterion_07_alpha_offset_and_homographic_integrals():
     zero Schwarzian, and the resulting (sigma, alpha) pairs are equivalent.
     """
     v = normal_pair_equivalent(
-        NormalPair(GermDiff1.identity(12), Coeff(0)),
-        NormalPair(GermDiff1.identity(12), Coeff(5)),
+        NormalPair(Jet1.variable(12), Coeff(0)),
+        NormalPair(Jet1.variable(12), Coeff(5)),
     )
     assert v.equivalent
 
@@ -435,9 +434,9 @@ def test_criterion_07_alpha_offset_and_homographic_integrals():
         rep = reduce_cusp(w)
         assert rep.verdict is ReductionVerdict.CUSP_TYPE_ABSOLUTELY_DICRITICAL
         sig = transversal_structure(CornerGerm.from_reduction(rep), order=12)
-        jet = sig.jet.truncate(12)
+        jet = sig.truncate(12)
         assert schwarzian(jet).is_zero()
-        pairs.append(NormalPair(GermDiff1(jet), normalize(w).alpha))
+        pairs.append(NormalPair(jet, normalize(w).alpha))
     verdict = normal_pair_equivalent(pairs[0], pairs[1])
     assert verdict.equivalent
 
@@ -467,9 +466,9 @@ def test_criterion_08_base_change_relation():
         phi1 = model_automorphism(h1, Model.F1, order=n)
         phi2 = model_automorphism(h0, Model.F2, order=n, leading=Coeff(1) / lam1)
         out = cocycle_compose_check(phi1, c, phi2)
-        m = out.sigma.jet.order
-        expect = h1.to_germ(m).compose(gam.compose(h0.to_germ(n)))
-        assert out.sigma.jet == expect.jet.truncate(m)
+        m = out.sigma.order
+        expect = h1.to_jet(m).compose(gam.compose(h0.to_jet(n)))
+        assert out.sigma == expect.truncate(m)
         assert out.A.coeff(0, 0) == Coeff(1)
         alpha_new = out.A.coeff(0, 1)
         predicted = (
@@ -499,7 +498,7 @@ def test_criterion_09_rational_relations_and_hankel():
     twenty random instances.
     """
     z = Rational1((0, 1))
-    assert verify_rational_relation(z, z, GermDiff1.identity(16), 8)
+    assert verify_rational_relation(z, z, Jet1.variable(16), 8)
 
     g = exp_jet(16)
     assert hankel_rationality(g, 4, 16) is None
@@ -518,16 +517,14 @@ def test_criterion_09_rational_relations_and_hankel():
                 (rand_coeff(), rand_coeff(True), rand_coeff()), (1, rand_coeff())
             )
             hs = rand_homography()
-            sigma = hs.to_germ(N)
+            sigma = hs.to_jet(N)
             r2 = rational_precompose(r1, hs)
         else:
             r1 = Rational1((0, 1, rand_coeff()))
             r2 = Rational1((0, rand_coeff(True)), (1, rand_coeff()))
-            sigma = GermDiff1(
-                Jet1([Coeff(0), rand_coeff(True), rand_coeff(), rand_coeff()], N)
-            )
+            sigma = Jet1([Coeff(0), rand_coeff(True), rand_coeff(), rand_coeff()], N)
         before = verify_rational_relation(r1, r2, sigma, half)
-        moved_sigma = h0.to_germ(N).compose(sigma.compose(h1.to_germ(N)))
+        moved_sigma = h0.to_jet(N).compose(sigma.compose(h1.to_jet(N)))
         moved_r1 = rational_precompose(r1, h0.inverse())
         moved_r2 = rational_precompose(r2, h1)
         after = verify_rational_relation(moved_r1, moved_r2, moved_sigma, half)
@@ -550,14 +547,14 @@ def test_criterion_10_cocycle_corner_round_trip():
     sigma exactly; inverting once more recovers sigma itself, coefficient
     for coefficient, to order 10.
     """
-    cases = [(GermDiff1.identity(11), Coeff(1))]
+    cases = [(Jet1.variable(11), Coeff(1))]
     for _ in range(6):
-        cases.append((GermDiff1(rand_germ(11)), rand_coeff()))
+        cases.append((rand_germ(11), rand_coeff()))
     for sig, alpha in cases:
         H, _ = build_cocycle(sig, alpha).as_map()
         w = OneForm(H.dx(), H.dy(), ("u", "v"))
         got = transversal_structure(CornerGerm(w), order=10)
-        inv = sig.inverse()
-        assert got.jet.truncate(10) == inv.jet.truncate(10)
-        back = GermDiff1(got.jet).inverse()
-        assert back.jet.truncate(10) == sig.jet.truncate(10)
+        inv = sig.comp_inverse()
+        assert got.truncate(10) == inv.truncate(10)
+        back = got.comp_inverse()
+        assert back.truncate(10) == sig.truncate(10)

@@ -10,7 +10,7 @@ from cuspfol.coeff import Coeff
 from cuspfol.forms import ReductionVerdict, form_of_meromorphic, reduce_cusp
 from cuspfol.transversal import CornerGerm, transversal_structure
 from cuspfol.jets import Jet1
-from cuspfol.moduli import GermDiff1, Homography
+from cuspfol.moduli import Homography
 from cuspfol.firstintegral import (
     FirstIntegralReport,
     Rational1,
@@ -86,12 +86,12 @@ def test_rational_degree():
 
 def test_verify_identity_relation():
     z = Rational1((0, 1))
-    assert verify_rational_relation(z, z, GermDiff1.identity(N), 8)
+    assert verify_rational_relation(z, z, Jet1.variable(N), 8)
 
 
 def test_verify_even_function_absorbs_sign():
     sq = Rational1((0, 0, 1))
-    neg = GermDiff1(Jet1([0, -1], N))
+    neg = Jet1([0, -1], N)
     assert verify_rational_relation(sq, sq, neg, 10)
     # but the identity function does not
     z = Rational1((0, 1))
@@ -100,14 +100,14 @@ def test_verify_even_function_absorbs_sign():
 
 def test_verify_direct_mismatch():
     z = Rational1((0, 1))
-    shift = GermDiff1(Jet1([0, 1, 1], N))
+    shift = Jet1([0, 1, 1], N)
     assert not verify_rational_relation(z, z, shift, 8)
 
 
 def test_verify_is_pole_safe():
     pole = Rational1((1,), (0, 1))  # 1/z
-    assert verify_rational_relation(pole, pole, GermDiff1.identity(N), 8)
-    neg = GermDiff1(Jet1([0, -1], N))
+    assert verify_rational_relation(pole, pole, Jet1.variable(N), 8)
+    neg = Jet1([0, -1], N)
     inv_sq = Rational1((1,), (0, 0, 1))  # 1/z^2
     assert verify_rational_relation(inv_sq, inv_sq, neg, 8)
 
@@ -115,7 +115,7 @@ def test_verify_is_pole_safe():
 def test_verify_requires_long_enough_sigma():
     z = Rational1((0, 1))
     with pytest.raises(ValueError):
-        verify_rational_relation(z, z, GermDiff1.identity(4), 8)
+        verify_rational_relation(z, z, Jet1.variable(4), 8)
 
 
 def test_verify_homography_invariance():
@@ -134,16 +134,14 @@ def test_verify_homography_invariance():
                 (1, rand_coeff()),
             )
             hs = Homography(rand_coeff(True), rand_coeff())
-            sigma = hs.to_germ(N)
+            sigma = hs.to_jet(N)
             r2 = rational_precompose(r1, hs)
         else:
             r1 = Rational1((0, 1, rand_coeff()))
             r2 = Rational1((0, rand_coeff(True)), (1, rand_coeff()))
-            sigma = GermDiff1(
-                Jet1([Coeff(0), rand_coeff(True), rand_coeff(), rand_coeff()], N)
-            )
+            sigma = Jet1([Coeff(0), rand_coeff(True), rand_coeff(), rand_coeff()], N)
         before = verify_rational_relation(r1, r2, sigma, half)
-        moved_sigma = h0.to_germ(N).compose(sigma.compose(h1.to_germ(N)))
+        moved_sigma = h0.to_jet(N).compose(sigma.compose(h1.to_jet(N)))
         moved_r1 = rational_precompose(r1, h0.inverse())
         moved_r2 = rational_precompose(r2, h1)
         after = verify_rational_relation(moved_r1, moved_r2, moved_sigma, half)
@@ -296,7 +294,7 @@ def test_homographic_first_integrals_reduce_to_cusp():
 
 
 def test_witness_identity_found():
-    rep = no_first_integral_witness(GermDiff1.identity(N), 1, 8)
+    rep = no_first_integral_witness(Jet1.variable(N), 1, 8)
     assert rep.relation_found
     assert rep.r1.num == (Coeff(0), Coeff(1))
     assert rep.r2.num == (Coeff(0), Coeff(1))
@@ -305,7 +303,7 @@ def test_witness_identity_found():
 
 
 def test_witness_homographic_found():
-    sig = Homography(Coeff(1), Coeff(-1)).to_germ(N)  # z/(1-z)
+    sig = Homography(Coeff(1), Coeff(-1)).to_jet(N)  # z/(1-z)
     rep = no_first_integral_witness(sig, 2, N)
     assert rep.relation_found
     assert rep.r1.num == (Coeff(0), Coeff(1))
@@ -314,7 +312,7 @@ def test_witness_homographic_found():
 
 
 def test_witness_exponential_not_found():
-    rep = no_first_integral_witness(GermDiff1(exp_jet()), 3, N)
+    rep = no_first_integral_witness(exp_jet(), 3, N)
     assert not rep.relation_found
     assert rep.probes == ((1, False), (2, False), (3, False))
     assert rep.r1 is None and rep.r2 is None
@@ -331,7 +329,7 @@ def template_sigmas(count, order=32):
     out = []
     for _ in range(count):
         c = CornerGerm.from_reduction(reduce_cusp(plain_or_moved_template(rng, 10)))
-        out.append(transversal_structure(c, order).jet)
+        out.append(transversal_structure(c, order))
     return out
 
 
@@ -345,13 +343,13 @@ def test_witness_matches_the_horner_route():
     from test_transversal import README_MERO, ROADMAP_MERO, SINH, corner_of
 
     rng = random.Random(0xF1A)
-    hits = [transversal_structure(corner_of(t, 10), 32).jet for t in (README_MERO, ROADMAP_MERO)]
+    hits = [transversal_structure(corner_of(t, 10), 32) for t in (README_MERO, ROADMAP_MERO)]
     for _ in range(6):
         lam = rand_coeff(True)
         mu = rand_coeff() if rng.random() < 0.8 else Coeff(0)
         hits.append(Homography(lam, mu).to_jet(32))
     misses = template_sigmas(20)
-    sinh = transversal_structure(corner_of(SINH, 10), 32).jet
+    sinh = transversal_structure(corner_of(SINH, 10), 32)
     cases = [(s, True) for s in hits] + [(sinh, None)] + [(s, False) for s in misses]
     orders = set()
     for sigma, hit in cases:
@@ -380,7 +378,7 @@ def test_witness_reduces_only_the_printed_pair(monkeypatch):
         return gcd(a, b)
 
     monkeypatch.setattr(cuspfol.firstintegral, "_gcd", counting_gcd)
-    rep = no_first_integral_witness(GermDiff1.identity(N), 5, N)
+    rep = no_first_integral_witness(Jet1.variable(N), 5, N)
     assert rep.probes == tuple((k, True) for k in range(1, 6))
     assert len(calls) == 2
     calls.clear()
@@ -388,7 +386,7 @@ def test_witness_reduces_only_the_printed_pair(monkeypatch):
     rep = no_first_integral_witness(sig, 4, N)
     assert all(hit for _, hit in rep.probes) and len(calls) == 2
     calls.clear()
-    rep = no_first_integral_witness(GermDiff1(exp_jet()), 5, N)
+    rep = no_first_integral_witness(exp_jet(), 5, N)
     assert not rep.relation_found and calls == []
 
 
@@ -448,6 +446,6 @@ def test_a_failed_pade_recheck_is_an_internal_error(monkeypatch, capsys):
 
 def test_witness_validates_input():
     with pytest.raises(ValueError):
-        no_first_integral_witness(GermDiff1.identity(N), 0, 8)
+        no_first_integral_witness(Jet1.variable(N), 0, 8)
     with pytest.raises(ValueError):
-        no_first_integral_witness(GermDiff1.identity(6), 2, 10)
+        no_first_integral_witness(Jet1.variable(6), 2, 10)

@@ -8,9 +8,8 @@ import pytest
 
 from cuspfol.cli import _as_oneform, _sigma_of_form
 from cuspfol.coeff import Coeff
-from cuspfol.jets import Jet1, Jet2
+from cuspfol.jets import Jet1, Jet2, JetError
 from cuspfol.moduli import (
-    GermDiff1,
     Homography,
     NormalPair,
     canonical_alpha,
@@ -53,7 +52,7 @@ def rand_coeff(nonzero=False, rng=RNG):
 
 def germ(coeffs, order):
     tail = [Coeff(0)] * (order + 1 - len(coeffs))
-    return GermDiff1(Jet1([Coeff(0)] + coeffs + tail, order))
+    return Jet1([Coeff(0)] + coeffs + tail, order)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +114,7 @@ def test_globality_examples():
 
 def test_build_cocycle_identity():
     n = 8
-    c = build_cocycle(GermDiff1.identity(n), 0)
+    c = build_cocycle(Jet1.variable(n), 0)
     fx, fy = c.as_map()
     assert fx == Jet2.var_x(n) + Jet2.var_y(n)
     assert fy == Jet2.var_y(n)
@@ -135,7 +134,31 @@ def test_build_cocycle_example():
 def test_cocycle_rejects_vanishing_unit():
     n = 6
     with pytest.raises(ValueError):
-        GluingCocycle(GermDiff1.identity(n), Jet2.var_y(n))
+        GluingCocycle(Jet1.variable(n), Jet2.var_y(n))
+
+
+# sigma(0) != 0 and sigma'(0) = 0, each with the message that refuses it
+NOT_INVERTIBLE = [
+    (Jet1([1, 1], 8), "germ must fix the origin"),
+    (Jet1([0, 0, 1], 8), "germ must have invertible linear part"),
+]
+GERM_CONSUMERS = {
+    "build_cocycle": lambda s: build_cocycle(s, 0),
+    "GluingCocycle": lambda s: GluingCocycle(s, Jet2.one(8)),
+    "coboundary_solve": lambda s: coboundary_solve(s, 0, ks_generator(8)),
+    "coboundary_solve_y1_free": lambda s: coboundary_solve(
+        s, 0, VectorFieldJet(Jet2.var_x(8), "x1")
+    ),
+    "cohomology_dimension": lambda s: cohomology_dimension(s, 0, 8),
+    "NormalPair": lambda s: NormalPair(s, 0),
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(GERM_CONSUMERS))
+@pytest.mark.parametrize("sigma, message", NOT_INVERTIBLE)
+def test_a_germ_that_is_not_invertible_is_refused(consumer, sigma, message):
+    with pytest.raises(JetError, match=message):
+        GERM_CONSUMERS[consumer](sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +256,7 @@ def test_compose_identity_automorphisms():
     phi1 = model_automorphism(Homography(1), Model.F1, order=n)
     phi2 = model_automorphism(Homography(1), Model.F2, order=n)
     out = cocycle_compose_check(phi1, c, phi2)
-    assert out.sigma.jet == sig.jet
+    assert out.sigma == sig
     assert out.A == c.A.truncate(out.A.order)
 
 
@@ -247,13 +270,13 @@ def test_compose_homothety_rescales_unit():
     # first slot 3*x*A(3x,3y) + sigma(3y): the unit picks up the scale and
     # the base coordinate is rescaled inside both sigma and A
     assert out.A == Jet2({(0, 0): 3, (0, 1): 18}, out.A.order)
-    assert out.sigma.jet.coeff(1) == Coeff(3)
-    assert out.sigma.jet.coeff(2) == Coeff(9)
+    assert out.sigma.coeff(1) == Coeff(3)
+    assert out.sigma.coeff(2) == Coeff(9)
 
 
 def test_compose_rejects_swapped_sides():
     n = 6
-    c = build_cocycle(GermDiff1.identity(n), 1)
+    c = build_cocycle(Jet1.variable(n), 1)
     phi1 = model_automorphism(Homography(1), Model.F1, order=n)
     phi2 = model_automorphism(Homography(1), Model.F2, order=n)
     with pytest.raises(ValueError):
@@ -292,9 +315,9 @@ def test_compose_base_change_relation():
             h0, Model.F2, order=n, leading=Coeff(1) / lam1
         )
         out = cocycle_compose_check(phi1, c, phi2)
-        m = out.sigma.jet.order
-        expect = h1.to_germ(m).compose(gam.compose(h0.to_germ(n)))
-        assert out.sigma.jet == expect.jet.truncate(m)
+        m = out.sigma.order
+        expect = h1.to_jet(m).compose(gam.compose(h0.to_jet(n)))
+        assert out.sigma == expect.truncate(m)
         assert out.A.coeff(0, 0) == Coeff(1)
         alpha_new = out.A.coeff(0, 1)
         predicted = (
@@ -330,7 +353,7 @@ def test_coboundary_round_trip():
     tilde = Jet2({(1, 0): Coeff(2), (2, 1): Coeff(0, 1)}, n)
     a2 = Jet2({(1, 0): Coeff(3), (1, 2): Coeff(-1)}, n)
     u = Jet2({(0, 0): 1, (0, 1): alpha0}, n)
-    s2 = Jet2.from_jet1(sig.jet, "y")
+    s2 = Jet2.from_jet1(sig, "y")
     psi_x = Jet2.var_x(n) * u + s2
     target = psi_x * tilde.substitute(psi_x, s2) - a2
     res = coboundary_solve(sig, alpha0, VectorFieldJet(target), order=n)
@@ -367,7 +390,7 @@ def _full_split(sig, alpha0, n):
     """Row keys and rows of the order-n split matrix M, every T and A2 column
     on every row, built by the Fraction-pair oracle."""
     keys, rows = oracles.split_matrix(
-        oracles.jet1_pairs(sig.jet), oracles.pair_of_coeff(alpha0), n
+        oracles.jet1_pairs(sig), oracles.pair_of_coeff(alpha0), n
     )
     return keys, [[Coeff(*v) for v in row] for row in rows]
 
@@ -407,7 +430,7 @@ def test_reduced_split_agrees_with_the_full_matrix():
     for text in (README_MERO, ROADMAP_MERO, SINH):
         w = _as_oneform(text, 12)
         jet = _sigma_of_form(w, 12)
-        questions.append((GermDiff1(jet), normalize(w).alpha, jet.order))
+        questions.append((jet, normalize(w).alpha, jet.order))
     for sig, alpha0, n in questions:
         rep = cohomology_dimension(sig, alpha0, n)
         keys, rows = _full_split(sig, alpha0, n)
@@ -425,10 +448,10 @@ def test_t_columns_are_exact_on_the_rows_the_solver_reads():
     rng = random.Random(0x7C)
     questions = [(rand_germ(n, rng), rand_coeff(rng=rng), n) for n in range(3, 13)]
     w = _as_oneform(README_MERO, 16)
-    questions.append((GermDiff1(_sigma_of_form(w, 16)), normalize(w).alpha, 16))
+    questions.append((_sigma_of_form(w, 16), normalize(w).alpha, 16))
     for sig, alpha0, n in questions:
         full = oracles.split_t_columns(
-            oracles.jet1_pairs(sig.jet), oracles.pair_of_coeff(alpha0), n
+            oracles.jet1_pairs(sig), oracles.pair_of_coeff(alpha0), n
         )
         t_cols = dict(zip(_t_keys(n), _t_columns(build_cocycle(sig, alpha0).as_map(n), n)))
         assert list(t_cols) == list(full)
@@ -454,7 +477,7 @@ def test_feasible_split_reads_the_second_field_off_the_remainder():
             Jet2({key: rand_coeff(rng=rng) for key in rng.sample(keys, 4)}, n)
             for keys in (t_keys, a2_keys)
         )
-        s2 = Jet2.from_jet1(sig.jet, "y")
+        s2 = Jet2.from_jet1(sig, "y")
         psi_x = Jet2.var_x(n) * Jet2({(0, 0): 1, (0, 1): alpha0}, n) + s2
         target = psi_x * tilde.substitute(psi_x, s2) - a2
         res = coboundary_solve(sig, alpha0, VectorFieldJet(target), order=n)
@@ -482,7 +505,7 @@ def test_feasible_split_eliminates_a_and_b_only(monkeypatch):
     sig = germ([Coeff(1), Coeff(1), Coeff(0), Coeff(2)], n)
     alpha0 = Coeff(-1)
     tilde = Jet2({(1, 0): Coeff(2), (3, 1): Coeff(0, 1), (5, 4): Coeff(1, 3)}, n)
-    s2 = Jet2.from_jet1(sig.jet, "y")
+    s2 = Jet2.from_jet1(sig, "y")
     psi_x = Jet2.var_x(n) * Jet2({(0, 0): 1, (0, 1): alpha0}, n) + s2
     target = psi_x * tilde.substitute(psi_x, s2) - Jet2.monomial(2, 3, 5, n)
     res = coboundary_solve(sig, alpha0, VectorFieldJet(target), order=n)
@@ -656,7 +679,7 @@ def test_diagonal_blocks_are_scaled_binomial_blocks():
     rng = random.Random(0x81)
     for n in range(2, 25):
         sig = seeded_sigma(rng, n, n % 2 == 0)
-        alpha, s = gaussian_coeff(rng), sig.jet.coeff(1)
+        alpha, s = gaussian_coeff(rng), sig.coeff(1)
         lin = [
             oracles.homogeneous_part(g, 1).with_order(n)
             for g in build_cocycle(sig, alpha).as_map(1)
@@ -688,7 +711,7 @@ def test_feasible_split_with_gaussian_denominators_is_solved_exactly(column_buil
             Jet2({key: gaussian_coeff(rng) for key in rng.sample(keys, 4)}, n)
             for keys in (t_keys, a2_keys)
         )
-        s2 = Jet2.from_jet1(sig.jet, "y")
+        s2 = Jet2.from_jet1(sig, "y")
         psi_x = Jet2.var_x(n) * Jet2({(0, 0): 1, (0, 1): alpha0}, n) + s2
         target = psi_x * tilde.substitute(psi_x, s2) - a2
         assert target.coeff(0, 1).is_zero()

@@ -531,6 +531,22 @@ def test_float_coefficients_are_refused(build):
 
 
 @pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Jet1([1, 0.5], 0),
+        lambda: Jet1([1, 0, 0, "3/4"], 2),
+        lambda: Jet2({(0, 0): 1, (3, 0): 0.5}, 1),
+        lambda: Jet2({(0, 0): 1, (1, 2): "1/2"}, 2),
+    ],
+    ids=["Jet1-float", "Jet1-str", "Jet2-float", "Jet2-str"],
+)
+def test_inexact_coefficients_past_the_order_are_refused(build):
+    # a coefficient the order drops is still checked, as one within it is
+    with pytest.raises(TypeError):
+        build()
+
+
+@pytest.mark.parametrize(
     "jet, const",
     [
         (Jet1([1, 2, 0, 3], 5), lambda c, n: Jet1((c,), n)),

@@ -378,7 +378,7 @@ class TestRref:
         # and carries -g_m, as in firstintegral.hankel_rationality
         n = 24
         corner = CornerGerm.from_reduction(reduce_cusp(parse_form(SINH, n)))
-        sigma = transversal_structure(corner, n).jet
+        sigma = transversal_structure(corner, n)
         for k in range(1, 5):
             g = [c.triple for c in oracles.jet_power(sigma, k).coeffs]
             a = [[g[m - j] for j in range(1, degree + 1)] for m in range(degree + 1, n + 1)]

@@ -217,6 +217,32 @@ def test_shapes_that_do_not_match_are_refused(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "rows, rhs, cert",
+    [
+        ([[1], [1]], [1], [(0, Coeff(-1)), (1, Coeff(1))]),  # rhs one short
+        ([[1], [1]], [1, 2, 3], [(0, Coeff(-1)), (1, Coeff(1))]),  # one past
+        ([[1], [1, 2]], [1, 2], [(0, Coeff(-1)), (1, Coeff(1))]),  # ragged
+        ([[1, 2], [1]], [1, 2], [(0, Coeff(-1)), (1, Coeff(1))]),  # short last
+        ([[1], [1]], [1, 2], [(0, Coeff(-1)), (2, Coeff(1))]),  # row past them
+        ([[1], [1]], [1, 2], [(-1, Coeff(-1)), (1, Coeff(1))]),  # negative row
+        ([[1], [1]], [1], None),  # no certificate: the shape is still checked
+    ],
+    ids=["rhs-short", "rhs-long", "ragged", "ragged-short-last", "index-past",
+         "index-negative", "no-certificate"],
+)
+def test_certificate_recheck_refuses_shapes_that_do_not_match(rows, rhs, cert):
+    """check_certificate refuses, with ValueError as :func:`solve` does, a
+    right-hand side whose length is not the row count, a ragged matrix and
+    a certificate row outside the matrix; the same certificate on its own
+    system still checks."""
+    with pytest.raises(ValueError):
+        SolveResult(False, 1, certificate=cert).check_certificate(rows, rhs)
+    res = solve([[1], [1]], [1, 2], certificate=True)
+    assert res.certificate == [(0, Coeff(-1)), (1, Coeff(1))]
+    assert res.check_certificate([[1], [1]], [1, 2])
+
+
 # ---------------------------------------------------------------------------
 # the certified solve
 

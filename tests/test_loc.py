@@ -22,3 +22,16 @@ def test_a_closed_pipe_ends_the_count_without_a_traceback():
     assert b"Traceback" not in proc.stderr
     assert proc.stderr == b""
     assert proc.returncode == 1
+
+
+def test_an_argument_that_is_not_a_directory_is_a_usage_error(tmp_path):
+    for arg in ("--help", str(tmp_path / "missing"), "tests/test_loc.py"):
+        proc = subprocess.run(
+            [sys.executable, str(LOC), "tests", arg],
+            capture_output=True, cwd=LOC.parents[1], timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == b""  # nothing is counted before the check
+        lines = proc.stderr.decode().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("usage: ") and lines[0].endswith(arg)

@@ -18,6 +18,7 @@ from cuspfol.moduli import (
     cstar_equivalent,
     homographic_equivalent,
     homographic_symmetries,
+    invertible_germ,
     normal_pair_equivalent,
     schwarzian,
 )
@@ -173,6 +174,16 @@ class TestSchwarzian:
     def test_order_too_small(self):
         with pytest.raises(JetError):
             schwarzian(Jet1([0, 1], 2))
+
+
+def test_invertible_germ_returns_the_jet_or_refuses_it():
+    rng = random.Random(47)
+    for jet in (Jet1.variable(8), Homography(Coeff(2), Coeff(1, 1)).to_jet(8), rand_germ(rng, 8)):
+        assert invertible_germ(jet) is jet
+    with pytest.raises(JetError, match="germ must fix the origin"):
+        invertible_germ(Jet1([1, 1], 8))
+    with pytest.raises(JetError, match="germ must have invertible linear part"):
+        invertible_germ(Jet1([0, 0, 1], 8))
 
 
 class TestHomography:
@@ -397,7 +408,7 @@ class TestNormalPairs:
         assert v.h1.mu == -1
         assert v.h0.mu.is_zero()
         h1 = canonicalizing_homography(p1)
-        assert schwarzian(p1.sigma.jet.compose(h1.to_jet(12))).is_zero()
+        assert schwarzian(p1.sigma.compose(h1.to_jet(12))).is_zero()
 
     def test_reflexive(self):
         rng = random.Random(277)

@@ -7,7 +7,9 @@ Run from anywhere, on the checkout that holds this file:
 With no argument it counts ``src/cuspfol`` and ``tests``.  For each
 directory it prints one line per ``*.py`` module, ``<lines> <path>``, and a
 total line ``<lines> <dir> total``; a reader that closes the pipe early ends
-it quietly, with exit code 1.  A code line is a physical line that
+it quietly, with exit code 1.  An argument that is not a directory, ``--help``
+among them, prints one usage line to stderr and exits with code 2, before
+anything is counted.  A code line is a physical line that
 holds a token of the program: comments, blank lines and docstrings (the
 string that opens a module, class or function body) are not counted.
 
@@ -57,7 +59,12 @@ def code_lines(source):
 
 
 def main():
-    for d in sys.argv[1:] or DEFAULT_DIRS:
+    dirs = sys.argv[1:] or DEFAULT_DIRS
+    for d in dirs:
+        if not os.path.isdir(os.path.join(ROOT, d)):
+            print(f"usage: python3 tools/loc.py [DIR ...]: not a directory: {d}", file=sys.stderr)
+            sys.exit(2)
+    for d in dirs:
         total = 0
         for name in sorted(os.listdir(os.path.join(ROOT, d))):
             if name.endswith(".py"):
