@@ -726,11 +726,8 @@ def _pullback(acc, fx, fy, n):
             for k, (a, b, c, d) in sub.items()
         }
     terms = [(k, *entries) for k, entries in jac.items()]
-    low = min(terms)[0] if terms else m * m
     for k1, (a, b, c, d) in sub.items():
         room = m * m - k1
-        if room <= low:
-            continue
         for k2, p0, q0, p1, q1, p2, q2, p3, q3 in terms:
             if k2 < room:
                 cur = out.get(k1 + k2)

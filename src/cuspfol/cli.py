@@ -37,7 +37,7 @@ import functools
 import json
 import sys
 
-from .coeff import Coeff, format_coeff, format_triple
+from .coeff import Coeff, format_triple
 from .jets import Jet1, format_poly
 from .forms import OneForm, ReductionVerdict, form_of_meromorphic, reduce_cusp
 from .normalform import normalize
@@ -76,7 +76,7 @@ MAX_DEGREE = 24
 # serialization helpers (everything below must be deterministic)
 
 def _ser_coeff(c):
-    return None if c is None else format_coeff(c)
+    return None if c is None else format_triple(c.triple)
 
 def _ser_jet1(j):
     return [[k, format_triple(t)] for k, t in enumerate(j.triples) if t[0] or t[1]]
@@ -102,7 +102,7 @@ def _ser_rational(r):
 def _ser_certificate(cert):
     if cert is None:
         return None
-    return [[[int(i), int(j)], format_coeff(w)] for (i, j), w in cert]
+    return [[[int(i), int(j)], format_triple(w.triple)] for (i, j), w in cert]
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 ``Coeff`` wraps the kernel's normalized integer triple ``(a, b, d)`` —
 meaning ``(a + b*i)/d`` — behind an immutable value type whose real and
 imaginary parts are exposed as ``fractions.Fraction``.  No floats anywhere.
-``format_triple`` prints a triple, and ``format_coeff`` a ``Coeff``'s, with
-no ``Fraction`` formed.
+``format_triple`` prints a triple with no ``Fraction`` formed; ``str`` of a
+``Coeff`` is that text of its triple.
 """
 
 from __future__ import annotations
@@ -142,10 +142,10 @@ class Coeff:
         return not self.is_zero()
 
     def __repr__(self):
-        return f"Coeff({format_coeff(self)})"
+        return f"Coeff({format_triple(self._t)})"
 
     def __str__(self):
-        return format_coeff(self)
+        return format_triple(self._t)
 
 
 def as_triple(x):
@@ -183,12 +183,6 @@ def _ratio_text(num: int, den: int) -> str:
         num //= g
         den //= g
     return _decimal(num) if den == 1 else f"{_decimal(num)}/{_decimal(den)}"
-
-
-def format_coeff(c: Coeff) -> str:
-    """Canonical text form of a ``Coeff``: :func:`format_triple` of its
-    triple."""
-    return format_triple(c._t)
 
 
 def format_triple(t) -> str:

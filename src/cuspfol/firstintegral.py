@@ -262,7 +262,9 @@ def homographic_case_first_integrals(order=DEFAULT_ORDER):
 
 
 class FirstIntegralReport:
-    """Outcome of the bounded monomial-probe search for a relation."""
+    """Outcome of the bounded monomial-probe search for a relation: the
+    relation found, if any, each probe's hit, the degree bound and a note.
+    The jet order is the caller's argument and is not kept."""
 
     def __init__(
         self,
@@ -271,7 +273,6 @@ class FirstIntegralReport:
         r2: Rational1 | None,
         probes: tuple,
         degree_bound: int,
-        order: int,
         note: str,
     ):
         self.relation_found = relation_found
@@ -279,7 +280,6 @@ class FirstIntegralReport:
         self.r2 = r2
         self.probes = probes
         self.degree_bound = degree_bound
-        self.order = order
         self.note = note
 
     def __bool__(self):
@@ -318,7 +318,5 @@ def no_first_integral_witness(sigma: Jet1, d, order) -> FirstIntegralReport:
         "absence of a relation within the bound is evidence, not a proof"
     )
     if found is None:
-        return FirstIntegralReport(False, None, None, tuple(probes), d, n, note)
-    return FirstIntegralReport(
-        True, found[0], found[1], tuple(probes), d, n, note
-    )
+        return FirstIntegralReport(False, None, None, tuple(probes), d, note)
+    return FirstIntegralReport(True, found[0], found[1], tuple(probes), d, note)

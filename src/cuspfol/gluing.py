@@ -8,8 +8,10 @@ substitutions
     model "F1":  x4 = 1/y3,  y4 = y3 x3       (x3^i y3^j -> x4^(i-j)  y4^i)
 
 so a function germ extends to the whole model exactly when every exponent
-image is nonnegative; those support rules drive every globality check
-here.  The models are glued along their first charts by a cocycle
+image is nonnegative.  :class:`Model` carries those support rules
+(``exponent_image``, ``is_global_monomial`` and ``violations``), and they
+drive every globality check here.  The models are glued along their first
+charts by a cocycle
 
     (x1, y1) -> (x1*A(x1,y1) + sigma(y1), sigma(y1)),   A(0,0) != 0,
 
@@ -53,10 +55,11 @@ the certificate.  This rank lemma decides every split: the left kernel is
 spanned by the y1 row, so a target with no y1 term lies in the image, and
 elimination of the whole block, its T columns built as plain powers of x3
 and sigma(y1) (both read off ``build_cocycle``), only finds its split.  The
-certificate is checked again on the full system's y1 row.  A certificate
-that fails that check, or an elimination that finds a y1-free target
-infeasible, raises ``AssertionError``, which the CLI reports as an internal
-error.
+certificate is checked again on the full system's y1 row by
+:func:`~cuspfol.linalg.check_certificate`, which reads only the system and
+the certificate.  A certificate that fails that check, or an elimination
+that finds a y1-free target infeasible, raises ``AssertionError``, which
+the CLI reports as an internal error.
 """
 
 from __future__ import annotations
@@ -66,46 +69,29 @@ from enum import Enum
 from ._backend import QZERO, qiszero
 from .coeff import Coeff
 from .jets import DEFAULT_ORDER, Jet1, Jet2
-from .linalg import SolveResult, solve
+from .linalg import check_certificate, solve
 from .moduli import Homography, invertible_germ
 
 
 class Model(Enum):
-    """The two elementary fibred models."""
+    """The two elementary fibred models, each with the monomial exponent map
+    from its first chart to its second."""
 
     F1 = "F1"
     F2 = "F2"
 
-
-class ModelTransition:
-    """Monomial exponent map from a model's first chart to its second."""
-
-    def __init__(self, model: Model):
-        self.model = model
-
     def exponent_image(self, i, j):
-        if self.model is Model.F2:
+        if self is Model.F2:
             return (2 * i - j, i)
         return (i - j, i)
 
     def is_global_monomial(self, i, j) -> bool:
         return self.exponent_image(i, j)[0] >= 0
 
-
-class GlobalityReport:
-    def __init__(self, is_global: bool, violations: list):
-        self.is_global = is_global
-        self.violations = violations
-
-    def __bool__(self):
-        return self.is_global
-
-
-def globality_check(f: Jet2, model) -> GlobalityReport:
-    """Which monomials of f fail to extend to the model's second chart."""
-    tr = ModelTransition(Model(model))
-    bad = [key for key, _ in f.items() if not tr.is_global_monomial(*key)]
-    return GlobalityReport(not bad, bad)
+    def violations(self, jet: Jet2) -> list:
+        """The keys of the monomials of ``jet`` that do not extend to the
+        second chart, read off its triples: no ``Coeff`` is built."""
+        return [key for key, _ in jet.triple_items() if not self.is_global_monomial(*key)]
 
 
 class VectorFieldJet:
@@ -170,7 +156,8 @@ def model_automorphism(h: Homography, model, leading=None, order=DEFAULT_ORDER) 
     "F2" it is c*(a+b*y)^2 where the scale c is free (the homothety
     direction); ``leading`` selects A(0,0), default 1/h'(0).  Regularity on
     the second chart is asserted by transporting the second component of
-    :meth:`ModelAutomorphism.as_map` through the model transition.
+    :meth:`ModelAutomorphism.as_map` through the model transition
+    (:meth:`Model.violations`).
     """
     model = Model(model)
     # h(z) = lam*z/(1+mu*z) rewritten as z/(a+b*z)
@@ -199,9 +186,9 @@ def model_automorphism(h: Homography, model, leading=None, order=DEFAULT_ORDER) 
 def _check_f1_regularity(phi: ModelAutomorphism):
     fx, hy = phi.as_map()
     # second-chart second component: h(y) * x * A(x,y) must be global
-    rep = globality_check(hy * fx, Model.F1)
-    if not rep:
-        raise AssertionError(f"first-model automorphism not global: {rep.violations}")
+    bad = Model.F1.violations(hy * fx)
+    if bad:
+        raise AssertionError(f"first-model automorphism not global: {bad}")
     # diagonal condition A(x,x) = h(x)/x, i.e. x*A(x,x) = h(x)
     x = Jet2.var_x(fx.order)
     if fx.substitute(x, x).restrict_to_axis("x") != phi.h.to_jet(fx.order):
@@ -214,9 +201,9 @@ def _check_f1_regularity(phi: ModelAutomorphism):
 
 def _check_f2_regularity(phi: ModelAutomorphism):
     fx, hy = phi.as_map()
-    rep = globality_check(hy * hy * fx, Model.F2)
-    if not rep:
-        raise AssertionError(f"second-model automorphism not global: {rep.violations}")
+    bad = Model.F2.violations(hy * hy * fx)
+    if bad:
+        raise AssertionError(f"second-model automorphism not global: {bad}")
     # u = A_y(0,0) relates to h''(0)/h'(0) = -2*mu scaled by the leading term
     if phi.A.coeff(0, 1) != Coeff(2) * phi.h.mu * phi.A.coeff(0, 0):
         raise AssertionError("second-model automorphism Taylor data mismatch")
@@ -275,9 +262,8 @@ def _t_keys(n):
 def _a2_keys(n):
     """The A2 monomials of the order-n split: the rows of
     :func:`_row_keys` that extend to the second chart of "F2"
-    (:meth:`ModelTransition.is_global_monomial`), in that order."""
-    f2 = ModelTransition(Model.F2)
-    return [key for key in _row_keys(n) if f2.is_global_monomial(*key)]
+    (:meth:`Model.is_global_monomial`), in that order."""
+    return [key for key in _row_keys(n) if Model.F2.is_global_monomial(*key)]
 
 
 def _t_columns(maps, n):
@@ -299,7 +285,6 @@ class CoboundaryResult:
     def __init__(
         self,
         feasible: bool,
-        order: int,
         rank: int,
         field_first: VectorFieldJet | None = None,
         field_second: VectorFieldJet | None = None,
@@ -308,7 +293,6 @@ class CoboundaryResult:
         certificate_checked: bool | None = None,
     ):
         self.feasible = feasible
-        self.order = order
         self.rank = rank
         self.field_first = field_first
         self.field_second = field_second
@@ -336,22 +320,22 @@ def _rows_on(keys, cols):
     return rows
 
 
-def _infeasible(cert, rank, cols, goal, n) -> CoboundaryResult:
+def _infeasible(cert, rank, cols, goal) -> CoboundaryResult:
     """The infeasible split with certificate ``cert``, a list of (row key,
     weight), checked again on the columns ``cols``: every T and every A2
     column of the full system, or columns that stand for them on the
     certificate's rows.  Only the certificate's own rows enter y^T A and
-    y^T b, so only they are read from ``cols``.  A certificate that fails
+    y^T b, so only they are read from ``cols``, by
+    :func:`~cuspfol.linalg.check_certificate`.  A certificate that fails
     the re-check is a fault of the split and raises ``AssertionError``."""
     cert_rows = [key for key, _ in cert]
-    full = SolveResult(
-        False, rank, certificate=[(k, w) for k, (_, w) in enumerate(cert)]
-    )
-    if not full.check_certificate(
-        _rows_on(cert_rows, cols), [goal.get(key, QZERO) for key in cert_rows]
+    if not check_certificate(
+        _rows_on(cert_rows, cols),
+        [goal.get(key, QZERO) for key in cert_rows],
+        [(k, w) for k, (_, w) in enumerate(cert)],
     ):
         raise AssertionError("coboundary split certificate failed its re-check")
-    return CoboundaryResult(False, n, rank, certificate=cert, certificate_checked=True)
+    return CoboundaryResult(False, rank, certificate=cert, certificate_checked=True)
 
 
 def _solve_coboundary(sigma: Jet1, alpha, target: Jet2, order) -> CoboundaryResult:
@@ -393,7 +377,7 @@ def _solve_coboundary(sigma: Jet1, alpha, target: Jet2, order) -> CoboundaryResu
         x3 = build_cocycle(sigma, alpha).as_map(1)[0]
         low = [x3 * x3] + [Jet2.monomial(i, j, -1, 1) for i, j in _a2_keys(1)]
         rank = (n + 1) * (n + 2) // 2 - 1
-        return _infeasible([((0, 1), Coeff(1))], rank, low, goal, n)
+        return _infeasible([((0, 1), Coeff(1))], rank, low, goal)
     admissible = set(_a2_keys(n))
     free_rows = [key for key in _row_keys(n) if key not in admissible]
     x3, s2 = build_cocycle(sigma, alpha).as_map(n)
@@ -409,12 +393,11 @@ def _solve_coboundary(sigma: Jet1, alpha, target: Jet2, order) -> CoboundaryResu
     tilde = Jet2(dict(zip(_t_keys(n), res.solution)), n)
     a2 = x3 * tilde.substitute(x3, s2) - target.truncate(n)
     # the remainder must be a field on the second model
-    if not globality_check(a2, Model.F2):
+    if Model.F2.violations(a2):
         raise AssertionError("coboundary split left a non-admissible remainder")
     a1 = (Jet2.var_x(n) - Jet2.var_y(n)) * tilde
     return CoboundaryResult(
         True,
-        n,
         len(admissible) + res.rank,
         field_first=VectorFieldJet(a1, "x3"),
         field_second=VectorFieldJet(a2, "x1"),
@@ -446,14 +429,12 @@ def ks_generator(order=DEFAULT_ORDER) -> VectorFieldJet:
 class CohomologyReport:
     def __init__(
         self,
-        order: int,
         rows: int,
         rank: int,
         corank: int,
         generator_independent: bool,
         split: CoboundaryResult,
     ):
-        self.order = order
         self.rows = rows
         self.rank = rank
         self.corank = corank
@@ -483,6 +464,4 @@ def cohomology_dimension(sigma, alpha0, order) -> CohomologyReport:
     split = coboundary_solve(sigma, alpha0, ks_generator(order), order)
     rows = (order + 1) * (order + 2) // 2
     independent = not split.feasible and split.certificate_checked
-    return CohomologyReport(
-        order, rows, split.rank, rows - split.rank, independent, split
-    )
+    return CohomologyReport(rows, split.rank, rows - split.rank, independent, split)

@@ -12,7 +12,8 @@ non-pivot output row of the kernel RREF is its input row minus a
 combination of the pivot rows' input rows, and the kernel reports where
 each output row came from, so y is read off that row permutation (one
 small square solve when the row is not zero itself).  The certificate is
-exact and re-checkable.
+exact, and :func:`check_certificate` re-checks it against the system alone,
+independent of the elimination that found it.
 
 Matrices enter as rows of Coeff-like entries or of normalized kernel
 triples.  They are copied to rows of triples, which the kernel eliminates
@@ -32,6 +33,9 @@ def _triples(row):
 
 
 class SolveResult:
+    """The outcome of :func:`solve`: plain data, checked by
+    :func:`check_certificate`."""
+
     def __init__(
         self,
         feasible: bool,
@@ -44,31 +48,33 @@ class SolveResult:
         self.solution = solution
         self.certificate = certificate
 
-    def check_certificate(self, rows, rhs) -> bool:
-        """Re-verify  y^T A = 0, y^T b != 0  against the original system:
-        every entry of the certificate's rows is multiplied and added.  A
-        right-hand side whose length is not the row count, a ragged matrix
-        or a certificate row outside the matrix raises ``ValueError``, as
-        in :func:`solve`."""
-        m = len(rows)
-        if len(rhs) != m:
-            raise ValueError(f"{len(rhs)} right-hand sides for {m} rows")
-        ncols = len(rows[0]) if rows else 0
-        if any(len(row) != ncols for row in rows):
-            raise ValueError("ragged matrix")
-        if self.certificate is None:
-            return False
-        if any(not 0 <= idx < m for idx, _ in self.certificate):
-            raise ValueError(f"certificate row outside the {m} rows")
-        b = _triples(rhs)
-        comb = [QZERO] * ncols
-        acc_b = QZERO
-        for idx, c in self.certificate:
-            ct = c.triple
-            for m, t in enumerate(_triples(rows[idx])):
-                comb[m] = qadd(comb[m], qmul(ct, t))
-            acc_b = qadd(acc_b, qmul(ct, b[idx]))
-        return all(qiszero(t) for t in comb) and not qiszero(acc_b)
+
+def check_certificate(rows, rhs, certificate) -> bool:
+    """Re-verify  y^T A = 0, y^T b != 0  for the certificate y, a list of
+    (row index, multiplier) or None, against the original system: every
+    entry of the certificate's rows is multiplied and added.  It reads only
+    the system and y, not the elimination that found y.  A right-hand side
+    whose length is not the row count, a ragged matrix or a certificate row
+    outside the matrix raises ``ValueError``, as in :func:`solve`."""
+    m = len(rows)
+    if len(rhs) != m:
+        raise ValueError(f"{len(rhs)} right-hand sides for {m} rows")
+    ncols = len(rows[0]) if rows else 0
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("ragged matrix")
+    if certificate is None:
+        return False
+    if any(not 0 <= idx < m for idx, _ in certificate):
+        raise ValueError(f"certificate row outside the {m} rows")
+    b = _triples(rhs)
+    comb = [QZERO] * ncols
+    acc_b = QZERO
+    for idx, c in certificate:
+        ct = c.triple
+        for m, t in enumerate(_triples(rows[idx])):
+            comb[m] = qadd(comb[m], qmul(ct, t))
+        acc_b = qadd(acc_b, qmul(ct, b[idx]))
+    return all(qiszero(t) for t in comb) and not qiszero(acc_b)
 
 
 def solve(rows, rhs, *, certificate=False) -> SolveResult:

@@ -18,7 +18,8 @@ S(sigma) alone.  This module carries the scalar side of that story:
 - The homographic symmetries of a jet: each unit lam pins mu in closed form,
   and one exact check of the functional equation keeps or drops it.
 - The orbits of those homographies, decided on one normal form per jet.
-- Gluing pairs (sigma, alpha), alpha free, and their canonicalization.
+- Gluing pairs (sigma, alpha), alpha free, and their canonicalization; a
+  verdict on two pairs keeps its two inner homographies and nothing else.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from math import gcd
 
 from ._backend import jet1_homographic_image
-from .coeff import Coeff, format_coeff
+from .coeff import Coeff
 from .gaussint import UNITS, nth_roots_in_qi
 from .jets import DEFAULT_ORDER, Jet1, JetError
 
@@ -152,13 +153,13 @@ def cstar_equivalent(f0: Jet1, f1: Jet1) -> CStarVerdict:
     rho = Coeff(1)
     for u, r in zip(us, ratios):
         rho = rho * r ** u
-    constraints = [f"eps^{g} = {format_coeff(rho)}"]
+    constraints = [f"eps^{g} = {rho}"]
     for m, r in zip(exps, ratios):
         if rho ** (m // g) != r:
             return CStarVerdict(
                 False,
                 constraints=constraints
-                + [f"violated: eps^{m} = {format_coeff(r)}"],
+                + [f"violated: eps^{m} = {r}"],
                 reason="incompatible coefficient ratios",
             )
     roots = nth_roots_in_qi(rho, g)
@@ -248,9 +249,7 @@ def homographic_symmetries(f: Jet1) -> SymmetryReport:
         if lam ** lam_order != 1:
             continue
         if k0 == n:
-            report.notes.append(
-                f"lam = {format_coeff(lam)}: no constraint on mu to this order"
-            )
+            report.notes.append(f"lam = {lam}: no constraint on mu to this order")
             report.infinite = True
             continue
         mu = f.coeff(k0 + 1) * (lam - 1) / ((k0 + 4) * f.coeff(k0))
@@ -326,19 +325,10 @@ def canonicalizing_homography(pair: NormalPair) -> Homography:
 
 
 class NormalPairVerdict:
-    def __init__(
-        self,
-        equivalent: bool,
-        h0: Homography,
-        h1: Homography,
-        cstar: CStarVerdict,
-        constraints: list[str] | None = None,
-    ):
+    def __init__(self, equivalent: bool, h0: Homography, h1: Homography):
         self.equivalent = equivalent
         self.h0 = h0
         self.h1 = h1
-        self.cstar = cstar
-        self.constraints = [] if constraints is None else constraints
 
     def __bool__(self):
         return self.equivalent
@@ -351,7 +341,8 @@ def normal_pair_equivalent(p0: NormalPair, p1: NormalPair) -> NormalPairVerdict:
     alpha offset; the remaining question is whether the two canonical
     Schwarzians lie on one C* orbit, which is decided exactly.  Since
     S(h) = 0, the Schwarzian of sigma o h is (S(sigma) o h) * (h')^2, the
-    homographic image of S(sigma), so no composition is formed.
+    homographic image of S(sigma), so no composition is formed.  The
+    verdict keeps the two inner homographies.
     """
     h0 = canonicalizing_homography(p0)
     h1 = canonicalizing_homography(p1)
@@ -359,15 +350,4 @@ def normal_pair_equivalent(p0: NormalPair, p1: NormalPair) -> NormalPairVerdict:
     s1 = _homographic_image(schwarzian(p1.sigma), h1)
     n = min(s0.order, s1.order)
     verdict = cstar_equivalent(s0.truncate(n), s1.truncate(n))
-    constraints = [
-        f"inner homography for first pair: mu = {format_coeff(h0.mu)}",
-        f"inner homography for second pair: mu = {format_coeff(h1.mu)}",
-        *verdict.constraints,
-    ]
-    return NormalPairVerdict(
-        equivalent=verdict.equivalent,
-        h0=h0,
-        h1=h1,
-        cstar=verdict,
-        constraints=constraints,
-    )
+    return NormalPairVerdict(verdict.equivalent, h0, h1)

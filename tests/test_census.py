@@ -9,6 +9,8 @@ line.  This test asks the same questions in process and compares.
 
 import functools
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -54,3 +56,34 @@ def test_census_matches_the_lock(line):
     anchors = [q.argv for q in census.workloads.anchors(name)]
     argvs = [*stream_argvs(name)[:60], *anchors]
     assert census.line(name, 43, argvs, plain=bool(plain)) == line
+
+
+def test_a_negative_question_count_is_a_usage_error():
+    proc = subprocess.run(
+        [sys.executable, str(TOOLS / "census.py"), "--questions", "-1"],
+        capture_output=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == b""  # nothing is asked before the check
+    assert b"Traceback" not in proc.stderr
+    lines = proc.stderr.decode().splitlines()
+    assert lines[0].startswith("usage: ")
+    assert lines[-1].endswith("argument --questions: must be nonnegative, not -1")
+
+
+def test_a_closed_pipe_ends_the_census_without_a_traceback():
+    # as in tests/test_loc.py: the read end is closed before the tool
+    # prints, as under ``census.py | head -1`` once head is done
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, str(TOOLS / "census.py"),
+             "--seeds", "43", "--questions", "1", "--workloads", "sweep"],
+            stdout=write, stderr=subprocess.PIPE, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr == b""
+    assert proc.returncode == 1

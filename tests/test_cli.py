@@ -380,7 +380,7 @@ def test_failed_reduction_recheck_exits_internal(monkeypatch):
 def test_failed_certificate_recheck_exits_internal(monkeypatch):
     # a certificate that fails its re-check is a fault of the library, not
     # an Obstructed verdict with an unchecked certificate
-    monkeypatch.setattr(cuspfol.linalg.SolveResult, "check_certificate", lambda *a: False)
+    monkeypatch.setattr(cuspfol.gluing, "check_certificate", lambda *a: False)
     code, out = run_cli("cohomology", CUSP)
     assert code == 4
     assert verdict_of(out) == "InternalError"

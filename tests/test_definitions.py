@@ -13,7 +13,9 @@ A field of a class, an entry of its ``__slots__`` or an attribute its
 ``__init__`` sets on ``self``, is dead in the same way when nothing outside
 its class body reads it: loads it as an attribute, passes it as a keyword,
 or names it in ``getattr``, ``hasattr`` or ``setattr``.  A store such as
-``p.pos = 2`` and a string that only happens to spell the name do not count.
+``p.pos = 2``, a keyword passed to the constructor of the field's own class
+(a write, as ``Report(pos=2)``) and a string that only happens to spell the
+name do not count.
 """
 
 import ast
@@ -92,8 +94,9 @@ def assigned_attributes(function):
 
 
 def class_fields(tree):
-    """(field, first line, last line of its class) of every field a class
-    declares: a ``__slots__`` entry or an attribute its ``__init__`` sets."""
+    """(field, class, first line, last line of the class) of every field a
+    class declares: a ``__slots__`` entry or an attribute its ``__init__``
+    sets."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.ClassDef):
             continue
@@ -106,42 +109,55 @@ def class_fields(tree):
             ):
                 names.extend(e.value for e in stmt.value.elts)
         for name in dict.fromkeys(names):
-            yield name, node.lineno, node.end_lineno
+            yield name, node.name, node.lineno, node.end_lineno
 
 
 ATTRIBUTE_BUILTINS = {"getattr", "hasattr", "setattr"}
 
 
+def callee(call):
+    """The name a call is made by: ``f`` in ``f(...)`` and ``m.f(...)``."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def field_references(tree):
-    """(name, line) for every attribute load, keyword, and string naming an
-    attribute in a ``getattr``, ``hasattr`` or ``setattr`` call in a module."""
+    """(name, line, callee) for every attribute load, keyword, and string
+    naming an attribute in a ``getattr``, ``hasattr`` or ``setattr`` call in
+    a module; ``callee`` names the call a keyword is passed to, and is None
+    for the others."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            yield node.attr, node.lineno
-        elif isinstance(node, ast.keyword) and node.arg:
-            yield node.arg, node.lineno
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in ATTRIBUTE_BUILTINS
-            and len(node.args) > 1
-            and isinstance(node.args[1], ast.Constant)
-            and isinstance(node.args[1].value, str)
-        ):
-            yield node.args[1].value, node.lineno
+            yield node.attr, node.lineno, None
+        elif isinstance(node, ast.Call):
+            for kw in node.keywords:
+                if kw.arg:
+                    yield kw.arg, kw.lineno, callee(node)
+            if (
+                isinstance(node.func, ast.Name)
+                and node.func.id in ATTRIBUTE_BUILTINS
+                and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)
+                and isinstance(node.args[1].value, str)
+            ):
+                yield node.args[1].value, node.lineno, None
 
 
 def dead_fields(sources):
-    """Class fields in ``sources`` ({file: text}) that nothing names."""
+    """Class fields in ``sources`` ({file: text}) that nothing reads; a
+    keyword passed to the constructor of the field's own class writes it."""
     trees = {fname: ast.parse(text) for fname, text in sources.items()}
     refs = defaultdict(list)
     for fname, tree in trees.items():
-        for name, line in field_references(tree):
-            refs[name].append((fname, line))
+        for name, line, call in field_references(tree):
+            refs[name].append((fname, line, call))
     dead = []
     for fname, tree in trees.items():
-        for name, lo, hi in class_fields(tree):
-            if all(other == fname and lo <= line <= hi for other, line in refs[name]):
+        for name, cls, lo, hi in class_fields(tree):
+            if all(
+                (other == fname and lo <= line <= hi) or call == cls
+                for other, line, call in refs[name]
+            ):
                 dead.append((fname, name))
     return sorted(dead)
 
@@ -150,17 +166,19 @@ def test_the_field_scan_sees_attributes_keywords_and_strings():
     sources = {
         "lib.py": (
             "class Report:\n"
-            "    def __init__(self, read, keyword=0, named=0, self_read=0):\n"
+            "    def __init__(self, read, keyword=0, named=0, self_read=0, built=0):\n"
             "        self.read = read\n"
             "        self.keyword, self.named = keyword, named\n"
             "        self.self_read = self_read\n"
+            "        self.built = built\n"
             "    def double(self): return 2 * self.self_read\n"
             "class Slotted:\n"
             "    __slots__ = ('unread', 'stored', 'spelled')\n"
             "class Plain:\n"
             "    ignored: int = 0\n"
             "    def reset(self): self.ignored_too = 0\n"
-            "def make(unread): return Report(1, keyword=2)\n"
+            "def make(unread): return Report(1, keyword=2, built=3)\n"
+            "def show(keyword): return keyword\n"
         ),
         "test_lib.py": (
             "from lib import make, Slotted\n"
@@ -168,10 +186,13 @@ def test_the_field_scan_sees_attributes_keywords_and_strings():
             "getattr(make(0), 'named')\n"
             "Slotted().stored = 2\n"
             "print('spelled')\n"
+            "show(keyword=make(0))\n"
+            "lib.Report(0, built=1)\n"
         ),
     }
     assert dead_fields(sources) == [
-        ("lib.py", "self_read"), ("lib.py", "spelled"), ("lib.py", "stored"), ("lib.py", "unread"),
+        ("lib.py", "built"), ("lib.py", "self_read"), ("lib.py", "spelled"), ("lib.py", "stored"),
+        ("lib.py", "unread"),
     ]
 
 

@@ -19,7 +19,6 @@ from cuspfol.gluing import (
     GluingCocycle,
     Model,
     ModelAutomorphism,
-    ModelTransition,
     VectorFieldJet,
     _a2_keys,
     _row_keys,
@@ -30,11 +29,10 @@ from cuspfol.gluing import (
     coboundary_solve,
     cocycle_compose_check,
     cohomology_dimension,
-    globality_check,
     ks_generator,
     model_automorphism,
 )
-from cuspfol.linalg import SolveResult, matrix_rank, solve
+from cuspfol.linalg import SolveResult, check_certificate, matrix_rank, solve
 from cuspfol.normalform import normalize
 
 import oracles
@@ -60,12 +58,12 @@ def germ(coeffs, order):
 
 
 def test_transition_exponent_tables():
-    f2 = ModelTransition(Model.F2)
+    f2 = Model.F2
     assert f2.exponent_image(1, 1) == (1, 1)
     assert f2.exponent_image(0, 1) == (-1, 0)
     assert f2.exponent_image(2, 1) == (3, 2)
     assert f2.exponent_image(1, 3) == (-1, 1)
-    f1 = ModelTransition(Model.F1)
+    f1 = Model.F1
     assert f1.exponent_image(1, 1) == (0, 1)
     assert f1.exponent_image(0, 1) == (-1, 0)
     assert f1.exponent_image(3, 1) == (2, 3)
@@ -78,12 +76,11 @@ def test_transition_brute_force_agreement():
         (Model.F2, lambda i, j: (2 * i - j, i)),  # x2=1/y1, y2=y1^2*x1
         (Model.F1, lambda i, j: (i - j, i)),  # x4=1/y3, y4=y3*x3
     ):
-        tr = ModelTransition(model)
         for i in range(9):
             for j in range(9 - i):
                 image = change(i, j)
-                assert tr.exponent_image(i, j) == image
-                assert tr.is_global_monomial(i, j) == (image[0] >= 0)
+                assert model.exponent_image(i, j) == image
+                assert model.is_global_monomial(i, j) == (image[0] >= 0)
                 # invert: pull the image back and land on (i, j) again
                 a, b = image
                 if model is Model.F2:
@@ -97,15 +94,15 @@ def test_globality_examples():
     n = 8
     x = Jet2.var_x(n)
     y = Jet2.var_y(n)
-    assert globality_check(x * y, Model.F2).is_global
-    rep = globality_check(y, Model.F2)
-    assert not rep.is_global
-    assert rep.violations == [(0, 1)]
-    assert globality_check(Jet2.one(n), Model.F2).is_global
-    assert globality_check(x, Model.F1).is_global
-    rep = globality_check(y + x * y * y, Model.F1)
-    assert not rep
-    assert set(rep.violations) == {(0, 1), (1, 2)}
+    assert not Model.F2.violations(x * y)
+    bad = Model.F2.violations(y)
+    assert bad
+    assert bad == [(0, 1)]
+    assert not Model.F2.violations(Jet2.one(n))
+    assert not Model.F1.violations(x)
+    bad = Model.F1.violations(y + x * y * y)
+    assert bad
+    assert set(bad) == {(0, 1), (1, 2)}
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +434,7 @@ def test_reduced_split_agrees_with_the_full_matrix():
         assert rep.rank == matrix_rank(rows)
         rhs = [Coeff(int(key == (0, 1))) for key in keys]
         cert = [(keys.index(key), w) for key, w in rep.split.certificate]
-        full = SolveResult(False, rep.rank, certificate=cert)
-        assert full.check_certificate(rows, rhs)
+        assert check_certificate(rows, rhs, cert)
 
 
 def test_t_columns_are_exact_on_the_rows_the_solver_reads():
@@ -482,7 +478,7 @@ def test_feasible_split_reads_the_second_field_off_the_remainder():
         target = psi_x * tilde.substitute(psi_x, s2) - a2
         res = coboundary_solve(sig, alpha0, VectorFieldJet(target), order=n)
         assert res.feasible
-        assert globality_check(res.field_second.coefficient, Model.F2)
+        assert not Model.F2.violations(res.field_second.coefficient)
         assert {key for key, _ in res.tilde.items()} <= set(t_keys)
         rebuilt = psi_x * res.tilde.substitute(psi_x, s2) - res.field_second.coefficient
         assert rebuilt == target
@@ -557,10 +553,10 @@ def _full_block_split(sig, alpha0, target, n):
     if res.feasible:
         return rank, True, None, None
     cert = [(free[r], w) for r, w in res.certificate]
-    full = SolveResult(False, rank, certificate=[(k, w) for k, (_, w) in enumerate(cert)])
-    checked = full.check_certificate(
+    checked = check_certificate(
         [[col.coeff(*key) for col in cols] for key, _ in cert],
         [target.coeff(*key) for key, _ in cert],
+        [(k, w) for k, (_, w) in enumerate(cert)],
     )
     return rank, False, cert, checked
 
@@ -720,7 +716,7 @@ def test_feasible_split_with_gaussian_denominators_is_solved_exactly(column_buil
         assert _split_of(res) == _full_block_split(sig, alpha0, target, n)
         rebuilt = psi_x * res.tilde.substitute(psi_x, s2) - res.field_second.coefficient
         assert rebuilt == target
-        assert globality_check(res.field_second.coefficient, Model.F2)
+        assert not Model.F2.violations(res.field_second.coefficient)
     assert column_builds == [5, 8, 12]
 
 
@@ -740,7 +736,7 @@ def test_every_target_with_no_y1_term_splits():
             res = coboundary_solve(sig, alpha0, VectorFieldJet(target), order=n)
             assert res.feasible, n
             assert res.rank == len(_row_keys(n)) - 1
-            assert globality_check(res.field_second.coefficient, Model.F2)
+            assert not Model.F2.violations(res.field_second.coefficient)
             psi_x, s2 = build_cocycle(sig, alpha0).as_map(n)
             rebuilt = psi_x * res.tilde.substitute(psi_x, s2) - res.field_second.coefficient
             assert rebuilt == target, n

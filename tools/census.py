@@ -17,7 +17,9 @@ checkouts answer alike exactly when their lines match, so a change that
 must keep the output byte for byte runs this at both and compares.  A
 question that raises is hashed by its exception's type and message.
 ``--plain`` asks the same questions without ``--json`` and hashes the
-plain-text reports; its lines read ``<workload> plain seed=...``.
+plain-text reports; its lines read ``<workload> plain seed=...``.  A
+negative ``--questions`` is a usage error (exit code 2), and a reader that
+closes the pipe early ends the census quietly, as ``tools/loc.py``.
 
 ``tools/census.lock`` holds the lines of seed 43 at 60 questions, with and
 without ``--plain``, and the ``high-order`` line; ``tests/test_census.py``
@@ -116,10 +118,18 @@ def high_order_line(plain=False):
     return f"high-order{tag} questions={count} sha256={hexdigest}"
 
 
+def count(text):
+    """A nonnegative number of questions, for argparse."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, not {n}")
+    return n
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 43, 2035])
-    parser.add_argument("--questions", type=int, default=600)
+    parser.add_argument("--questions", type=count, default=600)
     parser.add_argument("--plain", action="store_true", help="hash the reports without --json")
     names = [*workloads.WORKLOADS, "high-order"]
     parser.add_argument("--workloads", nargs="+", default=names, choices=names)
@@ -133,4 +143,6 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    main()
+    import loc  # beside this file, so on sys.path when run as a script
+
+    loc.run(main)

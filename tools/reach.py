@@ -27,6 +27,8 @@ statements=<n> all=<m>`` for each function no stream question reaches, then
 one line ``idle <module.Qualified.name>:<line>`` for each statement that no
 question of either set runs inside a function that some question reaches.
 A reader that closes the pipe early ends it quietly, as ``tools/loc.py``.
+It takes no argument: any one, ``--help`` among them, prints one usage line
+to stderr and exits with code 2, before anything is traced.
 
 Stdlib only (the full set needs the ``pytest`` the tests import); it takes
 about 30 s on a 2-core host.
@@ -141,6 +143,9 @@ def ask_every_question():
 
 
 def main():
+    if sys.argv[1:]:
+        print("usage: python3 tools/reach.py (takes no arguments)", file=sys.stderr)
+        sys.exit(2)
     streams = traced_lines(ask_streams)
     everything = streams | traced_lines(ask_every_question())
     totals = [0, 0, 0]
