@@ -28,6 +28,9 @@ Exit status: 0 for a positive verdict, 1 for a negative one, 2 when the
 computation cannot decide at the working order, 3 for invalid input, 4 for
 an internal failure (a failed assertion or an arithmetic error in the
 library), reported as the verdict ``InternalError`` with no traceback.
+The report is written in one piece, characters the stream cannot encode
+as backslash escapes; a reader that closes the pipe early ends the call
+quietly with the verdict's own exit code.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .coeff import Coeff, format_triple
@@ -485,24 +489,26 @@ def _write_json(value, pad, out):
 
 
 def _print_report(report, as_json, stream):
+    """Write the report to ``stream`` in one ``write``; a character the
+    stream cannot encode is written as its backslash escape."""
+    out = []
     if as_json:
-        out = []
         _write_json(report, "", out)
         out.append("\n")
-        stream.write("".join(out))
-        return
-    stream.write(f"command: {report['command']}\n")
-    stream.write(f"order: {report['order']}\n")
-    stream.write(f"verdict: {report['verdict']}\n")
-    for key in sorted(report["data"]):
-        value = report["data"][key]
-        if isinstance(value, (dict, list)):
-            value = json.dumps(value, sort_keys=True)
-        stream.write(f"{key}: {value}\n")
-    for cert in report["certificates"]:
-        if isinstance(cert, (dict, list)):
-            cert = json.dumps(cert, sort_keys=True)
-        stream.write(f"certificate: {cert}\n")
+    else:
+        lines = [(key, report[key]) for key in ("command", "order", "verdict")]
+        lines += sorted(report["data"].items())
+        lines += [("certificate", cert) for cert in report["certificates"]]
+        for key, value in lines:
+            if isinstance(value, (dict, list)):
+                value = json.dumps(value, sort_keys=True)
+            out.append(f"{key}: {value}\n")
+    text = "".join(out)
+    try:
+        stream.write(text)
+    except UnicodeEncodeError:  # raised before a byte of the text is written
+        encoding = stream.encoding
+        stream.write(text.encode(encoding, "backslashreplace").decode(encoding))
 
 
 def build_parser():
@@ -600,7 +606,13 @@ def main(argv=None) -> int:
         "data": data,
         "certificates": certs,
     }
-    _print_report(report, args.json, sys.stdout)
+    try:
+        _print_report(report, args.json, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (``cuspfol ... | head -1``): point stdout
+        # at devnull so the flush at exit cannot raise again, and keep the code
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -5,7 +5,9 @@ whose g-th power equals this Gaussian rational?", the C* witness of
 ``moduli.cstar_equivalent``.  For g = 1 the answer is the number itself;
 otherwise everything reduces to factoring ordinary integers (trial division
 + Miller-Rabin + Pollard rho), so it is exact with no algebraic-number
-machinery.
+machinery.  A Gaussian integer is factored one rational prime p of its norm
+at a time, by one divide loop over the Gaussian prime above p and its
+conjugate, whether p is 2, split or inert.
 
 Gaussian integers are (re, im) int pairs here; Q(i) scalars cross the
 boundary as :class:`~cuspfol.coeff.Coeff`.
@@ -14,6 +16,7 @@ boundary as :class:`~cuspfol.coeff.Coeff`.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from math import gcd
 
 from .coeff import Coeff
@@ -158,34 +161,24 @@ def gaussian_prime_above(p: int):
 
 
 def gi_factor(w) -> tuple[tuple[int, int], dict[tuple[int, int], int]]:
-    """Factor a nonzero Gaussian integer: returns (unit, {canonical prime: e})."""
+    """Factor a nonzero Gaussian integer: returns (unit, {canonical prime: e}).
+
+    Each rational prime p of the norm is divided out of ``w`` through its
+    Gaussian prime above p and the canonical associate of that prime's
+    conjugate, in one loop; for p = 2 and an inert p the two are one prime,
+    tried twice.  A non-unit left over is an ``AssertionError``.
+    """
     if w == (0, 0):
         raise ValueError("cannot factor zero")
     out: dict[tuple[int, int], int] = {}
-    for p, ep in factor_int(gi_norm(w)).items():
-        if p % 4 == 3:
-            if ep % 2:
-                raise AssertionError("an inert prime divides the norm to an odd power")
-            pi = (p, 0)
-            e = ep // 2
-            for _ in range(e):
-                q, r = gi_divmod(w, pi)
-                if r != (0, 0):
-                    raise AssertionError("an inert prime of the norm does not divide w")
-                w = q
-            out[pi] = out.get(pi, 0) + e
-            continue
-        pi = (1, 1) if p == 2 else gaussian_prime_above(p)
+    for p in factor_int(gi_norm(w)):
+        pi = gaussian_prime_above(p)
         for cand in (pi, canonical_associate((pi[0], -pi[1]))):
-            e = 0
-            while True:
-                q, r = gi_divmod(w, cand)
-                if r != (0, 0):
-                    break
+            q, r = gi_divmod(w, cand)
+            while r == (0, 0):
                 w = q
-                e += 1
-            if e:
-                out[cand] = out.get(cand, 0) + e
+                out[cand] = out.get(cand, 0) + 1
+                q, r = gi_divmod(w, cand)
     if gi_norm(w) != 1:
         raise AssertionError("leftover non-unit after factorization")
     return w, out
@@ -210,14 +203,9 @@ def nth_roots_in_qi(rho: Coeff, g: int) -> list[Coeff]:
     if g == 1:
         return [rho]
     a, b, d = rho.triple
-    vals: dict[tuple[int, int], int] = {}
-    _, num_fac = gi_factor((a, b))
-    for pi, e in num_fac.items():
-        vals[pi] = vals.get(pi, 0) + e
+    vals = Counter(gi_factor((a, b))[1])
     if d != 1:
-        _, den_fac = gi_factor((d, 0))
-        for pi, e in den_fac.items():
-            vals[pi] = vals.get(pi, 0) - e
+        vals.subtract(gi_factor((d, 0))[1])
     root = Coeff(1)
     for pi, v in vals.items():
         if v % g != 0:

@@ -24,8 +24,6 @@ S(sigma) alone.  This module carries the scalar side of that story:
 
 from __future__ import annotations
 
-from math import gcd
-
 from ._backend import jet1_homographic_image
 from .coeff import Coeff
 from .gaussint import UNITS, nth_roots_in_qi
@@ -118,7 +116,10 @@ def cstar_equivalent(f0: Jet1, f1: Jet1) -> CStarVerdict:
 
     The decision over C is exact: one Bezout combination rho of the
     coefficient ratios must reproduce every ratio, which encodes all integer
-    relations among the exponents k+2.  A Q(i) witness is extracted by
+    relations among the exponents k+2.  It is folded over the support with
+    the extended gcd: with eps^g = rho for g the gcd of the exponents so
+    far and x*g + y*m = gcd(g, m), the next ratio r = eps^m gives
+    eps^gcd(g, m) = rho^x * r^y.  A Q(i) witness is extracted by
     Gaussian-prime root extraction when one exists; otherwise the verdict is
     "equivalent over C" with the defining polynomial eps^g = rho.
     """
@@ -136,23 +137,10 @@ def cstar_equivalent(f0: Jet1, f1: Jet1) -> CStarVerdict:
         )
     exps = [k + 2 for k in support0]
     ratios = [f0.coeff(k) / f1.coeff(k) for k in support0]
-    g = 0
-    for m in exps:
-        g = gcd(g, m)
-    # Bezout multipliers with sum(u_k * m_k) == g.
-    us = [0] * len(exps)
-    cur_g, us[0] = exps[0], 1
-    for idx in range(1, len(exps)):
-        new_g, x, y = _ext_gcd(cur_g, exps[idx])
-        for j in range(idx):
-            us[j] *= x
-        us[idx] = y
-        cur_g = new_g
-    if cur_g != g:
-        raise AssertionError("the Bezout multipliers do not reach the gcd")
-    rho = Coeff(1)
-    for u, r in zip(us, ratios):
-        rho = rho * r ** u
+    g, rho = 0, Coeff(1)
+    for m, r in zip(exps, ratios):
+        g, x, y = _ext_gcd(g, m)
+        rho = rho ** x * r ** y
     constraints = [f"eps^{g} = {rho}"]
     for m, r in zip(exps, ratios):
         if rho ** (m // g) != r:

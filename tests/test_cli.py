@@ -1889,7 +1889,7 @@ def test_internal_failure_has_its_own_exit_code(capsys):
     assert rep["certificates"] == [] and err == ""
 
 
-def run_child(args, cwd):
+def run_child(args, cwd, stdout=subprocess.PIPE):
     # The child runs in an empty directory and finds the copy of the package
     # this process imported, whether it is installed or on a relative
     # PYTHONPATH such as ``src``.
@@ -1899,7 +1899,8 @@ def run_child(args, cwd):
         p for p in (pkg_root, env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, cwd=cwd, env=env
+        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True,
+        cwd=cwd, env=env,
     )
 
 
@@ -1916,6 +1917,34 @@ def test_subprocess_entry_point(tmp_path):
         assert "verdict: Identity" in proc.stdout
         printed.add(proc.stdout)
     assert len(printed) == 1
+
+
+def test_a_character_stdout_cannot_encode_is_escaped(tmp_path, monkeypatch):
+    # the report is written in one piece: an ASCII stdout gets the whole
+    # InputError report, the character as its backslash escape
+    monkeypatch.setenv("PYTHONIOENCODING", "ascii")
+    proc = run_child(["-m", "cuspfol.cli", "reduce", "\u00e9 dx"], tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[2:] == [
+        "verdict: InputError",
+        "error: line 1, column 1: unknown variable '\\xe9' (only x, y and i)",
+    ]
+
+
+def test_a_closed_pipe_ends_the_report_with_the_verdicts_code(tmp_path):
+    # as under ``cuspfol sigma ... --order 160 | head -1`` once head is
+    # done: the read end is closed before the child prints
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_child(
+            ["-m", "cuspfol.cli", "sigma", SINH, "--order", "160"], tmp_path, stdout=write
+        )
+    finally:
+        os.close(write)
+    assert proc.stderr == ""
+    assert proc.returncode == 0
 
 
 # Every module of the package that one CLI call needs is loaded at start.

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import time
 from fractions import Fraction
@@ -6,7 +8,14 @@ from math import comb
 import pytest
 
 from cuspfol import Coeff, Jet1
-from cuspfol.gaussint import factor_int, gi_factor, gi_norm, is_probable_prime, nth_roots_in_qi
+from cuspfol.gaussint import (
+    UNITS,
+    factor_int,
+    gi_factor,
+    gi_norm,
+    is_probable_prime,
+    nth_roots_in_qi,
+)
 from cuspfol.jets import JetError
 from cuspfol.moduli import (
     Homography,
@@ -107,6 +116,65 @@ class TestGaussInt:
             assert x in roots
             for r in roots:
                 assert r**g == x**g
+
+
+# 1 + i, the inert 3, 7 and 11, and the split 5 = (2 + i)(2 - i) and
+# 13 = (3 + 2i)(3 - 2i), each prime of Z[i] over them once.
+GAUSS_PRIMES = [Coeff(1, 1), Coeff(3), Coeff(7), Coeff(11), Coeff(2, 1),
+                Coeff(2, -1), Coeff(3, 2), Coeff(3, -2)]
+INERT = {3, 7, 11}
+
+
+def seeded_root_table(seed=0x1DEA, cases=80):
+    """(g, rho) pairs, rho a unit times powers of ``GAUSS_PRIMES`` in the
+    numerator and the denominator; most exponents are multiples of g, so
+    about half of the rho have g-th roots in Q(i)."""
+    rng = random.Random(seed)
+    table = []
+    for _ in range(cases):
+        g = rng.choice([2, 3, 4, 6])
+        rho = rng.choice(UNITS)
+        for pi in GAUSS_PRIMES:
+            if rng.random() < 0.5:
+                continue
+            e = g * rng.randint(-2, 2) if rng.random() < 0.8 else rng.randint(-3, 3)
+            rho = rho * pi ** e
+        table.append((g, rho))
+    return table
+
+
+# sha256 of every (g, rho, the roots of rho, gi_factor of its numerator and
+# of its denominator) of ``seeded_root_table``, as the first printed eps is
+# the first root and the factorization fixes the order of the roots.
+ROOT_TABLE_SHA256 = "52a3d4a676a0ea95bf527e976f71c7c41bd4781ca85cf687da723c2d0b2b1c96"
+
+
+class TestGaussIntPins:
+    def test_roots_and_factors_of_the_seeded_table_are_pinned(self):
+        rows = []
+        for g, rho in seeded_root_table():
+            a, b, d = rho.triple
+            factors = [gi_factor(w) for w in ((a, b), (d, 0))]
+            rows.append([
+                g, list(rho.triple),
+                [list(r.triple) for r in nth_roots_in_qi(rho, g)],
+                [[list(unit), [[list(pi), e] for pi, e in fac.items()]] for unit, fac in factors],
+            ])
+        printed = json.dumps(rows).encode()
+        assert sum(bool(row[2]) for row in rows) >= 20
+        assert hashlib.sha256(printed).hexdigest() == ROOT_TABLE_SHA256
+
+    def test_every_prime_is_canonical_and_lies_over_one_rational_prime(self):
+        for g, rho in seeded_root_table():
+            a, b, d = rho.triple
+            for w in ((a, b), (d, 0)):
+                unit, fac = gi_factor(w)
+                assert gi_norm(unit) == 1
+                for (re, im), e in fac.items():
+                    assert re > 0 and im >= 0 and e > 0
+                    norm = re * re + im * im
+                    p = next(p for p in (2, 3, 5, 7, 11, 13) if norm % p == 0)
+                    assert norm == (p * p if p in INERT else p)
 
 
 class TestSchwarzian:
@@ -245,6 +313,22 @@ class TestCStar:
         assert v.defining_poly is not None
         g, rho = v.defining_poly
         assert g == 4 and rho == 4
+
+    @pytest.mark.parametrize("support, g", [
+        ((0, 1, 3, 6), 1), ((0, 2, 4, 8), 2), ((1, 4, 7), 3), ((2, 6, 10), 4),
+    ])
+    def test_the_fold_reaches_eps_to_the_gcd(self, support, g):
+        # exponents k + 2 with gcd g: rho is eps^g, whatever the Bezout path
+        rng = random.Random(277 + g)
+        for _ in range(6):
+            coeffs = [0] * 11
+            for k in support:
+                coeffs[k] = Coeff(rng.randint(1, 5), rng.randint(-3, 3))
+            f = Jet1(coeffs, 10)
+            eps = Coeff(Fraction(rng.choice([1, 2, -3]), rng.choice([1, 3])), rng.randint(-2, 2))
+            v = cstar_equivalent(cstar_apply(f, eps), f)
+            assert v.equivalent
+            assert v.constraints[0] == f"eps^{g} = {eps ** g}"
 
     def test_equivalence_relation(self):
         rng = random.Random(271)

@@ -616,3 +616,27 @@ def test_substitution_rows_and_accumulators_share_the_form_loop(monkeypatch):
     assert len(data.changes) == 13
     assert 1 in sizes
     assert any(size > 1 for size in sizes)
+
+
+@pytest.mark.parametrize(
+    "side, key",
+    [(0, (2, 2)), (1, (1, 3)), (0, (6, 2)), (1, (3, 5))],
+    ids=["x2y2-dx", "xy3-dy", "x6y2-dx", "x3y5-dy"],
+)
+def test_a_stray_monomial_in_the_final_form_fails_the_template_check(monkeypatch, side, key):
+    """The final form is compared with the template of its data, monomial
+    by monomial: one stray y^2-divisible monomial, which no fixed
+    coefficient check reads, is an ``AssertionError``."""
+    w = _as_oneform(MOVED, 16)
+    rep = reduce_cusp(w)
+    assert normalize(w, reduction=rep).changes
+    triples = FormNumerators.triples
+
+    def stray_triples(self):
+        parts = triples(self)
+        parts[side][key] = (1, 0, 1)
+        return parts
+
+    monkeypatch.setattr(FormNumerators, "triples", stray_triples)
+    with pytest.raises(AssertionError, match="template"):
+        normalize(w, reduction=rep)
