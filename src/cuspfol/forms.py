@@ -40,7 +40,7 @@ from enum import Enum
 
 from ._backend import QZERO, FormNumerators, mero_form, qdiv, qiszero, qmul, qneg
 from .coeff import Coeff, ZERO
-from .jets import Jet2, JetError, _check_targets
+from .jets import Jet2, JetError, _check_targets, derivative_order
 
 
 class OneForm:
@@ -117,9 +117,7 @@ def form_of_meromorphic(num: Jet2, den: Jet2) -> OneForm:
             f"the cross products of the numerator and the denominator may need "
             f"{size.bit_length()} bits; at most {MAX_COEFF_BITS} are allowed"
         )
-    n = min(num.order, den.order) - 1
-    if n < 0:
-        raise JetError("cannot differentiate an order-0 jet")
+    n = derivative_order(min(num.order, den.order))
     a, b = mero_form(num.triple_items(), den.triple_items(), n)
     return OneForm(Jet2._raw(a, n), Jet2._raw(b, n))
 

@@ -47,9 +47,8 @@ rows it is the product of the linear parts x1 + s*y1 of x3 o psi and s*y1
 of y3 o psi, where s = sigma'(0), so G_d[p][i] = C(i+1, p) s^(d-p).  The
 polynomials C(X, p) with p < r are a basis of those of degree < r, and the
 columns evaluate them at distinct points i+1, never fewer than the r rows;
-so when s != 0, which :func:`~cuspfol.moduli.invertible_germ` checks on
-every cocycle and every split, every G_d has full row rank and the ranks
-sum to rows - 1.
+so when s != 0, which :func:`~cuspfol.jets.invertible_germ` checks on
+every cocycle, every G_d has full row rank and the ranks sum to rows - 1.
 The y1 row is zero in every T column, which caps the rank at rows - 1 and is
 the certificate.  This rank lemma decides every split: the left kernel is
 spanned by the y1 row, so a target with no y1 term lies in the image, and
@@ -68,9 +67,9 @@ from enum import Enum
 
 from ._backend import QZERO, qiszero
 from .coeff import Coeff
-from .jets import DEFAULT_ORDER, Jet1, Jet2
+from .jets import DEFAULT_ORDER, Jet1, Jet2, invertible_germ
 from .linalg import check_certificate, solve
-from .moduli import Homography, invertible_germ
+from .moduli import Homography
 
 
 class Model(Enum):
@@ -349,8 +348,9 @@ def _solve_coboundary(sigma: Jet1, alpha, target: Jet2, order) -> CoboundaryResu
 
     The y1 row has degree 1, below the valuation of every T column, so it
     is zero in the block and caps its rank at rows - 1.
-    :func:`coboundary_solve` refuses s = sigma'(0) = 0 through
-    :func:`~cuspfol.moduli.invertible_germ`, so the diagonal blocks G_d of
+    Both branches read the cocycle off :func:`build_cocycle` before they
+    use sigma, and :class:`GluingCocycle` refuses s = sigma'(0) = 0 through
+    :func:`~cuspfol.jets.invertible_germ`, so the diagonal blocks G_d of
     the block have full row rank (see the module docstring), the rank is
     rows - 1 and the left kernel is spanned by the y1 row.  That rank
     lemma decides every split.  A target with a nonzero y1 coefficient is infeasible with
@@ -416,7 +416,6 @@ def coboundary_solve(sigma: Jet1, alpha0, target: VectorFieldJet, order=None) ->
     Infeasibility at one order persists at all higher orders (the lower
     system is a subsystem of the higher one).
     """
-    invertible_germ(sigma)
     n = min(sigma.order, target.coefficient.order) if order is None else order
     return _solve_coboundary(sigma, alpha0, target.coefficient.truncate(n), n)
 

@@ -11,6 +11,14 @@ one variable is a product by that reciprocal embedded with
 Products are the kernel's ``jet1_mul`` and ``jet2_mul``, and the series
 reversion :meth:`Jet1.comp_inverse` takes its powers with ``jet1_mul``.
 
+The module states each rule about jets once, and every other module calls
+it: :func:`invertible_germ` (sigma(0) = 0, sigma'(0) != 0) and
+:func:`invertible_linear_part` (sigma'(0) != 0 alone) for germs of (C, 0);
+``truncate`` and ``coeff``, which refuse an order or an index past the
+jet's own, for a caller that needs a jet to cover an order;
+:func:`derivative_order` for the order a derivative drops to; and one
+check each for axis names and exponents.
+
 Internally coefficients are the kernel triples (a, b, d) ~ (a+b*i)/d; the
 public surface deals in :class:`~cuspfol.coeff.Coeff`.
 """
@@ -54,6 +62,30 @@ def _order(order):
     return n
 
 
+def derivative_order(order):
+    """The order of a derivative of a jet of order ``order``, one lower; an
+    order-0 jet has none and raises :class:`JetError`."""
+    if order < 1:
+        raise JetError("cannot differentiate an order-0 jet")
+    return order - 1
+
+
+_AXES = ("x", "y")
+
+
+def _axis(axis):
+    """The key slot of an axis: 0 for "x", 1 for "y"; any other name raises
+    :class:`JetError`."""
+    if axis not in _AXES:
+        raise JetError("axis must be 'x' or 'y'")
+    return _AXES.index(axis)
+
+
+def _check_exponents(i, j):
+    if i < 0 or j < 0:
+        raise JetError("negative exponent in Jet2")
+
+
 class _Jet:
     """The operators :class:`Jet1` and :class:`Jet2` share.
 
@@ -86,6 +118,14 @@ class _Jet:
 
     def __rsub__(self, other):
         return (-self) + other
+
+    def _lower_order(self, order):
+        """``order`` as the order of a truncation, which cannot raise the
+        jet's own (:class:`JetError`)."""
+        order = _order(order)
+        if order > self._n:
+            raise JetError(f"truncate cannot raise the order {self._n} to {order}")
+        return order
 
 
 class Jet1(_Jet):
@@ -144,9 +184,7 @@ class Jet1(_Jet):
         return None
 
     def truncate(self, order):
-        order = _order(order)
-        if order > self._n:
-            raise JetError("truncate cannot raise the order")
+        order = self._lower_order(order)
         return Jet1._raw(self._c[: order + 1], order)
 
     def _bin(self, other, op):
@@ -169,12 +207,11 @@ class Jet1(_Jet):
 
     def derivative(self):
         """d/dz, one order lower (the top coefficient is consumed)."""
-        if self._n == 0:
-            raise JetError("cannot differentiate an order-0 jet")
+        n = derivative_order(self._n)
         out = [
             qmul(self._c[k], (k, 0, 1)) for k in range(1, self._n + 1)
         ]
-        return Jet1._raw(out, self._n - 1)
+        return Jet1._raw(out, n)
 
     def compose(self, inner: "Jet1") -> "Jet1":
         """self(inner(z)); inner must have zero constant term."""
@@ -188,19 +225,15 @@ class Jet1(_Jet):
         return Jet1._raw(acc, n)
 
     def comp_inverse(self) -> "Jet1":
-        """Compositional inverse g with g(f(z)) = z; needs f(0)=0, f'(0)!=0.
+        """Compositional inverse g with g(f(z)) = z of an invertible germ f
+        (:func:`invertible_germ` refuses any other).
 
         Series reversion by Lagrange inversion: with the unit h = z/f(z),
         [z^k]g = (1/k) [z^(k-1)] h^k.  h is one kernel reciprocal and each
         power h^k one :func:`~cuspfol._backend.jet1_mul` by h, at order
         N - 1.
         """
-        if self._n < 1:
-            raise JetError("compositional inverse needs a jet of order >= 1")
-        if not qiszero(self._c[0]):
-            raise JetError("compositional inverse needs f(0) = 0")
-        if qiszero(self._c[1]):
-            raise JetError("compositional inverse needs f'(0) != 0")
+        invertible_germ(self)
         n = self._n
         h = jet1_reciprocal(self._c[1:], n - 1)
         out = [QZERO] * (n + 1)
@@ -254,6 +287,24 @@ class Jet1(_Jet):
         return f"Jet1({format_poly(d, ('z', 'z'))})"
 
 
+def invertible_linear_part(jet: Jet1) -> Coeff:
+    """The linear coefficient sigma'(0) of a germ, once it is checked to be
+    nonzero; otherwise ``JetError``."""
+    c1 = jet.coeff(1)
+    if c1.is_zero():
+        raise JetError("germ must have invertible linear part")
+    return c1
+
+
+def invertible_germ(jet: Jet1) -> Jet1:
+    """``jet`` itself, once it is checked to be an invertible germ of
+    (C, 0): sigma(0) = 0 and sigma'(0) != 0.  Otherwise ``JetError``."""
+    if not jet.coeff(0).is_zero():
+        raise JetError("germ must fix the origin")
+    invertible_linear_part(jet)
+    return jet
+
+
 class Jet2(_Jet):
     """A truncated series in two variables: {(i, j): coeff}, i+j <= order."""
 
@@ -265,8 +316,7 @@ class Jet2(_Jet):
         d = {}
         if coeffs:
             for (i, j), v in coeffs.items():
-                if i < 0 or j < 0:
-                    raise JetError("negative exponent in Jet2")
+                _check_exponents(i, j)
                 t = as_triple(v)  # past the order too: an inexact one is refused
                 if i + j <= n and not qiszero(t):
                     d[(i, j)] = t
@@ -299,12 +349,10 @@ class Jet2(_Jet):
     @classmethod
     def from_jet1(cls, jet: Jet1, axis: str) -> "Jet2":
         """Embed a one-variable jet along the "x" or "y" axis."""
-        if axis == "x":
+        if _axis(axis) == 0:
             d = {(k, 0): t for k, t in enumerate(jet._c) if not qiszero(t)}
-        elif axis == "y":
-            d = {(0, k): t for k, t in enumerate(jet._c) if not qiszero(t)}
         else:
-            raise JetError("axis must be 'x' or 'y'")
+            d = {(0, k): t for k, t in enumerate(jet._c) if not qiszero(t)}
         return cls._raw(d, jet.order)
 
     @property
@@ -346,17 +394,13 @@ class Jet2(_Jet):
             return None
         if axis is None:
             return min(i + j for (i, j) in self._d)
-        if axis not in ("x", "y"):
-            raise JetError("axis must be 'x' or 'y'")
-        k = 0 if axis == "x" else 1
+        k = _axis(axis)
         return min(key[k] for key in self._d)
 
     def truncate(self, order):
         """The jet at a lower order; at its own order, the jet itself (jets
         are immutable, so nothing is copied)."""
-        order = _order(order)
-        if order > self._n:
-            raise JetError("truncate cannot raise the order")
+        order = self._lower_order(order)
         if order == self._n:
             return self
         d = {k: t for k, t in self._d.items() if k[0] + k[1] <= order}
@@ -385,8 +429,7 @@ class Jet2(_Jet):
         d = {}
         for (i, j), t in self._d.items():
             k, l = image(i, j)
-            if k < 0 or l < 0:
-                raise JetError("negative exponent in Jet2")
+            _check_exponents(k, l)
             if k + l <= order:
                 d[(k, l)] = t
         return Jet2._raw(d, order)
@@ -418,23 +461,21 @@ class Jet2(_Jet):
 
     def dx(self) -> "Jet2":
         """Partial derivative in the first variable (order drops by one)."""
-        if self._n == 0:
-            raise JetError("cannot differentiate an order-0 jet")
+        n = derivative_order(self._n)
         d = {}
         for (i, j), t in self._d.items():
             if i >= 1:
                 d[(i - 1, j)] = qmul(t, (i, 0, 1))
-        return Jet2._raw(d, self._n - 1)
+        return Jet2._raw(d, n)
 
     def dy(self) -> "Jet2":
         """Partial derivative in the second variable (order drops by one)."""
-        if self._n == 0:
-            raise JetError("cannot differentiate an order-0 jet")
+        n = derivative_order(self._n)
         d = {}
         for (i, j), t in self._d.items():
             if j >= 1:
                 d[(i, j - 1)] = qmul(t, (j, 0, 1))
-        return Jet2._raw(d, self._n - 1)
+        return Jet2._raw(d, n)
 
     def substitute(self, fx: "Jet2", fy: "Jet2") -> "Jet2":
         """self(fx, fy) for substitution targets vanishing at the origin.
@@ -464,17 +505,11 @@ class Jet2(_Jet):
 
     def restrict_to_axis(self, axis: str) -> Jet1:
         """The one-variable jet on an axis: "x" sets y=0, "y" sets x=0."""
+        k = _axis(axis)
         out = [QZERO] * (self._n + 1)
-        if axis == "x":
-            for (i, j), t in self._d.items():
-                if j == 0:
-                    out[i] = t
-        elif axis == "y":
-            for (i, j), t in self._d.items():
-                if i == 0:
-                    out[j] = t
-        else:
-            raise JetError("axis must be 'x' or 'y'")
+        for key, t in self._d.items():
+            if not key[1 - k]:
+                out[key[k]] = t
         return Jet1._raw(out, self._n)
 
     def swap_variables(self) -> "Jet2":

@@ -18,7 +18,11 @@ independent of the elimination that found it.
 Matrices enter as rows of Coeff-like entries or of normalized kernel
 triples.  They are copied to rows of triples, which the kernel eliminates
 in place by plain Gauss-Jordan (:func:`cuspfol._backend.rref`); solutions,
-certificates and determinants leave as Coeff.
+certificates and determinants leave as Coeff.  One shape rule,
+:func:`_columns`, refuses a ragged matrix or a right-hand side whose
+length is not the row count for :func:`solve`, :func:`matrix_rank` and
+:func:`check_certificate`; it reads only the row lengths, so
+:func:`check_certificate` still converts only the certificate's rows.
 """
 
 from __future__ import annotations
@@ -30,6 +34,18 @@ from .coeff import Coeff, as_triple
 def _triples(row):
     """A row of Coeff-like entries or kernel triples, as kernel triples."""
     return [c if type(c) is tuple else as_triple(c) for c in row]
+
+
+def _columns(rows, rhs=None):
+    """The column count of ``rows``, read off the row lengths alone: a
+    ragged matrix, or a right-hand side ``rhs`` whose length is not the row
+    count, raises ``ValueError``."""
+    if rhs is not None and len(rhs) != len(rows):
+        raise ValueError(f"{len(rhs)} right-hand sides for {len(rows)} rows")
+    ncols = len(rows[0]) if rows else 0
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("ragged matrix")
+    return ncols
 
 
 class SolveResult:
@@ -57,11 +73,7 @@ def check_certificate(rows, rhs, certificate) -> bool:
     whose length is not the row count, a ragged matrix or a certificate row
     outside the matrix raises ``ValueError``, as in :func:`solve`."""
     m = len(rows)
-    if len(rhs) != m:
-        raise ValueError(f"{len(rhs)} right-hand sides for {m} rows")
-    ncols = len(rows[0]) if rows else 0
-    if any(len(row) != ncols for row in rows):
-        raise ValueError("ragged matrix")
+    ncols = _columns(rows, rhs)
     if certificate is None:
         return False
     if any(not 0 <= idx < m for idx, _ in certificate):
@@ -88,14 +100,10 @@ def solve(rows, rhs, *, certificate=False) -> SolveResult:
     ``ValueError``.
     """
     m = len(rows)
-    if len(rhs) != m:
-        raise ValueError(f"{len(rhs)} right-hand sides for {m} rows")
+    ncols = _columns(rows, rhs)
     if m == 0:
         return SolveResult(True, 0, solution=[])
-    ncols = len(rows[0])
     a = [_triples(row) for row in rows]
-    if any(len(r) != ncols for r in a):
-        raise ValueError("ragged matrix")
     b = _triples(rhs)
     work = [r + [b[k]] for k, r in enumerate(a)]
     pivots, origin = rref(work, ncols)
@@ -137,12 +145,11 @@ def _certificate(a, pivots, origin, r):
 
 def matrix_rank(rows) -> int:
     """The rank of a matrix; a ragged one raises ``ValueError``."""
+    ncols = _columns(rows)
     if not rows:
         return 0
     work = [_triples(r) for r in rows]
-    if any(len(r) != len(work[0]) for r in work):
-        raise ValueError("ragged matrix")
-    pivots, _ = rref(work, len(work[0]))
+    pivots, _ = rref(work, ncols)
     return len(pivots)
 
 

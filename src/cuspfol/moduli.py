@@ -8,8 +8,11 @@ S(sigma) alone.  This module carries the scalar side of that story:
 
 - Germs sigma are plain :class:`~cuspfol.jets.Jet1` values, composed with
   ``Jet1.compose`` and inverted with ``Jet1.comp_inverse``;
-  :func:`invertible_germ` checks sigma(0) = 0 and sigma'(0) != 0 where the
-  math needs them: the gluing cocycle, the coboundary split and normal pairs.
+  :func:`~cuspfol.jets.invertible_germ`, which this module re-exports,
+  checks sigma(0) = 0 and sigma'(0) != 0 where the math needs them: the
+  reversion, the transversal structure, the gluing cocycle and normal
+  pairs.  The Schwarzian and the canonical alpha need sigma'(0) != 0 alone
+  (:func:`~cuspfol.jets.invertible_linear_part`).
 - Schwarzian derivative of a jet germ (exact, order drops by 3).
 - The C* action  (eps . f)_k = eps^(k+2) f_k  and the exact decision whether
   two jets lie on the same orbit, with a Q(i) witness when one exists and a
@@ -27,17 +30,7 @@ from __future__ import annotations
 from ._backend import jet1_homographic_image
 from .coeff import Coeff
 from .gaussint import UNITS, nth_roots_in_qi
-from .jets import DEFAULT_ORDER, Jet1, JetError
-
-
-def invertible_germ(jet: Jet1) -> Jet1:
-    """``jet`` itself, once it is checked to be an invertible germ of
-    (C, 0): sigma(0) = 0 and sigma'(0) != 0.  Otherwise ``JetError``."""
-    if not jet.coeff(0).is_zero():
-        raise JetError("germ must fix the origin")
-    if jet.coeff(1).is_zero():
-        raise JetError("germ must have invertible linear part")
-    return jet
+from .jets import DEFAULT_ORDER, Jet1, JetError, invertible_germ, invertible_linear_part
 
 
 class Homography:
@@ -73,8 +66,7 @@ def schwarzian(f: Jet1) -> Jet1:
     """
     if f.order < 3:
         raise JetError("schwarzian needs jet order >= 3")
-    if f.coeff(1).is_zero():
-        raise JetError("schwarzian needs an invertible germ (f'(0) != 0)")
+    invertible_linear_part(f)
     n = f.order
     d1 = f.derivative()
     r = d1.derivative().div(d1.truncate(n - 2))
@@ -282,10 +274,7 @@ def homographic_equivalent(f0: Jet1, f1: Jet1) -> CStarVerdict:
 
 def canonical_alpha(jet: Jet1) -> Coeff:
     """(3/2) * sigma''(0)/sigma'(0), with sigma''(0) = 2 * (z^2 coefficient)."""
-    c1 = jet.coeff(1)
-    if c1.is_zero():
-        raise JetError("canonical_alpha needs an invertible germ")
-    return 3 * jet.coeff(2) / c1
+    return 3 * jet.coeff(2) / invertible_linear_part(jet)
 
 
 class NormalPair:

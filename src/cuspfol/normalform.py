@@ -21,8 +21,7 @@ The linear system of one step is fixed: it splits into the two scalar
 equations of Q_0 and P_n and n 2x2 blocks of determinant 4(n-1), one
 for each (P_r, Q_(r+1)).  ``_step_change`` solves it in closed form, with
 no elimination; the tests check it against exactly pulling the anchor back
-along basis changes for n = 2..16, and every step re-checks at runtime
-that the y^2-part is gone.  At the cubic step the Q_0 equation is the
+along basis changes for n = 2..16.  At the cubic step the Q_0 equation is the
 x^3 y^2 dx one and reads 0 = 0 on the forms that reach the template: the
 change id + (0, q0*x^3) has zero y^2-projection and shifts only the
 x^4 y dy coefficient (by 2*q0), and the same step sets q0 so that
@@ -34,17 +33,20 @@ the radial cofactor's inverse on the way in; the dx and the dy numerators
 of a monomial sit in one entry, so a pullback visits each monomial once
 for both.  Each step reads the 2n + 2 y^2-coefficients it solves for (and
 x^4 y dy at n = 3) by their exponents, normalizes each entry of its change
-once, pulls the numerators back along the change in integers, divides out
-one gcd unless the new denominator is 1, and re-checks on the numerators
-that the y^2-part is gone.  Each recorded change is a pair of
-jets over the triples the step computed.  The final form is read once as
-two {(i, j): triple} dicts, the data is read off them, and the three
-constraints the template leaves free are checked on them: alpha != 0,
-a_5 = 0 and x^4 y dy = 0.  Then the final form must equal the template
+once, pulls the numerators back along the change in integers and divides
+out one gcd unless the new denominator is 1.  Each recorded change is a
+pair of jets over the triples the step computed.  The final form is read
+once as two {(i, j): triple} dicts, the data is read off them, and the
+three constraints the template leaves free are checked on them:
+alpha != 0, a_5 = 0 and x^4 y dy = 0.  Then the final form must equal the template
 rebuilt from the data (``reconstruct_normal_form``), coefficient by
 coefficient.  That one comparison stands for every structural identity
 of the template (the anchor y^2 (x dy - y dx), no x^4 dx, the x^3 y dx
-coefficient -2 alpha), which is written only there.  The
+coefficient -2 alpha), which is written only there, and for every step's
+elimination: a later step's change has degree n' > n and moves only
+coefficients of degree >= n' + 2, and the template has no y^2-divisible
+monomial above degree 3, so a y^2 monomial that a step leaves at degree
+n + 2 >= 4 is still in the final form and fails the comparison.  The
 steps' changes are recorded and never composed, since no question needs
 the composite change; the tests compose it (``tests/oracles.py``) to
 check that it takes the form to its normal form.  A caller that has
@@ -228,8 +230,6 @@ def normalize(w: OneForm, *, reduction=None) -> NormalFormData:
         fy.update(q.triple_items())
         form.pullback(fx, fy)
         changes.append((p, q))
-        if any(any(form.numerator(side, i, j)) for side in (0, 1) for i, j in _y2_rows(n + 2)):
-            raise AssertionError(f"y^2-part survived elimination at degree {n + 2}")
     a, b = form.triples()
 
     # constraints on the data, which the template built from it cannot imply

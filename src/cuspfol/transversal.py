@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from ._backend import first_integral, is_first_integral
 from .forms import OneForm, ReductionReport
-from .jets import Jet1, Jet2, JetError
+from .jets import Jet1, Jet2, derivative_order, invertible_germ
 
 
 class CornerGerm:
@@ -57,16 +57,12 @@ class CornerGerm:
     """
 
     def __init__(self, form: OneForm):
-        if form.a.coeff(0, 0).is_zero():
-            raise ValueError(
-                "not a valid corner germ: the foliation is not transverse "
-                f"to the {form.variables[0]}-axis"
-            )
-        if form.b.coeff(0, 0).is_zero():
-            raise ValueError(
-                "not a valid corner germ: the foliation is not transverse "
-                f"to the {form.variables[1]}-axis"
-            )
+        for jet, axis in zip((form.a, form.b), form.variables):
+            if jet.coeff(0, 0).is_zero():
+                raise ValueError(
+                    "not a valid corner germ: the foliation is not transverse "
+                    f"to the {axis}-axis"
+                )
         self.form = form
 
     @classmethod
@@ -93,6 +89,9 @@ class CornerGerm:
 def regular_first_integral(c: CornerGerm, order=None) -> Jet2:
     """A formal first integral H of the corner germ, exact to the jet order.
 
+    ``order`` defaults to the germ's jet order and may not exceed it: the
+    germ is read through ``truncate``, which refuses a higher order.
+
     H satisfies H(0,0) = 0 and dH ^ form = 0 (to order N-1, all that an
     order-N jet determines), normalized by H(u, 0) = u.  Each homogeneous
     degree is a triangular linear system over Q(i): writing the degree-d
@@ -116,10 +115,7 @@ def regular_first_integral(c: CornerGerm, order=None) -> Jet2:
     """
     w = c.form
     n = w.order if order is None else order
-    if order is not None and order > w.order:
-        raise JetError("requested order exceeds the corner germ's jet order")
-    if n < 1:  # the re-check reads dH, of order n - 1
-        raise JetError("cannot differentiate an order-0 jet")
+    derivative_order(n)  # the re-check reads dH
     a = dict(w.a.truncate(n).triple_items())
     b = dict(w.b.truncate(n).triple_items())
     h = first_integral(a, b, n)
@@ -139,13 +135,11 @@ def sigma_of_integral(h: Jet2) -> Jet1:
     reversion is taken.  Any other H goes through the reversion and the
     composition; for g1 the identity, as for the integral
     :func:`regular_first_integral` returns (normalized by H(u, 0) = u),
-    composing with z is exact and gives g2^{-1}.
+    composing with z is exact and gives g2^{-1}.  Both g1 and g2 must be
+    invertible germs, which :func:`~cuspfol.jets.invertible_germ` checks.
     """
-    g1 = h.restrict_to_axis("x")
-    g2 = h.restrict_to_axis("y")
-    for g in (g1, g2):
-        if not g.coeff(0).is_zero() or g.coeff(1).is_zero():
-            raise ValueError("integral is not transverse-normalized on the axes")
+    g1 = invertible_germ(h.restrict_to_axis("x"))
+    g2 = invertible_germ(h.restrict_to_axis("y"))
     if g2 == Jet1.variable(h.order):
         return g1
     return g2.comp_inverse().compose(g1)

@@ -8,8 +8,9 @@ import pytest
 
 from cuspfol.coeff import Coeff
 from cuspfol.forms import ReductionVerdict, form_of_meromorphic, reduce_cusp
-from cuspfol.transversal import CornerGerm, transversal_structure
-from cuspfol.jets import Jet1
+from cuspfol.transversal import CornerGerm, regular_first_integral, transversal_structure
+from cuspfol.forms import OneForm
+from cuspfol.jets import Jet1, Jet2, JetError
 from cuspfol.moduli import Homography
 from cuspfol.firstintegral import (
     FirstIntegralReport,
@@ -253,6 +254,29 @@ def test_hankel_preconditions():
         hankel_rationality(Jet1([1] * 9, 8), 1, 12)
     with pytest.raises(ValueError):
         hankel_determinant(Jet1([1] * 5, 4), 4, shift=0)
+
+
+SHORT = Jet1([0, 1, 1, 0, 2, 0, 1], 6)  # a jet of order 6, asked for order 8
+SHORT_JET_READERS = {
+    "verify_rational_relation": lambda: verify_rational_relation(
+        Rational1((0, 1)), Rational1((0, 1)), SHORT, 8
+    ),
+    "hankel_rationality": lambda: hankel_rationality(SHORT, 1, 8),
+    "no_first_integral_witness": lambda: no_first_integral_witness(SHORT, 1, 8),
+    "hankel_determinant": lambda: hankel_determinant(SHORT, 4, shift=1),  # index 7
+    "regular_first_integral": lambda: regular_first_integral(
+        CornerGerm(OneForm(Jet2.one(6), Jet2.one(6), ("u", "v"))), 8
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(SHORT_JET_READERS))
+def test_a_jet_shorter_than_the_requested_order_is_refused_by_the_jet(reader):
+    """Each entry reads its jet through ``truncate`` or ``coeff``, which
+    refuse an order or an index past the jet's own with ``JetError`` and
+    name that order; none restates the rule."""
+    with pytest.raises(JetError, match=r"\border 6\b"):
+        SHORT_JET_READERS[reader]()
 
 
 def test_hankel_round_trip_random():

@@ -34,6 +34,7 @@ from cuspfol.gluing import (
 )
 from cuspfol.linalg import SolveResult, check_certificate, matrix_rank, solve
 from cuspfol.normalform import normalize
+from cuspfol.transversal import sigma_of_integral
 
 import oracles
 from test_transversal import README_MERO, ROADMAP_MERO, SINH
@@ -139,7 +140,22 @@ NOT_INVERTIBLE = [
     (Jet1([1, 1], 8), "germ must fix the origin"),
     (Jet1([0, 0, 1], 8), "germ must have invertible linear part"),
 ]
+
+
+def integral_with_axes(s):
+    """A first integral H whose restriction to either axis is s."""
+    terms = dict(enumerate(s.coeffs))
+    return Jet2(
+        {**{(k, 0): c for k, c in terms.items()}, **{(0, k): c for k, c in terms.items()}},
+        s.order,
+    )
+
+
+# every library entry that needs an invertible germ refuses the two with
+# one message each, raised by jets.invertible_germ
 GERM_CONSUMERS = {
+    "comp_inverse": lambda s: s.comp_inverse(),
+    "sigma_of_integral": lambda s: sigma_of_integral(integral_with_axes(s)),
     "build_cocycle": lambda s: build_cocycle(s, 0),
     "GluingCocycle": lambda s: GluingCocycle(s, Jet2.one(8)),
     "coboundary_solve": lambda s: coboundary_solve(s, 0, ks_generator(8)),

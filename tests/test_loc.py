@@ -1,10 +1,13 @@
-"""``tools/loc.py``, the code-line counter, on a pipe whose reader is gone
-and on arguments it does not take; ``tools/reach.py`` on any argument."""
+"""``tools/loc.py``, the code-line counter, on a pipe whose reader is gone,
+on arguments it does not take and on modules it cannot read;
+``tools/reach.py`` on any argument."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 LOC = Path(__file__).resolve().parents[1] / "tools" / "loc.py"
 REACH = LOC.with_name("reach.py")
@@ -49,3 +52,20 @@ def test_any_argument_to_the_reach_tool_is_a_usage_error():
         assert proc.stdout == b""
         lines = proc.stderr.decode().splitlines()
         assert lines == ["usage: python3 tools/reach.py (takes no arguments)"]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [b'x = "\xff\xfe"\n', b"def f(:\n", b"x = = 1\n"],
+    ids=["not-utf8", "unclosed-bracket", "syntax-error"],
+)
+def test_a_module_that_cannot_be_counted_is_named_without_a_traceback(tmp_path, source):
+    (tmp_path / "ok.py").write_text("x = 1\n")
+    (tmp_path / "p.py").write_bytes(source)
+    proc = subprocess.run(
+        [sys.executable, str(LOC), str(tmp_path)], capture_output=True, timeout=60
+    )
+    assert proc.returncode == 2
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"loc.py: cannot count {tmp_path / 'p.py'}: ")

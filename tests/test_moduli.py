@@ -254,6 +254,16 @@ def test_invertible_germ_returns_the_jet_or_refuses_it():
         invertible_germ(Jet1([0, 0, 1], 8))
 
 
+@pytest.mark.parametrize("consumer", [schwarzian, canonical_alpha], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("jet", [Jet1([0, 0, 1], 8), Jet1([1, 0, 1, 1], 8)], ids=["z^2", "1+z^2+z^3"])
+def test_a_zero_linear_part_is_refused_with_one_message(consumer, jet):
+    """The Schwarzian and the canonical alpha need sigma'(0) != 0 alone and
+    refuse sigma'(0) = 0 with the message of every other germ rule
+    (``jets.invertible_linear_part``), whatever sigma(0) is."""
+    with pytest.raises(JetError, match="^germ must have invertible linear part$"):
+        consumer(jet)
+
+
 class TestHomography:
     def test_inverse(self):
         rng = random.Random(263)

@@ -618,25 +618,83 @@ def test_substitution_rows_and_accumulators_share_the_form_loop(monkeypatch):
     assert any(size > 1 for size in sizes)
 
 
-@pytest.mark.parametrize(
-    "side, key",
-    [(0, (2, 2)), (1, (1, 3)), (0, (6, 2)), (1, (3, 5))],
-    ids=["x2y2-dx", "xy3-dy", "x6y2-dx", "x3y5-dy"],
-)
-def test_a_stray_monomial_in_the_final_form_fails_the_template_check(monkeypatch, side, key):
+def moved_seeded_template(seed, order):
+    """A seeded template moved by a seeded change id + (p, q) of degree 2,
+    at ``order``, as the dense-nf workload builds its normal-form inputs.
+    The steps that normalize it make a change at every degree 2..order - 2;
+    a degree-3 change would leave the even degrees alone."""
+    rng = random.Random(seed)
+    w = seeded_template(rng, order)
+
+    def quadratic():
+        return {(2 - k, k): Coeff(rng.randint(-2, 2), rng.randint(-1, 1)) for k in range(3)}
+
+    fx = Jet2({(1, 0): 1, **quadratic()}, order)
+    fy = Jet2({(0, 1): 1, **quadratic()}, order)
+    return pullback_map(w, fx, fy, order=order)
+
+
+def stray_monomial(side, key):
+    """One y^2-divisible monomial added to the final form, which no fixed
+    coefficient check reads."""
+
+    def mutate(monkeypatch):
+        triples = FormNumerators.triples
+
+        def stray_triples(self):
+            parts = triples(self)
+            parts[side][key] = (1, 0, 1)
+            return parts
+
+        monkeypatch.setattr(FormNumerators, "triples", stray_triples)
+
+    return _as_oneform(MOVED, 16), mutate, "template"
+
+
+def dropped_entry(n):
+    """The change of step n with one nonzero entry dropped: Q's entry of
+    the largest key (at n = 3 the cubic gauge q0*x^3), or P's when Q is
+    zero.  The y^2-part that entry kills survives to the final form; the
+    gauge has no y^2-part, and dropping it leaves x^4 y dy."""
+
+    def mutate(monkeypatch):
+        step_change = normalform._step_change
+
+        def dropping(form, m, order):
+            p, q = step_change(form, m, order)
+            if m != n:
+                return p, q
+            entries = [dict(p.triple_items()), dict(q.triple_items())]
+            side = entries[1] or entries[0]
+            if not side:
+                pytest.fail(f"step {n} makes no change to drop an entry of")
+            del side[max(side)]
+            return Jet2._raw(entries[0], order), Jet2._raw(entries[1], order)
+
+        monkeypatch.setattr(normalform, "_step_change", dropping)
+
+    return moved_seeded_template(0x5EED, 12), mutate, None
+
+
+MUTATIONS = {
+    "x2y2-dx": stray_monomial(0, (2, 2)),
+    "xy3-dy": stray_monomial(1, (1, 3)),
+    "x6y2-dx": stray_monomial(0, (6, 2)),
+    "x3y5-dy": stray_monomial(1, (3, 5)),
+    **{f"drop-step-{n}": dropped_entry(n) for n in range(2, 11)},
+}
+
+
+@pytest.mark.parametrize("mutation", list(MUTATIONS), ids=list(MUTATIONS))
+def test_a_stray_monomial_in_the_final_form_fails_the_template_check(monkeypatch, mutation):
     """The final form is compared with the template of its data, monomial
-    by monomial: one stray y^2-divisible monomial, which no fixed
-    coefficient check reads, is an ``AssertionError``."""
-    w = _as_oneform(MOVED, 16)
+    by monomial, and that comparison stands for a per-step check of the
+    elimination: one stray y^2-divisible monomial in the final form, or one
+    entry dropped from the change of any step 2..order - 2, is an
+    ``AssertionError``."""
+    w, mutate, message = MUTATIONS[mutation]
     rep = reduce_cusp(w)
     assert normalize(w, reduction=rep).changes
-    triples = FormNumerators.triples
-
-    def stray_triples(self):
-        parts = triples(self)
-        parts[side][key] = (1, 0, 1)
-        return parts
-
-    monkeypatch.setattr(FormNumerators, "triples", stray_triples)
-    with pytest.raises(AssertionError, match="template"):
+    mutate(monkeypatch)
+    with pytest.raises(AssertionError, match=message):
         normalize(w, reduction=rep)

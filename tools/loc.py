@@ -9,7 +9,9 @@ directory it prints one line per ``*.py`` module, ``<lines> <path>``, and a
 total line ``<lines> <dir> total``; a reader that closes the pipe early ends
 it quietly, with exit code 1.  An argument that is not a directory, ``--help``
 among them, prints one usage line to stderr and exits with code 2, before
-anything is counted.  A code line is a physical line that
+anything is counted.  A module it cannot read or tokenize (not UTF-8, or
+not Python) ends the count with one stderr line that names it, and exit
+code 2.  A code line is a physical line that
 holds a token of the program: comments, blank lines and docstrings (the
 string that opens a module, class or function body) are not counted.
 
@@ -68,8 +70,12 @@ def main():
         total = 0
         for name in sorted(os.listdir(os.path.join(ROOT, d))):
             if name.endswith(".py"):
-                with open(os.path.join(ROOT, d, name), encoding="utf-8") as f:
-                    n = code_lines(f.read())
+                try:
+                    with open(os.path.join(ROOT, d, name), encoding="utf-8") as f:
+                        n = code_lines(f.read())
+                except (OSError, UnicodeDecodeError, SyntaxError, tokenize.TokenError) as e:
+                    print(f"loc.py: cannot count {d}/{name}: {type(e).__name__}: {e}", file=sys.stderr)
+                    sys.exit(2)
                 total += n
                 print(f"{n:6d} {d}/{name}")
         print(f"{total:6d} {d} total")
