@@ -6,8 +6,10 @@ whose g-th power equals this Gaussian rational?", the C* witness of
 otherwise everything reduces to factoring ordinary integers (trial division
 + Miller-Rabin + Pollard rho), so it is exact with no algebraic-number
 machinery.  A Gaussian integer is factored one rational prime p of its norm
-at a time, by one divide loop over the Gaussian prime above p and its
-conjugate, whether p is 2, split or inert.
+at a time.  The Gaussian primes over p come from two squares a^2 + b^2 = p,
+found by integer Euclid on p and a square root of -1 modulo p; each is
+divided out exactly, w / (a + bi) = w (a - bi) / (a^2 + b^2), while both
+parts stay integers.  No Gaussian division with remainder and no Gaussian gcd is needed.
 
 Gaussian integers are (re, im) int pairs here; Q(i) scalars cross the
 boundary as :class:`~cuspfol.coeff.Coeff`.
@@ -17,20 +19,30 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from math import gcd
+from itertools import chain
+from math import gcd, isqrt
 
 from .coeff import Coeff
 
 
 # --- rational integer factorization ----------------------------------------
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 
 
 def is_probable_prime(n: int) -> bool:
+    """Miller-Rabin on the prime bases 2 to 43.
+
+    Exact for n below psi_13 = 3317044064679887385961981 (about 3.3e24):
+    psi_12 = 318665857834031151167461, a strong pseudoprime to every base up
+    to 37, fails base 41, and psi_13, one to every base up to 41, fails base
+    43 (Sorenson and Webster, Math. Comp. 86, 2017).  Above psi_13 the test
+    is probable only: no composite is known that passes all fourteen bases,
+    but none is ruled out, and one would be taken for a prime.
+    """
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
+    for p in _BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -38,8 +50,7 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    # Deterministic for n < 3.3e24 with these bases.
-    for a in _SMALL_PRIMES:
+    for a in _BASES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -74,16 +85,12 @@ def factor_int(n: int) -> dict[int, int]:
     if n < 1:
         raise ValueError("factor_int needs a positive integer")
     out: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
+    for p in chain((2,), range(3, 100000, 2)):
+        if p * p > n:
+            break
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    p = 41
-    while p * p <= n and p < 100000:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 2
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
@@ -97,46 +104,11 @@ def factor_int(n: int) -> dict[int, int]:
     return out
 
 
-# --- Z[i] arithmetic on (re, im) pairs -------------------------------------
+# --- Gaussian primes and factoring on (re, im) pairs -----------------------
 
 
 def gi_norm(a) -> int:
     return a[0] * a[0] + a[1] * a[1]
-
-
-def gi_divmod(a, b):
-    """Nearest-rounding division: a = q*b + r with N(r) <= N(b)/2."""
-    nb = gi_norm(b)
-    if nb == 0:
-        raise ZeroDivisionError
-    # a * conj(b) / N(b), rounded to the nearest Gaussian integer.
-    pr = a[0] * b[0] + a[1] * b[1]
-    pi = a[1] * b[0] - a[0] * b[1]
-    qr = (2 * pr + nb) // (2 * nb)
-    qi = (2 * pi + nb) // (2 * nb)
-    q = (qr, qi)
-    r = (a[0] - (qr * b[0] - qi * b[1]), a[1] - (qr * b[1] + qi * b[0]))
-    return q, r
-
-
-def gi_gcd(a, b):
-    while b != (0, 0):
-        _, r = gi_divmod(a, b)
-        a, b = b, r
-    return canonical_associate(a)
-
-
-def canonical_associate(w):
-    """Rotate by units into the canonical quadrant: re > 0, im >= 0
-    (zero stays zero)."""
-    re, im = w
-    if re == 0 and im == 0:
-        return w
-    for _ in range(4):
-        if re > 0 and im >= 0:
-            return (re, im)
-        re, im = -im, re
-    raise AssertionError("unreachable")
 
 
 def _sqrt_minus_one_mod(p: int) -> int:
@@ -147,38 +119,47 @@ def _sqrt_minus_one_mod(p: int) -> int:
     raise ValueError(f"no sqrt(-1) mod {p}")
 
 
-def gaussian_prime_above(p: int):
-    """A canonical Gaussian prime dividing the rational prime p.
+def _primes_above(p: int):
+    """The Gaussian primes over the rational prime p, each with re > 0 and
+    im >= 0: 1 + i over 2, p itself when p = 3 (mod 4), and otherwise the
+    two a + bi and b + ai with a^2 + b^2 = p, the one dividing x + i first.
 
-    p=2 -> 1+i; p=1 mod 4 -> a split prime; p=3 mod 4 -> p itself (inert).
+    Here x^2 = -1 (mod p), and a is the first remainder of Euclid on (p, x)
+    whose square is below p (Hermite-Serret); a + bi divides x + i exactly
+    when a = x*b (mod p).
     """
     if p == 2:
-        return (1, 1)
+        return ((1, 1),)
     if p % 4 == 3:
-        return (p, 0)
+        return ((p, 0),)
     x = _sqrt_minus_one_mod(p)
-    return gi_gcd((p, 0), (x, 1))
+    r0, a = p, x
+    while a * a > p:
+        r0, a = a, r0 % a
+    b = isqrt(p - a * a)
+    return ((a, b), (b, a)) if (a - x * b) % p == 0 else ((b, a), (a, b))
 
 
 def gi_factor(w) -> tuple[tuple[int, int], dict[tuple[int, int], int]]:
     """Factor a nonzero Gaussian integer: returns (unit, {canonical prime: e}).
 
-    Each rational prime p of the norm is divided out of ``w`` through its
-    Gaussian prime above p and the canonical associate of that prime's
-    conjugate, in one loop; for p = 2 and an inert p the two are one prime,
-    tried twice.  A non-unit left over is an ``AssertionError``.
+    Each rational prime p of the norm is divided out of ``w`` through the
+    Gaussian primes over p (``_primes_above``), in that order: exactly,
+    w / (a + bi) = w (a - bi) / (a^2 + b^2), while both parts divide.  A
+    non-unit left over is an ``AssertionError``.
     """
     if w == (0, 0):
         raise ValueError("cannot factor zero")
     out: dict[tuple[int, int], int] = {}
     for p in factor_int(gi_norm(w)):
-        pi = gaussian_prime_above(p)
-        for cand in (pi, canonical_associate((pi[0], -pi[1]))):
-            q, r = gi_divmod(w, cand)
-            while r == (0, 0):
-                w = q
-                out[cand] = out.get(cand, 0) + 1
-                q, r = gi_divmod(w, cand)
+        for a, b in _primes_above(p):
+            n = gi_norm((a, b))
+            while True:
+                re, im = w[0] * a + w[1] * b, w[1] * a - w[0] * b
+                if re % n or im % n:
+                    break
+                w = (re // n, im // n)
+                out[(a, b)] = out.get((a, b), 0) + 1
     if gi_norm(w) != 1:
         raise AssertionError("leftover non-unit after factorization")
     return w, out

@@ -15,8 +15,10 @@ S(sigma) alone.  This module carries the scalar side of that story:
   (:func:`~cuspfol.jets.invertible_linear_part`).
 - Schwarzian derivative of a jet germ (exact, order drops by 3).
 - The C* action  (eps . f)_k = eps^(k+2) f_k  and the exact decision whether
-  two jets lie on the same orbit, with a Q(i) witness when one exists and a
-  defining polynomial when the witness lives in an extension field.
+  two jets lie on the same orbit: the verdict states eps^g = rho and gives
+  a Q(i) witness eps when rho has a g-th root there (found by
+  :func:`~cuspfol.gaussint.nth_roots_in_qi`, which factors rho over Z[i]);
+  otherwise the witness lives in an extension field.
 - Homographies z -> lam*z/(1 + mu*z) as exact first-class values.
 - The homographic symmetries of a jet: each unit lam pins mu in closed form,
   and one exact check of the functional equation keeps or drops it.
@@ -87,16 +89,12 @@ class CStarVerdict:
         self,
         equivalent: bool,
         eps: Coeff | None = None,
-        eps_candidates: list[Coeff] | None = None,
         constraints: list[str] | None = None,
-        defining_poly: tuple[int, Coeff] | None = None,  # (g, rho): eps^g = rho
         reason: str = "",
     ):
         self.equivalent = equivalent
         self.eps = eps
-        self.eps_candidates = [] if eps_candidates is None else eps_candidates
         self.constraints = [] if constraints is None else constraints
-        self.defining_poly = defining_poly
         self.reason = reason
 
     def __bool__(self):
@@ -111,9 +109,11 @@ def cstar_equivalent(f0: Jet1, f1: Jet1) -> CStarVerdict:
     relations among the exponents k+2.  It is folded over the support with
     the extended gcd: with eps^g = rho for g the gcd of the exponents so
     far and x*g + y*m = gcd(g, m), the next ratio r = eps^m gives
-    eps^gcd(g, m) = rho^x * r^y.  A Q(i) witness is extracted by
-    Gaussian-prime root extraction when one exists; otherwise the verdict is
-    "equivalent over C" with the defining polynomial eps^g = rho.
+    eps^gcd(g, m) = rho^x * r^y.  The verdict's first constraint is the
+    defining polynomial eps^g = rho.  The Q(i) witness is the first g-th
+    root of rho that ``gaussint.nth_roots_in_qi`` returns from the Gaussian
+    factorization of rho, checked by applying it; with no root in Q(i) the
+    verdict is "equivalent over C" and carries no witness.
     """
     n = min(f0.order, f1.order)
     support0 = [k for k in range(n + 1) if not f0.coeff(k).is_zero()]
@@ -149,17 +149,11 @@ def cstar_equivalent(f0: Jet1, f1: Jet1) -> CStarVerdict:
         if check != f0.truncate(n):
             raise AssertionError("internal witness verification failed")
         return CStarVerdict(
-            True,
-            eps=eps,
-            eps_candidates=roots,
-            constraints=constraints,
-            reason="witness in Q(i)",
+            True, eps=eps, constraints=constraints, reason="witness in Q(i)"
         )
     return CStarVerdict(
         True,
-        eps=None,
         constraints=constraints,
-        defining_poly=(g, rho),
         reason="equivalent over C; witness lies in an extension field",
     )
 

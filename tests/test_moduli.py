@@ -55,6 +55,13 @@ def rand_germ(rng, order, imag=True):
     return Jet1(coeffs, order)
 
 
+# psi_12 and psi_13: the least strong pseudoprimes to the first 12 and the
+# first 13 prime bases, and a Gaussian integer of norm psi_12.
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+PSI_12_ROOT = (-531485733169, 190233470430)
+
+
 class TestGaussInt:
     def test_factor_int_roundtrip(self):
         rng = random.Random(211)
@@ -69,8 +76,8 @@ class TestGaussInt:
 
     def test_gi_factor_roundtrip(self):
         rng = random.Random(223)
-        for _ in range(25):
-            w = (rng.randint(-30, 30), rng.randint(-30, 30))
+        ws = [(rng.randint(-30, 30), rng.randint(-30, 30)) for _ in range(25)]
+        for w in ws + [PSI_12_ROOT]:
             if w == (0, 0):
                 continue
             unit, fac = gi_factor(w)
@@ -92,6 +99,15 @@ class TestGaussInt:
         half_i = Coeff(0, Fraction(1, 2))
         cubes = nth_roots_in_qi(half_i**3, 3)
         assert half_i in cubes
+
+    def test_strong_pseudoprimes_to_the_first_twelve_and_thirteen_bases_are_composite(self):
+        # psi_12 passes the bases 2..37 and fails 41; psi_13 passes 2..41 and
+        # fails 43 (Sorenson and Webster, Math. Comp. 86, 2017)
+        assert PSI_12 == 399165290221 * 798330580441
+        assert not is_probable_prime(PSI_12)
+        assert not is_probable_prime(PSI_13)
+        assert is_probable_prime(399165290221) and is_probable_prime(798330580441)
+        assert gi_norm(PSI_12_ROOT) == PSI_12
 
     def test_first_root_is_the_number_itself_without_factoring(self):
         # p*q with p, q primes near 2^40 took seconds to factor by Pollard rho
@@ -149,6 +165,48 @@ def seeded_root_table(seed=0x1DEA, cases=80):
 ROOT_TABLE_SHA256 = "52a3d4a676a0ea95bf527e976f71c7c41bd4781ca85cf687da723c2d0b2b1c96"
 
 
+def _two_squares(p):
+    """(a, b) with 0 < a < b and a^2 + b^2 = p, by search."""
+    return next((a, b) for a in range(1, p) for b in [round((p - a * a) ** 0.5)]
+                if a * a + b * b == p)
+
+
+def seeded_factor_table(seed=0x6F1):
+    """Gaussian integers whose factorizations reach every path of
+    ``gi_factor``: each split prime p = a^2 + b^2 from 5 to 10^4 as a unit
+    times (a + bi)^e (b + ai)^f and a unit times (b + ai)^e (a + bi)^f,
+    with e from 1 to 3 and f from 0 to 3; products of several split primes
+    with a power of 1 + i and of an inert prime; powers of 1 + i, inert
+    primes and the units alone; and one norm p^2 q with p, q above the
+    trial divisors (below 10^5), which only Pollard rho splits."""
+    rng = random.Random(seed)
+    split = [p for p in range(5, 10**4, 4) if is_probable_prime(p)]
+    inert = [q for q in range(3, 500, 4) if is_probable_prime(q)]
+    table = []
+    for p in split:
+        a, b = _two_squares(p)
+        e, f = rng.randint(1, 3), rng.randint(0, 3)
+        for pi, rho in ((Coeff(a, b), Coeff(b, a)), (Coeff(b, a), Coeff(a, b))):
+            table.append(rng.choice(UNITS) * pi ** e * rho ** f)
+    for _ in range(200):
+        w = rng.choice(UNITS) * Coeff(1, 1) ** rng.randint(0, 5)
+        w = w * Coeff(rng.choice(inert)) ** rng.randint(0, 2)
+        for p in rng.sample(split, rng.randint(1, 4)):
+            a, b = _two_squares(p)
+            w = w * Coeff(*rng.choice([(a, b), (b, a), (a, -b), (-b, a)])) ** rng.randint(1, 3)
+        table.append(w)
+    table += [u * Coeff(1, 1) ** k for k in range(12) for u in UNITS]
+    table += [Coeff(q ** rng.randint(1, 3)) for q in inert] + list(UNITS)
+    p, q = 131101, 131113  # the first two primes = 1 (mod 4) above 2^17
+    table.append(Coeff(*_two_squares(p)) ** 2 * Coeff(*_two_squares(q)[::-1]))
+    return [w.triple[:2] for w in table]
+
+
+# sha256 of every Gaussian integer of ``seeded_factor_table`` with its
+# ``gi_factor``: the unit and the (prime, exponent) pairs in dict order.
+FACTOR_TABLE_SHA256 = "a6c434414cf52c06d22c873c15b848cb09f96d4f254413d061bd40763ca7837b"
+
+
 class TestGaussIntPins:
     def test_roots_and_factors_of_the_seeded_table_are_pinned(self):
         rows = []
@@ -163,6 +221,14 @@ class TestGaussIntPins:
         printed = json.dumps(rows).encode()
         assert sum(bool(row[2]) for row in rows) >= 20
         assert hashlib.sha256(printed).hexdigest() == ROOT_TABLE_SHA256
+
+    def test_factors_of_the_seeded_gaussian_integers_are_pinned(self):
+        rows = []
+        for w in seeded_factor_table():
+            unit, fac = gi_factor(w)
+            rows.append([list(w), list(unit), [[list(pi), e] for pi, e in fac.items()]])
+        printed = json.dumps(rows).encode()
+        assert hashlib.sha256(printed).hexdigest() == FACTOR_TABLE_SHA256
 
     def test_every_prime_is_canonical_and_lies_over_one_rational_prime(self):
         for g, rho in seeded_root_table():
@@ -320,9 +386,16 @@ class TestCStar:
         v = cstar_equivalent(f0, f1)
         assert v.equivalent
         assert v.eps is None
-        assert v.defining_poly is not None
-        g, rho = v.defining_poly
-        assert g == 4 and rho == 4
+        assert v.constraints == ["eps^4 = 4"]
+
+    def test_a_ratio_of_norm_psi_12_has_no_witness_in_q_i(self):
+        # eps^2 = w: the two primes over psi_12's factors each divide w once
+        w = Coeff(*PSI_12_ROOT)
+        v = cstar_equivalent(Jet1([w, 0, w**2], 4), Jet1([1, 0, 1], 4))
+        assert v.equivalent
+        assert v.eps is None
+        assert v.constraints == [f"eps^2 = {w}"]
+        assert v.reason == "equivalent over C; witness lies in an extension field"
 
     @pytest.mark.parametrize("support, g", [
         ((0, 1, 3, 6), 1), ((0, 2, 4, 8), 2), ((1, 4, 7), 3), ((2, 6, 10), 4),
@@ -475,7 +548,10 @@ class TestHomographicEquivalence:
             h = rand_homography(rng, imag=True)
             v = homographic_equivalent(_pulled_back(f, h), f)
             assert v.equivalent
-            assert h.lam in v.eps_candidates
+            # the constraint eps^g = rho: lam is one of its roots in Q(i)
+            power, rho = v.constraints[0].split(" = ")
+            g = int(power.removeprefix("eps^"))
+            assert str(h.lam ** g) == rho  # canonical text: equal values
 
     def test_distinct_orbits_are_told_apart(self):
         f = Jet1([1, 0, 1, 0, 0], 4)

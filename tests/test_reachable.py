@@ -101,9 +101,10 @@ ALLOWED = {
 
 # SINH pulled back by (t^3*x, t^4*y), t = p*q for the primes p = 131101 and
 # q = 131113, the first two = 1 (mod 4) above 2^17: equiv reads the C*
-# witness off a square root of 1/t^2, and past the trial divisors (below
-# 10^5) only Pollard rho and the primality test split t^2 into Gaussian
-# primes.
+# witness off a square root of 1/t^2.  Past the trial divisors (below
+# 10^5) only Pollard rho and the primality test split the norm t^4 into p
+# and q, and the Gaussian primes over each come from two squares, by
+# integer Euclid on p and a square root of -1 modulo p (``_primes_above``).
 _T = 131101 * 131113
 MOVED_SINH = (
     f"(-{_T**15}*y^3 + {2 * _T**16}*x^3*y + {_T**19}*x^4*y) dx"
