@@ -8,10 +8,13 @@ structured report: a fixed top-level shape
 
 as plain ``key: value`` lines, or as canonical JSON under ``--json`` (sorted
 keys, two-space indent, so equal inputs give byte-identical output).  One
-recursive writer prints that JSON, byte for byte the text of
-``json.dumps(report, sort_keys=True, indent=2)``: with an indent,
-``json.dumps`` runs its pure-Python encoder, and a report holds only
-dicts, lists, strings, ints, booleans and None.
+recursive writer prints both: the JSON report byte for byte as
+``json.dumps(report, sort_keys=True, indent=2)`` writes it, and each nested
+value of a plain line in the one-line layout of ``json.dumps(value,
+sort_keys=True)``.  A report holds only dicts, lists, strings, ints,
+booleans and None, and the writer escapes strings with
+``_json.encode_basestring_ascii``, the C escaper ``json.dumps`` itself uses,
+so a question loads no ``json`` package.
 
 The grammar (commands, positionals, options and defaults) is written once,
 in ``_GRAMMAR`` and ``_OPTIONS``.  ``main`` first reads the canonical argv
@@ -21,6 +24,7 @@ each option at most once and spelled in full, ``--order N`` and
 refusals included, goes to the argparse parser built from the same table,
 once per process, so argparse alone writes help, usage and error text and
 reads every other spelling it accepts (``--order=8``, ``--ord 8``, ``--``).
+A canonical argv loads no ``argparse``.
 An ``--order`` above ``MAX_ORDER``, or a ``--degree`` above ``MAX_DEGREE``,
 is refused as invalid input.
 
@@ -35,11 +39,11 @@ quietly with the verdict's own exit code.
 
 from __future__ import annotations
 
-import argparse
 import functools
-import json
 import os
 import sys
+from _json import encode_basestring_ascii as _quote  # the escaper json.dumps uses
+from types import SimpleNamespace
 
 from .coeff import Coeff, format_triple
 from .jets import Jet1, format_poly
@@ -437,13 +441,11 @@ _GRAMMAR = {
 # ---------------------------------------------------------------------------
 # report printing
 
-_quote = json.encoder.encode_basestring_ascii
-
-
-def _write_json(value, pad, out):
+def _write_json(value, nl, out):
     """Append the text of ``value`` to the list ``out`` exactly as
-    ``json.dumps(value, sort_keys=True, indent=2)`` writes it, nested at the
-    indent ``pad``.
+    ``json.dumps(value, sort_keys=True, indent=2)`` writes it, nested where
+    ``nl`` (a newline and the current indent) starts a line; with ``nl``
+    None, on one line as ``json.dumps(value, sort_keys=True)`` writes it.
 
     A report holds dicts with str keys, lists, str, int, bool and None;
     anything else raises ``TypeError``.  Strings go through the escape
@@ -456,26 +458,32 @@ def _write_json(value, pad, out):
         if not value:
             out.append("{}")
             return
-        inner = pad + "  "
-        sep = "{\n" + inner
+        if nl is None:
+            inner, head, sep, tail = None, "{", ", ", "}"
+        else:
+            inner = nl + "  "
+            head, sep, tail = "{" + inner, "," + inner, nl + "}"
         for key in sorted(value):
             if type(key) is not str:
                 raise TypeError(f"a report key must be a str, not {type(key).__name__}")
-            out.append(sep + _quote(key) + ": ")
+            out.append(head + _quote(key) + ": ")
             _write_json(value[key], inner, out)
-            sep = ",\n" + inner
-        out.append("\n" + pad + "}")
+            head = sep
+        out.append(tail)
     elif kind is list:
         if not value:
             out.append("[]")
             return
-        inner = pad + "  "
-        sep = "[\n" + inner
+        if nl is None:
+            inner, head, sep, tail = None, "[", ", ", "]"
+        else:
+            inner = nl + "  "
+            head, sep, tail = "[" + inner, "," + inner, nl + "]"
         for item in value:
-            out.append(sep)
+            out.append(head)
             _write_json(item, inner, out)
-            sep = ",\n" + inner
-        out.append("\n" + pad + "]")
+            head = sep
+        out.append(tail)
     elif value is None:
         out.append("null")
     elif value is True:
@@ -493,7 +501,7 @@ def _print_report(report, as_json, stream):
     stream cannot encode is written as its backslash escape."""
     out = []
     if as_json:
-        _write_json(report, "", out)
+        _write_json(report, "\n", out)
         out.append("\n")
     else:
         lines = [(key, report[key]) for key in ("command", "order", "verdict")]
@@ -501,8 +509,11 @@ def _print_report(report, as_json, stream):
         lines += [("certificate", cert) for cert in report["certificates"]]
         for key, value in lines:
             if isinstance(value, (dict, list)):
-                value = json.dumps(value, sort_keys=True)
-            out.append(f"{key}: {value}\n")
+                out.append(f"{key}: ")
+                _write_json(value, None, out)
+                out.append("\n")
+            else:
+                out.append(f"{key}: {value}\n")
     text = "".join(out)
     try:
         stream.write(text)
@@ -512,6 +523,8 @@ def _print_report(report, as_json, stream):
 
 
 def build_parser():
+    import argparse  # only an argv the canonical reader leaves needs it
+
     parser = argparse.ArgumentParser(
         prog="cuspfol",
         description="Exact reduction, moduli and gluing computations for "
@@ -544,8 +557,8 @@ def _read_argv(argv):
 
     Canonical: the command first, then its positionals, none starting with
     ``-``, and each of its options at most once and spelled in full, an int
-    option followed by ASCII digits.  argparse reads such an argv to the
-    same namespace.
+    option followed by ASCII digits.  argparse reads such an argv to a
+    namespace with the same attributes.
     """
     if not argv or argv[0] not in _GRAMMAR:
         return None
@@ -571,7 +584,7 @@ def _read_argv(argv):
             return None
     if len(words) != len(positionals):
         return None
-    args = argparse.Namespace(command=argv[0], **dict(zip(positionals, words)))
+    args = SimpleNamespace(command=argv[0], **dict(zip(positionals, words)))
     for name in options:
         setattr(args, name, values.get(name, _OPTIONS[name][0]))
     return args

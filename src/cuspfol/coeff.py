@@ -3,16 +3,22 @@
 ``Coeff`` wraps the kernel's normalized integer triple ``(a, b, d)`` —
 meaning ``(a + b*i)/d`` — behind an immutable value type whose real and
 imaginary parts are exposed as ``fractions.Fraction``.  No floats anywhere.
+A part is any ``numbers.Rational`` (an int or a ``Fraction``), and
+``fractions`` is imported only where a ``Fraction`` is built.
 ``format_triple`` prints a triple with no ``Fraction`` formed; ``str`` of a
 ``Coeff`` is that text of its triple.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
+from numbers import Rational
 
 from ._backend import QONE, QZERO, qadd, qdiv, qinv, qiszero, qmul, qneg, qnorm, qsub
+
+
+# int first: isinstance matches it before the slower check of the ABC
+_RATIONAL = (int, Rational)
 
 
 def _to_triple(re, im=0):
@@ -22,7 +28,7 @@ def _to_triple(re, im=0):
     if type(re) is int and type(im) is int:
         return (re, im, 1)
     for part in (re, im):
-        if not isinstance(part, (int, Fraction)):
+        if not isinstance(part, _RATIONAL):
             raise TypeError(f"a Coeff part must be int or Fraction, not {type(part).__name__}")
     d = re.denominator * im.denominator
     return qnorm(re.numerator * im.denominator, im.numerator * re.denominator, d)
@@ -49,11 +55,15 @@ class Coeff:
 
     @property
     def re(self) -> Fraction:
+        from fractions import Fraction
+
         a, _, d = self._t
         return Fraction(a, d)
 
     @property
     def im(self) -> Fraction:
+        from fractions import Fraction
+
         _, b, d = self._t
         return Fraction(b, d)
 
@@ -66,7 +76,7 @@ class Coeff:
     def _coerce(self, other):
         if isinstance(other, Coeff):
             return other._t
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _RATIONAL):
             return _to_triple(other)
         return None
 
@@ -136,7 +146,11 @@ class Coeff:
     def __hash__(self):
         # a real value hashes as the Fraction (or int) it equals
         a, b, d = self._t
-        return hash(self._t) if b else hash(Fraction(a, d))
+        if b:
+            return hash(self._t)
+        from fractions import Fraction
+
+        return hash(Fraction(a, d))
 
     def __bool__(self):
         return not self.is_zero()

@@ -17,7 +17,6 @@ boundary as :class:`~cuspfol.coeff.Coeff`.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from itertools import chain
 from math import gcd, isqrt
@@ -64,6 +63,8 @@ def is_probable_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
+    import random  # only a factor above the trial-division bound needs it
+
     if n % 2 == 0:
         return 2
     rng = random.Random(0xC0FFEE ^ n)

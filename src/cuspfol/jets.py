@@ -25,7 +25,7 @@ public surface deals in :class:`~cuspfol.coeff.Coeff`.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from numbers import Rational
 from operator import index
 
 from ._backend import (
@@ -46,7 +46,8 @@ from .coeff import Coeff, as_triple, format_triple
 
 DEFAULT_ORDER = 16
 
-_SCALARS = (int, Fraction, Coeff)
+# int first: isinstance matches it before the slower check of the ABC
+_SCALARS = (int, Coeff, Rational)
 
 
 class JetError(ValueError):
@@ -102,9 +103,11 @@ class _Jet:
         return cls(cls._ONE, order)
 
     def _operand(self, other):
+        if isinstance(other, type(self)):
+            return other
         if isinstance(other, _SCALARS):
             return self.one(self._n) * other
-        return other if isinstance(other, type(self)) else None
+        return None
 
     def __add__(self, other):
         other = self._operand(other)

@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import cuspfol
-from cuspfol.cli import _as_oneform, _print_report, main
+from cuspfol.cli import _as_oneform, _print_report, _write_json, main
 from cuspfol.forms import linear_change, pullback_map, reduce_cusp
 from cuspfol.jets import Jet2
 from cuspfol.normalform import normalize
@@ -1630,6 +1630,10 @@ AWKWARD = ['"', "\\", "\x00\x1f\x7f\n\t", "é", "\U0001d11e", 'a"b\\c\u2028é\U0
 )
 def test_json_writer_prints_the_bytes_of_json_dumps(value):
     assert written(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+    # the one-line layout of a nested value on a plain report line
+    out = []
+    _write_json(value, None, out)
+    assert "".join(out) == json.dumps(value, sort_keys=True)
 
 
 @pytest.mark.parametrize("value", [1.5, {1, 2}, {"data": [0.0]}, ["x", {"s": {3}}], {1: "a"}])
@@ -1778,8 +1782,9 @@ def fuzz_argv(rng):
 
 
 def test_canonical_reader_agrees_with_argparse():
-    """Where the canonical reader answers, argparse reads the same namespace;
-    where argparse exits (help or refusal), the reader leaves the argv to it."""
+    """Where the canonical reader answers, argparse reads a namespace with
+    the same attributes; where argparse exits (help or refusal), the reader
+    leaves the argv to it."""
     from cuspfol import cli
 
     rng = random.Random(0xA5C11)
@@ -1796,7 +1801,7 @@ def test_canonical_reader_agrees_with_argparse():
             if mine is None:
                 fallback += 1
             else:
-                assert mine == theirs, argv
+                assert vars(mine) == vars(theirs), argv
                 read += 1
     assert read > 2000 and fallback > 2000, (read, fallback)
 
@@ -1956,16 +1961,52 @@ CLI_MODULES = {
 }
 
 
-def test_cli_start_imports_no_dataclass_machinery(tmp_path):
-    # Start-up is most of the wall time of one CLI call.  Building a
-    # dataclass generates and compiles its methods, and ``dataclasses``
-    # pulls in ``inspect``; the package's classes are plain, so neither
-    # loads, while nothing the CLI uses is deferred past start-up.
-    proc = run_child(["-c", "import sys, cuspfol.cli; print(*sys.modules)"], tmp_path)
+# Standard-library modules no canonical question runs: argparse (with
+# gettext) reads only the argv the canonical reader leaves, json (with its
+# decoder and scanner) is not needed to write a report, fractions (with
+# decimal) only builds a Fraction, which no question asks for, random only
+# seeds Pollard rho, and dataclasses (with inspect) has no class left to
+# build.
+UNRUN_MODULES = {
+    "argparse", "gettext", "json", "fractions", "decimal", "random", "dataclasses", "inspect",
+}
+
+# The child prints the loaded modules after the import, then the exit code
+# and the loaded modules after each question of ARGVS.
+STARTUP_PROBE = """
+import contextlib, io, sys
+import cuspfol.cli
+print("-", *sys.modules)
+for argv in ARGVS:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cuspfol.cli.main(argv)
+    print(code, *sys.modules)
+"""
+
+
+def test_a_canonical_question_loads_no_module_it_does_not_run(tmp_path):
+    # Start-up is most of the wall time of one CLI call, so neither the
+    # import nor a canonical question on the README form loads a module
+    # above, while nothing the CLI uses is deferred past start-up.  -S keeps
+    # site hooks, which may import modules of their own, out of the child.
+    argvs = [
+        [command, CUSP, *([ROADMAP] if command == "equiv" else []), *json_flag]
+        for command in cuspfol.cli._GRAMMAR
+        for json_flag in ([], ["--json"])
+    ]
+    # a spelling the canonical reader leaves still answers, through argparse
+    argvs.append(["reduce", CUSP, "--order=8"])
+    proc = run_child(["-S", "-c", f"ARGVS = {argvs!r}" + STARTUP_PROBE], tmp_path)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
-    assert not loaded & {"dataclasses", "inspect"}
-    assert CLI_MODULES <= loaded, sorted(CLI_MODULES - loaded)
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    # the README form is cusp type, with a cohomology obstruction
+    codes = ["1" if argv[0] == "cohomology" else "0" for argv in argvs]
+    assert [line[0] for line in lines] == ["-", *codes]
+    for argv, (_, *modules) in zip([None, *argvs[:-1]], lines):
+        loaded = set(modules)
+        assert not loaded & UNRUN_MODULES, (argv, sorted(loaded & UNRUN_MODULES))
+        assert CLI_MODULES <= loaded, (argv, sorted(CLI_MODULES - loaded))
+    assert "argparse" in lines[-1]
 
 
 # --json reports of the sigma consumers at orders 24 and 64: first-integral

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -128,16 +129,34 @@ class TestCoeff:
             assert Coeff(n) == Coeff(Fraction(n)) and hash(Coeff(n)) == hash(Coeff(Fraction(n)))
             assert Coeff(n, 1 - n) == Coeff(Fraction(n), Fraction(1 - n))
 
+    def test_rational_values_keep_their_hash_and_equality(self):
+        """A Coeff of an int, a bool or a Fraction equals it and hashes as
+        it does, negatives included."""
+        rng = random.Random(0xC0EF)
+        values = [True, False, 0, -1, 2**200 + 1, -(2**200) - 3]
+        for _ in range(200):
+            num, den = rng.randint(-(10**30), 10**30), rng.randint(1, 10**30)
+            values += [num, Fraction(num, den), Fraction(-num, den)]
+        for q in values:
+            c = Coeff(q)
+            assert c == q and hash(c) == hash(q), q
+            assert (c.re, c.im) == (q, 0) and type(c.re) is Fraction
+
     @pytest.mark.parametrize(
         "parts, name",
-        [((0.1,), "float"), (("3/4",), "str"), ((1, 0.5), "float"), ((Coeff(1), 2), "Coeff")],
+        [
+            ((0.1,), "float"), (("3/4",), "str"), ((1, 0.5), "float"), ((Coeff(1), 2), "Coeff"),
+            ((Decimal("0.5"),), "Decimal"), ((Fraction(1, 2), 1j), "complex"),
+        ],
     )
     def test_inexact_parts_are_refused(self, parts, name):
-        """Only int and Fraction parts are exact: a float, a string or a
-        Coeff as a part raises TypeError naming its type, as ``Coeff(1) +
-        0.5`` does, where ``Fraction`` would round or parse it."""
-        with pytest.raises(TypeError, match=name):
+        """Only int and Fraction parts are exact: a float, a string, a
+        Decimal, a complex or a Coeff as a part raises TypeError naming its
+        type, as ``Coeff(1) + 0.5`` does, where ``Fraction`` would round or
+        parse it."""
+        with pytest.raises(TypeError) as exc:
             Coeff(*parts)
+        assert str(exc.value) == f"a Coeff part must be int or Fraction, not {name}"
 
 
 class TestJet1:

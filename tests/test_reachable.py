@@ -119,6 +119,8 @@ FIXED = [
     (["reduce"], 2, None),
     # a product of two one-term factors past the coefficient bit budget
     (["reduce", f"({_C})^1000*({_C})^1000*x dx + y dy", "--order", "8"], 3, "InputError"),
+    # a report string that is not printable ASCII: the error escapes ² as \u00b2
+    (["reduce", "x^² dx", "--order", "8"], 3, "InputError"),
     # the Gaussian factoring
     (["equiv", SINH, MOVED_SINH, "--order", "8"], 0, "Equivalent"),
     # tangency cones a*x^2 and a*(y+x)^2: reduce_cusp's linear change
